@@ -192,6 +192,76 @@ def _right_columns_needed(query: BoundQuery, index: int) -> Tuple[str, ...]:
 
 
 # ----------------------------------------------------------------------
+# Exact multi-key factorization (GROUP BY, multi-key joins, DISTINCT).
+# ----------------------------------------------------------------------
+#: Bound on the mixed-radix code space; a running composite code is
+#: re-densified before the next multiply would pass it, so int64 codes
+#: never overflow (after densifying, space and cardinality are both at
+#: most the row count).
+_CODE_SPACE_LIMIT = 1 << 62
+
+
+def factorize(keys: Sequence[np.ndarray]) -> Tuple[List[np.ndarray], np.ndarray]:
+    """Factorize key tuples: ``(unique key arrays, int64 codes)``.
+
+    The unique keys come back one array per input column, in
+    lexicographic tuple order (column 0 most significant, each column in
+    numpy sort order), and ``codes[i]`` is row ``i``'s group number in
+    that order. Each group's key values are copied from its *first* row
+    — the representative the Volcano and SQL-oracle referees keep — so
+    dtypes and bytes are the input's (``-0.0`` and ``0.0`` group
+    together and report whichever came first).
+
+    Every key column is ranked on its own: one-byte keys (``S1``,
+    ``uint8``, ``int8``, ``bool``) by counting with a 256-slot presence
+    map, wider keys by a 1-D ``np.unique``. The ranks combine by mixed
+    radix into one int64 code, which a presence map densifies when its
+    space is no larger than the row count and a sort densifies
+    otherwise. Both choices follow from dtype and size alone; no path
+    changes the answer.
+    """
+    n = len(keys[0])
+    if n == 0:
+        return [k[:0] for k in keys], np.zeros(0, dtype=np.int64)
+    codes, space = _rank_column(keys[0])
+    for col in keys[1:]:
+        ranks, card = _rank_column(col)
+        if space * card > _CODE_SPACE_LIMIT:
+            codes, space = _densify(codes, space)
+        codes = codes * card + ranks
+        space *= card
+    if len(keys) > 1:
+        codes, space = _densify(codes, space)
+    first = np.full(space, n, dtype=np.int64)
+    np.minimum.at(first, codes, np.arange(n, dtype=np.int64))
+    return [k[first] for k in keys], codes
+
+
+def _rank_column(col: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Dense order-preserving ranks of one key column: (ranks, distinct)."""
+    if col.dtype.itemsize == 1 and col.dtype.kind in "Subi":
+        byte = col.view(np.uint8)
+        if col.dtype.kind == "i":
+            byte = byte ^ np.uint8(0x80)  # signed order as unsigned bytes
+        present = np.bincount(byte, minlength=256) > 0
+        lut = np.cumsum(present, dtype=np.int64) - 1
+        return lut[byte], int(lut[-1]) + 1
+    uniq, inverse = np.unique(col, return_inverse=True)
+    return inverse.reshape(-1), len(uniq)
+
+
+def _densify(codes: np.ndarray, space: int) -> Tuple[np.ndarray, int]:
+    """Renumber int64 codes onto ``0..k-1`` keeping their order."""
+    if space <= len(codes):
+        present = np.zeros(space, dtype=bool)
+        present[codes] = True
+        lut = np.cumsum(present, dtype=np.int64) - 1
+        return lut[codes], int(lut[-1]) + 1
+    uniq, inverse = np.unique(codes, return_inverse=True)
+    return inverse.reshape(-1), len(uniq)
+
+
+# ----------------------------------------------------------------------
 # Join kernels.
 # ----------------------------------------------------------------------
 def _join_step(spec: _JoinSpec, columns: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
@@ -260,11 +330,10 @@ def _join_codes(
         return both[:n_left], both[n_left:]
     # Multi-key: factorize the key tuples over both sides at once so the
     # integer codes agree.
-    cols = [np.concatenate([l, r]) for l, r in zip(left_keys, right_keys)]
-    packed = np.rec.fromarrays(cols)
-    _, inverse = np.unique(packed, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    return inverse[:n_left], inverse[n_left:]
+    _, codes = factorize(
+        [np.concatenate([l, r]) for l, r in zip(left_keys, right_keys)]
+    )
+    return codes[:n_left], codes[n_left:]
 
 
 def _pick_strategy(sorted_r: np.ndarray, n_left: int) -> str:
@@ -304,23 +373,12 @@ def _project(query: BoundQuery, columns: Dict[str, np.ndarray]):
     return out
 
 
-def _group_index(query: BoundQuery, columns: Dict[str, np.ndarray]):
-    """Return (group key arrays in group order, inverse index, n_groups)."""
-    keys = [columns[name] for name in query.group_by]
-    if len(keys) == 1:
-        uniq, inverse = np.unique(keys[0], return_inverse=True)
-        return [uniq], inverse, len(uniq)
-    # Multi-key: unique over a structured view.
-    packed = np.rec.fromarrays(keys)
-    uniq, inverse = np.unique(packed, return_inverse=True)
-    return [np.asarray(uniq[f]) for f in uniq.dtype.names], inverse, len(uniq)
-
-
 def _aggregate(query: BoundQuery, columns: Dict[str, np.ndarray]):
     n = len(next(iter(columns.values()))) if columns else 0
 
     if query.group_by:
-        key_arrays, inverse, n_groups = _group_index(query, columns)
+        key_arrays, inverse = factorize([columns[name] for name in query.group_by])
+        n_groups = len(key_arrays[0])
         key_of = dict(zip(query.group_by, key_arrays))
     else:
         inverse = np.zeros(n, dtype=np.int64)
@@ -412,16 +470,12 @@ def _hidden_sort_columns(query: BoundQuery, names) -> Tuple[str, ...]:
 
 def _distinct(names, out: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
     """Row-wise deduplication; rows come back in lexicographic order of
-    the output columns (np.unique semantics, matched by the Volcano
-    reference)."""
+    the output columns, each distinct row as first seen (matched by the
+    Volcano reference)."""
     if not names:
         return out
-    if len(names) == 1:
-        uniq = np.unique(out[names[0]])
-        return {names[0]: uniq}
-    packed = np.rec.fromarrays([out[n] for n in names], names=list(names))
-    uniq = np.unique(packed)
-    return {n: np.asarray(uniq[n]) for n in names}
+    uniq, _ = factorize([out[n] for n in names])
+    return dict(zip(names, uniq))
 
 
 # ----------------------------------------------------------------------
@@ -435,7 +489,6 @@ def _sort_index(query: BoundQuery, out: Dict[str, np.ndarray]) -> np.ndarray:
         values = np.asarray(values)
         if item.descending:
             # Rank-based negation works for any dtype, including bytes.
-            _, ranks = np.unique(values, return_inverse=True)
-            values = -ranks
+            values = -_rank_column(values)[0]
         keys.append(values)
     return np.lexsort(keys)

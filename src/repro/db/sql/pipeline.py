@@ -482,13 +482,14 @@ class Session:
             return len(bound.rows)
         slots = self._matching_slots(txn, table, bound.where)
         if isinstance(bound, BoundUpdate):
-            for slot in slots:
-                row = table.row(int(slot))
-                changes = {
-                    name: expr.eval_row(row)
-                    for name, expr in bound.assignments
-                }
-                txn.update(table, int(slot), changes)
+            # Evaluate every SET value before the first write: a failing
+            # expression leaves the transaction exactly as it was.
+            updates = [
+                (int(slot), _set_values(table.row(int(slot)), bound.assignments))
+                for slot in slots
+            ]
+            for slot, changes in updates:
+                txn.update(table, slot, changes)
             return len(slots)
         if isinstance(bound, BoundDelete):
             for slot in slots:
@@ -592,6 +593,21 @@ class Session:
             )
         self.stats.explains += 1
         return StatementResult(kind="explain", sql=sql, plan=text)
+
+
+def _set_values(row: dict, assignments) -> dict:
+    """One row's UPDATE SET values; evaluation faults become SqlError."""
+    changes = {}
+    for name, expr in assignments:
+        try:
+            changes[name] = expr.eval_row(row)
+        except SqlError:
+            raise
+        except Exception as exc:  # noqa: BLE001 — surface as a statement error
+            raise SqlError(
+                f"cannot evaluate UPDATE value for {name!r}: {exc}"
+            ) from exc
+    return changes
 
 
 def split_statements(script: str) -> List[str]:

@@ -35,6 +35,7 @@ import numpy as np
 from repro.core.ledger import CostLedger
 from repro.core.mvcc_filter import visible_mask
 from repro.core.selection import CompareOp
+from repro.db.exec.vector import factorize
 from repro.db.table import Table
 from repro.errors import PlanError
 from repro.obs import maybe_span
@@ -266,21 +267,6 @@ def _touched_columns(plan: DistPlan) -> Tuple[str, ...]:
     return tuple(seen)
 
 
-def _group_codes(
-    keys: List[np.ndarray],
-) -> Tuple[List[Tuple], np.ndarray]:
-    """Factorize the group-key columns: (sorted unique key tuples, codes)."""
-    if len(keys) == 1:
-        uniq, codes = np.unique(keys[0], return_inverse=True)
-        return [(k.item(),) for k in uniq], codes.reshape(-1)
-    rec = np.rec.fromarrays(keys, names=[f"k{i}" for i in range(len(keys))])
-    uniq, codes = np.unique(rec, return_inverse=True)
-    # .item() on a structured scalar yields a tuple of plain Python
-    # values (bytes for CHAR fields, ints for numerics) — picklable and
-    # deterministically orderable.
-    return [row.item() for row in uniq], codes.reshape(-1)
-
-
 def execute_fragment(
     table: Table,
     plan: DistPlan,
@@ -312,6 +298,8 @@ def execute_fragment(
         tracer, "frag.scan", layer="dist", table=schema.name, rows_in=n
     ):
         touched = _touched_columns(plan)
+        # Decode each touched column once; every later stage reads these.
+        raw = {name: _raw_column(table, name) for name in touched}
         width = sum(schema.column(c).dtype.width for c in touched)
         if schema.mvcc:
             width += MVCC_STAMP_BYTES
@@ -328,13 +316,13 @@ def execute_fragment(
         else:
             mask = np.ones(n, dtype=bool)
         if plan.key_low is not None or plan.key_high is not None:
-            key = _raw_column(table, plan.key_column)
+            key = raw[plan.key_column]
             if plan.key_low is not None:
                 mask &= key >= plan.key_low
             if plan.key_high is not None:
                 mask &= key <= plan.key_high
         for pred in plan.predicates:
-            mask &= pred.op.apply(_raw_column(table, pred.column), pred.value)
+            mask &= pred.op.apply(raw[pred.column], pred.value)
         buckets[CostLedger.DIST_FILTER] = (
             n * FILTER_CYCLES_PER_TERM * plan.filter_terms
         )
@@ -345,6 +333,15 @@ def execute_fragment(
         qualifying = int(np.count_nonzero(mask))
         partial.rows_qualifying = qualifying
         fspan.set_attrs(rows_out=qualifying)
+    # The qualifying rows of every column a later stage reads, masked once.
+    selected = {
+        name: raw[name][mask]
+        for name in dict.fromkeys((
+            *plan.group_by,
+            *(t.column for a in plan.aggregates for t in a.terms),
+            *plan.columns,
+        ))
+    }
 
     if plan.aggregates:
         per_row = GROUP_CYCLES_PER_KEY * len(plan.group_by) + sum(
@@ -365,8 +362,10 @@ def execute_fragment(
         partial.groups = {}
         if qualifying:
             if plan.group_by:
-                keys = [_raw_column(table, c)[mask] for c in plan.group_by]
-                tuples, codes = _group_codes(keys)
+                uniques, codes = factorize([selected[c] for c in plan.group_by])
+                # Plain Python key tuples (bytes for CHAR, ints for
+                # numerics): picklable and deterministically orderable.
+                tuples = list(zip(*(u.tolist() for u in uniques)))
             else:
                 tuples, codes = [()], np.zeros(qualifying, dtype=np.int64)
             ngroups = len(tuples)
@@ -383,9 +382,9 @@ def execute_fragment(
                             f"aggregate {agg.name!r} references non-numeric "
                             f"column {term.column!r}"
                         )
-                    factor = term.const + term.coeff * _raw_column(
-                        table, term.column
-                    )[mask].astype(np.int64)
+                    factor = term.const + term.coeff * selected[
+                        term.column
+                    ].astype(np.int64)
                     vals = factor if vals is None else vals * factor
                 if agg.kind == "sum":
                     acc = np.zeros(ngroups, dtype=np.int64)
@@ -411,10 +410,7 @@ def execute_fragment(
                 tracer.record(
                     CostLedger.DIST_AGG, buckets[CostLedger.DIST_AGG]
                 )
-        partial.arrays = {
-            name: np.ascontiguousarray(_raw_column(table, name)[mask])
-            for name in plan.columns
-        }
+        partial.arrays = {name: selected[name] for name in plan.columns}
     return partial
 
 

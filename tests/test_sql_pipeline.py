@@ -106,6 +106,27 @@ def test_transaction_control_misuse_is_rejected(session):
     session.execute("ROLLBACK")
 
 
+def test_update_set_fault_is_a_typed_error(session):
+    # Autocommit: the statement's transaction rolls back.
+    with pytest.raises(SqlError, match="cannot evaluate UPDATE value for 'v'"):
+        session.execute("UPDATE t SET v = v / 0")
+    assert not session.in_transaction
+    rows = session.execute("SELECT id AS c0, v AS c1 FROM t ORDER BY c0").rows
+    assert rows == [(1, 10), (2, 20), (3, 30)]
+
+    # Explicit transaction: the failed statement writes nothing, and the
+    # transaction stays open and usable.
+    session.execute("BEGIN")
+    session.execute("UPDATE t SET v = v + 1 WHERE id = 1")
+    with pytest.raises(SqlError, match="cannot evaluate UPDATE value"):
+        session.execute("UPDATE t SET v = 100 / (v - 20)")
+    assert session.in_transaction
+    session.execute("UPDATE t SET v = v + 1 WHERE id = 3")
+    session.execute("COMMIT")
+    rows = session.execute("SELECT id AS c0, v AS c1 FROM t ORDER BY c0").rows
+    assert rows == [(1, 11), (2, 20), (3, 31)]
+
+
 def test_dml_needs_an_mvcc_table():
     from repro.db.catalog import Catalog
     from repro.db.schema import Column, TableSchema

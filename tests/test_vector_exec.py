@@ -9,7 +9,7 @@ model identically (cost recipes never depend on the answer path).
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.mvcc_filter import visible_mask, visible_mask_batched
@@ -20,6 +20,7 @@ from repro.db.engines.rmstore import RelationalMemoryEngine
 from repro.db.engines.rowstore import RowStoreEngine
 from repro.db.exec.vector import (
     FusedKernel,
+    factorize,
     join_indices,
     run_vector,
 )
@@ -241,6 +242,87 @@ class TestJoinIndices:
         lc, rc = _join_codes([l], [r])
         assert _pick_strategy(np.sort(rc), len(lc)) == "merge"
         assert _pick_strategy(np.sort(lc), len(rc)) == "probe"
+
+
+#: Key column kinds for the factorize property: dtype and a value
+#: strategy with enough repeats to form groups. ``S1``, ``uint8``,
+#: ``int8`` and ``bool`` take the counting path; the rest sort.
+_KEY_KINDS = {
+    "S1": ("S1", st.sampled_from([b"", b"A", b"N", b"R", b"\x80", b"\xff"])),
+    "S4": ("S4", st.sampled_from([b"", b"a", b"ab", b"abcd", b"b", b"\xffz"])),
+    "int64": (
+        np.int64,
+        st.sampled_from([-(2**63), -(2**62), -1, 0, 1, 2**63 - 1])
+        | st.integers(-3, 3),
+    ),
+    "int32": (np.int32, st.integers(-2, 2)),
+    "int8": (np.int8, st.sampled_from([-128, -1, 0, 1, 127])),
+    "uint8": (np.uint8, st.sampled_from([0, 1, 200, 255])),
+    "bool": (np.bool_, st.booleans()),
+    "float64": (np.float64, st.sampled_from([-0.0, 0.0, 1.5, -1.5, 2.0])),
+}
+
+
+@st.composite
+def key_columns(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(_KEY_KINDS)), min_size=1, max_size=4))
+    n = draw(st.integers(0, 40))
+    cols = []
+    for kind in kinds:
+        dtype, values = _KEY_KINDS[kind]
+        cols.append(np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=dtype))
+    return cols
+
+
+def reference_factorize(cols):
+    """Numpy-free referee: sorted distinct key tuples, each as its first
+    row has it (a dict keeps the first of equal keys, so ``-0.0`` vs
+    ``0.0`` resolves to the earlier row), and each row's group index."""
+    rows = list(zip(*(c.tolist() for c in cols)))
+    uniq = sorted(dict.fromkeys(rows))
+    index = {key: g for g, key in enumerate(uniq)}
+    return uniq, [index[row] for row in rows]
+
+
+def assert_factorize_matches_reference(cols):
+    uniq, codes = factorize(cols)
+    expect_uniq, expect_codes = reference_factorize(cols)
+    assert [u.dtype for u in uniq] == [c.dtype for c in cols]
+    assert codes.dtype == np.int64
+    assert codes.tolist() == expect_codes
+    # repr() tells -0.0 from 0.0, so representatives are pinned bit-wise.
+    assert repr(list(zip(*(u.tolist() for u in uniq)))) == repr(expect_uniq)
+
+
+class TestFactorize:
+    @given(key_columns())
+    @example([np.zeros(0, dtype="S1"), np.zeros(0, dtype=np.int64)])
+    @example([np.array([-0.0, 1.0, 0.0]), np.array([3, 3, 3])])
+    @example([np.array([0.0, 1.0, -0.0]), np.array([3, 3, 3])])
+    @settings(max_examples=300, deadline=None)
+    def test_matches_numpy_free_reference(self, cols):
+        assert_factorize_matches_reference(cols)
+
+    def test_radix_overflow_redensifies(self, monkeypatch):
+        # Four columns of 2**16 distinct values: the mixed-radix product
+        # (2**64) passes 2**62, so the running code is re-densified before
+        # the last column and the final codes take the sort path.
+        from repro.db.exec import vector
+
+        calls = []
+        real = vector._densify
+
+        def spy(codes, space):
+            calls.append(space)
+            return real(codes, space)
+
+        monkeypatch.setattr(vector, "_densify", spy)
+        rng = np.random.default_rng(5)
+        n = 2**16
+        cols = [rng.permutation(n).astype(np.int64) - 2**15 for _ in range(4)]
+        assert_factorize_matches_reference(cols)
+        assert calls[0] == 2**48  # the mid-way re-densify
+        assert len(calls) == 2
 
 
 class TestEmptyAggregates:
