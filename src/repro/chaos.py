@@ -56,11 +56,11 @@ answer TPC-H Q1/Q6 byte-identically to serial execution::
 
 A fourth mode (``--mode sql-fuzz``) drives the whole stack through the
 SQL front door: a seeded statement stream (DML, transactions, joins,
-grouping, subqueries) runs through the vector engine, the volcano
-engine, a determinism twin, the scatter-gather cluster where the
+grouping, subqueries) runs through the engine, a determinism twin, the
+bound-level Volcano reference, the scatter-gather cluster where the
 statement fits its dialect, and the brute-force dict-row oracle of
-:mod:`repro.db.sql.oracle` — every answer byte-identical between engine
-modes and value-identical to the oracle — then replays the WAL
+:mod:`repro.db.sql.oracle` — every answer byte-identical to the
+reference and value-identical to the oracle — then replays the WAL
 crash-point checker over the log the SQL-issued DML produced::
 
     PYTHONPATH=src python -m repro.chaos --mode sql-fuzz --seed 3 \

@@ -1,8 +1,9 @@
 """Engine framework: shared execution flow + per-engine cost recipes.
 
-Every engine answers queries through the same vectorized evaluator (so
-results are identical by construction) but *accounts cycles* according to
-its execution model:
+Every engine answers queries through the same vectorized evaluator, the
+fused kernels of :mod:`repro.db.exec.vector` (so results are identical by
+construction; the Volcano interpreter is only the tests' reference), but
+*accounts cycles* according to its execution model:
 
 * :class:`~repro.db.engines.rowstore.RowStoreEngine` — Volcano
   tuple-at-a-time over the row image (full rows stream through caches);
@@ -34,7 +35,6 @@ from repro.db.plan.codecache import CodeFragmentCache, Fragment
 from repro.db.plan.logical import explain
 from repro.db.exec.result import QueryResult
 from repro.db.exec.vector import FusedKernel, apply_where, run_vector
-from repro.db.exec.volcano import run_volcano
 from repro.db.sql.lexer import normalize_sql
 from repro.db.sql.parser import parse
 from repro.errors import ExecutionError
@@ -99,7 +99,6 @@ class Engine(ABC):
         threads: int = 1,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
-        exec_mode: str = "vector",
         codecache: Optional["CodeFragmentCache"] = None,
     ):
         self.catalog = catalog
@@ -118,13 +117,6 @@ class Engine(ABC):
             self.memory = TraceMemoryModel(self.platform)
         else:
             raise ExecutionError(f"unknown memory model {memory_model!r}")
-        if exec_mode not in ("vector", "volcano"):
-            raise ExecutionError(f"unknown exec mode {exec_mode!r}")
-        #: Answer-path executor: the fused vectorized kernels (default)
-        #: or the scalar Volcano reference. Cost charging is identical —
-        #: only how the answer is computed differs, so the two modes are
-        #: bit-identical in rows, cycles, and cache counters.
-        self.exec_mode = exec_mode
         #: Optional :class:`repro.db.plan.codecache.CodeFragmentCache`.
         #: When attached, repeated query shapes skip SQL parse/bind (by
         #: query text) and kernel compilation (by fragment signature),
@@ -252,10 +244,8 @@ class Engine(ABC):
             # The answer path (repro.db.exec) is shared and uncosted —
             # its cycles were charged per-operator above — but it still
             # appears in the trace so the tree shows where answers form.
-            with self._span("answer", layer="exec", mode=self.exec_mode) as ans:
-                if self.exec_mode == "volcano":
-                    result = run_volcano(bound, columns)
-                elif fragment is not None:
+            with self._span("answer", layer="exec") as ans:
+                if fragment is not None:
                     result = fragment.payload(columns, mask=mask)
                 else:
                     result = run_vector(bound, columns, mask=mask)
@@ -283,15 +273,28 @@ class Engine(ABC):
         skips the whole frontend. (Fragments themselves are keyed by the
         binding signature — structure + layout, literals blanked — which
         is what lets the fabric share compiled code across literal values
-        and, under the ephemeral layout, across column subsets.)"""
+        and, under the ephemeral layout, across column subsets.)
+
+        A memoized bind is reused only while every table it names is
+        still the catalog's table of that name: DROP + CREATE makes a new
+        :class:`Table`, and the old bind would answer from the dropped one.
+        """
         if self.codecache is not None:
             key = normalize_sql(sql)
             bound = self._bound_cache.get(key)
-            if bound is None:
+            if bound is None or not self._binds_current_tables(bound):
                 bound = bind(parse(sql), self.catalog)
                 self._bound_cache[key] = bound
             return bound
         return bind(parse(sql), self.catalog)
+
+    def _binds_current_tables(self, bound: BoundQuery) -> bool:
+        catalog = self.catalog
+        for table in (bound.table, *(join.table for join in bound.joins)):
+            name = table.schema.name
+            if name not in catalog or catalog.table(name) is not table:
+                return False
+        return True
 
     def _plan_fragment(
         self, bound: BoundQuery, ledger: CostLedger
@@ -303,7 +306,7 @@ class Engine(ABC):
         cache (the default) there is no charge and no fragment — default
         cycle totals are untouched.
         """
-        if self.codecache is None or self.exec_mode != "vector":
+        if self.codecache is None:
             return None
         with self._span("plan", layer="plan", layout=self.fragment_layout) as span:
             hit, cycles, fragment = self.codecache.fetch(

@@ -179,7 +179,6 @@ class RelationalMemoryEngine(Engine):
             self._fallback_engine = RowStoreEngine(
                 self.catalog, self.platform, threads=self.threads,
                 tracer=self.tracer, metrics=self.metrics,
-                exec_mode=self.exec_mode,
             )
         self.fallbacks += 1
         self._last_access_path = "degraded-rowstore-scan"

@@ -151,11 +151,6 @@ class FusedKernel:
         return QueryResult(names=names, columns=out)
 
 
-def compile_kernel(query: BoundQuery, join_strategy: str = "auto") -> FusedKernel:
-    """Compile ``query`` into a reusable fused kernel chain."""
-    return FusedKernel(query, join_strategy=join_strategy)
-
-
 def _as_mask(mask, columns: Dict[str, np.ndarray]) -> np.ndarray:
     if np.isscalar(mask):
         n = len(next(iter(columns.values()))) if columns else 0

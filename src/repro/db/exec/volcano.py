@@ -2,9 +2,10 @@
 
 This is both the row engine's *execution model* (each tuple climbs an
 iterator chain through ``next()`` calls — the per-tuple overhead the cost
-model charges) and the independent **reference executor**: tests run the
-same bound query through this interpreter and through the vectorized
-evaluator and require identical answers.
+model charges) and the independent **reference executor**: tests, the
+SQL fuzzer and ``bench_vector`` run the same bound query through this
+interpreter and through the vectorized evaluator and require identical
+answers. No engine answers through it.
 
 It is deliberately straightforward Python — clarity over speed — and is
 only used on small inputs.

@@ -4,16 +4,19 @@ One seeded run drives a random statement stream — DML (autocommit and
 explicit transactions), joins, grouping, subqueries, DISTINCT,
 ORDER BY/LIMIT/OFFSET — through four independent evaluations:
 
-- the **vector** engine (the primary; all DML flows through it),
-- the **volcano** engine (a second session over the same catalog),
-- a **twin vector** session (same mode, fresh engine — its ledger
+- the **primary** session (all DML flows through it),
+- a **twin** session (fresh engine over the same catalog — its ledger
   buckets must match the primary's exactly, the determinism check),
+- the bound-level :func:`~repro.db.exec.run_volcano` reference, called
+  directly on the visible rows of ``t``,
 - the :class:`~repro.db.sql.oracle.SqlOracle` (dict rows, no numpy,
   no shared executor code).
 
-Every SELECT must come back *byte-identical* between the engine modes
-(same dtypes, same column bytes), with bucket-identical cost ledgers
-between the vector twins, and value-identical to the oracle. Statements
+Every SELECT must come back *byte-identical* to the Volcano reference
+(same names, dtypes and column bytes), with bucket-identical cost
+ledgers between the twins, and value-identical to the oracle. SELECTs
+with subqueries bind only inside a session (which folds them first), so
+they skip the reference and keep the oracle check. Statements
 that fit the scatter-gather dialect additionally run through a real
 :class:`~repro.dist.ShardCluster` (inline workers over a range-sharded
 copy of the visible rows) and must merge to the same groups.
@@ -33,12 +36,13 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.mvcc_filter import visible_mask
 from repro.db.catalog import Catalog
+from repro.db.exec import run_volcano
 from repro.db.mvcc import TransactionManager
 from repro.db.plan.binder import bind
 from repro.db.schema import Column, TableSchema
@@ -373,16 +377,10 @@ class _Harness:
         self.catalog = Catalog()
         self.manager = TransactionManager(wal=self.wal)
         self.primary = Session(
-            catalog=self.catalog, manager=self.manager, exec_mode="vector",
-            journal=recorder,
-        )
-        self.volcano = Session(
-            catalog=self.catalog, manager=self.manager, exec_mode="volcano",
-            journal=recorder,
+            catalog=self.catalog, manager=self.manager, journal=recorder
         )
         self.twin = Session(
-            catalog=self.catalog, manager=self.manager, exec_mode="vector",
-            journal=recorder,
+            catalog=self.catalog, manager=self.manager, journal=recorder
         )
         self.oracle = SqlOracle()
         self.gen = StatementGen(self.rng, side_table=side_table)
@@ -426,6 +424,17 @@ class _Harness:
             self.journal_commits.append(
                 (self.wal.durable_bytes, self.frozen_oracle_rows())
             )
+
+    def visible_columns(self) -> Dict[str, np.ndarray]:
+        """Every user column of ``t``, restricted to the rows visible at
+        the manager's current timestamp (what a SELECT outside a
+        transaction reads)."""
+        table = self.catalog.table("t")
+        mask = visible_mask(table.begin_ts, table.end_ts, self.manager.now)
+        return {
+            c.name: table.column_values(c.name)[mask]
+            for c in table.schema.user_columns
+        }
 
     # -- one step -------------------------------------------------------
     def step(self) -> None:
@@ -474,7 +483,6 @@ class _Harness:
         sql = gen.sql
         try:
             primary = self.primary.execute(sql)
-            vol = self.volcano.execute(sql)
             twin = self.twin.execute(sql)
         except ReproError as exc:
             report.violations.append(f"{sql!r}: engine raised {exc}")
@@ -488,28 +496,35 @@ class _Harness:
         if gen.has_subquery:
             report.subquery_selects += 1
 
-        # Engine-to-engine byte identity (vector vs volcano).
-        pr, vr = primary.result, vol.result
-        if pr.names != vr.names:
-            report.violations.append(
-                f"{sql!r}: vector names {pr.names} != volcano {vr.names}"
-            )
-            return
-        for name in pr.names:
-            a, b = pr.columns[name], vr.columns[name]
-            if a.dtype != b.dtype or a.tobytes() != b.tobytes():
+        # Byte identity against the Volcano reference.
+        pr = primary.result
+        if not gen.has_subquery:
+            try:
+                bound = bind(parse_statement(sql), self.catalog)
+                vr = run_volcano(bound, self.visible_columns())
+            except ReproError as exc:
+                report.violations.append(f"{sql!r}: reference raised {exc}")
+                return
+            if pr.names != vr.names:
                 report.violations.append(
-                    f"{sql!r}: column {name!r} differs between vector "
-                    f"({a.dtype}) and volcano ({b.dtype})"
+                    f"{sql!r}: engine names {pr.names} != reference {vr.names}"
                 )
                 return
+            for name in pr.names:
+                a, b = pr.columns[name], vr.columns[name]
+                if a.dtype != b.dtype or a.tobytes() != b.tobytes():
+                    report.violations.append(
+                        f"{sql!r}: column {name!r} differs between engine "
+                        f"({a.dtype}) and reference ({b.dtype})"
+                    )
+                    return
 
-        # Determinism: the vector twin's cost ledger bucket-for-bucket.
+        # Determinism: the twin's cost ledger bucket-for-bucket.
         pb = primary.execution.ledger.buckets
         tb = twin.execution.ledger.buckets
         if pb != tb:
             report.violations.append(
-                f"{sql!r}: vector ledger buckets differ between twins: "
+                f"{sql!r}: ledger buckets differ between twins: "
                 f"{pb} != {tb}"
             )
 
@@ -540,11 +555,7 @@ class _Harness:
         except PlanError:
             return  # outside the dist dialect (e.g. CHAR predicates)
         table = self.catalog.table("t")
-        mask = visible_mask(table.begin_ts, table.end_ts, self.manager.now)
-        columns = {
-            c.name: table.column_values(c.name)[mask]
-            for c in table.schema.user_columns
-        }
+        columns = self.visible_columns()
         shard_schema = TableSchema(
             "t", [Column(c.name, c.dtype) for c in table.schema.user_columns]
         )
@@ -606,7 +617,6 @@ def run_sql_fuzz(
     if crash_points > 0:
         _check_crash_points(harness, report, crash_points)
     harness.primary.close()
-    harness.volcano.close()
     harness.twin.close()
     report.seconds = time.perf_counter() - t0
     return report

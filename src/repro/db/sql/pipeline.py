@@ -4,7 +4,7 @@ Every entry point — engines, the serving layer, benchmarks, the REPL,
 and the chaos harnesses — can drive the system through one door::
 
     sql.parse  ->  plan.bind  ->  plan.logical  ->  plan.optimizer
-               ->  exec (volcano | vector)                 (SELECT)
+               ->  exec (vector kernels)                   (SELECT)
                ->  MVCC transaction -> WAL                 (DML)
 
 :class:`Session` owns the pieces: a catalog, one engine (any of the
@@ -155,7 +155,6 @@ class Session:
         *,
         wal=None,
         platform=None,
-        exec_mode: str = "vector",
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
         codecache=None,
@@ -177,7 +176,6 @@ class Session:
                 platform,
                 tracer=tracer,
                 metrics=metrics,
-                exec_mode=exec_mode,
                 codecache=codecache,
             )
         self.engine = engine
@@ -328,8 +326,7 @@ class Session:
         with maybe_span(self.tracer, "sql.plan", layer="sql") as pl:
             decision = self.optimizer.choose(bound)
             pl.set_attrs(access_path=decision.winner)
-        with maybe_span(self.tracer, "sql.exec", layer="sql",
-                        mode=self.engine.exec_mode):
+        with maybe_span(self.tracer, "sql.exec", layer="sql"):
             execution = self.engine.execute(
                 bound, snapshot_ts=self._snapshot_for(bound.table)
             )

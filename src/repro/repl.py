@@ -272,12 +272,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="lineitem rows for --tpch (default 10000)",
     )
     parser.add_argument(
-        "--exec-mode",
-        choices=("vector", "volcano"),
-        default="vector",
-        help="engine execution mode",
-    )
-    parser.add_argument(
         "--file", help="run this SQL script instead of reading stdin"
     )
     parser.add_argument(
@@ -288,9 +282,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     metrics = MetricsRegistry() if args.metrics else None
-    session = Session(
-        tracer=Tracer(), metrics=metrics, exec_mode=args.exec_mode
-    )
+    session = Session(tracer=Tracer(), metrics=metrics)
     if args.demo:
         _load_demo(session)
     if args.tpch:

@@ -1,11 +1,11 @@
 """Differential SQL fuzzing through the statement pipeline.
 
 Hypothesis draws seeds; each seed drives a random statement stream
-(DML, transactions, joins, grouping, subqueries) through the vector
-engine, the volcano engine, a determinism twin, the scatter-gather
+(DML, transactions, joins, grouping, subqueries) through the engine, a
+determinism twin, the bound-level Volcano reference, the scatter-gather
 cluster (where the statement fits its dialect), and the brute-force
-dict-row oracle — every answer must agree, byte-identically between
-engine modes. ``python -m repro.chaos --mode sql-fuzz`` runs the same
+dict-row oracle — every answer must agree, byte-identically with the
+reference. ``python -m repro.chaos --mode sql-fuzz`` runs the same
 harness with WAL crash points in CI.
 """
 

@@ -46,18 +46,9 @@ def test_select_returns_rows_and_names(session):
     assert result.cycles > 0
 
 
-def test_volcano_and_vector_sessions_agree():
-    answers = []
-    for mode in ("volcano", "vector"):
-        s = Session(exec_mode=mode)
-        _seed(s)
-        r = s.execute("SELECT id AS c0, v * 2 AS c1 FROM t ORDER BY c0 DESC")
-        answers.append((r.names, r.rows))
-        s.close()
-    assert answers[0] == answers[1] == (
-        ("c0", "c1"),
-        [(3, 60), (2, 40), (1, 20)],
-    )
+def test_projection_with_order_by_desc(session):
+    r = session.execute("SELECT id AS c0, v * 2 AS c1 FROM t ORDER BY c0 DESC")
+    assert (r.names, r.rows) == (("c0", "c1"), [(3, 60), (2, 40), (1, 20)])
 
 
 def test_scalar_subquery_folds_and_counts(session):

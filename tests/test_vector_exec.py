@@ -1,10 +1,9 @@
 """Property tests for the vectorized execution path (ISSUE 7).
 
-The contract under test: for every query shape, layout, exec mode, and
-MVCC snapshot, the vectorized fused-kernel path and the scalar Volcano
-reference produce **bit-identical** answers — and in trace mode the two
-exec modes of one engine charge identical cycles and touch the hardware
-model identically (cost recipes never depend on the answer path).
+The contract under test: for every query shape, layout, engine and
+MVCC snapshot, the vectorized fused-kernel path (the engines' only answer
+path) and the scalar Volcano reference produce **bit-identical**
+answers.
 """
 
 import numpy as np
@@ -364,8 +363,8 @@ class TestEmptyAggregates:
 
 
 class TestEngineTraceBitIdentity:
-    """Vector and volcano modes of one engine: identical rows, cycles,
-    ledger buckets, and hardware counters in trace mode."""
+    """Every engine's answer in trace mode is bit-identical to the
+    Volcano reference run over independently built base columns."""
 
     SQL = (
         "SELECT cat, sum(val * qty) AS rev, count(*) AS n FROM fact "
@@ -375,19 +374,13 @@ class TestEngineTraceBitIdentity:
 
     @pytest.mark.parametrize("engine_cls", ENGINES)
     def test_modes_identical(self, engine_cls):
-        results = {}
-        for mode in ("vector", "volcano"):
-            engine = engine_cls(
-                STAR_CATALOG, TEST_PLATFORM, memory_model="trace", exec_mode=mode
-            )
-            res = engine.execute(self.SQL)
-            results[mode] = (res, engine.memory.hierarchy.counters())
-        vec, vec_hw = results["vector"]
-        vol, vol_hw = results["volcano"]
-        assert_same_result(vec.result, vol.result, context=engine_cls.name)
-        assert vec.ledger.buckets == vol.ledger.buckets
-        assert vec.cycles == vol.cycles
-        assert vec_hw == vol_hw
+        bound = bind(parse(self.SQL), STAR_CATALOG)
+        cols = {n: STAR_FACT.column_values(n) for n in bound.referenced_columns}
+        engine = engine_cls(STAR_CATALOG, TEST_PLATFORM, memory_model="trace")
+        res = engine.execute(self.SQL)
+        assert_same_result(
+            res.result, run_volcano(bound, cols), context=engine_cls.name
+        )
 
     @pytest.mark.parametrize("engine_cls", ENGINES)
     def test_modes_identical_under_mvcc_snapshot(self, engine_cls):
@@ -422,20 +415,17 @@ class TestEngineTraceBitIdentity:
             "SELECT acct, sum(amount) AS s, count(*) AS n FROM ledger_t "
             "WHERE tag = 'aa' GROUP BY acct ORDER BY acct"
         )
+        bound = bind(parse(sql), catalog)
+        engine = engine_cls(catalog, TEST_PLATFORM, memory_model="trace")
         for snapshot_ts in snapshots:
-            ref = None
-            for mode in ("vector", "volcano"):
-                engine = engine_cls(
-                    catalog, TEST_PLATFORM, memory_model="trace", exec_mode=mode
-                )
-                res = engine.execute(sql, snapshot_ts=snapshot_ts)
-                if ref is None:
-                    ref = res
-                else:
-                    assert_same_result(
-                        ref.result, res.result, context=f"ts={snapshot_ts}"
-                    )
-                    assert ref.ledger.buckets == res.ledger.buckets
+            vis = visible_mask(table.begin_ts, table.end_ts, snapshot_ts)
+            cols = {
+                n: table.column_values(n)[vis] for n in bound.referenced_columns
+            }
+            res = engine.execute(sql, snapshot_ts=snapshot_ts)
+            assert_same_result(
+                res.result, run_volcano(bound, cols), context=f"ts={snapshot_ts}"
+            )
         # Later snapshots see strictly more rows.
         engine = engine_cls(catalog, TEST_PLATFORM)
         counts = [
@@ -479,14 +469,18 @@ class TestCodeCache:
             assert_same_result(cached.result, reference.result, context=sql)
         assert cache.stats.misses == 1 and cache.stats.hits == 2
 
-    def test_vector_mode_required(self):
-        cache = CodeFragmentCache()
-        engine = RowStoreEngine(
-            STAR_CATALOG, TEST_PLATFORM, exec_mode="volcano", codecache=cache
-        )
-        engine.execute(self.SQL)
-        # The volcano path never consults the fragment cache.
-        assert cache.stats.lookups == 0
+    def test_recreated_table_is_rebound(self):
+        # The bind memo is keyed by SQL text: after DROP + CREATE the
+        # cached bind must not keep answering from the dropped table.
+        catalog = Catalog()
+        schema = TableSchema("t", [Column("id", INT64)])
+        sql = "SELECT count(*) AS n FROM t"
+        engine = RowStoreEngine(catalog, TEST_PLATFORM, codecache=CodeFragmentCache())
+        catalog.create_table(schema).append_arrays({"id": np.arange(5)})
+        assert engine.execute(sql).result.scalar() == 5
+        catalog.drop_table("t")
+        catalog.create_table(schema).append_arrays({"id": np.arange(2)})
+        assert engine.execute(sql).result.scalar() == 2
 
     def test_codecache_metrics_collector(self):
         from repro.obs import MetricsRegistry
