@@ -61,24 +61,6 @@ DIST_BUCKETS = ("dist_scan", "dist_filter", "dist_agg", "dist_gather")
 SERIAL_REPEATS = 3
 
 
-def _shard_lineitem(lineitem, nshards: int) -> ShardedTable:
-    keys = lineitem.column("l_orderkey")
-    qs = np.linspace(0, 1, nshards + 1)[1:-1]
-    bounds = sorted({int(np.quantile(keys, q)) for q in qs})
-    sharded = ShardedTable(lineitem.schema, "l_orderkey", bounds)
-    sharded.bulk_load(
-        {
-            c.name: (
-                lineitem.column(c.name).view(f"S{c.dtype.width}").reshape(-1)
-                if c.dtype.np_dtype is None
-                else lineitem.column(c.name)
-            )
-            for c in lineitem.schema.user_columns
-        }
-    )
-    return sharded
-
-
 def run_scaling(
     rows: int,
     shard_counts,
@@ -104,7 +86,7 @@ def run_scaling(
 
     clusters: List[ShardCluster] = []
     for n in shard_counts:
-        sharded = _shard_lineitem(lineitem, n)
+        sharded = ShardedTable.split(lineitem, "l_orderkey", n)
         cluster = ShardCluster(
             sharded, DistConfig(deadline_s=600.0, boot_deadline_s=600.0)
         )

@@ -40,26 +40,11 @@ ENGINES = ("row", "column", "rm")
 
 def run_dist(nrows: int, nshards: int) -> Trace:
     """Q6 over a process-per-shard cluster, span batches grafted."""
-    import numpy as np
-
     from repro.db.sharding import ShardedTable
     from repro.dist import DistConfig, ShardCluster, q6_plan
 
     _, table = generate_lineitem(nrows=nrows, seed=42)
-    keys = table.column("l_orderkey")
-    qs = np.linspace(0, 1, nshards + 1)[1:-1]
-    bounds = sorted({int(np.quantile(keys, q)) for q in qs})
-    sharded = ShardedTable(table.schema, "l_orderkey", bounds)
-    sharded.bulk_load(
-        {
-            c.name: (
-                table.column(c.name).view(f"S{c.dtype.width}").reshape(-1)
-                if c.dtype.np_dtype is None
-                else table.column(c.name)
-            )
-            for c in table.schema.user_columns
-        }
-    )
+    sharded = ShardedTable.split(table, "l_orderkey", nshards)
     tracer = Tracer()
     with ShardCluster(sharded, DistConfig()) as cluster:
         distributed = cluster.query(q6_plan(), tracer=tracer)

@@ -1,11 +1,16 @@
-"""Crash-point chaos testing for the MVCC durability subsystem.
+"""Chaos testing: WAL crash points, serving overload, shard loss, SQL fuzz.
 
-The durability claim of :mod:`repro.db.wal` is only as strong as the
-worst crash point, so this harness doesn't sample — it *enumerates*: run
-a seeded HTAP-style write mix with the write-ahead log attached, then
-simulate a crash at **every** record boundary of the durable log (plus
-randomized intra-record torn offsets), recover each truncated image, and
-assert the four invariants:
+Every mode is a pure function of the seed, so a failing point replays
+exactly. Run as a script (the CI chaos matrix does)::
+
+    PYTHONPATH=src python -m repro.chaos --mode wal --seed 3 --txns 200 \
+        --torn 64 --json chaos_report.json --journal chaos_journal.json
+
+``--mode wal`` (the default, :func:`run_chaos`) doesn't sample — it
+*enumerates*: run a seeded HTAP-style write mix with the write-ahead log
+attached, then simulate a crash at **every** record boundary of the
+durable log (plus randomized intra-record torn offsets), recover each
+truncated image, and assert the four invariants:
 
 1. **committed-durable** — every transaction whose COMMIT record made it
    to the media is fully present after recovery;
@@ -19,61 +24,36 @@ assert the four invariants:
 
 A fifth check corrupts a record in the *middle* of the log and demands
 the typed :class:`~repro.errors.WalCorruptionError` rather than a
-silently wrong answer.
+silently wrong answer (a silent recovery is an ordinary violation).
 
-Everything is a pure function of the seed, so a failing point replays
-exactly. Run as a script (the CI chaos job does)::
+``--mode overload`` (:func:`run_overload_chaos`) storms the serving
+front door with a hostile tenant and the ``serve.*`` fault sites armed,
+replaying the event log through :class:`repro.serve.ServeOracle`.
+``--mode shard-kill`` (:func:`run_shard_kill_chaos`) SIGKILLs, stalls
+and persistently crashes the shards of a durable
+:class:`repro.dist.ShardCluster`, judging every answer against one
+:class:`ShadowOracle` per shard fault domain. ``--mode sql-fuzz``
+(:func:`repro.db.sql.fuzz.run_sql_fuzz`) drives a seeded statement
+stream through the SQL front door against the Volcano reference and the
+dict-row oracle, then probes crash points over the SQL-issued WAL.
 
-    PYTHONPATH=src python -m repro.chaos --seed 3 --txns 200 --torn 64 \
-        --json chaos_report.json
-
-A second mode (``--mode overload``) attacks the serving front door
-instead of the log: seeded open-loop bursts from well-behaved OLTP
-tenants plus one hostile analytics tenant that over-submits far past its
-quota, with the ``serve.shed`` and ``serve.clock_skew`` fault sites
-armed. The run's event log is replayed brute-force by
-:class:`repro.serve.ServeOracle` and the harness asserts the overload
-invariants: no quota ever exceeded, no admitted request lost, every
-request resolves exactly once, the protected tenants' OLTP p99 stays
-bounded, the hostile tenant is actually limited, and the whole run is
-bit-deterministic per seed::
-
-    PYTHONPATH=src python -m repro.chaos --mode overload --seed 3 \
-        --json overload_report.json
-
-A third mode (``--mode shard-kill``) attacks the scatter-gather layer:
-a seeded write mix runs through a durable 4-shard
-:class:`repro.dist.ShardCluster` (one :class:`ShadowOracle` per shard
-fault domain), then every shard in turn is SIGKILLed at a scatter
-boundary and the next query must come back oracle-equal after WAL
-recovery; a persistently-dead shard must degrade to a *typed* partial
-whose missing key ranges match the oracle exactly; a stalled shard must
-lose to its hedge; and an unkilled 2- and 8-shard lineitem cluster must
-answer TPC-H Q1/Q6 byte-identically to serial execution::
-
-    PYTHONPATH=src python -m repro.chaos --mode shard-kill --seed 3 \
-        --json shard_kill_report.json
-
-A fourth mode (``--mode sql-fuzz``) drives the whole stack through the
-SQL front door: a seeded statement stream (DML, transactions, joins,
-grouping, subqueries) runs through the engine, a determinism twin, the
-bound-level Volcano reference, the scatter-gather cluster where the
-statement fits its dialect, and the brute-force dict-row oracle of
-:mod:`repro.db.sql.oracle` — every answer byte-identical to the
-reference and value-identical to the oracle — then replays the WAL
-crash-point checker over the log the SQL-issued DML produced::
-
-    PYTHONPATH=src python -m repro.chaos --mode sql-fuzz --seed 3 \
-        --json sql_fuzz_report.json
+All four modes share one runner (:func:`main`): a mode is a function
+``(args, recorder) -> report``, every report derives from
+:class:`ChaosReportBase` (``passed`` means "no violations"), and the
+runner alone prints the summary and violations, writes ``--json``, and —
+when ``--journal`` is given and an invariant failed — records each
+violation into the flight recorder and dumps it as ``journal/v1`` JSON.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import operator
 import sys
 import time
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import KW_ONLY, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -90,16 +70,21 @@ from repro.db.wal import (
     scan_records,
 )
 from repro.errors import WalCorruptionError, WriteConflictError
+from repro.obs.journal import FlightRecorder
 from repro.storage.ssd import SsdLog
 from repro.workloads.htap import orders_schema
 
 __all__ = [
     "ShadowOracle",
+    "Lockstep",
     "WorkloadJournal",
+    "ChaosReportBase",
     "ChaosReport",
     "OverloadChaosReport",
+    "OLTP_P99_BOUND_CYCLES",
     "run_seeded_workload",
     "check_crash_point",
+    "probe_crash_points",
     "run_chaos",
     "overload_config",
     "overload_specs",
@@ -186,6 +171,54 @@ class ShadowOracle:
         )
 
 
+class Lockstep:
+    """One table's :class:`TransactionManager` and :class:`ShadowOracle`,
+    driven as a pair: each step runs on the manager first and is mirrored
+    into the oracle only if the manager accepted it. A
+    :class:`WriteConflictError` (already an abort in the manager) aborts
+    the oracle's transaction too, then re-raises."""
+
+    def __init__(self, manager: TransactionManager, table: Table):
+        self.manager = manager
+        self.table = table
+        self.oracle = ShadowOracle()
+
+    def begin(self):
+        txn = self.manager.begin()
+        self.oracle.begin(txn.txn_id)
+        return txn
+
+    def insert(self, txn, values: Dict[str, object]) -> int:
+        slot = txn.insert(self.table, values)
+        self.oracle.insert(txn.txn_id, self.table.row(slot))
+        return slot
+
+    def update(self, txn, slot: int, changes: Dict[str, object]) -> int:
+        new_slot = self._step(txn, txn.update, self.table, slot, changes)
+        self.oracle.update(txn.txn_id, slot, self.table.row(new_slot))
+        return new_slot
+
+    def delete(self, txn, slot: int) -> None:
+        self._step(txn, txn.delete, self.table, slot)
+        self.oracle.delete(txn.txn_id, slot)
+
+    def commit(self, txn) -> int:
+        commit_ts = self._step(txn, self.manager.commit, txn)
+        self.oracle.commit(txn.txn_id, commit_ts)
+        return commit_ts
+
+    def abort(self, txn) -> None:
+        self.manager.abort(txn)
+        self.oracle.abort(txn.txn_id)
+
+    def _step(self, txn, op, *args):
+        try:
+            return op(*args)
+        except WriteConflictError:
+            self.oracle.abort(txn.txn_id)
+            raise
+
+
 @dataclass
 class WorkloadJournal:
     """Everything a crash probe needs about one seeded workload run.
@@ -199,8 +232,6 @@ class WorkloadJournal:
     schemas: Dict[str, TableSchema]
     commits: List[Tuple[int, List[RowKey]]]
     checkpoint: Optional[Checkpoint] = None
-    #: Oracle/table agreement on the *uncrashed* final state.
-    final_rows: List[RowKey] = field(default_factory=list)
     txns_run: int = 0
     conflicts: int = 0
     deliberate_aborts: int = 0
@@ -210,10 +241,9 @@ class WorkloadJournal:
     def expected_at(self, offset: int) -> List[RowKey]:
         state: List[RowKey] = []
         for off, snap in self.commits:
-            if off <= offset:
-                state = snap
-            else:
+            if off > offset:
                 break
+            state = snap
         return state
 
 
@@ -224,14 +254,16 @@ def run_seeded_workload(
     checkpoint_every: Optional[int] = None,
     vacuum_every: Optional[int] = None,
     fault_injector=None,
+    recorder=None,
 ) -> WorkloadJournal:
     """Drive a seeded order-ledger write mix through a WAL-attached manager.
 
     Each step is one of: a writer transaction (insert an order, advance a
     couple of statuses), a deliberate abort, a first-committer-wins
-    conflict pair, or a delete. The :class:`ShadowOracle` shadows every
-    operation; after each successful commit the journal captures
-    ``(durable log offset, oracle visible rows)``. With
+    conflict pair, or a delete. Every operation runs through a
+    :class:`Lockstep` pair, so the :class:`ShadowOracle` shadows exactly
+    what the manager accepted; after each successful commit the journal
+    captures ``(durable log offset, oracle visible rows)``. With
     ``checkpoint_every``, a quiescent checkpoint is taken every that many
     transactions and the journal restarts from it (crash points then
     exercise checkpoint + short-log recovery). With ``vacuum_every`` (the
@@ -239,14 +271,17 @@ def run_seeded_workload(
     vacuum runs every that many transactions — slot indices move, the
     manager checkpoints behind it, and the oracle compacts in lockstep —
     so crash points also cover the vacuum/WAL interaction that once
-    silently lost committed rows.
+    silently lost committed rows. ``recorder`` (a
+    :class:`~repro.obs.FlightRecorder`) journals the log's checkpoints.
     """
     rng = np.random.default_rng(seed)
     schema = orders_schema()
     table = Table(schema)
     wal = WriteAheadLog(device=SsdLog(fault_injector=fault_injector))
+    wal.attach_journal(recorder)
     manager = TransactionManager(wal=wal)
-    oracle = ShadowOracle()
+    pair = Lockstep(manager, table)
+    oracle = pair.oracle
     journal = WorkloadJournal(media=b"", schemas={schema.name: schema}, commits=[])
     checkpointer = Checkpointer(wal)
     next_order = 0
@@ -268,10 +303,8 @@ def run_seeded_workload(
         journal.commits.append((wal.durable_bytes, oracle.visible(manager.now)))
 
     def writer_txn(n_updates: int, abort_it: bool = False) -> None:
-        txn = manager.begin()
-        oracle.begin(txn.txn_id)
-        slot = txn.insert(table, new_order())
-        oracle.insert(txn.txn_id, table.row(slot))
+        txn = pair.begin()
+        pair.insert(txn, new_order())
         live = committed_slots()
         picks = (
             rng.choice(live, size=min(n_updates, len(live)), replace=False)
@@ -281,20 +314,15 @@ def run_seeded_workload(
         try:
             for old in picks:
                 old = int(old)
-                row = table.row(old)
-                row["o_status"] = min(int(row["o_status"]) + 1, 2)
-                new_slot = txn.update(table, old, {"o_status": row["o_status"]})
-                oracle.update(txn.txn_id, old, table.row(new_slot))
+                status = min(int(table.row(old)["o_status"]) + 1, 2)
+                pair.update(txn, old, {"o_status": status})
             if abort_it:
-                manager.abort(txn)
-                oracle.abort(txn.txn_id)
+                pair.abort(txn)
                 journal.deliberate_aborts += 1
             else:
-                manager.commit(txn)
-                oracle.commit(txn.txn_id, txn.commit_ts)
+                pair.commit(txn)
                 journal_commit()
         except WriteConflictError:
-            oracle.abort(txn.txn_id)
             journal.conflicts += 1
 
     def conflict_pair() -> None:
@@ -303,57 +331,35 @@ def run_seeded_workload(
             writer_txn(1)
             return
         target = int(rng.choice(live))
-        a, b = manager.begin(), manager.begin()
-        oracle.begin(a.txn_id)
-        oracle.begin(b.txn_id)
-        try:
-            new_a = a.update(table, target, {"o_status": 2})
-            oracle.update(a.txn_id, target, table.row(new_a))
-            manager.commit(a)
-            oracle.commit(a.txn_id, a.commit_ts)
-            journal_commit()
-        except WriteConflictError:
-            oracle.abort(a.txn_id)
-            journal.conflicts += 1
-        try:
-            new_b = b.update(table, target, {"o_status": 1})
-            oracle.update(b.txn_id, target, table.row(new_b))
-            manager.commit(b)
-            oracle.commit(b.txn_id, b.commit_ts)
-            journal_commit()
-        except WriteConflictError:
-            oracle.abort(b.txn_id)
-            journal.conflicts += 1
-        finally:
-            if b.txn_id in manager._active:
-                manager.abort(b)
-                oracle.abort(b.txn_id)
+        # Both snapshots predate either write: the first committer wins,
+        # the second must conflict.
+        a, b = pair.begin(), pair.begin()
+        for txn, status in ((a, 2), (b, 1)):
+            try:
+                pair.update(txn, target, {"o_status": status})
+                pair.commit(txn)
+                journal_commit()
+            except WriteConflictError:
+                journal.conflicts += 1
 
     def delete_txn() -> None:
         live = committed_slots()
         if not len(live):
             return
         target = int(rng.choice(live))
-        txn = manager.begin()
-        oracle.begin(txn.txn_id)
+        txn = pair.begin()
         try:
-            txn.delete(table, target)
-            oracle.delete(txn.txn_id, target)
-            manager.commit(txn)
-            oracle.commit(txn.txn_id, txn.commit_ts)
+            pair.delete(txn, target)
+            pair.commit(txn)
             journal_commit()
         except WriteConflictError:
-            oracle.abort(txn.txn_id)
             journal.conflicts += 1
 
     # Seed a committed base so updates have targets from the start.
-    seed_txn = manager.begin()
-    oracle.begin(seed_txn.txn_id)
+    seed_txn = pair.begin()
     for _ in range(initial_rows):
-        s = seed_txn.insert(table, new_order())
-        oracle.insert(seed_txn.txn_id, table.row(s))
-    manager.commit(seed_txn)
-    oracle.commit(seed_txn.txn_id, seed_txn.commit_ts)
+        pair.insert(seed_txn, new_order())
+    pair.commit(seed_txn)
     journal_commit()
 
     for i in range(n_txns):
@@ -367,20 +373,14 @@ def run_seeded_workload(
         else:
             delete_txn()
         journal.txns_run += 1
-        if (
-            checkpoint_every
-            and (i + 1) % checkpoint_every == 0
-            and i + 1 < n_txns  # keep a real log segment after the last one
-        ):
+        if i + 1 == n_txns:
+            break  # keep a real log segment after the last checkpoint
+        if checkpoint_every and (i + 1) % checkpoint_every == 0:
             journal.checkpoint = checkpointer.checkpoint(manager, [table])
             # The checkpoint state holds from byte 0 of the truncated log:
             # even a crash inside the CHECKPOINT marker recovers it.
             journal.commits = [(0, oracle.visible(manager.now))]
-        if (
-            vacuum_every
-            and (i + 1) % vacuum_every == 0
-            and i + 1 < n_txns  # keep a real log segment after the last one
-        ):
+        if vacuum_every and (i + 1) % vacuum_every == 0:
             horizon = manager.oldest_active_snapshot()
             removed = manager.vacuum(table, checkpointer=checkpointer, tables=[table])
             if removed:
@@ -394,15 +394,11 @@ def run_seeded_workload(
 
     # Leave one transaction in flight so every crash image contains
     # uncommitted intents — the uncommitted-invisible invariant must bite.
-    dangling = manager.begin()
-    oracle.begin(dangling.txn_id)
-    s = dangling.insert(table, new_order())
-    oracle.insert(dangling.txn_id, table.row(s))
+    pair.insert(pair.begin(), new_order())
     wal.flush()
 
     journal.media = wal.device.media()
-    journal.final_rows = oracle.visible(manager.now)
-    assert table_visible_rows(table, manager.now) == journal.final_rows, (
+    assert table_visible_rows(table, manager.now) == oracle.visible(manager.now), (
         "workload driver bug: oracle and live table disagree before any crash"
     )
     return journal
@@ -460,10 +456,36 @@ def check_crash_point(journal: WorkloadJournal, offset: int) -> List[str]:
 
 
 @dataclass
-class ChaosReport:
-    """Outcome of one full chaos run (the CI artifact)."""
+class ChaosReportBase:
+    """What every chaos mode reports (the CI artifact): the seed, the
+    invariant violations — empty means the run passed — and wall time.
+    Each mode adds its own counters and a one-line :meth:`summary`."""
 
     seed: int
+    _: KW_ONLY
+    violations: List[str] = field(default_factory=list)
+    seconds: float = 0.0
+
+    #: The mode's counters, ``str.format``-ed over :meth:`to_dict`.
+    SUMMARY = ""
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
+
+    def to_dict(self) -> dict:
+        return {**self.__dict__, "passed": self.passed}
+
+    def summary(self) -> str:
+        return self.SUMMARY.format(**self.to_dict()) + (
+            f", {len(self.violations)} violations, {self.seconds:.1f}s"
+        )
+
+
+@dataclass
+class ChaosReport(ChaosReportBase):
+    """Outcome of crash-probing one WAL (see :func:`probe_crash_points`)."""
+
     txns: int
     log_bytes: int = 0
     records: int = 0
@@ -476,34 +498,30 @@ class ChaosReport:
     corruption_detected: int = 0
     checkpointed: bool = False
     vacuums: int = 0
-    violations: List[str] = field(default_factory=list)
-    seconds: float = 0.0
 
-    @property
-    def passed(self) -> bool:
-        return not self.violations and self.corruption_detected == self.corruption_probes
-
-    def to_dict(self) -> dict:
-        return {**self.__dict__, "passed": self.passed}
-
-
-def run_chaos(
-    seed: int,
-    n_txns: int = 200,
-    torn_offsets: int = 64,
-    corruption_probes: int = 8,
-    checkpoint_every: Optional[int] = None,
-    vacuum_every: Optional[int] = None,
-) -> ChaosReport:
-    """The full suite: every boundary, random torn tails, corruption probes."""
-    t0 = time.perf_counter()
-    journal = run_seeded_workload(
-        seed,
-        n_txns=n_txns,
-        checkpoint_every=checkpoint_every,
-        vacuum_every=vacuum_every,
+    SUMMARY = (
+        "chaos seed={seed}: {boundary_points} boundary + {torn_points} torn "
+        "crash points over {log_bytes} log bytes ({records} records, "
+        "{commits} commits, {conflicts} conflicts, {vacuums} vacuums), "
+        "{corruption_detected}/{corruption_probes} corruptions detected"
     )
+
+
+def probe_crash_points(
+    journal: WorkloadJournal, torn: int, seed: int, corruption: int = 0
+) -> ChaosReport:
+    """Crash at every record boundary of the journal's log plus ``torn``
+    seeded intra-record offsets, checking each with
+    :func:`check_crash_point`; report what was tried and what broke.
+
+    With ``corruption`` > 0, that many seeded mid-log bit flips follow,
+    and each must be *detected* (:class:`WalCorruptionError`), never
+    silently recovered. Only records before the last are damaged, so an
+    intact record always follows the corruption (a damaged final record
+    is, by design, indistinguishable from a torn tail and discarded).
+    """
     records, _ = scan_records(journal.media)
+    offsets = [0] + [end for _, end in records]
     report = ChaosReport(
         seed=seed,
         txns=journal.txns_run,
@@ -512,33 +530,23 @@ def run_chaos(
         commits=len(journal.commits),
         conflicts=journal.conflicts,
         deliberate_aborts=journal.deliberate_aborts,
+        boundary_points=len(offsets),
         checkpointed=journal.checkpoint is not None,
         vacuums=journal.vacuums,
     )
-
-    boundaries = [0] + [end for _, end in records]
-    for offset in boundaries:
-        report.violations.extend(check_crash_point(journal, offset))
-    report.boundary_points = len(boundaries)
-
     rng = np.random.default_rng(seed ^ 0x5EED)
-    boundary_set = set(boundaries)
-    probed = 0
-    for _ in range(torn_offsets * 20):
-        if probed >= torn_offsets:
+    boundary_set = set(offsets)
+    for _ in range(torn * 20):
+        if report.torn_points >= torn:
             break
         offset = int(rng.integers(1, len(journal.media)))
-        if offset in boundary_set:
-            continue
+        if offset not in boundary_set:
+            offsets.append(offset)
+            report.torn_points += 1
+    for offset in offsets:
         report.violations.extend(check_crash_point(journal, offset))
-        probed += 1
-    report.torn_points = probed
 
-    # Mid-log corruption must be *detected*, never silently recovered.
-    # Damage a byte inside any record except the last, so an intact
-    # record always follows the corruption (a damaged final record is,
-    # by design, indistinguishable from a torn tail and discarded).
-    report.corruption_probes = corruption_probes if len(records) >= 2 else 0
+    report.corruption_probes = corruption if len(records) >= 2 else 0
     for _ in range(report.corruption_probes):
         idx = int(rng.integers(0, len(records) - 1))
         start = 0 if idx == 0 else records[idx - 1][1]
@@ -549,7 +557,35 @@ def run_chaos(
             _recover_image(journal, bytes(damaged))
         except WalCorruptionError:
             report.corruption_detected += 1
+            continue
+        report.violations.append(
+            f"byte {pos} flipped in record {idx}: recovery did not raise "
+            f"WalCorruptionError"
+        )
+    return report
 
+
+def run_chaos(
+    seed: int,
+    n_txns: int = 200,
+    torn_offsets: int = 64,
+    corruption_probes: int = 8,
+    checkpoint_every: Optional[int] = None,
+    vacuum_every: Optional[int] = None,
+    recorder=None,
+) -> ChaosReport:
+    """The full suite: every boundary, random torn tails, corruption probes."""
+    t0 = time.perf_counter()
+    journal = run_seeded_workload(
+        seed,
+        n_txns=n_txns,
+        checkpoint_every=checkpoint_every,
+        vacuum_every=vacuum_every,
+        recorder=recorder,
+    )
+    report = probe_crash_points(
+        journal, torn_offsets, seed, corruption=corruption_probes
+    )
     report.seconds = time.perf_counter() - t0
     return report
 
@@ -576,15 +612,12 @@ def overload_config():
 
     return ServeConfig(
         tenants=(
-            TenantConfig("app1", weight=4.0, max_concurrency=2,
-                         rate_cycles_per_interval=20_000_000.0,
-                         burst_cycles=40_000_000.0),
-            TenantConfig("app2", weight=4.0, max_concurrency=2,
-                         rate_cycles_per_interval=20_000_000.0,
-                         burst_cycles=40_000_000.0),
-            TenantConfig("app3", weight=4.0, max_concurrency=2,
-                         rate_cycles_per_interval=20_000_000.0,
-                         burst_cycles=40_000_000.0),
+            *(
+                TenantConfig(app, weight=4.0, max_concurrency=2,
+                             rate_cycles_per_interval=20_000_000.0,
+                             burst_cycles=40_000_000.0)
+                for app in ("app1", "app2", "app3")
+            ),
             TenantConfig("analytics", weight=1.0, max_concurrency=1,
                          rate_cycles_per_interval=3_000_000.0,
                          burst_cycles=6_000_000.0),
@@ -620,10 +653,9 @@ def overload_specs():
 
 
 @dataclass
-class OverloadChaosReport:
-    """Outcome of one overload chaos run (the CI artifact)."""
+class OverloadChaosReport(ChaosReportBase):
+    """Outcome of one overload chaos run."""
 
-    seed: int
     horizon_cycles: float
     requests: int = 0
     admitted: int = 0
@@ -640,18 +672,17 @@ class OverloadChaosReport:
     sim_cycles: float = 0.0
     utilization: float = 0.0
     deterministic: bool = True
-    violations: List[str] = field(default_factory=list)
-    seconds: float = 0.0
 
-    @property
-    def passed(self) -> bool:
-        return not self.violations
+    SUMMARY = (
+        "overload chaos seed={seed}: {requests} requests over "
+        "{horizon_cycles:.0f} cycles — {completed} completed, {degraded} "
+        "degraded, {throttled} throttled, {shed} shed, {expired} expired; "
+        "OLTP p99 {oltp_p99_cycles:.0f} (bound {oltp_p99_bound_cycles:.0f}), "
+        "hostile rejections {hostile_rejections}, faults {faults_fired}"
+    )
 
-    def to_dict(self) -> dict:
-        return {**self.__dict__, "passed": self.passed}
 
-
-def _overload_run(seed: int, horizon_cycles: float):
+def _overload_run(seed: int, horizon_cycles: float, journal=None):
     from repro.faults import (
         SERVE_CLOCK_SKEW,
         SERVE_SHED,
@@ -665,7 +696,8 @@ def _overload_run(seed: int, horizon_cycles: float):
         FaultPlan(seed=seed, rates={SERVE_SHED: 0.02, SERVE_CLOCK_SKEW: 0.02})
     )
     scheduler = ServeScheduler(
-        config, synthetic_executor(seed=seed), fault_injector=injector
+        config, synthetic_executor(seed=seed), fault_injector=injector,
+        journal=journal,
     )
     submitted = submit_open_loop(
         scheduler, overload_specs(), horizon_cycles, seed=seed
@@ -678,6 +710,7 @@ def run_overload_chaos(
     seed: int,
     horizon_cycles: float = 40_000_000.0,
     check_determinism: bool = True,
+    recorder=None,
 ) -> OverloadChaosReport:
     """One seeded overload storm plus every invariant check.
 
@@ -686,12 +719,13 @@ def run_overload_chaos(
     resolution ledger against the submission list, asserts the OLTP p99
     bound and that the hostile tenant was genuinely limited, and (by
     default) re-runs the whole storm to prove bit-determinism.
+    ``recorder`` journals the first storm's admission verdicts.
     """
     from repro.serve import REJECTED_OUTCOMES, Outcome, ServeOracle
 
     t0 = time.perf_counter()
     config, injector, submitted, serve_report = _overload_run(
-        seed, horizon_cycles
+        seed, horizon_cycles, journal=recorder
     )
     d = serve_report.to_dict()
     out = OverloadChaosReport(
@@ -704,14 +738,9 @@ def run_overload_chaos(
         degraded_mode_entries=d["degraded_mode_entries"],
         faults_fired=dict(injector.fired),
     )
-    for lanes in d["tenants"].values():
-        for s in lanes.values():
-            out.admitted += s["admitted"]
-            out.completed += s["completed"]
-            out.degraded += s["degraded"]
-            out.throttled += s["throttled"]
-            out.shed += s["shed"]
-            out.expired += s["expired"]
+    lanes = [s for t in d["tenants"].values() for s in t.values()]
+    for key in ("admitted", "completed", "degraded", "throttled", "shed", "expired"):
+        setattr(out, key, sum(s[key] for s in lanes))
 
     # 1. Quotas, concurrency, conservation, breaker: the brute-force
     #    oracle replay over the full event log.
@@ -758,6 +787,7 @@ def run_overload_chaos(
         )
 
     # 5. Same seed, same storm: the whole report must be bit-identical.
+    #    The re-run is not journaled; only the report dicts are compared.
     if check_determinism:
         _, _, _, second = _overload_run(seed, horizon_cycles)
         out.deterministic = json.dumps(
@@ -787,6 +817,18 @@ def _raw_int(schema: TableSchema, column: str, value) -> object:
     return int(value)
 
 
+#: Pure-Python comparators keyed by ``CompareOp.value``. The referee must
+#: not call ``CompareOp.apply``: the fragment executor under test does.
+_COMPARE = {
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "==": operator.eq,
+    "!=": operator.ne,
+}
+
+
 def _oracle_groups(schema: TableSchema, plan, rows):
     """The plan's answer, brute-forced over oracle row dicts in pure
     Python ints — no numpy, no shared code with the fragment executor."""
@@ -798,10 +840,8 @@ def _oracle_groups(schema: TableSchema, plan, rows):
             continue
         if plan.key_high is not None and key > plan.key_high:
             continue
-        if any(
-            not p.op.apply(
-                np.array([_raw_int(schema, p.column, d[p.column])]), p.value
-            )[0]
+        if not all(
+            _COMPARE[p.op.value](_raw_int(schema, p.column, d[p.column]), p.value)
             for p in plan.predicates
         ):
             continue
@@ -834,9 +874,12 @@ def _in_missing(key: int, missing) -> bool:
     )
 
 
+@contextmanager
 def _shard_kill_cluster(seed: int, n_txns: int, config, recorder=None):
     """One seeded write mix through a durable 4-shard cluster, with one
-    independent :class:`ShadowOracle` per shard fault domain."""
+    :class:`Lockstep` pair (so one independent :class:`ShadowOracle`) per
+    shard fault domain. Yields the running cluster and the per-shard
+    oracles; closes the cluster on exit."""
     from repro.db.sharding import ShardedTable
     from repro.dist import ShardCluster
 
@@ -846,8 +889,10 @@ def _shard_kill_cluster(seed: int, n_txns: int, config, recorder=None):
         ShardedTable(schema, "o_id", boundaries), config, durable=True,
         journal=recorder,
     )
-    cluster.start()
-    oracles = [ShadowOracle() for _ in cluster.sharded.shards]
+    pairs = [
+        Lockstep(cluster.manager_for(i), cluster.table_for(i))
+        for i in range(len(cluster.sharded.shards))
+    ]
     rng = np.random.default_rng(seed)
 
     def routed_insert():
@@ -859,66 +904,54 @@ def _shard_kill_cluster(seed: int, n_txns: int, config, recorder=None):
             "o_amount": float(rng.integers(1, 20_000)) / 100.0,
             "o_status": int(rng.integers(0, 3)),
         }
-        manager = cluster.manager_for(i)
-        txn = manager.begin()
-        oracles[i].begin(txn.txn_id)
-        slot = txn.insert(cluster.table_for(i), values)
-        oracles[i].insert(txn.txn_id, cluster.table_for(i).row(slot))
+        txn = pairs[i].begin()
+        pairs[i].insert(txn, values)
         if rng.random() < 0.1:
-            manager.abort(txn)
-            oracles[i].abort(txn.txn_id)
+            pairs[i].abort(txn)
         else:
-            manager.commit(txn)
-            oracles[i].commit(txn.txn_id, txn.commit_ts)
+            pairs[i].commit(txn)
         cluster.replicate(i)
 
-    def committed_slots(i):
-        table = cluster.table_for(i)
-        if not table.nrows:
-            return np.zeros(0, dtype=np.int64)
-        now = cluster.manager_for(i).now
-        return np.flatnonzero(visible_mask(table.begin_ts, table.end_ts, now))
-
     def mutate(delete: bool):
-        i = int(rng.integers(0, len(oracles)))
-        live = committed_slots(i)
+        i = int(rng.integers(0, len(pairs)))
+        pair = pairs[i]
+        table = pair.table
+        live = (
+            np.flatnonzero(
+                visible_mask(table.begin_ts, table.end_ts, pair.manager.now)
+            )
+            if table.nrows
+            else []
+        )
         if not len(live):
             return
         target = int(rng.choice(live))
-        manager = cluster.manager_for(i)
-        table = cluster.table_for(i)
-        txn = manager.begin()
-        oracles[i].begin(txn.txn_id)
-        try:
-            if delete:
-                txn.delete(table, target)
-                oracles[i].delete(txn.txn_id, target)
-            else:
-                status = min(int(table.row(target)["o_status"]) + 1, 2)
-                new_slot = txn.update(table, target, {"o_status": status})
-                oracles[i].update(txn.txn_id, target, table.row(new_slot))
-            manager.commit(txn)
-            oracles[i].commit(txn.txn_id, txn.commit_ts)
-        except WriteConflictError:
-            oracles[i].abort(txn.txn_id)
+        # One transaction at a time per shard: no write can conflict.
+        txn = pair.begin()
+        if delete:
+            pair.delete(txn, target)
+        else:
+            status = min(int(table.row(target)["o_status"]) + 1, 2)
+            pair.update(txn, target, {"o_status": status})
+        pair.commit(txn)
         cluster.replicate(i)
 
-    for _ in range(n_txns):
-        roll = rng.random()
-        if roll < 0.6:
-            routed_insert()
-        elif roll < 0.85:
-            mutate(delete=False)
-        else:
-            mutate(delete=True)
-    return cluster, oracles
+    with cluster:
+        for _ in range(n_txns):
+            roll = rng.random()
+            if roll < 0.6:
+                routed_insert()
+            elif roll < 0.85:
+                mutate(delete=False)
+            else:
+                mutate(delete=True)
+        yield cluster, [pair.oracle for pair in pairs]
 
 
 @dataclass
-class ShardKillChaosReport:
-    """Outcome of one shard-kill chaos run (the CI artifact)."""
+class ShardKillChaosReport(ChaosReportBase):
+    """Outcome of one shard-kill chaos run."""
 
-    seed: int
     txns: int
     shards: int = 0
     rows: int = 0
@@ -932,15 +965,14 @@ class ShardKillChaosReport:
     hedge_wins: int = 0
     partial_probes: int = 0
     identity_checks: int = 0
-    violations: List[str] = field(default_factory=list)
-    seconds: float = 0.0
 
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> dict:
-        return {**self.__dict__, "passed": self.passed}
+    SUMMARY = (
+        "shard-kill chaos seed={seed}: {txns} txns over {shards} shards "
+        "({rows} rows) — {kills} kills, {queries} queries, {restarts} "
+        "restarts, {recoveries} recoveries ({recovered_bytes} WAL bytes), "
+        "{stale_fences} stale fences, {hedge_wins}/{hedges} hedge wins, "
+        "{partial_probes} partial probes, {identity_checks} identity checks"
+    )
 
 
 def run_shard_kill_chaos(
@@ -973,6 +1005,7 @@ def run_shard_kill_chaos(
        lineitem cluster at 2 and 8 shards must be byte-identical to
        unsharded serial execution, payload and ledger buckets both.
     """
+    from repro.core.selection import CompareOp
     from repro.db.sharding import ShardedTable
     from repro.dist import (
         DistConfig,
@@ -992,8 +1025,6 @@ def run_shard_kill_chaos(
     t0 = time.perf_counter()
     report = ShardKillChaosReport(seed=seed, txns=n_txns)
     schema = orders_schema()
-    from repro.core.selection import CompareOp
-
     plan = DistPlan(
         table="orders",
         key_column="o_id",
@@ -1006,24 +1037,23 @@ def run_shard_kill_chaos(
         ),
     )
 
-    def oracle_answer(cluster, oracles, the_plan, missing=()):
+    def oracle_answer(cluster, oracles, missing=()):
         ts = cluster.default_snapshot()
-        rows = [r for o in oracles for r in o.visible(ts)]
         rows = [
             r
-            for r in rows
-            if not _in_missing(int(dict(r)[the_plan.key_column]), missing)
+            for o in oracles
+            for r in o.visible(ts)
+            if not _in_missing(int(dict(r)[plan.key_column]), missing)
         ]
-        return _oracle_groups(schema, the_plan, rows)
+        return _oracle_groups(schema, plan, rows)
 
     # 1. Kill-rotation: every shard dies once, at a scatter boundary.
-    cluster, oracles = _shard_kill_cluster(
+    with _shard_kill_cluster(
         seed, n_txns, DistConfig(deadline_s=5.0), recorder=recorder
-    )
-    try:
+    ) as (cluster, oracles):
         report.shards = len(cluster.sharded.shards)
         report.rows = cluster.sharded.nrows
-        expected = oracle_answer(cluster, oracles, plan)
+        expected = oracle_answer(cluster, oracles)
         serial = cluster.run_serial(plan)
         if serial.groups != expected:
             report.violations.append(
@@ -1056,12 +1086,10 @@ def run_shard_kill_chaos(
         report.recoveries = s.recoveries_total
         report.recovered_bytes = s.recovered_bytes_total
         report.stale_fences = s.stale_fences_total
-    finally:
-        cluster.close()
 
     # 2. Persistent kill: typed degradation with oracle-exact ranges.
     dead_shard = seed % 4
-    cluster, oracles = _shard_kill_cluster(
+    with _shard_kill_cluster(
         seed,
         n_txns,
         DistConfig(
@@ -1071,21 +1099,18 @@ def run_shard_kill_chaos(
             fault_shards=frozenset({dead_shard}),
         ),
         recorder=recorder,
-    )
-    try:
-        lo, hi = cluster.sharded.shard_bounds(dead_shard)
+    ) as (cluster, oracles):
+        dead_range = (cluster.sharded.shard_bounds(dead_shard),)
         res = cluster.query(plan, allow_partial=True)
         report.queries += 1
         report.partial_probes += 1
-        if not res.degraded or res.missing_ranges != ((lo, hi),):
+        if not res.degraded or res.missing_ranges != dead_range:
             report.violations.append(
                 f"persistent kill of shard {dead_shard}: expected missing "
-                f"range {((lo, hi),)}, got degraded={res.degraded} "
+                f"range {dead_range}, got degraded={res.degraded} "
                 f"missing={res.missing_ranges}"
             )
-        expected_partial = oracle_answer(
-            cluster, oracles, plan, missing=res.missing_ranges
-        )
+        expected_partial = oracle_answer(cluster, oracles, res.missing_ranges)
         if res.groups != expected_partial:
             report.violations.append(
                 "persistent kill: partial answer != oracle over the "
@@ -1099,22 +1124,20 @@ def run_shard_kill_chaos(
             )
         except PartialResultError as exc:
             report.queries += 1
-            if exc.missing_ranges != ((lo, hi),):
+            if exc.missing_ranges != dead_range:
                 report.violations.append(
                     f"PartialResultError ranges {exc.missing_ranges} != "
-                    f"{((lo, hi),)}"
+                    f"{dead_range}"
                 )
             if exc.partial is None or exc.partial.groups != expected_partial:
                 report.violations.append(
                     "PartialResultError.partial != oracle over the "
                     "surviving ranges"
                 )
-    finally:
-        cluster.close()
 
     # 3. Stall + hedge: the first incarnation sleeps past the trigger.
     stalled_shard = (seed + 1) % 4
-    cluster, oracles = _shard_kill_cluster(
+    with _shard_kill_cluster(
         seed,
         n_txns,
         DistConfig(
@@ -1127,41 +1150,21 @@ def run_shard_kill_chaos(
             fault_incarnations=frozenset({0}),
         ),
         recorder=recorder,
-    )
-    try:
-        expected = oracle_answer(cluster, oracles, plan)
+    ) as (cluster, oracles):
+        expected = oracle_answer(cluster, oracles)
         res = cluster.query(plan)
         report.queries += 1
         if res.groups != expected:
             report.violations.append("stall+hedge: answer != oracle")
         report.hedges = cluster.stats.hedges_total
         report.hedge_wins = cluster.stats.hedge_wins_total
-        if cluster.stats.hedge_wins_total < 1:
-            report.violations.append(
-                "stall+hedge: hedged incarnation never won"
-            )
-    finally:
-        cluster.close()
+        if report.hedge_wins < 1:
+            report.violations.append("stall+hedge: hedged incarnation never won")
 
     # 4. Unkilled bit-identity: Q1/Q6 at 2 and 8 shards vs serial.
     _, lineitem = generate_lineitem(lineitem_rows, seed=seed)
-    keys = lineitem.column("l_orderkey")
     for nshards in (2, 8):
-        qs = np.linspace(0, 1, nshards + 1)[1:-1]
-        bounds = sorted({int(np.quantile(keys, q)) for q in qs})
-        sharded = ShardedTable(lineitem.schema, "l_orderkey", bounds)
-        sharded.bulk_load(
-            {
-                c.name: (
-                    lineitem.column(c.name)
-                    .view(f"S{c.dtype.width}")
-                    .reshape(-1)
-                    if c.dtype.np_dtype is None
-                    else lineitem.column(c.name)
-                )
-                for c in lineitem.schema.user_columns
-            }
-        )
+        sharded = ShardedTable.split(lineitem, "l_orderkey", nshards)
         with ShardCluster(sharded, DistConfig(deadline_s=10.0)) as bench:
             for name, qplan in (("q1", q1_plan()), ("q6", q6_plan())):
                 serial_ref = execute_plan(lineitem, qplan)
@@ -1183,14 +1186,44 @@ def run_shard_kill_chaos(
     return report
 
 
+def _sql_fuzz_mode(args, recorder):
+    # Imported lazily: the fuzz harness pulls in the SQL pipeline and
+    # dist stack, which the other chaos modes never need.
+    from repro.db.sql.fuzz import run_sql_fuzz
+
+    return run_sql_fuzz(
+        args.seed, steps=args.steps, crash_points=args.torn, recorder=recorder
+    )
+
+
+#: Every chaos mode: ``(parsed args, flight recorder or None) -> report``.
+MODES = {
+    "wal": lambda args, recorder: run_chaos(
+        args.seed,
+        n_txns=args.txns,
+        torn_offsets=args.torn,
+        checkpoint_every=args.checkpoint_every or None,
+        vacuum_every=args.vacuum_every or None,
+        recorder=recorder,
+    ),
+    "overload": lambda args, recorder: run_overload_chaos(
+        args.seed, horizon_cycles=args.horizon, recorder=recorder
+    ),
+    "shard-kill": lambda args, recorder: run_shard_kill_chaos(
+        args.seed, n_txns=args.txns, recorder=recorder
+    ),
+    "sql-fuzz": _sql_fuzz_mode,
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="chaos suites: WAL crash points, serving-layer "
-        "overload, or shard-kill scatter-gather"
+        "overload, shard-kill scatter-gather, or differential SQL fuzzing"
     )
     parser.add_argument(
         "--mode",
-        choices=("wal", "overload", "shard-kill", "sql-fuzz"),
+        choices=tuple(MODES),
         default="wal",
         help="wal = crash-point recovery suite; overload = multi-tenant "
         "serving storm with the serve.* fault sites armed; shard-kill = "
@@ -1231,125 +1264,36 @@ def main(argv=None) -> int:
         type=str,
         default="",
         help="flight-recorder dump path — the run records fault-handling "
-        "decisions into a bounded ring and dumps it as journal/v1 JSON "
-        "when any invariant fails (shard-kill and sql-fuzz modes)",
+        "decisions into a bounded ring and, when any invariant fails, "
+        "records each violation and dumps the ring as journal/v1 JSON "
+        "(every mode)",
     )
     args = parser.parse_args(argv)
 
-    recorder = None
-    if args.journal:
-        from repro.obs import FlightRecorder
-
-        recorder = FlightRecorder(
-            capacity=4096, auto_dump_path=args.journal
-        )
-
-    if args.mode == "sql-fuzz":
-        # Imported lazily: the fuzz harness pulls in the SQL pipeline and
-        # dist stack, which the other chaos modes never need.
-        from repro.db.sql.fuzz import run_sql_fuzz
-
-        freport = run_sql_fuzz(
-            args.seed, steps=args.steps, crash_points=args.torn,
-            recorder=recorder,
-        )
-        print(
-            f"sql-fuzz chaos seed={freport.seed}: {freport.steps} steps — "
-            f"{freport.selects} selects ({freport.subquery_selects} with "
-            f"subqueries, {freport.dist_checked} dist-checked, "
-            f"{freport.rows_checked} rows), {freport.dml_statements} DML, "
-            f"{freport.txn_blocks} txn blocks ({freport.rollbacks} "
-            f"rollbacks), {freport.commits} commits, "
-            f"{freport.crash_boundary_points} boundary + "
-            f"{freport.crash_torn_points} torn crash points, "
-            f"{len(freport.violations)} violations, {freport.seconds:.1f}s"
-        )
-        for v in freport.violations[:20]:
-            print(f"  VIOLATION: {v}", file=sys.stderr)
-        if args.json:
-            with open(args.json, "w") as f:
-                json.dump(freport.to_dict(), f, indent=2)
-            print(f"wrote {args.json}")
-        if recorder is not None and not freport.passed:
-            recorder.auto_dump(
-                f"sql-fuzz chaos seed={freport.seed}: "
-                f"{len(freport.violations)} violations"
-            )
-            print(f"wrote flight-recorder dump {recorder.last_dump_path}")
-        return 0 if freport.passed else 1
-
-    if args.mode == "shard-kill":
-        kreport = run_shard_kill_chaos(
-            args.seed, n_txns=args.txns, recorder=recorder
-        )
-        print(
-            f"shard-kill chaos seed={kreport.seed}: {kreport.txns} txns over "
-            f"{kreport.shards} shards ({kreport.rows} rows) — "
-            f"{kreport.kills} kills, {kreport.queries} queries, "
-            f"{kreport.restarts} restarts, {kreport.recoveries} recoveries "
-            f"({kreport.recovered_bytes} WAL bytes), "
-            f"{kreport.stale_fences} stale fences, "
-            f"{kreport.hedge_wins}/{kreport.hedges} hedge wins, "
-            f"{kreport.partial_probes} partial probes, "
-            f"{kreport.identity_checks} identity checks, "
-            f"{len(kreport.violations)} violations, {kreport.seconds:.1f}s"
-        )
-        for v in kreport.violations[:20]:
-            print(f"  VIOLATION: {v}", file=sys.stderr)
-        if args.json:
-            with open(args.json, "w") as f:
-                json.dump(kreport.to_dict(), f, indent=2)
-            print(f"wrote {args.json}")
-        if recorder is not None and not kreport.passed:
-            recorder.auto_dump(
-                f"shard-kill chaos seed={kreport.seed}: "
-                f"{len(kreport.violations)} violations"
-            )
-            print(f"wrote flight-recorder dump {recorder.last_dump_path}")
-        return 0 if kreport.passed else 1
-
-    if args.mode == "overload":
-        oreport = run_overload_chaos(args.seed, horizon_cycles=args.horizon)
-        print(
-            f"overload chaos seed={oreport.seed}: {oreport.requests} requests "
-            f"over {oreport.horizon_cycles:.0f} cycles — "
-            f"{oreport.completed} completed, {oreport.degraded} degraded, "
-            f"{oreport.throttled} throttled, {oreport.shed} shed, "
-            f"{oreport.expired} expired; OLTP p99 "
-            f"{oreport.oltp_p99_cycles:.0f} (bound "
-            f"{oreport.oltp_p99_bound_cycles:.0f}), hostile rejections "
-            f"{oreport.hostile_rejections}, faults {oreport.faults_fired}, "
-            f"{len(oreport.violations)} violations, {oreport.seconds:.1f}s"
-        )
-        for v in oreport.violations[:20]:
-            print(f"  VIOLATION: {v}", file=sys.stderr)
-        if args.json:
-            with open(args.json, "w") as f:
-                json.dump(oreport.to_dict(), f, indent=2)
-            print(f"wrote {args.json}")
-        return 0 if oreport.passed else 1
-
-    report = run_chaos(
-        args.seed,
-        n_txns=args.txns,
-        torn_offsets=args.torn,
-        checkpoint_every=args.checkpoint_every or None,
-        vacuum_every=args.vacuum_every or None,
+    recorder = (
+        FlightRecorder(capacity=4096, auto_dump_path=args.journal)
+        if args.journal
+        else None
     )
-    print(
-        f"chaos seed={report.seed}: {report.boundary_points} boundary + "
-        f"{report.torn_points} torn crash points over {report.log_bytes} log bytes "
-        f"({report.records} records, {report.commits} commits, "
-        f"{report.conflicts} conflicts, {report.vacuums} vacuums), "
-        f"{report.corruption_detected}/{report.corruption_probes} corruptions "
-        f"detected, {len(report.violations)} violations, {report.seconds:.1f}s"
-    )
+
+    report = MODES[args.mode](args, recorder)
+    print(report.summary())
     for v in report.violations[:20]:
         print(f"  VIOLATION: {v}", file=sys.stderr)
     if args.json:
         with open(args.json, "w") as f:
             json.dump(report.to_dict(), f, indent=2)
         print(f"wrote {args.json}")
+    if recorder is not None and not report.passed:
+        for v in report.violations:
+            recorder.record(
+                "chaos.violation", mode=args.mode, seed=args.seed, violation=v
+            )
+        recorder.auto_dump(
+            f"{args.mode} chaos seed={args.seed}: "
+            f"{len(report.violations)} violations"
+        )
+        print(f"wrote flight-recorder dump {recorder.last_dump_path}")
     return 0 if report.passed else 1
 
 

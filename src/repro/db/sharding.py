@@ -73,6 +73,30 @@ class ShardedTable:
         ]
         self.fabric = RelationalMemory(platform)
 
+    @classmethod
+    def split(cls, table: Table, key_column: str, nshards: int) -> "ShardedTable":
+        """Range-shard a whole table at the quantiles of ``key_column``.
+
+        Cut points that coincide (skewed keys) collapse into one, so the
+        result may hold fewer than ``nshards`` shards. CHAR columns load
+        as ``S<width>`` byte views, so every value round-trips exactly.
+        """
+        keys = table.column(key_column)
+        qs = np.linspace(0, 1, nshards + 1)[1:-1]
+        bounds = sorted({int(np.quantile(keys, q)) for q in qs})
+        sharded = cls(table.schema, key_column, bounds)
+        sharded.bulk_load(
+            {
+                c.name: (
+                    table.column(c.name).view(f"S{c.dtype.width}").reshape(-1)
+                    if c.dtype.np_dtype is None
+                    else table.column(c.name)
+                )
+                for c in table.schema.user_columns
+            }
+        )
+        return sharded
+
     # ------------------------------------------------------------------
     # Routing.
     # ------------------------------------------------------------------

@@ -23,8 +23,9 @@ copy of the visible rows) and must merge to the same groups.
 
 With ``crash_points > 0`` the run attaches a WAL, journals the oracle's
 visible rows at every commit offset, and replays the chaos crash-point
-checker over record boundaries and torn tails — SQL-issued DML must
-survive crash/recovery exactly like the native MVCC workload does.
+probe (:func:`repro.chaos.probe_crash_points`) over record boundaries
+and torn tails — SQL-issued DML must survive crash/recovery exactly like
+the native MVCC workload does.
 
 ``python -m repro.chaos --mode sql-fuzz`` wraps this for CI;
 ``tests/test_sql_fuzz.py`` drives the same entry point under hypothesis.
@@ -35,11 +36,18 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.chaos import (
+    ChaosReportBase,
+    WorkloadJournal,
+    _freeze,
+    probe_crash_points,
+    table_visible_rows,
+)
 from repro.core.mvcc_filter import visible_mask
 from repro.db.catalog import Catalog
 from repro.db.exec import run_volcano
@@ -76,10 +84,9 @@ class GenStatement:
 
 
 @dataclass
-class SqlFuzzReport:
-    """Outcome of one seeded differential run (the CI artifact)."""
+class SqlFuzzReport(ChaosReportBase):
+    """Outcome of one seeded differential run."""
 
-    seed: int
     steps: int
     selects: int = 0
     dml_statements: int = 0
@@ -91,15 +98,14 @@ class SqlFuzzReport:
     commits: int = 0
     crash_boundary_points: int = 0
     crash_torn_points: int = 0
-    violations: List[str] = field(default_factory=list)
-    seconds: float = 0.0
 
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> dict:
-        return {**self.__dict__, "passed": self.passed}
+    SUMMARY = (
+        "sql-fuzz chaos seed={seed}: {steps} steps — {selects} selects "
+        "({subquery_selects} with subqueries, {dist_checked} dist-checked, "
+        "{rows_checked} rows), {dml_statements} DML, {txn_blocks} txn blocks "
+        "({rollbacks} rollbacks), {commits} commits, {crash_boundary_points} "
+        "boundary + {crash_torn_points} torn crash points"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -413,11 +419,8 @@ class _Harness:
     # -- state capture for the crash journal ----------------------------
     def frozen_oracle_rows(self) -> List[Tuple]:
         # Oracle rows are already in ``table.row()``'s value space
-        # (decoded str for CHAR, Python ints), so freezing is just
-        # key-sorting each dict — the same shape ``_freeze`` produces.
-        return sorted(
-            tuple(sorted(r.items())) for r in self.oracle.tables["t"].rows
-        )
+        # (decoded str for CHAR, Python ints), so they freeze like one.
+        return sorted(_freeze(r) for r in self.oracle.tables["t"].rows)
 
     def journal_commit(self) -> None:
         if self.wal is not None:
@@ -615,55 +618,27 @@ def run_sql_fuzz(
     for _ in range(steps):
         harness.step()
     if crash_points > 0:
-        _check_crash_points(harness, report, crash_points)
+        # Leave one uncommitted SQL transaction in flight so crash images
+        # contain intents the recovery must NOT surface.
+        harness.primary.execute("BEGIN")
+        harness.primary.execute(harness.gen.insert())
+        harness.wal.flush()
+        table = harness.catalog.table("t")
+        if table_visible_rows(table, harness.manager.now) != harness.frozen_oracle_rows():
+            report.violations.append(
+                "pre-crash disagreement: SQL-visible rows != oracle rows"
+            )
+        else:
+            journal = WorkloadJournal(
+                media=harness.wal.device.media(),
+                schemas={"t": table.schema},
+                commits=harness.journal_commits,
+            )
+            probes = probe_crash_points(journal, crash_points, seed)
+            report.crash_boundary_points = probes.boundary_points
+            report.crash_torn_points = probes.torn_points
+            report.violations.extend(probes.violations)
     harness.primary.close()
     harness.twin.close()
     report.seconds = time.perf_counter() - t0
     return report
-
-
-def _check_crash_points(
-    harness: _Harness, report: SqlFuzzReport, torn_offsets: int
-) -> None:
-    """Crash/recovery over the WAL the SQL statements produced."""
-    from repro.chaos import WorkloadJournal, check_crash_point, table_visible_rows
-    from repro.db.wal import scan_records
-
-    # Leave one uncommitted SQL transaction in flight so crash images
-    # contain intents the recovery must NOT surface.
-    harness.primary.execute("BEGIN")
-    harness.primary.execute(harness.gen.insert())
-    harness.wal.flush()
-
-    table = harness.catalog.table("t")
-    journal = WorkloadJournal(
-        media=harness.wal.device.media(),
-        schemas={"t": table.schema},
-        commits=harness.journal_commits,
-    )
-    journal.final_rows = harness.frozen_oracle_rows()
-    live = table_visible_rows(table, harness.manager.now)
-    if live != journal.final_rows:
-        report.violations.append(
-            "pre-crash disagreement: SQL-visible rows != oracle rows"
-        )
-        return
-
-    records, _ = scan_records(journal.media)
-    boundaries = [0] + [end for _, end in records]
-    for offset in boundaries:
-        report.violations.extend(check_crash_point(journal, offset))
-    report.crash_boundary_points = len(boundaries)
-
-    rng = np.random.default_rng(report.seed ^ 0x5EED)
-    boundary_set = set(boundaries)
-    probed = 0
-    for _ in range(torn_offsets * 20):
-        if probed >= torn_offsets:
-            break
-        offset = int(rng.integers(1, len(journal.media)))
-        if offset in boundary_set:
-            continue
-        report.violations.extend(check_crash_point(journal, offset))
-        probed += 1
-    report.crash_torn_points = probed

@@ -44,24 +44,6 @@ def lineitem_table(rows=2000, seed=11):
     return table
 
 
-def shard_lineitem(table, nshards):
-    keys = table.column("l_orderkey")
-    qs = np.linspace(0, 1, nshards + 1)[1:-1]
-    bounds = sorted({int(np.quantile(keys, q)) for q in qs})
-    sharded = ShardedTable(table.schema, "l_orderkey", bounds)
-    sharded.bulk_load(
-        {
-            c.name: (
-                table.column(c.name).view(f"S{c.dtype.width}").reshape(-1)
-                if c.dtype.np_dtype is None
-                else table.column(c.name)
-            )
-            for c in table.schema.user_columns
-        }
-    )
-    return sharded
-
-
 ORDERS_PLAN = DistPlan(
     table="orders",
     key_column="o_id",
@@ -217,7 +199,7 @@ class TestBenchCluster:
     @pytest.mark.parametrize("nshards", [1, 2, 8])
     def test_q1_q6_bit_identical_to_serial(self, nshards):
         table = lineitem_table()
-        sharded = shard_lineitem(table, nshards)
+        sharded = ShardedTable.split(table, "l_orderkey", nshards)
         with ShardCluster(sharded, DistConfig(inline=True)) as cluster:
             for plan in (q1_plan(), q6_plan()):
                 serial = execute_plan(table, plan)
@@ -227,7 +209,7 @@ class TestBenchCluster:
 
     def test_key_range_prunes_shards(self):
         table = lineitem_table()
-        sharded = shard_lineitem(table, 4)
+        sharded = ShardedTable.split(table, "l_orderkey", 4)
         lo, hi = sharded.shard_bounds(1)
         with ShardCluster(sharded, DistConfig(inline=True)) as cluster:
             res = cluster.query(q6_plan(key_low=lo, key_high=hi))
@@ -240,7 +222,7 @@ class TestBenchCluster:
         plan = q6_plan()
         serial = execute_plan(table, plan)
         with ShardCluster(
-            shard_lineitem(table, 2), DistConfig(deadline_s=30.0)
+            ShardedTable.split(table, "l_orderkey", 2), DistConfig(deadline_s=30.0)
         ) as cluster:
             res = cluster.query(plan)
         assert res.to_bytes() == serial.to_bytes()
@@ -364,7 +346,7 @@ class TestShardCountInvariance:
         for plan in (q1_plan(), q6_plan()):
             serial = execute_plan(table, plan)
             for nshards in (2, 8):
-                sharded = shard_lineitem(table, nshards)
+                sharded = ShardedTable.split(table, "l_orderkey", nshards)
                 with ShardCluster(sharded, DistConfig(inline=True)) as c:
                     res = c.query(plan)
                 assert res.to_bytes() == serial.to_bytes()

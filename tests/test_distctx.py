@@ -46,24 +46,6 @@ from repro.workloads.htap import orders_schema
 from repro.workloads.tpch import generate_lineitem
 
 
-def shard_lineitem(table, nshards):
-    keys = table.column("l_orderkey")
-    qs = np.linspace(0, 1, nshards + 1)[1:-1]
-    bounds = sorted({int(np.quantile(keys, q)) for q in qs})
-    sharded = ShardedTable(table.schema, "l_orderkey", bounds)
-    sharded.bulk_load(
-        {
-            c.name: (
-                table.column(c.name).view(f"S{c.dtype.width}").reshape(-1)
-                if c.dtype.np_dtype is None
-                else table.column(c.name)
-            )
-            for c in table.schema.user_columns
-        }
-    )
-    return sharded
-
-
 ORDERS_PLAN = DistPlan(
     table="orders",
     key_column="o_id",
@@ -157,7 +139,7 @@ class TestDistTraceIdentity:
         replays = []
         for nshards in (1, 2, 4, 8):
             tracer = Tracer()
-            sharded = shard_lineitem(table, nshards)
+            sharded = ShardedTable.split(table, "l_orderkey", nshards)
             with ShardCluster(sharded, DistConfig(inline=True)) as cluster:
                 res = cluster.query(q6_plan(), tracer=tracer)
             assert res.to_bytes() == serial.to_bytes()
@@ -174,7 +156,7 @@ class TestDistTraceIdentity:
         _, table = generate_lineitem(800, seed=9)
         tracer = Tracer()
         with ShardCluster(
-            shard_lineitem(table, 3), DistConfig(inline=True)
+            ShardedTable.split(table, "l_orderkey", 3), DistConfig(inline=True)
         ) as cluster:
             cluster.query(q6_plan(), tracer=tracer)
         trace = Trace(tracer.last)

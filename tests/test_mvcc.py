@@ -304,14 +304,15 @@ class TestRunTransactionHygiene:
 # ----------------------------------------------------------------------
 class TestVisibilityVsOracle:
     """Drive random concurrent interleavings through the real manager and
-    the dict-based :class:`~repro.chaos.ShadowOracle` in lockstep, then
-    demand identical visibility at *every* timestamp ever issued."""
+    the dict-based :class:`~repro.chaos.ShadowOracle` as one
+    :class:`~repro.chaos.Lockstep` pair, then demand identical visibility
+    at *every* timestamp ever issued."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_interleavings_match_oracle(self, seed):
         import random
 
-        from repro.chaos import ShadowOracle, table_visible_rows
+        from repro.chaos import Lockstep, table_visible_rows
         from repro.errors import TransactionError as TxnErr
 
         rng = random.Random(seed)
@@ -320,7 +321,8 @@ class TestVisibilityVsOracle:
         )
         table = Table(schema)
         manager = TransactionManager()
-        oracle = ShadowOracle()
+        pair = Lockstep(manager, table)
+        oracle = pair.oracle
         active = []
         next_id = 0
 
@@ -331,54 +333,41 @@ class TestVisibilityVsOracle:
         def finish(txn, how):
             active.remove(txn)
             if how == "abort":
-                manager.abort(txn)
-                oracle.abort(txn.txn_id)
+                pair.abort(txn)
                 return
             try:
-                manager.commit(txn)
-                oracle.commit(txn.txn_id, txn.commit_ts)
+                pair.commit(txn)
             except WriteConflictError:
-                oracle.abort(txn.txn_id)
+                pass  # the pair aborted both sides
 
         for _ in range(150):
             action = rng.random()
             if action < 0.25 or not active:
                 if len(active) < 4:
-                    txn = manager.begin()
-                    oracle.begin(txn.txn_id)
-                    active.append(txn)
+                    active.append(pair.begin())
                 continue
             txn = rng.choice(active)
             try:
                 if action < 0.45:
                     next_id += 1
-                    slot = txn.insert(
-                        table, {"id": next_id, "balance": next_id * 10}
-                    )
-                    oracle.insert(txn.txn_id, table.row(slot))
+                    pair.insert(txn, {"id": next_id, "balance": next_id * 10})
                 elif action < 0.60:
                     live = committed_live()
                     if live:
                         old = int(rng.choice(live))
-                        new = txn.update(
-                            table, old, {"balance": int(rng.randrange(1000))}
-                        )
-                        oracle.update(txn.txn_id, old, table.row(new))
+                        pair.update(txn, old, {"balance": int(rng.randrange(1000))})
                 elif action < 0.70:
                     live = committed_live()
                     if live:
-                        old = int(rng.choice(live))
-                        txn.delete(table, old)
-                        oracle.delete(txn.txn_id, old)
+                        pair.delete(txn, int(rng.choice(live)))
                 elif action < 0.90:
                     finish(txn, "commit")
                 else:
                     finish(txn, "abort")
             except WriteConflictError:
-                # The manager aborted the txn inside update/delete;
-                # mirror that into the oracle.
+                # The manager aborted the txn inside update/delete and
+                # the pair mirrored that into the oracle.
                 active.remove(txn)
-                oracle.abort(txn.txn_id)
             except TxnErr:
                 pass  # double-write on one slot etc.: no state change
 

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.db.schema import Column, TableSchema
 from repro.db.sharding import ShardedTable
+from repro.db.table import Table
+from repro.db.types import CHAR, INT64
 from repro.workloads.synthetic import wide_schema
 from repro.errors import SchemaError
 
@@ -17,6 +20,48 @@ def make_sharded(boundaries=(100, 200, 300), nrows=2000, seed=1):
         {f"c{i}": rng.integers(0, 400, nrows, dtype=np.int32) for i in range(4)}
     )
     return st_
+
+
+class TestSplit:
+    """``ShardedTable.split``: quantile cut points, one shard per row,
+    CHAR columns byte for byte."""
+
+    @staticmethod
+    def table_of(keys):
+        table = Table(TableSchema("t", [Column("k", INT64), Column("tag", CHAR(6))]))
+        for i, k in enumerate(keys):
+            table.append_row({"k": int(k), "tag": f"r{i:03d}{'xyz'[i % 3]}"})
+        return table
+
+    @pytest.mark.parametrize(
+        "keys, nshards, bounds",
+        [
+            # Quantiles of 0..99 at 1/4, 2/4, 3/4 are 24.75, 49.5, 74.25.
+            (np.random.default_rng(3).permutation(100), 4, [24, 49, 74]),
+            # 91 of 100 keys are 5: all three cut points collapse into one.
+            ([5] * 90 + list(range(10)), 4, [5]),
+        ],
+    )
+    def test_split(self, keys, nshards, bounds):
+        table = self.table_of(keys)
+        sharded = ShardedTable.split(table, "k", nshards)
+        assert sharded.boundaries == bounds
+        assert len(sharded.shards) == len(bounds) + 1
+        all_keys = table.column("k")
+        tags = table.column("tag")
+        seen = []
+        for i, shard in enumerate(sharded.shards):
+            lo, hi = sharded.shard_bounds(i)
+            mask = (all_keys >= (lo if lo is not None else all_keys.min())) & (
+                all_keys <= (hi if hi is not None else all_keys.max())
+            )
+            # The shard holds exactly the rows in its key range, in the
+            # original order, and their CHAR bytes are unchanged.
+            np.testing.assert_array_equal(shard.column("k"), all_keys[mask])
+            assert shard.column("tag").tobytes() == tags[mask].tobytes()
+            seen.extend(bytes(row) for row in shard.column("tag"))
+        # Every row lands in exactly one shard (tags are unique).
+        assert sorted(seen) == sorted(bytes(row) for row in tags)
 
 
 class TestRouting:
