@@ -46,8 +46,6 @@ from repro.obs import (
     Span,
     Trace,
     Tracer,
-    active,
-    active_metrics,
     maybe_span,
 )
 
@@ -66,8 +64,8 @@ class ExecutionResult:
     #: True when the engine's native access path faulted and the answer
     #: was produced by the software fallback (rowstore scan) instead.
     degraded: bool = False
-    #: Hierarchical cost attribution (present when the engine carries an
-    #: enabled :class:`repro.obs.Tracer`). ``trace.to_ledger()`` folds
+    #: Hierarchical cost attribution (present when the engine carries a
+    #: :class:`repro.obs.Tracer`). ``trace.to_ledger()`` folds
     #: back to ``ledger`` bit-identically.
     trace: Optional[Trace] = None
     #: The engine's :class:`repro.obs.MetricsRegistry` (None when metrics
@@ -123,13 +121,13 @@ class Engine(ABC):
         #: and misses charge ``PLAN_COMPILE`` cycles.
         self.codecache = codecache
         self._bound_cache: Dict[str, BoundQuery] = {}
-        #: Observability hook: when set (and enabled), every execute()
-        #: builds a span tree and returns it as ``ExecutionResult.trace``.
+        #: Observability hook: when set, every execute() builds a span
+        #: tree and returns it as ``ExecutionResult.trace``.
         self.tracer = tracer
         #: Metrics hook: query ledgers drive this registry's simulated
         #: clock, and the engine registers its PMU-style collectors on
         #: it (the shared None fast path when metrics are off).
-        self.metrics = active_metrics(metrics)
+        self.metrics = metrics
         if self.metrics is not None:
             self._register_metrics()
 
@@ -213,7 +211,7 @@ class Engine(ABC):
         plain tables.
         """
         bound = self.bind(query) if isinstance(query, str) else query
-        ledger = CostLedger(tracer=active(self.tracer), metrics=self.metrics)
+        ledger = CostLedger(tracer=self.tracer, metrics=self.metrics)
         with self._span(
             "query",
             engine=self.name,

@@ -37,7 +37,7 @@ from repro.db.plan.binder import BoundQuery
 from repro.errors import ExecutionError, FaultError
 from repro.faults import CircuitBreaker, FaultInjector, RetryPolicy
 from repro.hw.config import PlatformConfig
-from repro.obs import Span, Trace, active, maybe_span
+from repro.obs import Span, Trace, maybe_span
 
 _PUSHABLE_OPS = {
     "<": CompareOp.LT,
@@ -130,9 +130,8 @@ class RelationalMemoryEngine(Engine):
         tree; on the fault-free path it has a single ``query`` child.
         """
         bound = self.bind(query) if isinstance(query, str) else query
-        tracer = active(self.tracer)
         with maybe_span(
-            tracer, "dispatch", engine=self.name, layer="engine"
+            self.tracer, "dispatch", engine=self.name, layer="engine"
         ) as dispatch:
             result = self._dispatch(bound, snapshot_ts)
             dispatch.set_attrs(
@@ -284,7 +283,7 @@ class RelationalMemoryEngine(Engine):
             mvcc_filter=mask is not None and schema.mvcc,
             fabric_predicates=len(pushed),
         )
-        ledger = CostLedger(tracer=active(self.tracer))
+        ledger = CostLedger(tracer=self.tracer)
         with self._span(
             "fabric.aggregate",
             table=schema.name,

@@ -30,7 +30,7 @@ from repro.errors import (
     WriteConflictError,
 )
 from repro.faults import RetryPolicy
-from repro.obs import MetricsRegistry, Tracer, active_metrics, maybe_span
+from repro.obs import MetricsRegistry, Tracer, maybe_span
 
 
 class TxnState(enum.Enum):
@@ -253,7 +253,7 @@ class TransactionManager:
         #: a collector and feeds a per-commit write-set-size histogram.
         #: A WAL without metrics of its own adopts this registry too —
         #: one wiring point covers the whole durability path.
-        self.metrics = active_metrics(metrics)
+        self.metrics = metrics
         self._m_intents = None
         if self.metrics is not None:
             from repro.obs.collectors import register_mvcc

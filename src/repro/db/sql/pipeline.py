@@ -190,12 +190,10 @@ class Session:
         self.manager = manager
         self.optimizer = Optimizer(self.catalog, engine.platform)
         self.retry_policy = retry_policy
-        from repro.obs.journal import active_journal
-
         #: Flight recorder: statement errors are journaled (kind
         #: ``sql.error``) so a fuzz crash's black box shows the failing
         #: statement sequence, not just the final exception.
-        self.journal = active_journal(journal)
+        self.journal = journal
         if self.journal is not None and self.manager.wal is not None:
             self.manager.wal.attach_journal(self.journal)
         self.stats = SqlStats()
@@ -534,7 +532,7 @@ class Session:
     def _execute_explain(self, stmt: ExplainStmt, sql: str) -> StatementResult:
         target = stmt.target
         if stmt.analyze:
-            if self.tracer is None or not getattr(self.tracer, "enabled", True):
+            if self.tracer is None:
                 raise SqlError(
                     "EXPLAIN ANALYZE needs a tracer-enabled Session "
                     "(Session(tracer=Tracer()))"

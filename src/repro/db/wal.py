@@ -333,29 +333,24 @@ class WriteAheadLog:
     def attach_metrics(self, registry: "MetricsRegistry") -> None:
         """Wire this WAL into ``registry`` (idempotent; also called when
         a :class:`~repro.db.mvcc.TransactionManager` adopts the WAL)."""
-        from repro.obs import active_metrics
         from repro.obs.collectors import register_wal
 
-        reg = active_metrics(registry)
-        if reg is None or self.metrics is not None:
+        if registry is None or self.metrics is not None:
             return
-        self.metrics = reg
+        self.metrics = registry
         if self.ledger.metrics is None:
-            self.ledger.metrics = reg
-        self._m_fsync = reg.histogram(
+            self.ledger.metrics = registry
+        self._m_fsync = registry.histogram(
             "wal_fsync_cycles",
             help="Commit-barrier flush latency in simulated CPU cycles",
         )
-        register_wal(reg, self)
+        register_wal(registry, self)
 
     def attach_journal(self, journal) -> None:
         """Wire this WAL into a flight recorder (idempotent)."""
-        from repro.obs.journal import active_journal
-
-        j = active_journal(journal)
-        if j is None or self.journal is not None:
+        if journal is None or self.journal is not None:
             return
-        self.journal = j
+        self.journal = journal
 
     # ------------------------------------------------------------------
     # Appending.

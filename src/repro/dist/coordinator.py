@@ -74,7 +74,6 @@ from repro.obs.journal import (
     EV_SHARD_RESTART,
     EV_SHARD_STALE,
     EV_SHARD_TIMEOUT,
-    active_journal,
 )
 
 __all__ = ["DistConfig", "ClusterStats", "ShardCluster"]
@@ -149,9 +148,9 @@ class ShardCluster:
         self.durable = durable
         self.tracer = tracer
         #: Flight recorder for fault-handling decisions (restart, kill,
-        #: stale fence, hedge win, timeout, partial result). Folded to
-        #: None when disabled, so hot paths pay one is-None check.
-        self.journal = active_journal(journal)
+        #: stale fence, hedge win, timeout, partial result); None when
+        #: off, so hot paths pay one is-None check.
+        self.journal = journal
         self.stats = ClusterStats()
         #: Cross-query cost accumulation (plain ledger; per-query ledgers
         #: merge into it so traced/untraced runs accumulate identically).
@@ -400,11 +399,7 @@ class ShardCluster:
         self.stats.queries_total += 1
         # The cross-process identity: shipped with every exec so workers
         # record their span trees under it (repro.obs.distctx).
-        ctx = (
-            TraceContext(trace_id=new_trace_id())
-            if tracer is not None and tracer.enabled
-            else None
-        )
+        ctx = TraceContext(trace_id=new_trace_id()) if tracer is not None else None
         result: DistResult
         with maybe_span(
             tracer, "dist.query", layer="dist", mode="scatter-gather",
@@ -689,7 +684,7 @@ class ShardCluster:
         ``hedge_loser=True``) so the trace shows the redundant work.
         Grafted spans are counters-only, so losers never double-charge
         the ledger — the winner's partial is the only one merged."""
-        if tracer is None or not tracer.enabled:
+        if tracer is None:
             return
         for host, rid, _is_hedge in contenders:
             if host is winner:

@@ -31,7 +31,7 @@ from repro.obs.distctx import (
     span_to_wire,
     wire_to_span,
 )
-from repro.obs.journal import FlightRecorder, JournalEvent, active_journal
+from repro.obs.journal import FlightRecorder, JournalEvent
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -39,11 +39,10 @@ from repro.obs.metrics import (
     MetricsRegistry,
     MetricsTimeSeries,
     Sampler,
-    active_metrics,
     fmt_name,
 )
 from repro.obs.slo import SloMonitor, SloObjective, windowed_burn_rates
-from repro.obs.span import NULL_SPAN, Probe, Span, Tracer, active, maybe_span
+from repro.obs.span import NULL_SPAN, Probe, Span, Tracer, maybe_span
 from repro.obs.trace import Trace
 
 __all__ = [
@@ -63,9 +62,6 @@ __all__ = [
     "Trace",
     "TraceContext",
     "Tracer",
-    "active",
-    "active_journal",
-    "active_metrics",
     "fmt_name",
     "graft",
     "graft_partial",

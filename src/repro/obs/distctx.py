@@ -151,7 +151,7 @@ def graft_partial(tracer: Optional[Tracer], spans: Optional[Dict[str, Any]],
     The convenience form the coordinator's await loop uses: a no-op when
     tracing is off, the reply carried no spans, or no span is open.
     """
-    if tracer is None or not tracer.enabled or spans is None:
+    if tracer is None or spans is None:
         return None
     current = tracer.current
     if current is None:

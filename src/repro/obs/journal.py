@@ -9,11 +9,8 @@ an always-on recorder costs O(capacity) memory no matter how long the
 run; monotone totals survive eviction so the ``journal_*`` metric
 collectors stay honest counters.
 
-The disabled fast path mirrors :data:`~repro.obs.span.NULL_SPAN` and
-:attr:`~repro.faults.FaultInjector.armed`: call sites gate on
-``journal is not None`` (one attribute read), or route through
-:func:`active_journal` which folds a disabled recorder to ``None`` — so
-an uninstrumented run pays only the predicate (regression-tested < 5%).
+The recorder is off when it is ``None`` (DESIGN §8): call sites gate on
+``journal is not None``.
 
 When a chaos invariant fails or a
 :class:`~repro.errors.PartialResultError` escapes, the ring is dumped as
@@ -31,7 +28,6 @@ from typing import Any, Callable, Dict, List, Optional
 __all__ = [
     "FlightRecorder",
     "JournalEvent",
-    "active_journal",
     "EV_FAULT_FIRED",
     "EV_BREAKER_OPEN",
     "EV_BREAKER_CLOSE",
@@ -100,23 +96,19 @@ class FlightRecorder:
 
     ``clock`` is an optional zero-argument callable returning the current
     simulated cycle count (a ledger's ``total_cycles``, a scheduler's
-    ``clock``) — events are stamped with it at record time. ``enabled``
-    flips the whole recorder to a no-op without detaching it anywhere,
-    the same discipline as :class:`~repro.obs.span.Tracer`.
+    ``clock``) — events are stamped with it at record time.
     """
 
     def __init__(
         self,
         capacity: int = 1024,
         clock: Optional[Callable[[], float]] = None,
-        enabled: bool = True,
         auto_dump_path: Optional[str] = None,
     ):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.clock = clock
-        self.enabled = enabled
         #: When set, :meth:`auto_dump` writes here — the hook the chaos
         #: harness and the coordinator's partial-result escape use.
         self.auto_dump_path = auto_dump_path
@@ -137,8 +129,6 @@ class FlightRecorder:
         self, kind: str, cycles: Optional[float] = None, **attrs: Any
     ) -> None:
         """Append one event (drops the oldest when the ring is full)."""
-        if not self.enabled:
-            return
         if cycles is None:
             cycles = float(self.clock()) if self.clock is not None else 0.0
         self._seq += 1
@@ -151,9 +141,6 @@ class FlightRecorder:
     def events(self) -> List[JournalEvent]:
         """The retained events, oldest first."""
         return list(self._ring)
-
-    def tail(self, n: int) -> List[JournalEvent]:
-        return list(self._ring)[-n:]
 
     def clear(self) -> None:
         """Empty the ring. Monotone totals are *not* reset."""
@@ -199,16 +186,3 @@ class FlightRecorder:
 def _scrub(value: Any) -> str:
     """JSON fallback: attrs may carry exceptions, enums, key ranges."""
     return repr(value)
-
-
-def active_journal(
-    journal: Optional[FlightRecorder],
-) -> Optional[FlightRecorder]:
-    """``journal`` when it records, else None — what layers should carry.
-
-    Mirrors :func:`repro.obs.span.active`: storing the folded value makes
-    the hot-path gate a single ``is not None`` check.
-    """
-    if journal is not None and journal.enabled:
-        return journal
-    return None

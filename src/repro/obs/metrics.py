@@ -25,10 +25,8 @@ Three pieces:
   :class:`MetricsTimeSeries`. No wall clock anywhere: the same seed
   produces the bit-identical series every run.
 
-The disabled path mirrors ``NULL_SPAN``/``FaultInjector.armed``: call
-sites store ``active_metrics(registry)`` (None unless enabled), so a run
-without metrics pays one ``is None`` predicate per charge (regression
-tested < 5% on a trace-mode Q6, like the tracer).
+Metrics are off when the registry is ``None`` (DESIGN §8): a run
+without metrics pays one ``is None`` predicate per charge.
 
 Exports: :meth:`MetricsRegistry.to_prometheus` (text exposition format)
 and :meth:`MetricsTimeSeries.to_json` (``repro.metrics/v1``, validated
@@ -289,13 +287,9 @@ class MetricsRegistry:
     self-register their collectors when handed a registry; ledgers
     carrying one forward every charge to :meth:`advance`, which drives
     the attached :class:`Sampler`.
-
-    ``enabled=False`` makes the registry invisible: ``active_metrics``
-    returns None and nothing is ever registered or advanced.
     """
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self):
         self.cycles = 0.0
         self._instruments: Dict[str, Any] = {}
         self._collectors: List[MetricsCollector] = []
@@ -424,14 +418,3 @@ class MetricsRegistry:
         for name, value in gauges.items():
             emit(name, "gauge", "", [("", "", value)])
         return "\n".join(lines) + "\n"
-
-
-def active_metrics(registry: Optional[MetricsRegistry]) -> Optional[MetricsRegistry]:
-    """``registry`` when it records, else None — what call sites store.
-
-    The metrics twin of :func:`repro.obs.active`: a disabled registry
-    costs exactly one ``is None`` check per ledger charge.
-    """
-    if registry is not None and registry.enabled:
-        return registry
-    return None

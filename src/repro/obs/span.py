@@ -23,10 +23,8 @@ Design rules that keep the old numbers exact:
   leak events into a trace unless they carry the same tracer and a span
   is open.
 
-The no-op path mirrors :class:`repro.faults.FaultInjector.armed`: callers
-gate on :func:`maybe_span`, which returns a shared null context manager
-when the tracer is absent or disabled, so an untraced run pays only the
-predicate (regression-tested < 5% on a trace-mode Q6 scan).
+Tracing is off when the tracer is ``None`` (DESIGN §8): call sites gate
+on :func:`maybe_span`, which returns the shared :data:`NULL_SPAN` then.
 """
 
 from __future__ import annotations
@@ -179,7 +177,7 @@ class Span:
 
 
 class _NullSpan:
-    """Shared do-nothing span + context manager for the disabled path.
+    """Shared do-nothing span + context manager for when tracing is off.
 
     One module-level instance (:data:`NULL_SPAN`) serves every call site:
     entering it allocates nothing, and every mutator is a no-op, so
@@ -244,14 +242,9 @@ class Tracer:
     same traces (an engine, its fabric, its ledgers). Spans opened while
     another is open nest beneath it; when the outermost span closes it is
     published as :attr:`last` (and the root handed to whoever opened it).
-
-    ``enabled=False`` turns the tracer into a no-op without detaching it
-    anywhere — :func:`maybe_span` and :class:`~repro.core.ledger.CostLedger`
-    both honour the flag.
     """
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self):
         self._stack: List[Span] = []
         self._seq = 0
         #: The most recently completed root span.
@@ -271,8 +264,6 @@ class Tracer:
         ``probe`` snapshots hardware counters at open and attaches the
         delta at close (cache hits, DRAM lines of an event-accurate run).
         """
-        if not self.enabled:
-            return NULL_SPAN
         return _SpanHandle(self, name, attrs, probe)
 
     def _open(self, name: str, attrs: Dict[str, Any], probe: Optional[Probe]) -> Span:
@@ -320,15 +311,8 @@ class Tracer:
 
 
 def maybe_span(tracer: Optional[Tracer], name: str, probe: Optional[Probe] = None, **attrs: Any):
-    """The universal call-site gate: a real span when ``tracer`` is an
-    enabled :class:`Tracer`, the shared :data:`NULL_SPAN` otherwise."""
-    if tracer is not None and tracer.enabled:
+    """The universal call-site gate: a real span when ``tracer`` is a
+    :class:`Tracer`, the shared :data:`NULL_SPAN` when it is None."""
+    if tracer is not None:
         return tracer.span(name, probe=probe, **attrs)
     return NULL_SPAN
-
-
-def active(tracer: Optional[Tracer]) -> Optional[Tracer]:
-    """``tracer`` when it records, else None — what ledgers should carry."""
-    if tracer is not None and tracer.enabled:
-        return tracer
-    return None

@@ -51,12 +51,10 @@ from repro.obs import (
     MetricsRegistry,
     TraceContext,
     Tracer,
-    active,
-    active_metrics,
     fmt_name,
     new_trace_id,
 )
-from repro.obs.journal import EV_ADMISSION, active_journal
+from repro.obs.journal import EV_ADMISSION
 from repro.obs.span import maybe_span
 from repro.serve.admission import ADMIT, THROTTLE, AdmissionController, Verdict
 from repro.serve.queue import WeightedFairQueue
@@ -202,9 +200,9 @@ class ServeScheduler:
         self.config = config
         self.executor = executor
         self.tracer = tracer
-        self.metrics = active_metrics(metrics)
+        self.metrics = metrics
         #: Flight recorder for admission verdicts and SLO transitions.
-        self.journal = active_journal(journal)
+        self.journal = journal
         #: Optional :class:`~repro.obs.SloMonitor`; fed on every terminal
         #: outcome (answered → latency objectives, rejected/expired →
         #: availability objectives). Breaches land in the journal.
@@ -217,7 +215,7 @@ class ServeScheduler:
             self.slo.journal = self.journal
         #: The serve clock: advanced only through this ledger, so the
         #: metrics sampler ticks on the same simulated grid.
-        self.ledger = CostLedger(tracer=active(tracer), metrics=self.metrics)
+        self.ledger = CostLedger(tracer=tracer, metrics=self.metrics)
         self.clock = 0.0
         self.admission = AdmissionController(config)
         self.queue = WeightedFairQueue()
@@ -361,11 +359,7 @@ class ServeScheduler:
             raise ConfigurationError(
                 f"deadline_budget must be > 0, got {deadline_budget}"
             )
-        if (
-            ctx is None
-            and self.tracer is not None
-            and self.tracer.enabled
-        ):
+        if ctx is None and self.tracer is not None:
             ctx = TraceContext(
                 trace_id=new_trace_id("s"), parent="serve.execute"
             )

@@ -27,7 +27,7 @@ from repro.db.table import Table
 from repro.db.types import DECIMAL, INT64
 from repro.errors import WriteConflictError
 from repro.hw.config import PlatformConfig
-from repro.obs import MetricsRegistry, active_metrics
+from repro.obs import MetricsRegistry
 
 
 def orders_schema(name: str = "orders") -> TableSchema:
@@ -88,7 +88,7 @@ class HtapDriver:
         #: is driven by the analytic query ledgers plus the column
         #: store's conversion ledger (the in-memory OLTP path charges no
         #: cycles of its own).
-        self.metrics = active_metrics(metrics)
+        self.metrics = metrics
         self.manager = TransactionManager(metrics=metrics)
         self.rng = np.random.default_rng(seed)
         self.stats = HtapStats()

@@ -44,6 +44,7 @@ from repro.hw.config import default_platform
 from repro.hw.engine import RelationalMemoryEngineModel
 from repro.storage import ColumnArchive, FlashDevice, TieredFabric
 from repro.workloads.tpch import Q6, generate_lineitem
+from tests.conftest import assert_overhead_below_five_percent
 
 
 @pytest.fixture(scope="module")
@@ -469,7 +470,6 @@ class TestDisarmedFastPath:
                 model.transform(nrows=500, row_stride=64, out_bytes_per_row=16)
             return _time.perf_counter() - t0
 
-        _trial(baseline), _trial(disarmed)  # warm-up
-        base = min(_trial(baseline) for _ in range(5))
-        gated = min(_trial(disarmed) for _ in range(5))
-        assert gated < base * 1.05, f"disarmed overhead {gated / base - 1:.1%}"
+        assert_overhead_below_five_percent(
+            lambda: _trial(baseline), lambda: _trial(disarmed), "disarmed"
+        )

@@ -22,7 +22,7 @@ from repro.db.sharding import ShardedTable
 from repro.dist import DistConfig, ShardCluster
 from repro.errors import PartialResultError
 from repro.faults import SHARD_CRASH
-from repro.obs import FlightRecorder, active_journal
+from repro.obs import FlightRecorder
 from repro.obs.journal import (
     EV_PARTIAL_RESULT,
     EV_SHARD_KILL,
@@ -32,6 +32,7 @@ from repro.obs.journal import (
 from repro.serve import ServeScheduler, submit_open_loop, synthetic_executor
 from repro.workloads.htap import orders_schema
 
+from tests.conftest import assert_overhead_below_five_percent
 from tests.test_distctx import ORDERS_PLAN, durable_cluster
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -74,20 +75,11 @@ class TestRing:
         j = FlightRecorder()
         for i in range(5):
             j.record("k", i=i)
-        assert [e.attrs["i"] for e in j.tail(2)] == [3, 4]
+        assert [e.attrs["i"] for e in j.events()[-2:]] == [3, 4]
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
             FlightRecorder(capacity=0)
-
-    def test_disabled_recorder_is_inert_and_folds_to_none(self):
-        j = FlightRecorder(enabled=False)
-        j.record("anything")
-        assert len(j) == 0 and j.events_total == 0
-        assert active_journal(j) is None
-        assert active_journal(None) is None
-        live = FlightRecorder()
-        assert active_journal(live) is live
 
 
 # ----------------------------------------------------------------------
@@ -183,7 +175,7 @@ class TestTriggers:
     def test_kill_shard_records_event(self):
         recorder = FlightRecorder()
         cluster = durable_cluster()
-        cluster.journal = active_journal(recorder)
+        cluster.journal = recorder
         try:
             cluster.kill_shard(2)
             cluster.query(ORDERS_PLAN)
@@ -196,8 +188,7 @@ class TestTriggers:
 
 
 # ----------------------------------------------------------------------
-# The always-on promise: disabled journal + objective-free SLO monitor
-# cost < 5% on the serving hot path.
+# An objective-free SLO monitor costs < 5% on the serving hot path.
 # ----------------------------------------------------------------------
 class TestDisabledOverhead:
     def test_disabled_path_overhead_below_five_percent(self):
@@ -209,33 +200,16 @@ class TestDisabledOverhead:
             s for s in overload_specs() if s.tenant_id != "analytics"
         ]
 
-        def _trial(journal, slo):
+        def _trial(slo):
             config = overload_config()
             scheduler = ServeScheduler(
-                config, synthetic_executor(seed=11), journal=journal, slo=slo
+                config, synthetic_executor(seed=11), slo=slo
             )
             t0 = _time.perf_counter()
             submit_open_loop(scheduler, specs, 2_000_000.0, seed=11)
             scheduler.run_until_drained()
             return _time.perf_counter() - t0
 
-        def _base():
-            return _trial(None, None)
-
-        def _gated():
-            # A disabled recorder plus a monitor with no objectives: the
-            # full instrumented path, with every gate closed.
-            return _trial(FlightRecorder(enabled=False), SloMonitor([]))
-
-        _base(), _gated()  # warm-up
-        # Interleave and take min-of-trials; retry noisy rounds (same
-        # discipline as the no-op tracer overhead test).
-        for _round in range(3):
-            pairs = [(_base(), _gated()) for _ in range(7)]
-            base = min(b for b, _ in pairs)
-            noop = min(n for _, n in pairs)
-            if noop < base * 1.05:
-                return
-        assert noop < base * 1.05, (
-            f"disabled journal+slo overhead {noop / base - 1:.1%}"
+        assert_overhead_below_five_percent(
+            lambda: _trial(None), lambda: _trial(SloMonitor([])), "empty slo"
         )

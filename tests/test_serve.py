@@ -22,6 +22,7 @@ from repro.errors import (
     TenantThrottledError,
 )
 from repro.faults import SERVE_CLOCK_SKEW, SERVE_SHED, SERVE_SITES
+from repro.obs import TraceContext
 from repro.serve import (
     ADMIT,
     SHED,
@@ -37,6 +38,7 @@ from repro.serve import (
     TokenBucket,
     throttle_backoff,
 )
+from tests.conftest import assert_overhead_below_five_percent
 
 
 def fixed_executor(cycles=10_000.0, degraded_cycles=1_000.0):
@@ -470,6 +472,19 @@ class TestSpans:
         s.submit("a", "oltp", 10_000.0)
         s.run_until_drained()  # simply must not blow up without a tracer
 
+    def test_submit_stamps_trace_context_only_with_tracer(self):
+        traced = ServeScheduler(
+            two_tenant_config(), fixed_executor(), tracer=Tracer()
+        )
+        req = traced.submit("a", "oltp", 10_000.0)
+        assert isinstance(req.ctx, TraceContext)
+        assert req.ctx.trace_id.startswith("s")
+        assert req.ctx.parent == "serve.execute"
+        given = TraceContext(trace_id="caller")
+        assert traced.submit("a", "oltp", 10_000.0, ctx=given).ctx is given
+        untraced = ServeScheduler(two_tenant_config(), fixed_executor())
+        assert untraced.submit("a", "oltp", 10_000.0).ctx is None
+
 
 # ----------------------------------------------------------------------
 # Metrics: hot-path histograms + the registered collector.
@@ -586,19 +601,8 @@ class TestServeFaultSites:
             s.run_until_drained()
             return time.perf_counter() - t0
 
-        disarmed = lambda: FaultInjector(FaultPlan())  # noqa: E731
-        _trial(None), _trial(disarmed())  # warm-up
-        # Interleave the trials so slow drift in machine load (the rest
-        # of the suite, CI neighbours) hits both arms equally, and give
-        # a noisy first round a second chance before calling it a
-        # regression — a real gate cost reproduces; scheduler jitter
-        # does not.
-        for round_ in range(3):
-            base_times, gated_times = [], []
-            for _ in range(7):
-                base_times.append(_trial(None))
-                gated_times.append(_trial(disarmed()))
-            base, gated = min(base_times), min(gated_times)
-            if gated < base * 1.05:
-                return
-        assert gated < base * 1.05, f"disarmed overhead {gated / base - 1:.1%}"
+        assert_overhead_below_five_percent(
+            lambda: _trial(None),
+            lambda: _trial(FaultInjector(FaultPlan())),
+            "disarmed",
+        )
