@@ -83,9 +83,6 @@ class MemoryModel(ABC):
         self.traffic = TrafficStats()
         self.line_bytes = platform.l1.line_bytes
 
-    def reset_stats(self) -> None:
-        self.traffic = TrafficStats()
-
     @abstractmethod
     def sequential(
         self, total_bytes: int, base_addr: int = 0, write: bool = False
@@ -298,18 +295,15 @@ class TraceMemoryModel(MemoryModel):
     def _classified(self, run) -> MemCost:
         """Run a traced access closure and classify its cycle total."""
         h = self.hierarchy
-        misses_before = h.dram.stats.row_hits + h.dram.stats.row_misses
         covered_before = h.prefetcher.covered
         dram_before = h.stats.dram_lines
         cycles = run()
-        demand = (h.dram.stats.row_hits + h.dram.stats.row_misses) - misses_before
         covered_lines = h.prefetcher.covered - covered_before
         moved = h.stats.dram_lines - dram_before
         self.traffic.add(moved * self.line_bytes, cycles)
         # Demand misses (not prefetch-covered) are exposed latency; the
         # rest of the cycles (hits + streamed lines) are covered.
         exposed = 0.0
-        demand_misses = max(0, demand - 0)  # stream_cost bumps row_hits too
         if moved:
             exposed_fraction = max(0.0, (moved - covered_lines) / moved)
             exposed = cycles * exposed_fraction

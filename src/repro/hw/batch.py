@@ -1,7 +1,7 @@
 """Vectorized batch kernel for the trace-mode memory hierarchy.
 
 The scalar reference path (:meth:`repro.hw.hierarchy.MemoryHierarchy.access_lines`)
-pays one Python dict transaction per cache line, which caps the
+pays one Python-level cache transaction per line, which caps the
 event-accurate model at toy trace sizes. This module simulates the same
 hardware — set-associative LRU caches, the bounded stream prefetcher and
 banked open-row DRAM — over whole numpy arrays of line addresses at once,
@@ -9,16 +9,22 @@ producing **bit-identical** stats, cycles and end state.
 
 The algorithm exploits three structural facts of the hardware:
 
-* **Caches have no cross-set coupling.** Accesses are grouped by cache
-  set (a stable argsort — or a strided slice when the batch is one
-  contiguous ascending run); per-set subsequences are simulated
-  independently. Within a set, the dominant pattern — every tag distinct
-  and none initially resident (a cold scan of a fresh region) — has a
-  closed form: all accesses miss, evictions drain the set's LRU queue in
-  a computable order (initial residents by age, then batch installs
-  FIFO), and only the last ``ways`` installs survive. Groups that see
-  re-references or warm lines fall back to an exact per-access loop that
-  mirrors :meth:`repro.hw.cache.Cache.access_line` tick for tick.
+* **Caches have no cross-set coupling, and LRU is a stack algorithm.**
+  Cache state is four ``[num_sets, ways]`` arrays (see
+  :class:`repro.hw.cache.Cache`), so one kernel resolves every touched
+  set at once, with no Python loop per set or per access. It has two
+  routes. A distinct batch that touches no resident line (a cold scan of
+  a fresh region) misses everywhere: evictions drain each set's LRU
+  queue — residents oldest first, then batch installs FIFO — and only
+  each set's last installs survive, which for a contiguous batch lie in
+  its last ``ways * num_sets`` lines. Every other batch goes by LRU stack
+  distance (Mattson et al., "Evaluation techniques for storage
+  hierarchies", IBM Sys. J. 1970): each set's residents are prepended as
+  pseudo-references in LRU order, one stable sort chains the references
+  to each line, and an access hits iff fewer than ``ways`` distinct lines
+  of its set were referenced since its previous reference. Hits,
+  evictions, polluted evictions and the end state all follow from the
+  chains.
 * **The prefetcher only reacts to L2 misses, in stride runs.** The miss
   subsequence is segmented into maximal arithmetic runs; a run either
   continues one stream (coverage is then a closed form of the stream's
@@ -29,20 +35,20 @@ The algorithm exploits three structural facts of the hardware:
   is a comparison against the previous row in the same bank's
   subsequence, fully vectorized.
 
-Because every fallback path replays the exact scalar logic, equality with
-the scalar path holds for *arbitrary* traces (property-tested), while the
-patterns the query engines emit (sequential, strided, lockstep
-multi-stream, LCG random) stay on the vectorized fast paths.
+Both cache routes are exact and the prefetcher's fallback replays the
+scalar logic, so equality with the scalar path holds for *arbitrary*
+traces (property-tested against :meth:`repro.hw.cache.Cache.access_line`),
+while the patterns the query engines emit (sequential, strided, lockstep
+multi-stream, LCG random) stay vectorized.
 """
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
-from repro.hw.cache import Cache, _Line
+from repro.hw.cache import Cache
 from repro.hw.dram import Dram
 from repro.hw.prefetcher import StreamPrefetcher, _Stream
 
@@ -135,31 +141,267 @@ def lcg_states(state0: int, n: int) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Cache level: per-set grouping + cold closed form.
+# Cache level: whole-array cold closed form + LRU stack distance.
 # ----------------------------------------------------------------------
-def _set_groups(
-    idx: np.ndarray, num_sets: int, contiguous: bool, lines: np.ndarray
-) -> List[Tuple[int, np.ndarray]]:
-    """Partition batch positions by cache set, preserving order.
+#: Stack-distance walks step back this many times ``ways`` positions;
+#: queries still open then finish with an exact slice count.
+_WALK_STEPS = 4
 
-    Returns ``(set_index, positions)`` pairs. For a contiguous ascending
-    run the members of each set form a strided slice — no sort needed.
-    """
+
+def _stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for int64 keys, as 16-bit radix
+    passes (numpy sorts 16-bit keys by counting) when their range allows."""
+    if keys.size == 0:
+        return np.empty(0, dtype=np.int64)
+    off = keys - keys.min()
+    span = int(off.max())
+    if span < 1 << 16:
+        return np.argsort(off.astype(np.uint16), kind="stable")
+    if span < 1 << 32:
+        order = np.argsort((off & 0xFFFF).astype(np.uint16), kind="stable")
+        high = (off >> 16).astype(np.uint16)[order]
+        return order[np.argsort(high, kind="stable")]
+    return np.argsort(keys, kind="stable")
+
+
+def _touched_sets(idx: np.ndarray, num_sets: int, contiguous: bool, lines):
+    """Sorted touched set indices and each one's access count. The lines
+    of a contiguous batch cycle through the sets, so its counts are
+    arithmetic."""
     n = idx.size
     if contiguous:
-        first = int(lines[0])
-        return [
-            (
-                (first + p0) & (num_sets - 1),
-                np.arange(p0, n, num_sets, dtype=np.int64),
-            )
-            for p0 in range(min(num_sets, n))
-        ]
-    order = np.argsort(idx, kind="stable").astype(np.int64, copy=False)
-    sidx = idx[order]
-    starts = np.flatnonzero(np.r_[True, sidx[1:] != sidx[:-1]])
-    ends = np.r_[starts[1:], n]
-    return [(int(sidx[s]), order[s:e]) for s, e in zip(starts, ends)]
+        if n < num_sets:
+            return np.sort(idx), np.ones(n, dtype=np.int64)
+        first = int(lines[0]) & (num_sets - 1)
+        sets = np.arange(num_sets, dtype=np.int64)
+        counts = np.full(num_sets, n // num_sets, dtype=np.int64)
+        counts[(sets - first) % num_sets < n % num_sets] += 1
+        return sets, counts
+    counts = np.bincount(idx, minlength=num_sets)
+    sets = np.flatnonzero(counts)
+    return sets, counts[sets]
+
+
+def _is_cold(cache, lines, sets) -> bool:
+    """True when no resident line of the touched sets lies within the
+    batch's line range, which proves a distinct batch cold. A batch with a
+    resident inside its range is left to the stack-distance route, which
+    is exact either way."""
+    tags = cache.tags[sets]
+    row, way = np.nonzero(tags >= 0)
+    resident = (tags[row, way] << cache._tag_shift) | sets[row]
+    lo, hi = int(lines.min()), int(lines.max())
+    return not bool(np.any((resident >= lo) & (resident <= hi)))
+
+
+def _cold_access(cache, idx, tags, sets, counts, write, contiguous, tick0):
+    """Every access misses. Per set, evictions drain the LRU queue —
+    residents oldest first, then batch installs FIFO — and only the last
+    ``ways - kept residents`` installs survive. Returns (evictions,
+    polluted evictions)."""
+    n = idx.size
+    num_sets, ways = cache.config.num_sets, cache.config.ways
+    T, LU, UC, DT = cache.tags, cache.last_use, cache.use_count, cache.dirty
+    r0 = np.count_nonzero(T[sets] >= 0, axis=1)
+    excess = np.maximum(r0 + counts - ways, 0)
+    k0 = np.minimum(r0, excess)  # residents evicted per set
+    polluted = int((excess - k0).sum())  # batch installs evicted unhit
+    evict = k0 > 0
+    if evict.any():
+        vsets = sets[evict]
+        # Empty ways (last_use 0) sort first, then residents in LRU order.
+        order = np.argsort(LU[vsets], axis=1)
+        rank = np.arange(ways)[None, :]
+        empty = (ways - r0[evict])[:, None]
+        pick = (rank >= empty) & (rank < empty + k0[evict][:, None])
+        vr, vk = np.nonzero(pick)
+        vs, vw = vsets[vr], order[vr, vk]
+        polluted += int(np.count_nonzero(UC[vs, vw] == 0))
+        T[vs, vw] = -1
+        LU[vs, vw] = 0
+        UC[vs, vw] = 0
+        DT[vs, vw] = False
+    surv = np.zeros(num_sets, dtype=np.int64)  # installs that stay, per set
+    surv[sets] = np.minimum(ways - (r0 - k0), counts)
+    # `later`: accesses after each candidate position in the same set.
+    if contiguous:
+        # A set's accesses recur every num_sets positions, so only the
+        # last ways * num_sets accesses can survive.
+        pos = np.arange(max(0, n - num_sets * ways), n, dtype=np.int64)
+        later = (n - 1 - pos) // num_sets
+    else:
+        pos = _stable_argsort(idx)
+        sidx = idx[pos]
+        ends = np.r_[np.flatnonzero(sidx[1:] != sidx[:-1]), n - 1]
+        later = np.repeat(ends, np.diff(np.r_[-1, ends])) - np.arange(n)
+    s_pos = idx[pos]
+    keep = later < surv[s_pos]
+    pos, s_pos = pos[keep], s_pos[keep]
+    q = surv[s_pos] - 1 - later[keep]  # survivor's rank within its set
+    free_order = np.argsort(T[s_pos] >= 0, axis=1, kind="stable")
+    ways_pos = free_order[np.arange(pos.size), q]
+    T[s_pos, ways_pos] = tags[pos]
+    LU[s_pos, ways_pos] = tick0 + 1 + pos
+    UC[s_pos, ways_pos] = 0
+    DT[s_pos, ways_pos] = write
+    return int(excess.sum()), polluted
+
+
+def _walk_hits(nxt: np.ndarray, qi: np.ndarray, qp: np.ndarray, ways: int):
+    """Decide LRU hits by stack distance.
+
+    Query ``k`` re-references at position ``qi[k]`` the line last referenced
+    at ``qp[k]``, within one set's reference sequence. It hits iff fewer
+    than ``ways`` distinct lines appear strictly between, i.e. fewer than
+    ``ways`` positions ``j`` in ``(qp, qi)`` whose next reference ``nxt[j]``
+    lies beyond ``qi`` (``j``'s line is still live at ``qi``).
+
+    The walk steps back from every query at once, ``_WALK_STEPS * ways``
+    steps in all, then finishes the queries still open with an exact count
+    over the rest of their window. When queries are dense, the first
+    ``2 * ways`` steps run over whole shifted arrays: position ``j`` is
+    live at ``i`` iff its reuse distance ``nxt[j] - j`` exceeds ``i - j``,
+    which does not depend on the query. The other steps gather each open
+    query's window, ``ways`` positions per block.
+    """
+    m = nxt.size
+    hit = np.zeros(qi.size, dtype=bool)
+    open_ = np.arange(qi.size, dtype=np.int64)
+    count = np.zeros(qi.size, dtype=np.int64)
+    done = 0
+    if 4 * qi.size >= m:  # dense: shifted whole arrays beat gathers
+        done = 2 * ways
+        span = qi - qp - 1  # window length
+        # Reuse distance, clipped to what the whole-array steps compare.
+        reuse = np.minimum(nxt - np.arange(m), done + 1).astype(np.uint16)
+        live = np.zeros(m, dtype=np.uint16)  # live positions among the last s
+        by_span = np.argsort(np.minimum(span, done + 1).astype(np.uint16), kind="stable")
+        cuts = np.searchsorted(span[by_span], np.arange(done + 2), side="left")
+        hit[by_span[: cuts[1]]] = True  # empty window
+        for s in range(min(done, m - 1)):  # a window never exceeds m - 2
+            live[s + 1 :] += reuse[: m - s - 1] > s + 1
+            ends_now = by_span[cuts[s + 1] : cuts[s + 2]]  # span == s + 1
+            hit[ends_now] = live[qi[ends_now]] < ways
+        rest = by_span[cuts[done + 1] :]
+        count = live[qi[rest]].astype(np.int64)
+        keep = count < ways
+        open_, count = rest[keep], count[keep]
+    steps = np.arange(ways, dtype=np.int64)[None, :]
+    while open_.size and done < _WALK_STEPS * ways:
+        i = qi[open_][:, None]
+        j = i - 1 - done - steps
+        inside = j > qp[open_][:, None]
+        total = count + np.count_nonzero(
+            inside & (nxt[np.where(inside, j, 0)] > i), axis=1
+        )
+        more = inside[:, -1] & (total < ways)
+        hit[open_[~more & (total < ways)]] = True
+        open_, count = open_[more], total[more]
+        done += ways
+    for k, i, p, c in zip(
+        open_.tolist(), qi[open_].tolist(), qp[open_].tolist(), count.tolist()
+    ):
+        hit[k] = c + np.count_nonzero(nxt[p + 1 : i - done] > i) < ways
+    return hit
+
+
+def _stack_access(cache, idx, tags, sets, write, tick0):
+    """Exact LRU over re-referencing or warm batches by stack distance.
+
+    Each touched set's residents are prepended to its accesses as
+    pseudo-references in LRU order, which rebuilds the set's LRU stack.
+    One stable sort by line chains the references to each line; every
+    hit, eviction and the end state follow from those chains. Returns
+    (hit mask, misses, evictions, polluted evictions)."""
+    n = idx.size
+    ways = cache.config.ways
+    shift = cache._tag_shift
+    T, LU, UC, DT = cache.tags, cache.last_use, cache.use_count, cache.dirty
+
+    # Pseudo-references: residents of touched sets, by set then LRU order.
+    order = np.argsort(LU[sets], axis=1)
+    p_tag, p_last, p_uses, p_dirty = (
+        np.take_along_axis(a[sets], order, axis=1) for a in (T, LU, UC, DT)
+    )
+    valid = p_tag >= 0
+    p_set = sets[np.nonzero(valid)[0]]
+    p_tag, p_last, p_uses, p_dirty = (
+        a[valid] for a in (p_tag, p_last, p_uses, p_dirty)
+    )
+    r = p_set.size
+
+    # The set-grouped reference sequence: stable by set keeps each set's
+    # pseudo-references first, then its accesses in batch order. Sequence
+    # position k holds merged reference g[k]: a resident when below r,
+    # else batch access g[k] - r.
+    m_set = np.concatenate([p_set, idx])
+    g = _stable_argsort(m_set)
+    m = g.size
+    g_set = m_set[g]
+    g_line = (np.concatenate([p_tag, tags])[g] << shift) | g_set
+
+    # Reference chains: one stable sort by line keeps each line's
+    # references in sequence order. (a, b) are consecutive references to
+    # one line; b is always a batch access (residents come first).
+    chain = _stable_argsort(g_line)
+    chain_line = g_line[chain]  # ascending
+    same = chain_line[1:] == chain_line[:-1]
+    a, b = chain[:-1][same], chain[1:][same]
+    nxt = np.full(m, m, dtype=np.int64)
+    nxt[a] = b
+
+    is_hit = np.zeros(m, dtype=bool)
+    is_hit[b[_walk_hits(nxt, b, a, ways)]] = True
+
+    # Lifetimes start at pseudo-references and misses; the references
+    # after a start in its chain, up to the next start, hit on it.
+    life = np.maximum.accumulate(np.where(is_hit[chain], 0, np.arange(m)))
+    # Whether a lifetime starting at each position begins unused.
+    unused = np.concatenate([p_uses == 0, np.ones(n, dtype=bool)])[g]
+
+    # End state: per set, the `ways` most recent last references, most
+    # recent first.
+    last = np.flatnonzero(nxt == m)  # in sequence order
+    lset = g_set[last]
+    tail = np.r_[np.flatnonzero(lset[1:] != lset[:-1]), last.size - 1]
+    keep = np.minimum(np.diff(np.r_[-1, tail]), ways)
+    depth = np.arange(keep.sum()) - np.repeat(np.cumsum(keep) - keep, keep)
+    k = last[np.repeat(tail, keep) - depth]
+
+    # Polluted evictions: lifetimes that begin unused and end in an
+    # eviction — their line's next reference misses, or there is none
+    # and the line does not stay resident.
+    polluted = int(np.count_nonzero(unused[a] & ~is_hit[a] & ~is_hit[b]))
+    polluted += int(np.count_nonzero(unused[last] & ~is_hit[last]))
+    polluted -= int(np.count_nonzero(unused[k] & ~is_hit[k]))
+
+    t = np.searchsorted(chain_line, g_line[k], side="right") - 1
+    start = chain[life[t]]
+    src, start_src = g[k], g[start]
+    kreal = src >= r
+    last_use = tick0 + 1 + src - r
+    last_use[~kreal] = p_last[src[~kreal]]
+    uses = t - life[t]
+    dirty = kreal & write
+    carried = start_src < r  # the lifetime began as a resident
+    uses[carried] += p_uses[start_src[carried]]
+    dirty[carried] |= p_dirty[start_src[carried]]
+
+    ks = g_set[k]
+    T[sets] = -1
+    LU[sets] = 0
+    UC[sets] = 0
+    DT[sets] = False
+    T[ks, depth] = g_line[k] >> shift
+    LU[ks, depth] = last_use
+    UC[ks, depth] = uses
+    DT[ks, depth] = dirty
+
+    hits = np.zeros(n, dtype=bool)
+    hits[g[is_hit] - r] = True
+    n_miss = n - int(np.count_nonzero(is_hit))
+    evictions = r + n_miss - k.size
+    return hits, n_miss, evictions, polluted
 
 
 def batch_cache_access(
@@ -171,101 +413,33 @@ def batch_cache_access(
 ) -> np.ndarray:
     """Access ``lines`` (in order) against one cache level; returns the
     per-access hit mask. State, stats and LRU ticks end bit-identical to
-    per-access :meth:`~repro.hw.cache.Cache.access_line` calls."""
+    per-access :meth:`~repro.hw.cache.Cache.access_line` calls.
+
+    A distinct batch that touches no resident line takes the cold closed
+    form; every other batch is decided by LRU stack distance."""
     n = lines.size
-    hits = np.zeros(n, dtype=bool)
     if n == 0:
-        return hits
-    mask = cache._set_mask
-    shift = mask.bit_length()
-    idx = lines & mask
-    tags = lines >> shift
+        return np.zeros(0, dtype=bool)
+    idx = lines & cache._set_mask
+    tags = lines >> cache._tag_shift
     tick0 = cache._tick
     stats = cache.stats
-    ways = cache.config.ways
-
-    n_hits = 0
-    n_miss = 0
-    n_evict = 0
-    n_polluted = 0
-
-    for set_i, pos in _set_groups(idx, cache.config.num_sets, contiguous, lines):
-        cset = cache._sets[set_i]
-        t = tags[pos]
-        m = t.size
-        group_distinct = batch_distinct or m == 1 or np.unique(t).size == m
-        disjoint = not cset
-        if group_distinct and not disjoint:
-            keys = np.fromiter(cset.keys(), dtype=np.int64, count=len(cset))
-            disjoint = not bool(np.isin(t, keys, assume_unique=False).any())
-        if group_distinct and disjoint:
-            # Cold closed form: every access misses; evictions drain the
-            # LRU queue — initial residents oldest-first, then batch
-            # installs FIFO — and only the last `ways` installs survive.
-            n_miss += m
-            r0 = len(cset)
-            excess = r0 + m - ways
-            if excess > 0:
-                n_evict += excess
-                k0 = min(r0, excess)
-                if k0:
-                    # Set dicts stay in LRU order (see Cache._sets), so
-                    # the k0 oldest residents are simply the first k0.
-                    victims = list(islice(cset.items(), k0))
-                    for vtag, vline in victims:
-                        del cset[vtag]
-                        if vline.use_count == 0:
-                            n_polluted += 1
-                n_polluted += excess - k0  # batch victims never re-hit
-            surviving = min(ways - len(cset), m)
-            for j in range(m - surviving, m):
-                p = int(pos[j])
-                cset[int(t[j])] = _Line(
-                    tag=int(t[j]), last_use=tick0 + p + 1, dirty=write
-                )
-        else:
-            # Exact replay of Cache.access_line, with the global tick of
-            # each access recovered from its batch position.
-            t_list = t.tolist()
-            p_list = pos.tolist()
-            cset_get = cset.get
-            cset_pop = cset.pop
-            for j in range(m):
-                tag = t_list[j]
-                p = p_list[j]
-                tick = tick0 + p + 1
-                entry = cset_get(tag)
-                if entry is not None:
-                    n_hits += 1
-                    # Move-to-end: dict order stays the LRU order.
-                    del cset[tag]
-                    cset[tag] = entry
-                    entry.last_use = tick
-                    entry.use_count += 1
-                    entry.dirty = entry.dirty or write
-                    hits[p] = True
-                    continue
-                n_miss += 1
-                if len(cset) >= ways:
-                    victim = cset_pop(next(iter(cset)))
-                    n_evict += 1
-                    if victim.use_count == 0:
-                        n_polluted += 1
-                    # Recycle the victim object: same fields a fresh
-                    # install would get, one allocation saved per miss.
-                    victim.tag = tag
-                    victim.last_use = tick
-                    victim.use_count = 0
-                    victim.dirty = write
-                    cset[tag] = victim
-                else:
-                    cset[tag] = _Line(tag=tag, last_use=tick, dirty=write)
-
+    sets, counts = _touched_sets(idx, cache.config.num_sets, contiguous, lines)
+    if batch_distinct and _is_cold(cache, lines, sets):
+        evictions, polluted = _cold_access(
+            cache, idx, tags, sets, counts, write, contiguous, tick0
+        )
+        hits = np.zeros(n, dtype=bool)
+        n_miss = n
+    else:
+        hits, n_miss, evictions, polluted = _stack_access(
+            cache, idx, tags, sets, write, tick0
+        )
     cache._tick = tick0 + n
-    stats.hits += n_hits
+    stats.hits += n - n_miss
     stats.misses += n_miss
-    stats.evictions += n_evict
-    stats.polluted_evictions += n_polluted
+    stats.evictions += evictions
+    stats.polluted_evictions += polluted
     return hits
 
 
@@ -427,7 +601,11 @@ def hierarchy_access_lines_batch(
         diffs = arr[1:] - arr[:-1]
         distinct = bool(np.all(diffs > 0)) or bool(np.all(diffs < 0))
         if not distinct:
-            distinct = np.unique(arr).size == n
+            lo = int(arr.min())
+            if int(arr.max()) - lo < 4 * n:  # dense: a presence count
+                distinct = int(np.bincount(arr - lo).max()) == 1
+            else:
+                distinct = np.unique(arr).size == n
 
     l1_hits = batch_cache_access(hierarchy.l1, arr, write, contiguous, distinct)
     n_l1_hits = int(np.count_nonzero(l1_hits))

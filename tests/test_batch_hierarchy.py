@@ -26,15 +26,23 @@ from repro.hw.hierarchy import MemoryHierarchy
 # claim covers *end state*, not just the public counters).
 # ----------------------------------------------------------------------
 def cache_state(cache):
+    """Tick, stats and each set's sorted ``(tag, last_use, use_count,
+    dirty)`` tuples; way position inside a set carries no meaning."""
     return (
         cache._tick,
         dataclasses.asdict(cache.stats),
         [
             sorted(
-                (tag, e.last_use, e.use_count, e.dirty)
-                for tag, e in cset.items()
+                (tag, last, uses, dirty)
+                for tag, last, uses, dirty in zip(*cols)
+                if tag >= 0
             )
-            for cset in cache._sets
+            for cols in zip(
+                cache.tags.tolist(),
+                cache.last_use.tolist(),
+                cache.use_count.tolist(),
+                cache.dirty.tolist(),
+            )
         ],
     )
 
@@ -81,7 +89,7 @@ def replay(platform, batches, batched: bool):
 # ----------------------------------------------------------------------
 # Hypothesis strategies: batches that exercise every kernel path —
 # contiguous runs (prefetcher trains), strided runs (set-conflicts),
-# random scatter (warm-group scalar fallback), and re-references.
+# random scatter (stack-distance route), and re-references.
 # ----------------------------------------------------------------------
 LINE = st.integers(min_value=0, max_value=4096)
 
@@ -147,6 +155,83 @@ class TestBatchEqualsScalar:
         assert replay(TEST_PLATFORM, batches, True) == replay(
             TEST_PLATFORM, batches, False
         )
+
+
+# ----------------------------------------------------------------------
+# Stack-distance cases on the default platform (1024 x 16-way L2). The
+# small strategies above never fill a set of it; these reach warm
+# residents, working sets between L1 and L2 capacity, and re-reference
+# windows far longer than the associativity.
+# ----------------------------------------------------------------------
+DEFAULT = default_platform()
+L1_LINES = DEFAULT.l1.num_lines
+L2_LINES = DEFAULT.l2.num_lines
+L2_SETS = DEFAULT.l2.num_sets
+L2_WAYS = DEFAULT.l2.ways
+
+
+@st.composite
+def warm_rescan(draw):
+    """A scan, then a second scan over the same lines (or a shifted,
+    strided or shortened view of them) while they are partly resident."""
+    n = draw(st.sampled_from([L1_LINES, L2_LINES // 2, L2_LINES, L2_LINES + L2_LINES // 4]))
+    n += draw(st.integers(min_value=0, max_value=L1_LINES))
+    start = draw(st.integers(min_value=n // 2, max_value=1 << 20))
+    first = list(range(start, start + n))
+    shift = draw(st.integers(min_value=-n // 2, max_value=n // 2))
+    step = draw(st.sampled_from([1, 1, 2, 3]))
+    length = draw(st.integers(min_value=1, max_value=n))
+    second = list(range(start + shift, start + shift + length * step, step))
+    write = draw(st.booleans())
+    return [(first, write, 64), (second, not write, step * 64)]
+
+
+@st.composite
+def hammered_set(draw):
+    """One L2 set hammered by a hot group of lines between two references
+    of a third line: with two hot lines the L1 window is long, with 5-15
+    the L1 misses and the L2 window is long, with more the third misses."""
+    base = draw(st.integers(min_value=0, max_value=1 << 16))
+    hot = draw(st.integers(min_value=2, max_value=20))
+    # Windows longer than 4 * ways reach the walk's exact-count finish.
+    reps = draw(st.integers(min_value=4 * L2_WAYS // hot + 1, max_value=2000 // hot))
+    group = [base + (k + 1) * L2_SETS for k in range(hot)]
+    noise = draw(st.lists(st.integers(0, 4 * L2_LINES), max_size=8))
+    body = group * reps
+    for pos, line in zip(draw(st.permutations(range(len(body))))[: len(noise)], noise):
+        body[pos] = line
+    lines = [base] + body + [base] + group
+    return [(lines, draw(st.booleans()), 0)]
+
+
+class TestStackDistanceDefaultPlatform:
+    @settings(max_examples=12, deadline=None)
+    @given(warm_rescan())
+    def test_warm_rescan_bit_identical(self, batches):
+        assert replay(DEFAULT, batches, True) == replay(DEFAULT, batches, False)
+
+    @settings(max_examples=25, deadline=None)
+    @given(hammered_set())
+    def test_hammered_set_bit_identical(self, batches):
+        assert replay(DEFAULT, batches, True) == replay(DEFAULT, batches, False)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=4000),
+        st.integers(min_value=2 * L1_LINES, max_value=L2_LINES),
+        st.integers(min_value=1, max_value=3),
+    )
+    def test_probe_walk_between_l1_and_l2_bit_identical(self, n, ws_lines, walks):
+        """LCG probe walks (a hash-join probe) over a working set larger
+        than L1 and smaller than L2, after a scan that warms L2."""
+        fast = TraceMemoryModel(DEFAULT, use_batch=True)
+        slow = TraceMemoryModel(DEFAULT, use_batch=False)
+        for model in (fast, slow):
+            model.sequential(L1_LINES * 64)
+            for _ in range(walks):
+                model.random(n, ws_lines * 64)
+        assert fast._rng_state == slow._rng_state
+        assert hierarchy_state(fast.hierarchy) == hierarchy_state(slow.hierarchy)
 
 
 # ----------------------------------------------------------------------
