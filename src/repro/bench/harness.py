@@ -29,14 +29,6 @@ def write_trace(trace: Trace, path: str, indent: int = 2) -> str:
     return path
 
 
-def trace_summary(trace: Trace, top: int = 5) -> Dict[str, float]:
-    """The ``top`` spans by inclusive cycles — a flat dict for tables."""
-    spans = sorted(
-        trace.root.walk(), key=lambda s: s.total_cycles, reverse=True
-    )
-    return {s.name: s.total_cycles for s in spans[:top]}
-
-
 @dataclass
 class Series:
     """One labelled curve: y (and optional raw detail) over shared x."""

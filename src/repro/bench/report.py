@@ -15,8 +15,6 @@ import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.ledger import CostLedger
-
 #: Experiment id → (result file stem, what the paper shows).
 PAPER_FIGURES: Tuple[Tuple[str, str, str], ...] = (
     ("Figure 5", "fig5_projectivity", "normalized time vs projectivity (ROW/COL/RM)"),
@@ -39,30 +37,6 @@ ABLATIONS: Tuple[Tuple[str, str, str], ...] = (
     ("Tiered fabric", "tiered_fabric", "§VII Q3 composition"),
     ("Multicore", "multicore", "thread scaling walls"),
 )
-
-
-def format_breakdown(ledger: CostLedger) -> str:
-    """Render a ledger's cost buckets, one line per bucket.
-
-    Every known bucket appears even when nothing was charged to it — an
-    explicit ``0 cycles`` line distinguishes "this stage ran for free"
-    from "this stage was never priced", which a silently missing row
-    cannot. Shares are printed only when there is a total to share.
-    """
-    breakdown = ledger.breakdown()
-    total = ledger.total_cycles
-    width = max(len(name) for name in breakdown)
-    lines = []
-    for name, cycles in breakdown.items():
-        if cycles == 0.0:
-            lines.append(f"{name:<{width}}  0 cycles")
-        elif total:
-            share = cycles / total
-            lines.append(f"{name:<{width}}  {cycles:>14,.0f} cycles  ({share:6.1%})")
-        else:  # pragma: no cover — nonzero bucket implies nonzero total
-            lines.append(f"{name:<{width}}  {cycles:>14,.0f} cycles")
-    lines.append(f"{'total':<{width}}  {total:>14,.0f} cycles")
-    return "\n".join(lines)
 
 
 @dataclass

@@ -12,12 +12,7 @@ from repro.core.mvcc_filter import (
     visible_mask,
     visible_mask_batched,
 )
-from repro.core.packer import (
-    decode_field,
-    decode_frame_field,
-    pack,
-    unpack,
-)
+from repro.core.packer import pack, record_view, unpack
 from repro.core.tensor import MatrixSlice, TensorFabric, matrix_geometry
 from repro.core.selection import (
     CompareOp,
@@ -44,11 +39,10 @@ __all__ = [
     "RelationalMemory",
     "Visibility",
     "configure",
-    "decode_field",
-    "decode_frame_field",
     "full_row_geometry",
     "latest_mask",
     "pack",
+    "record_view",
     "unpack",
     "visible_mask",
     "visible_mask_batched",

@@ -7,26 +7,31 @@ in motion and generates an on-the-fly projection of the requested columns
 according to the format that maximizes data locality."
 
 In this reproduction the *simulated memory image* (the row frame) is
-indeed never altered — an :class:`EphemeralColumnGroup` computes the
-packed byte stream on access (the Python-side array standing in for the
-lines the fabric pushes toward the cache) and records the hardware cost
-report of producing it. Re-reading after the base data or the snapshot
-changed just means calling :meth:`refresh`, exactly like re-touching the
-variable on the prototype.
+indeed never altered, and the projection is never materialized either.
+:meth:`EphemeralColumnGroup.refresh` runs the transformation's control
+half: it fixes the row set (MVCC visibility and pushed-down predicates)
+and records the hardware cost report of producing it. Values are read
+on access: :meth:`~EphemeralColumnGroup.column` takes the field straight
+out of the row image at call time, copying only the rows fixed at the
+last refresh. So an in-place write to a row already in the set shows on
+the next ``column()`` call, while a row that starts or stops qualifying
+does so only after the next :meth:`~EphemeralColumnGroup.refresh`,
+exactly like re-touching the variable on the prototype. The packed byte
+image (:attr:`~EphemeralColumnGroup.packed`) is built lazily by
+:func:`~repro.core.packer.pack`, the byte-exactness referee.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional
 
 import numpy as np
 
 from repro.core.geometry import DataGeometry
 from repro.core.mvcc_filter import visible_mask
-from repro.core.packer import decode_field, pack
+from repro.core.packer import gather, pack, record_view
 from repro.core.selection import FabricFilter
-from repro.errors import GeometryError
 from repro.faults import FABRIC_CORRUPT
 from repro.hw.engine import RelationalMemoryEngineModel, RmTransformReport
 from repro.obs import Tracer, maybe_span
@@ -54,6 +59,7 @@ class EphemeralColumnGroup:
         geometry: DataGeometry,
         engine: RelationalMemoryEngineModel,
         fabric_filter: Optional[FabricFilter] = None,
+        filter_geometry: Optional[DataGeometry] = None,
         visibility: Optional[Visibility] = None,
         tracer: Optional[Tracer] = None,
     ):
@@ -61,8 +67,13 @@ class EphemeralColumnGroup:
         self.geometry = geometry
         self._engine = engine
         self._filter = fabric_filter
+        #: Layout the filter's fields resolve in: predicates may reference
+        #: fields outside the projected group.
+        self._filter_geometry = filter_geometry or geometry
         self._visibility = visibility
         self._tracer = tracer
+        self._mask: Optional[np.ndarray] = None
+        self._length = 0
         self._packed: Optional[np.ndarray] = None
         self._report: Optional[RmTransformReport] = None
         self._refreshes = 0
@@ -71,7 +82,8 @@ class EphemeralColumnGroup:
     # Transformation machinery.
     # ------------------------------------------------------------------
     def refresh(self) -> "EphemeralColumnGroup":
-        """(Re)run the on-the-fly transformation against the base frame."""
+        """(Re)run the on-the-fly transformation against the base frame:
+        fix the qualifying row set and price producing it."""
         with maybe_span(
             self._tracer,
             "fabric.refresh",
@@ -80,8 +92,9 @@ class EphemeralColumnGroup:
         ) as span:
             mask = self._current_mask()
             qualifying = None if mask is None else int(np.count_nonzero(mask))
-            with maybe_span(self._tracer, "fabric.pack", layer="fabric"):
-                self._packed = pack(self._frame, self.geometry, row_mask=mask)
+            self._mask = mask
+            self._length = self._frame.shape[0] if mask is None else qualifying
+            self._packed = None
             self._report = self._engine.transform(
                 nrows=self._frame.shape[0],
                 row_stride=self.geometry.row_stride,
@@ -90,7 +103,7 @@ class EphemeralColumnGroup:
                 mvcc_filter=self._visibility is not None,
                 fabric_predicates=len(self._filter) if self._filter else 0,
             )
-            span.set_attrs(rows_out=self._packed.shape[0])
+            span.set_attrs(rows_out=self._length)
             span.add_counters(
                 {
                     "refills": self._report.refills,
@@ -108,9 +121,7 @@ class EphemeralColumnGroup:
             # surfaces as a fabric fault the caller may retry.
             injector = self._engine.fault_injector
             if injector is not None and injector.armed:
-                injector.check(
-                    FABRIC_CORRUPT, detail=f"{self._packed.shape[0]} lines"
-                )
+                injector.check(FABRIC_CORRUPT, detail=f"{self._length} lines")
             self._refreshes += 1
         return self
 
@@ -120,24 +131,16 @@ class EphemeralColumnGroup:
             v = self._visibility
             mask = visible_mask(v.begin_ts, v.end_ts, v.snapshot_ts)
         if self._filter is not None:
-            fmask = self._filter.evaluate(self._frame, self._base_geometry())
+            fmask = self._filter.evaluate(self._frame, self._filter_geometry)
             mask = fmask if mask is None else (mask & fmask)
         return mask
 
-    def _base_geometry(self) -> DataGeometry:
-        # Predicates may reference fields outside the projected group; the
-        # filter is evaluated against the base layout, which shares the
-        # row stride. Field lookup happens via the filter's own fields, so
-        # the projected geometry suffices when they coincide; otherwise the
-        # caller passes a filter whose fields exist in the base geometry
-        # attached at configure time.
-        return self._filter_geometry
-
     @property
     def packed(self) -> np.ndarray:
-        """The packed byte image (``(n, packed_width)`` uint8)."""
+        """The packed byte image (``(n, packed_width)`` uint8), built on
+        first access after a refresh by the :func:`pack` referee."""
         if self._packed is None:
-            self.refresh()
+            self._packed = pack(self._frame, self.geometry, row_mask=self._rows())
         return self._packed
 
     @property
@@ -151,13 +154,20 @@ class EphemeralColumnGroup:
     def refreshes(self) -> int:
         return self._refreshes
 
+    def _rows(self) -> Optional[np.ndarray]:
+        """The qualifying-row mask fixed at the last refresh (None: all)."""
+        if self._report is None:
+            self.refresh()
+        return self._mask
+
     # ------------------------------------------------------------------
     # Read API — what the CPU sees.
     # ------------------------------------------------------------------
     @property
     def length(self) -> int:
         """Number of (visible, qualifying) rows in the group."""
-        return self.packed.shape[0]
+        self._rows()
+        return self._length
 
     def __len__(self) -> int:
         return self.length
@@ -167,33 +177,37 @@ class EphemeralColumnGroup:
         return self.geometry.packed_width
 
     def column(self, name: str) -> np.ndarray:
-        """One field of the group as a typed numpy array."""
-        return decode_field(self.packed, self.geometry, name)
+        """One field of the group as a typed numpy array it owns
+        (``S<width>`` byte strings for opaque fields)."""
+        view = record_view(self._frame, self.geometry)
+        return gather(view, (name,), self._rows())[name]
 
     def columns(self) -> Dict[str, np.ndarray]:
-        """All fields, decoded."""
-        return {f.name: self.column(f.name) for f in self.geometry.fields}
+        """All fields, read in one pass over the image."""
+        return gather(
+            record_view(self._frame, self.geometry),
+            self.geometry.field_names,
+            self._rows(),
+        )
 
     def __getitem__(self, i: int) -> Dict[str, object]:
-        """Row access, like indexing the ephemeral struct array in Fig. 3."""
+        """Row access, like indexing the ephemeral struct array in Fig. 3.
+        Opaque fields come back as full-width ``bytes``."""
         if not 0 <= i < self.length:
             raise IndexError(i)
-        row = {}
-        cursor = 0
-        packed = self.packed
-        for f in self.geometry.fields:
-            raw = packed[i, cursor : cursor + f.width]
-            if f.dtype is None:
-                row[f.name] = bytes(raw)
-            else:
-                row[f.name] = np.ascontiguousarray(raw).view(np.dtype(f.dtype))[0]
-            cursor += f.width
-        return row
+        rows = self._rows()
+        return self._row(i if rows is None else int(np.flatnonzero(rows)[i]))
 
     def __iter__(self) -> Iterator[Dict[str, object]]:
-        for i in range(self.length):
-            yield self[i]
+        rows = self._rows()
+        indices = range(self._length) if rows is None else np.flatnonzero(rows)
+        for r in indices:
+            yield self._row(int(r))
 
-    # Wired by the fabric at configure time (filter fields may live
-    # outside the projected geometry).
-    _filter_geometry: DataGeometry = None
+    def _row(self, r: int) -> Dict[str, object]:
+        record = record_view(self._frame, self.geometry)[r]
+        raw = self._frame[r]
+        return {
+            f.name: bytes(raw[f.offset : f.end]) if f.dtype is None else record[f.name]
+            for f in self.geometry.fields
+        }

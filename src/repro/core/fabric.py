@@ -63,7 +63,7 @@ class RelationalMemory(RelationalFabric):
         self.engine = RelationalMemoryEngineModel(
             self.platform, fault_injector=fault_injector
         )
-        #: Observability hook: configure/refresh/pack open spans here.
+        #: Observability hook: configure/refresh open spans here.
         self.tracer = tracer
 
     def configure(
@@ -87,7 +87,6 @@ class RelationalMemory(RelationalFabric):
             if fabric_filter is not None and base_geometry is None:
                 # Predicates must be resolvable; default to the projected
                 # geometry and fail early if a field is missing.
-                base_geometry = geometry
                 for name in fabric_filter.fields():
                     geometry.field(name)  # raises GeometryError when absent
             group = EphemeralColumnGroup(
@@ -95,10 +94,10 @@ class RelationalMemory(RelationalFabric):
                 geometry=geometry,
                 engine=self.engine,
                 fabric_filter=fabric_filter,
+                filter_geometry=base_geometry,
                 visibility=visibility,
                 tracer=self.tracer,
             )
-            group._filter_geometry = base_geometry or geometry
         return group
 
 

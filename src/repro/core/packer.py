@@ -1,10 +1,16 @@
 """The row→packed-line dataflow of the fabric, bit-exact.
 
-This is the *functional* half of the hardware: given a row-major frame
-and a :class:`~repro.core.geometry.DataGeometry`, produce the densely
-packed byte image the CPU would observe through an ephemeral variable.
-The *timing* half lives in :mod:`repro.hw.engine`; keeping them separate
-lets tests verify byte-exactness independently of cost calibration.
+This is the *functional* half of the hardware. :func:`record_view` reads
+a row-major frame under a :class:`~repro.core.geometry.DataGeometry` as
+a zero-copy structured array: every field is a typed view straight out
+of the row image, the host-side analogue of a fabric that reads fields
+in place. It is the one path from stored bytes to a column, and
+:func:`gather` is the single copy, of qualifying rows only.
+:func:`pack`/:func:`unpack` build and invert the densely packed byte
+image the CPU would observe through an ephemeral variable; they are the
+byte-exactness referee for that path. The *timing* half lives in
+:mod:`repro.hw.engine`; keeping them separate lets tests verify
+byte-exactness independently of cost calibration.
 
 Frames are ``numpy`` arrays of shape ``(nrows, row_stride)`` and dtype
 ``uint8`` — the simulated main-memory image of a row-oriented table.
@@ -12,11 +18,12 @@ Frames are ``numpy`` arrays of shape ``(nrows, row_stride)`` and dtype
 
 from __future__ import annotations
 
-from typing import Optional
+from functools import lru_cache
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.core.geometry import DataGeometry
+from repro.core.geometry import DataGeometry, FieldSlice
 from repro.errors import GeometryError
 
 
@@ -30,6 +37,77 @@ def check_frame(frame: np.ndarray, geometry: DataGeometry) -> None:
         raise GeometryError(
             f"frame row width {frame.shape[1]} != geometry stride {geometry.row_stride}"
         )
+
+
+def field_dtype(f: FieldSlice) -> np.dtype:
+    """How a stored field reads as an array: its scalar dtype, or
+    ``S<width>`` (full-width byte strings) for opaque fields."""
+    return np.dtype(f.dtype if f.dtype is not None else f"S{f.width}")
+
+
+@lru_cache(maxsize=1024)
+def _record_dtype(geometry: DataGeometry) -> np.dtype:
+    """The structured dtype of one row under ``geometry``: field names and
+    offsets as laid out, ``itemsize`` the row stride."""
+    return np.dtype(
+        {
+            "names": list(geometry.field_names),
+            "formats": [field_dtype(f) for f in geometry.fields],
+            "offsets": [f.offset for f in geometry.fields],
+            "itemsize": geometry.row_stride,
+        }
+    )
+
+
+def record_view(image: np.ndarray, geometry: DataGeometry) -> np.ndarray:
+    """A zero-copy ``(nrows,)`` structured view of a row image.
+
+    ``view[name]`` is one field as a typed array aliasing ``image``;
+    :func:`gather` copies just the selected rows. Anything kept beyond the
+    caller's frame must be such a copy: the image is written in place and
+    may be reallocated.
+    """
+    check_frame(image, geometry)
+    if image.size and image.strides[1] != 1:
+        raise GeometryError("a record view needs each row's bytes contiguous")
+    return image.view(_record_dtype(geometry)).reshape(-1)
+
+
+#: Bytes of image per gather block: small enough that a block stays
+#: cache-resident while every wanted field is copied out of it.
+_GATHER_BLOCK_BYTES = 1 << 19
+
+
+def gather(
+    view: np.ndarray,
+    names: Sequence[str],
+    rows: Optional[np.ndarray] = None,
+) -> Dict[str, np.ndarray]:
+    """Owned, contiguous copies of fields of a :func:`record_view`, keeping
+    the rows where the boolean mask ``rows`` is set (all rows if None).
+
+    This is the single copy from the image. It walks the image once, in
+    cache-sized blocks, and copies every field out of a block while the
+    block is resident; a strided pass per field would fetch every row's
+    lines once per field.
+    """
+    fields = view.dtype.fields
+    for name in names:
+        if name not in fields:
+            raise GeometryError(f"no field named {name!r} in geometry")
+    n = len(view)
+    block = max(1, _GATHER_BLOCK_BYTES // view.dtype.itemsize)
+    total = n if rows is None else int(np.count_nonzero(rows))
+    out = {name: np.empty(total, fields[name][0]) for name in names}
+    pos = 0
+    for start in range(0, n, block):
+        chunk = view[start : start + block]
+        keep = slice(None) if rows is None else rows[start : start + block]
+        stop = pos + (len(chunk) if rows is None else int(np.count_nonzero(keep)))
+        for name in names:
+            out[name][pos:stop] = chunk[name][keep]
+        pos = stop
+    return out
 
 
 def pack(
@@ -71,26 +149,3 @@ def unpack(
         out[:, f.offset : f.end] = packed[:, cursor : cursor + f.width]
         cursor += f.width
     return out
-
-
-def decode_field(packed: np.ndarray, geometry: DataGeometry, name: str) -> np.ndarray:
-    """Decode one field of a packed image into a typed numpy array.
-
-    Opaque (``dtype=None``) fields come back as ``(n, width)`` uint8.
-    """
-    f = geometry.packed_field(name)
-    raw = np.ascontiguousarray(packed[:, f.offset : f.end])
-    if f.dtype is None:
-        return raw
-    return raw.view(np.dtype(f.dtype)).reshape(-1)
-
-
-def decode_frame_field(frame: np.ndarray, geometry: DataGeometry, name: str) -> np.ndarray:
-    """Decode one field straight out of a row-major frame (the strided
-    access path used by the row- and column-store baselines)."""
-    check_frame(frame, geometry)
-    f = geometry.field(name)
-    raw = np.ascontiguousarray(frame[:, f.offset : f.end])
-    if f.dtype is None:
-        return raw
-    return raw.view(np.dtype(f.dtype)).reshape(-1)

@@ -20,7 +20,7 @@ from typing import Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.geometry import DataGeometry
-from repro.core.packer import decode_frame_field
+from repro.core.packer import gather, record_view
 from repro.errors import GeometryError
 
 Number = Union[int, float]
@@ -59,12 +59,12 @@ class FabricPredicate:
     constant: Number
 
     def evaluate(self, frame: np.ndarray, geometry: DataGeometry) -> np.ndarray:
-        values = decode_frame_field(frame, geometry, self.field)
-        if values.ndim != 1:
+        if geometry.field(self.field).dtype is None:
             raise GeometryError(
                 f"fabric predicates need scalar fields; {self.field!r} is opaque"
             )
-        return self.op.apply(values, self.constant)
+        # The comparator reads the field in place: no copy of the column.
+        return self.op.apply(record_view(frame, geometry)[self.field], self.constant)
 
 
 @dataclass(frozen=True)
@@ -113,9 +113,8 @@ class FabricAggregate:
         if self.kind == "count":
             n = frame.shape[0] if mask is None else int(np.count_nonzero(mask))
             return n
-        values = decode_frame_field(frame, geometry, self.field)
-        if mask is not None:
-            values = values[mask]
+        # One copy, of the rows that qualify.
+        values = gather(record_view(frame, geometry), (self.field,), mask)[self.field]
         if values.size == 0:
             return 0 if self.kind == "sum" else None
         if self.kind == "sum":

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.db.compression.base import Codec, CompressedColumn, as_int_array
-from repro.errors import CompressionError
 
 
 def _code_dtype(domain_size: int) -> str:
@@ -58,12 +57,3 @@ class DictionaryCodec(Codec):
         chunk = column.payload[start * width : stop * width]
         codes = np.frombuffer(chunk, dtype=column.meta["code_dtype"])
         return self._domain(column)[codes]
-
-    def encode_predicate_constant(self, column: CompressedColumn, value: int) -> int:
-        """Map a predicate constant into code space (order-preserving), so
-        comparisons can run on codes without decoding."""
-        domain = self._domain(column)
-        idx = int(np.searchsorted(domain, value))
-        if idx < len(domain) and domain[idx] == value:
-            return idx
-        raise CompressionError(f"value {value} not in dictionary domain")

@@ -45,6 +45,3 @@ class RleCodec(Codec):
 
     # decode_range deliberately inherits the full-decode fallback: RLE has
     # no positional index, which is the §III-D incompatibility.
-
-    def run_count(self, column: CompressedColumn) -> int:
-        return 0 if not column.payload else len(self._runs(column))

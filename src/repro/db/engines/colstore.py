@@ -59,8 +59,9 @@ class ColumnarReplica:
     def sync(self) -> None:
         """Rebuild the columnar copy from the row image."""
         table = self.table
+        # column_values returns arrays the replica owns: no frame aliasing.
         self._columns = {
-            c.name: np.copy(table.column_values(c.name)) for c in table.schema.columns
+            c.name: table.column_values(c.name) for c in table.schema.columns
         }
         self._synced_version = table.version
         self.synced_rows = table.nrows

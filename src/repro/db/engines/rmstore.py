@@ -520,12 +520,7 @@ class RelationalMemoryEngine(Engine):
 
     def _decode_group(self, bound: BoundQuery, group) -> Dict[str, np.ndarray]:
         schema = bound.table.schema
-        out: Dict[str, np.ndarray] = {}
-        for name in bound.referenced_columns:
-            raw = group.column(name)
-            dtype = schema.column(name).dtype
-            if dtype.np_dtype is None:
-                out[name] = np.ascontiguousarray(raw).view(f"S{dtype.width}").reshape(-1)
-            else:
-                out[name] = dtype.decode_array(raw)
-        return out
+        return {
+            name: schema.column(name).dtype.decode_array(group.column(name))
+            for name in bound.referenced_columns
+        }

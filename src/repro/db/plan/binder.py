@@ -184,14 +184,6 @@ class _Scope:
         return ColumnRef(name=ref.name) if ref.qualifier else ref
 
 
-def _scope_for(stmt: SelectStmt, schema: TableSchema, join_entries) -> _Scope:
-    scope = _Scope()
-    scope.add(stmt.alias or stmt.table, schema)
-    for key, join_schema in join_entries:
-        scope.add(key, join_schema)
-    return scope
-
-
 def bind(stmt: SelectStmt, catalog: Catalog) -> BoundQuery:
     """Validate ``stmt`` against ``catalog`` and return a bound query."""
     table = catalog.table(stmt.table)

@@ -73,6 +73,7 @@ class TableSchema:
             cursor = (cursor + row_align - 1) // row_align * row_align
         self.row_stride = cursor
         self.row_align = row_align
+        self._full_geometry: Optional[DataGeometry] = None
 
     # ------------------------------------------------------------------
     # Lookup.
@@ -124,11 +125,10 @@ class TableSchema:
         )
 
     def full_geometry(self) -> DataGeometry:
-        """Every column including MVCC bookkeeping."""
-        return DataGeometry(
-            row_stride=self.row_stride,
-            fields=tuple(self.field_slice(c.name) for c in self.columns),
-        )
+        """Every column including MVCC bookkeeping (built once per schema)."""
+        if self._full_geometry is None:
+            self._full_geometry = self.geometry(c.name for c in self.columns)
+        return self._full_geometry
 
     def bytes_of(self, names: Iterable[str]) -> int:
         """Packed width of a column group (data-movement accounting)."""

@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.core.ephemeral import EphemeralColumnGroup
 from repro.core.fabric import RelationalMemory
+from repro.core.packer import field_dtype
 from repro.core.selection import CompareOp, FabricFilter, FabricPredicate
 from repro.db.schema import TableSchema
 from repro.db.table import Table
@@ -78,22 +79,16 @@ class ShardedTable:
         """Range-shard a whole table at the quantiles of ``key_column``.
 
         Cut points that coincide (skewed keys) collapse into one, so the
-        result may hold fewer than ``nshards`` shards. CHAR columns load
-        as ``S<width>`` byte views, so every value round-trips exactly.
+        result may hold fewer than ``nshards`` shards. Columns load in
+        stored form (``S<width>`` for CHAR), so every value round-trips
+        exactly.
         """
         keys = table.column(key_column)
         qs = np.linspace(0, 1, nshards + 1)[1:-1]
         bounds = sorted({int(np.quantile(keys, q)) for q in qs})
         sharded = cls(table.schema, key_column, bounds)
         sharded.bulk_load(
-            {
-                c.name: (
-                    table.column(c.name).view(f"S{c.dtype.width}").reshape(-1)
-                    if c.dtype.np_dtype is None
-                    else table.column(c.name)
-                )
-                for c in table.schema.user_columns
-            }
+            {c.name: table.column(c.name) for c in table.schema.user_columns}
         )
         return sharded
 
@@ -233,6 +228,5 @@ class ShardedTable:
         if not scans:
             # Match the column's real decoded dtype even when nothing
             # qualifies, so callers can concatenate without surprises.
-            np_dtype = self.schema.column(name).dtype.np_dtype
-            return np.zeros(0, dtype=np_dtype if np_dtype is not None else np.uint8)
+            return np.zeros(0, dtype=field_dtype(self.schema.field_slice(name)))
         return np.concatenate([scan.group.column(name) for scan in scans])

@@ -41,12 +41,6 @@ class SelectItem:
     def is_aggregate(self) -> bool:
         return isinstance(self.expr, Aggregate)
 
-    def output_name(self, position: int) -> str:
-        if self.alias:
-            return self.alias
-        return f"col{position}" if not hasattr(self.expr, "name") else self.expr.name
-
-
 @dataclass(frozen=True)
 class JoinClause:
     """``JOIN <table> [alias] ON <left> = <right>`` (equi-join only).

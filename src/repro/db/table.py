@@ -18,7 +18,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Seque
 import numpy as np
 
 from repro.core.mvcc_filter import LIVE_TS, NEVER_TS
-from repro.core.packer import decode_frame_field
+from repro.core.packer import gather, record_view
 from repro.db.schema import MVCC_BEGIN, MVCC_END, TableSchema
 from repro.errors import SchemaError
 
@@ -135,34 +135,25 @@ class Table:
     # Reads.
     # ------------------------------------------------------------------
     def column(self, name: str) -> np.ndarray:
-        """Raw stored values of one column over live rows (scaled ints for
-        DECIMAL, day numbers for DATE, ``(n, w)`` uint8 for CHAR)."""
-        return decode_frame_field(self.frame, self.schema.full_geometry(), name)
+        """Raw stored values of one column over live rows, as an array the
+        caller owns (scaled ints for DECIMAL, day numbers for DATE,
+        ``S<width>`` byte strings for CHAR)."""
+        return gather(record_view(self.frame, self.schema.full_geometry()), (name,))[name]
 
     def column_values(self, name: str) -> np.ndarray:
         """Query-facing values: DECIMAL rescaled to floats, CHAR as fixed
         byte strings (``S<width>``), DATE as day numbers."""
-        col = self.schema.column(name)
-        raw = self.column(name)
-        if col.dtype.np_dtype is None:
-            return raw.view(f"S{col.dtype.width}").reshape(-1)
-        return col.dtype.decode_array(raw)
+        return self.schema.column(name).dtype.decode_array(self.column(name))
 
     def row(self, i: int) -> Dict[str, Any]:
         """One row decoded to Python values (user columns only)."""
         if not 0 <= i < self.nrows:
             raise IndexError(i)
-        out = {}
-        raw = self._frame[i]
-        for col in self.schema.user_columns:
-            off = self.schema.offset_of(col.name)
-            chunk = raw[off : off + col.dtype.width]
-            if col.dtype.np_dtype is None:
-                out[col.name] = col.dtype.decode(bytes(chunk))
-            else:
-                value = np.ascontiguousarray(chunk).view(col.dtype.np_dtype)[0]
-                out[col.name] = col.dtype.decode(value)
-        return out
+        record = record_view(self.frame, self.schema.full_geometry())[i]
+        return {
+            col.name: col.dtype.decode(record[col.name])
+            for col in self.schema.user_columns
+        }
 
     def rows(self) -> Iterator[Dict[str, Any]]:
         for i in range(self.nrows):

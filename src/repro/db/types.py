@@ -41,10 +41,6 @@ class DataType:
                 f"type {self.name}: dtype {self.np_dtype} width mismatch"
             )
 
-    @property
-    def is_numeric(self) -> bool:
-        return self.np_dtype is not None
-
     # ------------------------------------------------------------------
     # Python value ↔ stored representation.
     # ------------------------------------------------------------------

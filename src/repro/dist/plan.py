@@ -34,8 +34,10 @@ import numpy as np
 
 from repro.core.ledger import CostLedger
 from repro.core.mvcc_filter import visible_mask
+from repro.core.packer import gather, record_view
 from repro.core.selection import CompareOp
 from repro.db.exec.vector import factorize
+from repro.db.schema import MVCC_BEGIN, MVCC_END
 from repro.db.table import Table
 from repro.errors import PlanError
 from repro.obs import maybe_span
@@ -240,16 +242,6 @@ class DistResult:
         return b"|".join(parts)
 
 
-def _raw_column(table: Table, name: str) -> np.ndarray:
-    """A column in exact raw form: scaled ints for DECIMAL, day numbers
-    for DATE, ``S<w>`` bytes for CHAR — never floats."""
-    col = table.schema.column(name)
-    raw = table.column(name)
-    if col.dtype.np_dtype is None:
-        return raw.view(f"S{col.dtype.width}").reshape(-1)
-    return raw
-
-
 def _touched_columns(plan: DistPlan) -> Tuple[str, ...]:
     """Every column the fragment reads, deduplicated in first-use order."""
     seen: Dict[str, None] = {}
@@ -298,8 +290,10 @@ def execute_fragment(
         tracer, "frag.scan", layer="dist", table=schema.name, rows_in=n
     ):
         touched = _touched_columns(plan)
-        # Decode each touched column once; every later stage reads these.
-        raw = {name: _raw_column(table, name) for name in touched}
+        # Every touched column is a zero-copy field of the row image in
+        # stored form (scaled ints, day numbers, ``S<w>`` bytes); the only
+        # copy is the masked one below, of the rows that qualify.
+        fields = record_view(table.frame, schema.full_geometry())
         width = sum(schema.column(c).dtype.width for c in touched)
         if schema.mvcc:
             width += MVCC_STAMP_BYTES
@@ -312,17 +306,17 @@ def execute_fragment(
         rows_in=n, terms=plan.filter_terms,
     ) as fspan:
         if schema.mvcc:
-            mask = visible_mask(table.begin_ts, table.end_ts, snapshot_ts)
+            mask = visible_mask(fields[MVCC_BEGIN], fields[MVCC_END], snapshot_ts)
         else:
             mask = np.ones(n, dtype=bool)
         if plan.key_low is not None or plan.key_high is not None:
-            key = raw[plan.key_column]
+            key = fields[plan.key_column]
             if plan.key_low is not None:
                 mask &= key >= plan.key_low
             if plan.key_high is not None:
                 mask &= key <= plan.key_high
         for pred in plan.predicates:
-            mask &= pred.op.apply(raw[pred.column], pred.value)
+            mask &= pred.op.apply(fields[pred.column], pred.value)
         buckets[CostLedger.DIST_FILTER] = (
             n * FILTER_CYCLES_PER_TERM * plan.filter_terms
         )
@@ -333,15 +327,17 @@ def execute_fragment(
         qualifying = int(np.count_nonzero(mask))
         partial.rows_qualifying = qualifying
         fspan.set_attrs(rows_out=qualifying)
-    # The qualifying rows of every column a later stage reads, masked once.
-    selected = {
-        name: raw[name][mask]
-        for name in dict.fromkeys((
+    # The qualifying rows of every column a later stage reads, copied in
+    # one pass.
+    selected = gather(
+        fields,
+        tuple(dict.fromkeys((
             *plan.group_by,
             *(t.column for a in plan.aggregates for t in a.terms),
             *plan.columns,
-        ))
-    }
+        ))),
+        mask,
+    )
 
     if plan.aggregates:
         per_row = GROUP_CYCLES_PER_KEY * len(plan.group_by) + sum(
@@ -370,6 +366,9 @@ def execute_fragment(
                 tuples, codes = [()], np.zeros(qualifying, dtype=np.int64)
             ngroups = len(tuples)
             cols: List[np.ndarray] = []
+            # Each distinct term is evaluated once, and an identity
+            # coefficient or a zero constant costs no pass over the rows.
+            factors: Dict[AggTerm, np.ndarray] = {}
             for agg in plan.aggregates:
                 if agg.kind == "count":
                     cols.append(np.bincount(codes, minlength=ngroups))
@@ -382,9 +381,14 @@ def execute_fragment(
                             f"aggregate {agg.name!r} references non-numeric "
                             f"column {term.column!r}"
                         )
-                    factor = term.const + term.coeff * selected[
-                        term.column
-                    ].astype(np.int64)
+                    factor = factors.get(term)
+                    if factor is None:
+                        factor = selected[term.column].astype(np.int64, copy=False)
+                        if term.coeff != 1:
+                            factor = term.coeff * factor
+                        if term.const:
+                            factor = term.const + factor
+                        factors[term] = factor
                     vals = factor if vals is None else vals * factor
                 if agg.kind == "sum":
                     acc = np.zeros(ngroups, dtype=np.int64)

@@ -150,7 +150,3 @@ class ShardReplica:
             raise WalCorruptionError(
                 f"unsupported record type {rec.type!r} in replication stream"
             )
-
-    def live_intents(self) -> int:
-        """Open (uncommitted) transactions currently materialized."""
-        return len(self._live)

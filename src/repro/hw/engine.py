@@ -50,10 +50,6 @@ class RmTransformReport:
     dram_bytes_touched: float
     refills: int
 
-    @property
-    def overhead_cycles(self) -> float:
-        return self.refill_stall_cycles + self.configure_cycles
-
 
 class RelationalMemoryEngineModel:
     """Prices on-the-fly row→column-group transformation in the fabric."""

@@ -127,15 +127,6 @@ def register_rm_engine(registry: MetricsRegistry, model, **labels: Any) -> None:
     registry.register_collector(collect)
 
 
-def register_ephemeral(registry: MetricsRegistry, group, **labels: Any) -> None:
-    """Refresh count of one ephemeral column group."""
-
-    def collect() -> Dict[str, float]:
-        return {fmt_name("fabric_refreshes", **labels): group.refreshes}
-
-    registry.register_collector(collect)
-
-
 # ----------------------------------------------------------------------
 # db: plan/code-fragment cache, MVCC and WAL.
 # ----------------------------------------------------------------------
@@ -249,32 +240,6 @@ def register_wal(registry: MetricsRegistry, wal, **labels: Any) -> None:
 # ----------------------------------------------------------------------
 # storage: flash devices and the tiered fabric.
 # ----------------------------------------------------------------------
-def register_flash(registry: MetricsRegistry, flash, **labels: Any) -> None:
-    """NAND program/read counts and device busy time."""
-
-    def collect() -> Dict[str, float]:
-        return {
-            fmt_name("flash_pages_read", **labels): flash.pages_read,
-            fmt_name("flash_pages_programmed", **labels): flash.pages_written,
-            fmt_name("flash_busy_us", **labels): flash.busy_us,
-        }
-
-    registry.register_collector(collect)
-
-
-def register_tiered(registry: MetricsRegistry, fabric, **labels: Any) -> None:
-    """Cold→warm promotions, warm→cold demotions, degraded runs."""
-
-    def collect() -> Dict[str, float]:
-        return {
-            fmt_name("tiered_promotions", **labels): fabric.promotions,
-            fmt_name("tiered_promoted_rows", **labels): fabric.promoted_rows,
-            fmt_name("tiered_demotions", **labels): fabric.demotions,
-            fmt_name("tiered_demoted_rows", **labels): fabric.demoted_rows,
-            fmt_name("tiered_degraded_runs", **labels): fabric.degraded_runs,
-        }
-
-    registry.register_collector(collect)
 
 
 # ----------------------------------------------------------------------

@@ -157,13 +157,3 @@ def graft_partial(tracer: Optional[Tracer], spans: Optional[Dict[str, Any]],
     if current is None:
         return None
     return graft(current, spans, **extra_attrs)
-
-
-def remote_total_cycles(span: Span) -> float:
-    """Total remote cycles of a grafted subtree (from bucket counters)."""
-    total = 0.0
-    for s in span.walk():
-        total += sum(
-            v for k, v in s.counters.items() if k.startswith("bucket:")
-        )
-    return total

@@ -304,11 +304,6 @@ class Tracer:
         self._seq += 1
         self._stack[-1].traffic.append((self._seq, nbytes))
 
-    def annotate(self, **counters: float) -> None:
-        """Add counters to the innermost open span (no-op outside spans)."""
-        if self._stack:
-            self._stack[-1].add_counters(counters)
-
 
 def maybe_span(tracer: Optional[Tracer], name: str, probe: Optional[Probe] = None, **attrs: Any):
     """The universal call-site gate: a real span when ``tracer`` is a

@@ -43,16 +43,6 @@ class FlashConfig:
     #: In-storage compute throughput of the transformation engine.
     engine_mb_s: float = 3500.0
 
-    @property
-    def total_dies(self) -> int:
-        return self.channels * self.dies_per_channel
-
-    @property
-    def internal_mb_s(self) -> float:
-        """Aggregate internal read bandwidth across channels."""
-        per_channel = self.page_bytes / (self.channel_page_us * 1e-6) / 1e6
-        return per_channel * self.channels
-
 
 class FlashDevice:
     """Prices page reads with die- and channel-level overlap."""

@@ -25,7 +25,7 @@ from repro.core.ephemeral import Visibility
 from repro.core.fabric import RelationalFabric
 from repro.core.geometry import DataGeometry
 from repro.core.mvcc_filter import visible_mask
-from repro.core.packer import pack
+from repro.core.packer import gather, pack, record_view
 from repro.core.selection import FabricAggregate, FabricFilter
 from repro.obs import Tracer, maybe_span
 from repro.storage.flash import FlashDevice
@@ -60,6 +60,11 @@ class StorageEphemeralGroup:
         self._packed = packed
         self.geometry = geometry
         self.report = report
+        #: The shipped image's own layout: the fields back to back.
+        self._packed_geometry = DataGeometry(
+            row_stride=geometry.packed_width,
+            fields=tuple(geometry.packed_field(n) for n in geometry.field_names),
+        )
 
     @property
     def packed(self) -> np.ndarray:
@@ -73,9 +78,8 @@ class StorageEphemeralGroup:
         return self.length
 
     def column(self, name: str) -> np.ndarray:
-        from repro.core.packer import decode_field
-
-        return decode_field(self._packed, self.geometry, name)
+        """One field of the shipped image, as an array the caller owns."""
+        return gather(record_view(self._packed, self._packed_geometry), (name,))[name]
 
 
 class RelationalStorage(RelationalFabric):

@@ -87,7 +87,7 @@ class ColumnArchive:
                         name=col.name,
                         compressed=None,
                         codec_name=None,
-                        raw_bytes=np.ascontiguousarray(values).tobytes(),
+                        raw_bytes=values.tobytes(),
                         width=col.dtype.width,
                         n_values=table.nrows,
                     )

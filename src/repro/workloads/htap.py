@@ -235,32 +235,3 @@ class HtapDriver:
             return ExecOutcome(cycles=self.OLTP_STATEMENT_CYCLES * statements)
 
         return execute
-
-    def run_served(
-        self,
-        config,
-        specs,
-        horizon_cycles: float,
-        seed: int = 0,
-        tracer=None,
-        fault_injector=None,
-    ):
-        """Drive the whole stack through the multi-tenant front door.
-
-        Builds a :class:`repro.serve.ServeScheduler` whose executor runs
-        real transactions and real analytic queries on this driver,
-        submits every :class:`repro.serve.LoadSpec` open-loop up to
-        ``horizon_cycles``, and drains. Returns the ``ServeReport``.
-        """
-        from repro.serve.scheduler import ServeScheduler
-        from repro.serve.workload import submit_open_loop
-
-        scheduler = ServeScheduler(
-            config,
-            self.serve_executor(tracer=tracer),
-            metrics=self.metrics,
-            tracer=tracer,
-            fault_injector=fault_injector,
-        )
-        submit_open_loop(scheduler, specs, horizon_cycles, seed=seed)
-        return scheduler.run_until_drained()

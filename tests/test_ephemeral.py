@@ -13,6 +13,7 @@ from repro.core import (
 )
 from repro.core.geometry import DataGeometry, FieldSlice
 from repro.core.mvcc_filter import LIVE_TS
+from repro.core.packer import pack
 from repro.hw.config import TEST_PLATFORM
 
 GEO = DataGeometry(
@@ -85,6 +86,33 @@ class TestTransformationSemantics:
         frame[0, 8:16] = new_val.view(np.uint8)
         cg.refresh()
         assert cg.column("a")[0] == 424242
+
+    def test_row_set_fixed_at_refresh_values_read_on_column(self):
+        frame = make_frame()
+        keys = np.ascontiguousarray(frame[:, 0:8]).view("<i8").reshape(-1)
+        inside = int(np.flatnonzero(keys < 500)[0])
+        outside = int(np.flatnonzero(keys >= 500)[0])
+        flt = FabricFilter.of(FabricPredicate("key", CompareOp.LT, 500))
+        cg = RelationalMemory(TEST_PLATFORM).configure(frame, GEO, fabric_filter=flt)
+        cg.refresh()
+        n = len(cg)
+
+        def put(row, lo, value):
+            frame[row, lo : lo + 8] = np.array([value], dtype="<i8").view(np.uint8)
+
+        # A value written in place shows on the next column() ...
+        put(inside, 8, 424242)
+        assert 424242 in cg.column("a")
+        # ... but rows entering or leaving the set wait for refresh().
+        put(inside, 0, 900)
+        put(outside, 0, 1)
+        assert len(cg) == n
+        assert 900 in cg.column("key") and 1 not in cg.column("key")
+        mask = keys < 500
+        assert cg.packed.tobytes() == pack(frame, GEO, row_mask=mask).tobytes()
+        cg.refresh()
+        assert len(cg) == n
+        assert 900 not in cg.column("key") and 1 in cg.column("key")
 
     def test_refresh_counter(self):
         cg = RelationalMemory(TEST_PLATFORM).configure(make_frame(), GEO)

@@ -5,8 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.fabric import RelationalMemory
 from repro.core.mvcc_filter import LIVE_TS, NEVER_TS
 from repro.db import Catalog, Column, Table, TableSchema
+from repro.db.engines import (
+    ColumnStoreEngine,
+    RelationalMemoryEngine,
+    RowStoreEngine,
+)
+from repro.db.sql.pipeline import Session
 from repro.db.types import CHAR, DECIMAL, INT32, INT64
 from repro.errors import SchemaError
 
@@ -118,6 +125,52 @@ class TestReads:
     def test_row_out_of_range(self):
         with pytest.raises(IndexError):
             Table(SCHEMA).row(0)
+
+
+class TestStoredForm:
+    def test_char_column_is_fixed_width_byte_strings(self):
+        table = Table(SCHEMA)
+        table.append_row({"id": 1, "name": "ab", "price": 1.0, "qty": 1})
+        table.append_row({"id": 2, "name": "wxyz", "price": 2.0, "qty": 2})
+        names = table.column("name")
+        assert names.dtype == np.dtype("S4") and names.shape == (2,)
+        assert names.tobytes() == b"ab\x00\x00wxyz"
+        assert table.column_values("name").tobytes() == names.tobytes()
+
+
+class TestNoFrameAliasing:
+    """Whatever a read hands out owns its data: rewriting a row in place
+    afterwards must not show through it."""
+
+    @pytest.mark.parametrize(
+        "engine_cls", [RowStoreEngine, ColumnStoreEngine, RelationalMemoryEngine]
+    )
+    def test_reads_survive_in_place_rewrite(self, engine_cls):
+        catalog = Catalog()
+        table = catalog.create_table(SCHEMA)
+        for i in range(8):
+            table.append_row({"id": i, "name": "n%d" % i, "price": i, "qty": 10 * i})
+        group = RelationalMemory().configure(
+            table.frame, SCHEMA.geometry(["qty", "name"])
+        )
+        session = Session(catalog, engine=engine_cls(catalog))
+        held = {
+            "column": table.column("qty"),
+            "column_char": table.column("name"),
+            "column_values": table.column_values("qty"),
+            "column_values_char": table.column_values("name"),
+            "group": group.column("qty"),
+            "group_char": group.column("name"),
+            "select": session.execute("SELECT qty FROM t").result.columns["qty"],
+        }
+        before = {k: v.copy() for k, v in held.items()}
+        for i in range(8):
+            table.set_value(i, "qty", -1)
+            table.set_value(i, "name", "zz")
+        for key, arr in held.items():
+            assert arr.tobytes() == before[key].tobytes(), key
+        assert (group.column("qty") == -1).all()  # the frame did change
+        session.close()
 
 
 class TestMvccColumns:
