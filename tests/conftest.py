@@ -1,5 +1,7 @@
 """Shared fixtures: small platforms and tables every suite reuses."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -81,15 +83,24 @@ def assert_overhead_below_five_percent(base, gated, what):
     """Assert the ``gated`` arm costs < 5% more than the ``base`` arm.
 
     Each arm is a zero-argument callable that runs one trial and returns
-    its elapsed seconds. Trials are interleaved in 7 pairs so drift in
-    machine load (the rest of the suite, CI neighbours) hits both arms
-    alike, and each arm keeps its minimum. A noisy round gets up to two
-    more chances: a real hot-path cost reproduces, scheduler jitter
+    its elapsed seconds, read from ``time.process_time`` so time the
+    process spends descheduled by its neighbours is not charged to it.
+    Trials are interleaved in 7 pairs so drift in machine load (the rest
+    of the suite, CI neighbours) hits both arms alike, and each arm keeps
+    its minimum. The collector is off during a round, as in ``timeit``,
+    so a collection pass lands in neither arm. A noisy round gets up to
+    two more chances: a real hot-path cost reproduces, scheduler jitter
     does not.
     """
     base(), gated()  # warm-up
     for _round in range(3):
-        pairs = [(base(), gated()) for _ in range(7)]
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            pairs = [(base(), gated()) for _ in range(7)]
+        finally:
+            if was_enabled:
+                gc.enable()
         fast = min(b for b, _ in pairs)
         slow = min(g for _, g in pairs)
         if slow < fast * 1.05:
