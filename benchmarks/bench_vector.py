@@ -14,6 +14,12 @@ only answer path; they must make the trace-accurate engines
    :class:`~repro.db.plan.codecache.CodeFragmentCache` — the warm run
    must skip plan compilation (plan_compile bucket = 0) and answer the
    same rows.
+4. **Front half**: parse + bind through the shape memo
+   (:mod:`repro.db.sql.shapes`) against the uncached referee
+   ``bind(Parser(sql).parse_statement())`` on the same statements, timed
+   in one process: ``frontend_hit_host_ratio`` for statements whose
+   shape was seen (fresh literals), ``frontend_miss_host_ratio`` for
+   statements of distinct shapes (what a miss costs on top).
 
 Run as a script (writes the artifact consumed by CI)::
 
@@ -29,10 +35,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 import time
 from dataclasses import asdict
-from typing import Dict
+from typing import Dict, List, Tuple
 
 from repro.core.ledger import CostLedger
 from repro.db.engines import all_engines
@@ -40,9 +47,28 @@ from repro.db.exec import run_volcano
 from repro.db.plan import bind
 from repro.db.plan.codecache import CodeFragmentCache
 from repro.db.sql import parse
+from repro.db.sql.parser import Parser, parse_statement
 from repro.workloads.tpch_analytics import Q3, generate_tpch_analytics
 
 ENGINES = ("row", "column", "rm")
+
+#: Short statements with literal slots (a Q6, a point lookup, a group-by
+#: and a Q3 join), formatted with per-statement literals.
+FRONTEND_SHAPES = (
+    "SELECT sum(l_extendedprice * l_discount) AS revenue FROM lineitem "
+    "WHERE l_shipdate >= date '{y}-01-01' AND l_shipdate < date '{y}-12-31' "
+    "AND l_discount BETWEEN 0.0{d} AND 0.0{d} + 0.02 AND l_quantity < {q}",
+    "SELECT o_orderkey, o_custkey, o_totalprice FROM orders "
+    "WHERE o_orderkey = {k}",
+    "SELECT c_mktsegment, count(*) AS n, sum(c_acctbal) AS balance "
+    "FROM customer WHERE c_acctbal > {b} GROUP BY c_mktsegment "
+    "ORDER BY c_mktsegment",
+    "SELECT l_orderkey, sum(l_extendedprice * (1 - l_discount)) AS revenue "
+    "FROM lineitem JOIN orders ON l_orderkey = o_orderkey "
+    "JOIN customer ON o_custkey = c_custkey WHERE c_mktsegment = 'BUILDING' "
+    "AND o_orderdate < date '{y}-03-15' AND l_shipdate > date '{y}-03-15' "
+    "GROUP BY l_orderkey ORDER BY revenue DESC LIMIT 10",
+)
 
 
 def _hierarchy_snapshot(hierarchy) -> Dict[str, object]:
@@ -130,14 +156,83 @@ def run_codecache(nrows: int, engine: str = "rm") -> Dict[str, object]:
     }
 
 
+def _frontend_statements(n: int, tag: str = "") -> List[str]:
+    """``n`` statements per shape with seeded literals; a non-empty
+    ``tag`` makes every statement its own shape (a distinct table alias)."""
+    rng = random.Random(7)
+    out = []
+    for i in range(n):
+        for shape in FRONTEND_SHAPES:
+            sql = shape.format(
+                y=rng.randrange(1993, 1998), d=rng.randrange(2, 8),
+                q=rng.randrange(20, 30), k=rng.randrange(1, 5000),
+                b=rng.randrange(-1000, 9000),
+            )
+            if tag:
+                table = sql.split(" FROM ", 1)[1].split(" ", 1)[0]
+                sql = sql.replace(f" FROM {table} ", f" FROM {table} {tag}{i} ", 1)
+            out.append(sql)
+    return out
+
+
+def run_frontend(nrows: int, n: int = 100, repeats: int = 3) -> Dict[str, object]:
+    """Host time of the SQL front half, memo against uncached referee.
+
+    Each statement runs through both, back to back and in alternating
+    order, so a change in host speed during the run hits both sides alike.
+    """
+    catalog, *_ = generate_tpch_analytics(nrows)
+
+    def memo(sql):
+        return bind(parse_statement(sql), catalog)
+
+    def referee(sql):
+        return bind(Parser(sql).parse_statement(), catalog)
+
+    def paired(statements) -> Tuple[float, float]:
+        spent = {memo: 0.0, referee: 0.0}
+        for i, sql in enumerate(statements):
+            for side in (memo, referee) if i % 2 else (referee, memo):
+                t0 = time.perf_counter()
+                side(sql)
+                spent[side] += time.perf_counter() - t0
+        return spent[memo], spent[referee]
+
+    seen = _frontend_statements(n)
+    for sql in seen[: 2 * len(FRONTEND_SHAPES)]:
+        memo(sql)  # each shape seen twice: parse and bind memoized
+    totals = [0.0] * 4
+    for r in range(repeats):
+        # Distinct shapes, fresh on every repeat, so each memo call misses.
+        distinct = _frontend_statements(n, tag=f"miss{r}_")
+        for k, seconds in enumerate((*paired(seen), *paired(distinct))):
+            totals[k] += seconds
+    hit, hit_ref, miss, miss_ref = totals
+    return {
+        "statements": len(seen),
+        "hit_seconds": hit,
+        "hit_referee_seconds": hit_ref,
+        "miss_seconds": miss,
+        "miss_referee_seconds": miss_ref,
+    }
+
+
 def compare(rows: int, check_rows: int) -> Dict[str, object]:
     headline = run_headline(rows)
     cross = run_cross_check(check_rows)
     cache = run_codecache(check_rows)
+    frontend = run_frontend(check_rows)
     return {
         "headline": headline,
         "cross_check": cross,
         "codecache": cache,
+        "frontend": frontend,
+        "frontend_hit_host_ratio": (
+            frontend["hit_seconds"] / frontend["hit_referee_seconds"]
+        ),
+        "frontend_miss_host_ratio": (
+            frontend["miss_seconds"] / frontend["miss_referee_seconds"]
+        ),
         "bit_identical": (
             cross["bit_identical"]
             and cache["warm_skips_compile"]
@@ -178,6 +273,12 @@ def main(argv=None) -> int:
         f"(compile {c['codecache_cold_compile_cycles']:.0f} cyc)   "
         f"warm {c['warm_seconds']:.3f}s "
         f"(compile {c['codecache_warm_compile_cycles']:.0f} cyc)"
+    )
+    f = report["frontend"]
+    print(
+        f"front half, {f['statements']} statements: memo hit "
+        f"{report['frontend_hit_host_ratio']:.2f}x and miss "
+        f"{report['frontend_miss_host_ratio']:.2f}x the uncached referee"
     )
     print(f"bit-identical to the Volcano reference: {report['bit_identical']}")
     if args.json:

@@ -49,6 +49,34 @@ class CompareOp(enum.Enum):
             return values == constant
         return values != constant
 
+    @classmethod
+    def from_sql(cls, op: str) -> "CompareOp":
+        """The comparator for a SQL comparison operator (``=``, ``<>``, ...)."""
+        return _FROM_SQL[op]
+
+    @property
+    def flipped(self) -> "CompareOp":
+        """The comparator with its operands swapped: ``c < x`` is ``x > c``."""
+        return _FLIPPED[self]
+
+
+_FROM_SQL = {
+    "<": CompareOp.LT,
+    "<=": CompareOp.LE,
+    ">": CompareOp.GT,
+    ">=": CompareOp.GE,
+    "=": CompareOp.EQ,
+    "<>": CompareOp.NE,
+}
+_FLIPPED = {
+    CompareOp.LT: CompareOp.GT,
+    CompareOp.LE: CompareOp.GE,
+    CompareOp.GT: CompareOp.LT,
+    CompareOp.GE: CompareOp.LE,
+    CompareOp.EQ: CompareOp.EQ,
+    CompareOp.NE: CompareOp.NE,
+}
+
 
 @dataclass(frozen=True)
 class FabricPredicate:

@@ -35,7 +35,6 @@ from repro.db.plan.codecache import CodeFragmentCache, Fragment
 from repro.db.plan.logical import explain
 from repro.db.exec.result import QueryResult
 from repro.db.exec.vector import FusedKernel, apply_where, run_vector
-from repro.db.sql.lexer import normalize_sql
 from repro.db.sql.parser import parse
 from repro.errors import ExecutionError
 from repro.hw.analytic import AnalyticMemoryModel, MemoryModel, TraceMemoryModel
@@ -116,11 +115,10 @@ class Engine(ABC):
         else:
             raise ExecutionError(f"unknown memory model {memory_model!r}")
         #: Optional :class:`repro.db.plan.codecache.CodeFragmentCache`.
-        #: When attached, repeated query shapes skip SQL parse/bind (by
-        #: query text) and kernel compilation (by fragment signature),
-        #: and misses charge ``PLAN_COMPILE`` cycles.
+        #: When attached, repeated query shapes skip kernel compilation
+        #: (by fragment signature), and misses charge ``PLAN_COMPILE``
+        #: cycles.
         self.codecache = codecache
-        self._bound_cache: Dict[str, BoundQuery] = {}
         #: Observability hook: when set, every execute() builds a span
         #: tree and returns it as ``ExecutionResult.trace``.
         self.tracer = tracer
@@ -257,7 +255,7 @@ class Engine(ABC):
             engine=self.name,
             result=result,
             ledger=ledger,
-            plan=self._plan_text(bound, fragment),
+            plan=explain(bound, access_path=self.access_path),
             visible_rows=visible,
             qualifying_rows=qualifying,
             trace=Trace(root) if isinstance(root, Span) else None,
@@ -265,34 +263,17 @@ class Engine(ABC):
         )
 
     def bind(self, sql: str) -> BoundQuery:
-        """Parse + bind, memoized by *normalized* statement text when a
-        code cache is attached: statements differing only in case,
-        whitespace, or comments share one bound form, so the warm path
-        skips the whole frontend. (Fragments themselves are keyed by the
-        binding signature — structure + layout, literals blanked — which
-        is what lets the fabric share compiled code across literal values
-        and, under the ephemeral layout, across column subsets.)
+        """Parse + bind ``sql`` against this engine's catalog.
 
-        A memoized bind is reused only while every table it names is
-        still the catalog's table of that name: DROP + CREATE makes a new
-        :class:`Table`, and the old bind would answer from the dropped one.
+        Both steps go through the process-wide shape memo
+        (:mod:`repro.db.sql.shapes`): a statement whose shape was seen
+        before skips parsing and binding, with or without a code cache.
+        (Fragments themselves are keyed by the binding signature —
+        structure + layout, literals blanked — which is what lets the
+        fabric share compiled code across literal values and, under the
+        ephemeral layout, across column subsets.)
         """
-        if self.codecache is not None:
-            key = normalize_sql(sql)
-            bound = self._bound_cache.get(key)
-            if bound is None or not self._binds_current_tables(bound):
-                bound = bind(parse(sql), self.catalog)
-                self._bound_cache[key] = bound
-            return bound
         return bind(parse(sql), self.catalog)
-
-    def _binds_current_tables(self, bound: BoundQuery) -> bool:
-        catalog = self.catalog
-        for table in (bound.table, *(join.table for join in bound.joins)):
-            name = table.schema.name
-            if name not in catalog or catalog.table(name) is not table:
-                return False
-        return True
 
     def _plan_fragment(
         self, bound: BoundQuery, ledger: CostLedger
@@ -320,15 +301,6 @@ class Engine(ABC):
                 fragment.payload = FusedKernel(bound)
             span.set_attrs(hit=hit, compile_cycles=cycles)
         return fragment
-
-    def _plan_text(self, bound: BoundQuery, fragment: Optional[Fragment]) -> str:
-        if fragment is None:
-            return explain(bound, access_path=self.access_path)
-        plan = fragment.plans.get(self.access_path)
-        if plan is None:
-            plan = explain(bound, access_path=self.access_path)
-            fragment.plans[self.access_path] = plan
-        return plan
 
     @property
     def access_path(self) -> str:

@@ -39,15 +39,6 @@ from repro.faults import CircuitBreaker, FaultInjector, RetryPolicy
 from repro.hw.config import PlatformConfig
 from repro.obs import Span, Trace, maybe_span
 
-_PUSHABLE_OPS = {
-    "<": CompareOp.LT,
-    "<=": CompareOp.LE,
-    ">": CompareOp.GT,
-    ">=": CompareOp.GE,
-    "=": CompareOp.EQ,
-    "<>": CompareOp.NE,
-}
-
 
 class RelationalMemoryEngine(Engine):
     """Scans through ephemeral column groups served by the fabric."""
@@ -333,7 +324,7 @@ class RelationalMemoryEngine(Engine):
         schema = bound.table.schema
         for conj in bound.where_conjuncts:
             pred = None
-            if isinstance(conj, Compare) and conj.op in _PUSHABLE_OPS:
+            if isinstance(conj, Compare):
                 col, lit, flipped = self._column_vs_literal(conj)
                 if col is not None and schema.has_column(col):
                     dtype = schema.column(col).dtype
@@ -341,9 +332,9 @@ class RelationalMemoryEngine(Engine):
                         raw = lit
                         if dtype.scale:
                             raw = int(round(float(lit) * 10**dtype.scale))
-                        op = _PUSHABLE_OPS[conj.op]
+                        op = CompareOp.from_sql(conj.op)
                         if flipped:
-                            op = _flip(op)
+                            op = op.flipped
                         pred = FabricPredicate(field=col, op=op, constant=raw)
             if pred is not None:
                 pushed.append(pred)

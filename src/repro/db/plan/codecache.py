@@ -26,8 +26,8 @@ workload under both layouts.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from repro.db.expr import (
     And,
@@ -169,14 +169,12 @@ class Fragment:
 
     ``payload`` is whatever the compiler produced (for the engines: a
     :class:`repro.db.exec.vector.FusedKernel`); ``None`` for callers that
-    only track shapes. ``plans`` memoizes EXPLAIN strings per access
-    path so warm hits skip plan rendering too.
+    only track shapes.
     """
 
     fragment_id: int
     payload: object = None
     uses: int = 0
-    plans: Dict[str, str] = field(default_factory=dict)
 
 
 class CodeFragmentCache:

@@ -10,7 +10,7 @@ index probe, and returns the ranked decision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.db.catalog import Catalog
@@ -27,7 +27,14 @@ class AccessDecision:
 
     winner: str
     estimates: Dict[str, CostEstimate]
-    plan: str
+    #: The query the decision is for; :attr:`plan` renders from it.
+    query: BoundQuery
+
+    @property
+    def plan(self) -> str:
+        """EXPLAIN text of the query under the winning access path."""
+        winner = self.estimates[self.winner]
+        return explain(self.query, access_path=winner.access_path)
 
     def ranked(self) -> List[Tuple[str, float]]:
         return sorted(
@@ -55,11 +62,34 @@ class Optimizer:
         self.fabric_available = fabric_available
 
     def choose(self, query) -> AccessDecision:
-        """``query`` is SQL text or a :class:`BoundQuery`."""
+        """``query`` is SQL text or a :class:`BoundQuery`.
+
+        Without statistics the estimates read only the query's shape, the
+        table's row count and its indexes, so a query bound through the
+        shape memo reuses its shape's estimates while those are unchanged.
+        """
         bound = (
             bind(parse(query), self.catalog) if isinstance(query, str) else query
         )
-        stats = self.catalog.stats_of(bound.table.schema.name)
+        name = bound.table.schema.name
+        stats = self.catalog.stats_of(name)
+        indexed = tuple(
+            self.catalog.index_on(name, col) is not None
+            for col in bound.selection_columns
+        )
+        memo = bound.template if stats is None else None
+        key = (self.cost_model, self.fabric_available, bound.table.nrows, indexed)
+        if memo is not None and memo.estimates is not None \
+                and memo.estimates[0] == key:
+            estimates = dict(memo.estimates[1])
+        else:
+            estimates = self._estimate(bound, stats, indexed)
+            if memo is not None:
+                memo.estimates = (key, dict(estimates))
+        winner = min(estimates, key=lambda k: estimates[k].cycles)
+        return AccessDecision(winner=winner, estimates=estimates, query=bound)
+
+    def _estimate(self, bound, stats, indexed) -> Dict[str, CostEstimate]:
         estimates: Dict[str, CostEstimate] = {
             "scan": self.cost_model.estimate_row_scan(bound, stats),
             "column-scan": self.cost_model.estimate_column_scan(bound, stats),
@@ -68,16 +98,10 @@ class Optimizer:
             estimates["ephemeral-scan"] = self.cost_model.estimate_ephemeral_scan(
                 bound, stats
             )
-        for col in bound.selection_columns:
-            index = self.catalog.index_on(bound.table.schema.name, col)
-            if index is None:
+        for col, has_index in zip(bound.selection_columns, indexed):
+            if not has_index:
                 continue
             est = self.cost_model.estimate_index_probe(bound, col)
             if est is not None:
                 estimates[f"index({col})"] = est
-        winner = min(estimates, key=lambda k: estimates[k].cycles)
-        return AccessDecision(
-            winner=winner,
-            estimates=estimates,
-            plan=explain(bound, access_path=estimates[winner].access_path),
-        )
+        return estimates

@@ -10,7 +10,6 @@ callers that only need the AST.
 from repro.db.sql.lexer import (
     Token,
     TokenKind,
-    normalize_sql,
     statement_shape,
     tokenize,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "Token",
     "TokenKind",
     "UpdateStmt",
-    "normalize_sql",
     "parse",
     "parse_statement",
     "split_statements",

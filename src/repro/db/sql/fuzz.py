@@ -14,7 +14,9 @@ ORDER BY/LIMIT/OFFSET — through four independent evaluations:
 
 Every SELECT must come back *byte-identical* to the Volcano reference
 (same names, dtypes and column bytes), with bucket-identical cost
-ledgers between the twins, and value-identical to the oracle. SELECTs
+ledgers between the twins, and value-identical to the oracle. Its bind
+through the shape memo (:mod:`repro.db.sql.shapes`) must equal, by
+``repr``, the uncached ``bind(Parser(sql).parse_statement())``. SELECTs
 with subqueries bind only inside a session (which folds them first), so
 they skip the reference and keep the oracle check. Statements
 that fit the scatter-gather dialect additionally run through a real
@@ -56,7 +58,7 @@ from repro.db.plan.binder import bind
 from repro.db.schema import Column, TableSchema
 from repro.db.sharding import ShardedTable
 from repro.db.sql.oracle import SqlOracle
-from repro.db.sql.parser import parse_statement
+from repro.db.sql.parser import Parser, parse_statement
 from repro.db.sql.pipeline import Session
 from repro.db.types import CHAR, INT32
 from repro.db.wal import SsdLog, WriteAheadLog
@@ -504,9 +506,15 @@ class _Harness:
         if not gen.has_subquery:
             try:
                 bound = bind(parse_statement(sql), self.catalog)
+                referee = bind(Parser(sql).parse_statement(), self.catalog)
                 vr = run_volcano(bound, self.visible_columns())
             except ReproError as exc:
                 report.violations.append(f"{sql!r}: reference raised {exc}")
+                return
+            if repr(bound) != repr(referee):
+                report.violations.append(
+                    f"{sql!r}: memoized bind {bound!r} != uncached {referee!r}"
+                )
                 return
             if pr.names != vr.names:
                 report.violations.append(

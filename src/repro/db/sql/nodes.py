@@ -9,7 +9,7 @@ subquery expression nodes the statement pipeline folds before binding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, FrozenSet, Mapping, Optional, Tuple
 
 from repro.db.expr import Expr
@@ -75,6 +75,10 @@ class SelectStmt:
 
     ``joins`` chains left-deep: each clause joins the running result to
     one more table (``FROM a JOIN b ON .. JOIN c ON ..``).
+
+    ``template`` is ``(template, slot inputs)`` when the shape memo
+    (:mod:`repro.db.sql.shapes`) instantiated this statement, which lets
+    the binder reuse the shape's bound form; None when parsed fresh.
     """
 
     items: Tuple[SelectItem, ...]
@@ -88,6 +92,9 @@ class SelectStmt:
     distinct: bool = False
     offset: Optional[int] = None
     alias: Optional[str] = None
+    template: Optional[Tuple[Any, Tuple[Any, ...]]] = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def join(self) -> Optional[JoinClause]:

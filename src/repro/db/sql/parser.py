@@ -40,7 +40,6 @@ and a caret-annotated snippet of the statement text.
 
 from __future__ import annotations
 
-import datetime
 from typing import List, Optional, Tuple
 
 from repro.db.expr import (
@@ -55,7 +54,7 @@ from repro.db.expr import (
     Not,
     Or,
 )
-from repro.db.sql.lexer import Token, TokenKind, error_at, tokenize
+from repro.db.sql.lexer import Token, TokenKind, error_at, scan_shape, tokenize
 from repro.db.sql.nodes import (
     Aggregate,
     BeginStmt,
@@ -75,9 +74,9 @@ from repro.db.sql.nodes import (
     Star,
     UpdateStmt,
 )
+from repro.db.sql.shapes import SHAPES, Slot, Template, literal_value
 from repro.errors import SqlError
 
-_EPOCH = datetime.date(1970, 1, 1)
 _CMP_OPS = ("=", "<>", "<", "<=", ">", ">=")
 
 #: Keywords that terminate a table reference (so a bare identifier after
@@ -89,12 +88,21 @@ _TABLE_STOP = {
 
 
 class Parser:
-    """One-token-lookahead parser over a token list."""
+    """One-token-lookahead parser over a token list.
+
+    ``Parser(sql).parse_statement()`` parses without the shape memo: the
+    referee for :func:`parse_statement`.
+    """
 
     def __init__(self, sql: str):
         self._sql = sql
         self._tokens = tokenize(sql)
         self._pos = 0
+        #: Every value literal, in token order: the slots a shape
+        #: template refills (:mod:`repro.db.sql.shapes`).
+        self.slots: List[Slot] = []
+        #: Subqueries parsed; a shape with none skips subquery folding.
+        self.subqueries = 0
 
     # ------------------------------------------------------------------
     # Token plumbing.
@@ -456,12 +464,19 @@ class Parser:
         if self._cur.is_keyword("select"):
             select = self._select_body()
             self._expect_symbol(")")
+            self.subqueries += 1
             return InSubquery(term=term, select=select)
+        first = len(self.slots)
         values = [self._in_member()]
         while self._match_symbol(","):
             values.append(self._in_member())
         self._expect_symbol(")")
-        return InList(term=term, values=tuple(values))
+        node = InList(term=term, values=tuple(values))
+        members = self.slots[first:]
+        if len(members) == len(values):  # one literal per member
+            for index, slot in enumerate(members):
+                slot.node, slot.member = node, index
+        return node
 
     def _in_member(self):
         tok = self._cur
@@ -490,36 +505,36 @@ class Parser:
             self._advance()
             inner = self._atom()
             if isinstance(inner, Literal) and isinstance(inner.value, (int, float)):
-                return Literal(-inner.value)
+                negated = Literal(-inner.value)
+                slot = self.slots[-1]
+                if slot.node is inner:
+                    slot.node, slot.negations = negated, slot.negations + 1
+                return negated
             return BinOp(op="-", left=Literal(0), right=inner)
         if tok.kind is TokenKind.NUMBER:
-            self._advance()
-            text = tok.text
-            return Literal(float(text) if "." in text else int(text))
+            return self._literal("float" if "." in tok.text else "int")
         if tok.kind is TokenKind.STRING:
-            self._advance()
-            return Literal(tok.text)
+            return self._literal("string")
         if tok.is_keyword("date"):
             self._advance()
             if self._cur.kind is not TokenKind.STRING:
                 raise self._error(
                     f"expected date string after DATE, found {self._cur}"
                 )
-            raw = self._advance().text
             try:
-                day = datetime.date.fromisoformat(raw)
+                return self._literal("date")
             except ValueError as exc:
+                raw = self._tokens[self._pos].text
                 raise self._error(f"bad date literal {raw!r}: {exc}", tok)
-            return Literal((day - _EPOCH).days)
         if tok.is_keyword("interval"):
             self._advance()
             if self._cur.kind is not TokenKind.STRING:
                 raise self._error(
                     f"expected quantity after INTERVAL, found {self._cur}"
                 )
-            qty = int(self._advance().text)
+            qty = self._literal("interval")
             self._expect_keyword("day")
-            return Literal(qty)
+            return qty
         if tok.kind is TokenKind.KEYWORD and tok.text in Aggregate.FUNCS:
             raise self._error(
                 f"aggregate {tok.text}() is only allowed in the select "
@@ -537,18 +552,57 @@ class Parser:
             if self._cur.is_keyword("select"):
                 select = self._select_body()
                 self._expect_symbol(")")
+                self.subqueries += 1
                 return ScalarSubquery(select=select)
             inner = self._predicate()
             self._expect_symbol(")")
             return inner
         raise self._error(f"unexpected token {tok}")
 
+    def _literal(self, kind: str) -> Literal:
+        """The current token as a value literal of slot ``kind``."""
+        node = Literal(literal_value(kind, self._cur.text))
+        self.slots.append(Slot(self._cur.position, kind, node))
+        self._advance()
+        return node
+
 
 def parse(sql: str) -> SelectStmt:
-    """Parse one ``SELECT`` statement."""
-    return Parser(sql).parse_select()
+    """Parse one ``SELECT`` statement (memoized by shape, as
+    :func:`parse_statement`)."""
+    return _parse_memoized(sql, select_only=True)
 
 
 def parse_statement(sql: str):
-    """Parse one statement of any supported kind (the pipeline entry)."""
-    return Parser(sql).parse_statement()
+    """Parse one statement of any supported kind (the pipeline entry).
+
+    Memoized by shape (:mod:`repro.db.sql.shapes`): a statement whose
+    shape was parsed before is only tokenized, and its literal values are
+    copied into the shape's template. Results and errors equal
+    ``Parser(sql).parse_statement()``.
+    """
+    return _parse_memoized(sql, select_only=False)
+
+
+def _parse_memoized(sql: str, select_only: bool):
+    shape = scan_shape(sql)
+    template = None
+    if shape is not None:
+        key, literals, positions = shape
+        template = SHAPES.get(key)
+        if template is not None and (
+            not select_only or isinstance(template.stmt, SelectStmt)
+        ):
+            stmt = template.instantiate(literals)
+            if stmt is not None:
+                return stmt
+    # A miss, or a statement the parser must reject: parse it fresh.
+    parser = Parser(sql)
+    stmt = parser.parse_select() if select_only else parser.parse_statement()
+    # The key blanked exactly the tokens the parser read as values, so
+    # every statement of this shape parses the same up to those values.
+    if template is None and shape is not None and positions == [
+        slot.position for slot in parser.slots
+    ]:
+        SHAPES.put(key, Template(stmt, parser.slots, parser.subqueries > 0))
+    return stmt

@@ -343,6 +343,9 @@ class Session:
     # Subquery folding.
     # ------------------------------------------------------------------
     def _fold_subqueries(self, stmt: SelectStmt) -> SelectStmt:
+        if stmt.template is not None and not stmt.template[0].has_subquery:
+            return stmt
+
         def fold(expr: Optional[Expr]) -> Optional[Expr]:
             if expr is None:
                 return None
@@ -387,6 +390,7 @@ class Session:
             items=items,
             where=fold(stmt.where),
             having=fold(stmt.having),
+            template=None,
         )
 
     def _run_subquery(self, select: SelectStmt):

@@ -15,6 +15,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro.core.selection import CompareOp
 from repro.db.expr import (
     And,
     Between,
@@ -77,14 +78,16 @@ def _clamp(x: float) -> float:
     return min(1.0, max(0.0, x))
 
 
-def _range_fraction(stats: ColumnStats, op: str, constant: float) -> Optional[float]:
+def _range_fraction(
+    stats: ColumnStats, op: CompareOp, constant: float
+) -> Optional[float]:
     """Uniform-distribution estimate of ``column <op> constant``."""
     if stats.min_value is None or stats.span <= 0:
         return None
     frac_below = _clamp((constant - stats.min_value) / stats.span)
-    if op in ("<", "<="):
+    if op in (CompareOp.LT, CompareOp.LE):
         return frac_below
-    if op in (">", ">="):
+    if op in (CompareOp.GT, CompareOp.GE):
         return 1.0 - frac_below
     return None
 
@@ -117,12 +120,14 @@ def selectivity_with_stats(expr: Optional[Expr], stats: TableStats) -> float:
     if isinstance(expr, Compare):
         col, const, flipped = _column_vs_constant(expr)
         if col is not None:
-            op = _FLIP[expr.op] if flipped else expr.op
+            op = CompareOp.from_sql(expr.op)
+            if flipped:
+                op = op.flipped
             cstats = stats.column(col)
             if cstats is not None:
-                if op == "=":
+                if op is CompareOp.EQ:
                     return 1.0 / cstats.ndv if cstats.ndv else SELECTIVITY_EQ
-                if op == "<>":
+                if op is CompareOp.NE:
                     return 1.0 - (1.0 / cstats.ndv if cstats.ndv else SELECTIVITY_EQ)
                 frac = _range_fraction(cstats, op, const)
                 if frac is not None:
@@ -137,9 +142,6 @@ def selectivity_with_stats(expr: Optional[Expr], stats: TableStats) -> float:
                 return max(0.0, hi - lo)
         return SELECTIVITY_BETWEEN
     return estimate_selectivity(expr)
-
-
-_FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "<>": "<>"}
 
 
 def _column_vs_constant(cmp: Compare):

@@ -39,24 +39,6 @@ Q6_SHIP_HI = _days(1995, 1, 1) - 1  # inclusive form of "< 1995-01-01"
 # ----------------------------------------------------------------------
 # The SQL bridge: BoundQuery → DistPlan, where expressible.
 # ----------------------------------------------------------------------
-_CMP_OPS = {
-    "<": CompareOp.LT,
-    "<=": CompareOp.LE,
-    ">": CompareOp.GT,
-    ">=": CompareOp.GE,
-    "=": CompareOp.EQ,
-    "<>": CompareOp.NE,
-}
-_CMP_FLIP = {
-    CompareOp.LT: CompareOp.GT,
-    CompareOp.LE: CompareOp.GE,
-    CompareOp.GT: CompareOp.LT,
-    CompareOp.GE: CompareOp.LE,
-    CompareOp.EQ: CompareOp.EQ,
-    CompareOp.NE: CompareOp.NE,
-}
-
-
 def _conjuncts(expr: Expr) -> List[Expr]:
     if isinstance(expr, And):
         out: List[Expr] = []
@@ -86,12 +68,10 @@ def _as_predicates(expr: Optional[Expr]) -> Tuple[DistPredicate, ...]:
             continue
         if not isinstance(term, Compare):
             raise PlanError(f"cannot push down predicate {term}")
-        op = _CMP_OPS.get(term.op)
-        if op is None:
-            raise PlanError(f"cannot push down operator {term.op!r}")
+        op = CompareOp.from_sql(term.op)
         left, right = term.left, term.right
         if isinstance(left, Literal) and isinstance(right, ColumnRef):
-            left, right, op = right, left, _CMP_FLIP[op]
+            left, right, op = right, left, op.flipped
         if not (isinstance(left, ColumnRef) and isinstance(right, Literal)):
             raise PlanError(f"cannot push down predicate {term}")
         if not isinstance(right.value, int):

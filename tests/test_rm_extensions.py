@@ -102,6 +102,35 @@ class TestAggregatePushdown:
         assert engine.fabric_answered == 1
 
 
+class TestLiteralFirstPushdown:
+    @pytest.mark.parametrize(
+        "literal_first,column_first",
+        [
+            ("500000 > c0", "c0 < 500000"),
+            ("500000 >= c0", "c0 <= 500000"),
+            ("500000 < c0", "c0 > 500000"),
+            ("500000 <= c0", "c0 >= 500000"),
+            ("235128 = c3", "c3 = 235128"),
+            ("634429 <> c2 AND 900000 > c0", "c2 <> 634429 AND c0 < 900000"),
+        ],
+    )
+    def test_same_rows_as_column_first_and_rowstore(
+        self, wide, literal_first, column_first
+    ):
+        from repro.db.engines import RowStoreEngine
+
+        catalog, _ = wide
+        engine = RelationalMemoryEngine(catalog, pushdown=True)
+        flipped = engine.execute(f"SELECT c0, c1 FROM wide WHERE {literal_first}")
+        plain = engine.execute(f"SELECT c0, c1 FROM wide WHERE {column_first}")
+        row = RowStoreEngine(catalog).execute(
+            f"SELECT c0, c1 FROM wide WHERE {literal_first}"
+        )
+        assert flipped.result.nrows > 0
+        assert results_equal(flipped.result, plain.result)
+        assert results_equal(flipped.result, row.result)
+
+
 class TestAutoConsumption:
     def test_auto_never_worse_than_either_mode(self, wide):
         catalog, _ = wide

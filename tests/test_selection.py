@@ -41,6 +41,17 @@ class TestCompareOp:
         values = np.array([1, 5, 9])
         assert op.apply(values, 5).tolist() == expected
 
+    @pytest.mark.parametrize("sql", ["<", "<=", ">", ">=", "=", "<>"])
+    def test_flipped_swaps_operands(self, sql):
+        op = CompareOp.from_sql(sql)
+        values = np.array([1, 5, 9])
+        for constant in (0, 5, 10):
+            # ``values <op> c`` is ``c <op.flipped> values``.
+            assert op.apply(values, constant).tolist() == [
+                bool(op.flipped.apply(np.array([constant]), v)[0]) for v in values
+            ]
+        assert op.flipped.flipped is op
+
 
 class TestPredicateAndFilter:
     def test_predicate_evaluates_on_frame(self):

@@ -1,6 +1,8 @@
 """Tests for the SQL lexer and parser."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.db.expr import And, Between, BinOp, ColumnRef, Compare, Literal, Not, Or
 from repro.db.sql import Aggregate, parse, tokenize
@@ -49,6 +51,65 @@ class TestLexer:
     def test_garbage_rejected(self):
         with pytest.raises(SqlError):
             tokenize("select #")
+
+    @pytest.mark.parametrize(
+        "sql,tokens",
+        [
+            ("a.b 1.2.3 .5 x1", [("a", 0), (".", 1), ("b", 2), ("1.2", 4),
+                                 (".3", 7), (".5", 10), ("x1", 13)]),
+            ("a--c\n<>1. 'it''s'", [("a", 0), ("<>", 5), ("1.", 7), ("it's", 10)]),
+            ("b !=2", [("b", 0), ("<>", 2), ("2", 4)]),
+        ],
+    )
+    def test_token_texts_and_offsets(self, sql, tokens):
+        toks = tokenize(sql)
+        assert [(t.text, t.position) for t in toks[:-1]] == tokens
+        assert toks[-1].kind is TokenKind.EOF and toks[-1].position == len(sql)
+
+    @pytest.mark.parametrize(
+        "sql,message,line,column",
+        [
+            ("select 'a''", "unterminated string literal", 1, 8),
+            ("select a,\n  b # c", "unexpected character '#'", 2, 5),
+            ("x \u00bd", "unexpected character '\u00bd'", 1, 3),
+        ],
+    )
+    def test_errors_point_at_the_offending_character(self, sql, message, line, column):
+        with pytest.raises(SqlError) as err:
+            tokenize(sql)
+        assert str(err.value).startswith(f"{message} (line {line}, column {column})")
+        assert (err.value.line, err.value.column) == (line, column)
+
+    def test_non_decimal_digits_lex_as_numbers(self):
+        # ``str.isdigit`` digits, as the lexer has always read them.
+        assert [t.text for t in tokenize("a \u00b2 1\u00b3")[:-1]] == [
+            "a", "\u00b2", "1\u00b3",
+        ]
+
+    @given(st.lists(st.sampled_from(
+        list("ab_19 .,;()*+-/=<>!'\n") + ["select", "limit", "--", "''"]
+    )).map("".join))
+    @settings(max_examples=300, deadline=None)
+    def test_shape_scan_finds_the_literal_tokens(self, sql):
+        from repro.db.sql.lexer import scan_shape
+
+        key, literals, positions = scan_shape(sql)
+        # The key is the text with literal kinds in place of literals.
+        rest = iter(literals)
+        assert "".join(
+            next(rest) if i % 2 and part in ("'", "#", "#.") else part
+            for i, part in enumerate(key)
+        ) == sql
+        try:
+            tokens = tokenize(sql)
+        except SqlError:
+            return
+        if "--" not in sql:  # the scan does not know comments
+            values = {
+                t.position for t in tokens
+                if t.kind in (TokenKind.NUMBER, TokenKind.STRING)
+            }
+            assert set(positions) <= values
 
 
 class TestParser:

@@ -254,3 +254,38 @@ def test_run_script_returns_one_result_per_statement(session):
     )
     assert [r.kind for r in results] == ["insert", "select"]
     assert results[1].rows == [(4,)]
+
+
+# ----------------------------------------------------------------------
+# The shape memo behind the front door.
+# ----------------------------------------------------------------------
+def test_a_memo_hit_explains_its_own_literals(session):
+    for cut in (15, 25):  # the second statement is a shape-memo hit
+        result = session.execute(f"SELECT id FROM t WHERE v > {cut}")
+        assert f"(v > {cut})" in result.plan
+        plan = session.execute(f"EXPLAIN SELECT id FROM t WHERE v > {cut}").plan
+        assert f"(v > {cut})" in plan
+    assert result.rows == [(3,)]
+
+
+def test_an_invalid_date_on_a_memo_hit_raises_the_parsers_error(session):
+    from repro.db.sql.parser import Parser
+
+    session.execute("SELECT id FROM t WHERE v < DATE '1970-01-05'")
+    session.execute("SELECT id FROM t WHERE v < DATE '1970-01-06'")
+    bad = "SELECT id FROM t WHERE v < DATE '1994-13-45'"
+    with pytest.raises(SqlError) as hit:
+        session.execute(bad)
+    with pytest.raises(SqlError) as referee:
+        Parser(bad).parse_statement()
+    assert str(hit.value) == str(referee.value)
+    assert (hit.value.line, hit.value.column) == (1, 28)
+
+
+def test_memo_residency_stays_bounded():
+    from repro.db.sql.parser import parse_statement
+    from repro.db.sql.shapes import MEMO_CAPACITY, SHAPES
+
+    for i in range(10_000):  # 10 000 distinct shapes
+        parse_statement(f"SELECT c{i} FROM t WHERE c{i} > 1")
+    assert len(SHAPES) == MEMO_CAPACITY

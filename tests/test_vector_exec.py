@@ -470,17 +470,41 @@ class TestCodeCache:
         assert cache.stats.misses == 1 and cache.stats.hits == 2
 
     def test_recreated_table_is_rebound(self):
-        # The bind memo is keyed by SQL text: after DROP + CREATE the
-        # cached bind must not keep answering from the dropped table.
+        # The bind memo is keyed by statement shape: after DROP + CREATE
+        # a memoized bind must not keep answering from the dropped table.
         catalog = Catalog()
         schema = TableSchema("t", [Column("id", INT64)])
-        sql = "SELECT count(*) AS n FROM t"
+        sql = "SELECT count(*) AS n FROM t WHERE id < {}"
         engine = RowStoreEngine(catalog, TEST_PLATFORM, codecache=CodeFragmentCache())
         catalog.create_table(schema).append_arrays({"id": np.arange(5)})
-        assert engine.execute(sql).result.scalar() == 5
+        assert engine.execute(sql.format(9)).result.scalar() == 5
+        assert engine.execute(sql.format(8)).result.scalar() == 5  # a memo hit
         catalog.drop_table("t")
         catalog.create_table(schema).append_arrays({"id": np.arange(2)})
-        assert engine.execute(sql).result.scalar() == 2
+        assert engine.execute(sql.format(9)).result.scalar() == 2
+        # The same through the Session door, with DDL run as SQL.
+        from repro.db.sql.pipeline import Session
+
+        session = Session(catalog, engine)
+        session.execute("CREATE TABLE u (id INT32)")
+        session.execute("INSERT INTO u VALUES (1), (2), (3)")
+        count = "SELECT count(*) AS n FROM u WHERE id < {}"
+        assert session.execute(count.format(9)).rows == [(3,)]
+        assert session.execute(count.format(8)).rows == [(3,)]  # a memo hit
+        session.execute("DROP TABLE u")
+        session.execute("CREATE TABLE u (id INT32)")
+        session.execute("INSERT INTO u VALUES (1)")
+        assert session.execute(count.format(9)).rows == [(1,)]
+
+    def test_plan_text_shows_its_own_literals(self):
+        # Fragments are shared across literal values; the EXPLAIN text of
+        # a code-cache hit must still render this statement's constants.
+        engine = RowStoreEngine(
+            STAR_CATALOG, TEST_PLATFORM, codecache=CodeFragmentCache()
+        )
+        for cut in (5, 7):
+            res = engine.execute(f"SELECT sum(val) AS s FROM fact WHERE qty < {cut}")
+            assert f"Filter: (qty < {cut})" in res.plan
 
     def test_codecache_metrics_collector(self):
         from repro.obs import MetricsRegistry
