@@ -10,6 +10,11 @@ Three questions, all with numbers the ledger can defend:
    time :func:`repro.db.wal.recover` across a sweep of log lengths.
 3. **What does checkpointing buy?** Sweep checkpoint cadence: checkpoint
    cycles paid up front vs log bytes/records left to replay at the crash.
+4. **Does a point transaction cost O(1)?** ``point_txn_host_ratio`` is
+   the host time of one transaction (insert + 2 point updates + commit)
+   on a 64k-row table over a 2k-row table, measured in one process, so
+   runner speed cancels out. Every step reads or writes one record, so
+   the ratio should sit near 1.
 
 Run as a script (writes the artifact consumed by CI)::
 
@@ -23,6 +28,7 @@ or under pytest-benchmark (reduced sizes)::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
@@ -176,13 +182,70 @@ def bench_checkpoint_cadence(
     return out
 
 
+def bench_point_txn(
+    small_rows: int = 2_000, large_rows: int = 64_000, txns: int = 600, seed: int = 0
+) -> Dict[str, object]:
+    """Host time per point transaction on a large table and a small one.
+
+    Both tables are seeded with committed orders and sized up front, so
+    neither reallocates its frame while timed. Transactions on the two
+    alternate, each pair in alternating order, timed in process CPU time
+    with the garbage collector off, so a change in host speed or a
+    collection hits both sides alike. Picking the updated rows is not
+    timed.
+    """
+    rng = np.random.default_rng(seed)
+    sides = []
+    for rows in (small_rows, large_rows):
+        table = Table(orders_schema(), capacity=rows + 3 * txns)
+        manager = TransactionManager()
+        txn = manager.begin()
+        for i in range(rows):
+            txn.insert(
+                table, {"o_id": i, "o_customer": i % 97, "o_amount": 10.0, "o_status": 0}
+            )
+        manager.commit(txn)
+        sides.append((table, manager, list(range(rows))))
+
+    def one_txn(table, manager, live, k) -> float:
+        a, b = rng.choice(len(live), size=2, replace=False).tolist()
+        t0 = time.process_time()
+        txn = manager.begin()
+        txn.insert(table, {"o_id": -k, "o_customer": 1, "o_amount": 5.0, "o_status": 0})
+        new_a = txn.update(table, live[a], {"o_status": 1})
+        new_b = txn.update(table, live[b], {"o_status": 2})
+        manager.commit(txn)
+        spent = time.process_time() - t0
+        live[a], live[b] = new_a, new_b
+        return spent
+
+    spent = [0.0, 0.0]
+    gc.disable()
+    try:
+        for k in range(txns):
+            for side in (0, 1) if k % 2 else (1, 0):
+                spent[side] += one_txn(*sides[side], k)
+    finally:
+        gc.enable()
+    return {
+        "small_rows": small_rows,
+        "large_rows": large_rows,
+        "txns": txns,
+        "small_txn_seconds": spent[0] / txns,
+        "large_txn_seconds": spent[1] / txns,
+    }
+
+
 def run_all(n_txns: int, lengths: List[int]) -> Dict[str, object]:
+    point = bench_point_txn()
     return {
         "overhead": bench_wal_overhead(n_txns),
         "recovery_vs_log_length": bench_recovery_vs_log_length(lengths),
         "checkpoint_cadence": bench_checkpoint_cadence(
             n_txns, [None, n_txns // 2, n_txns // 8]
         ),
+        "point_txn": point,
+        "point_txn_host_ratio": point["large_txn_seconds"] / point["small_txn_seconds"],
     }
 
 
@@ -220,6 +283,12 @@ def main(argv=None) -> int:
             f"to replay, checkpoint cost {c['wal_checkpoint_cycles']:.0f} cycles, "
             f"recovery {c['wal_recovery_cycles']:.0f} cycles"
         )
+    p = report["point_txn"]
+    print(
+        f"point txn: {p['small_txn_seconds'] * 1e6:.1f} us at {p['small_rows']} rows, "
+        f"{p['large_txn_seconds'] * 1e6:.1f} us at {p['large_rows']} rows "
+        f"(point_txn_host_ratio {report['point_txn_host_ratio']:.2f})"
+    )
     if args.json:
         with open(args.json, "w") as f:
             json.dump(report, f, indent=2)

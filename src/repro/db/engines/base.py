@@ -28,7 +28,6 @@ from typing import Dict, Optional, Tuple, Union
 import numpy as np
 
 from repro.core.ledger import CostLedger
-from repro.core.mvcc_filter import visible_mask_batched
 from repro.db.catalog import Catalog
 from repro.db.plan.binder import BoundQuery, bind
 from repro.db.plan.codecache import CodeFragmentCache, Fragment
@@ -329,10 +328,7 @@ class Engine(ABC):
         table = bound.table
         if snapshot_ts is None or not table.schema.mvcc:
             return None
-        # Batched mask: bit-identical to the unbatched form, but the
-        # timestamp traffic is consumed in bounded chunks like every
-        # other vectorized kernel in the engines.
-        return visible_mask_batched(table.begin_ts, table.end_ts, snapshot_ts)
+        return table.visible_mask(snapshot_ts)
 
     def _decoded_columns(
         self, bound: BoundQuery, vis: Optional[np.ndarray]

@@ -201,7 +201,6 @@ class RelationalMemoryEngine(Engine):
         None to fall back to the ephemeral-scan path."""
         import numpy as np
 
-        from repro.core.mvcc_filter import visible_mask
         from repro.core.selection import FabricAggregate
         from repro.db.engines.base import ExecutionResult
         from repro.db.plan.logical import explain
@@ -238,7 +237,7 @@ class RelationalMemoryEngine(Engine):
         base_geometry = schema.full_geometry()
         mask = None
         if snapshot_ts is not None and schema.mvcc:
-            mask = visible_mask(table.begin_ts, table.end_ts, snapshot_ts)
+            mask = table.visible_mask(snapshot_ts)
         if pushed:
             fmask = FabricFilter(predicates=tuple(pushed)).evaluate(
                 frame, base_geometry

@@ -21,8 +21,8 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.core.mvcc_filter import LIVE_TS, NEVER_TS, visible_mask_batched
-from repro.db.table import Table
+from repro.core.mvcc_filter import LIVE_TS, NEVER_TS
+from repro.db.table import MVCC_BEGIN, MVCC_END, Table
 from repro.db.wal import Checkpointer, WalRecord, WalRecordType, WriteAheadLog
 from repro.errors import (
     TransactionError,
@@ -83,7 +83,7 @@ class Transaction:
         transaction's snapshot, with its own uncommitted writes patched
         in (pending inserts visible, superseded versions hidden)."""
         self._require_active()
-        mask = visible_mask_batched(table.begin_ts, table.end_ts, self.start_ts)
+        mask = table.visible_mask(self.start_ts)
         for intent in self._intents:
             if intent.table is table:
                 if intent.new_slot is not None:
@@ -166,8 +166,8 @@ class Transaction:
             raise
 
     def _check_updatable(self, table: Table, slot: int) -> None:
-        begin = int(table.begin_ts[slot])
-        end = int(table.end_ts[slot])
+        begin = table.value(slot, MVCC_BEGIN)
+        end = table.value(slot, MVCC_END)
         own_slots = {
             i.new_slot for i in self._intents if i.table is table and i.new_slot is not None
         }
@@ -349,7 +349,7 @@ class TransactionManager:
             # still be live (no one committed an ending in between).
             for intent in txn._intents:
                 if intent.old_slot is not None:
-                    end = int(intent.table.end_ts[intent.old_slot])
+                    end = intent.table.value(intent.old_slot, MVCC_END)
                     if end != LIVE_TS:
                         self.stats.conflicts += 1
                         span.set_attrs(conflict=True)

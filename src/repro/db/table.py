@@ -9,6 +9,12 @@ rows (OLTP style) and whole column arrays (bulk load).
 When the schema carries MVCC columns the table also maintains the
 begin/end timestamp stamps; the transaction manager in
 :mod:`repro.db.mvcc` drives them.
+
+Point operations go through one zero-copy record view of the frame: an
+append writes one record, an update or a stamp writes one field, and a
+point read reads one record. Whole-column copies (:meth:`Table.column`,
+the ``begin_ts``/``end_ts`` properties) are for callers that keep the
+arrays; visibility compares on the stamp views and keeps only the mask.
 """
 
 from __future__ import annotations
@@ -17,8 +23,8 @@ from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Seque
 
 import numpy as np
 
-from repro.core.mvcc_filter import LIVE_TS, NEVER_TS
-from repro.core.packer import gather, record_view
+from repro.core.mvcc_filter import LIVE_TS, NEVER_TS, visible_mask_batched
+from repro.core.packer import field_dtype, gather, record_view
 from repro.db.schema import MVCC_BEGIN, MVCC_END, TableSchema
 from repro.errors import SchemaError
 
@@ -30,7 +36,7 @@ class Table:
 
     def __init__(self, schema: TableSchema, capacity: int = _INITIAL_CAPACITY):
         self.schema = schema
-        self._frame = np.zeros((max(capacity, 1), schema.row_stride), dtype=np.uint8)
+        self._set_frame(np.zeros((max(capacity, 1), schema.row_stride), dtype=np.uint8))
         self.nrows = 0
         #: Monotonic mutation counter; columnar replicas compare against it
         #: to detect staleness (the HTAP freshness story).
@@ -49,6 +55,12 @@ class Table:
         """Bytes of live row data (the paper's data-size axis)."""
         return self.nrows * self.schema.row_stride
 
+    def _set_frame(self, frame: np.ndarray) -> None:
+        """Install a new frame and the record view every point access
+        goes through; the only place either is replaced."""
+        self._frame = frame
+        self._records = record_view(frame, self.schema.full_geometry())
+
     def _ensure_capacity(self, extra: int) -> None:
         needed = self.nrows + extra
         if needed <= self._frame.shape[0]:
@@ -56,7 +68,7 @@ class Table:
         new_cap = max(needed, self._frame.shape[0] * 2)
         grown = np.zeros((new_cap, self.schema.row_stride), dtype=np.uint8)
         grown[: self.nrows] = self._frame[: self.nrows]
-        self._frame = grown
+        self._set_frame(grown)
 
     # ------------------------------------------------------------------
     # Ingestion.
@@ -69,24 +81,38 @@ class Table:
         """
         self._ensure_capacity(1)
         idx = self.nrows
-        row = self._frame[idx]
         provided = dict(values)
         if self.schema.mvcc:
             provided.setdefault(MVCC_BEGIN, NEVER_TS)
             provided.setdefault(MVCC_END, LIVE_TS)
-        for col in self.schema.columns:
-            if col.name not in provided:
-                raise SchemaError(f"missing value for column {col.name!r}")
-            raw = col.dtype.encode(provided[col.name])
-            off = self.schema.offset_of(col.name)
-            if col.dtype.np_dtype is None:
-                row[off : off + col.dtype.width] = np.frombuffer(raw, dtype=np.uint8)
-            else:
-                scalar = np.array([raw], dtype=col.dtype.np_dtype)
-                row[off : off + col.dtype.width] = scalar.view(np.uint8)
+        try:
+            # From a list, not a generator: tuple(generator) over-allocates
+            # and shrinks, so each freed tuple lands on a free list that
+            # path never draws from, and ~160 KB of them pile up.
+            self._records[idx] = tuple(
+                [col.dtype.encode(provided[col.name]) for col in self.schema.columns]
+            )
+            written = True
+        except Exception:
+            written = False
+        if not written:
+            # Encoding every value before the write would let a later
+            # column's error win; the column-by-column encoder decides
+            # instead: the first bad column in schema order raises.
+            self._frame[idx] = self._encode_by_column(provided)
         self.nrows += 1
         self.version += 1
         return idx
+
+    def _encode_by_column(self, provided: Mapping[str, Any]) -> np.ndarray:
+        """One row image built a column at a time, in schema order."""
+        row = np.zeros(self.schema.row_stride, dtype=np.uint8)
+        for f, col in zip(self.schema.full_geometry().fields, self.schema.columns):
+            if col.name not in provided:
+                raise SchemaError(f"missing value for column {col.name!r}")
+            raw = col.dtype.encode(provided[col.name])
+            row[f.offset : f.end] = np.array([raw], dtype=field_dtype(f)).view(np.uint8)
+        return row
 
     def append_rows(self, rows: Iterable[Mapping[str, Any]]) -> List[int]:
         return [self.append_row(r) for r in rows]
@@ -138,7 +164,7 @@ class Table:
         """Raw stored values of one column over live rows, as an array the
         caller owns (scaled ints for DECIMAL, day numbers for DATE,
         ``S<width>`` byte strings for CHAR)."""
-        return gather(record_view(self.frame, self.schema.full_geometry()), (name,))[name]
+        return gather(self._records[: self.nrows], (name,))[name]
 
     def column_values(self, name: str) -> np.ndarray:
         """Query-facing values: DECIMAL rescaled to floats, CHAR as fixed
@@ -149,11 +175,18 @@ class Table:
         """One row decoded to Python values (user columns only)."""
         if not 0 <= i < self.nrows:
             raise IndexError(i)
-        record = record_view(self.frame, self.schema.full_geometry())[i]
+        record = self._records[i]
         return {
             col.name: col.dtype.decode(record[col.name])
             for col in self.schema.user_columns
         }
+
+    def value(self, i: int, name: str) -> Any:
+        """One field of one row decoded to a Python value (any column,
+        MVCC stamps included), read from that row's record alone."""
+        if not 0 <= i < self.nrows:
+            raise IndexError(i)
+        return self.schema.column(name).dtype.decode(self._records[i][name])
 
     def rows(self) -> Iterator[Dict[str, Any]]:
         for i in range(self.nrows):
@@ -165,16 +198,7 @@ class Table:
     def set_value(self, i: int, name: str, value: Any) -> None:
         if not 0 <= i < self.nrows:
             raise IndexError(i)
-        col = self.schema.column(name)
-        off = self.schema.offset_of(name)
-        raw = col.dtype.encode(value)
-        if col.dtype.np_dtype is None:
-            self._frame[i, off : off + col.dtype.width] = np.frombuffer(
-                raw, dtype=np.uint8
-            )
-        else:
-            scalar = np.array([raw], dtype=col.dtype.np_dtype)
-            self._frame[i, off : off + col.dtype.width] = scalar.view(np.uint8)
+        self._records[i][name] = self.schema.column(name).dtype.encode(value)
         self.version += 1
 
     def row_bytes(self, i: int) -> bytes:
@@ -271,6 +295,13 @@ class Table:
     def end_ts(self) -> np.ndarray:
         self._require_mvcc()
         return self.column(MVCC_END)
+
+    def visible_mask(self, snapshot_ts: int) -> np.ndarray:
+        """Rows valid at ``snapshot_ts`` (``begin_ts <= ts < end_ts``),
+        compared on the stamp fields in place; only the mask is kept."""
+        self._require_mvcc()
+        live = self._records[: self.nrows]
+        return visible_mask_batched(live[MVCC_BEGIN], live[MVCC_END], snapshot_ts)
 
     def stamp_begin(self, i: int, ts: int) -> None:
         self._require_mvcc()

@@ -9,8 +9,8 @@ needs); DATE is days since 1970-01-01 in an int32.
 from __future__ import annotations
 
 import datetime
-from dataclasses import dataclass
-from typing import Any, Optional
+from dataclasses import dataclass, field
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -33,6 +33,12 @@ class DataType:
     #: Decimal scale (digits after the point) for DECIMAL types, else 0.
     scale: int = 0
 
+    #: Python value → raw stored value (int/float/bytes). Picked once,
+    #: when the type is built, from the type's kind.
+    encode: Callable[[Any], Any] = field(init=False, repr=False, compare=False)
+    #: Raw stored value → Python value; picked alongside ``encode``.
+    decode: Callable[[Any], Any] = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
         if self.width <= 0:
             raise SchemaError(f"type {self.name}: non-positive width")
@@ -40,39 +46,56 @@ class DataType:
             raise SchemaError(
                 f"type {self.name}: dtype {self.np_dtype} width mismatch"
             )
+        if self.name.startswith("DECIMAL"):
+            kind = "decimal"
+        elif self.name == "DATE":
+            kind = "date"
+        elif self.np_dtype is None:
+            kind = "char"
+        else:
+            kind = "scalar"
+        object.__setattr__(self, "encode", getattr(self, f"_encode_{kind}"))
+        object.__setattr__(self, "decode", getattr(self, f"_decode_{kind}"))
+
+    def __reduce__(self):
+        # Rebuild through __init__ so the codec is picked again.
+        return (DataType, (self.name, self.width, self.np_dtype, self.scale))
 
     # ------------------------------------------------------------------
-    # Python value ↔ stored representation.
+    # Python value ↔ stored representation, one pair per kind.
     # ------------------------------------------------------------------
-    def encode(self, value: Any) -> Any:
-        """Python value → raw stored value (int/float/bytes)."""
-        if self.name.startswith("DECIMAL"):
-            return int(round(float(value) * 10**self.scale))
-        if self.name == "DATE":
-            if isinstance(value, datetime.date):
-                return (value - _EPOCH).days
-            return int(value)
-        if self.np_dtype is None:
-            data = value.encode() if isinstance(value, str) else bytes(value)
-            if len(data) > self.width:
-                raise SchemaError(
-                    f"CHAR({self.width}) value too long ({len(data)} bytes)"
-                )
-            return data.ljust(self.width, b"\x00")
+    def _encode_decimal(self, value: Any) -> int:
+        return int(round(float(value) * 10**self.scale))
+
+    def _decode_decimal(self, raw: Any) -> float:
+        return int(raw) / 10**self.scale
+
+    def _encode_date(self, value: Any) -> int:
+        if isinstance(value, datetime.date):
+            return (value - _EPOCH).days
+        return int(value)
+
+    def _decode_date(self, raw: Any) -> datetime.date:
+        return _EPOCH + datetime.timedelta(days=int(raw))
+
+    def _encode_char(self, value: Any) -> bytes:
+        data = value.encode() if isinstance(value, str) else bytes(value)
+        if len(data) > self.width:
+            raise SchemaError(
+                f"CHAR({self.width}) value too long ({len(data)} bytes)"
+            )
+        return data.ljust(self.width, b"\x00")
+
+    def _decode_char(self, raw: Any) -> str:
+        return bytes(raw).rstrip(b"\x00").decode(errors="replace")
+
+    def _encode_scalar(self, value: Any) -> Any:
         return value
 
-    def decode(self, raw: Any) -> Any:
-        """Raw stored value → Python value."""
-        if self.name.startswith("DECIMAL"):
-            return int(raw) / 10**self.scale
-        if self.name == "DATE":
-            return _EPOCH + datetime.timedelta(days=int(raw))
-        if self.np_dtype is None:
-            data = bytes(raw)
-            return data.rstrip(b"\x00").decode(errors="replace")
-        if isinstance(raw, (np.integer,)):
+    def _decode_scalar(self, raw: Any) -> Any:
+        if isinstance(raw, np.integer):
             return int(raw)
-        if isinstance(raw, (np.floating,)):
+        if isinstance(raw, np.floating):
             return float(raw)
         return raw
 

@@ -138,15 +138,9 @@ class HtapDriver:
                 live = live[live != new_slot]
                 if len(live):
                     picks = self.rng.choice(live, size=min(updates_per_txn, len(live)), replace=False)
-                    # One decode + gather for every picked slot, instead of
-                    # re-decoding the column once per update.
-                    statuses = self.table.column_values("o_status")[picks]
-                    for slot, status in zip(picks, statuses):
-                        txn.update(
-                            self.table,
-                            int(slot),
-                            {"o_status": min(int(status) + 1, 2)},
-                        )
+                    for slot in picks.tolist():
+                        status = self.table.value(slot, "o_status")
+                        txn.update(self.table, slot, {"o_status": min(status + 1, 2)})
                         self.stats.updates += 1
                 self.manager.commit(txn)
                 self.stats.commits += 1

@@ -143,6 +143,46 @@ class TestIsolation:
         manager.commit(t2)  # no conflict: disjoint write sets
         assert manager.stats.conflicts == 0
 
+    def test_stamp_reads_see_a_grown_table(self):
+        """A concurrent commit lands and the table reallocates its frame
+        between a transaction's snapshot (or its update) and the point
+        where it reads the one stamp it checks."""
+        table = Table(
+            TableSchema("acct", [Column("id", INT64), Column("balance", INT64)], mvcc=True),
+            capacity=4,
+        )
+        manager = TransactionManager()
+        seed = manager.begin()
+        slots = [seed.insert(table, {"id": i, "balance": 0}) for i in range(4)]
+        manager.commit(seed)
+
+        def concurrent_commit(slot):
+            other = manager.begin()
+            other.update(table, slot, {"balance": 1})
+            for i in range(40):  # grows the frame past its capacity
+                other.insert(table, {"id": 100 + i, "balance": 0})
+            manager.commit(other)
+
+        # Commit validation: t1 updated slot 0 before the other commit.
+        t1 = manager.begin()
+        t1.update(table, slots[0], {"balance": 2})
+        capacity = table._frame.shape[0]
+        concurrent_commit(slots[0])
+        assert table._frame.shape[0] > capacity
+        with pytest.raises(WriteConflictError, match="concurrent commit"):
+            manager.commit(t1)
+        assert t1.state is TxnState.ABORTED
+
+        # The update-time check: t2's snapshot predates the other commit.
+        t2 = manager.begin()
+        capacity = table._frame.shape[0]
+        concurrent_commit(slots[1])
+        assert table._frame.shape[0] > capacity
+        with pytest.raises(WriteConflictError, match="first committer wins"):
+            t2.update(table, slots[1], {"balance": 3})
+        assert t2.state is TxnState.ABORTED
+        assert manager.stats.conflicts == 2
+
     def test_same_txn_double_write_rejected(self, setup):
         _, table, manager, slots = setup
         txn = manager.begin()

@@ -1,12 +1,16 @@
 """Tests for the row-major table frames."""
 
+import datetime
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.fabric import RelationalMemory
-from repro.core.mvcc_filter import LIVE_TS, NEVER_TS
+from repro.core.mvcc_filter import LIVE_TS, NEVER_TS, visible_mask
+from repro.core.packer import record_view
 from repro.db import Catalog, Column, Table, TableSchema
 from repro.db.engines import (
     ColumnStoreEngine,
@@ -14,7 +18,20 @@ from repro.db.engines import (
     RowStoreEngine,
 )
 from repro.db.sql.pipeline import Session
-from repro.db.types import CHAR, DECIMAL, INT32, INT64
+from repro.db.schema import MVCC_BEGIN, MVCC_END
+from repro.db.types import (
+    BOOL,
+    CHAR,
+    DATE,
+    DECIMAL,
+    FLOAT32,
+    FLOAT64,
+    INT8,
+    INT16,
+    INT32,
+    INT64,
+    TIMESTAMP,
+)
 from repro.errors import SchemaError
 
 SCHEMA = TableSchema(
@@ -239,3 +256,220 @@ class TestProperties:
             assert row["name"] == name.rstrip("\x00")
             assert row["price"] == pytest.approx(cents / 100)
             assert row["qty"] == qty
+
+
+# ----------------------------------------------------------------------
+# Point writes against an independent per-column image.
+# ----------------------------------------------------------------------
+EVERY_TYPE = TableSchema(
+    "every",
+    [
+        Column("i8", INT8),
+        Column("i16", INT16),
+        Column("i32", INT32),
+        Column("i64", INT64),
+        Column("f32", FLOAT32),
+        Column("f64", FLOAT64),
+        Column("day", DATE),
+        Column("flag", BOOL),
+        Column("ts", TIMESTAMP),
+        Column("cents", DECIMAL(2)),
+        Column("whole", DECIMAL(0)),
+        Column("c1", CHAR(1)),
+        Column("c5", CHAR(5)),
+    ],
+    row_align=8,
+    mvcc=True,
+)
+
+_STRUCT_FORMAT = {"<i1": "<b", "<i2": "<h", "<i4": "<i", "<i8": "<q", "<f4": "<f", "<f8": "<d"}
+
+
+def _int_values(bits):
+    return st.integers(min_value=-(2 ** (bits - 1)), max_value=2 ** (bits - 1) - 1)
+
+
+def _char_values(width):
+    text = st.text(max_size=width).filter(lambda s: len(s.encode()) <= width)
+    return st.one_of(text, st.binary(max_size=width))
+
+
+_VALUES = {
+    "i8": _int_values(8),
+    "i16": _int_values(16),
+    "i32": _int_values(32),
+    "i64": _int_values(64),
+    "f32": st.floats(width=32, allow_nan=False),
+    "f64": st.floats(allow_nan=False),
+    "day": st.one_of(
+        st.dates(),
+        # Day numbers of dates Python can decode back (years 1..9999).
+        st.integers(min_value=-719162, max_value=2932896),
+    ),
+    "flag": st.one_of(st.booleans(), st.integers(min_value=0, max_value=1)),
+    "ts": _int_values(64),
+    "cents": st.one_of(
+        st.floats(min_value=-1e9, max_value=1e9, allow_nan=False),
+        st.integers(min_value=-(10**9), max_value=10**9),
+    ),
+    "whole": st.floats(min_value=-1e12, max_value=1e12, allow_nan=False),
+    "c1": _char_values(1),
+    "c5": _char_values(5),
+    MVCC_BEGIN: _int_values(64),
+    MVCC_END: _int_values(64),
+}
+
+
+def _referee_field(dtype, value) -> bytes:
+    """One field's stored bytes, worked out without ``DataType.encode``
+    or numpy: scaled ints for DECIMAL, day numbers for DATE, NUL-padded
+    bytes for CHAR, ``struct`` packing for every scalar."""
+    if dtype.name.startswith("DECIMAL"):
+        value = int(round(float(value) * 10**dtype.scale))
+    elif isinstance(value, datetime.date):
+        value = (value - datetime.date(1970, 1, 1)).days
+    if dtype.np_dtype is None:
+        data = value.encode() if isinstance(value, str) else bytes(value)
+        return data.ljust(dtype.width, b"\x00")
+    return struct.pack(_STRUCT_FORMAT[dtype.np_dtype], value)
+
+
+def _referee_row(schema, values) -> bytes:
+    image = bytearray(schema.row_stride)
+    for col in schema.columns:
+        off = schema.offset_of(col.name)
+        image[off : off + col.dtype.width] = _referee_field(col.dtype, values[col.name])
+    return bytes(image)
+
+
+class TestPointWritesMatchReferee:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_images_equal_per_column_referee(self, data):
+        table = Table(EVERY_TYPE, capacity=1)
+        expected = []
+        names = [c.name for c in EVERY_TYPE.columns]
+        for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
+            values = {c.name: data.draw(_VALUES[c.name]) for c in EVERY_TYPE.user_columns}
+            full = {MVCC_BEGIN: NEVER_TS, MVCC_END: LIVE_TS, **values}
+            for stamp in (MVCC_BEGIN, MVCC_END):  # omitted stamps default
+                if data.draw(st.booleans()):
+                    values[stamp] = full[stamp] = data.draw(_VALUES[stamp])
+            assert table.append_row(values) == len(expected)
+            expected.append(full)
+            for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
+                i = data.draw(st.integers(min_value=0, max_value=len(expected) - 1))
+                name = data.draw(st.sampled_from(names))
+                value = data.draw(_VALUES[name])
+                table.set_value(i, name, value)
+                expected[i][name] = value
+        for i, values in enumerate(expected):
+            assert table.row_bytes(i) == _referee_row(EVERY_TYPE, values), i
+            row = table.row(i)
+            assert {name: table.value(i, name) for name in row} == row
+        assert table.nrows == len(expected)
+
+
+class TestBadRowRaisesFirstBadColumn:
+    """A row with several bad values raises what the first bad column in
+    schema order raises, and leaves the table as it was."""
+
+    @pytest.mark.parametrize(
+        "values, error, message",
+        [
+            # id fails only when written; later columns fail while encoding.
+            ({"id": None, "name": "toolong", "price": "x", "qty": 1},
+             TypeError, "NoneType"),
+            ({"id": None, "price": 1.0, "qty": 1}, TypeError, "NoneType"),
+            ({"id": 1, "price": "x", "qty": 1}, SchemaError, "column 'name'"),
+            ({"id": 1, "name": "toolong", "price": "x", "qty": None},
+             SchemaError, r"CHAR\(4\) value too long"),
+            ({"id": 1, "name": "ok", "price": "x", "qty": None},
+             ValueError, "could not convert string to float"),
+            ({"id": 1, "name": "ok", "price": 1.0, "qty": "q"},
+             ValueError, "invalid literal"),
+        ],
+    )
+    def test_first_bad_column_decides(self, values, error, message):
+        table = Table(SCHEMA, capacity=1)
+        table.append_row({"id": 1, "name": "a", "price": 1.0, "qty": 1})
+        nrows, version = table.nrows, table.version
+        with pytest.raises(error, match=message):
+            table.append_row(values)
+        assert (table.nrows, table.version) == (nrows, version)
+        # The slot the failed row touched is reused cleanly.
+        good = {"id": 2, "name": "b", "price": 2.5, "qty": 3}
+        assert table.append_row(good) == 1
+        assert table.row_bytes(1) == _referee_row(SCHEMA, good)
+
+
+class TestPointReadsSeeTheCurrentImage:
+    """Point reads and visibility go through a record view of the frame;
+    every path that replaces or rewrites the frame must leave them
+    reading the image as it is now."""
+
+    def schema(self):
+        return TableSchema("m", [Column("a", INT64), Column("s", CHAR(3))], mvcc=True)
+
+    def assert_current(self, table):
+        image = record_view(table.frame.copy(), table.schema.full_geometry())
+        for i in range(table.nrows):
+            assert table.row(i) == {"a": int(image["a"][i]), "s": image["s"][i].decode()}
+            for name in ("a", MVCC_BEGIN, MVCC_END):
+                assert table.value(i, name) == int(image[name][i])
+        assert table.column("a").tolist() == image["a"].tolist()
+        for ts in (0, 1, 2, 5):
+            want = visible_mask(image[MVCC_BEGIN], image[MVCC_END], ts)
+            assert table.visible_mask(ts).tolist() == want.tolist()
+
+    def filled(self, n=3):
+        table = Table(self.schema(), capacity=n)
+        for i in range(n):
+            table.append_row({"a": i, "s": "r%d" % i})
+            table.stamp_begin(i, 1)
+        self.assert_current(table)
+        return table
+
+    def test_growth_past_capacity(self):
+        table = self.filled()
+        table.append_row({"a": 10, "s": "new"})  # reallocates the frame
+        table.stamp_begin(3, 2)
+        table.set_value(0, "a", -5)
+        table.stamp_end(0, 2)
+        assert table.value(0, "a") == -5 and table.value(3, MVCC_BEGIN) == 2
+        assert table.visible_mask(2).tolist() == [False, True, True, True]
+        self.assert_current(table)
+
+    def test_restore(self):
+        table = self.filled()
+        restored = Table.restore(table.schema, bytes(table.frame), table.nrows)
+        restored.set_value(1, "a", 99)
+        restored.stamp_end(2, 2)
+        assert restored.value(1, "a") == 99 and table.value(1, "a") == 1
+        self.assert_current(restored)
+        self.assert_current(table)
+
+    def test_retain(self):
+        table = self.filled(5)
+        table.retain(np.array([False, True, False, True, True]))
+        assert [table.value(i, "a") for i in range(3)] == [1, 3, 4]
+        table.stamp_end(0, 2)
+        self.assert_current(table)
+
+    def test_pad_to(self):
+        table = self.filled()
+        table.pad_to(9)
+        assert table.value(8, MVCC_BEGIN) == NEVER_TS
+        assert table.value(8, MVCC_END) == LIVE_TS
+        table.set_value(8, "a", 8)
+        self.assert_current(table)
+
+    def test_write_row_bytes(self):
+        table = self.filled()
+        donor = self.filled()
+        donor.set_value(2, "a", 42)
+        table.write_row_bytes(6, donor.row_bytes(2))  # pads and grows
+        table.write_row_bytes(0, donor.row_bytes(2))
+        assert table.value(6, "a") == 42 and table.value(0, "a") == 42
+        assert table.row(6) == {"a": 42, "s": "r2"}
+        self.assert_current(table)
