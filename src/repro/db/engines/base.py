@@ -13,9 +13,15 @@ construction; the Volcano interpreter is only the tests' reference), but
 * :class:`~repro.db.engines.rmstore.RelationalMemoryEngine` — a scalar
   kernel over an ephemeral column group packed by the fabric.
 
-The per-operator recipes live in subclasses' ``_charge_access``; common
-post-scan work (joins, grouping, sorting) is charged identically here,
-because those costs do not depend on the access path.
+Each engine's access path has two halves. The data half (``_fetch``)
+does the bookkeeping: MVCC visibility, decode, WHERE evaluation, fabric
+configure/refresh. The pricing half (``_charge_access`` and the
+per-path ``_charge_*`` methods it shares with ``_fetch``) charges the
+ledger from row counts alone. Common post-scan work (joins, grouping,
+sorting) is charged identically here, because those costs do not depend
+on the access path. :meth:`Engine.price` runs the two pricing parts on
+given counts: the optimizer estimates with it, so it prices every path
+with the recipe the engine executes.
 """
 
 from __future__ import annotations
@@ -301,6 +307,20 @@ class Engine(ABC):
             span.set_attrs(hit=hit, compile_cycles=cycles)
         return fragment
 
+    def price(
+        self, bound: BoundQuery, visible: int, qualifying: int, mvcc: bool
+    ) -> CostLedger:
+        """The ledger :meth:`execute` charges ``bound`` when the access
+        path delivers ``visible`` rows (after MVCC visibility, fabric
+        pushdown or an index probe) and ``qualifying`` of them pass the
+        WHERE clause; ``mvcc``: an MVCC table read at a snapshot. Reads
+        no data: at an execution's ``visible_rows``/``qualifying_rows``
+        it equals that execution's ledger."""
+        ledger = CostLedger()
+        self._charge_access(bound, visible, qualifying, mvcc, ledger)
+        self._charge_post_scan(bound, visible, qualifying, ledger)
+        return ledger
+
     @property
     def access_path(self) -> str:
         return "scan"
@@ -318,6 +338,17 @@ class Engine(ABC):
         """Deliver the referenced base columns (restricted to visible
         rows), charging the access-path costs. Returns ``(columns,
         visible_row_count, where_mask_or_None)``."""
+
+    @abstractmethod
+    def _charge_access(
+        self,
+        bound: BoundQuery,
+        visible: int,
+        qualifying: int,
+        mvcc: bool,
+        ledger: CostLedger,
+    ) -> None:
+        """The pricing half of the access path (see :meth:`price`)."""
 
     # ------------------------------------------------------------------
     # Shared helpers.

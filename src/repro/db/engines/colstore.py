@@ -138,20 +138,32 @@ class ColumnStoreEngine(Engine):
         snapshot_ts: Optional[int],
         ledger: CostLedger,
     ) -> Tuple[Dict[str, np.ndarray], int, Optional[np.ndarray]]:
+        replica = self._synced_replica(bound.table)
+        # Visibility + decode + WHERE — the shared preamble; the cost
+        # recipe prices these steps (streams, intermediates).
+        vis, visible, columns, mask, qualifying = self._scan_preamble(
+            bound, snapshot_ts, column_source=replica.column
+        )
+        self._charge_access(bound, visible, qualifying, vis is not None, ledger)
+        return columns, visible, mask
+
+    def _charge_access(
+        self,
+        bound: BoundQuery,
+        visible: int,
+        qualifying: int,
+        mvcc: bool,
+        ledger: CostLedger,
+    ) -> None:
+        """Price column streams over every slot (``mvcc``: plus the two
+        timestamp streams) in which ``visible`` rows reach the WHERE
+        clause and ``qualifying`` rows pass it."""
         table = bound.table
-        replica = self._synced_replica(table)
         cpu = self.cpu
-        cfg = self.platform.cpu
         n_slots = table.nrows
         width_of = {
             c: table.schema.column(c).dtype.width for c in bound.referenced_columns
         }
-
-        # Visibility + decode + WHERE — the shared preamble; the cost
-        # recipe below prices these steps (streams, intermediates).
-        vis, visible, columns, mask, qualifying = self._scan_preamble(
-            bound, snapshot_ts, column_source=replica.column
-        )
 
         cpu_cycles = 0.0
         mem = ZERO_COST
@@ -166,7 +178,7 @@ class ColumnStoreEngine(Engine):
             full_streams.append(size)
             stream_keys.append(("col", tname, column))
 
-        if vis is not None:
+        if mvcc:
             # Visibility: two timestamp column streams, a vectorized
             # compare pair, one mask intermediate.
             add_stream("__begin_ts", n_slots * 8)
@@ -235,4 +247,3 @@ class ColumnStoreEngine(Engine):
         self._charge_scan(
             ledger, mem, cpu=cpu_cycles, tuple_reconstruction=reconstruct_cycles
         )
-        return columns, visible, mask

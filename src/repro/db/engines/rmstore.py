@@ -29,14 +29,15 @@ import numpy as np
 from repro.core.ephemeral import Visibility
 from repro.core.fabric import RelationalMemory
 from repro.core.ledger import CostLedger
-from repro.core.selection import CompareOp, FabricFilter, FabricPredicate
+from repro.core.selection import FabricFilter, FabricPredicate
 from repro.db.engines.base import Engine
 from repro.db.catalog import Catalog
-from repro.db.expr import ColumnRef, Compare, Expr, Literal
+from repro.db.expr import ColumnRef, Expr, column_vs_literal, op_count
 from repro.db.plan.binder import BoundQuery
 from repro.errors import ExecutionError, FaultError
 from repro.faults import CircuitBreaker, FaultInjector, RetryPolicy
 from repro.hw.config import PlatformConfig
+from repro.hw.engine import RmTransformReport
 from repro.obs import Span, Trace, maybe_span
 
 
@@ -323,31 +324,32 @@ class RelationalMemoryEngine(Engine):
         schema = bound.table.schema
         for conj in bound.where_conjuncts:
             pred = None
-            if isinstance(conj, Compare):
-                col, lit, flipped = self._column_vs_literal(conj)
-                if col is not None and schema.has_column(col):
-                    dtype = schema.column(col).dtype
-                    if dtype.np_dtype is not None:
-                        raw = lit
-                        if dtype.scale:
-                            raw = int(round(float(lit) * 10**dtype.scale))
-                        op = CompareOp.from_sql(conj.op)
-                        if flipped:
-                            op = op.flipped
-                        pred = FabricPredicate(field=col, op=op, constant=raw)
+            term = column_vs_literal(conj)
+            if term is not None and schema.has_column(term[0]):
+                col, op, lit = term
+                dtype = schema.column(col).dtype
+                if dtype.np_dtype is not None:
+                    raw = lit
+                    if dtype.scale:
+                        raw = int(round(float(lit) * 10**dtype.scale))
+                    pred = FabricPredicate(field=col, op=op, constant=raw)
             if pred is not None:
                 pushed.append(pred)
             else:
                 residual.append(conj)
         return pushed, residual
 
-    @staticmethod
-    def _column_vs_literal(cmp: Compare):
-        if isinstance(cmp.left, ColumnRef) and isinstance(cmp.right, Literal):
-            return cmp.left.name, cmp.right.value, False
-        if isinstance(cmp.right, ColumnRef) and isinstance(cmp.left, Literal):
-            return cmp.right.name, cmp.left.value, True
-        return None, None, False
+    def _pushdown(self, bound: BoundQuery) -> Tuple[Optional[FabricFilter], int]:
+        """The fabric filter this engine pushes for ``bound`` (None: no
+        pushdown) and the WHERE operations left to the CPU."""
+        if self.pushdown and bound.where is not None:
+            pushed, residual = self._pushable(bound)
+            if pushed:
+                return (
+                    FabricFilter(predicates=tuple(pushed)),
+                    sum(op_count(r) for r in residual),
+                )
+        return None, bound.where_op_count
 
     # ------------------------------------------------------------------
     # Access path.
@@ -360,7 +362,6 @@ class RelationalMemoryEngine(Engine):
     ) -> Tuple[Dict[str, np.ndarray], int, Optional[np.ndarray]]:
         table = bound.table
         schema = table.schema
-        cpu = self.cpu
 
         geometry = schema.geometry(bound.referenced_columns)
         visibility = None
@@ -370,16 +371,7 @@ class RelationalMemoryEngine(Engine):
                 end_ts=table.end_ts,
                 snapshot_ts=snapshot_ts,
             )
-
-        fabric_filter = None
-        residual_ops = bound.where_op_count
-        if self.pushdown and bound.where is not None:
-            pushed, residual = self._pushable(bound)
-            if pushed:
-                fabric_filter = FabricFilter(predicates=tuple(pushed))
-                from repro.db.expr import op_count
-
-                residual_ops = sum(op_count(r) for r in residual)
+        fabric_filter, residual_ops = self._pushdown(bound)
 
         with self._span(
             "fabric.transform",
@@ -411,18 +403,62 @@ class RelationalMemoryEngine(Engine):
 
         columns = self._decode_group(bound, group)
         mask, qualifying = self._apply_filter(bound, columns, emitted)
+        self._charge_ephemeral_scan(
+            bound, report, emitted, qualifying, residual_ops,
+            fabric_filter is not None, ledger,
+        )
+        return columns, emitted, mask
 
-        # ---------------- consume-side costs ----------------
+    def _charge_access(
+        self,
+        bound: BoundQuery,
+        visible: int,
+        qualifying: int,
+        mvcc: bool,
+        ledger: CostLedger,
+    ) -> None:
+        """Price the ephemeral scan when the fabric emits ``visible``
+        rows, with the fabric's price of producing them as a refresh
+        would have it."""
+        fabric_filter, residual_ops = self._pushdown(bound)
+        pushed = fabric_filter is not None
+        geometry = bound.table.schema.geometry(bound.referenced_columns)
+        report = self.fabric.engine.transform(
+            nrows=bound.table.nrows,
+            row_stride=geometry.row_stride,
+            out_bytes_per_row=geometry.packed_width,
+            qualifying_rows=visible if mvcc or pushed else None,
+            mvcc_filter=mvcc,
+            fabric_predicates=len(fabric_filter) if pushed else 0,
+        )
+        self._charge_ephemeral_scan(
+            bound, report, visible, qualifying, residual_ops, pushed, ledger
+        )
+
+    def _charge_ephemeral_scan(
+        self,
+        bound: BoundQuery,
+        report: RmTransformReport,
+        emitted: int,
+        qualifying: int,
+        residual_ops: int,
+        pushed: bool,
+        ledger: CostLedger,
+    ) -> None:
+        """Price consuming ``emitted`` packed rows, ``qualifying`` of them
+        passing the WHERE clause, overlapped with the fabric producing
+        them (``report``)."""
         # The packed stream arrives through the fabric's ephemeral buffer
         # window — one stable region per (table, column-group), reused
         # across refreshes, not a fresh allocation per query.
-        packed_bytes = emitted * geometry.packed_width
+        packed_bytes = report.out_bytes
         window = self.memory.region(
-            ("ephemeral", schema.name, bound.referenced_columns), packed_bytes
+            ("ephemeral", bound.table.schema.name, bound.referenced_columns),
+            packed_bytes,
         )
         mem = self.memory.sequential(packed_bytes, base_addr=window)
         cpu_cycles = self._consume_cpu(
-            bound, emitted, qualifying, residual_ops, fabric_filter is not None
+            bound, emitted, qualifying, residual_ops, pushed
         )
 
         # The packed stream is prefetch-covered and overlaps the kernel;
@@ -442,7 +478,6 @@ class RelationalMemoryEngine(Engine):
         with self._span("fabric.configure", layer="fabric"):
             ledger.charge(CostLedger.CONFIGURE, report.configure_cycles)
         ledger.charge_traffic(report.dram_bytes_touched)
-        return columns, emitted, mask
 
     def _consume_cpu(
         self,

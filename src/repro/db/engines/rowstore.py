@@ -19,13 +19,14 @@ indexed column probes the tree and fetches only the matching rows.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.core.ledger import CostLedger
+from repro.core.selection import CompareOp
 from repro.db.engines.base import Engine
-from repro.db.expr import ColumnRef, Compare, Literal
+from repro.db.expr import column_vs_literal
 from repro.db.plan.binder import BoundQuery
 
 
@@ -49,25 +50,20 @@ class RowStoreEngine(Engine):
     # Index probe path (§III-A point queries).
     # ------------------------------------------------------------------
     def _indexed_equality(self, bound: BoundQuery):
-        """Return (index, column, constant) for the first equality
-        conjunct over an indexed column, or None."""
+        """Return ``(index, column, constant, conjunct)`` for the first
+        equality conjunct over an indexed column, or None (always None
+        without ``use_indexes``)."""
+        if not self.use_indexes:
+            return None
         table_name = bound.table.schema.name
         for conj in bound.where_conjuncts:
-            if not (isinstance(conj, Compare) and conj.op == "="):
+            term = column_vs_literal(conj)
+            if term is None or term[1] is not CompareOp.EQ:
                 continue
-            if isinstance(conj.left, ColumnRef) and isinstance(conj.right, Literal):
-                col, lit = conj.left.name, conj.right.value
-            elif isinstance(conj.right, ColumnRef) and isinstance(conj.left, Literal):
-                col, lit = conj.right.name, conj.left.value
-            else:
-                continue
+            col, _, key = term
             index = self.catalog.index_on(table_name, col)
             if index is not None:
-                dtype = bound.table.schema.column(col).dtype
-                key = lit
-                if dtype.scale and isinstance(lit, (int, float)):
-                    key = lit  # index built over query-facing values
-                return index, col, key
+                return index, col, key, conj
         return None
 
     def _fetch_via_index(
@@ -77,35 +73,14 @@ class RowStoreEngine(Engine):
         ledger: CostLedger,
         probe,
     ) -> Tuple[Dict[str, np.ndarray], int, Optional[np.ndarray]]:
-        import math
-
-        index, column, key = probe
+        index, column, key, _ = probe
         table = bound.table
         slots = np.asarray(sorted(index.search(key)), dtype=np.int64)
 
         vis = self._visibility(bound, snapshot_ts)
         if vis is not None and len(slots):
             slots = slots[vis[slots]]
-
-        cpu = self.cpu
-        # Tree descent: one random access per level, plus the leaf walk.
-        levels = max(1, getattr(index, "height", 1))
-        ledger.charge(
-            CostLedger.MEMORY,
-            self.memory.random(levels, table.nrows * 16).total,
-        )
-        ledger.charge(CostLedger.CPU, cpu.function_calls(levels * 8))
-        # Fetch the full row of every match (point reads).
-        fetch = self.memory.random(
-            max(1, len(slots)), table.nrows * table.schema.row_stride
-        )
-        ledger.charge(CostLedger.MEMORY, fetch.total)
-        ledger.charge_traffic(len(slots) * 64)
-        ledger.charge(CostLedger.CPU, cpu.volcano_tuples(len(slots)))
-        # Residual predicate evaluation on the fetched tuples only.
-        ledger.charge(
-            CostLedger.CPU, cpu.predicates(len(slots) * bound.where_op_count)
-        )
+        self._charge_index_probe(bound, index, len(slots), ledger)
 
         columns = {}
         for name in bound.referenced_columns:
@@ -116,34 +91,77 @@ class RowStoreEngine(Engine):
         self.index_answered += 1
         return columns, len(slots), mask
 
+    def _charge_index_probe(
+        self, bound: BoundQuery, index, matches: int, ledger: CostLedger
+    ) -> None:
+        """Price descending ``index`` and fetching ``matches`` rows."""
+        table = bound.table
+        cpu = self.cpu
+        # Tree descent: one random access per level, plus the leaf walk.
+        levels = max(1, getattr(index, "height", 1))
+        ledger.charge(
+            CostLedger.MEMORY,
+            self.memory.random(levels, table.nrows * 16).total,
+        )
+        ledger.charge(CostLedger.CPU, cpu.function_calls(levels * 8))
+        # Fetch the full row of every match (point reads).
+        fetch = self.memory.random(
+            max(1, matches), table.nrows * table.schema.row_stride
+        )
+        ledger.charge(CostLedger.MEMORY, fetch.total)
+        ledger.charge_traffic(matches * 64)
+        ledger.charge(CostLedger.CPU, cpu.volcano_tuples(matches))
+        # Residual predicate evaluation on the fetched tuples only.
+        ledger.charge(
+            CostLedger.CPU, cpu.predicates(matches * bound.where_op_count)
+        )
+
     def _fetch(
         self,
         bound: BoundQuery,
         snapshot_ts: Optional[int],
         ledger: CostLedger,
     ) -> Tuple[Dict[str, np.ndarray], int, Optional[np.ndarray]]:
-        if self.use_indexes and bound.where is not None:
-            probe = self._indexed_equality(bound)
-            if probe is not None:
-                return self._fetch_via_index(bound, snapshot_ts, ledger, probe)
+        probe = self._indexed_equality(bound)
+        if probe is not None:
+            return self._fetch_via_index(bound, snapshot_ts, ledger, probe)
         self._last_access_path = "scan"
-        return self._fetch_scan(bound, snapshot_ts, ledger)
-
-    def _fetch_scan(
-        self,
-        bound: BoundQuery,
-        snapshot_ts: Optional[int],
-        ledger: CostLedger,
-    ) -> Tuple[Dict[str, np.ndarray], int, Optional[np.ndarray]]:
-        table = bound.table
-        n_slots = table.nrows
-        cpu = self.cpu
-
         # Visibility + decode + WHERE — pure bookkeeping, shared across
-        # engines, charged nothing (the cost recipe below prices it).
+        # engines, charged nothing (the cost recipe prices it).
         vis, visible, columns, mask, qualifying = self._scan_preamble(
             bound, snapshot_ts
         )
+        self._charge_row_scan(bound, visible, qualifying, vis is not None, ledger)
+        return columns, visible, mask
+
+    def _charge_access(
+        self,
+        bound: BoundQuery,
+        visible: int,
+        qualifying: int,
+        mvcc: bool,
+        ledger: CostLedger,
+    ) -> None:
+        probe = self._indexed_equality(bound)
+        if probe is not None:
+            self._charge_index_probe(bound, probe[0], visible, ledger)
+        else:
+            self._charge_row_scan(bound, visible, qualifying, mvcc, ledger)
+
+    def _charge_row_scan(
+        self,
+        bound: BoundQuery,
+        visible: int,
+        qualifying: int,
+        mvcc: bool,
+        ledger: CostLedger,
+    ) -> None:
+        """Price a Volcano scan of every slot (``mvcc``: with the CPU
+        visibility check) in which ``visible`` rows reach the WHERE clause
+        and ``qualifying`` rows pass it."""
+        table = bound.table
+        n_slots = table.nrows
+        cpu = self.cpu
 
         # Memory: the full row image streams through the caches — the
         # projectivity of the query does not reduce traffic one byte. The
@@ -156,7 +174,7 @@ class RowStoreEngine(Engine):
 
         # CPU: the Volcano interpretation loop over every slot.
         cpu_cycles = cpu.volcano_tuples(n_slots)
-        if vis is not None:
+        if mvcc:
             # Timestamp visibility is evaluated on the CPU: two extracted
             # fields and two comparisons per slot.
             cpu_cycles += cpu.field_extracts(2 * n_slots)
@@ -183,4 +201,3 @@ class RowStoreEngine(Engine):
         # The covered stream overlaps with interpretation; exposed latency
         # (none for a pure row scan) would not.
         self._charge_scan(ledger, mem, cpu=cpu_cycles)
-        return columns, visible, mask

@@ -10,10 +10,11 @@ operations one evaluation costs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Mapping, Tuple, Union
+from typing import Any, Dict, FrozenSet, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.core.selection import CompareOp
 from repro.errors import ExecutionError
 
 Value = Union[int, float, str, bytes]
@@ -306,6 +307,19 @@ def op_count(expr: Expr) -> int:
         # One equality per member plus the OR combines.
         return max(2 * len(expr.values) - 1, 1) + op_count(expr.term)
     raise ExecutionError(f"unknown expression node {type(expr).__name__}")
+
+
+def column_vs_literal(expr: Expr) -> Optional[Tuple[str, CompareOp, Value]]:
+    """``expr`` as ``(column, op, value)`` when it compares a column with
+    a literal, in either order; None otherwise. A literal-first
+    comparison comes back flipped: ``5 < c`` is ``(c, GT, 5)``."""
+    if not isinstance(expr, Compare):
+        return None
+    if isinstance(expr.left, ColumnRef) and isinstance(expr.right, Literal):
+        return expr.left.name, CompareOp.from_sql(expr.op), expr.right.value
+    if isinstance(expr.right, ColumnRef) and isinstance(expr.left, Literal):
+        return expr.right.name, CompareOp.from_sql(expr.op).flipped, expr.left.value
+    return None
 
 
 def conjuncts(expr: Expr) -> Tuple[Expr, ...]:

@@ -29,7 +29,7 @@ that name.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.db.catalog import Catalog
@@ -117,11 +117,6 @@ class BoundQuery:
     where_post: Optional[Expr] = None
     #: Rows to skip before LIMIT applies (OFFSET clause).
     offset: Optional[int] = None
-    #: The shape's :class:`BoundTemplate` when bound through the shape
-    #: memo (the optimizer keeps its estimates there); None otherwise.
-    template: Optional["BoundTemplate"] = field(
-        default=None, repr=False, compare=False
-    )
 
     @property
     def join(self) -> Optional[BoundJoin]:
@@ -290,8 +285,6 @@ class BoundTemplate:
             (t.schema.name, weakref.ref(t))
             for t in (bound.table, *(j.table for j in bound.joins))
         )
-        #: The optimizer's cached estimates (see ``Optimizer.choose``).
-        self.estimates: Any = None
 
     def current_tables(self, catalog: Catalog) -> Optional[Tuple[Table, ...]]:
         """The tables this form binds, if each is still the catalog's
@@ -328,7 +321,6 @@ class BoundTemplate:
             having=having,
             where_main=where_main,
             where_post=where_post,
-            template=self,
         )
 
 

@@ -1,22 +1,19 @@
-"""Cardinality and cost estimation for access-path selection.
+"""Cardinality estimation for access-path selection.
 
-These estimates deliberately mirror the engines' cost recipes but run
-*before* execution from catalog statistics only — they are what the
-optimizer reasons with (§III-B). Tests check they rank access paths the
-same way the measured ledgers do on representative queries.
+The optimizer (§III-B) estimates how many rows a query's predicate lets
+through, from catalog statistics when the table has them and from rule
+constants otherwise, and prices each access path by running the
+engine's own cost recipe on those counts
+(:meth:`repro.db.engines.base.Engine.price`). No recipe is copied here,
+so an estimate at the true counts is the engine's charge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.db.expr import Between, Compare, Expr
-from repro.db.plan.binder import BoundQuery
-from repro.hw.analytic import AnalyticMemoryModel
-from repro.hw.config import PlatformConfig, default_platform
-from repro.hw.cpu import CpuCostModel
-from repro.hw.engine import RelationalMemoryEngineModel
 
 #: Textbook default selectivities (System R heritage).
 SELECTIVITY_EQ = 0.05
@@ -56,123 +53,14 @@ class CostEstimate:
 
     access_path: str
     cycles: float
-    detail: str = ""
 
 
-class CostModel:
-    """Pre-execution cost estimates per access path."""
+def selectivity(expr: Optional[Expr], stats=None) -> float:
+    """Selectivity of a predicate: from the table's statistics
+    (:func:`repro.db.stats.selectivity_with_stats`) when it has them,
+    else the rule constants."""
+    if stats is None:
+        return estimate_selectivity(expr)
+    from repro.db.stats import selectivity_with_stats
 
-    def __init__(self, platform: Optional[PlatformConfig] = None):
-        self.platform = platform or default_platform()
-        self.cpu = CpuCostModel(self.platform.cpu)
-
-    def _common(self, bound: BoundQuery, stats=None):
-        table = bound.table
-        n = table.nrows
-        if stats is not None:
-            from repro.db.stats import selectivity_with_stats
-
-            sel = selectivity_with_stats(bound.where, stats)
-        else:
-            sel = estimate_selectivity(bound.where)
-        q = n * sel
-        widths = {
-            c: table.schema.column(c).dtype.width for c in bound.referenced_columns
-        }
-        return table, n, sel, q, widths
-
-    def _post_scan(self, bound: BoundQuery, q: float) -> float:
-        """Grouping/aggregation work shared by every access path (mirrors
-        the engines' post-scan charges)."""
-        cpu = 0.0
-        if bound.group_by or bound.has_aggregates:
-            cpu += self.cpu.hash_probes(q)
-            cpu += self.cpu.aggregate_updates(q * bound.aggregate_count)
-        return cpu
-
-    def estimate_row_scan(self, bound: BoundQuery, stats=None) -> CostEstimate:
-        table, n, sel, q, widths = self._common(bound, stats)
-        cfg = self.platform.cpu
-        mem = AnalyticMemoryModel(self.platform)
-        stream = mem.sequential(n * table.schema.row_stride)
-        cpu = self.cpu.volcano_tuples(n)
-        cpu += self.cpu.field_extracts(n * len(bound.selection_columns))
-        cpu += self.cpu.predicates(n * bound.where_op_count)
-        proj_only = [
-            c for c in bound.projection_columns if c not in bound.selection_columns
-        ]
-        cpu += self.cpu.field_extracts(q * len(proj_only))
-        cpu += q * bound.output_op_count * cfg.scalar_op_cycles
-        cpu += self._post_scan(bound, q)
-        cycles = max(stream.covered, cpu) + stream.exposed
-        return CostEstimate("scan", cycles, f"full rows, sel~{sel:.3f}")
-
-    def estimate_column_scan(self, bound: BoundQuery, stats=None) -> CostEstimate:
-        table, n, sel, q, widths = self._common(bound, stats)
-        cfg = self.platform.cpu
-        mem = AnalyticMemoryModel(self.platform)
-        streams = mem.multi_stream([n * w for w in widths.values()])
-        cpu = self.cpu.vector_ops(2 * n)
-        cpu += self.cpu.reconstructions(n * len(widths))
-        cpu += self.cpu.predicates(n * bound.where_op_count)
-        cpu += q * bound.output_op_count * cfg.scalar_op_cycles
-        cpu += self._post_scan(bound, q)
-        cycles = max(streams.covered, cpu) + streams.exposed
-        return CostEstimate("column-scan", cycles, f"{len(widths)} streams")
-
-    def estimate_ephemeral_scan(self, bound: BoundQuery, stats=None) -> CostEstimate:
-        table, n, sel, q, widths = self._common(bound, stats)
-        cfg = self.platform.cpu
-        mem = AnalyticMemoryModel(self.platform)
-        packed = sum(widths.values())
-        engine = RelationalMemoryEngineModel(self.platform)
-        report = engine.transform(
-            nrows=n, row_stride=table.schema.row_stride, out_bytes_per_row=packed
-        )
-        stream = mem.sequential(n * packed)
-        cpu = n * cfg.ephemeral_tuple_cycles
-        cpu += n * len(bound.selection_columns) * cfg.packed_field_cycles
-        cpu += q * len(bound.projection_columns) * cfg.packed_field_cycles
-        cpu += self.cpu.predicates(n * bound.where_op_count)
-        cpu += q * bound.output_op_count * cfg.scalar_op_cycles
-        cpu += self._post_scan(bound, q)
-        consume = max(stream.covered, cpu) + stream.exposed
-        cycles = (
-            report.configure_cycles
-            + max(report.produce_cycles, consume)
-            + report.refill_stall_cycles
-        )
-        return CostEstimate("ephemeral-scan", cycles, f"packed {packed}B/row")
-
-    def estimate_index_probe(
-        self, bound: BoundQuery, indexed_column: str
-    ) -> Optional[CostEstimate]:
-        """Cost of driving the query through a B+-tree on one equality
-        conjunct, fetching full rows for matches; None if inapplicable."""
-        from repro.db.expr import ColumnRef, Literal
-
-        eq = None
-        for conj in bound.where_conjuncts:
-            if (
-                isinstance(conj, Compare)
-                and conj.op == "="
-                and isinstance(conj.left, ColumnRef)
-                and conj.left.name == indexed_column
-                and isinstance(conj.right, Literal)
-            ):
-                eq = conj
-                break
-        if eq is None:
-            return None
-        table, n, _, _, _ = self._common(bound)
-        matches = max(1.0, n * SELECTIVITY_EQ)
-        mem = AnalyticMemoryModel(self.platform)
-        import math
-
-        levels = max(1, int(math.log(max(n, 2), 32)))
-        probe = mem.random(levels, n * 16)
-        fetch = mem.random(int(matches), n * table.schema.row_stride)
-        cpu = self.cpu.predicates(int(matches) * bound.where_op_count)
-        cpu += self.cpu.function_calls(levels * 8)
-        cycles = probe.total + fetch.total + cpu
-        return CostEstimate("index", cycles, f"eq on {indexed_column}")
+    return selectivity_with_stats(expr, stats)

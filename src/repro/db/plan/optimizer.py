@@ -6,6 +6,13 @@ group is reachable, so it *constructs* the cheapest access path directly
 from the query's referenced columns. This optimizer compares the row
 scan, the column scan, the ephemeral scan, and (for point queries) an
 index probe, and returns the ranked decision.
+
+Each path is priced by the engine that executes it: :meth:`choose` runs
+:meth:`repro.db.engines.base.Engine.price` on estimated row counts, on
+engines of its own (analytic memory model; no tracer, metrics, fault
+injector or code cache), so estimating never touches an executing
+engine's counters or memory-model state. MVCC tables are priced as
+:class:`repro.db.sql.pipeline.Session` reads them, at a snapshot.
 """
 
 from __future__ import annotations
@@ -14,8 +21,14 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.db.catalog import Catalog
+from repro.db.engines import (
+    ColumnStoreEngine,
+    Engine,
+    RelationalMemoryEngine,
+    RowStoreEngine,
+)
 from repro.db.plan.binder import BoundQuery, bind
-from repro.db.plan.cost import CostEstimate, CostModel
+from repro.db.plan.cost import CostEstimate, selectivity
 from repro.db.plan.logical import explain
 from repro.db.sql.parser import parse
 from repro.hw.config import PlatformConfig
@@ -58,50 +71,42 @@ class Optimizer:
         fabric_available: bool = True,
     ):
         self.catalog = catalog
-        self.cost_model = CostModel(platform)
         self.fabric_available = fabric_available
+        #: The engine pricing each scan path, by access-path name.
+        self.pricers: Dict[str, Engine] = {
+            "scan": RowStoreEngine(catalog, platform),
+            "column-scan": ColumnStoreEngine(catalog, platform),
+        }
+        if fabric_available:
+            self.pricers["ephemeral-scan"] = RelationalMemoryEngine(
+                catalog, platform
+            )
+        self._probe = RowStoreEngine(catalog, platform, use_indexes=True)
 
     def choose(self, query) -> AccessDecision:
-        """``query`` is SQL text or a :class:`BoundQuery`.
-
-        Without statistics the estimates read only the query's shape, the
-        table's row count and its indexes, so a query bound through the
-        shape memo reuses its shape's estimates while those are unchanged.
-        """
+        """``query`` is SQL text or a :class:`BoundQuery`."""
         bound = (
             bind(parse(query), self.catalog) if isinstance(query, str) else query
         )
-        name = bound.table.schema.name
-        stats = self.catalog.stats_of(name)
-        indexed = tuple(
-            self.catalog.index_on(name, col) is not None
-            for col in bound.selection_columns
-        )
-        memo = bound.template if stats is None else None
-        key = (self.cost_model, self.fabric_available, bound.table.nrows, indexed)
-        if memo is not None and memo.estimates is not None \
-                and memo.estimates[0] == key:
-            estimates = dict(memo.estimates[1])
-        else:
-            estimates = self._estimate(bound, stats, indexed)
-            if memo is not None:
-                memo.estimates = (key, dict(estimates))
+        table = bound.table
+        stats = self.catalog.stats_of(table.schema.name)
+        n, mvcc = table.nrows, table.schema.mvcc
+        qualifying = round(n * selectivity(bound.where, stats))
+        estimates = {
+            path: CostEstimate(
+                path, engine.price(bound, n, qualifying, mvcc).total_cycles
+            )
+            for path, engine in self.pricers.items()
+        }
+        # The index probe the row engine would take: the first equality
+        # conjunct over an indexed column, fetching its matches.
+        probe = self._probe._indexed_equality(bound)
+        if probe is not None:
+            _, column, _, conjunct = probe
+            matches = round(n * selectivity(conjunct, stats))
+            ledger = self._probe.price(bound, matches, qualifying, mvcc)
+            estimates[f"index({column})"] = CostEstimate(
+                "index", ledger.total_cycles
+            )
         winner = min(estimates, key=lambda k: estimates[k].cycles)
         return AccessDecision(winner=winner, estimates=estimates, query=bound)
-
-    def _estimate(self, bound, stats, indexed) -> Dict[str, CostEstimate]:
-        estimates: Dict[str, CostEstimate] = {
-            "scan": self.cost_model.estimate_row_scan(bound, stats),
-            "column-scan": self.cost_model.estimate_column_scan(bound, stats),
-        }
-        if self.fabric_available:
-            estimates["ephemeral-scan"] = self.cost_model.estimate_ephemeral_scan(
-                bound, stats
-            )
-        for col, has_index in zip(bound.selection_columns, indexed):
-            if not has_index:
-                continue
-            est = self.cost_model.estimate_index_probe(bound, col)
-            if est is not None:
-                estimates[f"index({col})"] = est
-        return estimates

@@ -1,18 +1,13 @@
 """SQL front end: lexer, parser, AST nodes, and the statement pipeline.
 
 The one-door entry point is :class:`~repro.db.sql.pipeline.Session` —
-``Session().execute("SELECT ...")`` runs parse → bind → plan → exec with
+``Session().execute("SELECT ...")`` runs parse → bind → exec with
 spans and metrics; DML statements run as MVCC transactions against the
 session's WAL. :func:`parse`/:func:`parse_statement` stay available for
 callers that only need the AST.
 """
 
-from repro.db.sql.lexer import (
-    Token,
-    TokenKind,
-    statement_shape,
-    tokenize,
-)
+from repro.db.sql.lexer import Token, TokenKind, tokenize
 from repro.db.sql.nodes import (
     Aggregate,
     BeginStmt,
@@ -77,6 +72,5 @@ __all__ = [
     "parse",
     "parse_statement",
     "split_statements",
-    "statement_shape",
     "tokenize",
 ]

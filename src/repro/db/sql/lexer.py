@@ -13,9 +13,6 @@ located at the opening quote.
 :func:`scan_shape` finds a statement's value literals with one regex
 split, without building tokens: the shape key of the statement memo
 (:mod:`repro.db.sql.shapes`).
-:func:`statement_shape` renders a statement with every literal blanked
-to ``?``: the textual half of a code-fragment-cache key, shared across
-literal values.
 """
 
 from __future__ import annotations
@@ -34,9 +31,6 @@ class TokenKind(enum.Enum):
     STRING = "string"
     SYMBOL = "symbol"
     EOF = "eof"
-
-
-_LITERAL_KINDS = (TokenKind.NUMBER, TokenKind.STRING)
 
 
 KEYWORDS = {
@@ -232,13 +226,3 @@ def _number_end(sql: str, i: int) -> int:
         seen_dot = seen_dot or sql[j] == "."
         j += 1
     return j
-
-
-def statement_shape(sql: str) -> str:
-    """Canonical statement text (lowercased keywords/identifiers, single
-    spaces, comments stripped) with every literal blanked to ``?``: the
-    textual half of a code-fragment-cache key, shared by statements that
-    differ only in constants."""
-    return " ".join(
-        "?" if t.kind in _LITERAL_KINDS else t.text for t in tokenize(sql)[:-1]
-    )

@@ -3,17 +3,19 @@
 Every entry point — engines, the serving layer, benchmarks, the REPL,
 and the chaos harnesses — can drive the system through one door::
 
-    sql.parse  ->  plan.bind  ->  plan.logical  ->  plan.optimizer
-               ->  exec (vector kernels)                   (SELECT)
-               ->  MVCC transaction -> WAL                 (DML)
+    sql.parse  ->  plan.bind  ->  exec (vector kernels)    (SELECT)
+                              ->  MVCC transaction -> WAL  (DML)
+                              ->  plan.optimizer           (EXPLAIN SELECT)
 
 :class:`Session` owns the pieces: a catalog, one engine (any of the
 three — they share the execute contract), a
 :class:`~repro.db.mvcc.TransactionManager` (optionally WAL-backed for
 durability), and the observability hooks. Each statement runs under
-``sql.parse`` / ``sql.bind`` / ``sql.plan`` / ``sql.exec`` spans and
-feeds the ``sql_*`` metrics collector, so an EXPLAIN ANALYZE of any
-statement renders the full span tree down to the storage probes.
+``sql.parse`` / ``sql.bind`` / ``sql.exec`` spans (``sql.plan`` for
+the optimizer under EXPLAIN SELECT, the only statement that reads its
+choice) and feeds the ``sql_*`` metrics collector, so an EXPLAIN
+ANALYZE of any statement renders the full span tree down to the storage
+probes.
 
 Statement semantics:
 
@@ -188,6 +190,7 @@ class Session:
         elif wal is not None and manager.wal is None:
             raise SqlError("pass the WAL through the manager, not both")
         self.manager = manager
+        #: Chooses the access path EXPLAIN SELECT reports.
         self.optimizer = Optimizer(self.catalog, engine.platform)
         self.retry_policy = retry_policy
         #: Flight recorder: statement errors are journaled (kind
@@ -321,9 +324,6 @@ class Session:
                 table=bound.table.schema.name,
                 columns=len(bound.referenced_columns),
             )
-        with maybe_span(self.tracer, "sql.plan", layer="sql") as pl:
-            decision = self.optimizer.choose(bound)
-            pl.set_attrs(access_path=decision.winner)
         with maybe_span(self.tracer, "sql.exec", layer="sql"):
             execution = self.engine.execute(
                 bound, snapshot_ts=self._snapshot_for(bound.table)
@@ -455,8 +455,6 @@ class Session:
                 "needs version stamps (CREATE TABLE via SQL makes MVCC "
                 "tables)"
             )
-        with maybe_span(self.tracer, "sql.plan", layer="sql") as pl:
-            pl.set_attrs(kind=kind, table=table.schema.name)
         with maybe_span(self.tracer, "sql.exec", layer="sql", kind=kind) as ex:
             if self._txn is not None:
                 count = self._apply_dml(self._txn, bound)

@@ -17,9 +17,8 @@ parser read as values, so every statement of the shape parses the same
 up to those values. A later statement of the shape is only scanned: its
 literal values are copied into the template's tree along the paths that
 lead to slots, and everything else is shared. The binder keeps a bound form beside each
-template (:class:`repro.db.plan.binder.BoundTemplate`), and the
-optimizer its estimates beside that, so the hit path also skips binding
-and costing.
+template (:class:`repro.db.plan.binder.BoundTemplate`), so the hit path
+also skips binding.
 
 The memo is a bounded LRU (:data:`MEMO_CAPACITY` shapes) shared by the
 process: templates are immutable functions of their key, so sharing is

@@ -25,6 +25,7 @@ from repro.db.expr import (
     Literal,
     Not,
     Or,
+    column_vs_literal,
 )
 from repro.db.table import Table
 
@@ -118,18 +119,16 @@ def selectivity_with_stats(expr: Optional[Expr], stats: TableStats) -> float:
     if isinstance(expr, Not):
         return 1.0 - selectivity_with_stats(expr.term, stats)
     if isinstance(expr, Compare):
-        col, const, flipped = _column_vs_constant(expr)
-        if col is not None:
-            op = CompareOp.from_sql(expr.op)
-            if flipped:
-                op = op.flipped
+        term = column_vs_literal(expr)
+        if term is not None and isinstance(term[2], (int, float)):
+            col, op, const = term
             cstats = stats.column(col)
             if cstats is not None:
                 if op is CompareOp.EQ:
                     return 1.0 / cstats.ndv if cstats.ndv else SELECTIVITY_EQ
                 if op is CompareOp.NE:
                     return 1.0 - (1.0 / cstats.ndv if cstats.ndv else SELECTIVITY_EQ)
-                frac = _range_fraction(cstats, op, const)
+                frac = _range_fraction(cstats, op, float(const))
                 if frac is not None:
                     return frac
         return estimate_selectivity(expr)
@@ -143,15 +142,3 @@ def selectivity_with_stats(expr: Optional[Expr], stats: TableStats) -> float:
         return SELECTIVITY_BETWEEN
     return estimate_selectivity(expr)
 
-
-def _column_vs_constant(cmp: Compare):
-    """Returns (column, constant, flipped): flipped means the constant was
-    on the left, so the operator must be mirrored (``c < col`` ==
-    ``col > c``)."""
-    if isinstance(cmp.left, ColumnRef) and isinstance(cmp.right, Literal):
-        if isinstance(cmp.right.value, (int, float)):
-            return cmp.left.name, float(cmp.right.value), False
-    if isinstance(cmp.right, ColumnRef) and isinstance(cmp.left, Literal):
-        if isinstance(cmp.left.value, (int, float)):
-            return cmp.right.name, float(cmp.left.value), True
-    return None, None, False

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.db.plan import bind
+from repro.db.plan.binder import BoundTemplate
 from repro.db.sql import parse
 from repro.errors import SqlError
 
@@ -192,14 +193,16 @@ class TestShapeMemo:
         from repro.db.sql.parser import parse_statement
 
         sql = "SELECT id AS reuse_probe FROM mixed WHERE qty < {}"
-        first = bind(parse_statement(sql.format(3)), catalog)
-        second = bind(parse_statement(sql.format(4)), catalog)
+        first = parse_statement(sql.format(3))
+        bind(first, catalog)
+        second = parse_statement(sql.format(4))
         assert first.template is None  # a shape's first statement binds fresh
-        assert second.template is not None
-        assert str(second.where) == "(qty < 4)"
+        assert str(bind(second, catalog).where) == "(qty < 4)"
+        assert isinstance(second.template[0].bound, BoundTemplate)
         # An int and a float literal are different shapes.
-        third = bind(parse_statement(sql.format(4.0)), catalog)
-        assert third.template is None and str(third.where) == "(qty < 4.0)"
+        third = parse_statement(sql.format(4.0))
+        assert third.template is None
+        assert str(bind(third, catalog).where) == "(qty < 4.0)"
 
     def test_a_failing_shape_binds_once_per_statement(self, catalog, monkeypatch):
         from repro.db.plan import binder
@@ -233,6 +236,6 @@ class TestShapeMemo:
             with pytest.raises(ReproError):
                 bind(parse_statement(sql.format(i)), catalog)
         catalog.create_table(TableSchema("late", [Column("a", INT32)]))
-        bound = bind(parse_statement(sql.format(7)), catalog)
-        assert bound.template is not None
-        assert str(bound.where) == "(a < 7)"
+        stmt = parse_statement(sql.format(7))
+        assert str(bind(stmt, catalog).where) == "(a < 7)"
+        assert isinstance(stmt.template[0].bound, BoundTemplate)

@@ -89,8 +89,9 @@ def test_explain_analyze_transcript_has_span_tree():
         "INSERT INTO t (id, v) VALUES (1, 10), (2, 20);\n"
         "EXPLAIN ANALYZE SELECT sum(v) AS s FROM t;\n"
     )
-    for marker in ("sql.analyze", "sql.bind", "sql.plan", "sql.exec"):
+    for marker in ("sql.analyze", "sql.bind", "sql.exec"):
         assert marker in transcript
+    assert "sql.plan" not in transcript  # only EXPLAIN SELECT plans
 
 
 def test_run_script_without_echo_drops_prompts():

@@ -1,9 +1,9 @@
 """The unified statement pipeline: Session end to end.
 
-One front door — ``sql.parse -> plan.bind -> plan.logical ->
-plan.optimizer -> exec`` for SELECTs, MVCC transactions over the WAL
-for DML — plus the observability contract: spans, ``sql_*`` metrics,
-and EXPLAIN / EXPLAIN ANALYZE.
+One front door — ``sql.parse -> plan.bind -> exec`` for SELECTs, MVCC
+transactions over the WAL for DML, the optimizer for EXPLAIN SELECT —
+plus the observability contract: spans, ``sql_*`` metrics, and
+EXPLAIN / EXPLAIN ANALYZE.
 """
 
 import math
@@ -167,6 +167,21 @@ def test_explain_select_shows_access_path(session):
     assert plan and "Scan" in plan
 
 
+def test_only_explain_select_runs_the_optimizer(session, monkeypatch):
+    from repro.db.plan.optimizer import Optimizer
+
+    def refuse(self, query):
+        raise RuntimeError("optimizer called")
+
+    monkeypatch.setattr(Optimizer, "choose", refuse)
+    assert session.execute("SELECT id FROM t WHERE v > 15").rows == [(2,), (3,)]
+    insert = "INSERT INTO t (id, v, tag) VALUES (4, 40, 'ash')"
+    assert session.execute(insert).rows_affected == 1
+    assert session.execute("UPDATE t SET v = 0 WHERE id = 4").rows_affected == 1
+    with pytest.raises(RuntimeError, match="optimizer called"):
+        session.execute("EXPLAIN SELECT id FROM t")
+
+
 def test_explain_analyze_requires_a_tracer(session):
     with pytest.raises(SqlError, match="tracer-enabled"):
         session.execute("EXPLAIN ANALYZE SELECT id FROM t")
@@ -177,8 +192,9 @@ def test_explain_analyze_renders_the_span_tree():
     _seed(s)
     out = s.execute("EXPLAIN ANALYZE SELECT tag FROM t GROUP BY tag")
     assert out.kind == "explain"
-    for name in ("sql.bind", "sql.plan", "sql.exec"):
+    for name in ("sql.bind", "sql.exec"):
         assert name in out.plan
+    assert "sql.plan" not in out.plan  # only EXPLAIN SELECT plans
     dml = s.execute("EXPLAIN ANALYZE UPDATE t SET v = 0 WHERE id = 1")
     assert dml.rows_affected == 1
     assert "sql.exec" in dml.plan

@@ -144,14 +144,11 @@ class TestCatalogIntegration:
     def test_optimizer_uses_stats(self, stats_table):
         """With statistics, a highly selective range query's estimates
         shrink relative to the rule-based default."""
-        from repro.db.plan import bind
-        from repro.db.plan.cost import CostModel
-        from repro.db.sql import parse
+        from repro.db.plan.optimizer import Optimizer
 
         catalog, table = stats_table
-        stats = catalog.analyze("s")
-        bound = bind(parse("SELECT k FROM s WHERE u < 10"), catalog)
-        model = CostModel()
-        with_stats = model.estimate_row_scan(bound, stats).cycles
-        without = model.estimate_row_scan(bound).cycles
+        sql = "SELECT k FROM s WHERE u < 10"
+        without = Optimizer(catalog).choose(sql).estimates["scan"].cycles
+        catalog.analyze("s")
+        with_stats = Optimizer(catalog).choose(sql).estimates["scan"].cycles
         assert with_stats < without  # fewer qualifying rows estimated
