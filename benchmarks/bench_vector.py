@@ -20,6 +20,14 @@ only answer path; they must make the trace-accurate engines
    in one process: ``frontend_hit_host_ratio`` for statements whose
    shape was seen (fresh literals), ``frontend_miss_host_ratio`` for
    statements of distinct shapes (what a miss costs on top).
+5. **Data half**: ``fetch_host_ratio``, the host time of a 4-column
+   point lookup on ``orders`` (the sql-short workload's ``point``
+   statement) over that of ``SELECT count(*)`` with the same key, both
+   through a RM-engine session. The engines read the WHERE clause's
+   column at every row and the other columns at the qualifying rows
+   only, so the three extra columns of one row cost next to nothing; a
+   data half that copies every referenced column over every row shows
+   up as a ratio well above 1.
 
 Run as a script (writes the artifact consumed by CI)::
 
@@ -42,12 +50,13 @@ from dataclasses import asdict
 from typing import Dict, List, Tuple
 
 from repro.core.ledger import CostLedger
-from repro.db.engines import all_engines
+from repro.db.engines import RelationalMemoryEngine, all_engines
 from repro.db.exec import run_volcano
 from repro.db.plan import bind
 from repro.db.plan.codecache import CodeFragmentCache
 from repro.db.sql import parse
 from repro.db.sql.parser import Parser, parse_statement
+from repro.db.sql.pipeline import Session
 from repro.workloads.tpch_analytics import Q3, generate_tpch_analytics
 
 ENGINES = ("row", "column", "rm")
@@ -217,11 +226,56 @@ def run_frontend(nrows: int, n: int = 100, repeats: int = 3) -> Dict[str, object
     }
 
 
+#: The sql-short ``point`` statement and its one-column counterpart.
+FETCH_POINT = (
+    "SELECT o_orderkey, o_custkey, o_totalprice, o_orderdate FROM orders "
+    "WHERE o_orderkey = {k}"
+)
+FETCH_COUNT = "SELECT count(*) AS n FROM orders WHERE o_orderkey = {k}"
+
+
+def run_fetch(nrows: int, n: int = 400) -> Dict[str, object]:
+    """Host time of the point lookup against ``count(*)`` on its key.
+
+    Both statements of a key run back to back, in alternating order (as
+    in :func:`run_frontend`), through one RM-engine session.
+    """
+    catalog, _, orders, *_ = generate_tpch_analytics(nrows)
+    session = Session(catalog, RelationalMemoryEngine(catalog))
+    keys = orders.column("o_orderkey")
+    rng = random.Random(7)
+    pairs = [
+        (FETCH_POINT.format(k=k), FETCH_COUNT.format(k=k))
+        for k in (int(keys[rng.randrange(len(keys))]) for _ in range(n))
+    ]
+    for point, count in pairs[:4]:
+        session.execute(point)  # warm the shape memo
+        session.execute(count)
+    spent = [0.0, 0.0]
+    mismatches = []
+    for i, pair in enumerate(pairs):
+        answers = [None, None]
+        for side in (0, 1) if i % 2 else (1, 0):
+            t0 = time.perf_counter()
+            answers[side] = session.execute(pair[side]).result
+            spent[side] += time.perf_counter() - t0
+        if answers[0].nrows != answers[1].scalar():
+            mismatches.append(f"fetch: {pair[0]!r} rows != count(*)")
+    session.close()
+    return {
+        "statements": n,
+        "point_seconds": spent[0],
+        "count_seconds": spent[1],
+        "mismatches": mismatches,
+    }
+
+
 def compare(rows: int, check_rows: int) -> Dict[str, object]:
     headline = run_headline(rows)
     cross = run_cross_check(check_rows)
     cache = run_codecache(check_rows)
     frontend = run_frontend(check_rows)
+    fetch = run_fetch(rows)
     return {
         "headline": headline,
         "cross_check": cross,
@@ -233,12 +287,15 @@ def compare(rows: int, check_rows: int) -> Dict[str, object]:
         "frontend_miss_host_ratio": (
             frontend["miss_seconds"] / frontend["miss_referee_seconds"]
         ),
+        "fetch": fetch,
+        "fetch_host_ratio": fetch["point_seconds"] / fetch["count_seconds"],
         "bit_identical": (
             cross["bit_identical"]
             and cache["warm_skips_compile"]
             and cache["answers_match"]
+            and not fetch["mismatches"]
         ),
-        "mismatches": cross["mismatches"],
+        "mismatches": cross["mismatches"] + fetch["mismatches"],
     }
 
 
@@ -279,6 +336,10 @@ def main(argv=None) -> int:
         f"front half, {f['statements']} statements: memo hit "
         f"{report['frontend_hit_host_ratio']:.2f}x and miss "
         f"{report['frontend_miss_host_ratio']:.2f}x the uncached referee"
+    )
+    print(
+        f"data half, {report['fetch']['statements']} keys: point lookup "
+        f"{report['fetch_host_ratio']:.2f}x count(*) on the same key"
     )
     print(f"bit-identical to the Volcano reference: {report['bit_identical']}")
     if args.json:

@@ -140,7 +140,7 @@ class EphemeralColumnGroup:
         """The packed byte image (``(n, packed_width)`` uint8), built on
         first access after a refresh by the :func:`pack` referee."""
         if self._packed is None:
-            self._packed = pack(self._frame, self.geometry, row_mask=self._rows())
+            self._packed = pack(self._frame, self.geometry, row_mask=self.rows)
         return self._packed
 
     @property
@@ -154,8 +154,11 @@ class EphemeralColumnGroup:
     def refreshes(self) -> int:
         return self._refreshes
 
-    def _rows(self) -> Optional[np.ndarray]:
-        """The qualifying-row mask fixed at the last refresh (None: all)."""
+    @property
+    def rows(self) -> Optional[np.ndarray]:
+        """The qualifying-row mask over the frame fixed at the last
+        refresh (None: every row). Reading the frame's fields at these
+        rows yields the group's values."""
         if self._report is None:
             self.refresh()
         return self._mask
@@ -166,7 +169,8 @@ class EphemeralColumnGroup:
     @property
     def length(self) -> int:
         """Number of (visible, qualifying) rows in the group."""
-        self._rows()
+        if self._report is None:
+            self.refresh()
         return self._length
 
     def __len__(self) -> int:
@@ -180,14 +184,14 @@ class EphemeralColumnGroup:
         """One field of the group as a typed numpy array it owns
         (``S<width>`` byte strings for opaque fields)."""
         view = record_view(self._frame, self.geometry)
-        return gather(view, (name,), self._rows())[name]
+        return gather(view, (name,), self.rows)[name]
 
     def columns(self) -> Dict[str, np.ndarray]:
         """All fields, read in one pass over the image."""
         return gather(
             record_view(self._frame, self.geometry),
             self.geometry.field_names,
-            self._rows(),
+            self.rows,
         )
 
     def __getitem__(self, i: int) -> Dict[str, object]:
@@ -195,11 +199,11 @@ class EphemeralColumnGroup:
         Opaque fields come back as full-width ``bytes``."""
         if not 0 <= i < self.length:
             raise IndexError(i)
-        rows = self._rows()
+        rows = self.rows
         return self._row(i if rows is None else int(np.flatnonzero(rows)[i]))
 
     def __iter__(self) -> Iterator[Dict[str, object]]:
-        rows = self._rows()
+        rows = self.rows
         indices = range(self._length) if rows is None else np.flatnonzero(rows)
         for r in indices:
             yield self._row(int(r))

@@ -84,17 +84,20 @@ def gather(
     rows: Optional[np.ndarray] = None,
 ) -> Dict[str, np.ndarray]:
     """Owned, contiguous copies of fields of a :func:`record_view`, keeping
-    the rows where the boolean mask ``rows`` is set (all rows if None).
+    the rows where the boolean mask ``rows`` is set (all rows if None),
+    or the rows at the integer positions ``rows``, in that order.
 
     This is the single copy from the image. It walks the image once, in
     cache-sized blocks, and copies every field out of a block while the
     block is resident; a strided pass per field would fetch every row's
-    lines once per field.
+    lines once per field. Positions copy just their records first.
     """
     fields = view.dtype.fields
     for name in names:
         if name not in fields:
             raise GeometryError(f"no field named {name!r} in geometry")
+    if rows is not None and rows.dtype != bool:
+        view, rows = view[rows], None
     n = len(view)
     block = max(1, _GATHER_BLOCK_BYTES // view.dtype.itemsize)
     total = n if rows is None else int(np.count_nonzero(rows))

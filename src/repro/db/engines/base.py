@@ -1,4 +1,4 @@
-"""Engine framework: shared execution flow + per-engine cost recipes.
+"""Engine framework: one shared data half + per-engine cost recipes.
 
 Every engine answers queries through the same vectorized evaluator, the
 fused kernels of :mod:`repro.db.exec.vector` (so results are identical by
@@ -13,10 +13,16 @@ construction; the Volcano interpreter is only the tests' reference), but
 * :class:`~repro.db.engines.rmstore.RelationalMemoryEngine` — a scalar
   kernel over an ephemeral column group packed by the fabric.
 
-Each engine's access path has two halves. The data half (``_fetch``)
-does the bookkeeping: MVCC visibility, decode, WHERE evaluation, fabric
-configure/refresh. The pricing half (``_charge_access`` and the
-per-path ``_charge_*`` methods it shares with ``_fetch``) charges the
+Each engine's access path has two halves. The data half
+(:meth:`Engine._fetch`) is shared: it reads the WHERE clause's columns
+at the candidate rows, evaluates the clause once, and copies the other
+referenced columns at the qualifying rows only, so the answer path gets
+filtered columns and no mask. An engine supplies just what differs
+(:meth:`Engine._candidates`): where the candidate rows come from (MVCC
+visibility, an index probe, the fabric's emitted rows), how a column set
+is read at a row set (:meth:`~repro.db.table.Table.read` of the row
+image, or the columnar replica), and its pricing call. The pricing half
+(``_charge_access`` and the per-path ``_charge_*`` methods) charges the
 ledger from row counts alone. Common post-scan work (joins, grouping,
 sorting) is charged identically here, because those costs do not depend
 on the access path. :meth:`Engine.price` runs the two pricing parts on
@@ -29,7 +35,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -83,6 +89,14 @@ class ExecutionResult:
 
     def seconds(self, cpu: CpuCostModel) -> float:
         return cpu.seconds(self.cycles)
+
+
+#: An engine's access path as the shared data half uses it; see
+#: :meth:`Engine._candidates`.
+Candidates = Tuple[
+    Optional[np.ndarray], int, Callable[..., Dict[str, np.ndarray]],
+    Callable[[int, CostLedger], None],
+]
 
 
 class Engine(ABC):
@@ -228,9 +242,8 @@ class Engine(ABC):
                 table=bound.table.schema.name,
                 mode=self.access_path,
             ) as scan:
-                columns, visible, mask = self._fetch(bound, snapshot_ts, ledger)
-                qualifying = (
-                    visible if mask is None else int(np.count_nonzero(mask))
+                columns, visible, qualifying = self._fetch(
+                    bound, snapshot_ts, ledger
                 )
                 scan.set_attrs(
                     rows_in=bound.table.nrows,
@@ -247,9 +260,9 @@ class Engine(ABC):
             # appears in the trace so the tree shows where answers form.
             with self._span("answer", layer="exec") as ans:
                 if fragment is not None:
-                    result = fragment.payload(columns, mask=mask)
+                    result = fragment.payload(columns, mask=None)
                 else:
-                    result = run_vector(bound, columns, mask=mask)
+                    result = run_vector(bound, columns, mask=None)
                 ans.set_attrs(rows_out=result.nrows)
             root.set_attrs(
                 rows_out=result.nrows,
@@ -326,18 +339,51 @@ class Engine(ABC):
         return "scan"
 
     # ------------------------------------------------------------------
-    # Engine-specific access path.
+    # The data half, shared by every engine.
     # ------------------------------------------------------------------
-    @abstractmethod
     def _fetch(
         self,
         bound: BoundQuery,
         snapshot_ts: Optional[int],
         ledger: CostLedger,
-    ) -> Tuple[Dict[str, np.ndarray], int, Optional[np.ndarray]]:
-        """Deliver the referenced base columns (restricted to visible
-        rows), charging the access-path costs. Returns ``(columns,
-        visible_row_count, where_mask_or_None)``."""
+    ) -> Tuple[Dict[str, np.ndarray], int, int]:
+        """Deliver the referenced base columns at the qualifying rows,
+        charging the access-path costs. Returns ``(columns,
+        visible_row_count, qualifying_row_count)``.
+
+        The WHERE clause is evaluated over its own columns at the
+        candidate rows; the remaining columns are then read at the rows
+        that passed, in one pass.
+        """
+        rows, visible, read, charge = self._candidates(bound, snapshot_ts)
+        first = bound.where_main_columns
+        columns = read(first, rows) if first else {}
+        mask = apply_where(bound, columns, visible)
+        qualifying = visible if mask is None else int(np.count_nonzero(mask))
+        if qualifying < visible:
+            columns = {name: values[mask] for name, values in columns.items()}
+            rows = _narrow(rows, mask)
+        with self._span("filter", rows_in=visible, rows_out=qualifying) as span:
+            if bound.where is not None:
+                span.set_attrs(
+                    selectivity=(qualifying / visible if visible else 0.0)
+                )
+        rest = [name for name in bound.referenced_columns if name not in columns]
+        if rest:
+            columns.update(read(rest, rows))
+        charge(qualifying, ledger)
+        return {n: columns[n] for n in bound.referenced_columns}, visible, qualifying
+
+    # ------------------------------------------------------------------
+    # Engine-specific access path.
+    # ------------------------------------------------------------------
+    @abstractmethod
+    def _candidates(self, bound: BoundQuery, snapshot_ts: Optional[int]) -> Candidates:
+        """``(rows, visible, read, charge)`` for ``bound``'s table: the
+        candidate rows (None: every row; a boolean mask over the rows; or
+        ascending row positions) and their count, ``read(names, rows)``
+        returning query-facing columns at a row set of those forms, and
+        ``charge(qualifying, ledger)``, the engine's pricing call."""
 
     @abstractmethod
     def _charge_access(
@@ -361,78 +407,17 @@ class Engine(ABC):
             return None
         return table.visible_mask(snapshot_ts)
 
-    def _decoded_columns(
-        self, bound: BoundQuery, vis: Optional[np.ndarray]
-    ) -> Dict[str, np.ndarray]:
-        table = bound.table
-        out = {}
-        for name in bound.referenced_columns:
-            values = table.column_values(name)
-            out[name] = values if vis is None else values[vis]
-        return out
-
-    def _apply_filter(
-        self,
-        bound: BoundQuery,
-        columns: Dict[str, np.ndarray],
-        visible: int,
+    def _visible_rows(
+        self, bound: BoundQuery, snapshot_ts: Optional[int]
     ) -> Tuple[Optional[np.ndarray], int]:
-        """Evaluate the WHERE clause over decoded columns.
-
-        Returns ``(mask_or_None, qualifying_row_count)`` and tags the
-        current span with the selectivity — shared by every access path
-        so the filter instrumentation lives in exactly one place.
-        """
-        mask = apply_where(bound, columns)
-        qualifying = visible if mask is None else int(np.count_nonzero(mask))
-        with self._span(
-            "filter", rows_in=visible, rows_out=qualifying
-        ) as span:
-            if bound.where is not None:
-                span.set_attrs(
-                    selectivity=(qualifying / visible if visible else 0.0)
-                )
-        return mask, qualifying
-
-    def _scan_preamble(
-        self,
-        bound: BoundQuery,
-        snapshot_ts: Optional[int],
-        column_source=None,
-    ) -> Tuple[
-        Optional[np.ndarray], int, Dict[str, np.ndarray], Optional[np.ndarray], int
-    ]:
-        """The shared head of every engine's scan: MVCC visibility mask,
-        column decode, WHERE evaluation.
-
-        ``column_source(name)`` overrides where a column's full array
-        comes from (the column store reads its replica instead of the
-        base table). Pure bookkeeping — no ledger charges and no memory
-        model calls, so each engine's cost recipe stays byte-for-byte
-        where it was.
-
-        Returns ``(vis, visible, columns, mask, qualifying)``.
-        """
+        """A scan's candidate rows: the MVCC visibility mask (None: every
+        row) and its row count, recorded as the ``visibility`` span."""
         table = bound.table
         vis = self._visibility(bound, snapshot_ts)
         visible = table.nrows if vis is None else int(np.count_nonzero(vis))
-        with self._span(
-            "visibility", rows_in=table.nrows, rows_out=visible
-        ):
+        with self._span("visibility", rows_in=table.nrows, rows_out=visible):
             pass
-        if column_source is None:
-            columns = self._decoded_columns(bound, vis)
-        else:
-            columns = {
-                name: (
-                    column_source(name)
-                    if vis is None
-                    else column_source(name)[vis]
-                )
-                for name in bound.referenced_columns
-            }
-        mask, qualifying = self._apply_filter(bound, columns, visible)
-        return vis, visible, columns, mask, qualifying
+        return vis, visible
 
     def _charge_post_scan(
         self, bound: BoundQuery, visible: int, qualifying: int, ledger: CostLedger
@@ -480,3 +465,14 @@ class Engine(ABC):
             ):
                 comparisons = n_out * math.log2(n_out) * len(bound.order_by)
                 ledger.charge(CostLedger.CPU, cpu.predicates(int(comparisons)) / n)
+
+
+def _narrow(rows: Optional[np.ndarray], mask: np.ndarray) -> np.ndarray:
+    """The candidate rows ``rows`` where ``mask`` is set, in their form."""
+    if rows is None:
+        return mask
+    if rows.dtype != bool:
+        return rows[mask]
+    kept = rows.copy()
+    kept[rows] = mask
+    return kept

@@ -22,12 +22,12 @@ materialization):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.core.ledger import CostLedger
-from repro.db.engines.base import Engine
+from repro.db.engines.base import Candidates, Engine
 from repro.db.catalog import Catalog
 from repro.db.plan.binder import BoundQuery
 from repro.db.table import Table
@@ -132,20 +132,19 @@ class ColumnStoreEngine(Engine):
                 span.set_duration(cost)
         return replica
 
-    def _fetch(
-        self,
-        bound: BoundQuery,
-        snapshot_ts: Optional[int],
-        ledger: CostLedger,
-    ) -> Tuple[Dict[str, np.ndarray], int, Optional[np.ndarray]]:
+    def _candidates(self, bound: BoundQuery, snapshot_ts: Optional[int]) -> Candidates:
         replica = self._synced_replica(bound.table)
-        # Visibility + decode + WHERE — the shared preamble; the cost
-        # recipe prices these steps (streams, intermediates).
-        vis, visible, columns, mask, qualifying = self._scan_preamble(
-            bound, snapshot_ts, column_source=replica.column
+        vis, visible = self._visible_rows(bound, snapshot_ts)
+        return (
+            vis, visible,
+            lambda names, rows: {
+                n: replica.column(n) if rows is None else replica.column(n)[rows]
+                for n in names
+            },
+            lambda qualifying, ledger: self._charge_access(
+                bound, visible, qualifying, vis is not None, ledger
+            ),
         )
-        self._charge_access(bound, visible, qualifying, vis is not None, ledger)
-        return columns, visible, mask
 
     def _charge_access(
         self,
@@ -197,9 +196,7 @@ class ColumnStoreEngine(Engine):
         reconstruct_cycles = 0.0
         cpu_cycles += cpu.vector_ops(2 * visible)  # loop control per row
 
-        proj_only = [
-            c for c in bound.projection_columns if c not in bound.selection_columns
-        ]
+        proj_only = bound.projection_only_columns
         if bound.where is not None:
             sel = qualifying / visible if visible else 0.0
             for c in bound.selection_columns:

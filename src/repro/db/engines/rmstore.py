@@ -22,18 +22,20 @@ given.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.ephemeral import Visibility
 from repro.core.fabric import RelationalMemory
 from repro.core.ledger import CostLedger
-from repro.core.selection import FabricFilter, FabricPredicate
-from repro.db.engines.base import Engine
+from repro.core.selection import FabricAggregate, FabricFilter, FabricPredicate
+from repro.db.engines.base import Candidates, Engine, ExecutionResult
 from repro.db.catalog import Catalog
+from repro.db.exec.result import QueryResult
 from repro.db.expr import ColumnRef, Expr, column_vs_literal, op_count
 from repro.db.plan.binder import BoundQuery
+from repro.db.plan.logical import explain
 from repro.errors import ExecutionError, FaultError
 from repro.faults import CircuitBreaker, FaultInjector, RetryPolicy
 from repro.hw.config import PlatformConfig
@@ -200,13 +202,6 @@ class RelationalMemoryEngine(Engine):
         """Return an ExecutionResult if the whole query reduces in the
         fabric (single simple aggregate, fully pushable predicate), else
         None to fall back to the ephemeral-scan path."""
-        import numpy as np
-
-        from repro.core.selection import FabricAggregate
-        from repro.db.engines.base import ExecutionResult
-        from repro.db.plan.logical import explain
-        from repro.db.exec.result import QueryResult
-
         if (
             bound.group_by
             or bound.joins
@@ -263,9 +258,7 @@ class RelationalMemoryEngine(Engine):
 
         # Cost: the fabric scans the referenced fields of every row and
         # emits only the accumulator; the CPU reads one value.
-        touched = schema.bytes_of(
-            [c for c in bound.referenced_columns]
-        )
+        touched = schema.bytes_of(bound.referenced_columns)
         report = self.fabric.engine.transform(
             nrows=table.nrows,
             row_stride=schema.row_stride,
@@ -354,12 +347,7 @@ class RelationalMemoryEngine(Engine):
     # ------------------------------------------------------------------
     # Access path.
     # ------------------------------------------------------------------
-    def _fetch(
-        self,
-        bound: BoundQuery,
-        snapshot_ts: Optional[int],
-        ledger: CostLedger,
-    ) -> Tuple[Dict[str, np.ndarray], int, Optional[np.ndarray]]:
+    def _candidates(self, bound: BoundQuery, snapshot_ts: Optional[int]) -> Candidates:
         table = bound.table
         schema = table.schema
 
@@ -401,13 +389,16 @@ class RelationalMemoryEngine(Engine):
                 }
             )
 
-        columns = self._decode_group(bound, group)
-        mask, qualifying = self._apply_filter(bound, columns, emitted)
-        self._charge_ephemeral_scan(
-            bound, report, emitted, qualifying, residual_ops,
-            fabric_filter is not None, ledger,
+        # The group's values are the frame's fields at its emitted rows;
+        # this refresh's report prices the scan (another transform call
+        # would consult the fault injector again).
+        pushed = fabric_filter is not None
+        return (
+            group.rows, emitted, table.read,
+            lambda qualifying, ledger: self._charge_ephemeral_scan(
+                bound, report, emitted, qualifying, residual_ops, pushed, ledger
+            ),
         )
-        return columns, emitted, mask
 
     def _charge_access(
         self,
@@ -518,9 +509,7 @@ class RelationalMemoryEngine(Engine):
         cpu = self.cpu
         cfg = self.platform.cpu
         n_sel = len(bound.selection_columns)
-        n_proj_only = len(
-            [c for c in bound.projection_columns if c not in bound.selection_columns]
-        )
+        n_proj_only = len(bound.projection_only_columns)
         if mode == "scalar":
             cycles = emitted * cfg.ephemeral_tuple_cycles
             cycles += emitted * n_sel * cfg.packed_field_cycles
@@ -542,10 +531,3 @@ class RelationalMemoryEngine(Engine):
         if bound.output_op_count > 1:
             cycles += cpu.intermediates(qualifying * (bound.output_op_count - 1))
         return cycles
-
-    def _decode_group(self, bound: BoundQuery, group) -> Dict[str, np.ndarray]:
-        schema = bound.table.schema
-        return {
-            name: schema.column(name).dtype.decode_array(group.column(name))
-            for name in bound.referenced_columns
-        }

@@ -19,13 +19,13 @@ indexed column probes the tree and fetches only the matching rows.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.core.ledger import CostLedger
 from repro.core.selection import CompareOp
-from repro.db.engines.base import Engine
+from repro.db.engines.base import Candidates, Engine
 from repro.db.expr import column_vs_literal
 from repro.db.plan.binder import BoundQuery
 
@@ -66,31 +66,6 @@ class RowStoreEngine(Engine):
                 return index, col, key, conj
         return None
 
-    def _fetch_via_index(
-        self,
-        bound: BoundQuery,
-        snapshot_ts: Optional[int],
-        ledger: CostLedger,
-        probe,
-    ) -> Tuple[Dict[str, np.ndarray], int, Optional[np.ndarray]]:
-        index, column, key, _ = probe
-        table = bound.table
-        slots = np.asarray(sorted(index.search(key)), dtype=np.int64)
-
-        vis = self._visibility(bound, snapshot_ts)
-        if vis is not None and len(slots):
-            slots = slots[vis[slots]]
-        self._charge_index_probe(bound, index, len(slots), ledger)
-
-        columns = {}
-        for name in bound.referenced_columns:
-            values = table.column_values(name)
-            columns[name] = values[slots]
-        mask, _ = self._apply_filter(bound, columns, len(slots))
-        self._last_access_path = "index-probe"
-        self.index_answered += 1
-        return columns, len(slots), mask
-
     def _charge_index_probe(
         self, bound: BoundQuery, index, matches: int, ledger: CostLedger
     ) -> None:
@@ -116,23 +91,27 @@ class RowStoreEngine(Engine):
             CostLedger.CPU, cpu.predicates(matches * bound.where_op_count)
         )
 
-    def _fetch(
-        self,
-        bound: BoundQuery,
-        snapshot_ts: Optional[int],
-        ledger: CostLedger,
-    ) -> Tuple[Dict[str, np.ndarray], int, Optional[np.ndarray]]:
+    def _candidates(self, bound: BoundQuery, snapshot_ts: Optional[int]) -> Candidates:
         probe = self._indexed_equality(bound)
-        if probe is not None:
-            return self._fetch_via_index(bound, snapshot_ts, ledger, probe)
-        self._last_access_path = "scan"
-        # Visibility + decode + WHERE — pure bookkeeping, shared across
-        # engines, charged nothing (the cost recipe prices it).
-        vis, visible, columns, mask, qualifying = self._scan_preamble(
-            bound, snapshot_ts
+        if probe is None:
+            self._last_access_path = "scan"
+            rows, visible = self._visible_rows(bound, snapshot_ts)
+        else:
+            index, _, key, _ = probe
+            rows = np.asarray(sorted(index.search(key)), dtype=np.int64)
+            vis = self._visibility(bound, snapshot_ts)
+            if vis is not None and len(rows):
+                rows = rows[vis[rows]]
+            visible = len(rows)
+            self._last_access_path = "index-probe"
+            self.index_answered += 1
+        mvcc = snapshot_ts is not None and bound.table.schema.mvcc
+        return (
+            rows, visible, bound.table.read,
+            lambda qualifying, ledger: self._charge_access(
+                bound, visible, qualifying, mvcc, ledger
+            ),
         )
-        self._charge_row_scan(bound, visible, qualifying, vis is not None, ledger)
-        return columns, visible, mask
 
     def _charge_access(
         self,
@@ -190,10 +169,9 @@ class RowStoreEngine(Engine):
             cpu_cycles += cpu.branch_misses(visible, sel)
 
         # Projection arithmetic only runs for qualifying tuples.
-        proj_only = [
-            c for c in bound.projection_columns if c not in bound.selection_columns
-        ]
-        cpu_cycles += cpu.field_extracts(qualifying * len(proj_only))
+        cpu_cycles += cpu.field_extracts(
+            qualifying * len(bound.projection_only_columns)
+        )
         cpu_cycles += (
             qualifying * bound.output_op_count * self.platform.cpu.scalar_op_cycles
         )

@@ -40,21 +40,19 @@ MERGE_FANOUT_THRESHOLD = 16
 
 
 def apply_where(
-    query: BoundQuery, columns: Dict[str, np.ndarray]
+    query: BoundQuery, columns: Dict[str, np.ndarray], nrows: Optional[int] = None
 ) -> Optional[np.ndarray]:
     """Evaluate the pre-join WHERE conjuncts; boolean mask or None.
 
     Conjuncts that reference joined-table columns are excluded here (the
     scan only has main-table columns) and applied after the join chain
-    via ``query.where_post``.
+    via ``query.where_post``. ``columns`` needs only the columns the
+    conjuncts read; ``nrows`` (default: their length) sizes the mask of
+    a constant clause such as ``1 = 1``, which reads none.
     """
     if query.where_main is None:
         return None
-    mask = query.where_main.eval_vector(columns)
-    if np.isscalar(mask):
-        n = len(next(iter(columns.values()))) if columns else 0
-        mask = np.full(n, bool(mask))
-    return mask
+    return _as_mask(query.where_main.eval_vector(columns), columns, nrows)
 
 
 _AUTO = object()
@@ -151,10 +149,11 @@ class FusedKernel:
         return QueryResult(names=names, columns=out)
 
 
-def _as_mask(mask, columns: Dict[str, np.ndarray]) -> np.ndarray:
+def _as_mask(mask, columns: Dict[str, np.ndarray], nrows: Optional[int] = None):
     if np.isscalar(mask):
-        n = len(next(iter(columns.values()))) if columns else 0
-        return np.full(n, bool(mask))
+        if nrows is None:
+            nrows = len(next(iter(columns.values()))) if columns else 0
+        return np.full(nrows, bool(mask))
     return mask
 
 

@@ -105,19 +105,18 @@ class Transaction:
         self, table: Table, names: Optional[Tuple[str, ...]] = None
     ) -> Dict[str, np.ndarray]:
         """Batch snapshot read: the named user columns restricted to this
-        transaction's visible rows, one vectorized gather per column.
+        transaction's visible rows, in one gather of those rows.
 
         This is the array-native replacement for ``visible_slots`` +
-        per-slot :meth:`read_row` loops: one visibility mask, then each
-        referenced column decoded and filtered in a single operation.
-        Values come back query-facing (floats for DECIMAL, ``S<w>`` bytes
-        for CHAR, day numbers for DATE), matching what the engines see.
+        per-slot :meth:`read_row` loops: one visibility mask, then
+        :meth:`Table.read` at it. Values come back query-facing (floats
+        for DECIMAL, ``S<w>`` bytes for CHAR, day numbers for DATE),
+        matching what the engines see.
         """
         self._require_active()
-        mask = self.visibility(table)
         if names is None:
             names = tuple(c.name for c in table.schema.user_columns)
-        return {name: table.column_values(name)[mask] for name in names}
+        return table.read(names, self.visibility(table))
 
     # ------------------------------------------------------------------
     # Writes.

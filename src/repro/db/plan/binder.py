@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.db.catalog import Catalog
@@ -127,13 +128,27 @@ class BoundQuery:
     def has_aggregates(self) -> bool:
         return any(o.kind != "expr" for o in self.outputs)
 
-    @property
+    # Facts cached per instance: no field is assigned after construction.
+    @cached_property
     def where_op_count(self) -> int:
         return op_count(self.where) if self.where is not None else 0
 
-    @property
+    @cached_property
     def output_op_count(self) -> int:
         return sum(op_count(o.expr) for o in self.outputs if o.expr is not None)
+
+    @cached_property
+    def projection_only_columns(self) -> Tuple[str, ...]:
+        """Projection columns the WHERE clause does not reference."""
+        return tuple(
+            c for c in self.projection_columns if c not in self.selection_columns
+        )
+
+    @cached_property
+    def where_main_columns(self) -> Tuple[str, ...]:
+        """Main-table columns ``where_main`` reads, in schema order."""
+        used = set() if self.where_main is None else set(self.where_main.columns())
+        return tuple(c for c in self.referenced_columns if c in used)
 
     @property
     def aggregate_count(self) -> int:

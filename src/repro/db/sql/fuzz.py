@@ -4,9 +4,11 @@ One seeded run drives a random statement stream — DML (autocommit and
 explicit transactions), joins, grouping, subqueries, DISTINCT,
 ORDER BY/LIMIT/OFFSET — through four independent evaluations:
 
-- the **primary** session (all DML flows through it),
-- a **twin** session (fresh engine over the same catalog — its ledger
-  buckets must match the primary's exactly, the determinism check),
+- the **primary** session (all DML flows through it), on the engine
+  :data:`ENGINES` assigns the seed (``seed % 4``),
+- a **twin** session (fresh engine of the same kind over the same
+  catalog — its ledger buckets must match the primary's exactly, the
+  determinism check),
 - the bound-level :func:`~repro.db.exec.run_volcano` reference, called
   directly on the visible rows of ``t``,
 - the :class:`~repro.db.sql.oracle.SqlOracle` (dict rows, no numpy,
@@ -52,6 +54,7 @@ from repro.chaos import (
 )
 from repro.core.mvcc_filter import visible_mask
 from repro.db.catalog import Catalog
+from repro.db.engines import ColumnStoreEngine, RelationalMemoryEngine, RowStoreEngine
 from repro.db.exec import run_volcano
 from repro.db.mvcc import TransactionManager
 from repro.db.plan.binder import bind
@@ -72,6 +75,14 @@ T_COLUMNS = ("id", "v", "w", "tag")
 #: The static side table joins and IN-subqueries pull from.
 U_COLUMNS = ("uk", "uv", "utag")
 
+#: ``(name, factory)`` of the engine each seed runs on, by ``seed % 4``.
+ENGINES = (
+    ("row", RowStoreEngine),
+    ("column", ColumnStoreEngine),
+    ("rm", RelationalMemoryEngine),
+    ("rm-pushdown", lambda catalog: RelationalMemoryEngine(catalog, pushdown=True)),
+)
+
 
 @dataclass
 class GenStatement:
@@ -90,6 +101,7 @@ class SqlFuzzReport(ChaosReportBase):
     """Outcome of one seeded differential run."""
 
     steps: int
+    engine: str = ""
     selects: int = 0
     dml_statements: int = 0
     txn_blocks: int = 0
@@ -102,7 +114,7 @@ class SqlFuzzReport(ChaosReportBase):
     crash_torn_points: int = 0
 
     SUMMARY = (
-        "sql-fuzz chaos seed={seed}: {steps} steps — {selects} selects "
+        "sql-fuzz chaos seed={seed} engine={engine}: {steps} steps — {selects} selects "
         "({subquery_selects} with subqueries, {dist_checked} dist-checked, "
         "{rows_checked} rows), {dml_statements} DML, {txn_blocks} txn blocks "
         "({rollbacks} rollbacks), {commits} commits, {crash_boundary_points} "
@@ -384,11 +396,14 @@ class _Harness:
         self.wal = WriteAheadLog(device=SsdLog()) if crash else None
         self.catalog = Catalog()
         self.manager = TransactionManager(wal=self.wal)
+        self.engine, make = ENGINES[seed % len(ENGINES)]
         self.primary = Session(
-            catalog=self.catalog, manager=self.manager, journal=recorder
+            catalog=self.catalog, engine=make(self.catalog),
+            manager=self.manager, journal=recorder,
         )
         self.twin = Session(
-            catalog=self.catalog, manager=self.manager, journal=recorder
+            catalog=self.catalog, engine=make(self.catalog),
+            manager=self.manager, journal=recorder,
         )
         self.oracle = SqlOracle()
         self.gen = StatementGen(self.rng, side_table=side_table)
@@ -605,7 +620,8 @@ def run_sql_fuzz(
     side_table: bool = True,
     recorder=None,
 ) -> SqlFuzzReport:
-    """One seeded differential run; see the module docstring.
+    """One seeded differential run; see the module docstring. Every
+    violation message starts with the engine's name in brackets.
 
     ``crash_points`` > 0 attaches a WAL, journals the oracle's visible
     rows at every commit offset, and probes that many random torn
@@ -618,10 +634,10 @@ def run_sql_fuzz(
     stream's dump shows the statement sequence that led to the failure.
     """
     t0 = time.perf_counter()
-    report = SqlFuzzReport(seed=seed, steps=steps)
     harness = _Harness(
         seed, crash=crash_points > 0, side_table=side_table, recorder=recorder
     )
+    report = SqlFuzzReport(seed=seed, steps=steps, engine=harness.engine)
     harness.report = report
     for _ in range(steps):
         harness.step()
@@ -648,5 +664,6 @@ def run_sql_fuzz(
             report.violations.extend(probes.violations)
     harness.primary.close()
     harness.twin.close()
+    report.violations = [f"[{harness.engine}] {v}" for v in report.violations]
     report.seconds = time.perf_counter() - t0
     return report

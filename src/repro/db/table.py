@@ -169,7 +169,16 @@ class Table:
     def column_values(self, name: str) -> np.ndarray:
         """Query-facing values: DECIMAL rescaled to floats, CHAR as fixed
         byte strings (``S<width>``), DATE as day numbers."""
-        return self.schema.column(name).dtype.decode_array(self.column(name))
+        return self.read((name,))[name]
+
+    def read(
+        self, names: Sequence[str], rows: Optional[np.ndarray] = None
+    ) -> Dict[str, np.ndarray]:
+        """Query-facing values of the named columns at ``rows`` (a boolean
+        mask over the live rows, ascending row positions, or None for
+        every row), copied in one :func:`gather` pass over the image."""
+        raw = gather(self._records[: self.nrows], names, rows)
+        return {n: self.schema.column(n).dtype.decode_array(raw[n]) for n in names}
 
     def row(self, i: int) -> Dict[str, Any]:
         """One row decoded to Python values (user columns only)."""

@@ -48,6 +48,16 @@ def test_ci_seeds_stay_green(seed):
     _assert_clean(report)
 
 
+def test_consecutive_seeds_reach_every_engine():
+    """The seed picks the engine (``seed % 4``), so the CI seeds cover
+    the row, column and RM access paths, with and without pushdown."""
+    reports = [run_sql_fuzz(seed, steps=20) for seed in range(4)]
+    assert [r.engine for r in reports] == ["row", "column", "rm", "rm-pushdown"]
+    for report in reports:
+        _assert_clean(report)
+        assert f"engine={report.engine}:" in report.summary()
+
+
 def test_fuzz_exercises_every_statement_family():
     """Across a handful of seeds the stream must cover selects, DML,
     explicit transactions, rollbacks, subqueries, and dist routing —
