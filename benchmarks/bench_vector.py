@@ -28,6 +28,17 @@ only answer path; they must make the trace-accurate engines
    only, so the three extra columns of one row cost next to nothing; a
    data half that copies every referenced column over every row shows
    up as a ratio well above 1.
+6. **Join kernel**: ``join_host_ratio``, the host time of
+   :func:`~repro.db.exec.vector.join_indices` on Q3's two join key
+   pairs at the headline rows with its own route choice (``"auto"``)
+   over that with the sort route forced (``"probe"``). Both of Q3's
+   joins are key joins over a dense integer range, which ``auto``
+   addresses directly; a kernel that sorts them reads about 1.
+7. **Grouping kernel**: ``rank_host_ratio``, the host time of
+   :func:`~repro.db.exec.vector.factorize` on ``c_mktsegment`` (a
+   ``CHAR(10)`` key) over that of a 1-D ``np.unique`` on the same
+   column, which sorts the byte strings; ``factorize`` ranks them as
+   ``uint64`` words.
 
 Run as a script (writes the artifact consumed by CI)::
 
@@ -50,8 +61,11 @@ from dataclasses import asdict
 from typing import Dict, List, Tuple
 
 from repro.core.ledger import CostLedger
+import numpy as np
+
 from repro.db.engines import RelationalMemoryEngine, all_engines
 from repro.db.exec import run_volcano
+from repro.db.exec.vector import apply_where, factorize, join_indices
 from repro.db.plan import bind
 from repro.db.plan.codecache import CodeFragmentCache
 from repro.db.sql import parse
@@ -107,12 +121,11 @@ def _run_one(catalog, name: str) -> Dict[str, object]:
     }
 
 
-def run_headline(nrows: int, engine: str = "rm") -> Dict[str, object]:
+def run_headline(catalog, engine: str = "rm") -> Dict[str, object]:
     """Q3 at full size through one trace-mode engine."""
-    catalog, *_ = generate_tpch_analytics(nrows)
     run = _run_one(catalog, engine)
     return {
-        "rows": nrows,
+        "rows": catalog.table("lineitem").nrows,
         "engine": engine,
         "seconds": run["seconds"],
         "cycles": run["cycles"],
@@ -184,12 +197,29 @@ def _frontend_statements(n: int, tag: str = "") -> List[str]:
     return out
 
 
-def run_frontend(nrows: int, n: int = 100, repeats: int = 3) -> Dict[str, object]:
-    """Host time of the SQL front half, memo against uncached referee.
+def _paired(sides, inputs, agree=None) -> Tuple[List[float], List[object]]:
+    """Host seconds of each one-argument callable in ``sides`` over
+    ``inputs``: ``(total seconds per side, inputs they disagree on)``.
 
-    Each statement runs through both, back to back and in alternating
-    order, so a change in host speed during the run hits both sides alike.
+    On each input the sides run back to back, in alternating order, so a
+    change in host speed during the run hits every side alike. An input
+    on which ``agree(outputs)`` is false is reported.
     """
+    spent, disagree = [0.0] * len(sides), []
+    for i, x in enumerate(inputs):
+        outputs = [None] * len(sides)
+        for k in range(len(sides)) if i % 2 else reversed(range(len(sides))):
+            t0 = time.perf_counter()
+            outputs[k] = sides[k](x)
+            spent[k] += time.perf_counter() - t0
+        if agree is not None and not agree(outputs):
+            disagree.append(x)
+    return spent, disagree
+
+
+def run_frontend(nrows: int, n: int = 100, repeats: int = 3) -> Dict[str, object]:
+    """Host time of the SQL front half, memo against uncached referee,
+    per statement in alternating pairs (:func:`_paired`)."""
     catalog, *_ = generate_tpch_analytics(nrows)
 
     def memo(sql):
@@ -198,15 +228,6 @@ def run_frontend(nrows: int, n: int = 100, repeats: int = 3) -> Dict[str, object
     def referee(sql):
         return bind(Parser(sql).parse_statement(), catalog)
 
-    def paired(statements) -> Tuple[float, float]:
-        spent = {memo: 0.0, referee: 0.0}
-        for i, sql in enumerate(statements):
-            for side in (memo, referee) if i % 2 else (referee, memo):
-                t0 = time.perf_counter()
-                side(sql)
-                spent[side] += time.perf_counter() - t0
-        return spent[memo], spent[referee]
-
     seen = _frontend_statements(n)
     for sql in seen[: 2 * len(FRONTEND_SHAPES)]:
         memo(sql)  # each shape seen twice: parse and bind memoized
@@ -214,7 +235,8 @@ def run_frontend(nrows: int, n: int = 100, repeats: int = 3) -> Dict[str, object
     for r in range(repeats):
         # Distinct shapes, fresh on every repeat, so each memo call misses.
         distinct = _frontend_statements(n, tag=f"miss{r}_")
-        for k, seconds in enumerate((*paired(seen), *paired(distinct))):
+        spent = _paired([memo, referee], seen)[0] + _paired([memo, referee], distinct)[0]
+        for k, seconds in enumerate(spent):
             totals[k] += seconds
     hit, hit_ref, miss, miss_ref = totals
     return {
@@ -234,15 +256,12 @@ FETCH_POINT = (
 FETCH_COUNT = "SELECT count(*) AS n FROM orders WHERE o_orderkey = {k}"
 
 
-def run_fetch(nrows: int, n: int = 400) -> Dict[str, object]:
-    """Host time of the point lookup against ``count(*)`` on its key.
-
-    Both statements of a key run back to back, in alternating order (as
-    in :func:`run_frontend`), through one RM-engine session.
-    """
-    catalog, _, orders, *_ = generate_tpch_analytics(nrows)
+def run_fetch(catalog, n: int = 400) -> Dict[str, object]:
+    """Host time of the point lookup against ``count(*)`` on its key,
+    per key in alternating pairs (:func:`_paired`), through one
+    RM-engine session."""
     session = Session(catalog, RelationalMemoryEngine(catalog))
-    keys = orders.column("o_orderkey")
+    keys = catalog.table("orders").column("o_orderkey")
     rng = random.Random(7)
     pairs = [
         (FETCH_POINT.format(k=k), FETCH_COUNT.format(k=k))
@@ -251,31 +270,103 @@ def run_fetch(nrows: int, n: int = 400) -> Dict[str, object]:
     for point, count in pairs[:4]:
         session.execute(point)  # warm the shape memo
         session.execute(count)
-    spent = [0.0, 0.0]
-    mismatches = []
-    for i, pair in enumerate(pairs):
-        answers = [None, None]
-        for side in (0, 1) if i % 2 else (1, 0):
-            t0 = time.perf_counter()
-            answers[side] = session.execute(pair[side]).result
-            spent[side] += time.perf_counter() - t0
-        if answers[0].nrows != answers[1].scalar():
-            mismatches.append(f"fetch: {pair[0]!r} rows != count(*)")
+    spent, disagree = _paired(
+        [lambda pair: session.execute(pair[0]).result,
+         lambda pair: session.execute(pair[1]).result],
+        pairs,
+        lambda answers: answers[0].nrows == answers[1].scalar(),
+    )
     session.close()
     return {
         "statements": n,
         "point_seconds": spent[0],
         "count_seconds": spent[1],
+        "mismatches": [f"fetch: {point!r} rows != count(*)" for point, _ in disagree],
+    }
+
+
+def q3_join_keys(catalog) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Q3's ``(probe keys, build keys)`` for each of its two joins, as
+    the answer path sees them: lineitem rows passing the WHERE clause's
+    lineitem conjunct probe ``orders``, and the matched orders' custkeys
+    probe ``customer``."""
+    bound = bind(parse(Q3), catalog)
+    table = bound.table
+    columns = table.read(bound.where_main_columns)
+    mask = apply_where(bound, columns, table.nrows)
+    probe = table.column_values(bound.joins[0].left_col)[mask]
+    pairs = []
+    for i, join in enumerate(bound.joins):
+        build = join.table.column_values(join.right_col)
+        pairs.append((probe, build))
+        if i + 1 < len(bound.joins):
+            _, ri = join_indices([probe], [build], strategy="probe")
+            probe = join.table.column_values(bound.joins[i + 1].left_col)[ri]
+    return pairs
+
+
+def _same_arrays(outputs) -> bool:
+    """Every output is the same tuple of arrays as the first."""
+    return all(
+        len(out) == len(outputs[0])
+        and all(np.array_equal(a, b) for a, b in zip(out, outputs[0]))
+        for out in outputs[1:]
+    )
+
+
+def run_join(catalog, repeats: int = 60) -> Dict[str, object]:
+    """Host time of Q3's two joins, route chosen by the kernel against
+    the sort route forced, in alternating pairs (:func:`_paired`)."""
+    spent, mismatches = [0.0, 0.0], []
+    for j, (probe, build) in enumerate(q3_join_keys(catalog)):
+        pair_spent, disagree = _paired(
+            [lambda _: join_indices([probe], [build]),
+             lambda _: join_indices([probe], [build], strategy="probe")],
+            range(repeats),
+            _same_arrays,
+        )
+        spent = [a + b for a, b in zip(spent, pair_spent)]
+        if disagree:
+            mismatches.append(f"join {j}: auto pairs != probe pairs")
+    return {
+        "rows": catalog.table("lineitem").nrows,
+        "auto_seconds": spent[0],
+        "probe_seconds": spent[1],
         "mismatches": mismatches,
     }
 
 
+def run_rank(catalog, repeats: int = 50) -> Dict[str, object]:
+    """Host time of grouping on ``c_mktsegment``: ``factorize`` against
+    a 1-D ``np.unique``, in alternating pairs (:func:`_paired`)."""
+    segment = catalog.table("customer").column_values("c_mktsegment")
+
+    def factorized(_):
+        (uniq,), codes = factorize([segment])
+        return uniq, codes
+
+    (factor_s, unique_s), disagree = _paired(
+        [factorized, lambda _: np.unique(segment, return_inverse=True)],
+        range(repeats),
+        _same_arrays,
+    )
+    return {
+        "rows": len(segment),
+        "factorize_seconds": factor_s,
+        "unique_seconds": unique_s,
+        "mismatches": ["rank: factorize != np.unique"] if disagree else [],
+    }
+
+
 def compare(rows: int, check_rows: int) -> Dict[str, object]:
-    headline = run_headline(rows)
+    catalog, *_ = generate_tpch_analytics(rows)
+    headline = run_headline(catalog)
     cross = run_cross_check(check_rows)
     cache = run_codecache(check_rows)
     frontend = run_frontend(check_rows)
-    fetch = run_fetch(rows)
+    fetch = run_fetch(catalog)
+    join = run_join(catalog)
+    rank = run_rank(catalog)
     return {
         "headline": headline,
         "cross_check": cross,
@@ -289,13 +380,22 @@ def compare(rows: int, check_rows: int) -> Dict[str, object]:
         ),
         "fetch": fetch,
         "fetch_host_ratio": fetch["point_seconds"] / fetch["count_seconds"],
+        "join": join,
+        "join_host_ratio": join["auto_seconds"] / join["probe_seconds"],
+        "rank": rank,
+        "rank_host_ratio": rank["factorize_seconds"] / rank["unique_seconds"],
         "bit_identical": (
             cross["bit_identical"]
             and cache["warm_skips_compile"]
             and cache["answers_match"]
             and not fetch["mismatches"]
+            and not join["mismatches"]
+            and not rank["mismatches"]
         ),
-        "mismatches": cross["mismatches"] + fetch["mismatches"],
+        "mismatches": (
+            cross["mismatches"] + fetch["mismatches"]
+            + join["mismatches"] + rank["mismatches"]
+        ),
     }
 
 
@@ -340,6 +440,14 @@ def main(argv=None) -> int:
     print(
         f"data half, {report['fetch']['statements']} keys: point lookup "
         f"{report['fetch_host_ratio']:.2f}x count(*) on the same key"
+    )
+    print(
+        f"join kernel, Q3's two joins at {report['join']['rows']} rows: "
+        f"auto {report['join_host_ratio']:.2f}x the forced sort route"
+    )
+    print(
+        f"grouping kernel, c_mktsegment at {report['rank']['rows']} rows: "
+        f"factorize {report['rank_host_ratio']:.2f}x np.unique"
     )
     print(f"bit-identical to the Volcano reference: {report['bit_identical']}")
     if args.json:

@@ -223,9 +223,9 @@ class Engine(ABC):
     ) -> ExecutionResult:
         """Run one query and return its answer and cost ledger.
 
-        ``snapshot_ts`` enables MVCC visibility on tables that carry
-        timestamp columns; it is ignored (with all rows visible) on
-        plain tables.
+        ``snapshot_ts`` enables MVCC visibility on every table of the
+        query that carries timestamp columns, the joined ones included;
+        it is ignored (with all rows visible) on plain tables.
         """
         bound = self.bind(query) if isinstance(query, str) else query
         ledger = CostLedger(tracer=self.tracer, metrics=self.metrics)
@@ -260,9 +260,13 @@ class Engine(ABC):
             # appears in the trace so the tree shows where answers form.
             with self._span("answer", layer="exec") as ans:
                 if fragment is not None:
-                    result = fragment.payload(columns, mask=None)
+                    result = fragment.payload(
+                        columns, mask=None, snapshot_ts=snapshot_ts
+                    )
                 else:
-                    result = run_vector(bound, columns, mask=None)
+                    result = run_vector(
+                        bound, columns, mask=None, snapshot_ts=snapshot_ts
+                    )
                 ans.set_attrs(rows_out=result.nrows)
             root.set_attrs(
                 rows_out=result.nrows,

@@ -14,17 +14,33 @@ strategy — resolved at compile time. ``CodeFragmentCache`` stores these
 kernels keyed by ``fragment_signature`` so repeated query shapes skip
 compilation entirely.
 
-Join kernels are pure numpy: the build side is factorized and stably
-argsorted, probes run through ``searchsorted`` ranges, and matches are
-expanded CSR-style with ``repeat``/``cumsum``. Both the hash-style probe
-and the sort-merge fallback (chosen for high-collision keys) reproduce
-the Volcano nested-bucket output order exactly: left rows ascending,
-and within one left row the matching right rows in table order.
+Join and grouping kernels are pure numpy, and each picks its route from
+the keys' dtype, value range and counts alone:
+
+* **Dense domain.** Integer keys whose value range is within a small
+  factor of the row count are addressed directly: offsets from the
+  minimum index a table over ``[min, max]``. A join fills a slot table
+  with the build rows; when no build key repeats (a key join), one
+  gather maps every probe to its right row. Grouping ranks such a
+  column through the presence-map LUT (:func:`_dense_ranks`), which
+  also renumbers mixed-radix composite codes.
+* **Sort.** Sparse keys, and dense build sides whose keys repeat,
+  sort: the build side is stably argsorted and probes run through
+  ``searchsorted`` ranges (or, for high-collision keys, a sort-merge),
+  and grouping ranks by a 1-D ``np.unique``. A
+  ``CHAR`` key wider than one byte is read as big-endian ``uint64``
+  words, each word ranked on its own and the ranks combined by mixed
+  radix, which keeps byte-string order.
+
+Matches expand CSR-style with ``repeat``/``cumsum``. Every join route
+reproduces the Volcano nested-bucket output order exactly: left rows
+ascending, and within one left row the matching right rows in table
+order.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,19 +75,23 @@ _AUTO = object()
 
 
 def run_vector(
-    query: BoundQuery, columns: Dict[str, np.ndarray], mask: object = _AUTO
+    query: BoundQuery,
+    columns: Dict[str, np.ndarray],
+    mask: object = _AUTO,
+    snapshot_ts: Optional[int] = None,
 ) -> QueryResult:
     """Execute ``query`` over the given base columns.
 
     ``columns`` holds one query-facing array per referenced column of the
     main table (already restricted to visible rows). Join-side columns
-    are fetched from the bound join tables on demand. Engines that
-    already evaluated the WHERE clause (to charge its cost) pass the
-    boolean ``mask`` to avoid re-evaluation; ``None`` means "no
+    are fetched from the bound join tables on demand, at the rows
+    visible to ``snapshot_ts`` for an MVCC table (every row when None).
+    Engines that already evaluated the WHERE clause (to charge its cost)
+    pass the boolean ``mask`` to avoid re-evaluation; ``None`` means "no
     filtering". One-shot path: compiles a :class:`FusedKernel` and runs
     it; engines with a code cache reuse compiled kernels instead.
     """
-    return FusedKernel(query)(columns, mask=mask)
+    return FusedKernel(query)(columns, mask=mask, snapshot_ts=snapshot_ts)
 
 
 # ----------------------------------------------------------------------
@@ -107,7 +127,10 @@ class FusedKernel:
         self._hidden = _hidden_sort_columns(query, self._names)
 
     def __call__(
-        self, columns: Dict[str, np.ndarray], mask: object = _AUTO
+        self,
+        columns: Dict[str, np.ndarray],
+        mask: object = _AUTO,
+        snapshot_ts: Optional[int] = None,
     ) -> QueryResult:
         query = self.query
         if mask is _AUTO:
@@ -116,7 +139,7 @@ class FusedKernel:
             columns = {name: arr[mask] for name, arr in columns.items()}
 
         for spec in self._joins:
-            columns = _join_step(spec, columns)
+            columns = _join_step(spec, columns, snapshot_ts)
         if query.where_post is not None:
             pmask = _as_mask(query.where_post.eval_vector(columns), columns)
             columns = {name: arr[pmask] for name, arr in columns.items()}
@@ -194,6 +217,11 @@ def _right_columns_needed(query: BoundQuery, index: int) -> Tuple[str, ...]:
 #: most the row count).
 _CODE_SPACE_LIMIT = 1 << 62
 
+#: A join takes the dense route when its build keys span at most this
+#: many times the rows of both sides; its int64 slot table then costs
+#: about ``8 * DENSE_SPAN_FACTOR`` bytes per row.
+DENSE_SPAN_FACTOR = 4
+
 
 def factorize(keys: Sequence[np.ndarray]) -> Tuple[List[np.ndarray], np.ndarray]:
     """Factorize key tuples: ``(unique key arrays, int64 codes)``.
@@ -206,51 +234,110 @@ def factorize(keys: Sequence[np.ndarray]) -> Tuple[List[np.ndarray], np.ndarray]
     dtypes and bytes are the input's (``-0.0`` and ``0.0`` group
     together and report whichever came first).
 
-    Every key column is ranked on its own: one-byte keys (``S1``,
-    ``uint8``, ``int8``, ``bool``) by counting with a 256-slot presence
-    map, wider keys by a 1-D ``np.unique``. The ranks combine by mixed
-    radix into one int64 code, which a presence map densifies when its
-    space is no larger than the row count and a sort densifies
-    otherwise. Both choices follow from dtype and size alone; no path
-    changes the answer.
+    Every key column is ranked on its own (:func:`_rank_column`):
+
+    * one-byte keys (``S1``, ``uint8``, ``int8``, ``bool``) through a
+      256-slot presence map;
+    * integer keys whose value range is no larger than the row count
+      through a presence map over ``[min, max]``;
+    * ``CHAR`` keys wider than one byte as big-endian ``uint64`` words,
+      each word ranked on its own and the ranks combined as below;
+    * any other key (floats, sparse integers) by a 1-D ``np.unique``.
+
+    The ranks combine by mixed radix into one int64 code, which a
+    presence map densifies when its space is no larger than the row
+    count and a sort densifies otherwise. Every choice follows from
+    dtype, value range and size alone; no route changes the answer.
     """
     n = len(keys[0])
     if n == 0:
         return [k[:0] for k in keys], np.zeros(0, dtype=np.int64)
-    codes, space = _rank_column(keys[0])
-    for col in keys[1:]:
-        ranks, card = _rank_column(col)
-        if space * card > _CODE_SPACE_LIMIT:
-            codes, space = _densify(codes, space)
-        codes = codes * card + ranks
-        space *= card
-    if len(keys) > 1:
-        codes, space = _densify(codes, space)
+    codes, space = _mixed_radix(_rank_column(col) for col in keys)
     first = np.full(space, n, dtype=np.int64)
     np.minimum.at(first, codes, np.arange(n, dtype=np.int64))
     return [k[first] for k in keys], codes
 
 
+def _mixed_radix(ranked: Iterable[Tuple[np.ndarray, int]]) -> Tuple[np.ndarray, int]:
+    """Combine per-column ``(ranks, distinct)`` pairs, column 0 most
+    significant, into dense order-preserving int64 codes."""
+    ranked = iter(ranked)
+    codes, space = next(ranked)
+    combined = False
+    for ranks, card in ranked:
+        if space * card > _CODE_SPACE_LIMIT:
+            codes, space = _densify(codes, space)
+        codes = codes * card + ranks
+        space *= card
+        combined = True
+    if combined:
+        codes, space = _densify(codes, space)
+    return codes, space
+
+
 def _rank_column(col: np.ndarray) -> Tuple[np.ndarray, int]:
     """Dense order-preserving ranks of one key column: (ranks, distinct)."""
-    if col.dtype.itemsize == 1 and col.dtype.kind in "Subi":
+    kind = col.dtype.kind
+    if col.dtype.itemsize == 1 and kind in "Subi":
         byte = col.view(np.uint8)
-        if col.dtype.kind == "i":
+        if kind == "i":
             byte = byte ^ np.uint8(0x80)  # signed order as unsigned bytes
-        present = np.bincount(byte, minlength=256) > 0
-        lut = np.cumsum(present, dtype=np.int64) - 1
-        return lut[byte], int(lut[-1]) + 1
+        return _dense_ranks(byte, 256)
+    if len(col) and kind in "iu":
+        lo, span = _int_span(col)
+        if span <= len(col):
+            return _dense_ranks(_offsets(col, lo), span)
+    elif len(col) and kind == "S":
+        return _mixed_radix(_rank_column(word) for word in _char_words(col))
     uniq, inverse = np.unique(col, return_inverse=True)
     return inverse.reshape(-1), len(uniq)
+
+
+def _char_words(col: np.ndarray) -> np.ndarray:
+    """A byte-string column as rows of big-endian ``uint64`` words, most
+    significant first. Zero padding keeps numpy's byte order: a value
+    shorter than the width already compares as if NUL-padded."""
+    n, width = len(col), col.dtype.itemsize
+    padded = np.zeros((n, -(-width // 8) * 8), dtype=np.uint8)
+    padded[:, :width] = np.ascontiguousarray(col).view(np.uint8).reshape(n, width)
+    return np.ascontiguousarray(padded.view(">u8").astype(np.uint64).T)
+
+
+def _int_span(col: np.ndarray) -> Tuple[int, int]:
+    """``(min, max - min + 1)`` of a non-empty integer column, in Python
+    ints so the span of extreme values cannot overflow."""
+    lo = int(col.min())
+    return lo, int(col.max()) - lo + 1
+
+
+def _offsets(col: np.ndarray, lo: int) -> np.ndarray:
+    """``col - lo`` modulo 2**64, as int64.
+
+    Exact for the values at or above ``lo``: signed keys subtract after
+    widening to int64 and unsigned ones in their own dtype, so a narrow
+    dtype cannot wrap. Read as ``uint64``, a value below ``lo`` comes
+    out larger than ``hi - lo`` for every ``hi`` the dtype holds, so one
+    unsigned compare against a range ``[lo, hi]`` rejects the values on
+    both sides of it.
+    """
+    if col.dtype.kind == "u":
+        return (col - col.dtype.type(lo)).astype(np.int64, copy=False)
+    return col.astype(np.int64, copy=False) - lo
+
+
+def _dense_ranks(offsets: np.ndarray, space: int) -> Tuple[np.ndarray, int]:
+    """Order-preserving ranks of integer offsets in ``0..space-1`` through
+    a presence map: ``(ranks, distinct)``."""
+    present = np.zeros(space, dtype=bool)
+    present[offsets] = True
+    lut = np.cumsum(present, dtype=np.int64) - 1
+    return lut[offsets], int(lut[-1]) + 1
 
 
 def _densify(codes: np.ndarray, space: int) -> Tuple[np.ndarray, int]:
     """Renumber int64 codes onto ``0..k-1`` keeping their order."""
     if space <= len(codes):
-        present = np.zeros(space, dtype=bool)
-        present[codes] = True
-        lut = np.cumsum(present, dtype=np.int64) - 1
-        return lut[codes], int(lut[-1]) + 1
+        return _dense_ranks(codes, space)
     uniq, inverse = np.unique(codes, return_inverse=True)
     return inverse.reshape(-1), len(uniq)
 
@@ -258,13 +345,20 @@ def _densify(codes: np.ndarray, space: int) -> Tuple[np.ndarray, int]:
 # ----------------------------------------------------------------------
 # Join kernels.
 # ----------------------------------------------------------------------
-def _join_step(spec: _JoinSpec, columns: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-    left_keys = columns[spec.left_col]
-    right_keys = spec.table.column_values(spec.right_col)
-    li, ri = join_indices([left_keys], [right_keys], strategy=spec.strategy)
+def _join_step(
+    spec: _JoinSpec, columns: Dict[str, np.ndarray], snapshot_ts: Optional[int]
+) -> Dict[str, np.ndarray]:
+    table = spec.table
+    rows = None
+    if snapshot_ts is not None and table.schema.mvcc:
+        rows = table.visible_mask(snapshot_ts)
+    right = table.read(tuple(dict.fromkeys((spec.right_col, *spec.right_cols))), rows)
+    li, ri = join_indices(
+        [columns[spec.left_col]], [right[spec.right_col]], strategy=spec.strategy
+    )
     out = {name: arr[li] for name, arr in columns.items()}
     for name in spec.right_cols:
-        out[name] = spec.table.column_values(name)[ri]
+        out[name] = right[name][ri]
     return out
 
 
@@ -280,13 +374,63 @@ def join_indices(
     sorted by left index, and within one left index by right index —
     i.e. exactly what a dict-of-buckets build + in-order probe yields.
 
-    ``strategy`` is ``"probe"`` (binary-search each probe key against
-    the sorted build side), ``"merge"`` (sort the probe side too and
-    expand run-against-run — wins when build keys repeat heavily), or
-    ``"auto"`` to pick by the observed build-side fanout. Both
-    strategies are bit-identical by construction.
+    ``"auto"`` picks the route from the keys alone. Integer keys whose
+    build side spans at most :data:`DENSE_SPAN_FACTOR` times the rows of
+    both sides, with no build key repeated (a key join), go through a
+    slot table over that range: one gather per probe. Other keys sort
+    the build side and probe it by binary search, or sort-merge when
+    build keys repeat :data:`MERGE_FANOUT_THRESHOLD` times on average.
+    ``strategy="probe"`` or ``"merge"`` forces that sort route.
+    Every route is bit-identical by construction.
     """
     lcodes, rcodes = _join_codes(left_keys, right_keys)
+    if strategy == "auto":
+        dense = _dense_span(lcodes, rcodes)
+        if dense is not None:
+            return _dense_join(lcodes, rcodes, *dense)
+    return _sort_join(lcodes, rcodes, strategy)
+
+
+def _dense_span(lcodes: np.ndarray, rcodes: np.ndarray) -> Optional[Tuple[int, int]]:
+    """``(min, span)`` of the build keys when the dense route applies:
+    both sides non-empty, integer codes (``_join_codes`` gives both
+    sides one dtype), and a span within the factor of the row counts."""
+    if not (len(lcodes) and len(rcodes)) or rcodes.dtype.kind not in "iu":
+        return None
+    lo, span = _int_span(rcodes)
+    if span > DENSE_SPAN_FACTOR * (len(lcodes) + len(rcodes)):
+        return None
+    return lo, span
+
+
+def _dense_join(
+    lcodes: np.ndarray, rcodes: np.ndarray, lo: int, span: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Join by direct addressing over the build keys' range
+    ``[lo, lo + span)``.
+
+    A slot table maps each offset to its build row, with one extra slot
+    at ``span`` that stays empty. Probe offsets are taken modulo 2**64
+    and compared unsigned, so a probe outside the range — even one whose
+    subtraction wraps — lands at or past ``span`` and is clamped onto the
+    empty slot: it matches nothing. When the table holds every build row
+    (no key repeats: a key join), one gather finishes the join;
+    otherwise the join takes the sort route.
+    """
+    slot = np.full(span + 1, -1, dtype=np.int64)
+    slot[_offsets(rcodes, lo)] = np.arange(len(rcodes), dtype=np.int64)
+    if np.count_nonzero(slot >= 0) != len(rcodes):
+        return _sort_join(lcodes, rcodes, "auto")
+    loff = np.minimum(_offsets(lcodes, lo).view(np.uint64), np.uint64(span))
+    ri = slot[loff.view(np.int64)]
+    li = np.flatnonzero(ri >= 0)
+    return li, ri[li]
+
+
+def _sort_join(
+    lcodes: np.ndarray, rcodes: np.ndarray, strategy: str
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Join through the stably sorted build side (probe or sort-merge)."""
     order = np.argsort(rcodes, kind="stable")
     sorted_r = rcodes[order]
     if strategy == "auto":

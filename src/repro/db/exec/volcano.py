@@ -214,14 +214,25 @@ class LimitNode(VolcanoIterator):
                 yield row
 
 
-def run_volcano(query: BoundQuery, columns: Dict[str, np.ndarray]) -> QueryResult:
-    """Execute ``query`` tuple-at-a-time over the given base columns."""
+def run_volcano(
+    query: BoundQuery,
+    columns: Dict[str, np.ndarray],
+    snapshot_ts: Optional[int] = None,
+) -> QueryResult:
+    """Execute ``query`` tuple-at-a-time over the given base columns.
+
+    A joined MVCC table contributes the rows visible to ``snapshot_ts``
+    (every row when None), as the main table's ``columns`` already do.
+    """
     node: VolcanoIterator = ScanNode(columns)
     if query.where_main is not None:
         node = FilterNode(node, query.where_main)
     for join in query.joins:
+        visible = slice(None)
+        if snapshot_ts is not None and join.table.schema.mvcc:
+            visible = join.table.visible_mask(snapshot_ts)
         right_cols = {
-            name: join.table.column_values(name)
+            name: join.table.column_values(name)[visible]
             for name in join.table.schema.column_names
         }
         node = JoinNode(node, ScanNode(right_cols), join.left_col, join.right_col)

@@ -309,8 +309,11 @@ class Session:
     # ------------------------------------------------------------------
     # SELECT.
     # ------------------------------------------------------------------
-    def _snapshot_for(self, table) -> Optional[int]:
-        if not table.schema.mvcc:
+    def _snapshot_for(self, bound) -> Optional[int]:
+        """The statement's snapshot when any table it reads (the main
+        table or a joined one) is MVCC, else None."""
+        tables = (bound.table, *(join.table for join in bound.joins))
+        if not any(table.schema.mvcc for table in tables):
             return None
         if self._txn is not None:
             return self._txn.start_ts
@@ -326,7 +329,7 @@ class Session:
             )
         with maybe_span(self.tracer, "sql.exec", layer="sql"):
             execution = self.engine.execute(
-                bound, snapshot_ts=self._snapshot_for(bound.table)
+                bound, snapshot_ts=self._snapshot_for(bound)
             )
         self.stats.selects += 1
         self.stats.rows_returned += execution.result.nrows
@@ -404,7 +407,7 @@ class Session:
             with maybe_span(self.tracer, "sql.subquery", layer="sql") as ss:
                 bound = bind(folded, self.catalog)
                 execution = self.engine.execute(
-                    bound, snapshot_ts=self._snapshot_for(bound.table)
+                    bound, snapshot_ts=self._snapshot_for(bound)
                 )
                 ss.set_attrs(rows=execution.result.nrows)
         finally:

@@ -28,6 +28,7 @@ from repro.db.mvcc import TransactionManager
 from repro.db.plan import bind
 from repro.db.plan.codecache import CodeFragmentCache
 from repro.db.sql import parse
+from repro.db.sql.pipeline import Session
 from repro.db.types import CHAR, DECIMAL, INT32, INT64
 from repro.core.ledger import CostLedger
 from repro.hw.config import TEST_PLATFORM
@@ -187,25 +188,82 @@ class TestVectorVsVolcanoProperty:
         assert_same_result(forced, auto, context=f"{strategy}: {sql}")
 
 
+#: Join key kinds: dtype and a value strategy. With at most 60 rows a
+#: side, ``dense`` and ``negative`` build sides take the dense route,
+#: ``sparse`` ones the sort route; ``extremes`` (where ``max - min``
+#: overflows int64), ``int16`` and ``int32`` mix both, with probes far
+#: outside a narrow build range (an offset there would wrap the dtype).
+_JOIN_KEY_KINDS = {
+    "dense": (np.int64, st.integers(0, 8)),
+    "negative": (np.int64, st.integers(-12, -1) | st.integers(-3, 3)),
+    "sparse": (np.int64, st.integers(-(10**6), 10**6) | st.integers(0, 3)),
+    "extremes": (
+        np.int64,
+        st.sampled_from([-(2**63), -(2**63) + 1, -1, 0, 2**63 - 2, 2**63 - 1]),
+    ),
+    "int16": (np.int16, st.sampled_from([-(2**15), 2**15 - 1]) | st.integers(-3, 3)),
+    "int32": (np.int32, st.sampled_from([-(2**31), 2**31 - 1]) | st.integers(-3, 3)),
+    "uint8": (np.uint8, st.sampled_from([0, 1, 2, 254, 255])),
+}
+
+
+@st.composite
+def join_key_pairs(draw):
+    """``(left, right)`` key arrays, each of its own kind (mixed dtypes
+    promote), either side possibly empty."""
+    sides = []
+    for _ in range(2):
+        dtype, values = _JOIN_KEY_KINDS[draw(st.sampled_from(sorted(_JOIN_KEY_KINDS)))]
+        sides.append(np.array(draw(st.lists(values, max_size=60)), dtype=dtype))
+    return tuple(sides)
+
+
+def brute_force_join(left, right):
+    """Nested-loop referee: every matching (left, right) pair, in order."""
+    return [
+        (i, j)
+        for i, lv in enumerate(left)
+        for j, rv in enumerate(right)
+        if lv == rv
+    ]
+
+
+def assert_join_pairs(li, ri, expect, context):
+    """Both index arrays equal the referee's pairs, each on its own, so
+    a length mismatch between them fails too."""
+    assert li.tolist() == [i for i, _ in expect], context
+    assert ri.tolist() == [j for _, j in expect], context
+
+
 class TestJoinIndices:
-    @given(
-        st.lists(st.integers(0, 8), max_size=60),
-        st.lists(st.integers(0, 8), max_size=60),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_probe_merge_and_reference_agree(self, left, right):
-        l = np.asarray(left, dtype=np.int64)
-        r = np.asarray(right, dtype=np.int64)
-        expect_l, expect_r = [], []
-        for i, lv in enumerate(left):
-            for j, rv in enumerate(right):
-                if lv == rv:
-                    expect_l.append(i)
-                    expect_r.append(j)
+    @given(join_key_pairs())
+    @example((np.arange(5, dtype=np.int64), np.array([3, 1, 3, 9], dtype=np.int64)))
+    @example((np.array([-(2**63)], dtype=np.int64), np.array([2**63 - 1], dtype=np.int64)))
+    @example((np.array([-(2**31), 7], dtype=np.int32), np.array([2**31 - 1], dtype=np.int64)))
+    @settings(max_examples=300, deadline=None)
+    def test_probe_merge_and_reference_agree(self, pair):
+        left, right = pair
+        expect = brute_force_join(left.tolist(), right.tolist())
         for strategy in ("probe", "merge", "auto"):
-            li, ri = join_indices([l], [r], strategy=strategy)
-            assert li.tolist() == expect_l, strategy
-            assert ri.tolist() == expect_r, strategy
+            li, ri = join_indices([left], [right], strategy=strategy)
+            assert_join_pairs(li, ri, expect, strategy)
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32])
+    def test_dense_offsets_do_not_wrap_narrow_dtypes(self, dtype):
+        # Build keys spanning 40,000 values, taken in int16 an offset
+        # would pass 32,767 and wrap; probes sit at both ends of the
+        # range and past them, out to the dtype's extremes.
+        info = np.iinfo(dtype)
+        right = np.arange(-20_000, 20_000, dtype=dtype)[::-1].copy()
+        left = np.array(
+            [info.min, -20_001, -20_000, -1, 0, 19_999, 20_000, info.max, 5, 5],
+            dtype=dtype,
+        )
+        where = {v: j for j, v in enumerate(right.tolist())}
+        expect = [(i, where[v]) for i, v in enumerate(left.tolist()) if v in where]
+        for strategy in ("auto", "probe"):
+            li, ri = join_indices([left], [right], strategy=strategy)
+            assert_join_pairs(li, ri, expect, strategy)
 
     @given(
         st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=40),
@@ -217,15 +275,50 @@ class TestJoinIndices:
         lb = np.asarray([t[1] for t in left], dtype=np.int64)
         ra = np.asarray([t[0] for t in right], dtype=np.int64)
         rb = np.asarray([t[1] for t in right], dtype=np.int64)
-        expect = [
-            (i, j)
-            for i, lt in enumerate(left)
-            for j, rt in enumerate(right)
-            if lt == rt
-        ]
-        for strategy in ("probe", "merge"):
+        expect = brute_force_join(left, right)
+        for strategy in ("probe", "merge", "auto"):
             li, ri = join_indices([la, lb], [ra, rb], strategy=strategy)
-            assert list(zip(li.tolist(), ri.tolist())) == expect, strategy
+            assert_join_pairs(li, ri, expect, strategy)
+
+    def test_routes_follow_from_the_keys(self, monkeypatch):
+        # No knob selects a route: spy on the kernels instead. Q3's two
+        # key joins take the slot table (dense, no match expansion), a
+        # dense build side with duplicates falls back to the sort route,
+        # and a build side spanning more than the factor times the rows
+        # sorts without trying the slot table.
+        from repro.db.exec import vector
+        from repro.db.engines import RelationalMemoryEngine
+        from repro.workloads.tpch_analytics import Q3, generate_tpch_analytics
+
+        calls = []
+
+        def spy(name):
+            real = getattr(vector, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(vector, name, wrapper)
+
+        for name in ("_dense_join", "_sort_join", "_expand_matches"):
+            spy(name)
+
+        catalog, *_ = generate_tpch_analytics(300_000)
+        assert RelationalMemoryEngine(catalog).execute(Q3).result.nrows == 10
+        assert calls == ["_dense_join", "_dense_join"]
+
+        calls.clear()
+        dup = np.array([4, 2, 4, 7], dtype=np.int64)
+        li, ri = join_indices([np.arange(9, dtype=np.int64)], [dup])
+        assert calls == ["_dense_join", "_sort_join", "_expand_matches"]
+        assert_join_pairs(li, ri, brute_force_join(range(9), dup.tolist()), "dup")
+
+        calls.clear()
+        # Span 4 * factor + 1 over 2 + 2 rows: one past the dense bound.
+        wide = np.array([0, 4 * vector.DENSE_SPAN_FACTOR], dtype=np.int64)
+        join_indices([wide], [wide])
+        assert calls == ["_sort_join", "_expand_matches"]
 
     def test_mixed_dtype_keys_promote(self):
         l = np.asarray([1, 2, 3], dtype=np.int32)
@@ -245,10 +338,29 @@ class TestJoinIndices:
 
 #: Key column kinds for the factorize property: dtype and a value
 #: strategy with enough repeats to form groups. ``S1``, ``uint8``,
-#: ``int8`` and ``bool`` take the counting path; the rest sort.
+#: ``int8`` and ``bool`` take the counting path; integers whose range is
+#: no larger than the row count the presence map; wider ``S`` kinds are
+#: ranked as ``uint64`` words (``S17`` spans three, with values that
+#: differ only past a word boundary); the rest sort.
 _KEY_KINDS = {
     "S1": ("S1", st.sampled_from([b"", b"A", b"N", b"R", b"\x80", b"\xff"])),
     "S4": ("S4", st.sampled_from([b"", b"a", b"ab", b"abcd", b"b", b"\xffz"])),
+    "S10": (
+        "S10",
+        st.sampled_from(
+            [b"", b"\x00", b"BUILDING", b"AUTOMOBILE", b"A\x00B", b"A",
+             b"\xff" * 10, b"\xff", b"BUILDING\x00\x01"]
+        ),
+    ),
+    "S17": (
+        "S17",
+        st.sampled_from(
+            [b"", b"\x00", b"abcdefgh", b"abcdefgh\x00\x00", b"abcdefghi",
+             b"abcdefgh\xff", b"abcdefghijklmnopq", b"abcdefghijklmnop",
+             b"abcdefghijklmnop\xff", b"\xff" * 17, b"zz"]
+        ),
+    ),
+    "int16": (np.int16, st.integers(-5, 5) | st.sampled_from([-(2**15), 2**15 - 1])),
     "int64": (
         np.int64,
         st.sampled_from([-(2**63), -(2**62), -1, 0, 1, 2**63 - 1])
@@ -435,6 +547,53 @@ class TestEngineTraceBitIdentity:
             for ts in snapshots
         ]
         assert counts == sorted(counts) and counts[0] < counts[-1]
+
+
+class TestMvccJoinVisibility:
+    """A joined MVCC table contributes only the rows visible to the
+    statement's snapshot, on every engine, with or without a code cache,
+    whether or not the main table is MVCC too."""
+
+    SQL = "SELECT k, w FROM a JOIN b ON k = bk ORDER BY k"
+
+    def _session(self, engine_cls, plain_main, codecache):
+        catalog = Catalog()
+        engine = engine_cls(catalog, TEST_PLATFORM, codecache=codecache)
+        session = Session(catalog, engine)
+        if plain_main:
+            a = catalog.create_table(
+                TableSchema("a", [Column("k", INT64), Column("v", INT64)])
+            )
+            a.append_rows([{"k": 1, "v": 10}, {"k": 2, "v": 20}])
+        else:
+            session.execute("CREATE TABLE a (k INT64, v INT64)")
+            session.execute("INSERT INTO a VALUES (1, 10), (2, 20)")
+        session.execute("CREATE TABLE b (bk INT64, w INT64)")
+        session.execute("INSERT INTO b VALUES (1, 100), (2, 200)")
+        return session
+
+    @pytest.mark.parametrize("plain_main", [False, True])
+    @pytest.mark.parametrize("engine_cls", ENGINES)
+    def test_superseded_and_deleted_versions_are_not_joined(
+        self, engine_cls, plain_main
+    ):
+        for codecache in (None, CodeFragmentCache()):
+            session = self._session(engine_cls, plain_main, codecache)
+            before = session.manager.now
+            session.execute("UPDATE b SET w = 999 WHERE bk = 1")
+            session.execute("DELETE FROM b WHERE bk = 2")
+            assert session.execute(self.SQL).result.rows() == [(1, 999)]
+            # An older snapshot still sees the rows as they were.
+            engine = session.engine
+            old = engine.execute(self.SQL, snapshot_ts=before).result.rows()
+            assert old == [(1, 100), (2, 200)]
+            # The Volcano reference reads the joined table at a snapshot too.
+            bound = bind(parse(self.SQL), session.catalog)
+            table = session.catalog.table("a")
+            vis = slice(None) if plain_main else table.visible_mask(session.manager.now)
+            cols = {n: table.column_values(n)[vis] for n in bound.referenced_columns}
+            ref = run_volcano(bound, cols, snapshot_ts=session.manager.now)
+            assert ref.rows() == [(1, 999)]
 
 
 class TestCodeCache:
