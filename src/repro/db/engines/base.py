@@ -42,10 +42,10 @@ import numpy as np
 from repro.core.ledger import CostLedger
 from repro.db.catalog import Catalog
 from repro.db.plan.binder import BoundQuery, bind
-from repro.db.plan.codecache import CodeFragmentCache, Fragment
+from repro.db.plan.codecache import CodeFragmentCache
 from repro.db.plan.logical import explain
 from repro.db.exec.result import QueryResult
-from repro.db.exec.vector import FusedKernel, apply_where, run_vector
+from repro.db.exec.vector import apply_where, run_vector
 from repro.db.sql.parser import parse
 from repro.errors import ExecutionError
 from repro.hw.analytic import AnalyticMemoryModel, MemoryModel, TraceMemoryModel
@@ -134,8 +134,8 @@ class Engine(ABC):
         else:
             raise ExecutionError(f"unknown memory model {memory_model!r}")
         #: Optional :class:`repro.db.plan.codecache.CodeFragmentCache`.
-        #: When attached, repeated query shapes skip kernel compilation
-        #: (by fragment signature), and misses charge ``PLAN_COMPILE``
+        #: When attached, a query shape whose fragment signature is
+        #: resident pays no compilation; misses charge ``PLAN_COMPILE``
         #: cycles.
         self.codecache = codecache
         #: Observability hook: when set, every execute() builds a span
@@ -235,7 +235,7 @@ class Engine(ABC):
             table=bound.table.schema.name,
             layer="engine",
         ) as root:
-            fragment = self._plan_fragment(bound, ledger)
+            self._charge_compile(bound, ledger)
             with self._span(
                 "scan",
                 probe=self._hw_probe(),
@@ -259,14 +259,9 @@ class Engine(ABC):
             # its cycles were charged per-operator above — but it still
             # appears in the trace so the tree shows where answers form.
             with self._span("answer", layer="exec") as ans:
-                if fragment is not None:
-                    result = fragment.payload(
-                        columns, mask=None, snapshot_ts=snapshot_ts
-                    )
-                else:
-                    result = run_vector(
-                        bound, columns, mask=None, snapshot_ts=snapshot_ts
-                    )
+                result = run_vector(
+                    bound, columns, mask=None, snapshot_ts=snapshot_ts
+                )
                 ans.set_attrs(rows_out=result.nrows)
             root.set_attrs(
                 rows_out=result.nrows,
@@ -297,32 +292,18 @@ class Engine(ABC):
         """
         return bind(parse(sql), self.catalog)
 
-    def _plan_fragment(
-        self, bound: BoundQuery, ledger: CostLedger
-    ) -> Optional[Fragment]:
-        """Code-cache lookup: fetch or compile this shape's fused kernel.
-
-        Misses compile a :class:`FusedKernel` and charge ``PLAN_COMPILE``
-        cycles; hits dispatch straight to the resident kernel. Without a
-        cache (the default) there is no charge and no fragment — default
-        cycle totals are untouched.
-        """
+    def _charge_compile(self, bound: BoundQuery, ledger: CostLedger) -> None:
+        """Code-cache lookup: a miss charges ``PLAN_COMPILE`` cycles for
+        compiling this shape's fragment, a hit charges nothing. Without a
+        cache (the default) there is no lookup and no charge — default
+        cycle totals are untouched."""
         if self.codecache is None:
-            return None
+            return
         with self._span("plan", layer="plan", layout=self.fragment_layout) as span:
-            hit, cycles, fragment = self.codecache.fetch(
-                bound, self.fragment_layout, compiler=lambda: FusedKernel(bound)
-            )
+            hit, cycles = self.codecache.lookup(bound, self.fragment_layout)
             if cycles:
                 ledger.charge(CostLedger.PLAN_COMPILE, cycles)
-            if fragment.payload is None or fragment.payload.query is not bound:
-                # Same code shape, different parameters (literals or, on
-                # the packed layout, a different same-typed column set):
-                # the generated code is reused — only this cheap Python
-                # re-bind happens, with no compile charge.
-                fragment.payload = FusedKernel(bound)
             span.set_attrs(hit=hit, compile_cycles=cycles)
-        return fragment
 
     def price(
         self, bound: BoundQuery, visible: int, qualifying: int, mvcc: bool

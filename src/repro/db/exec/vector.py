@@ -6,13 +6,15 @@ produce answers through this evaluator so results are bit-identical by
 construction. The Volcano interpreter in :mod:`repro.db.exec.volcano` is
 the independent reference used by tests to validate this module.
 
-Execution is organized as a :class:`FusedKernel`: the query shape is
-compiled once into a chain of closures (filter -> join* -> post-join
-filter -> aggregate/project -> having -> distinct -> sort -> limit) with
-all per-shape decisions — join column sets, hidden sort keys, join
-strategy — resolved at compile time. ``CodeFragmentCache`` stores these
-kernels keyed by ``fragment_signature`` so repeated query shapes skip
-compilation entirely.
+Execution is organized as a :class:`FusedKernel`: the bound query is
+compiled into a chain of stages (filter -> join* -> post-join filter ->
+aggregate/project -> having -> distinct -> sort -> limit) with all
+per-query decisions — join column sets, hidden sort keys, join strategy
+— resolved up front. :func:`run_vector` is the one door every engine's
+answer goes through; it builds the kernel per call, which is cheap next
+to the stages. Compilation is priced, not cached, here:
+``CodeFragmentCache`` charges simulated compile cycles by
+``fragment_signature`` and holds no kernels.
 
 Join and grouping kernels are pure numpy, and each picks its route from
 the keys' dtype, value range and counts alone:
@@ -88,8 +90,8 @@ def run_vector(
     visible to ``snapshot_ts`` for an MVCC table (every row when None).
     Engines that already evaluated the WHERE clause (to charge its cost)
     pass the boolean ``mask`` to avoid re-evaluation; ``None`` means "no
-    filtering". One-shot path: compiles a :class:`FusedKernel` and runs
-    it; engines with a code cache reuse compiled kernels instead.
+    filtering". Every engine answer comes through here: it compiles a
+    :class:`FusedKernel` and runs it.
     """
     return FusedKernel(query)(columns, mask=mask, snapshot_ts=snapshot_ts)
 
@@ -113,9 +115,10 @@ class _JoinSpec:
 class FusedKernel:
     """A query shape compiled to a chain of vectorized stages.
 
-    Instances are pure functions of (columns, mask) — they hold no row
-    data, only the bound query and per-stage decisions — so they are
-    safe to cache and replay for every execution of the same shape.
+    Instances are pure functions of (columns, mask): they hold no row
+    data, only the bound query and per-stage decisions. Tests build one
+    directly to force a join strategy; engines go through
+    :func:`run_vector`.
     """
 
     __slots__ = ("query", "_joins", "_hidden", "_names")

@@ -133,15 +133,16 @@ class Transaction:
 
     def update(self, table: Table, slot: int, changes: Mapping[str, Any]) -> int:
         """Create a new version of ``slot`` with ``changes`` applied;
-        returns the new slot. A :class:`WriteConflictError` (a concurrent
+        returns the new slot. The version is one record copy of the old
+        image with only the changed fields re-encoded
+        (:meth:`Table.append_version`), so untouched columns keep their
+        stored bytes. A :class:`WriteConflictError` (a concurrent
         transaction already superseded this version) aborts the
         transaction before propagating."""
         self._require_active()
         self._require_mvcc(table)
         self._check_updatable_or_abort(table, slot)
-        current = table.row(slot)
-        current.update(changes)
-        new_slot = table.append_row(current)
+        new_slot = table.append_version(slot, changes)
         intent = _WriteIntent(table=table, new_slot=new_slot, old_slot=slot)
         self._intents.append(intent)
         self._manager._log_write(self, intent)

@@ -18,9 +18,11 @@ This module makes that claim measurable. A fragment's identity is its
   identical queries share one fragment regardless of which columns they
   touch.
 
-The cache itself is a plain LRU with a compile-cost charge on misses, so
-benches can report hit rates and amortized compilation cycles per
-workload under both layouts.
+The cache itself is a plain LRU of signatures with a compile-cost charge
+on misses, so benches can report hit rates and amortized compilation
+cycles per workload under both layouts. It models the compiled code;
+it does not hold any: every answer comes from
+:func:`repro.db.exec.vector.run_vector`.
 """
 
 from __future__ import annotations
@@ -163,22 +165,14 @@ class CacheStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
 
-@dataclass
-class Fragment:
-    """One resident compiled fragment: the fused kernel plus bookkeeping.
-
-    ``payload`` is whatever the compiler produced (for the engines: a
-    :class:`repro.db.exec.vector.FusedKernel`); ``None`` for callers that
-    only track shapes.
-    """
-
-    fragment_id: int
-    payload: object = None
-    uses: int = 0
-
-
 class CodeFragmentCache:
-    """An LRU of compiled fragments keyed by code shape."""
+    """An LRU of compiled fragments, held as their code-shape signatures.
+
+    The cache prices compilation; it holds no code. A miss charges
+    ``compile_cycles`` and makes the signature resident, evicting the
+    least recently used one at capacity; a hit charges nothing. Answers
+    come from the executor either way.
+    """
 
     def __init__(
         self,
@@ -190,46 +184,24 @@ class CodeFragmentCache:
         self.capacity = capacity
         self.compile_cycles = compile_cycles
         self.stats = CacheStats()
-        self._fragments: "OrderedDict[str, Fragment]" = OrderedDict()
-        self._next_id = 0
+        self._signatures: "OrderedDict[str, None]" = OrderedDict()
 
     def lookup(self, bound: BoundQuery, layout: str) -> Tuple[bool, float]:
-        """Fetch-or-compile the fragment for ``bound`` under ``layout``;
-        returns ``(hit, cycles_charged)``."""
-        hit, cycles, _ = self.fetch(bound, layout)
-        return hit, cycles
-
-    def fetch(
-        self, bound: BoundQuery, layout: str, compiler=None
-    ) -> Tuple[bool, float, Fragment]:
-        """Fetch-or-compile with a payload.
-
-        On a miss, ``compiler()`` (if given) builds the cached payload —
-        e.g. a fused kernel chain — and the compile cost is charged; on a
-        hit the resident fragment comes back untouched with zero cycles.
-        Returns ``(hit, cycles_charged, fragment)``.
-        """
+        """Look up the fragment for ``bound`` under ``layout``, compiling
+        it on a miss; returns ``(hit, cycles_charged)``."""
         key = fragment_signature(bound, layout)
-        fragment = self._fragments.get(key)
-        if fragment is not None:
-            self._fragments.move_to_end(key)
+        if key in self._signatures:
+            self._signatures.move_to_end(key)
             self.stats.hits += 1
-            fragment.uses += 1
-            return True, 0.0, fragment
+            return True, 0.0
         self.stats.misses += 1
         self.stats.compile_cycles += self.compile_cycles
-        if len(self._fragments) >= self.capacity:
-            self._fragments.popitem(last=False)
+        if len(self._signatures) >= self.capacity:
+            self._signatures.popitem(last=False)
             self.stats.evictions += 1
-        fragment = Fragment(
-            fragment_id=self._next_id,
-            payload=compiler() if compiler is not None else None,
-            uses=1,
-        )
-        self._fragments[key] = fragment
-        self._next_id += 1
-        return False, self.compile_cycles, fragment
+        self._signatures[key] = None
+        return False, self.compile_cycles
 
     @property
     def resident(self) -> int:
-        return len(self._fragments)
+        return len(self._signatures)

@@ -612,9 +612,20 @@ def _set_values(row: dict, assignments) -> dict:
 
 def split_statements(script: str) -> List[str]:
     """Split a script on ``;`` boundaries, respecting string literals
-    and ``--`` comments. Empty statements are dropped."""
+    and ``--`` comments. Statements holding only whitespace and comments
+    are dropped; an unterminated last statement is kept."""
+    statements, tail = scan_statements(script)
+    return statements + [tail] if tail else statements
+
+
+def scan_statements(script: str) -> Tuple[List[str], str]:
+    """The ``;``-terminated statements of ``script`` and its unterminated
+    rest, respecting string literals and ``--`` comments (a ``;`` inside
+    either ends nothing). Pieces holding only whitespace and comments are
+    dropped: the rest is ``""`` then."""
     out: List[str] = []
     buf: List[str] = []
+    content = False
     i, n = 0, len(script)
     while i < n:
         ch = script[i]
@@ -628,6 +639,7 @@ def split_statements(script: str) -> List[str]:
                     break
                 j += 1
             buf.append(script[i : j + 1])
+            content = True
             i = j + 1
             continue
         if ch == "-" and script[i : i + 2] == "--":
@@ -637,15 +649,13 @@ def split_statements(script: str) -> List[str]:
             i = j
             continue
         if ch == ";":
-            text = "".join(buf).strip()
-            if text:
-                out.append(text)
+            if content:
+                out.append("".join(buf).strip())
             buf = []
+            content = False
             i += 1
             continue
         buf.append(ch)
+        content = content or not ch.isspace()
         i += 1
-    tail = "".join(buf).strip()
-    if tail:
-        out.append(tail)
-    return out
+    return out, "".join(buf).strip() if content else ""

@@ -10,9 +10,12 @@ When the schema carries MVCC columns the table also maintains the
 begin/end timestamp stamps; the transaction manager in
 :mod:`repro.db.mvcc` drives them.
 
-Point operations go through one zero-copy record view of the frame: an
-append writes one record, an update or a stamp writes one field, and a
-point read reads one record. Whole-column copies (:meth:`Table.column`,
+Every write goes through one zero-copy record view of the frame, by
+field name: an append writes one record, a new MVCC version is one
+record copy plus its changed fields (:meth:`Table.append_version`), a
+bulk load writes whole fields of a block of records, a stamp writes one
+field, and a point read reads one record. No code here computes a byte
+offset. Whole-column copies (:meth:`Table.column`,
 the ``begin_ts``/``end_ts`` properties) are for callers that keep the
 arrays; visibility compares on the stamp views and keeps only the mask.
 """
@@ -24,8 +27,8 @@ from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Seque
 import numpy as np
 
 from repro.core.mvcc_filter import LIVE_TS, NEVER_TS, visible_mask_batched
-from repro.core.packer import field_dtype, gather, record_view
-from repro.db.schema import MVCC_BEGIN, MVCC_END, TableSchema
+from repro.core.packer import gather, record_view
+from repro.db.schema import MVCC_BEGIN, MVCC_END, Column, TableSchema
 from repro.errors import SchemaError
 
 _INITIAL_CAPACITY = 64
@@ -97,22 +100,48 @@ class Table:
             written = False
         if not written:
             # Encoding every value before the write would let a later
-            # column's error win; the column-by-column encoder decides
-            # instead: the first bad column in schema order raises.
-            self._frame[idx] = self._encode_by_column(provided)
+            # column's error win; writing field by field decides instead:
+            # the first bad column in schema order raises.
+            self._write_fields(idx, provided, self.schema.columns)
         self.nrows += 1
         self.version += 1
         return idx
 
-    def _encode_by_column(self, provided: Mapping[str, Any]) -> np.ndarray:
-        """One row image built a column at a time, in schema order."""
-        row = np.zeros(self.schema.row_stride, dtype=np.uint8)
-        for f, col in zip(self.schema.full_geometry().fields, self.schema.columns):
-            if col.name not in provided:
+    def append_version(self, slot: int, changes: Mapping[str, Any]) -> int:
+        """Append a new version of row ``slot``; returns its index.
+
+        The version is a copy of ``slot``'s record with only the columns
+        named in ``changes`` re-encoded (other keys are ignored), stamped
+        (NEVER, LIVE) on MVCC tables. Untouched fields keep their stored
+        bytes exactly. A bad value raises what :meth:`append_row` raises
+        for it, the first bad changed column in schema order deciding, and
+        leaves ``nrows`` and ``version`` as they were.
+        """
+        if not 0 <= slot < self.nrows:
+            raise IndexError(slot)
+        self._ensure_capacity(1)
+        idx = self.nrows
+        self._records[idx] = self._records[slot]
+        self._write_fields(
+            idx, changes, [c for c in self.schema.user_columns if c.name in changes]
+        )
+        if self.schema.mvcc:
+            self._records[idx][MVCC_BEGIN] = NEVER_TS
+            self._records[idx][MVCC_END] = LIVE_TS
+        self.nrows += 1
+        self.version += 1
+        return idx
+
+    def _write_fields(
+        self, idx: int, values: Mapping[str, Any], columns: Sequence[Column]
+    ) -> None:
+        """Encode ``values`` of ``columns`` (in schema order) into record
+        ``idx``, one field at a time, so the first bad column raises."""
+        record = self._records[idx]
+        for col in columns:
+            if col.name not in values:
                 raise SchemaError(f"missing value for column {col.name!r}")
-            raw = col.dtype.encode(provided[col.name])
-            row[f.offset : f.end] = np.array([raw], dtype=field_dtype(f)).view(np.uint8)
-        return row
+            record[col.name] = col.dtype.encode(values[col.name])
 
     def append_rows(self, rows: Iterable[Mapping[str, Any]]) -> List[int]:
         return [self.append_row(r) for r in rows]
@@ -134,28 +163,16 @@ class Table:
             raise SchemaError(f"ragged bulk load: lengths {sorted(lengths)}")
         (n,) = lengths
         self._ensure_capacity(n)
-        base = self.nrows
+        block = self._records[self.nrows : self.nrows + n]
         for col in self.schema.user_columns:
-            values = columns[col.name]
-            off = self.schema.offset_of(col.name)
-            w = col.dtype.width
-            dest = self._frame[base : base + n, off : off + w]
-            if col.dtype.np_dtype is None:
-                arr = np.asarray(values, dtype=f"S{w}")
-                dest[:] = arr.view(np.uint8).reshape(n, w)
-            else:
-                arr = np.asarray(values, dtype=col.dtype.np_dtype)
-                dest[:] = arr.view(np.uint8).reshape(n, w)
+            block[col.name] = np.asarray(
+                columns[col.name], dtype=col.dtype.np_dtype or f"S{col.dtype.width}"
+            )
         if self.schema.mvcc:
-            self._stamp_bulk(base, n, MVCC_BEGIN, NEVER_TS)
-            self._stamp_bulk(base, n, MVCC_END, LIVE_TS)
+            block[MVCC_BEGIN] = NEVER_TS
+            block[MVCC_END] = LIVE_TS
         self.nrows += n
         self.version += 1
-
-    def _stamp_bulk(self, base: int, n: int, column: str, ts: int) -> None:
-        off = self.schema.offset_of(column)
-        stamped = np.full(n, ts, dtype="<i8")
-        self._frame[base : base + n, off : off + 8] = stamped.view(np.uint8).reshape(n, 8)
 
     # ------------------------------------------------------------------
     # Reads.
@@ -250,11 +267,11 @@ class Table:
         if n <= self.nrows:
             return
         self._ensure_capacity(n - self.nrows)
-        base, count = self.nrows, n - self.nrows
-        self._frame[base:n] = 0
+        self._frame[self.nrows : n] = 0
         if self.schema.mvcc:
-            self._stamp_bulk(base, count, MVCC_BEGIN, NEVER_TS)
-            self._stamp_bulk(base, count, MVCC_END, LIVE_TS)
+            padding = self._records[self.nrows : n]
+            padding[MVCC_BEGIN] = NEVER_TS
+            padding[MVCC_END] = LIVE_TS
         self.nrows = n
         self.version += 1
 

@@ -47,14 +47,10 @@ cadence (:class:`Checkpointer`) bounds how much history ever sits in
 that window, and :attr:`RecoveryReport.torn_tail_bytes` makes every
 discard visible to callers and to the chaos harness.
 
-Redo rules (:func:`recover`): replay WRITE intents at their original
-slot indices with begin/end stamps ``(NEVER, LIVE)`` — invisible — then
-stamp ``commit_ts`` when the transaction's COMMIT record is reached.
-Transactions with no COMMIT in the durable log (uncommitted or aborted)
-leave only invisible garbage, exactly like a runtime abort, so the
-recovered image matches the crashed one byte for byte over every
-committed version. Replaying a record twice writes the same bytes to the
-same slot: redo is idempotent by construction.
+Redo rules: one loop, :class:`Redo`, redoes the log for both full
+recovery (:func:`recover`) and shard replicas
+(:class:`repro.dist.replica.ShardReplica`); the recovered image matches
+the crashed one byte for byte.
 """
 
 from __future__ import annotations
@@ -63,7 +59,7 @@ import enum
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.ledger import CostLedger
 from repro.db.schema import TableSchema
@@ -83,8 +79,7 @@ __all__ = [
     "RecoveryResult",
     "encode_record",
     "scan_records",
-    "redo_write",
-    "redo_commit",
+    "Redo",
     "recover",
 ]
 
@@ -551,51 +546,93 @@ class Checkpointer:
         return cp
 
 
-def redo_write(
-    tables: Dict[str, Table],
-    known_schemas: Mapping[str, TableSchema],
-    rec: WalRecord,
-) -> Table:
-    """Materialize one WRITE intent invisibly at its original slot.
+class Redo:
+    """The one redo loop: replays BEGIN, WRITE, COMMIT and ABORT records.
 
-    The single redo rule shared by full recovery (:func:`recover`) and
-    incremental replication (:class:`repro.dist.replica.ShardReplica`):
-    the new version's raw row image lands at exactly the slot the runtime
-    used, stamped ``(NEVER, LIVE)`` by ``write_row_bytes`` padding, so it
-    stays invisible until a COMMIT stamps it. Idempotent — same bytes,
-    same slot.
+    Full recovery (:func:`recover`) and incremental replication
+    (:class:`repro.dist.replica.ShardReplica`) both redo the log through
+    :meth:`replay`; each keeps only its own CHECKPOINT rule, passed as
+    ``on_checkpoint`` (called with the record before its floors fold in).
+
+    A WRITE lands its new version's raw row image at exactly the slot the
+    runtime used, invisible: ``write_row_bytes`` pads with ``(NEVER,
+    LIVE)`` rows and the logged image carries those stamps. A COMMIT
+    stamps the transaction's new versions' begin and superseded versions'
+    end, in the runtime commit's order. Transactions with no COMMIT
+    (still in :attr:`live` at the end, or aborted) leave only invisible
+    garbage, exactly like a runtime abort. Replaying a record twice
+    writes the same bytes to the same slot: redo is idempotent by
+    construction.
     """
-    if rec.table not in tables:
-        if rec.table not in known_schemas:
-            raise WalCorruptionError(
-                f"WAL references table {rec.table!r} with no schema: "
-                "pass it via recover(..., schemas=...) or a checkpoint"
-            )
-        tables[rec.table] = Table(known_schemas[rec.table])
-    if rec.new_slot is not None:
-        tables[rec.table].write_row_bytes(rec.new_slot, rec.row_bytes)
-    return tables[rec.table]
 
+    def __init__(
+        self,
+        tables: Dict[str, Table],
+        schemas: Mapping[str, TableSchema],
+        on_checkpoint: Callable[[WalRecord], None],
+        clock: int = 0,
+        next_txn_id: int = 1,
+    ):
+        self.tables = tables
+        self.schemas = schemas
+        self.on_checkpoint = on_checkpoint
+        #: Floors of the manager state the log implies: the highest
+        #: timestamp and the next transaction id it has seen.
+        self.clock = clock
+        self.next_txn_id = next_txn_id
+        #: txn_id -> WRITE intents not yet committed or aborted.
+        self.live: Dict[int, List[WalRecord]] = {}
+        #: COMMITs of transactions live in the log, and the writes they
+        #: stamped.
+        self.commits = 0
+        self.writes = 0
+        #: Every ABORT record, and those of transactions live in the log.
+        self.aborts = 0
+        self.aborts_live = 0
 
-def redo_commit(
-    tables: Dict[str, Table],
-    intents: List[WalRecord],
-    commit_ts: int,
-) -> int:
-    """Stamp a committed transaction's write set visible at ``commit_ts``.
+    def replay(self, records: Sequence[Tuple[WalRecord, int]]) -> None:
+        """Redo ``records`` (as :func:`scan_records` returns them) in order."""
+        for rec, _end in records:
+            rtype = rec.type
+            if rtype is WalRecordType.WRITE:
+                table = self._table(rec.table)
+                if rec.new_slot is not None:
+                    table.write_row_bytes(rec.new_slot, rec.row_bytes)
+                self.live.setdefault(rec.txn_id, []).append(rec)
+            elif rtype is WalRecordType.BEGIN:
+                self.live[rec.txn_id] = []
+                self.clock = max(self.clock, rec.start_ts)
+                self.next_txn_id = max(self.next_txn_id, rec.txn_id + 1)
+            elif rtype is WalRecordType.COMMIT:
+                intents = self.live.pop(rec.txn_id, None)
+                if intents is not None:
+                    for w in intents:
+                        table = self.tables[w.table]
+                        if w.new_slot is not None:
+                            table.stamp_begin(w.new_slot, rec.commit_ts)
+                        if w.old_slot is not None:
+                            table.stamp_end(w.old_slot, rec.commit_ts)
+                    self.commits += 1
+                    self.writes += len(intents)
+                self.clock = max(self.clock, rec.commit_ts)
+            elif rtype is WalRecordType.ABORT:
+                self.aborts += 1
+                if self.live.pop(rec.txn_id, None) is not None:
+                    self.aborts_live += 1
+            else:
+                self.on_checkpoint(rec)
+                self.clock = max(self.clock, rec.clock)
+                self.next_txn_id = max(self.next_txn_id, rec.next_txn_id)
 
-    New versions get their begin stamp, superseded versions their end
-    stamp — the same order the runtime commit path uses. Returns the
-    number of writes stamped. Shared by :func:`recover` and the
-    incremental shard replica.
-    """
-    for w in intents:
-        table = tables[w.table]
-        if w.new_slot is not None:
-            table.stamp_begin(w.new_slot, commit_ts)
-        if w.old_slot is not None:
-            table.stamp_end(w.old_slot, commit_ts)
-    return len(intents)
+    def _table(self, name: str) -> Table:
+        if name not in self.tables:
+            if name not in self.schemas:
+                raise WalCorruptionError(
+                    f"WAL references table {name!r} with no schema: "
+                    "pass it via recover(..., schemas=...) or a checkpoint"
+                )
+            self.tables[name] = Table(self.schemas[name])
+        return self.tables[name]
 
 
 @dataclass
@@ -631,10 +668,12 @@ def recover(
     """Rebuild MVCC state from a checkpoint plus the durable log.
 
     Validates the checkpoint CRC, scans the log (discarding a torn tail,
-    raising :class:`WalCorruptionError` on mid-log corruption), replays
-    WRITE intents invisibly at their original slots, stamps them on
-    COMMIT, and drops everything uncommitted — restoring exactly the
-    first-committer-wins state the crashed manager had established.
+    raising :class:`WalCorruptionError` on mid-log corruption), checks
+    the CHECKPOINT marker against the snapshot, and redoes the rest
+    through :class:`Redo`: WRITE intents land invisibly at their original
+    slots, COMMIT stamps them, and everything uncommitted is dropped —
+    restoring exactly the first-committer-wins state the crashed manager
+    had established.
     Recovery is a pure function of ``(log image, checkpoint)``: running
     it twice yields identical tables, so redo is idempotent.
 
@@ -692,49 +731,33 @@ def _recover_impl(
             )
             known_schemas[name] = snap.schema
 
+    def check_checkpoint(rec: WalRecord) -> None:
+        if checkpoint is None:
+            raise WalCorruptionError(
+                f"log begins at checkpoint {rec.checkpoint_id} but no "
+                "checkpoint snapshot was supplied: WAL-only redo would "
+                "silently miss every pre-checkpoint commit"
+            )
+        if rec.checkpoint_id != checkpoint.checkpoint_id:
+            raise WalCorruptionError(
+                f"log begins at checkpoint {rec.checkpoint_id} but snapshot "
+                f"is checkpoint {checkpoint.checkpoint_id}"
+            )
+
     data = wal.read_image()
     records, stop = scan_records(data)
     report.records_scanned = len(records)
     report.bytes_scanned = stop
     report.torn_tail_bytes = len(data) - stop
 
-    live: Dict[int, List[WalRecord]] = {}
-    for rec, _end in records:
-        if rec.type is WalRecordType.CHECKPOINT:
-            if checkpoint is None:
-                raise WalCorruptionError(
-                    f"log begins at checkpoint {rec.checkpoint_id} but no "
-                    "checkpoint snapshot was supplied: WAL-only redo would "
-                    "silently miss every pre-checkpoint commit"
-                )
-            if rec.checkpoint_id != checkpoint.checkpoint_id:
-                raise WalCorruptionError(
-                    f"log begins at checkpoint {rec.checkpoint_id} but snapshot "
-                    f"is checkpoint {checkpoint.checkpoint_id}"
-                )
-            clock_floor = max(clock_floor, rec.clock)
-            next_txn_floor = max(next_txn_floor, rec.next_txn_id)
-        elif rec.type is WalRecordType.BEGIN:
-            live[rec.txn_id] = []
-            clock_floor = max(clock_floor, rec.start_ts)
-            next_txn_floor = max(next_txn_floor, rec.txn_id + 1)
-        elif rec.type is WalRecordType.WRITE:
-            redo_write(tables, known_schemas, rec)
-            live.setdefault(rec.txn_id, []).append(rec)
-        elif rec.type is WalRecordType.COMMIT:
-            intents = live.pop(rec.txn_id, None)
-            if intents is None:
-                continue  # pre-checkpoint txn: already in the snapshot
-            report.writes_redone += redo_commit(tables, intents, rec.commit_ts)
-            report.committed_redone += 1
-            clock_floor = max(clock_floor, rec.commit_ts)
-        elif rec.type is WalRecordType.ABORT:
-            if live.pop(rec.txn_id, None) is not None:
-                report.aborted_seen += 1
-
-    report.uncommitted_dropped = len(live)
-    report.recovered_clock = clock_floor
+    redo = Redo(tables, known_schemas, check_checkpoint, clock_floor, next_txn_floor)
+    redo.replay(records)
+    report.committed_redone = redo.commits
+    report.writes_redone = redo.writes
+    report.aborted_seen = redo.aborts_live
+    report.uncommitted_dropped = len(redo.live)
+    report.recovered_clock = redo.clock
 
     manager = TransactionManager(wal=wal if attach_wal else None)
-    manager.restore_state(clock=clock_floor, next_txn_id=next_txn_floor)
+    manager.restore_state(clock=redo.clock, next_txn_id=redo.next_txn_id)
     return RecoveryResult(manager=manager, tables=tables, report=report)

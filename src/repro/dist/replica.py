@@ -3,10 +3,11 @@
 A shard worker does not receive a copy of the coordinator's table object
 — it receives the shard's *write-ahead log*, the same byte stream the
 durability layer already trusts (PR 3). :class:`ShardReplica` replays
-that stream with exactly the redo rules full recovery uses
-(:func:`repro.db.wal.redo_write` / :func:`repro.db.wal.redo_commit`),
-but incrementally: ``boot`` replays an initial image, ``apply_delta``
-appends later flushed records as the coordinator replicates them.
+that stream through the same redo loop full recovery uses
+(:class:`repro.db.wal.Redo`), but incrementally: ``boot`` replays an
+initial image, ``apply_delta`` appends later flushed records as the
+coordinator replicates them. The replica adds only the LSN fence, the
+check that a delta is whole records, and a refusal of CHECKPOINT records.
 
 The replica is *LSN-fenced*: it tracks ``applied_lsn`` — the byte offset
 into the shard's log it has fully applied — and refuses any delta that
@@ -18,25 +19,19 @@ typed ``stale`` reply that triggers restart-from-log.
 
 Equivalence with :func:`repro.db.wal.recover` is the contract: booting a
 replica from a log image yields the same visible rows as recovering that
-image (property-tested in ``tests/test_dist.py``), because both walk the
-same records through the same redo helpers.
+image, byte for byte (tested in ``tests/test_dist.py``), because both
+walk the same records through the same loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict
 
 from repro.core.ledger import CostLedger
 from repro.db.schema import TableSchema
 from repro.db.table import Table
-from repro.db.wal import (
-    DECODE_CYCLES_PER_BYTE,
-    WalRecord,
-    WalRecordType,
-    scan_records,
-)
-from repro.db.wal import redo_commit, redo_write
+from repro.db.wal import DECODE_CYCLES_PER_BYTE, Redo, WalRecord, scan_records
 from repro.errors import WalCorruptionError
 
 __all__ = ["ReplicaStats", "ShardReplica"]
@@ -71,21 +66,27 @@ class ShardReplica:
     ledger: CostLedger = field(default_factory=CostLedger)
     #: Byte offset into the shard's log applied so far (the fence).
     applied_lsn: int = 0
-    #: Highest commit timestamp replayed; queries at or above this
-    #: snapshot see every transaction the log delivered.
-    clock: int = 0
     stats: ReplicaStats = field(default_factory=ReplicaStats)
 
     def __post_init__(self) -> None:
-        self.tables: Dict[str, Table] = {self.schema.name: Table(self.schema)}
-        #: txn_id -> WRITE intents not yet committed or aborted. Intents
-        #: are materialized invisibly on arrival (same as recovery), so a
-        #: delta that ends mid-transaction leaves no visible trace.
-        self._live: Dict[int, List[WalRecord]] = {}
+        #: Intents are materialized invisibly on arrival (same as
+        #: recovery), so a delta that ends mid-transaction leaves no
+        #: visible trace.
+        self._redo = Redo(
+            {self.schema.name: Table(self.schema)},
+            {self.schema.name: self.schema},
+            _refuse_checkpoint,
+        )
 
     @property
     def table(self) -> Table:
-        return self.tables[self.schema.name]
+        return self._redo.tables[self.schema.name]
+
+    @property
+    def clock(self) -> int:
+        """Highest timestamp replayed; queries at or above this snapshot
+        see every transaction the log delivered."""
+        return self._redo.clock
 
     def boot(self, image: bytes) -> ReplicaStats:
         """Replay a full log image from offset zero (worker cold start)."""
@@ -117,36 +118,22 @@ class ShardReplica:
                 f"replication delta not record-aligned: scan stopped at "
                 f"byte {stop} of {len(delta)}"
             )
-        for rec, _end in records:
-            self._apply(rec)
+        self._redo.replay(records)
         self.applied_lsn += len(delta)
+        self.stats.records_applied += len(records)
         self.stats.bytes_applied += len(delta)
+        self.stats.commits_applied = self._redo.commits
+        self.stats.aborts_applied = self._redo.aborts
         cycles = int(DECODE_CYCLES_PER_BYTE * len(delta))
         self.stats.recovery_cycles += cycles
         self.ledger.charge(CostLedger.WAL_RECOVERY, cycles)
         return True
 
-    def _apply(self, rec: WalRecord) -> None:
-        self.stats.records_applied += 1
-        if rec.type is WalRecordType.BEGIN:
-            self._live[rec.txn_id] = []
-            self.clock = max(self.clock, rec.start_ts)
-        elif rec.type is WalRecordType.WRITE:
-            redo_write(self.tables, {self.schema.name: self.schema}, rec)
-            self._live.setdefault(rec.txn_id, []).append(rec)
-        elif rec.type is WalRecordType.COMMIT:
-            intents = self._live.pop(rec.txn_id, None)
-            if intents is not None:
-                redo_commit(self.tables, intents, rec.commit_ts)
-                self.stats.commits_applied += 1
-            self.clock = max(self.clock, rec.commit_ts)
-        elif rec.type is WalRecordType.ABORT:
-            self._live.pop(rec.txn_id, None)
-            self.stats.aborts_applied += 1
-        else:
-            # Cluster shards never checkpoint/truncate their logs; a
-            # CHECKPOINT in the stream means the fence arithmetic (byte
-            # offsets from zero) no longer holds.
-            raise WalCorruptionError(
-                f"unsupported record type {rec.type!r} in replication stream"
-            )
+
+def _refuse_checkpoint(rec: WalRecord) -> None:
+    # Cluster shards never checkpoint/truncate their logs; a CHECKPOINT
+    # in the stream means the fence arithmetic (byte offsets from zero)
+    # no longer holds.
+    raise WalCorruptionError(
+        f"unsupported record type {rec.type!r} in replication stream"
+    )

@@ -21,7 +21,12 @@ import argparse
 import sys
 from typing import Callable, List, Optional
 
-from repro.db.sql.pipeline import Session, StatementResult, split_statements
+from repro.db.sql.pipeline import (
+    Session,
+    StatementResult,
+    scan_statements,
+    split_statements,
+)
 from repro.errors import ReproError
 from repro.obs import MetricsRegistry, Tracer
 
@@ -111,13 +116,13 @@ class Repl:
         if not self._buffer and not stripped:
             return
         self._buffer.append(line)
-        text = "\n".join(self._buffer)
-        cut = _last_terminator(text)
-        if cut is None:
+        statements, rest = scan_statements("\n".join(self._buffer))
+        if not statements:
+            # Still mid-statement; input that is only comments is dropped.
+            self._buffer = self._buffer if rest else []
             return
-        head, rest = text[: cut + 1], text[cut + 1 :].strip()
         self._buffer = []
-        for sql in split_statements(head):
+        for sql in statements:
             self._run(sql)
         if rest:  # same-line trailing input ("SELECT 1; \q")
             self.feed(rest)
@@ -188,19 +193,6 @@ class Repl:
 
 def _stdout_write(text: str) -> None:
     print(text)
-
-
-def _last_terminator(text: str) -> Optional[int]:
-    """Index of the last statement-terminating ``;`` in ``text``, or None
-    (quote-aware: a ``;`` inside a string literal does not terminate)."""
-    in_string = False
-    last = None
-    for i, ch in enumerate(text):
-        if ch == "'":
-            in_string = not in_string
-        elif ch == ";" and not in_string:
-            last = i
-    return last
 
 
 # ----------------------------------------------------------------------

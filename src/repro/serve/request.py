@@ -166,9 +166,6 @@ class ServeConfig:
     #: Largest clock skew the ``serve.clock_skew`` chaos site may inject
     #: into one deadline check.
     max_clock_skew_cycles: int = 500_000
-    #: Keep the per-request event log for the chaos oracle. Costs one
-    #: append per lifecycle step; long benches may disable it.
-    record_events: bool = True
 
     def __post_init__(self):
         if not self.tenants:

@@ -238,6 +238,8 @@ class ServeScheduler:
         self.degraded_mode_entries = 0
         self.stats: Dict[Tuple[str, str], LaneStats] = {}
         self.resolutions: Dict[int, Resolution] = {}
+        #: Every lifecycle step of every request, always kept: the chaos
+        #: oracle (:class:`~repro.serve.ServeOracle`) and tests replay it.
         self.events: List[Event] = []
         self._m_latency: Dict[Tuple[str, str], Any] = {}
         self._m_queue_wait: Dict[Tuple[str, str], Any] = {}
@@ -282,11 +284,9 @@ class ServeScheduler:
         return self.stats[key]
 
     def _event(self, kind: str, req: Request, **data: float) -> None:
-        if self.config.record_events:
-            self.events.append(
-                Event(kind, self.clock, req.req_id, req.tenant, req.lane,
-                      dict(data))
-            )
+        self.events.append(
+            Event(kind, self.clock, req.req_id, req.tenant, req.lane, dict(data))
+        )
 
     def _resolve(
         self,

@@ -121,6 +121,8 @@ class TestFragment:
 
 class TestReplica:
     def _workload(self, n=40, seed=3):
+        """Inserts, updates and deletes, a fifth of the writers aborted,
+        so WRITE records with an ``old_slot`` reach the replica."""
         schema = orders_schema()
         table = Table(schema)
         wal = WriteAheadLog()
@@ -128,15 +130,29 @@ class TestReplica:
         rng = np.random.default_rng(seed)
         for i in range(n):
             txn = manager.begin()
-            txn.insert(
-                table,
-                {
-                    "o_id": i,
-                    "o_customer": int(rng.integers(1, 50)),
-                    "o_amount": float(rng.integers(1, 9_000)) / 100.0,
-                    "o_status": int(rng.integers(0, 3)),
-                },
-            )
+            live = txn.visible_slots(table)
+            roll = rng.random()
+            if live.size and roll < 0.3:
+                txn.update(
+                    table,
+                    int(rng.choice(live)),
+                    {
+                        "o_amount": float(rng.integers(1, 9_000)) / 100.0,
+                        "o_status": int(rng.integers(0, 3)),
+                    },
+                )
+            elif live.size and roll < 0.45:
+                txn.delete(table, int(rng.choice(live)))
+            else:
+                txn.insert(
+                    table,
+                    {
+                        "o_id": i,
+                        "o_customer": int(rng.integers(1, 50)),
+                        "o_amount": float(rng.integers(1, 9_000)) / 100.0,
+                        "o_status": int(rng.integers(0, 3)),
+                    },
+                )
             if rng.random() < 0.2:
                 manager.abort(txn)
             else:
@@ -144,39 +160,72 @@ class TestReplica:
         wal.flush()
         return schema, table, wal, manager
 
+    @staticmethod
+    def _image(table):
+        return table.nrows, table.frame.tobytes()
+
+    def test_workload_writes_every_intent_kind(self):
+        _, _, wal, _ = self._workload()
+        from repro.db.wal import WalRecordType
+
+        records = wal.records()
+        writes = [r for r in records if r.type is WalRecordType.WRITE]
+        assert any(r.old_slot is not None and r.new_slot is not None for r in writes)
+        assert any(r.new_slot is None for r in writes)
+        assert any(r.type is WalRecordType.ABORT for r in records)
+
     def test_full_image_matches_recover(self):
         schema, table, wal, manager = self._workload()
         image = wal.device.media()
         replica = ShardReplica(schema=schema)
         replica.boot(image)
         assert replica.applied_lsn == wal.durable_bytes
-        assert table_visible_rows(
-            replica.table, manager.now
-        ) == table_visible_rows(table, manager.now)
         from repro.storage.ssd import SsdLog
 
         recovered = recover(
             WriteAheadLog(device=SsdLog(initial=image)),
             schemas={schema.name: schema},
         )
+        # The redone image is the live one byte for byte: versions land
+        # at the runtime's slots and aborted writers leave the same
+        # invisible garbage.
+        assert self._image(replica.table) == self._image(table)
+        assert self._image(recovered.tables[schema.name]) == self._image(table)
+        assert recovered.manager.now == replica.clock
         assert table_visible_rows(
-            recovered.tables[schema.name], manager.now
-        ) == table_visible_rows(replica.table, manager.now)
+            replica.table, manager.now
+        ) == table_visible_rows(table, manager.now)
+        report = recovered.report
+        assert replica.stats.commits_applied == report.committed_redone
+        assert replica.stats.records_applied == report.records_scanned
+        assert replica.stats.aborts_applied >= report.aborted_seen > 0
 
     def test_split_deltas_equal_one_boot(self):
         schema, table, wal, manager = self._workload()
         image = wal.device.media()
-        # Split on a record boundary found by scanning the prefix.
         from repro.db.wal import scan_records
 
-        records, _ = scan_records(image)
-        cut = records[len(records) // 2][1]
-        replica = ShardReplica(schema=schema)
-        assert replica.apply_delta(image[:cut], 0)
-        assert replica.apply_delta(image[cut:], cut)
-        assert table_visible_rows(
-            replica.table, manager.now
-        ) == table_visible_rows(table, manager.now)
+        boundaries = [end for _rec, end in scan_records(image)[0]]
+        boot = ShardReplica(schema=schema)
+        boot.boot(image)
+        assert self._image(boot.table) == self._image(table)
+        # One delta per record.
+        stepped = ShardReplica(schema=schema)
+        start = 0
+        for end in boundaries:
+            assert stepped.apply_delta(image[start:end], start)
+            start = end
+        replicas = [stepped]
+        # Two deltas, cut at every record boundary.
+        for cut in boundaries:
+            replica = ShardReplica(schema=schema)
+            assert replica.apply_delta(image[:cut], 0)
+            assert replica.apply_delta(image[cut:], cut)
+            replicas.append(replica)
+        for replica in replicas:
+            assert self._image(replica.table) == self._image(boot.table)
+            assert replica.clock == boot.clock
+            assert replica.stats.to_dict() == boot.stats.to_dict()
 
     def test_gap_and_duplicate_deltas_rejected(self):
         schema, _, wal, _ = self._workload(n=10)

@@ -6,7 +6,8 @@ import pytest
 from repro.core.mvcc_filter import LIVE_TS, NEVER_TS
 from repro.db import Catalog, Column, Table, TableSchema
 from repro.db.mvcc import TransactionManager, TxnState
-from repro.db.types import INT64
+from repro.db.schema import MVCC_BEGIN, MVCC_END
+from repro.db.types import CHAR, DECIMAL, INT64
 from repro.errors import (
     TransactionError,
     TransactionStateError,
@@ -242,6 +243,41 @@ class TestVacuum:
         for engine in engines.values():
             after = engine.execute(sql, snapshot_ts=manager.now).result.scalar()
             assert after == before
+
+
+class TestUpdateKeepsUntouchedColumns:
+    """A new version is the old record with only the changed fields
+    re-encoded: columns the update does not name keep their bytes, even
+    when decoding them to Python values would not round-trip."""
+
+    @pytest.mark.parametrize("c", [b"ab", b"\xff\xfe"])
+    def test_untouched_fields_are_copied(self, c):
+        schema = TableSchema(
+            "u",
+            [Column("k", INT64), Column("d", DECIMAL(2)), Column("c", CHAR(4))],
+            mvcc=True,
+        )
+        table = Table(schema)
+        table.append_arrays(
+            {
+                "k": np.array([1]),
+                "d": np.array([123456789012345678]),
+                "c": np.array([c], dtype="S4"),
+            }
+        )
+        table.stamp_begin(0, 1)
+        manager = TransactionManager()
+        manager.restore_state(clock=1, next_txn_id=1)
+        txn = manager.begin()
+        new = txn.update(table, 0, {"k": 2})
+        manager.commit(txn)
+        for name in ("d", "c"):
+            assert table.column(name)[new] == table.column(name)[0]
+        assert table.column("d")[new] == 123456789012345678
+        assert table.value(new, "k") == 2
+        assert table.value(new, MVCC_BEGIN) == txn.commit_ts
+        assert table.value(new, MVCC_END) == LIVE_TS
+        assert table.value(0, MVCC_END) == txn.commit_ts
 
 
 class TestStats:

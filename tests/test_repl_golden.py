@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.repl import run_script
+from repro.repl import PROMPT, Repl, run_script
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "sql"
 
@@ -103,3 +103,20 @@ def test_run_script_without_echo_drops_prompts():
     )
     assert "repro=>" not in out
     assert "(1 row)" in out
+
+
+def test_a_comment_line_is_not_a_pending_statement():
+    # The apostrophe in the comment opens no string literal.
+    repl = Repl(write=lambda s: None)
+    repl.feed("-- don't forget")
+    assert repl.prompt == PROMPT
+    out = run_script("-- don't forget\nCREATE TABLE t (k INT64);\n\\dt\n")
+    assert "repro=> CREATE TABLE t (k INT64);\nCREATE TABLE\n" in out
+    assert " t     | 0" in out
+
+
+def test_a_semicolon_inside_a_trailing_comment_ends_nothing():
+    out = run_script("CREATE TABLE t (k INT64); -- done; really\n\\dt\n")
+    assert "ERROR" not in out
+    assert "repro=> \\dt\n" in out  # nothing left buffered
+    assert " t     | 0" in out

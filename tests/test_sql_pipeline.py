@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from repro.db.sql.pipeline import Session, split_statements
+from repro.db.sql.pipeline import Session, scan_statements, split_statements
 from repro.db.wal import WriteAheadLog, recover
 from repro.errors import SqlError
 from repro.obs import MetricsRegistry, Tracer
@@ -305,3 +305,13 @@ def test_memo_residency_stays_bounded():
     for i in range(10_000):  # 10 000 distinct shapes
         parse_statement(f"SELECT c{i} FROM t WHERE c{i} > 1")
     assert len(SHAPES) == MEMO_CAPACITY
+
+
+def test_scan_statements_returns_the_unterminated_rest():
+    assert scan_statements("SELECT 1; SELECT 'x;' -- a; b\n") == (
+        ["SELECT 1"],
+        "SELECT 'x;' -- a; b",
+    )
+    # Pieces that are only comments and whitespace are dropped.
+    assert scan_statements("-- don't; forget\n;  -- c") == ([], "")
+    assert split_statements("SELECT 1; -- done; really") == ["SELECT 1"]

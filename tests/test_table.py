@@ -402,6 +402,33 @@ class TestBadRowRaisesFirstBadColumn:
         assert table.append_row(good) == 1
         assert table.row_bytes(1) == _referee_row(SCHEMA, good)
 
+    @pytest.mark.parametrize(
+        "changes, error, message",
+        [
+            ({"id": None, "name": "toolong", "price": "x", "qty": 1},
+             TypeError, "NoneType"),
+            # Unchanged columns are copied, never re-encoded.
+            ({"price": "x", "qty": None}, ValueError,
+             "could not convert string to float"),
+            ({"name": "toolong", "qty": "q"}, SchemaError,
+             r"CHAR\(4\) value too long"),
+            ({"qty": "q", "nope": None}, ValueError, "invalid literal"),
+        ],
+    )
+    def test_first_bad_changed_column_decides_a_new_version(
+        self, changes, error, message
+    ):
+        table = Table(SCHEMA, capacity=1)
+        first = {"id": 1, "name": "a", "price": 1.0, "qty": 1}
+        table.append_row(first)
+        nrows, version = table.nrows, table.version
+        with pytest.raises(error, match=message):
+            table.append_version(0, changes)
+        assert (table.nrows, table.version) == (nrows, version)
+        # The slot the failed version touched is reused cleanly.
+        assert table.append_version(0, {"qty": 3, "nope": 1}) == 1
+        assert table.row_bytes(1) == _referee_row(SCHEMA, dict(first, qty=3))
+
 
 class TestPointReadsSeeTheCurrentImage:
     """Point reads and visibility go through a record view of the frame;
