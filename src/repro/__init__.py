@@ -36,7 +36,6 @@ from repro.core import (
     FieldSlice,
     RelationalFabric,
     RelationalMemory,
-    Visibility,
     configure,
 )
 from repro.db import Catalog, Column, Table, TableSchema
@@ -139,7 +138,6 @@ __all__ = [
     "Tracer",
     "Transaction",
     "TransactionManager",
-    "Visibility",
     "WalRecord",
     "WalRecordType",
     "WeightedFairQueue",

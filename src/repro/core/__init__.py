@@ -1,7 +1,7 @@
 """Relational Fabric core: geometries, the packer, ephemeral variables,
 fabric interfaces, MVCC visibility filtering, and pushed-down selection."""
 
-from repro.core.ephemeral import EphemeralColumnGroup, Visibility
+from repro.core.ephemeral import EphemeralColumnGroup
 from repro.core.fabric import RelationalFabric, RelationalMemory, configure
 from repro.core.geometry import DataGeometry, FieldSlice, full_row_geometry
 from repro.core.ledger import CostLedger
@@ -19,6 +19,7 @@ from repro.core.selection import (
     FabricAggregate,
     FabricFilter,
     FabricPredicate,
+    select_rows,
 )
 
 __all__ = [
@@ -37,12 +38,12 @@ __all__ = [
     "NEVER_TS",
     "RelationalFabric",
     "RelationalMemory",
-    "Visibility",
     "configure",
     "full_row_geometry",
     "latest_mask",
     "pack",
     "record_view",
+    "select_rows",
     "unpack",
     "visible_mask",
     "visible_mask_batched",

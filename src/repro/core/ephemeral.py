@@ -9,8 +9,9 @@ according to the format that maximizes data locality."
 In this reproduction the *simulated memory image* (the row frame) is
 indeed never altered, and the projection is never materialized either.
 :meth:`EphemeralColumnGroup.refresh` runs the transformation's control
-half: it fixes the row set (MVCC visibility and pushed-down predicates)
-and records the hardware cost report of producing it. Values are read
+half: it fixes the row set (:func:`~repro.core.selection.select_rows`:
+MVCC visibility at the snapshot, pushed-down predicates) and records
+the hardware cost report of producing it. Values are read
 on access: :meth:`~EphemeralColumnGroup.column` takes the field straight
 out of the row image at call time, copying only the rows fixed at the
 last refresh. So an in-place write to a row already in the set shows on
@@ -23,27 +24,16 @@ image (:attr:`~EphemeralColumnGroup.packed`) is built lazily by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterator, Optional
 
 import numpy as np
 
 from repro.core.geometry import DataGeometry
-from repro.core.mvcc_filter import visible_mask
 from repro.core.packer import gather, pack, record_view
-from repro.core.selection import FabricFilter
+from repro.core.selection import FabricFilter, select_rows
 from repro.faults import FABRIC_CORRUPT
 from repro.hw.engine import RelationalMemoryEngineModel, RmTransformReport
 from repro.obs import Tracer, maybe_span
-
-
-@dataclass(frozen=True)
-class Visibility:
-    """MVCC visibility inputs: per-row timestamps plus the snapshot."""
-
-    begin_ts: np.ndarray
-    end_ts: np.ndarray
-    snapshot_ts: int
 
 
 class EphemeralColumnGroup:
@@ -59,18 +49,18 @@ class EphemeralColumnGroup:
         geometry: DataGeometry,
         engine: RelationalMemoryEngineModel,
         fabric_filter: Optional[FabricFilter] = None,
-        filter_geometry: Optional[DataGeometry] = None,
-        visibility: Optional[Visibility] = None,
+        base_geometry: Optional[DataGeometry] = None,
+        snapshot_ts: Optional[int] = None,
         tracer: Optional[Tracer] = None,
     ):
         self._frame = frame
         self.geometry = geometry
         self._engine = engine
         self._filter = fabric_filter
-        #: Layout the filter's fields resolve in: predicates may reference
-        #: fields outside the projected group.
-        self._filter_geometry = filter_geometry or geometry
-        self._visibility = visibility
+        #: Layout the filter's fields and the MVCC stamps resolve in:
+        #: the selection may read fields outside the projected group.
+        self._base_geometry = base_geometry or geometry
+        self._snapshot_ts = snapshot_ts
         self._tracer = tracer
         self._mask: Optional[np.ndarray] = None
         self._length = 0
@@ -90,7 +80,9 @@ class EphemeralColumnGroup:
             layer="fabric",
             rows_in=self._frame.shape[0],
         ) as span:
-            mask = self._current_mask()
+            mask = select_rows(
+                record_view(self._frame, self._base_geometry), self._snapshot_ts, self._filter
+            )
             qualifying = None if mask is None else int(np.count_nonzero(mask))
             self._mask = mask
             self._length = self._frame.shape[0] if mask is None else qualifying
@@ -100,7 +92,7 @@ class EphemeralColumnGroup:
                 row_stride=self.geometry.row_stride,
                 out_bytes_per_row=self.geometry.packed_width,
                 qualifying_rows=qualifying,
-                mvcc_filter=self._visibility is not None,
+                mvcc_filter=self._snapshot_ts is not None,
                 fabric_predicates=len(self._filter) if self._filter else 0,
             )
             span.set_attrs(rows_out=self._length)
@@ -124,16 +116,6 @@ class EphemeralColumnGroup:
                 injector.check(FABRIC_CORRUPT, detail=f"{self._length} lines")
             self._refreshes += 1
         return self
-
-    def _current_mask(self) -> Optional[np.ndarray]:
-        mask: Optional[np.ndarray] = None
-        if self._visibility is not None:
-            v = self._visibility
-            mask = visible_mask(v.begin_ts, v.end_ts, v.snapshot_ts)
-        if self._filter is not None:
-            fmask = self._filter.evaluate(self._frame, self._filter_geometry)
-            mask = fmask if mask is None else (mask & fmask)
-        return mask
 
     @property
     def packed(self) -> np.ndarray:

@@ -3,7 +3,9 @@
 ``configure()`` is the paper's API (Figure 3, line 25): hand the fabric a
 base table and the geometry of the columns you want, get back an
 ephemeral variable whose reads behave as if the packed layout already
-existed in memory.
+existed in memory. Both instances emit the rows
+:func:`repro.core.selection.select_rows` selects: valid at ``snapshot_ts``
+(stamps read from the row image) and passing ``fabric_filter``.
 
 Two instances exist in this reproduction:
 
@@ -19,10 +21,10 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.ephemeral import EphemeralColumnGroup, Visibility
+from repro.core.ephemeral import EphemeralColumnGroup
 from repro.core.geometry import DataGeometry
+from repro.core.mvcc_filter import MVCC_BEGIN, MVCC_END
 from repro.core.selection import FabricFilter
-from repro.errors import GeometryError
 from repro.faults import FABRIC_CONFIGURE, FaultInjector
 from repro.hw.config import PlatformConfig, default_platform
 from repro.hw.engine import RelationalMemoryEngineModel
@@ -39,9 +41,11 @@ class RelationalFabric(ABC):
         geometry: DataGeometry,
         base_geometry: Optional[DataGeometry] = None,
         fabric_filter: Optional[FabricFilter] = None,
-        visibility: Optional[Visibility] = None,
+        snapshot_ts: Optional[int] = None,
     ) -> EphemeralColumnGroup:
-        """Create an ephemeral variable over ``frame`` with ``geometry``."""
+        """Create an ephemeral variable over ``frame`` with ``geometry``;
+        the selection's fields resolve in ``base_geometry`` (default
+        ``geometry``)."""
 
 
 class RelationalMemory(RelationalFabric):
@@ -72,7 +76,7 @@ class RelationalMemory(RelationalFabric):
         geometry: DataGeometry,
         base_geometry: Optional[DataGeometry] = None,
         fabric_filter: Optional[FabricFilter] = None,
-        visibility: Optional[Visibility] = None,
+        snapshot_ts: Optional[int] = None,
     ) -> EphemeralColumnGroup:
         with maybe_span(
             self.tracer,
@@ -84,18 +88,21 @@ class RelationalMemory(RelationalFabric):
                 self.fault_injector.check(
                     FABRIC_CONFIGURE, detail=",".join(geometry.field_names)
                 )
-            if fabric_filter is not None and base_geometry is None:
-                # Predicates must be resolvable; default to the projected
-                # geometry and fail early if a field is missing.
-                for name in fabric_filter.fields():
+            if base_geometry is None:
+                # The selection's fields must be resolvable; default to the
+                # projected geometry and fail early if a field is missing.
+                names = fabric_filter.fields() if fabric_filter is not None else ()
+                if snapshot_ts is not None:
+                    names += (MVCC_BEGIN, MVCC_END)
+                for name in names:
                     geometry.field(name)  # raises GeometryError when absent
             group = EphemeralColumnGroup(
                 frame=frame,
                 geometry=geometry,
                 engine=self.engine,
                 fabric_filter=fabric_filter,
-                filter_geometry=base_geometry,
-                visibility=visibility,
+                base_geometry=base_geometry,
+                snapshot_ts=snapshot_ts,
                 tracer=self.tracer,
             )
         return group

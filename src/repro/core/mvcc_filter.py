@@ -15,6 +15,11 @@ from __future__ import annotations
 
 import numpy as np
 
+#: The stamp fields of an MVCC row image, by name in its geometry (the
+#: fabric reads them in place: :func:`repro.core.selection.select_rows`).
+MVCC_BEGIN = "__begin_ts"
+MVCC_END = "__end_ts"
+
 #: end_ts value meaning "still the live version".
 LIVE_TS = np.iinfo(np.int64).max
 

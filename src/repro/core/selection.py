@@ -8,19 +8,23 @@ reduce a column group to an aggregate, so the ephemeral variable contains
 A :class:`FabricPredicate` is deliberately restricted to what cheap
 comparator hardware can do: one field against one constant, or a
 conjunction of such terms (:class:`FabricFilter`). Anything richer stays
-on the CPU.
+on the CPU. Every unit reads its fields in place from a
+:func:`~repro.core.packer.record_view` of the row image.
+
+:func:`select_rows` is every fabric instance's one row selection: MVCC
+visibility at a snapshot (Section III-C) ANDed with the comparators.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.geometry import DataGeometry
-from repro.core.packer import gather, record_view
+from repro.core.mvcc_filter import MVCC_BEGIN, MVCC_END, visible_mask_batched
+from repro.core.packer import gather
 from repro.errors import GeometryError
 
 Number = Union[int, float]
@@ -86,13 +90,14 @@ class FabricPredicate:
     op: CompareOp
     constant: Number
 
-    def evaluate(self, frame: np.ndarray, geometry: DataGeometry) -> np.ndarray:
-        if geometry.field(self.field).dtype is None:
+    def evaluate(self, records: np.ndarray) -> np.ndarray:
+        field = records.dtype.fields.get(self.field)
+        if field is None or field[0].kind == "S":
             raise GeometryError(
-                f"fabric predicates need scalar fields; {self.field!r} is opaque"
+                f"fabric predicates need scalar fields; {self.field!r} is absent or opaque"
             )
         # The comparator reads the field in place: no copy of the column.
-        return self.op.apply(record_view(frame, geometry)[self.field], self.constant)
+        return self.op.apply(records[self.field], self.constant)
 
 
 @dataclass(frozen=True)
@@ -108,14 +113,32 @@ class FabricFilter:
     def __len__(self) -> int:
         return len(self.predicates)
 
-    def evaluate(self, frame: np.ndarray, geometry: DataGeometry) -> np.ndarray:
-        mask = np.ones(frame.shape[0], dtype=bool)
+    def evaluate(self, records: np.ndarray) -> np.ndarray:
+        mask = np.ones(len(records), dtype=bool)
         for pred in self.predicates:
-            mask &= pred.evaluate(frame, geometry)
+            mask &= pred.evaluate(records)
         return mask
 
     def fields(self) -> Tuple[str, ...]:
         return tuple(p.field for p in self.predicates)
+
+
+def select_rows(
+    records: np.ndarray,
+    snapshot_ts: Optional[int] = None,
+    fabric_filter: Optional[FabricFilter] = None,
+) -> Optional[np.ndarray]:
+    """The rows of a row image's ``records`` view the fabric emits: those
+    valid at ``snapshot_ts`` (when given; compared on the stamp fields in
+    place) and passing ``fabric_filter`` (when given). None: every row,
+    with nothing allocated."""
+    mask = None
+    if snapshot_ts is not None:
+        mask = visible_mask_batched(records[MVCC_BEGIN], records[MVCC_END], snapshot_ts)
+    if fabric_filter is not None:
+        fmask = fabric_filter.evaluate(records)
+        mask = fmask if mask is None else np.logical_and(mask, fmask, out=mask)
+    return mask
 
 
 @dataclass(frozen=True)
@@ -135,14 +158,11 @@ class FabricAggregate:
         if self.kind not in self._KINDS:
             raise GeometryError(f"unsupported fabric aggregate {self.kind!r}")
 
-    def evaluate(
-        self, frame: np.ndarray, geometry: DataGeometry, mask: np.ndarray = None
-    ) -> Number:
+    def evaluate(self, records: np.ndarray, mask: np.ndarray = None) -> Number:
         if self.kind == "count":
-            n = frame.shape[0] if mask is None else int(np.count_nonzero(mask))
-            return n
+            return len(records) if mask is None else int(np.count_nonzero(mask))
         # One copy, of the rows that qualify.
-        values = gather(record_view(frame, geometry), (self.field,), mask)[self.field]
+        values = gather(records, (self.field,), mask)[self.field]
         if values.size == 0:
             return 0 if self.kind == "sum" else None
         if self.kind == "sum":

@@ -11,7 +11,8 @@ construction; the Volcano interpreter is only the tests' reference), but
   column-at-a-time over a materialized columnar replica (one stream per
   column, intermediates, tuple reconstruction);
 * :class:`~repro.db.engines.rmstore.RelationalMemoryEngine` — a scalar
-  kernel over an ephemeral column group packed by the fabric.
+  kernel over an ephemeral column group packed by the fabric, or, for a
+  single aggregate the fabric can reduce, its ``fabric-aggregate`` path.
 
 Each engine's access path has two halves. The data half
 (:meth:`Engine._fetch`) is shared: it reads the WHERE clause's columns
@@ -25,9 +26,10 @@ image, or the columnar replica), and its pricing call. The pricing half
 (``_charge_access`` and the per-path ``_charge_*`` methods) charges the
 ledger from row counts alone. Common post-scan work (joins, grouping,
 sorting) is charged identically here, because those costs do not depend
-on the access path. :meth:`Engine.price` runs the two pricing parts on
-given counts: the optimizer estimates with it, so it prices every path
-with the recipe the engine executes.
+on the access path (a fabric aggregate leaves none to the CPU).
+:meth:`Engine.price` runs the two pricing parts on given counts: the
+optimizer estimates with it, so it prices every path with the recipe
+the engine executes.
 """
 
 from __future__ import annotations

@@ -12,30 +12,31 @@ on the same base data").
 Optional fabric pushdown (Section IV-B, off by default to match the
 prototype): simple ``column <op> constant`` conjuncts are evaluated by
 comparators in the fabric so only qualifying rows are emitted, and with
-``aggregate_pushdown=True`` a qualifying single-aggregate query is
-reduced entirely in the fabric — the ephemeral variable then contains
-"only the required data or the aggregation result". MVCC visibility
-(Section III-C) is always evaluated in the fabric when a snapshot is
-given.
+``aggregate_pushdown=True`` a qualifying single-aggregate query takes the
+``fabric-aggregate`` access path — the ephemeral variable then contains
+"only the required data or the aggregation result". That path differs
+from the ephemeral scan only in its price (the fabric reduces, the CPU
+reads one value); its answer is the shared executor's over the rows the
+fabric selects, like every other path's. MVCC visibility (Section III-C)
+is always evaluated in the fabric when a snapshot is given.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.ephemeral import Visibility
 from repro.core.fabric import RelationalMemory
 from repro.core.ledger import CostLedger
-from repro.core.selection import FabricAggregate, FabricFilter, FabricPredicate
-from repro.db.engines.base import Candidates, Engine, ExecutionResult
+from repro.core.packer import record_view
+from repro.core.selection import CompareOp, FabricFilter, FabricPredicate, select_rows
+from repro.db.engines.base import Candidates, Engine
 from repro.db.catalog import Catalog
-from repro.db.exec.result import QueryResult
 from repro.db.expr import ColumnRef, Expr, column_vs_literal, op_count
 from repro.db.plan.binder import BoundQuery
-from repro.db.plan.logical import explain
 from repro.errors import ExecutionError, FaultError
 from repro.faults import CircuitBreaker, FaultInjector, RetryPolicy
 from repro.hw.config import PlatformConfig
@@ -83,7 +84,7 @@ class RelationalMemoryEngine(Engine):
         #: the retry budget transparently re-executes on the rowstore scan
         #: path over the same base data — the paper's transparency claim.
         self.fallback = fallback
-        #: Queries answered entirely in the fabric (aggregation pushdown).
+        #: Queries the fabric reduced to one accumulator (``fabric-aggregate``).
         self.fabric_answered = 0
         #: Fabric faults observed (each faulted attempt counts once).
         self.faults_seen = 0
@@ -187,129 +188,36 @@ class RelationalMemoryEngine(Engine):
         )
 
     def _execute_rm(self, bound: BoundQuery, snapshot_ts):
-        """One attempt on the fabric path (pushdown, then ephemeral scan)."""
-        self._last_access_path = "ephemeral-scan"
-        if self.aggregate_pushdown:
-            fast = self._try_fabric_aggregate(bound, snapshot_ts)
-            if fast is not None:
-                self.fabric_answered += 1
-                return fast
-        return super().execute(bound, snapshot_ts)
-
-    _FABRIC_AGGS = ("sum", "min", "max", "count")
-
-    def _try_fabric_aggregate(self, bound: BoundQuery, snapshot_ts):
-        """Return an ExecutionResult if the whole query reduces in the
-        fabric (single simple aggregate, fully pushable predicate), else
-        None to fall back to the ephemeral-scan path."""
-        if (
-            bound.group_by
-            or bound.joins
-            or len(bound.outputs) != 1
-            or bound.outputs[0].kind not in self._FABRIC_AGGS
-        ):
-            return None
-        output = bound.outputs[0]
-        schema = bound.table.schema
-        agg_column = None
-        if output.expr is not None:
-            if not isinstance(output.expr, ColumnRef):
-                return None
-            agg_column = output.expr.name
-            if schema.column(agg_column).dtype.np_dtype is None:
-                return None
-        elif output.kind != "count":
-            return None
-
-        residual: List[Expr] = []
-        pushed: List[FabricPredicate] = []
-        if bound.where is not None:
-            pushed, residual = self._pushable(bound)
-            if residual:
-                return None
-
-        table = bound.table
-        frame = table.frame
-        base_geometry = schema.full_geometry()
-        mask = None
-        if snapshot_ts is not None and schema.mvcc:
-            mask = table.visible_mask(snapshot_ts)
-        if pushed:
-            fmask = FabricFilter(predicates=tuple(pushed)).evaluate(
-                frame, base_geometry
-            )
-            mask = fmask if mask is None else (mask & fmask)
-
-        if mask is not None and output.kind in ("min", "max"):
-            if not np.any(mask):
-                # min/max of an empty set has no hardware encoding the
-                # software semantics expect; fall back to the scan path.
-                return None
-        field = agg_column if agg_column is not None else schema.column_names[0]
-        raw = FabricAggregate(field=field, kind=output.kind).evaluate(
-            frame, base_geometry, mask=mask
-        )
-        value = self._decode_aggregate(schema, agg_column, output.kind, raw)
-        dtype = np.int64 if output.kind == "count" else np.float64
-        result = QueryResult(
-            names=(output.name,),
-            columns={output.name: np.array([value], dtype=dtype)},
-        )
-
-        # Cost: the fabric scans the referenced fields of every row and
-        # emits only the accumulator; the CPU reads one value.
-        touched = schema.bytes_of(bound.referenced_columns)
-        report = self.fabric.engine.transform(
-            nrows=table.nrows,
-            row_stride=schema.row_stride,
-            out_bytes_per_row=max(1, touched),
-            qualifying_rows=0,
-            mvcc_filter=mask is not None and schema.mvcc,
-            fabric_predicates=len(pushed),
-        )
-        ledger = CostLedger(tracer=self.tracer)
-        with self._span(
-            "fabric.aggregate",
-            table=schema.name,
-            layer="fabric",
-            rows_in=table.nrows,
-            rows_out=1,
-            predicate=output.kind,
-        ) as span:
-            ledger.charge(CostLedger.CONFIGURE, report.configure_cycles)
-            ledger.charge(CostLedger.FABRIC, report.produce_cycles)
-            ledger.charge(CostLedger.CPU, 2 * self.platform.cpu.volcano_tuple_cycles)
-            ledger.charge_traffic(report.dram_bytes_touched)
-            span.add_counters(
-                {
-                    "fabric_dram_bytes": report.dram_bytes_touched,
-                    "refills": report.refills,
-                }
-            )
-        visible = table.nrows if mask is None else int(np.count_nonzero(mask))
-        return ExecutionResult(
-            engine=self.name,
-            result=result,
-            ledger=ledger,
-            plan=explain(bound, access_path="fabric-aggregate"),
-            visible_rows=visible,
-            qualifying_rows=visible,
-        )
-
-    @staticmethod
-    def _decode_aggregate(schema, agg_column, kind, raw):
-        if kind == "count" or agg_column is None:
-            return int(raw)
-        dtype = schema.column(agg_column).dtype
-        if raw is None:
-            return 0.0
-        if dtype.scale:
-            return float(raw) / 10**dtype.scale
-        return float(raw)
+        """One attempt on the fabric path."""
+        aggregate = self._fabric_aggregates(bound)
+        self._last_access_path = "fabric-aggregate" if aggregate else "ephemeral-scan"
+        result = super().execute(bound, snapshot_ts)
+        self.fabric_answered += aggregate
+        return result
 
     # ------------------------------------------------------------------
     # Pushdown analysis.
     # ------------------------------------------------------------------
+    _FABRIC_AGGS = ("sum", "min", "max", "count")
+
+    def _fabric_aggregates(self, bound: BoundQuery) -> bool:
+        """Whether the fabric reduces ``bound`` to one accumulator (§IV-B):
+        a single sum/min/max/count over a numeric column, or count(*), with
+        no grouping or join and every WHERE conjunct pushed. The query's
+        shape alone decides, so :meth:`price` follows the execution."""
+        if not self.aggregate_pushdown or bound.group_by or bound.joins:
+            return False
+        if len(bound.outputs) != 1 or bound.outputs[0].kind not in self._FABRIC_AGGS:
+            return False
+        kind, expr = bound.outputs[0].kind, bound.outputs[0].expr
+        if expr is None:
+            reducible = kind == "count"
+        else:
+            reducible = isinstance(expr, ColumnRef) and (
+                bound.table.schema.column(expr.name).dtype.np_dtype is not None
+            )
+        return reducible and not self._pushable(bound)[1]
+
     def _pushable(self, bound: BoundQuery) -> Tuple[List[FabricPredicate], List[Expr]]:
         """Split WHERE conjuncts into fabric comparators and CPU residue."""
         pushed: List[FabricPredicate] = []
@@ -321,11 +229,10 @@ class RelationalMemoryEngine(Engine):
             if term is not None and schema.has_column(term[0]):
                 col, op, lit = term
                 dtype = schema.column(col).dtype
-                if dtype.np_dtype is not None:
-                    raw = lit
-                    if dtype.scale:
-                        raw = int(round(float(lit) * 10**dtype.scale))
-                    pred = FabricPredicate(field=col, op=op, constant=raw)
+                if dtype.scale:
+                    pred = _scaled_comparator(col, op, lit, dtype)
+                elif dtype.np_dtype is not None:
+                    pred = FabricPredicate(field=col, op=op, constant=lit)
             if pred is not None:
                 pushed.append(pred)
             else:
@@ -350,15 +257,22 @@ class RelationalMemoryEngine(Engine):
     def _candidates(self, bound: BoundQuery, snapshot_ts: Optional[int]) -> Candidates:
         table = bound.table
         schema = table.schema
+        if not schema.mvcc:
+            snapshot_ts = None
+        if self._fabric_aggregates(bound):
+            # The fabric selects the rows and reduces them, emitting only
+            # the accumulator; the executor answers over the same rows.
+            pushed, _ = self._pushable(bound)
+            rows = select_rows(
+                record_view(table.frame, schema.full_geometry()), snapshot_ts,
+                FabricFilter(predicates=tuple(pushed)) if pushed else None,
+            )
+            visible = table.nrows if rows is None else int(np.count_nonzero(rows))
+            return rows, visible, table.read, lambda qualifying, ledger: (
+                self._charge_fabric_aggregate(bound, snapshot_ts is not None, ledger)
+            )
 
         geometry = schema.geometry(bound.referenced_columns)
-        visibility = None
-        if snapshot_ts is not None and schema.mvcc:
-            visibility = Visibility(
-                begin_ts=table.begin_ts,
-                end_ts=table.end_ts,
-                snapshot_ts=snapshot_ts,
-            )
         fabric_filter, residual_ops = self._pushdown(bound)
 
         with self._span(
@@ -366,16 +280,14 @@ class RelationalMemoryEngine(Engine):
             table=schema.name,
             layer="fabric",
             rows_in=table.nrows,
-            pushed_predicates=0 if fabric_filter is None else len(
-                fabric_filter.predicates
-            ),
+            pushed_predicates=0 if fabric_filter is None else len(fabric_filter),
         ) as fspan:
             group = self.fabric.configure(
                 table.frame,
                 geometry,
                 base_geometry=schema.full_geometry(),
                 fabric_filter=fabric_filter,
-                visibility=visibility,
+                snapshot_ts=snapshot_ts,
             )
             group.refresh()
             report = group.report
@@ -408,9 +320,11 @@ class RelationalMemoryEngine(Engine):
         mvcc: bool,
         ledger: CostLedger,
     ) -> None:
-        """Price the ephemeral scan when the fabric emits ``visible``
-        rows, with the fabric's price of producing them as a refresh
-        would have it."""
+        """Price the access path when the fabric emits ``visible`` rows,
+        with the fabric's price of producing them as a refresh would have
+        it (a fabric aggregate's price depends on no row count)."""
+        if self._fabric_aggregates(bound):
+            return self._charge_fabric_aggregate(bound, mvcc, ledger)
         fabric_filter, residual_ops = self._pushdown(bound)
         pushed = fabric_filter is not None
         geometry = bound.table.schema.geometry(bound.referenced_columns)
@@ -425,6 +339,44 @@ class RelationalMemoryEngine(Engine):
         self._charge_ephemeral_scan(
             bound, report, visible, qualifying, residual_ops, pushed, ledger
         )
+
+    def _charge_fabric_aggregate(
+        self, bound: BoundQuery, mvcc: bool, ledger: CostLedger
+    ) -> None:
+        """Price the fabric reducing the table: it scans the referenced
+        fields of every row and emits only the accumulator, which the CPU
+        reads."""
+        schema = bound.table.schema
+        report = self.fabric.engine.transform(
+            nrows=bound.table.nrows,
+            row_stride=schema.row_stride,
+            out_bytes_per_row=max(1, schema.bytes_of(bound.referenced_columns)),
+            qualifying_rows=0,
+            mvcc_filter=mvcc,
+            fabric_predicates=len(bound.where_conjuncts),
+        )
+        with self._span(
+            "fabric.aggregate",
+            table=schema.name,
+            layer="fabric",
+            rows_in=bound.table.nrows,
+            rows_out=1,
+            predicate=bound.outputs[0].kind,
+        ) as span:
+            ledger.charge(CostLedger.CONFIGURE, report.configure_cycles)
+            ledger.charge(CostLedger.FABRIC, report.produce_cycles)
+            ledger.charge(CostLedger.CPU, 2 * self.platform.cpu.volcano_tuple_cycles)
+            ledger.charge_traffic(report.dram_bytes_touched)
+            span.add_counters(
+                {"fabric_dram_bytes": report.dram_bytes_touched, "refills": report.refills}
+            )
+
+    def _charge_post_scan(
+        self, bound: BoundQuery, visible: int, qualifying: int, ledger: CostLedger
+    ) -> None:
+        # A fabric aggregate leaves the CPU no rows to aggregate.
+        if not self._fabric_aggregates(bound):
+            super()._charge_post_scan(bound, visible, qualifying, ledger)
 
     def _charge_ephemeral_scan(
         self,
@@ -531,3 +483,34 @@ class RelationalMemoryEngine(Engine):
         if bound.output_op_count > 1:
             cycles += cpu.intermediates(qualifying * (bound.output_op_count - 1))
         return cycles
+
+
+def _scaled_comparator(
+    column: str, op: CompareOp, literal, dtype
+) -> Optional[FabricPredicate]:
+    """The comparator on a DECIMAL column's stored ints that keeps exactly
+    the rows the CPU's ``value <op> literal`` on decoded values keeps; None
+    when none does (``=``/``<>`` against a value no stored int decodes to,
+    or a bound out of range). Decoding is monotone: ``>=`` holds from the
+    first int ``lo`` that decodes to at least ``literal``, ``>`` from the
+    first, ``hi``, that decodes above it; the decode of the ints next to
+    the scaled literal finds both."""
+    guess = float(literal) * 10**dtype.scale
+    if not abs(guess) < 2.0**62:
+        return None
+
+    def first(test: CompareOp) -> int:
+        def passes(raw: int) -> bool:
+            return bool(test.apply(dtype.decode_array(np.array([raw])), literal)[0])
+
+        raw = math.floor(guess)
+        while passes(raw):
+            raw -= 1
+        while not passes(raw):
+            raw += 1
+        return raw
+
+    lo, hi = first(CompareOp.GE), first(CompareOp.GT)
+    if op in (CompareOp.EQ, CompareOp.NE):
+        return FabricPredicate(column, op, lo) if hi == lo + 1 else None
+    return FabricPredicate(column, op, lo if op in (CompareOp.LT, CompareOp.GE) else hi - 1)

@@ -12,14 +12,12 @@ III-C (``__begin_ts``/``__end_ts``), appended after the user columns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.core.geometry import DataGeometry, FieldSlice
+from repro.core.mvcc_filter import MVCC_BEGIN, MVCC_END
 from repro.db.types import DataType, TIMESTAMP
 from repro.errors import SchemaError
-
-MVCC_BEGIN = "__begin_ts"
-MVCC_END = "__end_ts"
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -80,7 +81,7 @@ ENGINES = (
     ("row", RowStoreEngine),
     ("column", ColumnStoreEngine),
     ("rm", RelationalMemoryEngine),
-    ("rm-pushdown", lambda catalog: RelationalMemoryEngine(catalog, pushdown=True)),
+    ("rm-pushdown", partial(RelationalMemoryEngine, pushdown=True, aggregate_pushdown=True)),
 )
 
 

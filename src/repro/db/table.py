@@ -26,8 +26,9 @@ from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Seque
 
 import numpy as np
 
-from repro.core.mvcc_filter import LIVE_TS, NEVER_TS, visible_mask_batched
+from repro.core.mvcc_filter import LIVE_TS, NEVER_TS
 from repro.core.packer import gather, record_view
+from repro.core.selection import select_rows
 from repro.db.schema import MVCC_BEGIN, MVCC_END, Column, TableSchema
 from repro.errors import SchemaError
 
@@ -323,11 +324,10 @@ class Table:
         return self.column(MVCC_END)
 
     def visible_mask(self, snapshot_ts: int) -> np.ndarray:
-        """Rows valid at ``snapshot_ts`` (``begin_ts <= ts < end_ts``),
-        compared on the stamp fields in place; only the mask is kept."""
+        """Rows valid at ``snapshot_ts`` (``begin_ts <= ts < end_ts``): the
+        fabric's row selection on the stamp fields; only the mask is kept."""
         self._require_mvcc()
-        live = self._records[: self.nrows]
-        return visible_mask_batched(live[MVCC_BEGIN], live[MVCC_END], snapshot_ts)
+        return select_rows(self._records[: self.nrows], snapshot_ts)
 
     def stamp_begin(self, i: int, ts: int) -> None:
         self._require_mvcc()

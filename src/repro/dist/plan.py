@@ -33,11 +33,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.ledger import CostLedger
-from repro.core.mvcc_filter import visible_mask
 from repro.core.packer import gather, record_view
-from repro.core.selection import CompareOp
+from repro.core.selection import CompareOp, select_rows
 from repro.db.exec.vector import factorize
-from repro.db.schema import MVCC_BEGIN, MVCC_END
 from repro.db.table import Table
 from repro.errors import PlanError
 from repro.obs import maybe_span
@@ -306,7 +304,7 @@ def execute_fragment(
         rows_in=n, terms=plan.filter_terms,
     ) as fspan:
         if schema.mvcc:
-            mask = visible_mask(fields[MVCC_BEGIN], fields[MVCC_END], snapshot_ts)
+            mask = select_rows(fields, snapshot_ts)
         else:
             mask = np.ones(n, dtype=bool)
         if plan.key_low is not None or plan.key_high is not None:

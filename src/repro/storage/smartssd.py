@@ -10,23 +10,20 @@ parallelism), runs projection + selection (+ optional aggregation) in
 the in-storage engine, and ships **only the packed result** over the
 host link — the same ephemeral-columns abstraction as Relational
 Memory, implementing the shared :class:`~repro.core.fabric.RelationalFabric`
-interface.
+interface and its row selection, :func:`~repro.core.selection.select_rows`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from repro.core.ephemeral import Visibility
 from repro.core.fabric import RelationalFabric
 from repro.core.geometry import DataGeometry
-from repro.core.mvcc_filter import visible_mask
 from repro.core.packer import gather, pack, record_view
-from repro.core.selection import FabricAggregate, FabricFilter
+from repro.core.selection import FabricAggregate, FabricFilter, select_rows
 from repro.obs import Tracer, maybe_span
 from repro.storage.flash import FlashDevice
 from repro.storage.ssd import ReadReport, SsdTable
@@ -98,7 +95,7 @@ class RelationalStorage(RelationalFabric):
         geometry: DataGeometry,
         base_geometry: Optional[DataGeometry] = None,
         fabric_filter: Optional[FabricFilter] = None,
-        visibility: Optional[Visibility] = None,
+        snapshot_ts: Optional[int] = None,
     ) -> StorageEphemeralGroup:
         """Run one in-storage transformation and return the host view."""
         table = self.ssd.table
@@ -113,15 +110,7 @@ class RelationalStorage(RelationalFabric):
             columns=",".join(geometry.field_names),
             rows_in=table.nrows,
         ) as span:
-            mask = None
-            if visibility is not None:
-                mask = visible_mask(
-                    visibility.begin_ts, visibility.end_ts, visibility.snapshot_ts
-                )
-            if fabric_filter is not None:
-                fmask = fabric_filter.evaluate(frame, base_geometry)
-                mask = fmask if mask is None else (mask & fmask)
-
+            mask = select_rows(record_view(frame, base_geometry), snapshot_ts, fabric_filter)
             packed = pack(frame, geometry, row_mask=mask)
             report = self._price(packed.shape[0], geometry)
             span.set_attrs(rows_out=packed.shape[0])
@@ -152,12 +141,9 @@ class RelationalStorage(RelationalFabric):
             rows_in=table.nrows,
             rows_out=1,
         ) as span:
-            mask = (
-                fabric_filter.evaluate(frame, geometry)
-                if fabric_filter is not None
-                else None
-            )
-            value = aggregate.evaluate(frame, geometry, mask=mask)
+            records = record_view(frame, geometry)
+            mask = select_rows(records, fabric_filter=fabric_filter)
+            value = aggregate.evaluate(records, mask=mask)
             report = self._price(0, geometry, result_bytes=8)
             span.add_counters(
                 {

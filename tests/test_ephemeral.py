@@ -8,12 +8,12 @@ from repro.core import (
     FabricFilter,
     FabricPredicate,
     RelationalMemory,
-    Visibility,
     configure,
 )
 from repro.core.geometry import DataGeometry, FieldSlice
-from repro.core.mvcc_filter import LIVE_TS
-from repro.core.packer import pack
+from repro.core.mvcc_filter import LIVE_TS, MVCC_BEGIN, MVCC_END
+from repro.core.packer import pack, record_view
+from repro.errors import GeometryError
 from repro.hw.config import TEST_PLATFORM
 
 GEO = DataGeometry(
@@ -24,6 +24,22 @@ GEO = DataGeometry(
         FieldSlice("b", 48, 8, "<i8"),
     ),
 )
+
+
+#: GEO plus the MVCC stamp fields the fabric compares for visibility.
+MVCC_GEO = DataGeometry(
+    row_stride=64,
+    fields=GEO.fields
+    + (FieldSlice(MVCC_BEGIN, 16, 8, "<i8"), FieldSlice(MVCC_END, 24, 8, "<i8")),
+)
+
+
+def stamped(frame, begin, end):
+    """``frame`` with its rows' begin/end stamps written in place."""
+    view = record_view(frame, MVCC_GEO)
+    view[MVCC_BEGIN] = begin
+    view[MVCC_END] = end
+    return frame
 
 
 def make_frame(nrows=100, seed=1):
@@ -161,7 +177,7 @@ class TestFilterAndVisibility:
         end = np.full(10, LIVE_TS, dtype=np.int64)
         end[1] = 4  # superseded at ts 4
         cg = RelationalMemory(TEST_PLATFORM).configure(
-            frame, GEO, visibility=Visibility(begin, end, snapshot_ts=6)
+            stamped(frame, begin, end), GEO, base_geometry=MVCC_GEO, snapshot_ts=6
         )
         # Visible: begin<=6<end -> slots 0,2,3,5,6,7,8 (not 1: ended; not
         # 4: begin 9; not 9: begin 20).
@@ -174,11 +190,22 @@ class TestFilterAndVisibility:
         end = np.full(50, LIVE_TS, dtype=np.int64)
         flt = FabricFilter.of(FabricPredicate("key", CompareOp.LT, 500))
         cg = RelationalMemory(TEST_PLATFORM).configure(
-            frame, GEO, fabric_filter=flt,
-            visibility=Visibility(begin, end, snapshot_ts=10),
+            stamped(frame, begin, end), GEO, base_geometry=MVCC_GEO,
+            fabric_filter=flt, snapshot_ts=10,
         )
         keys = np.ascontiguousarray(frame[:25, 0:8]).view("<i8").reshape(-1)
         assert len(cg) == int((keys < 500).sum())
+
+    def test_selection_fields_resolve_at_configure(self):
+        """Without a base geometry, the comparator fields and the MVCC
+        stamps must be in the projected one; configure fails early."""
+        rm = RelationalMemory(TEST_PLATFORM)
+        proj = DataGeometry(row_stride=64, fields=(FieldSlice("a", 8, 8, "<i8"),))
+        flt = FabricFilter.of(FabricPredicate("key", CompareOp.LT, 500))
+        with pytest.raises(GeometryError):
+            rm.configure(make_frame(), proj, fabric_filter=flt)
+        with pytest.raises(GeometryError):
+            rm.configure(make_frame(), GEO, snapshot_ts=5)
 
     def test_mvcc_report_flag_costs(self):
         frame = make_frame(1000)
@@ -187,6 +214,6 @@ class TestFilterAndVisibility:
         begin = np.ones(1000, dtype=np.int64)
         end = np.full(1000, LIVE_TS, dtype=np.int64)
         filtered = rm.configure(
-            frame, GEO, visibility=Visibility(begin, end, 5)
+            stamped(frame, begin, end), GEO, base_geometry=MVCC_GEO, snapshot_ts=5
         ).report
         assert filtered.produce_cycles >= plain.produce_cycles

@@ -174,6 +174,7 @@ class TestEstimatesAreTheEnginesCharges:
             RelationalMemoryEngine(
                 catalog, pushdown=True, consumption="auto", threads=2
             ),
+            RelationalMemoryEngine(catalog, pushdown=True, aggregate_pushdown=True),
         ]
         for sql in (
             projection_selection_query(5, 2, name="m"),
@@ -184,6 +185,8 @@ class TestEstimatesAreTheEnginesCharges:
             "SELECT c1 FROM m WHERE c6 < 20000 AND "
             + " AND ".join(f"c6 <> {v}" for v in range(1, 8)),
             "SELECT c1 FROM m",
+            # The fabric reduces it to one accumulator.
+            f"SELECT sum(c1) AS s FROM m WHERE c6 < {VALUE_RANGE // 2}",
         ):
             bound_q = bind(parse(sql), catalog)
             for engine in engines:

@@ -4,8 +4,10 @@ the auto (hybrid) consumption mode (§III-B)."""
 import numpy as np
 import pytest
 
-from repro.db.engines import RelationalMemoryEngine
+from repro.db import Catalog, Column, TableSchema
+from repro.db.engines import RelationalMemoryEngine, RowStoreEngine
 from repro.db.exec import results_equal
+from repro.db.types import DECIMAL, INT64
 from repro.workloads.synthetic import make_wide_table, projectivity_query
 from repro.workloads.tpch import Q6, generate_lineitem
 
@@ -13,6 +15,36 @@ from repro.workloads.tpch import Q6, generate_lineitem
 @pytest.fixture(scope="module")
 def wide():
     return make_wide_table(nrows=20_000, seed=21)
+
+
+def decimal_table(catalog, name, raw):
+    """``name(k INT64, d DECIMAL(2))`` holding the stored ints ``raw``."""
+    table = catalog.create_table(
+        TableSchema(name, [Column("k", INT64), Column("d", DECIMAL(2))])
+    )
+    table.append_arrays({"k": np.arange(len(raw)), "d": np.asarray(raw)})
+    return table
+
+
+@pytest.fixture(scope="module")
+def aggregates():
+    """``wide``, an empty table ``e``, a ten-row table ``ten`` and 100k
+    random DECIMAL(2) values in ``dec``."""
+    catalog, _ = make_wide_table(nrows=20_000, seed=21)
+    decimal_table(catalog, "e", [])
+    decimal_table(catalog, "ten", np.arange(10))
+    rng = np.random.default_rng(5)
+    decimal_table(catalog, "dec", rng.integers(0, 10**7, 100_000))
+    return catalog
+
+
+def assert_identical(result, reference):
+    """Same names, dtypes and column bytes."""
+    assert result.names == reference.names
+    for name in reference.names:
+        got, want = result.columns[name], reference.columns[name]
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), (name, got, want)
 
 
 class TestAggregatePushdown:
@@ -27,13 +59,50 @@ class TestAggregatePushdown:
             "SELECT min(c2) AS lo FROM wide",
             "SELECT max(c2) AS hi FROM wide WHERE c1 > 100",
             "SELECT sum(c5) AS s FROM wide",
+            # min/max of no rows, and an empty pushed selection
+            "SELECT min(d) AS lo FROM e",
+            "SELECT max(k) AS hi FROM e",
+            "SELECT sum(d) AS s FROM e",
+            "SELECT count(*) AS n FROM e",
+            "SELECT min(c2) AS lo FROM wide WHERE c0 < 0",
+            # LIMIT/OFFSET apply to the one-row answer
+            "SELECT count(*) AS n FROM ten LIMIT 0",
+            "SELECT count(*) AS n FROM ten OFFSET 1",
+            "SELECT sum(d) AS s FROM ten LIMIT 1",
+            # the executor's float accumulation, not an exact int sum
+            "SELECT sum(d) AS s FROM dec",
+            "SELECT sum(d) AS s FROM dec WHERE d > 12345.675",
         ],
     )
-    def test_answers_match_scan_path(self, wide, sql):
-        catalog, _ = wide
-        fast = self.engine(catalog).execute(sql)
-        plain = RelationalMemoryEngine(catalog).execute(sql)
-        assert results_equal(fast.result, plain.result)
+    def test_answers_match_scan_path(self, aggregates, sql):
+        engine = self.engine(aggregates)
+        fast = engine.execute(sql)
+        assert engine.fabric_answered == 1
+        assert engine.access_path == "fabric-aggregate"
+        plain = RelationalMemoryEngine(aggregates).execute(sql)
+        row = RowStoreEngine(aggregates).execute(sql)
+        assert_identical(fast.result, plain.result)
+        assert_identical(fast.result, row.result)
+
+    def test_decimal_bounds_select_the_cpus_rows(self):
+        """A pushed DECIMAL comparison keeps exactly the rows the CPU's
+        comparison of decoded values keeps, for every operator, whether
+        the literal falls between stored values or on one."""
+        catalog = Catalog()
+        decimal_table(catalog, "t", [5000, 5001, 4999, 12])
+        pushdown = RelationalMemoryEngine(catalog, pushdown=True)
+        aggregate = self.engine(catalog)
+        row = RowStoreEngine(catalog)
+        for literal in ("50.005", "50.01", "49.995", "0.125", "0.12", "50", "-1"):
+            for op in ("<", "<=", ">", ">=", "=", "<>"):
+                for where in (f"d {op} {literal}", f"{literal} {op} d"):
+                    rows = f"SELECT k FROM t WHERE {where} ORDER BY k"
+                    count = f"SELECT count(*) AS n FROM t WHERE {where}"
+                    want = row.execute(rows).result
+                    assert_identical(pushdown.execute(rows).result, want)
+                    assert_identical(
+                        aggregate.execute(count).result, row.execute(count).result
+                    )
 
     def test_fabric_path_is_cheaper(self, wide):
         catalog, _ = wide

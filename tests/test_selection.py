@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.geometry import DataGeometry, FieldSlice
+from repro.core.packer import record_view
 from repro.core.selection import (
     CompareOp,
     FabricAggregate,
@@ -57,12 +58,14 @@ class TestPredicateAndFilter:
     def test_predicate_evaluates_on_frame(self):
         frame = frame_with_x([1, 10, 100])
         pred = FabricPredicate("x", CompareOp.GT, 5)
-        assert pred.evaluate(frame, GEO).tolist() == [False, True, True]
+        assert pred.evaluate(record_view(frame, GEO)).tolist() == [False, True, True]
 
     def test_predicate_on_opaque_field_rejected(self):
         frame = frame_with_x([1])
         with pytest.raises(GeometryError):
-            FabricPredicate("tag", CompareOp.EQ, 0).evaluate(frame, GEO)
+            FabricPredicate("tag", CompareOp.EQ, 0).evaluate(record_view(frame, GEO))
+        with pytest.raises(GeometryError):
+            FabricPredicate("nope", CompareOp.EQ, 0).evaluate(record_view(frame, GEO))
 
     def test_filter_conjunction(self):
         frame = frame_with_x([1, 5, 10, 50])
@@ -70,7 +73,7 @@ class TestPredicateAndFilter:
             FabricPredicate("x", CompareOp.GE, 5),
             FabricPredicate("x", CompareOp.LT, 50),
         )
-        assert flt.evaluate(frame, GEO).tolist() == [False, True, True, False]
+        assert flt.evaluate(record_view(frame, GEO)).tolist() == [False, True, True, False]
 
     def test_filter_len_and_fields(self):
         flt = FabricFilter.of(
@@ -82,27 +85,27 @@ class TestPredicateAndFilter:
 
     def test_empty_filter_passes_all(self):
         flt = FabricFilter.of()
-        assert flt.evaluate(frame_with_x([1, 2]), GEO).all()
+        assert flt.evaluate(record_view(frame_with_x([1, 2]), GEO)).all()
 
 
 class TestAggregates:
     def test_sum_min_max_count(self):
         frame = frame_with_x([3, 1, 4, 1, 5])
-        assert FabricAggregate("x", "sum").evaluate(frame, GEO) == 14
-        assert FabricAggregate("x", "min").evaluate(frame, GEO) == 1
-        assert FabricAggregate("x", "max").evaluate(frame, GEO) == 5
-        assert FabricAggregate("x", "count").evaluate(frame, GEO) == 5
+        assert FabricAggregate("x", "sum").evaluate(record_view(frame, GEO)) == 14
+        assert FabricAggregate("x", "min").evaluate(record_view(frame, GEO)) == 1
+        assert FabricAggregate("x", "max").evaluate(record_view(frame, GEO)) == 5
+        assert FabricAggregate("x", "count").evaluate(record_view(frame, GEO)) == 5
 
     def test_masked_aggregate(self):
         frame = frame_with_x([3, 1, 4, 1, 5])
         mask = np.array([True, False, True, False, False])
-        assert FabricAggregate("x", "sum").evaluate(frame, GEO, mask=mask) == 7
-        assert FabricAggregate("x", "count").evaluate(frame, GEO, mask=mask) == 2
+        assert FabricAggregate("x", "sum").evaluate(record_view(frame, GEO), mask=mask) == 7
+        assert FabricAggregate("x", "count").evaluate(record_view(frame, GEO), mask=mask) == 2
 
     def test_empty_input(self):
         frame = frame_with_x([])
-        assert FabricAggregate("x", "sum").evaluate(frame, GEO) == 0
-        assert FabricAggregate("x", "min").evaluate(frame, GEO) is None
+        assert FabricAggregate("x", "sum").evaluate(record_view(frame, GEO)) == 0
+        assert FabricAggregate("x", "min").evaluate(record_view(frame, GEO)) is None
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(GeometryError):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.fabric import RelationalMemory
 from repro.core.selection import CompareOp, FabricAggregate, FabricFilter, FabricPredicate
 from repro.db import Column, Table, TableSchema
 from repro.db.types import INT64
@@ -118,6 +119,26 @@ class TestRelationalStorage:
         )
         expected = int((table.column_values("v") >= 90).sum())
         assert len(group) == expected
+
+    def test_snapshot_selection_matches_memory_fabric(self):
+        """Both fabric instances select the same rows: visible at the
+        snapshot (stamps read from the row image) and passing the filter."""
+        schema = TableSchema("kv", [Column("k", INT64), Column("v", INT64)], mvcc=True)
+        table = Table(schema)
+        table.append_arrays({"k": np.arange(200), "v": np.arange(200) % 50})
+        for i in range(200):
+            table.stamp_begin(i, i % 7)
+            if i % 5 == 0:
+                table.stamp_end(i, 4)
+        flt = FabricFilter.of(FabricPredicate("v", CompareOp.LT, 30))
+        kw = dict(base_geometry=schema.full_geometry(), fabric_filter=flt, snapshot_ts=5)
+        geo = schema.geometry(["k"])
+        stored = RelationalStorage(SsdTable(table)).configure(table.frame, geo, **kw)
+        memory = RelationalMemory().configure(table.frame, geo, **kw).refresh()
+        visible = table.visible_mask(5) & (table.column_values("v") < 30)
+        assert 0 < visible.sum() < 200
+        assert np.array_equal(stored.column("k"), np.flatnonzero(visible))
+        assert np.array_equal(memory.column("k"), stored.column("k"))
 
     def test_aggregate_ships_one_value(self, device_table):
         rs = RelationalStorage(device_table)
