@@ -480,7 +480,6 @@ class TransactionManager:
 def run_transaction(
     manager: TransactionManager,
     fn: Callable[[Transaction], Any],
-    retries: int = 5,
     policy: Optional[RetryPolicy] = None,
 ) -> Any:
     """Run ``fn(txn)`` under a fresh transaction, retrying conflicts.
@@ -494,16 +493,15 @@ def run_transaction(
     may commit the transaction itself, or leave it active for this helper
     to commit. The last conflict propagates when the budget is exhausted.
 
-    The replay budget: when ``policy`` is given, **its** ``retries``
-    wins and the ``retries`` argument is ignored (one object owns the
-    whole retry shape — budget, backoff, jitter); the bare ``retries``
-    argument only parameterizes the default policy.
+    One object owns the whole retry shape — budget, backoff, jitter:
+    ``policy``, by default a fresh five-replay :class:`RetryPolicy` per
+    call (fresh, so its seeded jitter starts over every time).
 
     Every exception path aborts the transaction: a non-conflict error
     from ``fn`` propagates, but never leaks an active transaction that
     would pin ``oldest_active_snapshot()`` and block ``vacuum`` forever.
     """
-    policy = policy or RetryPolicy(retries=retries, base=1_000.0, cap=64_000.0)
+    policy = policy or RetryPolicy(retries=5, base=1_000.0, cap=64_000.0)
     budget = policy.retries
     for attempt in range(budget + 1):
         txn = manager.begin()

@@ -99,7 +99,7 @@ ENCODE_CYCLES_PER_BYTE = 3.0
 DECODE_CYCLES_PER_BYTE = 4.0
 
 #: Host CPU cycles per device microsecond at the default 1.5 GHz A53.
-DEFAULT_CYCLES_PER_US = 1_500.0
+CYCLES_PER_US = 1_500.0
 
 
 class WalRecordType(enum.IntEnum):
@@ -294,7 +294,7 @@ class WriteAheadLog:
     Appends buffer in the device's controller DRAM; :meth:`flush` is the
     commit barrier that programs them to NAND. Every byte costs cycles in
     :attr:`ledger` (bucket ``wal_append``), converted from device
-    microseconds at ``cycles_per_us``, so enabling durability visibly
+    microseconds at :data:`CYCLES_PER_US`, so enabling durability visibly
     moves the perf numbers instead of being free magic.
     """
 
@@ -302,13 +302,11 @@ class WriteAheadLog:
         self,
         device: Optional[SsdLog] = None,
         ledger: Optional[CostLedger] = None,
-        cycles_per_us: float = DEFAULT_CYCLES_PER_US,
         tracer: Optional[Tracer] = None,
         metrics: Optional["MetricsRegistry"] = None,
     ):
         self.device = device or SsdLog()
         self.ledger = ledger or CostLedger(tracer=tracer)
-        self.cycles_per_us = cycles_per_us
         self.stats = WalStats()
         #: Observability hook: append/flush/checkpoint/recovery spans.
         self.tracer = tracer
@@ -386,9 +384,9 @@ class WriteAheadLog:
         with maybe_span(self.tracer, "wal.flush", layer="wal") as span:
             us = self.device.flush()
             self.stats.flushes += 1
-            self.ledger.charge(CostLedger.WAL_APPEND, us * self.cycles_per_us)
+            self.ledger.charge(CostLedger.WAL_APPEND, us * CYCLES_PER_US)
             if self._m_fsync is not None:
-                self._m_fsync.observe(us * self.cycles_per_us)
+                self._m_fsync.observe(us * CYCLES_PER_US)
             span.add_counter("device_us", us)
 
     # ------------------------------------------------------------------
@@ -400,7 +398,7 @@ class WriteAheadLog:
             data, us = self.device.read_all()
             self.ledger.charge(
                 CostLedger.WAL_RECOVERY,
-                us * self.cycles_per_us + DECODE_CYCLES_PER_BYTE * len(data),
+                us * CYCLES_PER_US + DECODE_CYCLES_PER_BYTE * len(data),
             )
             span.set_attrs(nbytes=len(data))
             span.add_counter("device_us", us)
@@ -519,7 +517,7 @@ class Checkpointer:
             us = self.wal.device.flash.write_pages_us(pages)
             self.wal.ledger.charge(
                 CostLedger.WAL_CHECKPOINT,
-                us * self.wal.cycles_per_us + ENCODE_CYCLES_PER_BYTE * cp.nbytes,
+                us * CYCLES_PER_US + ENCODE_CYCLES_PER_BYTE * cp.nbytes,
             )
             span.add_counter("device_us", us)
             span.add_counter("pages_written", pages)

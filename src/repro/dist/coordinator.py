@@ -79,6 +79,11 @@ from repro.obs.journal import (
 __all__ = ["DistConfig", "ClusterStats", "ShardCluster"]
 
 
+#: Poll granularity (wall-clock seconds) while awaiting replies, shared
+#: among the outstanding requests of one round.
+POLL_S = 0.02
+
+
 @dataclass(frozen=True)
 class DistConfig:
     """Coordinator policy knobs (wall-clock seconds throughout)."""
@@ -92,8 +97,6 @@ class DistConfig:
     #: Launch a hedge incarnation after this long with no reply
     #: (None = hedging off).
     hedge_after_s: Optional[float] = None
-    #: Poll granularity while awaiting replies.
-    poll_s: float = 0.02
     #: Run workers in-process (deterministic, no real fault domains).
     inline: bool = False
     #: Fault-injection schedule, fanned out per worker (see WorkerBoot).
@@ -570,7 +573,7 @@ class ShardCluster:
             while contenders and time.monotonic() < deadline:
                 for entry in list(contenders):
                     host, rid, is_hedge = entry
-                    reply = host.poll(cfg.poll_s / len(contenders))
+                    reply = host.poll(POLL_S / len(contenders))
                     if reply is None:
                         if not host.alive():
                             contenders.remove(entry)

@@ -5,10 +5,10 @@ Two interchangeable implementations of one small interface:
 * :class:`AnalyticMemoryModel` — closed-form costs for *cold* scans whose
   working set exceeds the last-level cache. O(1) per scan, used by the
   benchmark harness where tables are far larger than L2.
-* :class:`TraceMemoryModel` — drives the event-accurate
-  :class:`repro.hw.hierarchy.MemoryHierarchy` access by access. Used by
-  tests and small-data runs; property tests assert the analytic model
-  agrees with it on large cold streams.
+* :class:`TraceMemoryModel` — builds each access pattern's line
+  numbers (:mod:`repro.hw.batch`) and walks them through the
+  event-accurate :class:`repro.hw.hierarchy.MemoryHierarchy`. Property
+  tests assert the analytic model agrees with it on large cold streams.
 
 Every method returns a :class:`MemCost` splitting cycles into *covered*
 (bandwidth-bound, prefetcher-hidden — an engine pays ``max(covered,
@@ -16,11 +16,20 @@ cpu_cycles)`` for a scan stage) and *exposed* (demand-miss latency an
 in-order core cannot hide — always additive). Both models also count
 DRAM traffic.
 
-Known, documented divergence: for more concurrent streams than the
-prefetcher tracks, the trace model's LRU stream table thrashes under
-lockstep round-robin (no stream stays trained), while the analytic model
-optimistically keeps ``max_streams`` covered — closer to real hardware,
-where miss timing is less adversarial than an exact round-robin.
+Known, documented divergences:
+
+* For more concurrent streams than the prefetcher tracks, the trace
+  model's LRU stream table thrashes under lockstep round-robin (no stream
+  stays trained), while the analytic model optimistically keeps
+  ``max_streams`` covered — closer to real hardware, where miss timing is
+  less adversarial than an exact round-robin.
+* A write stream (``sequential(..., write=True)``) costs twice a read in
+  the analytic model (write-allocate plus write-back) but the same as a
+  read in the trace model: :class:`~repro.hw.cache.Cache` marks lines
+  dirty, yet a dirty eviction costs nothing. On the default platform a
+  200k-line write stream costs 9,600,000 analytic cycles and 4,800,318
+  trace cycles. The callers are the column store's layout conversion and
+  its MVCC mask.
 """
 
 from __future__ import annotations
@@ -95,17 +104,6 @@ class MemoryModel(ABC):
     ) -> MemCost:
         """``len(stream_bytes)`` sequential streams progressing in lockstep
         (a column engine consuming several columns row-wise)."""
-
-    @abstractmethod
-    def strided(
-        self,
-        nrows: int,
-        stride_bytes: int,
-        touched_per_row: int,
-        base_addr: int = 0,
-    ) -> MemCost:
-        """A row scan touching ``touched_per_row`` bytes every
-        ``stride_bytes`` (narrow column group over wide rows)."""
 
     @abstractmethod
     def random(self, n_accesses: int, working_set_bytes: int) -> MemCost:
@@ -199,36 +197,6 @@ class AnalyticMemoryModel(MemoryModel):
         self.traffic.add(nbytes, covered + exposed)
         return MemCost(covered=covered, exposed=exposed)
 
-    def strided(
-        self,
-        nrows: int,
-        stride_bytes: int,
-        touched_per_row: int,
-        base_addr: int = 0,
-    ) -> MemCost:
-        if nrows <= 0:
-            return ZERO_COST
-        dram = self.platform.dram
-        if stride_bytes <= self.line_bytes:
-            # Every line of the region is touched: a plain sequential scan.
-            return self.sequential(nrows * stride_bytes, base_addr)
-        lines_per_row = self._lines_per_strided_row(stride_bytes, touched_per_row)
-        nlines = nrows * lines_per_row
-        if stride_bytes <= self.platform.prefetcher.max_stride_bytes:
-            cost = MemCost(covered=nlines * dram.stream_cycles_per_line, exposed=0.0)
-        else:
-            cost = MemCost(covered=0.0, exposed=nlines * dram.unprefetched_cycles_per_line)
-        self.traffic.add(nlines * self.line_bytes, cost.total)
-        return cost
-
-    def _lines_per_strided_row(self, stride_bytes: int, touched: int) -> float:
-        """Expected distinct lines per row for ``touched`` bytes at an
-        arbitrary alignment within a ``stride_bytes`` row."""
-        touched = max(1, touched)
-        # A touched span of t bytes starting uniformly crosses an extra
-        # line boundary with probability (t-1)/line.
-        return 1 + (touched - 1) / self.line_bytes
-
     def random(self, n_accesses: int, working_set_bytes: int) -> MemCost:
         if n_accesses <= 0:
             return ZERO_COST
@@ -271,10 +239,10 @@ class TraceMemoryModel(MemoryModel):
         self.hierarchy = hierarchy or MemoryHierarchy(platform)
         self._alloc_cursor = 1 << 32  # synthetic address space for streams
         self._rng_state = 0x9E3779B97F4A7C15
-        #: Route charges through the vectorized batch kernel
-        #: (:mod:`repro.hw.batch`). The scalar per-line loops remain
-        #: available (``use_batch=False``) as the reference; both produce
-        #: bit-identical stats and cycles (property-tested).
+        #: Walk each pattern's lines with the vectorized batch kernel
+        #: (:mod:`repro.hw.batch`); ``use_batch=False`` runs the scalar
+        #: per-line loop instead, the reference. Both produce bit-identical
+        #: stats and cycles (property-tested).
         self.use_batch = use_batch
         self._regions: Dict[Hashable, Tuple[int, int]] = {}
 
@@ -292,12 +260,22 @@ class TraceMemoryModel(MemoryModel):
         self._alloc_cursor += aligned + 64 * self.line_bytes
         return base
 
-    def _classified(self, run) -> MemCost:
-        """Run a traced access closure and classify its cycle total."""
+    def _charge(
+        self, lines: np.ndarray, write: bool = False, stride_hint: int = 0
+    ) -> MemCost:
+        """Walk one access pattern's ``lines`` through the hierarchy and
+        classify the cycle total.
+
+        The only reader of ``use_batch``: the batch kernel by default, the
+        scalar per-line loop (:meth:`MemoryHierarchy.access_lines`) as its
+        reference. Both see the same line array."""
         h = self.hierarchy
         covered_before = h.prefetcher.covered
         dram_before = h.stats.dram_lines
-        cycles = run()
+        if self.use_batch:
+            cycles = h.access_lines_batch(lines, write=write, stride_hint=stride_hint)
+        else:
+            cycles = h.access_lines(lines.tolist(), write=write, stride_hint=stride_hint)
         covered_lines = h.prefetcher.covered - covered_before
         moved = h.stats.dram_lines - dram_before
         self.traffic.add(moved * self.line_bytes, cycles)
@@ -316,16 +294,8 @@ class TraceMemoryModel(MemoryModel):
             return ZERO_COST
         if base_addr == 0:
             base_addr = self._alloc(total_bytes)
-        if self.use_batch:
-            lines = hwbatch.sequential_lines(base_addr, total_bytes, self.line_bytes)
-            return self._classified(
-                lambda: self.hierarchy.access_lines_batch(
-                    lines, write=write, stride_hint=self.line_bytes
-                )
-            )
-        return self._classified(
-            lambda: self.hierarchy.scan_region(base_addr, total_bytes, write=write)
-        )
+        lines = hwbatch.sequential_lines(base_addr, total_bytes, self.line_bytes)
+        return self._charge(lines, write=write, stride_hint=self.line_bytes)
 
     def multi_stream(
         self, stream_bytes: Sequence[int], base_addrs: Optional[Sequence[int]] = None
@@ -343,60 +313,15 @@ class TraceMemoryModel(MemoryModel):
             return ZERO_COST
         nlines = [math.ceil(b / self.line_bytes) for b in sizes]
         cursors = [self.hierarchy.l1.line_of(a) for a in addrs]
+        lines = hwbatch.interleaved_lines(cursors, nlines)
+        return self._charge(lines, stride_hint=self.line_bytes)
 
-        if self.use_batch:
-            lines = hwbatch.interleaved_lines(cursors, nlines)
-            return self._classified(
-                lambda: self.hierarchy.access_lines_batch(
-                    lines, stride_hint=self.line_bytes
-                )
-            )
-
-        def run():
-            lines_left = list(nlines)
-            cur = list(cursors)
-            cycles = 0.0
-            # Lockstep round-robin: one line from each live stream per round.
-            while any(n > 0 for n in lines_left):
-                for i in range(len(sizes)):
-                    if lines_left[i] > 0:
-                        cycles += self.hierarchy.access_lines(
-                            [cur[i]], stride_hint=self.line_bytes
-                        )
-                        cur[i] += 1
-                        lines_left[i] -= 1
-            return cycles
-
-        return self._classified(run)
-
-    def strided(
-        self,
-        nrows: int,
-        stride_bytes: int,
-        touched_per_row: int,
-        base_addr: int = 0,
-    ) -> MemCost:
-        if nrows <= 0:
-            return ZERO_COST
-        if base_addr == 0:
-            base_addr = self._alloc(nrows * stride_bytes)
-        if self.use_batch and stride_bytes > 0:
-            lines = hwbatch.strided_lines(
-                base_addr, nrows, stride_bytes, touched_per_row, self.line_bytes
-            )
-            return self._classified(
-                lambda: self.hierarchy.access_lines_batch(
-                    lines, stride_hint=stride_bytes
-                )
-            )
-        return self._classified(
-            lambda: self.hierarchy.scan_region(
-                base_addr,
-                nrows * stride_bytes,
-                stride_bytes=stride_bytes,
-                touched_per_row=touched_per_row,
-            )
-        )
+    def _lcg_offsets(self, n: int, modulus: int) -> np.ndarray:
+        """The next ``n`` draws of the model's LCG, each ``(state >> 33) %
+        modulus``; advances the shared state past them."""
+        states = hwbatch.lcg_states(self._rng_state, n)
+        self._rng_state = int(states[-1])
+        return ((states >> np.uint64(33)) % np.uint64(modulus)).astype(np.int64)
 
     def random(self, n_accesses: int, working_set_bytes: int) -> MemCost:
         if n_accesses <= 0:
@@ -404,29 +329,8 @@ class TraceMemoryModel(MemoryModel):
         base = self._alloc(working_set_bytes)
         nlines = max(1, working_set_bytes // self.line_bytes)
         base_line = self.hierarchy.l1.line_of(base)
-
-        if self.use_batch:
-            states = hwbatch.lcg_states(self._rng_state, n_accesses)
-            offsets = ((states >> np.uint64(33)) % np.uint64(nlines)).astype(np.int64)
-            self._rng_state = int(states[-1])
-            lines = offsets + base_line
-            return self._classified(
-                lambda: self.hierarchy.access_lines_batch(lines, stride_hint=2**20)
-            )
-
-        def run():
-            cycles = 0.0
-            state = self._rng_state
-            for _ in range(n_accesses):
-                state = (state * 6364136223846793005 + 1442695040888963407) & (
-                    2**64 - 1
-                )
-                line = base_line + (state >> 33) % nlines
-                cycles += self.hierarchy.access_lines([line], stride_hint=2**20)
-            self._rng_state = state
-            return cycles
-
-        return self._classified(run)
+        lines = base_line + self._lcg_offsets(n_accesses, nlines)
+        return self._charge(lines, stride_hint=2**20)
 
     def gather(self, n_candidates: int, n_rows: int, value_bytes: int) -> MemCost:
         """Trace an ascending irregular gather over a fresh column array."""
@@ -436,31 +340,6 @@ class TraceMemoryModel(MemoryModel):
         base_line = self.hierarchy.l1.line_of(base)
         step = max(1, n_rows // n_candidates)
         per_line = max(1, self.line_bytes // max(1, value_bytes))
-
-        if self.use_batch:
-            states = hwbatch.lcg_states(self._rng_state, n_candidates)
-            deltas = (
-                np.uint64(1) + (states >> np.uint64(33)) % np.uint64(2 * step - 1)
-            ).astype(np.int64)
-            self._rng_state = int(states[-1])
-            idx = np.cumsum(deltas)
-            lines = base_line + idx // per_line
-            return self._classified(
-                lambda: self.hierarchy.access_lines_batch(lines, stride_hint=2**20)
-            )
-
-        def run():
-            cycles = 0.0
-            state = self._rng_state
-            idx = 0
-            for _ in range(n_candidates):
-                state = (state * 6364136223846793005 + 1442695040888963407) & (
-                    2**64 - 1
-                )
-                idx += 1 + (state >> 33) % (2 * step - 1)
-                line = base_line + idx // per_line
-                cycles += self.hierarchy.access_lines([line], stride_hint=2**20)
-            self._rng_state = state
-            return cycles
-
-        return self._classified(run)
+        idx = np.cumsum(1 + self._lcg_offsets(n_candidates, 2 * step - 1))
+        lines = base_line + idx // per_line
+        return self._charge(lines, stride_hint=2**20)

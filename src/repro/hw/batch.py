@@ -38,8 +38,12 @@ The algorithm exploits three structural facts of the hardware:
 Both cache routes are exact and the prefetcher's fallback replays the
 scalar logic, so equality with the scalar path holds for *arbitrary*
 traces (property-tested against :meth:`repro.hw.cache.Cache.access_line`),
-while the patterns the query engines emit (sequential, strided, lockstep
-multi-stream, LCG random) stay vectorized.
+while the patterns the query engines emit (sequential, lockstep
+multi-stream, LCG random and gather) stay vectorized.
+
+The line builders at the top of the module are the only source of those
+patterns' line numbers: :class:`repro.hw.analytic.TraceMemoryModel` hands
+the same array to this kernel or, as the reference, to the scalar loop.
 """
 
 from __future__ import annotations
@@ -60,17 +64,16 @@ __all__ = [
     "interleaved_lines",
     "lcg_states",
     "sequential_lines",
-    "strided_lines",
 ]
 
-#: The LCG multiplier/increment of :class:`repro.hw.analytic.TraceMemoryModel`.
+#: The LCG multiplier/increment of the trace model's random/gather walks.
 _LCG_A = 6364136223846793005
 _LCG_C = 1442695040888963407
 _U64 = np.uint64
 
 
 # ----------------------------------------------------------------------
-# Line-address array builders (the scan paths emit these).
+# Line-address array builders (the trace model's access patterns).
 # ----------------------------------------------------------------------
 def sequential_lines(base_addr: int, total_bytes: int, line_bytes: int) -> np.ndarray:
     """Line numbers of a contiguous byte region, in scan order."""
@@ -82,37 +85,10 @@ def sequential_lines(base_addr: int, total_bytes: int, line_bytes: int) -> np.nd
     return np.arange(first, last + 1, dtype=np.int64)
 
 
-def strided_lines(
-    base_addr: int,
-    nrows: int,
-    stride_bytes: int,
-    touched_per_row: int,
-    line_bytes: int,
-) -> np.ndarray:
-    """Line numbers of a strided row walk (``touched_per_row`` bytes every
-    ``stride_bytes``), in the exact order ``scan_region`` visits them."""
-    if nrows <= 0:
-        return np.empty(0, dtype=np.int64)
-    shift = line_bytes.bit_length() - 1
-    touched = max(1, touched_per_row)
-    starts = base_addr + np.arange(nrows, dtype=np.int64) * stride_bytes
-    firsts = starts >> shift
-    lasts = (starts + touched - 1) >> shift
-    counts = lasts - firsts + 1
-    total = int(counts.sum())
-    if total == nrows:  # no row crosses a line boundary (the common case)
-        return firsts
-    row_base = np.repeat(firsts, counts)
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(counts) - counts, counts
-    )
-    return row_base + offsets
-
-
 def interleaved_lines(cursors: List[int], nlines: List[int]) -> np.ndarray:
     """Lockstep round-robin interleave of ascending unit-stride streams:
-    one line from each live stream per round — the order the scalar
-    multi-stream loop produces."""
+    one line from each live stream per round (a column engine consuming
+    several columns row-wise)."""
     if not cursors:
         return np.empty(0, dtype=np.int64)
     c = np.asarray(cursors, dtype=np.int64)

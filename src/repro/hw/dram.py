@@ -1,23 +1,17 @@
 """DRAM device model: banks, open-row policy, bank-level parallelism.
 
-Two usage modes:
-
-* **Event mode** — :meth:`Dram.access_line` costs one access at a time,
-  honouring open rows per bank. Used by the trace-mode hierarchy and by
-  the RM engine's fabric-side fetch accounting in tests.
-* **Batch mode** — :meth:`Dram.batch_cost` prices a set of accesses with
-  bank overlap, used by the analytic fast path.
-
-The Relational Memory engine exploits *bank-level parallelism* when
-gathering scattered column bytes (paper Section II: "exploits the inherent
-parallelism of memory cells to efficiently access data in scattered
-locations"); :meth:`gather_cost` models that path explicitly.
+:meth:`Dram.access_line` costs one demand access at a time, honouring
+open rows per bank; :meth:`Dram.stream_cost` prices prefetch-covered line
+transfers. The trace-mode hierarchy drives both, one line at a time or
+through the batch kernel (:func:`repro.hw.batch.batch_dram_demand`). The
+fabric's bank-parallel gather is priced by
+:class:`repro.hw.engine.RelationalMemoryEngineModel`, not here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 from repro.hw.config import CACHE_LINE_BYTES, DramConfig
 
@@ -49,10 +43,10 @@ class Dram:
         # Per-bank demand-access counters (PMU-style; read by
         # repro.obs.collectors, never on the hot path). Kept outside
         # DramStats so aggregate-stats equality checks stay unchanged.
-        # Only bank-attributable accesses count here: access_line and
-        # batch_cost know their bank; stream/gather costs are amortized
-        # closed forms with no per-bank attribution in either the scalar
-        # or the batched kernel (which must stay bit-identical).
+        # Only bank-attributable accesses count here: access_line knows
+        # its bank; stream costs are an amortized closed form with no
+        # per-bank attribution in either the scalar or the batched kernel
+        # (which must stay bit-identical).
         self.bank_row_hits: List[int] = [0] * config.banks
         self.bank_row_misses: List[int] = [0] * config.banks
         self.bank_lines: List[int] = [0] * config.banks
@@ -81,41 +75,6 @@ class Dram:
         self.stats.lines_transferred += lines
         self.stats.row_hits += lines
         return lines * self.config.stream_cycles_per_line
-
-    def batch_cost(self, lines: Iterable[int]) -> int:
-        """Cost of a batch of demand accesses with bank-level overlap.
-
-        Accesses to distinct banks overlap; the batch costs the maximum
-        per-bank serial cost rather than the sum.
-        """
-        per_bank: List[int] = [0] * self.config.banks
-        for line in lines:
-            bank, row = self._bank_row(line)
-            self.stats.lines_transferred += 1
-            self.bank_lines[bank] += 1
-            if self._open_rows[bank] == row:
-                self.stats.row_hits += 1
-                self.bank_row_hits[bank] += 1
-                per_bank[bank] += self.config.row_hit_cycles
-            else:
-                self._open_rows[bank] = row
-                self.stats.row_misses += 1
-                self.bank_row_misses[bank] += 1
-                per_bank[bank] += self.config.row_miss_cycles
-        return max(per_bank) if any(per_bank) else 0
-
-    def gather_cost(self, touched_lines: int) -> float:
-        """Fabric-side cost of gathering ``touched_lines`` scattered lines
-        with perfect bank interleaving — the RM engine's access pattern.
-
-        Scattered-but-dense row scans hit each DRAM row many times, so the
-        per-line cost approaches the row-hit cost divided by bank overlap.
-        """
-        if touched_lines <= 0:
-            return 0.0
-        self.stats.lines_transferred += touched_lines
-        self.stats.row_hits += touched_lines
-        return touched_lines * self.config.row_hit_cycles / self.config.banks
 
     def reset(self) -> None:
         self.stats = DramStats()

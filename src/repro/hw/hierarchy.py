@@ -1,10 +1,12 @@
 """Trace-mode (event-accurate) memory hierarchy: CPU → L1 → L2 → DRAM.
 
 Every access walks the real cache state, consults the stream prefetcher on
-misses, and pays DRAM bank timing. This is the reference model: slow but
-faithful. The closed-form :class:`repro.hw.analytic.AnalyticMemoryModel`
-must agree with it on large cold scans (property-tested), and the
-benchmark harness uses the analytic model for speed.
+misses, and pays DRAM bank timing. Two kernels walk a line array:
+:meth:`MemoryHierarchy.access_lines`, one Python call per line and the
+reference, and :meth:`MemoryHierarchy.access_lines_batch`, the vectorized
+kernel of :mod:`repro.hw.batch`, bit-identical to it. The closed-form
+:class:`repro.hw.analytic.AnalyticMemoryModel` must agree with this model
+on large cold scans (property-tested).
 """
 
 from __future__ import annotations
@@ -92,40 +94,16 @@ class MemoryHierarchy:
             return self.dram.stream_cost(1)
         return self.platform.l2.hit_cycles + self.dram.access_line(line)
 
-    def scan_region(
-        self,
-        base_addr: int,
-        total_bytes: int,
-        stride_bytes: int = 0,
-        touched_per_row: int = 0,
-        write: bool = False,
-    ) -> int:
-        """Walk a region the way a scan would and return its cycle cost.
-
-        With ``stride_bytes == 0`` the region is read sequentially line by
-        line. Otherwise one access of ``touched_per_row`` bytes is made
-        every ``stride_bytes``, modelling a strided row-scan of a narrow
-        column group.
-        """
+    def scan_region(self, base_addr: int, total_bytes: int, write: bool = False) -> int:
+        """Read (or write) a region sequentially, line by line, and return
+        its cycle cost."""
         if total_bytes <= 0:
             return 0
-        if stride_bytes <= 0:
-            first = self.l1.line_of(base_addr)
-            last = self.l1.line_of(base_addr + total_bytes - 1)
-            lines = range(first, last + 1)
-            return self.access_lines(list(lines), write=write, stride_hint=self._line_bytes)
-        total = 0
-        touched = max(1, touched_per_row)
-        addr = base_addr
-        end = base_addr + total_bytes
-        while addr < end:
-            first = self.l1.line_of(addr)
-            last = self.l1.line_of(addr + touched - 1)
-            total += self.access_lines(
-                list(range(first, last + 1)), write=write, stride_hint=stride_bytes
-            )
-            addr += stride_bytes
-        return total
+        first = self.l1.line_of(base_addr)
+        last = self.l1.line_of(base_addr + total_bytes - 1)
+        return self.access_lines(
+            range(first, last + 1), write=write, stride_hint=self._line_bytes
+        )
 
     def flush(self) -> None:
         """Drop all cached state (cold-cache experiments)."""

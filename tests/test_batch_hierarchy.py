@@ -13,9 +13,11 @@ import dataclasses
 import time
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.hw import batch as hwbatch
 from repro.hw.analytic import TraceMemoryModel
 from repro.hw.config import TEST_PLATFORM, default_platform
 from repro.hw.hierarchy import MemoryHierarchy
@@ -236,23 +238,16 @@ class TestStackDistanceDefaultPlatform:
 
 # ----------------------------------------------------------------------
 # Model-level equivalence: the TraceMemoryModel drives the same kernel
-# through its five access shapes (plus the shared LCG stream).
+# through its four access shapes (plus the shared LCG stream).
 # ----------------------------------------------------------------------
 @st.composite
 def model_op(draw):
-    kind = draw(st.sampled_from(["seq", "multi", "strided", "random", "gather"]))
+    kind = draw(st.sampled_from(["seq", "multi", "random", "gather"]))
     if kind == "seq":
         return ("sequential", draw(st.integers(1, 8192)), draw(st.booleans()))
     if kind == "multi":
         sizes = draw(st.lists(st.integers(0, 4096), min_size=1, max_size=4))
         return ("multi_stream", sizes)
-    if kind == "strided":
-        return (
-            "strided",
-            draw(st.integers(1, 200)),  # nrows
-            draw(st.integers(1, 16)) * 16,  # stride
-            draw(st.integers(1, 16)),  # touched
-        )
     if kind == "random":
         return ("random", draw(st.integers(1, 200)), draw(st.integers(1, 64)) * 64)
     n_candidates = draw(st.integers(1, 400))
@@ -266,8 +261,6 @@ def apply_op(model, op):
         return model.sequential(op[1], write=op[2])
     if name == "multi_stream":
         return model.multi_stream(op[1])
-    if name == "strided":
-        return model.strided(op[1], op[2], op[3])
     if name == "random":
         return model.random(op[1], op[2])
     return model.gather(op[1], op[2], op[3])
@@ -284,6 +277,141 @@ class TestTraceModelBatchFlag:
             assert (cf.covered, cf.exposed) == (cs.covered, cs.exposed)
         assert fast._rng_state == slow._rng_state
         assert hierarchy_state(fast.hierarchy) == hierarchy_state(slow.hierarchy)
+
+
+# ----------------------------------------------------------------------
+# Line builders vs plain loops. Both kernels consume the arrays that
+# repro.hw.batch builds, so the builders are pinned here to the per-line
+# Python loops that spell out each access pattern.
+# ----------------------------------------------------------------------
+LCG_A = 6364136223846793005
+LCG_C = 1442695040888963407
+U64_MASK = 2**64 - 1
+
+
+def lcg_loop(state, n):
+    states = []
+    for _ in range(n):
+        state = (state * LCG_A + LCG_C) & U64_MASK
+        states.append(state)
+    return states
+
+
+def sequential_loop(base_addr, total_bytes, line_bytes):
+    first = base_addr // line_bytes
+    last = (base_addr + total_bytes - 1) // line_bytes
+    return list(range(first, last + 1))
+
+
+def round_robin_loop(cursors, nlines):
+    """Lockstep round-robin: one line from each live stream per round."""
+    lines_left, cur, lines = list(nlines), list(cursors), []
+    while any(n > 0 for n in lines_left):
+        for i in range(len(cur)):
+            if lines_left[i] > 0:
+                lines.append(cur[i])
+                cur[i] += 1
+                lines_left[i] -= 1
+    return lines
+
+
+def random_loop(state, base_line, nlines, n_accesses):
+    lines = []
+    for _ in range(n_accesses):
+        state = (state * LCG_A + LCG_C) & U64_MASK
+        lines.append(base_line + (state >> 33) % nlines)
+    return lines, state
+
+
+def gather_loop(state, base_line, step, per_line, n_candidates):
+    lines, idx = [], 0
+    for _ in range(n_candidates):
+        state = (state * LCG_A + LCG_C) & U64_MASK
+        idx += 1 + (state >> 33) % (2 * step - 1)
+        lines.append(base_line + idx // per_line)
+    return lines, state
+
+
+class RecordingHierarchy(MemoryHierarchy):
+    """A hierarchy that records every line array either kernel receives."""
+
+    def __init__(self, platform):
+        super().__init__(platform)
+        self.recorded = []
+
+    def access_lines(self, lines, write=False, stride_hint=0):
+        self.recorded.append([int(x) for x in lines])
+        return super().access_lines(lines, write=write, stride_hint=stride_hint)
+
+    def access_lines_batch(self, lines, write=False, stride_hint=0):
+        self.recorded.append([int(x) for x in lines])
+        return super().access_lines_batch(lines, write=write, stride_hint=stride_hint)
+
+
+def recording_model(use_batch, rng_state):
+    model = TraceMemoryModel(
+        TEST_PLATFORM, hierarchy=RecordingHierarchy(TEST_PLATFORM), use_batch=use_batch
+    )
+    model._rng_state = rng_state
+    return model
+
+
+U64 = st.integers(min_value=0, max_value=U64_MASK)
+
+
+class TestLineBuildersMatchLoops:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 1 << 40),
+        st.integers(1, 5000),
+        st.sampled_from([16, 32, 64, 128]),
+    )
+    def test_sequential_lines(self, base_addr, total_bytes, line_bytes):
+        got = hwbatch.sequential_lines(base_addr, total_bytes, line_bytes)
+        assert got.tolist() == sequential_loop(base_addr, total_bytes, line_bytes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 1 << 30), st.integers(1, 60)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_interleaved_lines(self, streams):
+        cursors = [c for c, _ in streams]
+        nlines = [n for _, n in streams]
+        got = hwbatch.interleaved_lines(cursors, nlines)
+        assert got.tolist() == round_robin_loop(cursors, nlines)
+
+    @settings(max_examples=60, deadline=None)
+    @given(U64, st.integers(1, 300))
+    def test_lcg_states(self, state0, n):
+        assert hwbatch.lcg_states(state0, n).tolist() == lcg_loop(state0, n)
+
+    @pytest.mark.parametrize("use_batch", [True, False])
+    @settings(max_examples=30, deadline=None)
+    @given(U64, st.integers(1, 300), st.integers(1, 64))
+    def test_random_sends_loop_lines(self, use_batch, state0, n, ws_lines):
+        model = recording_model(use_batch, state0)
+        base_line = model._alloc_cursor // model.line_bytes
+        model.random(n, ws_lines * model.line_bytes)
+        lines, state = random_loop(state0, base_line, ws_lines, n)
+        assert model.hierarchy.recorded == [lines]
+        assert model._rng_state == state
+
+    @pytest.mark.parametrize("use_batch", [True, False])
+    @settings(max_examples=30, deadline=None)
+    @given(U64, st.integers(1, 400), st.integers(1, 400), st.integers(1, 32))
+    def test_gather_sends_loop_lines(self, use_batch, state0, n_candidates, n_rows, value_bytes):
+        model = recording_model(use_batch, state0)
+        base_line = model._alloc_cursor // model.line_bytes
+        model.gather(n_candidates, n_rows, value_bytes)
+        step = max(1, n_rows // n_candidates)
+        per_line = max(1, model.line_bytes // value_bytes)
+        lines, state = gather_loop(state0, base_line, step, per_line, n_candidates)
+        assert model.hierarchy.recorded == [lines]
+        assert model._rng_state == state
 
 
 # ----------------------------------------------------------------------

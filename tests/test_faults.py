@@ -414,7 +414,7 @@ class TestRunTransaction:
             raise WriteConflictError("synthetic permanent conflict")
 
         with pytest.raises(WriteConflictError):
-            run_transaction(mgr, always_conflict, retries=2)
+            run_transaction(mgr, always_conflict, policy=RetryPolicy(retries=2))
         assert mgr.stats.retries == 2
         assert mgr.stats.aborted == 3
 

@@ -70,21 +70,6 @@ class TestAnalyticFormulas:
             10 * TEST_PLATFORM.dram.unprefetched_cycles_per_line
         )
 
-    def test_strided_small_stride_is_sequential(self, analytic):
-        a = analytic.strided(100, 64, 8)
-        b = AnalyticMemoryModel(TEST_PLATFORM).sequential(6400)
-        assert a.covered == b.covered
-
-    def test_strided_prefetchable_stride(self, analytic):
-        cost = analytic.strided(100, 256, 4)
-        assert cost.exposed == 0
-        assert cost.covered >= 100 * TEST_PLATFORM.dram.stream_cycles_per_line
-
-    def test_strided_large_stride_exposed(self, analytic):
-        cost = analytic.strided(100, 4096, 4)
-        assert cost.covered == 0
-        assert cost.exposed >= 100 * TEST_PLATFORM.dram.unprefetched_cycles_per_line
-
     def test_random_in_l1_cheap(self, analytic):
         cost = analytic.random(100, TEST_PLATFORM.l1.size_bytes // 2)
         assert cost.total == 100 * TEST_PLATFORM.l1.hit_cycles
@@ -154,11 +139,6 @@ class TestAgreement:
         t = TraceMemoryModel(TEST_PLATFORM).multi_stream(sizes).total
         assert t >= a * 0.95
 
-    def test_strided_agreement(self):
-        a = AnalyticMemoryModel(TEST_PLATFORM).strided(1000, 256, 4).total
-        t = TraceMemoryModel(TEST_PLATFORM).strided(1000, 256, 4).total
-        assert t == pytest.approx(a, rel=0.2)
-
     def test_random_cold_agreement(self):
         ws = 64 * TEST_PLATFORM.l2.size_bytes
         a = AnalyticMemoryModel(TEST_PLATFORM).random(500, ws).total
@@ -180,7 +160,7 @@ class TestAgreementAtScale:
 
     At this scale the cold-start transient the small-trace tests must
     tolerate (15-20%) washes out, so the tolerances tighten by an order
-    of magnitude: streams to 1%, strided to 8%. Random scatter keeps a
+    of magnitude: streams to 1%. Random scatter keeps a
     wide band — the analytic closed form deliberately ignores DRAM
     row-buffer and bank effects that dominate random traffic.
     """
@@ -203,11 +183,6 @@ class TestAgreementAtScale:
         a = AnalyticMemoryModel(TEST_PLATFORM).multi_stream(sizes).total
         t = TraceMemoryModel(TEST_PLATFORM).multi_stream(sizes).total
         assert t == pytest.approx(a, rel=0.01)
-
-    def test_strided_agreement_tight(self):
-        a = AnalyticMemoryModel(TEST_PLATFORM).strided(150_000, 256, 4).total
-        t = TraceMemoryModel(TEST_PLATFORM).strided(150_000, 256, 4).total
-        assert t == pytest.approx(a, rel=0.08)
 
     def test_random_agreement_bounded(self):
         ws = 64 * TEST_PLATFORM.l2.size_bytes

@@ -342,7 +342,7 @@ class TestRunTransactionHygiene:
 
     def test_policy_budget_wins_over_retries_argument(self):
         """One object owns the retry shape: an explicit ``policy``'s
-        budget applies and the bare ``retries`` argument is ignored."""
+        budget applies, not the default policy's."""
         from repro.db.mvcc import run_transaction
         from repro.faults import RetryPolicy
 
@@ -354,14 +354,13 @@ class TestRunTransactionHygiene:
             raise WriteConflictError("synthetic")
 
         with pytest.raises(WriteConflictError):
-            run_transaction(
-                manager, always_conflict, retries=9, policy=RetryPolicy(retries=1)
-            )
-        assert len(attempts) == 2  # 1 try + policy's 1 retry, not 10
+            run_transaction(manager, always_conflict, policy=RetryPolicy(retries=1))
+        assert len(attempts) == 2  # 1 try + policy's 1 retry, not the default 6
         assert manager.stats.retries == 1
 
     def test_retries_argument_shapes_the_default_policy(self):
         from repro.db.mvcc import run_transaction
+        from repro.faults import RetryPolicy
 
         manager = TransactionManager()
         attempts = []
@@ -371,7 +370,7 @@ class TestRunTransactionHygiene:
             raise WriteConflictError("synthetic")
 
         with pytest.raises(WriteConflictError):
-            run_transaction(manager, always_conflict, retries=0)
+            run_transaction(manager, always_conflict, policy=RetryPolicy(retries=0))
         assert len(attempts) == 1
 
 
