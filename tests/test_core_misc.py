@@ -1,6 +1,8 @@
 """Tests for the MVCC visibility masks, the cost ledger, and the RM
 engine cost model."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -138,3 +140,28 @@ class TestRmEngineModel:
             ZYNQ_ULTRASCALE.with_rm(freq_hz=50_000_000)
         ).transform(nrows=10_000, row_stride=64, out_bytes_per_row=16)
         assert slow.produce_cycles > fast.produce_cycles
+
+    def test_dram_gather_touches_whole_beats(self):
+        # Each row's fields are fetched in whole AXI beats (16 B), never
+        # more than the row itself.
+        engine = self.make()
+        assert engine.transform(
+            nrows=100, row_stride=64, out_bytes_per_row=20
+        ).dram_bytes_touched == 100 * 32
+        assert engine.transform(
+            nrows=100, row_stride=60, out_bytes_per_row=60
+        ).dram_bytes_touched == 100 * 60
+
+    def test_dram_gather_divides_by_banks(self):
+        # The fabric's gather hits open rows in every bank in parallel:
+        # with one bank it is DRAM-bound at one row hit per touched line.
+        dram = ZYNQ_ULTRASCALE.dram
+        one_bank = replace(ZYNQ_ULTRASCALE, dram=replace(dram, banks=1))
+        serial = RelationalMemoryEngineModel(one_bank).transform(
+            nrows=1000, row_stride=64, out_bytes_per_row=20
+        )
+        touched_lines = serial.dram_bytes_touched / 64
+        assert serial.produce_cycles == pytest.approx(touched_lines * dram.row_hit_cycles)
+        parallel = self.make().transform(nrows=1000, row_stride=64, out_bytes_per_row=20)
+        assert parallel.produce_cycles >= touched_lines * dram.row_hit_cycles / dram.banks
+        assert parallel.produce_cycles < serial.produce_cycles

@@ -261,7 +261,7 @@ class TestCollectors:
         assert 0.0 <= snap["hw_prefetch_accuracy"] <= 1.0
         banks = h.dram.config.banks
         # Bank-attributed hits are a subset of all row hits: the stream
-        # and gather kernels model no bank routing (documented in dram.py).
+        # kernel models no bank routing (documented in dram.py).
         bank_hits = sum(
             snap[f'hw_dram_bank_row_hits{{bank="{b}"}}'] for b in range(banks)
         )
