@@ -8,8 +8,9 @@ only answer path; they must make the trace-accurate engines
    order-by) through the RM engine in trace mode: host seconds,
    simulated cycles, result rows and memory-hierarchy counters.
 2. **Cross-check**: Q3 through all three engines at a reduced row count.
-   Every engine's rows must equal the bound-level Volcano reference's
-   (:func:`repro.db.exec.run_volcano`) over the full tables.
+   Every engine's names, dtypes and exact rows must equal the answer of
+   the :class:`~repro.db.sql.oracle.SqlOracle` loaded from the same
+   catalog.
 3. **Code cache**: the same query twice through an engine with a
    :class:`~repro.db.plan.codecache.CodeFragmentCache` — the warm run
    must skip plan compilation (plan_compile bucket = 0) and answer the
@@ -64,11 +65,11 @@ from repro.core.ledger import CostLedger
 import numpy as np
 
 from repro.db.engines import RelationalMemoryEngine, all_engines
-from repro.db.exec import run_volcano
 from repro.db.exec.vector import apply_where, factorize, join_indices
 from repro.db.plan import bind
 from repro.db.plan.codecache import CodeFragmentCache
 from repro.db.sql import parse
+from repro.db.sql.oracle import Answer, SqlOracle, mismatch
 from repro.db.sql.parser import Parser, parse_statement
 from repro.db.sql.pipeline import Session
 from repro.workloads.tpch_analytics import Q3, generate_tpch_analytics
@@ -105,10 +106,6 @@ def _hierarchy_snapshot(hierarchy) -> Dict[str, object]:
     }
 
 
-def _rows(result) -> list:
-    return [tuple(map(float, r)) for r in result.rows()]
-
-
 def _run_one(catalog, name: str) -> Dict[str, object]:
     engine = all_engines(catalog, memory_model="trace")[name]
     t0 = time.perf_counter()
@@ -116,7 +113,7 @@ def _run_one(catalog, name: str) -> Dict[str, object]:
     return {
         "seconds": time.perf_counter() - t0,
         "cycles": result.cycles,
-        "rows": _rows(result.result),
+        "answer": Answer.of(result.result),
         "hierarchy": _hierarchy_snapshot(engine.memory.hierarchy),
     }
 
@@ -129,22 +126,24 @@ def run_headline(catalog, engine: str = "rm") -> Dict[str, object]:
         "engine": engine,
         "seconds": run["seconds"],
         "cycles": run["cycles"],
-        "result_rows": len(run["rows"]),
+        "result_rows": len(run["answer"].rows),
         "hierarchy": run["hierarchy"],
     }
 
 
 def run_cross_check(nrows: int) -> Dict[str, object]:
-    """Q3 through all three engines, each against the Volcano reference."""
+    """Q3 through all three engines, each against the SQL oracle."""
     catalog, *_ = generate_tpch_analytics(nrows)
-    bound = bind(parse(Q3), catalog)
-    columns = {n: bound.table.column_values(n) for n in bound.referenced_columns}
-    reference = _rows(run_volcano(bound, columns))
+    oracle = SqlOracle()
+    for table in catalog.tables():
+        oracle.load_table(table)
+    expected = oracle.execute(Q3)
     out: Dict[str, object] = {"rows": nrows, "engines": {}, "mismatches": []}
     for name in ENGINES:
         run = _run_one(catalog, name)
-        if run["rows"] != reference:
-            out["mismatches"].append(f"{name}.rows: engine != volcano reference")
+        diff = mismatch(run["answer"], expected)
+        if diff is not None:
+            out["mismatches"].append(f"{name}: Q3 differs from the oracle: {diff}")
         out["engines"][name] = {"seconds": run["seconds"], "cycles": run["cycles"]}
     out["bit_identical"] = not out["mismatches"]
     return out
@@ -401,7 +400,7 @@ def compare(rows: int, check_rows: int) -> Dict[str, object]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Q3 through the vectorized engines, checked against Volcano"
+        description="Q3 through the vectorized engines, checked against the SQL oracle"
     )
     parser.add_argument(
         "--rows", type=int, default=1_000_000, help="headline lineitem rows"
@@ -449,7 +448,7 @@ def main(argv=None) -> int:
         f"grouping kernel, c_mktsegment at {report['rank']['rows']} rows: "
         f"factorize {report['rank_host_ratio']:.2f}x np.unique"
     )
-    print(f"bit-identical to the Volcano reference: {report['bit_identical']}")
+    print(f"every answer check passed: {report['bit_identical']}")
     if args.json:
         with open(args.json, "w") as f:
             json.dump(report, f, indent=2)

@@ -34,8 +34,9 @@ and persistently crashes the shards of a durable
 :class:`repro.dist.ShardCluster`, judging every answer against one
 :class:`ShadowOracle` per shard fault domain. ``--mode sql-fuzz``
 (:func:`repro.db.sql.fuzz.run_sql_fuzz`) drives a seeded statement
-stream through the SQL front door against the Volcano reference and the
-dict-row oracle, then probes crash points over the SQL-issued WAL.
+stream through the SQL front door against the dict-row
+:class:`~repro.db.sql.oracle.SqlOracle`, then probes crash points over
+the SQL-issued WAL.
 
 All four modes share one runner (:func:`main`): a mode is a function
 ``(args, recorder) -> report``, every report derives from

@@ -2,7 +2,7 @@
 
 Every engine answers queries through the same vectorized evaluator, the
 fused kernels of :mod:`repro.db.exec.vector` (so results are identical by
-construction; the Volcano interpreter is only the tests' reference), but
+construction; the SQL oracle is the tests' and the fuzzer's referee), but
 *accounts cycles* according to its execution model:
 
 * :class:`~repro.db.engines.rowstore.RowStoreEngine` — Volcano

@@ -1,13 +1,11 @@
-"""Executors: the shared vectorized evaluator and the Volcano reference."""
+"""Executors: the vectorized evaluator every engine answers through."""
 
 from repro.db.exec.result import QueryResult, results_equal
 from repro.db.exec.vector import apply_where, run_vector
-from repro.db.exec.volcano import run_volcano
 
 __all__ = [
     "QueryResult",
     "apply_where",
     "results_equal",
     "run_vector",
-    "run_volcano",
 ]

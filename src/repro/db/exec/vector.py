@@ -3,8 +3,8 @@
 Engines differ in *how data reaches the CPU* (full rows, column copies,
 or packed ephemeral lines) and in their cost recipes, but all of them
 produce answers through this evaluator so results are bit-identical by
-construction. The Volcano interpreter in :mod:`repro.db.exec.volcano` is
-the independent reference used by tests to validate this module.
+construction. The SQL oracle (:mod:`repro.db.sql.oracle`) is the
+independent referee tests and the fuzzer check this module against.
 
 Execution is organized as a :class:`FusedKernel`: the bound query is
 compiled into a chain of stages (filter -> join* -> post-join filter ->
@@ -35,7 +35,7 @@ the keys' dtype, value range and counts alone:
   radix, which keeps byte-string order.
 
 Matches expand CSR-style with ``repeat``/``cumsum``. Every join route
-reproduces the Volcano nested-bucket output order exactly: left rows
+reproduces the oracle's nested-loop output order exactly: left rows
 ascending, and within one left row the matching right rows in table
 order.
 """
@@ -233,7 +233,7 @@ def factorize(keys: Sequence[np.ndarray]) -> Tuple[List[np.ndarray], np.ndarray]
     lexicographic tuple order (column 0 most significant, each column in
     numpy sort order), and ``codes[i]`` is row ``i``'s group number in
     that order. Each group's key values are copied from its *first* row
-    — the representative the Volcano and SQL-oracle referees keep — so
+    — the representative the SQL oracle keeps — so
     dtypes and bytes are the input's (``-0.0`` and ``0.0`` group
     together and report whichever came first).
 
@@ -373,7 +373,7 @@ def join_indices(
     """Vectorized equi-join: return (left index, right index) match pairs.
 
     Accepts one array per key column (multi-key joins factorize the key
-    tuples first). Output order is the Volcano reference order: pairs
+    tuples first). Output order is the oracle's nested-loop order: pairs
     sorted by left index, and within one left index by right index —
     i.e. exactly what a dict-of-buckets build + in-order probe yields.
 
@@ -547,7 +547,7 @@ def _compute_aggregate(
 ) -> np.ndarray:
     """One aggregate column over factorized groups.
 
-    Empty-input contract (pinned by tests against the Volcano reference):
+    Empty-input contract (pinned by tests against the SQL oracle):
     a global aggregate over zero rows yields COUNT=0, SUM=0.0, AVG=NaN,
     MIN=+inf, MAX=-inf — the accumulator identities. Empty *groups*
     cannot occur: factorization only emits groups with at least one row.
@@ -612,7 +612,7 @@ def _hidden_sort_columns(query: BoundQuery, names) -> Tuple[str, ...]:
 def _distinct(names, out: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
     """Row-wise deduplication; rows come back in lexicographic order of
     the output columns, each distinct row as first seen (matched by the
-    Volcano reference)."""
+    SQL oracle)."""
     if not names:
         return out
     uniq, _ = factorize([out[n] for n in names])

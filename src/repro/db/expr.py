@@ -1,8 +1,9 @@
 """Expression trees with row-at-a-time and vectorized evaluators.
 
 One AST serves the whole stack: the SQL parser produces it, the binder
-resolves column references, the Volcano reference executor evaluates it
-per row, the vectorized executor evaluates it over numpy columns, and
+resolves column references, UPDATE assignments and constant folding
+evaluate it per row, the vectorized executor evaluates it over numpy
+columns, and
 the engines' cost recipes ask :func:`op_count` how many primitive
 operations one evaluation costs.
 """
@@ -101,8 +102,8 @@ def _scalar(v: Any) -> Any:
 
     numpy's vectorized ``S``-dtype comparisons ignore trailing NULs (the
     CHAR pad byte); Python ``bytes`` comparisons do not. Stripping here
-    keeps the Volcano reference path bit-identical to the vectorized one
-    when a CHAR column meets a width-padded literal.
+    keeps row-at-a-time evaluation in step with the vectorized one when
+    a CHAR column meets a width-padded literal.
     """
     if isinstance(v, bytes):
         return v.rstrip(b"\x00")

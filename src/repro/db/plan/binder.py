@@ -120,11 +120,6 @@ class BoundQuery:
     offset: Optional[int] = None
 
     @property
-    def join(self) -> Optional[BoundJoin]:
-        """The first join (legacy single-join accessor)."""
-        return self.joins[0] if self.joins else None
-
-    @property
     def has_aggregates(self) -> bool:
         return any(o.kind != "expr" for o in self.outputs)
 

@@ -2,28 +2,27 @@
 
 One seeded run drives a random statement stream — DML (autocommit and
 explicit transactions), joins, grouping, subqueries, DISTINCT,
-ORDER BY/LIMIT/OFFSET — through four independent evaluations:
+ORDER BY/LIMIT/OFFSET — through three independent evaluations:
 
 - the **primary** session (all DML flows through it), on the engine
   :data:`ENGINES` assigns the seed (``seed % 4``),
 - a **twin** session (fresh engine of the same kind over the same
   catalog — its ledger buckets must match the primary's exactly, the
   determinism check),
-- the bound-level :func:`~repro.db.exec.run_volcano` reference, called
-  directly on the visible rows of ``t``,
-- the :class:`~repro.db.sql.oracle.SqlOracle` (dict rows, no numpy,
-  no shared executor code).
+- the :class:`~repro.db.sql.oracle.SqlOracle` (dict rows, no numpy, no
+  shape memo, no shared executor code), the answer referee.
 
-Every SELECT must come back *byte-identical* to the Volcano reference
-(same names, dtypes and column bytes), with bucket-identical cost
-ledgers between the twins, and value-identical to the oracle. Its bind
-through the shape memo (:mod:`repro.db.sql.shapes`) must equal, by
-``repr``, the uncached ``bind(Parser(sql).parse_statement())``. SELECTs
-with subqueries bind only inside a session (which folds them first), so
-they skip the reference and keep the oracle check. Statements
-that fit the scatter-gather dialect additionally run through a real
-:class:`~repro.dist.ShardCluster` (inline workers over a range-sharded
-copy of the visible rows) and must merge to the same groups.
+Every SELECT, subquery SELECTs included, must come back with the
+oracle's names, its declared dtypes and exactly its values
+(:func:`~repro.db.sql.oracle.mismatch`), with bucket-identical cost
+ledgers between the twins. A SELECT without subqueries must also bind
+through the shape memo (:mod:`repro.db.sql.shapes`) to the same ``repr``
+as the uncached ``bind(Parser(sql).parse_statement())``; DML shapes meet
+the memo on the engine side only, so a memo fault there shows as a
+different answer. Statements that fit the scatter-gather dialect
+additionally run through a real :class:`~repro.dist.ShardCluster`
+(inline workers over a range-sharded copy of the visible rows) and must
+merge to the same groups.
 
 With ``crash_points > 0`` the run attaches a WAL, journals the oracle's
 visible rows at every commit offset, and replays the chaos crash-point
@@ -37,7 +36,6 @@ the native MVCC workload does.
 
 from __future__ import annotations
 
-import math
 import random
 import time
 from dataclasses import dataclass
@@ -56,12 +54,11 @@ from repro.chaos import (
 from repro.core.mvcc_filter import visible_mask
 from repro.db.catalog import Catalog
 from repro.db.engines import ColumnStoreEngine, RelationalMemoryEngine, RowStoreEngine
-from repro.db.exec import run_volcano
 from repro.db.mvcc import TransactionManager
 from repro.db.plan.binder import bind
 from repro.db.schema import Column, TableSchema
 from repro.db.sharding import ShardedTable
-from repro.db.sql.oracle import SqlOracle
+from repro.db.sql.oracle import Answer, SqlOracle, mismatch, plain
 from repro.db.sql.parser import Parser, parse_statement
 from repro.db.sql.pipeline import Session
 from repro.db.types import CHAR, INT32
@@ -108,6 +105,8 @@ class SqlFuzzReport(ChaosReportBase):
     txn_blocks: int = 0
     rollbacks: int = 0
     rows_checked: int = 0
+    #: Output columns whose dtype was checked against the oracle's.
+    types_checked: int = 0
     subquery_selects: int = 0
     dist_checked: int = 0
     commits: int = 0
@@ -117,7 +116,7 @@ class SqlFuzzReport(ChaosReportBase):
     SUMMARY = (
         "sql-fuzz chaos seed={seed} engine={engine}: {steps} steps — {selects} selects "
         "({subquery_selects} with subqueries, {dist_checked} dist-checked, "
-        "{rows_checked} rows), {dml_statements} DML, {txn_blocks} txn blocks "
+        "{rows_checked} rows, {types_checked} dtypes), {dml_statements} DML, {txn_blocks} txn blocks "
         "({rollbacks} rollbacks), {commits} commits, {crash_boundary_points} "
         "boundary + {crash_torn_points} torn crash points"
     )
@@ -355,39 +354,6 @@ class StatementGen:
 
 
 # ----------------------------------------------------------------------
-# Value comparison.
-# ----------------------------------------------------------------------
-def _values_equal(a, b) -> bool:
-    if (
-        isinstance(a, float)
-        and isinstance(b, float)
-        and math.isnan(a)
-        and math.isnan(b)
-    ):
-        return True
-    return a == b
-
-
-def _rows_equal(a: Sequence[Tuple], b: Sequence[Tuple]) -> bool:
-    if len(a) != len(b):
-        return False
-    for ra, rb in zip(a, b):
-        if len(ra) != len(rb):
-            return False
-        if not all(_values_equal(x, y) for x, y in zip(ra, rb)):
-            return False
-    return True
-
-
-def _decode(value):
-    if isinstance(value, bytes):
-        return value.rstrip(b"\x00").decode()
-    if isinstance(value, np.generic):
-        return value.item()
-    return value
-
-
-# ----------------------------------------------------------------------
 # The harness.
 # ----------------------------------------------------------------------
 class _Harness:
@@ -423,16 +389,13 @@ class _Harness:
             [Column("uk", INT32), Column("uv", INT32), Column("utag", CHAR(8))],
         )
         table = self.catalog.create_table(schema)
-        rows = []
         for _ in range(self.rng.randrange(8, 25)):
-            row = {
+            table.append_row({
                 "uk": self.gen._int(0, 100),
                 "uv": self.gen._int(),
                 "utag": self.gen._tag(),
-            }
-            table.append_row(row)
-            rows.append(row)
-        self.oracle.load("u", U_COLUMNS, rows)
+            })
+        self.oracle.load_table(table)
 
     # -- state capture for the crash journal ----------------------------
     def frozen_oracle_rows(self) -> List[Tuple]:
@@ -449,7 +412,7 @@ class _Harness:
     def visible_columns(self) -> Dict[str, np.ndarray]:
         """Every user column of ``t``, restricted to the rows visible at
         the manager's current timestamp (what a SELECT outside a
-        transaction reads)."""
+        transaction reads), for the shards to load."""
         table = self.catalog.table("t")
         mask = visible_mask(table.begin_ts, table.end_ts, self.manager.now)
         return {
@@ -509,7 +472,7 @@ class _Harness:
             report.violations.append(f"{sql!r}: engine raised {exc}")
             return
         try:
-            names_o, rows_o = self.oracle.execute(sql)
+            expected = self.oracle.execute(sql)
         except ReproError as exc:
             report.violations.append(f"{sql!r}: oracle raised {exc}")
             return
@@ -517,34 +480,20 @@ class _Harness:
         if gen.has_subquery:
             report.subquery_selects += 1
 
-        # Byte identity against the Volcano reference.
-        pr = primary.result
+        # The shape memo's bind against the uncached one (a SELECT with
+        # subqueries binds only after the session folds them).
         if not gen.has_subquery:
             try:
                 bound = bind(parse_statement(sql), self.catalog)
                 referee = bind(Parser(sql).parse_statement(), self.catalog)
-                vr = run_volcano(bound, self.visible_columns())
             except ReproError as exc:
-                report.violations.append(f"{sql!r}: reference raised {exc}")
+                report.violations.append(f"{sql!r}: bind raised {exc}")
                 return
             if repr(bound) != repr(referee):
                 report.violations.append(
                     f"{sql!r}: memoized bind {bound!r} != uncached {referee!r}"
                 )
                 return
-            if pr.names != vr.names:
-                report.violations.append(
-                    f"{sql!r}: engine names {pr.names} != reference {vr.names}"
-                )
-                return
-            for name in pr.names:
-                a, b = pr.columns[name], vr.columns[name]
-                if a.dtype != b.dtype or a.tobytes() != b.tobytes():
-                    report.violations.append(
-                        f"{sql!r}: column {name!r} differs between engine "
-                        f"({a.dtype}) and reference ({b.dtype})"
-                    )
-                    return
 
         # Determinism: the twin's cost ledger bucket-for-bucket.
         pb = primary.execution.ledger.buckets
@@ -555,26 +504,20 @@ class _Harness:
                 f"{pb} != {tb}"
             )
 
-        # Value identity against the oracle.
-        rows_e = primary.rows
-        if tuple(names_o) != pr.names:
-            report.violations.append(
-                f"{sql!r}: oracle names {names_o} != engine {pr.names}"
-            )
+        # Names, dtypes and exact values against the oracle.
+        got = Answer.of(primary.result)
+        diff = mismatch(got, expected)
+        if diff is not None:
+            report.violations.append(f"{sql!r}: engine differs from oracle: {diff}")
             return
-        if not _rows_equal(rows_e, rows_o):
-            report.violations.append(
-                f"{sql!r}: engine rows {rows_e[:5]}... != oracle {rows_o[:5]}..."
-                f" ({len(rows_e)} vs {len(rows_o)} rows)"
-            )
-            return
-        report.rows_checked += len(rows_e)
+        report.rows_checked += len(got.rows)
+        report.types_checked += len(got.types)
 
         if gen.dist_ok:
-            self.check_dist(sql, rows_e)
+            self.check_dist(sql, expected)
 
     # -- the scatter-gather leg -----------------------------------------
-    def check_dist(self, sql: str, rows_e: List[Tuple]) -> None:
+    def check_dist(self, sql: str, expected: Answer) -> None:
         report = self.report
         bound = bind(parse_statement(sql), self.catalog)
         try:
@@ -594,22 +537,22 @@ class _Harness:
         sharded.bulk_load(columns)
         with ShardCluster(sharded, DistConfig(inline=True)) as cluster:
             result = cluster.query(plan)
-        expected: List[Tuple] = []
+        rows: List[Tuple] = []
         for key, values in result.groups or []:
-            key = tuple(_decode(k) for k in key)
+            key = tuple(plain(k) for k in key)
             it = iter(values)
             row = []
             for out in bound.outputs:
                 if out.kind == "expr":
                     row.append(key[plan.group_by.index(out.expr.name)])
                 else:
-                    row.append(next(it))
-            expected.append(tuple(row))
-        if not _rows_equal(rows_e, expected):
-            report.violations.append(
-                f"{sql!r}: dist groups {expected[:5]}... != engine "
-                f"{rows_e[:5]}... ({len(expected)} vs {len(rows_e)} rows)"
-            )
+                    row.append(plain(next(it)))
+            rows.append(tuple(row))
+        # The merged groups carry values only, so they take the oracle's types.
+        names = tuple(out.name for out in bound.outputs)
+        diff = mismatch(Answer(names, expected.types, rows), expected)
+        if diff is not None:
+            report.violations.append(f"{sql!r}: dist groups differ from oracle: {diff}")
             return
         report.dist_checked += 1
 

@@ -97,11 +97,6 @@ class SelectStmt:
     )
 
     @property
-    def join(self) -> Optional[JoinClause]:
-        """The first join clause (legacy single-join accessor)."""
-        return self.joins[0] if self.joins else None
-
-    @property
     def has_aggregates(self) -> bool:
         return any(item.is_aggregate for item in self.items)
 

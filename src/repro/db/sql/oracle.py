@@ -1,27 +1,42 @@
-"""Brute-force SQL oracle: the differential fuzzer's independent referee.
+"""Brute-force SQL oracle: the one answer referee.
 
 Evaluates parsed statements over plain Python dict rows — no numpy, no
-binder, no executors, no code shared with the engines beyond the parser
-and the frozen AST dataclasses. Where the engines pad CHAR values to
-fixed-width byte strings, the oracle keeps bare ``str``; where the
-engines carry ``int32`` columns, the oracle keeps ``int``. The value
-contract is exactly :meth:`repro.db.exec.result.QueryResult.rows`:
-decoded strings, Python ints, Python floats.
+binder, no executors, no shape memo, no code shared with the engines
+beyond the uncached :class:`~repro.db.sql.parser.Parser`, the frozen
+AST dataclasses and, to load a catalog table, the table's reader. Where
+the engines pad CHAR values to fixed-width byte strings, the oracle
+keeps bare ``str``; where the engines carry ``int32`` columns, the
+oracle keeps ``int``. The value contract is
+exactly :meth:`repro.db.exec.result.QueryResult.rows`: decoded strings,
+Python ints, Python floats.
 
-Semantics deliberately mirror the Volcano reference executor (the
-dialect's definition of truth):
+The oracle *defines* the dialect's answers:
 
-- ``SUM``/``MIN``/``MAX``/``AVG`` accumulate as floats; ``COUNT`` is an
-  int. A global aggregate over zero rows yields one row with ``count=0``,
-  ``sum=0.0``, ``avg=NaN``, ``min=inf``, ``max=-inf``.
+- ``SUM``/``MIN``/``MAX``/``AVG`` accumulate as floats, in row order;
+  ``COUNT`` is an int. A global aggregate over zero rows yields one row
+  with ``count=0``, ``sum=0.0``, ``avg=NaN``, ``min=inf``, ``max=-inf``.
 - Groups emit sorted by group-key tuple; ``DISTINCT`` emits sorted by
   output tuple.
 - ``ORDER BY`` is a stable multi-key sort (last key first, one stable
-  pass per key); ``OFFSET`` skips before ``LIMIT`` counts.
-- Joins are left-deep nested loops; merged rows let the right side win
-  on column-name collisions (the fuzzer keeps names disjoint anyway).
+  pass per key) over the output row; a key that is not an output reads
+  the source row's column. ``OFFSET`` skips before ``LIMIT`` counts.
+- Joins are left-deep equi-joins in nested-loop order: left rows in
+  order, and per left row its matching right rows in table order
+  (found through a dict index on the right key). Merged rows let the
+  right side win on column-name collisions.
 - MVCC slot discipline: ``UPDATE`` retires the old version and appends
   the new one at the end of the scan order, in ascending matched order.
+
+It also declares each output's type, in numpy's ``dtype.str`` spelling
+(spelled out here, not imported), with numpy 2's promotion rules:
+
+- ``COUNT`` is ``<i8``; ``SUM``, ``AVG``, ``MIN`` and ``MAX`` are ``<f8``.
+- A column keeps its column's type (``INT32`` → ``<i4``, ``CHAR(n)`` →
+  ``|Sn``, ``DECIMAL`` → ``<f8``, ``DATE`` → ``<i4``).
+- Arithmetic promotes like numpy arrays: a literal (or a folded scalar
+  subquery) takes the other operand's type (``v + 5`` over ``INT32`` is
+  ``<i4``), two columns take the wider type, and ``/`` over integers is
+  ``<f8``. A constant output is ``<i8`` or ``<f8``.
 
 The oracle also evaluates the subquery forms the statement pipeline
 folds (scalar subqueries and ``IN (SELECT ...)``), recursively, against
@@ -31,6 +46,7 @@ because both see the same committed snapshot between statements.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.db.expr import (
@@ -61,7 +77,7 @@ from repro.db.sql.nodes import (
     Star,
     UpdateStmt,
 )
-from repro.db.sql.parser import parse_statement
+from repro.db.sql.parser import Parser
 from repro.errors import SqlError
 
 Row = Dict[str, Any]
@@ -81,18 +97,114 @@ _COMPARE: Dict[str, Callable[[Any, Any], bool]] = {
     ">=": lambda a, b: a >= b,
 }
 
+#: Query-facing type of each fixed SQL column type.
+_COLUMN_TYPES = {
+    "INT8": "|i1",
+    "INT16": "<i2",
+    "INT32": "<i4",
+    "INT64": "<i8",
+    "FLOAT32": "<f4",
+    "FLOAT64": "<f8",
+    "DATE": "<i4",
+    "BOOL": "|i1",
+    "TIMESTAMP": "<i8",
+}
+#: A Python scalar's type before it meets a column: it takes the other
+#: operand's type, or this default when it stands alone.
+_WEAK = {"int": "<i8", "float": "<f8"}
+
+
+def column_type(sql_type: str) -> str:
+    """The type a column of SQL type ``sql_type`` has in an answer."""
+    name = sql_type.strip().upper()
+    if name.startswith("CHAR(") and name.endswith(")"):
+        return f"|S{int(name[5:-1])}"
+    if name.startswith("DECIMAL"):
+        return "<f8"  # scaled ints, rescaled for queries
+    try:
+        return _COLUMN_TYPES[name]
+    except KeyError:
+        raise SqlError(f"oracle: unknown column type {sql_type!r}")
+
+
+def _promote(op: str, a: str, b: str) -> str:
+    """The type of ``a op b`` (numpy 2 promotion, weak Python scalars)."""
+    if a in _WEAK and b in _WEAK:
+        return "float" if "float" in (a, b) or op == "/" else "int"
+    if a in _WEAK:
+        a, b = b, a
+    if b == "int" or (b == "float" and a[1] == "f"):
+        out = a
+    elif b == "float":
+        out = "<f8"
+    else:
+        (ka, sa), (kb, sb) = (a[1], int(a[2:])), (b[1], int(b[2:]))
+        if ka == kb:
+            out = a if sa >= sb else b
+        else:
+            si, sf = (sa, sb) if ka == "i" else (sb, sa)
+            out = f"<f{min(8, max(sf, 2 * si))}"
+    return "<f8" if op == "/" and out[1] == "i" else out
+
+
+def plain(value: Any) -> Any:
+    """``value`` in the oracle's value space: CHAR bytes decoded to
+    ``str``, numpy scalars as Python scalars."""
+    if isinstance(value, bytes):
+        return value.rstrip(b"\x00").decode(errors="replace")
+    item = getattr(value, "item", None)
+    return item() if item is not None else value
+
+
+@dataclass(frozen=True)
+class Answer:
+    """A SELECT's answer: output names, each output's type (numpy's
+    ``dtype.str``) and rows of plain Python values."""
+
+    names: Tuple[str, ...]
+    types: Tuple[str, ...]
+    rows: List[Tuple]
+
+    @classmethod
+    def of(cls, result) -> "Answer":
+        """An engine's :class:`~repro.db.exec.result.QueryResult`."""
+        names = tuple(result.names)
+        types = tuple(result.columns[n].dtype.str for n in names)
+        return cls(names, types, result.rows())
+
+
+def _same(a: Any, b: Any) -> bool:
+    return a == b or (a != a and b != b)  # NaN equals NaN
+
+
+def mismatch(got: Answer, want: Answer) -> Optional[str]:
+    """How ``got`` differs from ``want`` — names, then types, then exact
+    values row by row — or None when it does not."""
+    if got.names != want.names:
+        return f"names {got.names} != {want.names}"
+    for name, a, b in zip(want.names, got.types, want.types):
+        if a != b:
+            return f"column {name!r} is {a}, expected {b}"
+    if len(got.rows) != len(want.rows):
+        return f"{len(got.rows)} rows, expected {len(want.rows)}"
+    for i, (ra, rb) in enumerate(zip(got.rows, want.rows)):
+        if len(ra) != len(rb) or not all(map(_same, ra, rb)):
+            return f"row {i}: {ra} != {rb}"
+    return None
+
 
 class OracleTable:
-    """One relation: ordered column names plus a list of dict rows."""
+    """One relation: ordered column names, their types and dict rows."""
 
-    def __init__(self, name: str, columns: Tuple[str, ...]):
+    def __init__(self, name: str, columns: Tuple[str, ...], types: Tuple[str, ...]):
         self.name = name
         self.columns = tuple(columns)
+        self.types = dict(zip(columns, types))
         self.rows: List[Row] = []
 
 
 class SqlOracle:
-    """Executes the fuzzer's SQL dialect over dict rows."""
+    """Executes the dialect over dict rows."""
 
     def __init__(self):
         self.tables: Dict[str, OracleTable] = {}
@@ -103,9 +215,9 @@ class SqlOracle:
     # Statement entry points.
     # ------------------------------------------------------------------
     def execute(self, sql: str):
-        """Run one statement; SELECT returns ``(names, rows)``, DML the
+        """Run one statement; SELECT returns an :class:`Answer`, DML the
         affected row count, everything else ``None``."""
-        return self.apply(parse_statement(sql))
+        return self.apply(Parser(sql).parse_statement())
 
     def apply(self, stmt: object):
         if isinstance(stmt, BeginStmt):
@@ -145,7 +257,9 @@ class SqlOracle:
             if stmt.name in self.tables:
                 raise SqlError(f"oracle: table {stmt.name!r} exists")
             self.tables[stmt.name] = OracleTable(
-                stmt.name, tuple(name for name, _ in stmt.columns)
+                stmt.name,
+                tuple(name for name, _ in stmt.columns),
+                tuple(column_type(sql_type) for _, sql_type in stmt.columns),
             )
             return None
         if isinstance(stmt, DropTableStmt):
@@ -153,11 +267,26 @@ class SqlOracle:
             return None
         raise SqlError(f"oracle: unsupported statement {type(stmt).__name__}")
 
-    def load(self, name: str, columns: Tuple[str, ...], rows) -> None:
-        """Register a side table with pre-built rows (non-SQL setup)."""
-        table = OracleTable(name, columns)
-        table.rows = [dict(r) for r in rows]
-        self.tables[name] = table
+    def load_table(self, table, snapshot_ts: Optional[int] = None) -> None:
+        """Register a catalog :class:`~repro.db.table.Table` under its
+        name: its user columns, over the rows an MVCC table shows at
+        ``snapshot_ts`` (every slot when None), in slot order."""
+        schema = table.schema
+        names = tuple(c.name for c in schema.user_columns)
+        loaded = OracleTable(
+            schema.name, names, tuple(column_type(c.dtype.name) for c in schema.user_columns)
+        )
+        values = table.read(names)
+        columns = [[plain(v) for v in values[n].tolist()] for n in names]
+        loaded.rows = [dict(zip(names, row)) for row in zip(*columns)]
+        if snapshot_ts is not None and schema.mvcc:
+            # The snapshot rule, read off the stamps: begin <= ts < end.
+            stamps = zip(table.begin_ts.tolist(), table.end_ts.tolist())
+            loaded.rows = [
+                row for row, (begin, end) in zip(loaded.rows, stamps)
+                if begin <= snapshot_ts < end
+            ]
+        self.tables[schema.name] = loaded
 
     # ------------------------------------------------------------------
     # DML.
@@ -214,54 +343,68 @@ class SqlOracle:
     # ------------------------------------------------------------------
     # SELECT.
     # ------------------------------------------------------------------
-    def select(self, stmt: SelectStmt) -> Tuple[Tuple[str, ...], List[Tuple]]:
+    def select(self, stmt: SelectStmt) -> Answer:
         table = self._table(stmt.table)
         rows: List[Row] = [dict(r) for r in table.rows]
+        scope = set(table.columns)
         for clause in stmt.joins:
             right = self._table(clause.table)
+            left_col, right_col = clause.left_col, clause.right_col
+            if left_col not in scope:  # written ``ON right = left``
+                left_col, right_col = right_col, left_col
+            index: Dict[Any, List[Row]] = {}
+            for rrow in right.rows:
+                index.setdefault(rrow[right_col], []).append(rrow)
             joined: List[Row] = []
             for lrow in rows:
-                for rrow in right.rows:
-                    if lrow[clause.left_col] == rrow[clause.right_col]:
-                        merged = dict(lrow)
-                        merged.update(rrow)
-                        joined.append(merged)
+                for rrow in index.get(lrow[left_col], ()):
+                    merged = dict(lrow)
+                    merged.update(rrow)
+                    joined.append(merged)
             rows = joined
+            scope.update(right.columns)
         if stmt.where is not None:
             rows = [r for r in rows if self._eval(stmt.where, r)]
 
-        items = stmt.items
-        if len(items) == 1 and isinstance(items[0].expr, Star):
-            items = tuple(
-                SelectItem(expr=ColumnRef(name)) for name in table.columns
-            )
+        items = self._items(stmt)
         names = tuple(self._output_name(item, pos) for pos, item in enumerate(items))
+        types = self._output_types(stmt)
 
+        # (output row, the row ORDER BY reads) pairs.
         if stmt.group_by or any(isinstance(i.expr, Aggregate) for i in items):
-            out_rows = self._aggregate(items, names, stmt.group_by, rows)
+            out = [(r, r) for r in self._aggregate(items, names, stmt.group_by, rows)]
         else:
-            out_rows = [
-                {n: self._eval(item.expr, r) for n, item in zip(names, items)}
-                for r in rows
-            ]
+            out = []
+            for r in rows:
+                row = {n: self._eval(item.expr, r) for n, item in zip(names, items)}
+                out.append((row, {**r, **row}))
 
         if stmt.having is not None:
-            out_rows = [r for r in out_rows if self._eval(stmt.having, r)]
+            out = [pair for pair in out if self._eval(stmt.having, pair[0])]
         if stmt.distinct:
-            seen: Dict[Tuple, Row] = {}
-            for r in out_rows:
-                seen.setdefault(tuple(r[n] for n in names), r)
-            out_rows = [seen[k] for k in sorted(seen)]
+            seen: Dict[Tuple, Tuple[Row, Row]] = {}
+            for pair in out:
+                seen.setdefault(tuple(pair[0][n] for n in names), pair)
+            out = [seen[k] for k in sorted(seen)]
         for item in reversed(stmt.order_by):
-            out_rows.sort(
-                key=lambda r: self._eval(item.expr, r),
+            out.sort(
+                key=lambda pair: self._eval(item.expr, pair[1]),
                 reverse=item.descending,
             )
         offset = stmt.offset or 0
         if stmt.limit is not None or offset:
             stop = None if stmt.limit is None else offset + stmt.limit
-            out_rows = out_rows[offset:stop]
-        return names, [tuple(r[n] for n in names) for r in out_rows]
+            out = out[offset:stop]
+        return Answer(names, types, [tuple(row[n] for n in names) for row, _ in out])
+
+    def _items(self, stmt: SelectStmt) -> Tuple[SelectItem, ...]:
+        items = stmt.items
+        if len(items) == 1 and isinstance(items[0].expr, Star):
+            items = tuple(
+                SelectItem(expr=ColumnRef(name))
+                for name in self._table(stmt.table).columns
+            )
+        return items
 
     @staticmethod
     def _output_name(item: SelectItem, pos: int) -> str:
@@ -273,6 +416,34 @@ class SqlOracle:
         if isinstance(expr, ColumnRef):
             return expr.name
         return f"col{pos}"
+
+    def _output_types(self, stmt: SelectStmt) -> Tuple[str, ...]:
+        scope = dict(self._table(stmt.table).types)
+        for clause in stmt.joins:
+            scope.update(self._table(clause.table).types)
+        types = (self._type(item.expr, scope) for item in self._items(stmt))
+        return tuple(_WEAK.get(t, t) for t in types)
+
+    def _type(self, expr: object, scope: Dict[str, str]) -> str:
+        if isinstance(expr, Aggregate):
+            return "<i8" if expr.func == "count" else "<f8"
+        if isinstance(expr, ColumnRef):
+            try:
+                return scope[expr.name]
+            except KeyError:
+                raise SqlError(f"oracle: no column {expr.name!r}")
+        if isinstance(expr, BinOp):
+            return _promote(
+                expr.op, self._type(expr.left, scope), self._type(expr.right, scope)
+            )
+        if isinstance(expr, Literal) and type(expr.value) in (int, float):
+            return type(expr.value).__name__
+        if isinstance(expr, ScalarSubquery):
+            # Folded to the Python value of its one output.
+            kind = self._output_types(expr.select)[0][1]
+            if kind in "if":
+                return "int" if kind == "i" else "float"
+        raise SqlError(f"oracle: {expr} has no numeric output type")
 
     def _aggregate(
         self,
@@ -336,8 +507,7 @@ class SqlOracle:
             return self._scalar_subquery(expr.select)
         if isinstance(expr, InSubquery):
             v = self._eval(expr.term, row)
-            _, rows = self.select(expr.select)
-            return any(v == r[0] for r in rows)
+            return any(v == r[0] for r in self.select(expr.select).rows)
         if isinstance(expr, BinOp):
             return _ARITH[expr.op](
                 self._eval(expr.left, row), self._eval(expr.right, row)
@@ -363,10 +533,10 @@ class SqlOracle:
         raise SqlError(f"oracle: unknown expression {type(expr).__name__}")
 
     def _scalar_subquery(self, select: SelectStmt):
-        names, rows = self.select(select)
-        if len(names) != 1 or len(rows) != 1:
+        answer = self.select(select)
+        if len(answer.names) != 1 or len(answer.rows) != 1:
             raise SqlError(
-                f"oracle: scalar subquery returned {len(rows)} rows x "
-                f"{len(names)} columns"
+                f"oracle: scalar subquery returned {len(answer.rows)} rows x "
+                f"{len(answer.names)} columns"
             )
-        return rows[0][0]
+        return answer.rows[0][0]

@@ -15,6 +15,7 @@ def pytest_addoption(parser):
     )
 
 from repro.db import Catalog, Column, TableSchema
+from repro.db.sql.oracle import Answer, SqlOracle, mismatch
 from repro.db.types import CHAR, DECIMAL, INT32, INT64
 from repro.hw.config import TEST_PLATFORM, ZYNQ_ULTRASCALE
 
@@ -106,3 +107,15 @@ def assert_overhead_below_five_percent(base, gated, what):
         if slow < fast * 1.05:
             return
     raise AssertionError(f"{what} overhead {slow / fast - 1:.1%}")
+
+
+def assert_matches_oracle(result, catalog, sql, snapshot_ts=None):
+    """Assert ``result`` (a :class:`~repro.db.exec.result.QueryResult`)
+    carries the names, dtypes and exact values the
+    :class:`~repro.db.sql.oracle.SqlOracle` gives ``sql`` over every
+    table of ``catalog`` as visible at ``snapshot_ts``."""
+    oracle = SqlOracle()
+    for table in catalog.tables():
+        oracle.load_table(table, snapshot_ts)
+    diff = mismatch(Answer.of(result), oracle.execute(sql))
+    assert diff is None, f"{sql}: {diff}"

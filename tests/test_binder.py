@@ -104,8 +104,8 @@ class TestDerivedCounts:
         b = bound(
             "SELECT id, label FROM mixed JOIN grps ON grp = code", catalog
         )
-        assert b.join is not None
-        assert b.join.table.schema.name == "grps"
+        (join,) = b.joins
+        assert join.table.schema.name == "grps"
 
 
 class TestShapeMemo:

@@ -1,5 +1,5 @@
-"""Tests for the vectorized executor, with the Volcano interpreter as the
-independent reference on every query shape the subset supports."""
+"""Tests for the vectorized executor, with the SQL oracle as the
+independent referee on every query shape the subset supports."""
 
 import numpy as np
 import pytest
@@ -10,18 +10,21 @@ from repro.db import Catalog, Column, TableSchema
 from repro.db.plan import bind
 from repro.db.sql import parse
 from repro.db.types import CHAR, INT64
-from repro.db.exec import QueryResult, results_equal, run_vector, run_volcano
+from repro.db.exec import QueryResult, results_equal, run_vector
 from repro.errors import ExecutionError
+from tests.conftest import assert_matches_oracle
 
 
 def columns_for(bound, table):
     return {n: table.column_values(n) for n in bound.referenced_columns}
 
 
-def both(sql, catalog, table):
+def checked(sql, catalog, table):
+    """``run_vector``'s answer to ``sql``, checked against the oracle."""
     b = bind(parse(sql), catalog)
-    cols = columns_for(b, table)
-    return run_vector(b, cols), run_volcano(b, cols)
+    result = run_vector(b, columns_for(b, table))
+    assert_matches_oracle(result, catalog, sql)
+    return result
 
 
 QUERIES = [
@@ -37,12 +40,11 @@ QUERIES = [
 ]
 
 
-class TestVectorVsVolcano:
+class TestVectorVsOracle:
     @pytest.mark.parametrize("sql", QUERIES)
     def test_equivalence(self, mixed_catalog, sql):
         catalog, table = mixed_catalog
-        vec, vol = both(sql, catalog, table)
-        assert results_equal(vec, vol), f"{sql}\n{vec.rows()[:5]}\nvs\n{vol.rows()[:5]}"
+        checked(sql, catalog, table)
 
     def test_join_equivalence(self, mixed_catalog):
         catalog, table = mixed_catalog
@@ -60,8 +62,7 @@ class TestVectorVsVolcano:
             "SELECT sum(qty * weight) AS s FROM mixed JOIN grps ON grp = code "
             "WHERE qty < 30"
         )
-        vec, vol = both(sql, catalog, table)
-        assert results_equal(vec, vol)
+        checked(sql, catalog, table)
 
     def test_join_duplicates_on_build_side(self, mixed_catalog):
         catalog, table = mixed_catalog
@@ -72,8 +73,7 @@ class TestVectorVsVolcano:
             [{"code": "aa", "w": 1}, {"code": "aa", "w": 10}, {"code": "bb", "w": 2}]
         )
         sql = "SELECT count(*) AS n FROM mixed JOIN dups ON grp = code"
-        vec, vol = both(sql, catalog, table)
-        assert results_equal(vec, vol)
+        vec = checked(sql, catalog, table)
         n_aa = int((table.column_values("grp") == b"aa").sum())
         n_bb = int((table.column_values("grp") == b"bb").sum())
         assert vec.scalar() == 2 * n_aa + n_bb
@@ -96,8 +96,7 @@ class TestAggregates:
     def test_multi_key_group(self, mixed_catalog):
         catalog, table = mixed_catalog
         sql = "SELECT grp, qty, count(*) AS n FROM mixed GROUP BY grp, qty ORDER BY grp, qty"
-        vec, vol = both(sql, catalog, table)
-        assert results_equal(vec, vol)
+        vec = checked(sql, catalog, table)
         assert vec.column("n").sum() == table.nrows
 
 
@@ -161,6 +160,4 @@ class TestRandomizedEquivalence:
             f"SELECT k, v FROM r WHERE v > {threshold} "
             f"ORDER BY k, v DESC LIMIT {limit}"
         )
-        b = bind(parse(sql), catalog)
-        cols = {name: table.column_values(name) for name in b.referenced_columns}
-        assert results_equal(run_vector(b, cols), run_volcano(b, cols))
+        checked(sql, catalog, table)

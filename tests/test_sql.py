@@ -180,8 +180,9 @@ class TestParser:
 
     def test_join(self):
         stmt = parse("SELECT a FROM t JOIN u ON k = k2 WHERE a > 0")
-        assert stmt.join.table == "u"
-        assert (stmt.join.left_col, stmt.join.right_col) == ("k", "k2")
+        (join,) = stmt.joins
+        assert join.table == "u"
+        assert (join.left_col, join.right_col) == ("k", "k2")
 
     def test_string_comparison(self):
         stmt = parse("SELECT a FROM t WHERE flag = 'N'")

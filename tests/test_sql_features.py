@@ -5,11 +5,12 @@ import pytest
 
 from repro.db import Catalog, Column, TableSchema
 from repro.db.engines import all_engines
-from repro.db.exec import results_equal, run_vector, run_volcano
+from repro.db.exec import results_equal, run_vector
 from repro.db.plan import bind
 from repro.db.sql import parse
 from repro.db.types import CHAR, INT64
 from repro.errors import SqlError
+from tests.conftest import assert_matches_oracle
 
 
 @pytest.fixture
@@ -31,38 +32,36 @@ def dup_catalog():
     return catalog, table
 
 
-def both(sql, catalog, table):
+def checked(sql, catalog, table):
+    """``run_vector``'s answer to ``sql``, checked against the oracle."""
     b = bind(parse(sql), catalog)
-    cols = {n: table.column_values(n) for n in b.referenced_columns}
-    return run_vector(b, cols), run_volcano(b, cols)
+    result = run_vector(b, {n: table.column_values(n) for n in b.referenced_columns})
+    assert_matches_oracle(result, catalog, sql)
+    return result
 
 
 class TestDistinct:
     def test_single_column(self, dup_catalog):
         catalog, table = dup_catalog
-        vec, vol = both("SELECT DISTINCT v FROM dups", catalog, table)
-        assert results_equal(vec, vol)
+        vec = checked("SELECT DISTINCT v FROM dups", catalog, table)
         assert vec.nrows == len(np.unique(table.column_values("v")))
 
     def test_multi_column(self, dup_catalog):
         catalog, table = dup_catalog
-        vec, vol = both("SELECT DISTINCT g, v FROM dups", catalog, table)
-        assert results_equal(vec, vol)
+        vec = checked("SELECT DISTINCT g, v FROM dups", catalog, table)
         pairs = set(zip(table.column_values("g"), table.column_values("v")))
         assert vec.nrows == len(pairs)
 
     def test_distinct_with_where(self, dup_catalog):
         catalog, table = dup_catalog
-        vec, vol = both("SELECT DISTINCT v FROM dups WHERE v > 2", catalog, table)
-        assert results_equal(vec, vol)
+        vec = checked("SELECT DISTINCT v FROM dups WHERE v > 2", catalog, table)
         assert (vec.column("v") > 2).all()
 
     def test_distinct_with_order_and_limit(self, dup_catalog):
         catalog, table = dup_catalog
-        vec, vol = both(
+        vec = checked(
             "SELECT DISTINCT v FROM dups ORDER BY v DESC LIMIT 2", catalog, table
         )
-        assert results_equal(vec, vol)
         expected = sorted(np.unique(table.column_values("v")), reverse=True)[:2]
         assert vec.column("v").tolist() == expected
 
@@ -85,15 +84,13 @@ class TestHaving:
     def test_filters_groups(self, dup_catalog):
         catalog, table = dup_catalog
         sql = "SELECT v, count(*) AS n FROM dups GROUP BY v HAVING n > 70 ORDER BY v"
-        vec, vol = both(sql, catalog, table)
-        assert results_equal(vec, vol)
+        vec = checked(sql, catalog, table)
         assert (vec.column("n") > 70).all()
 
     def test_having_on_group_key(self, dup_catalog):
         catalog, table = dup_catalog
         sql = "SELECT v, sum(w) AS s FROM dups GROUP BY v HAVING v >= 3 ORDER BY v"
-        vec, vol = both(sql, catalog, table)
-        assert results_equal(vec, vol)
+        vec = checked(sql, catalog, table)
         assert (vec.column("v") >= 3).all()
 
     def test_having_conjunction(self, dup_catalog):
@@ -102,8 +99,7 @@ class TestHaving:
             "SELECT g, count(*) AS n, sum(v) AS s FROM dups GROUP BY g "
             "HAVING n > 10 AND s > 100 ORDER BY g"
         )
-        vec, vol = both(sql, catalog, table)
-        assert results_equal(vec, vol)
+        checked(sql, catalog, table)
 
     def test_having_requires_group_by(self):
         with pytest.raises(SqlError):
@@ -112,9 +108,8 @@ class TestHaving:
     def test_having_can_empty_result(self, dup_catalog):
         catalog, table = dup_catalog
         sql = "SELECT v, count(*) AS n FROM dups GROUP BY v HAVING n > 100000"
-        vec, vol = both(sql, catalog, table)
+        vec = checked(sql, catalog, table)
         assert vec.nrows == 0
-        assert results_equal(vec, vol)
 
     def test_engines_agree_on_having(self, dup_catalog):
         catalog, _ = dup_catalog
@@ -132,8 +127,7 @@ class TestSelectStar:
 
     def test_star_with_where(self, dup_catalog):
         catalog, table = dup_catalog
-        vec, vol = both("SELECT * FROM dups WHERE v = 4", catalog, table)
-        assert results_equal(vec, vol)
+        vec = checked("SELECT * FROM dups WHERE v = 4", catalog, table)
         assert vec.nrows == int((table.column_values("v") == 4).sum())
 
     def test_star_excludes_mvcc_columns(self, mvcc_catalog):

@@ -2,21 +2,30 @@
 
 Hypothesis draws seeds; each seed drives a random statement stream
 (DML, transactions, joins, grouping, subqueries) through the engine, a
-determinism twin, the bound-level Volcano reference, the scatter-gather
-cluster (where the statement fits its dialect), and the brute-force
-dict-row oracle — every answer must agree, byte-identically with the
-reference. ``python -m repro.chaos --mode sql-fuzz`` runs the same
-harness with WAL crash points in CI.
+determinism twin, the scatter-gather cluster (where the statement fits
+its dialect), and the brute-force dict-row oracle — every answer must
+carry the oracle's names, dtypes and exact values. ``python -m
+repro.chaos --mode sql-fuzz`` runs the same harness with WAL crash
+points in CI.
 """
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.db import Catalog, Column, TableSchema
+from repro.db.engines import all_engines
+from repro.db.exec import vector
+from repro.db.mvcc import TransactionManager
 from repro.db.sql.fuzz import StatementGen, run_sql_fuzz
-from repro.db.sql.oracle import SqlOracle
+from repro.db.sql.nodes import UpdateStmt
+from repro.db.sql.oracle import Answer, SqlOracle, _promote, mismatch
+from repro.db.sql.pipeline import Session
+from repro.db.sql.shapes import Template
+from repro.db.types import CHAR, INT32
 
 
 def _assert_clean(report):
@@ -58,6 +67,45 @@ def test_consecutive_seeds_reach_every_engine():
         assert f"engine={report.engine}:" in report.summary()
 
 
+def test_fuzz_checks_dtypes():
+    """The summary CI uploads shows that the dtype check ran."""
+    report = run_sql_fuzz(0, steps=20)
+    _assert_clean(report)
+    assert report.types_checked > 0
+    assert f"{report.types_checked} dtypes" in report.summary()
+
+
+# ----------------------------------------------------------------------
+# Seeded faults the oracle-only fuzzer must catch.
+# ----------------------------------------------------------------------
+def test_catches_a_stale_literal_in_an_update_template(monkeypatch):
+    """A shape memo that refills UPDATE templates with the first
+    statement's literals reaches the engines only: the oracle parses
+    without the memo, so the next SELECT tells them apart."""
+    instantiate = Template.instantiate
+
+    def stale(self, literals):
+        if isinstance(self.stmt, UpdateStmt):
+            return self.stmt
+        return instantiate(self, literals)
+
+    monkeypatch.setattr(Template, "instantiate", stale)
+    reports = [run_sql_fuzz(seed, steps=60) for seed in range(4)]
+    assert any(not r.passed for r in reports)
+
+
+def test_catches_an_int32_count(monkeypatch):
+    compute = vector._compute_aggregate
+
+    def int32_count(output, *args):
+        out = compute(output, *args)
+        return out.astype(np.int32) if output.kind == "count" else out
+
+    monkeypatch.setattr(vector, "_compute_aggregate", int32_count)
+    report = run_sql_fuzz(0, steps=60)
+    assert any("is <i4, expected <i8" in v for v in report.violations)
+
+
 def test_fuzz_exercises_every_statement_family():
     """Across a handful of seeds the stream must cover selects, DML,
     explicit transactions, rollbacks, subqueries, and dist routing —
@@ -71,6 +119,7 @@ def test_fuzz_exercises_every_statement_family():
         "subquery_selects": 0,
         "dist_checked": 0,
         "rows_checked": 0,
+        "types_checked": 0,
     }
     for seed in range(8):
         report = run_sql_fuzz(seed, steps=60)
@@ -96,20 +145,22 @@ def _fresh_oracle():
 
 
 def test_oracle_group_by_matches_hand_computation():
-    names, rows = _fresh_oracle().execute(
+    answer = _fresh_oracle().execute(
         "SELECT tag AS c0, sum(v) AS c1, count(*) AS c2 FROM t GROUP BY tag"
     )
-    assert names == ("c0", "c1", "c2")
-    assert rows == [("elm", 20.0, 1), ("oak", 40.0, 2)]
+    assert answer.names == ("c0", "c1", "c2")
+    assert answer.types == ("|S8", "<f8", "<i8")
+    assert answer.rows == [("elm", 20.0, 1), ("oak", 40.0, 2)]
 
 
 def test_oracle_global_aggregate_over_empty_input():
     oracle = _fresh_oracle()
-    names, rows = oracle.execute(
+    answer = oracle.execute(
         "SELECT count(*) AS c0, sum(v) AS c1, min(v) AS c2, "
         "max(v) AS c3, avg(v) AS c4 FROM t WHERE v > 1000"
     )
-    (count, total, lo, hi, mean), = rows
+    assert answer.types == ("<i8", "<f8", "<f8", "<f8", "<f8")
+    (count, total, lo, hi, mean), = answer.rows
     assert (count, total, lo, hi) == (0, 0.0, float("inf"), float("-inf"))
     assert math.isnan(mean)
 
@@ -135,15 +186,119 @@ def test_oracle_txn_rollback_discards_staged_dml():
 
 def test_oracle_scalar_and_in_subqueries():
     oracle = _fresh_oracle()
-    _, rows = oracle.execute(
+    answer = oracle.execute(
         "SELECT id AS c0 FROM t WHERE v >= (SELECT avg(v) FROM t) ORDER BY c0"
     )
-    assert rows == [(2,), (3,)]
-    _, rows = oracle.execute(
+    assert answer.rows == [(2,), (3,)]
+    answer = oracle.execute(
         "SELECT id AS c0 FROM t WHERE w IN (SELECT w FROM t WHERE tag = 'elm') "
         "ORDER BY c0"
     )
-    assert rows == [(1,), (2,)]
+    assert answer.rows == [(1,), (2,)]
+
+
+def test_oracle_orders_by_a_column_it_does_not_output():
+    oracle = _fresh_oracle()
+    oracle.execute("INSERT INTO t (id, v, w, tag) VALUES (4, 40, 5, 'elm')")
+    answer = oracle.execute("SELECT id FROM t ORDER BY w DESC, tag")
+    # w = 7 first; the w = 5 tie orders by tag, and (2, elm) and
+    # (4, elm) keep their table order.
+    assert answer.rows == [(3,), (2,), (4,), (1,)]
+    answer = oracle.execute("SELECT tag FROM t ORDER BY v DESC LIMIT 2 OFFSET 1")
+    assert answer.rows == [("oak",), ("elm",)]
+
+
+def test_oracle_join_emits_nested_loop_order():
+    """Left rows in order, and per left row its matches in table order,
+    also when the right key repeats."""
+    oracle = _fresh_oracle()
+    oracle.execute("CREATE TABLE u (uk INT32, uv INT32)")
+    oracle.execute("INSERT INTO u (uk, uv) VALUES (5, 1), (7, 2), (5, 3), (9, 4)")
+    answer = oracle.execute("SELECT id, uv FROM t JOIN u ON uk = w")
+    assert answer.rows == [(1, 1), (1, 3), (2, 1), (2, 3), (3, 2)]
+    assert answer.types == ("<i4", "<i4")
+
+
+def test_oracle_load_table_at_a_snapshot():
+    """Only committed versions current at the snapshot load: neither an
+    uncommitted insert nor the version an update superseded."""
+    schema = TableSchema("t", [Column("k", INT32), Column("tag", CHAR(4))], mvcc=True)
+    table = Catalog().create_table(schema)
+    manager = TransactionManager()
+    txn = manager.begin()
+    first = txn.insert(table, {"k": 1, "tag": "a"})
+    txn.insert(table, {"k": 2, "tag": "b"})
+    manager.commit(txn)
+    before = manager.now
+    txn = manager.begin()
+    txn.update(table, first, {"tag": "c"})
+    manager.commit(txn)
+    manager.begin().insert(table, {"k": 3, "tag": "d"})
+
+    def loaded(snapshot_ts):
+        oracle = SqlOracle()
+        oracle.load_table(table, snapshot_ts)
+        return oracle.execute("SELECT k, tag FROM t")
+
+    assert loaded(before).rows == [(1, "a"), (2, "b")]
+    assert loaded(manager.now).rows == [(2, "b"), (1, "c")]
+    assert len(loaded(None).rows) == 4  # every slot
+    assert loaded(before).types == ("<i4", "|S4")
+
+
+def test_oracle_types_match_every_engine():
+    """The declared output types are the engines' dtypes."""
+    ddl = "CREATE TABLE t (v INT32, w INT32, tag CHAR(8), p DECIMAL(2), d DATE, big INT64)"
+    rows = "INSERT INTO t VALUES (1, 2, 'oak', 1.25, 3, 7), (3, 4, 'elm', 2.5, 4, 8)"
+    queries = (
+        "SELECT count(*) AS c, sum(v) AS s, avg(v) AS a, min(v) AS lo, max(p) AS hi FROM t",
+        "SELECT v, tag, p, d, big FROM t WHERE v > 1",
+        "SELECT v + 5 AS a, v * w AS b, v - w AS c, v / w AS e, v / 2 AS f, "
+        "v + 1.5 AS g, 1 - p AS h, v * big AS i, d + 1 AS j, -v AS k FROM t",
+        "SELECT (SELECT count(*) FROM t) AS a, (SELECT max(v) FROM t) AS b, "
+        "v + (SELECT min(v) FROM t) AS c FROM t WHERE v > 1000",
+    )
+    oracle = SqlOracle()
+    oracle.execute(ddl)
+    oracle.execute(rows)
+    for name in ("row", "column", "rm"):
+        catalog = Catalog()
+        session = Session(catalog, all_engines(catalog)[name])
+        session.execute(ddl)
+        session.execute(rows)
+        for sql in queries:
+            got = Answer.of(session.execute(sql).result)
+            assert mismatch(got, oracle.execute(sql)) is None, (name, sql)
+        session.close()
+
+
+#: Every numeric column type's answer dtype, and the two Python scalars.
+_NUMERIC = ("|i1", "<i2", "<i4", "<i8", "<f4", "<f8")
+_SCALARS = {"int": 3, "float": 1.5}
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+def test_oracle_promotion_matches_numpy(op):
+    """The oracle spells out numpy's promotion without importing numpy;
+    this pins each rule to the numpy the tests run under."""
+    apply = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.true_divide}[op]
+    operands = {t: np.ones(2, dtype=t) for t in _NUMERIC}
+    operands.update(_SCALARS)
+    for a, x in operands.items():
+        for b, y in operands.items():
+            if a in _SCALARS and b in _SCALARS:
+                continue  # Python arithmetic: no array to promote
+            assert _promote(op, a, b) == apply(x, y).dtype.str, (a, op, b)
+
+
+def test_mismatch_checks_names_then_types_then_exact_values():
+    want = Answer(("a", "b"), ("<i8", "<f8"), [(1, float("nan")), (2, 0.5)])
+    assert mismatch(want, want) is None  # NaN equals NaN
+    assert "names" in mismatch(Answer(("a", "c"), want.types, want.rows), want)
+    assert "is <i4, expected <i8" in mismatch(Answer(want.names, ("<i4", "<f8"), want.rows), want)
+    assert "1 rows, expected 2" in mismatch(Answer(want.names, want.types, want.rows[:1]), want)
+    close = [(1, float("nan")), (2, 0.5 + 2**-52)]
+    assert "row 1" in mismatch(Answer(want.names, want.types, close), want)
 
 
 def test_generator_emits_only_valid_sql():

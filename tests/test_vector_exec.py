@@ -1,9 +1,10 @@
-"""Property tests for the vectorized execution path (ISSUE 7).
+"""Property tests for the vectorized execution path.
 
 The contract under test: for every query shape, layout, engine and
 MVCC snapshot, the vectorized fused-kernel path (the engines' only answer
-path) and the scalar Volcano reference produce **bit-identical**
-answers.
+path) gives the SQL oracle's answer — its names, dtypes and exact
+values — and its join routes and code-cache runs are bit-identical to
+each other.
 """
 
 import numpy as np
@@ -23,7 +24,6 @@ from repro.db.exec.vector import (
     join_indices,
     run_vector,
 )
-from repro.db.exec.volcano import run_volcano
 from repro.db.mvcc import TransactionManager
 from repro.db.plan import bind
 from repro.db.plan.codecache import CodeFragmentCache
@@ -32,27 +32,18 @@ from repro.db.sql.pipeline import Session
 from repro.db.types import CHAR, DECIMAL, INT32, INT64
 from repro.core.ledger import CostLedger
 from repro.hw.config import TEST_PLATFORM
+from tests.conftest import assert_matches_oracle
 
 ENGINES = (RowStoreEngine, ColumnStoreEngine, RelationalMemoryEngine)
 
 
 def assert_same_result(a, b, context=""):
-    """Bit-identical comparison (dataclass ``==`` chokes on arrays).
-
-    Byte-string columns may differ in declared width (the Volcano path
-    re-packs scalars); numpy's elementwise comparison is padding-blind,
-    which matches the executors' own semantics.
-    """
+    """Bit-identical comparison (dataclass ``==`` chokes on arrays)."""
     assert a.names == b.names, f"{context}: {a.names} != {b.names}"
     for n in a.names:
         x, y = a.columns[n], b.columns[n]
-        assert len(x) == len(y), f"{context}: column {n} length {len(x)} != {len(y)}"
-        if x.dtype.kind != "S" or y.dtype.kind != "S":
-            assert x.dtype == y.dtype, f"{context}: column {n} {x.dtype} != {y.dtype}"
-        if x.dtype.kind == "f":
-            assert np.array_equal(x, y, equal_nan=True), f"{context}: column {n}"
-        else:
-            assert np.array_equal(x, y), f"{context}: column {n}"
+        assert x.dtype == y.dtype, f"{context}: column {n} {x.dtype} != {y.dtype}"
+        assert x.tobytes() == y.tobytes(), f"{context}: column {n}"
 
 
 # ----------------------------------------------------------------------
@@ -168,15 +159,13 @@ def star_queries(draw):
     return sql
 
 
-class TestVectorVsVolcanoProperty:
+class TestVectorVsOracleProperty:
     @given(star_queries())
     @settings(max_examples=60, deadline=None)
-    def test_random_queries_bit_identical(self, sql):
+    def test_random_queries_match_oracle(self, sql):
         bound = bind(parse(sql), STAR_CATALOG)
         cols = {n: STAR_FACT.column_values(n) for n in bound.referenced_columns}
-        vec = run_vector(bound, cols)
-        vol = run_volcano(bound, cols)
-        assert_same_result(vec, vol, context=sql)
+        assert_matches_oracle(run_vector(bound, cols), STAR_CATALOG, sql)
 
     @given(star_queries(), st.sampled_from(["probe", "merge"]))
     @settings(max_examples=30, deadline=None)
@@ -437,18 +426,17 @@ class TestFactorize:
 
 
 class TestEmptyAggregates:
-    """Satellite 2: empty-input semantics pinned to the Volcano reference."""
+    """Empty-input semantics, pinned to the oracle's."""
 
-    def _run_both(self, sql):
+    def _run_checked(self, sql):
         bound = bind(parse(sql), STAR_CATALOG)
         cols = {n: STAR_FACT.column_values(n) for n in bound.referenced_columns}
         vec = run_vector(bound, cols)
-        vol = run_volcano(bound, cols)
-        assert_same_result(vec, vol, context=sql)
+        assert_matches_oracle(vec, STAR_CATALOG, sql)
         return vec
 
     def test_global_aggregates_over_zero_rows(self):
-        res = self._run_both(
+        res = self._run_checked(
             "SELECT count(*) AS n, sum(val) AS s, avg(val) AS m, "
             "min(val) AS lo, max(val) AS hi FROM fact WHERE qty > 1000"
         )
@@ -461,22 +449,22 @@ class TestEmptyAggregates:
         assert row["hi"] == -np.inf
 
     def test_grouped_aggregate_over_zero_rows_is_empty(self):
-        res = self._run_both(
+        res = self._run_checked(
             "SELECT cat, sum(val) AS s FROM fact WHERE qty > 1000 GROUP BY cat"
         )
         assert res.nrows == 0
 
     def test_empty_probe_side_join(self):
-        res = self._run_both(
+        res = self._run_checked(
             "SELECT count(*) AS n, sum(d1_w) AS s FROM fact "
             "JOIN dim1 ON k1 = d1_key WHERE qty > 1000"
         )
         assert res.rows() == [(0, 0.0)]
 
 
-class TestEngineTraceBitIdentity:
-    """Every engine's answer in trace mode is bit-identical to the
-    Volcano reference run over independently built base columns."""
+class TestEngineTraceOracle:
+    """Every engine's answer in trace mode is the oracle's, which reads
+    the catalog's tables on its own."""
 
     SQL = (
         "SELECT cat, sum(val * qty) AS rev, count(*) AS n FROM fact "
@@ -486,13 +474,9 @@ class TestEngineTraceBitIdentity:
 
     @pytest.mark.parametrize("engine_cls", ENGINES)
     def test_modes_identical(self, engine_cls):
-        bound = bind(parse(self.SQL), STAR_CATALOG)
-        cols = {n: STAR_FACT.column_values(n) for n in bound.referenced_columns}
         engine = engine_cls(STAR_CATALOG, TEST_PLATFORM, memory_model="trace")
         res = engine.execute(self.SQL)
-        assert_same_result(
-            res.result, run_volcano(bound, cols), context=engine_cls.name
-        )
+        assert_matches_oracle(res.result, STAR_CATALOG, self.SQL)
 
     @pytest.mark.parametrize("engine_cls", ENGINES)
     def test_modes_identical_under_mvcc_snapshot(self, engine_cls):
@@ -527,17 +511,10 @@ class TestEngineTraceBitIdentity:
             "SELECT acct, sum(amount) AS s, count(*) AS n FROM ledger_t "
             "WHERE tag = 'aa' GROUP BY acct ORDER BY acct"
         )
-        bound = bind(parse(sql), catalog)
         engine = engine_cls(catalog, TEST_PLATFORM, memory_model="trace")
         for snapshot_ts in snapshots:
-            vis = visible_mask(table.begin_ts, table.end_ts, snapshot_ts)
-            cols = {
-                n: table.column_values(n)[vis] for n in bound.referenced_columns
-            }
             res = engine.execute(sql, snapshot_ts=snapshot_ts)
-            assert_same_result(
-                res.result, run_volcano(bound, cols), context=f"ts={snapshot_ts}"
-            )
+            assert_matches_oracle(res.result, catalog, sql, snapshot_ts)
         # Later snapshots see strictly more rows.
         engine = engine_cls(catalog, TEST_PLATFORM)
         counts = [
@@ -582,18 +559,15 @@ class TestMvccJoinVisibility:
             before = session.manager.now
             session.execute("UPDATE b SET w = 999 WHERE bk = 1")
             session.execute("DELETE FROM b WHERE bk = 2")
-            assert session.execute(self.SQL).result.rows() == [(1, 999)]
+            now = session.execute(self.SQL).result
+            assert now.rows() == [(1, 999)]
             # An older snapshot still sees the rows as they were.
-            engine = session.engine
-            old = engine.execute(self.SQL, snapshot_ts=before).result.rows()
-            assert old == [(1, 100), (2, 200)]
-            # The Volcano reference reads the joined table at a snapshot too.
-            bound = bind(parse(self.SQL), session.catalog)
-            table = session.catalog.table("a")
-            vis = slice(None) if plain_main else table.visible_mask(session.manager.now)
-            cols = {n: table.column_values(n)[vis] for n in bound.referenced_columns}
-            ref = run_volcano(bound, cols, snapshot_ts=session.manager.now)
-            assert ref.rows() == [(1, 999)]
+            old = session.engine.execute(self.SQL, snapshot_ts=before).result
+            assert old.rows() == [(1, 100), (2, 200)]
+            # The oracle reads the joined table at each snapshot too.
+            catalog = session.catalog
+            assert_matches_oracle(now, catalog, self.SQL, session.manager.now)
+            assert_matches_oracle(old, catalog, self.SQL, before)
 
 
 class TestCodeCache:
