@@ -15,6 +15,10 @@ memory model *benchmark-viable*. Three measurements:
    ``probe_host_ratio`` for a re-referencing LCG probe walk (a hash-join
    probe) and ``warm_host_ratio`` for a back-to-back second scan of the
    same region. Both take the LRU stack-distance route of the kernel.
+   ``probe_kernel_host_ratio`` divides the batch kernel's time on one
+   TPC-H Q3-shaped probe walk, run after a cold scan, by the scalar
+   reference's on the same walk: a denominator that kernel work on the
+   cold route does not move.
 3. **End-to-end**: full Q6 through all three engines in trace mode,
    cross-checking that cycles, answers, and every hierarchy counter
    agree between the two kernels (at a reduced row count, since the
@@ -52,6 +56,9 @@ HOST_REPEATS = 3
 #: Accesses per distinct line of the probe walk (TPC-H Q3's probe revisits
 #: each line about five times).
 PROBE_REUSE = 5
+#: TPC-H Q3's first hash-join probe walk at 200k lineitem rows: 107,703
+#: probes over a working set of 39,299 lines.
+Q3_PROBES, Q3_PROBE_LINES = 107_703, 39_299
 
 
 def _hierarchy_snapshot(hierarchy) -> Dict[str, object]:
@@ -107,6 +114,25 @@ def run_host_seconds(nbytes: int) -> Dict[str, float]:
     return {"cold_scan": min(cold), "warm_scan": min(warm), "probe": min(probe)}
 
 
+def run_probe_kernel(nbytes: int) -> Dict[str, float]:
+    """Least host time of the Q3-shaped probe walk under the batch kernel
+    and under the scalar reference, each after a cold scan of ``nbytes``
+    (run by the batch kernel, whose end state is the scalar one)."""
+    out: Dict[str, float] = {}
+    for label, use_batch in (("batch", True), ("scalar", False)):
+        times = []
+        for _ in range(HOST_REPEATS):
+            model = TraceMemoryModel(default_platform())
+            base = model.region(("rows", "lineitem"), nbytes)
+            model.sequential(nbytes, base_addr=base)
+            model.use_batch = use_batch
+            t0 = time.perf_counter()
+            model.random(Q3_PROBES, Q3_PROBE_LINES * model.line_bytes)
+            times.append(time.perf_counter() - t0)
+        out[label] = min(times)
+    return out
+
+
 def run_q6_engines(nrows: int, use_batch: bool) -> Dict[str, object]:
     """Execute Q6 on fresh trace-mode engines; returns timings + stats."""
     catalog, _ = generate_lineitem(nrows=nrows)
@@ -133,6 +159,7 @@ def run_q6_engines(nrows: int, use_batch: bool) -> Dict[str, object]:
 def compare(scan_rows: int, engine_rows: int) -> Dict[str, object]:
     scan = run_scan(scan_rows)
     host = run_host_seconds(scan["bytes"])
+    probe = run_probe_kernel(scan["bytes"])
     batch = run_q6_engines(engine_rows, use_batch=True)
     scalar = run_q6_engines(engine_rows, use_batch=False)
     mismatches = []
@@ -154,8 +181,10 @@ def compare(scan_rows: int, engine_rows: int) -> Dict[str, object]:
         },
         "speedup": scan["speedup"],
         "host_seconds": host,
+        "probe_kernel_seconds": probe,
         "probe_host_ratio": host["probe"] / host["cold_scan"],
         "warm_host_ratio": host["warm_scan"] / host["cold_scan"],
+        "probe_kernel_host_ratio": probe["batch"] / probe["scalar"],
         "bit_identical": not mismatches,
         "mismatches": mismatches,
         "q6_end_to_end": {
@@ -207,6 +236,11 @@ def main(argv=None) -> int:
         f"probe walk {report['probe_host_ratio']:.2f}   "
         f"warm rescan {report['warm_host_ratio']:.2f}"
     )
+    probe = report["probe_kernel_seconds"]
+    print(
+        f"Q3 probe walk: scalar {probe['scalar']:.3f}s   batch {probe['batch']:.4f}s   "
+        f"probe_kernel_host_ratio {report['probe_kernel_host_ratio']:.4f}"
+    )
     e2e = report["q6_end_to_end"]
     print(f"Q6 end-to-end, {e2e['rows']} rows:")
     for name, e in e2e["engines"].items():
@@ -252,6 +286,7 @@ def test_trace_batch_speedup(benchmark, save_result):
         f"scan speedup: {scan['speedup']:.1f}x",
         f"probe_host_ratio: {report['probe_host_ratio']:.2f}",
         f"warm_host_ratio: {report['warm_host_ratio']:.2f}",
+        f"probe_kernel_host_ratio: {report['probe_kernel_host_ratio']:.4f}",
         f"bit_identical: {report['bit_identical']}",
     ]
     save_result("trace_batch", "\n".join(lines))

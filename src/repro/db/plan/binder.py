@@ -416,6 +416,13 @@ def _bind_select(
         if item.is_aggregate:
             agg: Aggregate = item.expr
             bound_arg = resolve(agg.arg) if agg.arg is not None else None
+            if agg.func != "count" and bound_arg is not None:
+                culprit = _non_numeric(bound_arg, schemas)
+                if culprit is not None:
+                    raise SqlError(
+                        f"{agg.func.upper()} needs a numeric argument, "
+                        f"got {culprit}"
+                    )
             name = item.alias or f"{agg.func}_{pos}"
             outputs.append(BoundOutput(name=name, kind=agg.func, expr=bound_arg))
         else:
@@ -760,6 +767,18 @@ def _pad_char_literal(side: Expr, other: Expr, scope: _Scope):
     if scope.trail is not None:
         scope.trail[id(other)] = (padded, width)
     return side, padded
+
+
+def _non_numeric(expr: Expr, schemas: Tuple[TableSchema, ...]) -> Optional[str]:
+    """The CHAR column or string literal that makes ``expr``'s value
+    non-numeric, described for an error message, or None."""
+    if isinstance(expr, ColumnRef) and _char_width(expr, schemas) is not None:
+        return f"CHAR column {expr.name!r}"
+    if isinstance(expr, Literal) and isinstance(expr.value, (str, bytes)):
+        return f"string literal {expr.value!r}"
+    if isinstance(expr, BinOp):
+        return _non_numeric(expr.left, schemas) or _non_numeric(expr.right, schemas)
+    return None
 
 
 def _char_width(term: Expr, schemas: Tuple[TableSchema, ...]) -> Optional[int]:

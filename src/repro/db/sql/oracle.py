@@ -12,7 +12,8 @@ Python ints, Python floats.
 
 The oracle *defines* the dialect's answers:
 
-- ``SUM``/``MIN``/``MAX``/``AVG`` accumulate as floats, in row order;
+- ``SUM``/``MIN``/``MAX``/``AVG`` accumulate as floats, in row order,
+  and reject a CHAR column or string argument with a ``SqlError``;
   ``COUNT`` is an int. A global aggregate over zero rows yields one row
   with ``count=0``, ``sum=0.0``, ``avg=NaN``, ``min=inf``, ``max=-inf``.
 - Groups emit sorted by group-key tuple; ``DISTINCT`` emits sorted by
@@ -41,7 +42,8 @@ It also declares each output's type, in numpy's ``dtype.str`` spelling
 The oracle also evaluates the subquery forms the statement pipeline
 folds (scalar subqueries and ``IN (SELECT ...)``), recursively, against
 its own current state — matching the pipeline's fold-then-bind timing
-because both see the same committed snapshot between statements.
+because both see the same committed snapshot between statements. They
+are uncorrelated, so each runs once per statement, not once per row.
 """
 
 from __future__ import annotations
@@ -147,6 +149,18 @@ def _promote(op: str, a: str, b: str) -> str:
     return "<f8" if op == "/" and out[1] == "i" else out
 
 
+def _non_numeric(expr: object, scope: Dict[str, str]) -> Optional[str]:
+    """The CHAR column or string literal that makes ``expr``'s value
+    non-numeric, described for an error message, or None."""
+    if isinstance(expr, ColumnRef) and scope.get(expr.name, "")[1:2] == "S":
+        return f"CHAR column {expr.name!r}"
+    if isinstance(expr, Literal) and isinstance(expr.value, (str, bytes)):
+        return f"string literal {expr.value!r}"
+    if isinstance(expr, BinOp):
+        return _non_numeric(expr.left, scope) or _non_numeric(expr.right, scope)
+    return None
+
+
 def plain(value: Any) -> Any:
     """``value`` in the oracle's value space: CHAR bytes decoded to
     ``str``, numpy scalars as Python scalars."""
@@ -210,6 +224,9 @@ class SqlOracle:
         self.tables: Dict[str, OracleTable] = {}
         #: Statements staged by an explicit BEGIN, applied on COMMIT.
         self._txn: Optional[List[object]] = None
+        #: Subquery answers of the statement being applied, by node id
+        #: (each entry keeps its node alive, so the id stays its own).
+        self._subqueries: Dict[int, Tuple[SelectStmt, Answer]] = {}
 
     # ------------------------------------------------------------------
     # Statement entry points.
@@ -245,6 +262,8 @@ class SqlOracle:
         return self._apply_now(stmt)
 
     def _apply_now(self, stmt: object):
+        # Subqueries are uncorrelated: each runs once per statement.
+        self._subqueries = {}
         if isinstance(stmt, SelectStmt):
             return self.select(stmt)
         if isinstance(stmt, InsertStmt):
@@ -426,7 +445,15 @@ class SqlOracle:
 
     def _type(self, expr: object, scope: Dict[str, str]) -> str:
         if isinstance(expr, Aggregate):
-            return "<i8" if expr.func == "count" else "<f8"
+            if expr.func == "count":
+                return "<i8"
+            culprit = _non_numeric(expr.arg, scope)
+            if culprit is not None:
+                raise SqlError(
+                    f"oracle: {expr.func.upper()} needs a numeric argument, "
+                    f"got {culprit}"
+                )
+            return "<f8"
         if isinstance(expr, ColumnRef):
             try:
                 return scope[expr.name]
@@ -507,7 +534,7 @@ class SqlOracle:
             return self._scalar_subquery(expr.select)
         if isinstance(expr, InSubquery):
             v = self._eval(expr.term, row)
-            return any(v == r[0] for r in self.select(expr.select).rows)
+            return any(v == r[0] for r in self._subquery(expr.select).rows)
         if isinstance(expr, BinOp):
             return _ARITH[expr.op](
                 self._eval(expr.left, row), self._eval(expr.right, row)
@@ -532,8 +559,15 @@ class SqlOracle:
             return any(v == x for x in expr.values)
         raise SqlError(f"oracle: unknown expression {type(expr).__name__}")
 
+    def _subquery(self, select: SelectStmt) -> Answer:
+        """``select``'s answer, run once for the statement being applied."""
+        cached = self._subqueries.get(id(select))
+        if cached is None:
+            cached = self._subqueries[id(select)] = (select, self.select(select))
+        return cached[1]
+
     def _scalar_subquery(self, select: SelectStmt):
-        answer = self.select(select)
+        answer = self._subquery(select)
         if len(answer.names) != 1 or len(answer.rows) != 1:
             raise SqlError(
                 f"oracle: scalar subquery returned {len(answer.rows)} rows x "

@@ -239,6 +239,7 @@ class TraceMemoryModel(MemoryModel):
         self.hierarchy = hierarchy or MemoryHierarchy(platform)
         self._alloc_cursor = 1 << 32  # synthetic address space for streams
         self._rng_state = 0x9E3779B97F4A7C15
+        self._lcg = hwbatch.LcgTable()
         #: Walk each pattern's lines with the vectorized batch kernel
         #: (:mod:`repro.hw.batch`); ``use_batch=False`` runs the scalar
         #: per-line loop instead, the reference. Both produce bit-identical
@@ -319,7 +320,7 @@ class TraceMemoryModel(MemoryModel):
     def _lcg_offsets(self, n: int, modulus: int) -> np.ndarray:
         """The next ``n`` draws of the model's LCG, each ``(state >> 33) %
         modulus``; advances the shared state past them."""
-        states = hwbatch.lcg_states(self._rng_state, n)
+        states = self._lcg.states(self._rng_state, n)
         self._rng_state = int(states[-1])
         return ((states >> np.uint64(33)) % np.uint64(modulus)).astype(np.int64)
 

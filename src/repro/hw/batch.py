@@ -25,6 +25,16 @@ The algorithm exploits three structural facts of the hardware:
   of its set were referenced since its previous reference. Hits,
   evictions, polluted evictions and the end state all follow from the
   chains.
+* **Every sort over a batch is a radix sort on a narrow key.** numpy
+  sorts keys of 16 bits or less by counting, so each key is made as
+  narrow as the answer allows. The set grouping keys by set index. The
+  line chains key by a line's offset inside the batch's line range;
+  residents outside that range can never be referenced again, so they
+  share one sentinel key past it, and a walk over fewer than 65,536
+  lines chains in one pass. A surviving line is always its line's last
+  reference, so its chain position comes from the inverse permutation
+  of the chain, not from a search. The cold route ranks each touched
+  set's free ways once, and DRAM demand misses group by bank index.
 * **The prefetcher only reacts to L2 misses, in stride runs.** The miss
   subsequence is segmented into maximal arithmetic runs; a run either
   continues one stream (coverage is then a closed form of the stream's
@@ -44,6 +54,8 @@ multi-stream, LCG random and gather) stay vectorized.
 The line builders at the top of the module are the only source of those
 patterns' line numbers: :class:`repro.hw.analytic.TraceMemoryModel` hands
 the same array to this kernel or, as the reference, to the scalar loop.
+Each model's :class:`LcgTable` keeps the LCG multiplier's powers and
+their prefix sums between its random/gather walks.
 """
 
 from __future__ import annotations
@@ -57,12 +69,12 @@ from repro.hw.dram import Dram
 from repro.hw.prefetcher import StreamPrefetcher, _Stream
 
 __all__ = [
+    "LcgTable",
     "batch_cache_access",
     "batch_dram_demand",
     "batch_prefetch",
     "hierarchy_access_lines_batch",
     "interleaved_lines",
-    "lcg_states",
     "sequential_lines",
 ]
 
@@ -100,20 +112,30 @@ def interleaved_lines(cursors: List[int], nlines: List[int]) -> np.ndarray:
     return grid[mask]  # row-major: round by round, stream by stream
 
 
-def lcg_states(state0: int, n: int) -> np.ndarray:
-    """The ``n`` successor states of the 64-bit LCG used by the trace
-    model's random/gather walks, as a uint64 array (wraps mod 2**64)."""
-    if n <= 0:
-        return np.empty(0, dtype=_U64)
-    powers = np.empty(n, dtype=_U64)
-    powers[0] = 1
-    if n > 1:
+class LcgTable:
+    """The states of the 64-bit LCG the trace model's random/gather walks
+    draw from. State ``k`` after a seed ``s`` is ``a**(k+1) * s + c *
+    sum_{j<=k} a**j``: every walk shares the multiplier's powers and their
+    prefix sums, so the table keeps them, grown to the longest walk asked
+    for, and a walk costs one multiply-add per state."""
+
+    def __init__(self) -> None:
+        self._powers = np.empty(0, dtype=_U64)  # a**(k+1)
+        self._c_geo = np.empty(0, dtype=_U64)  # c * sum_{j<=k} a**j
+
+    def states(self, state0: int, n: int) -> np.ndarray:
+        """The ``n`` successor states of ``state0``, as a uint64 array
+        (wraps mod 2**64)."""
+        if n <= 0:
+            return np.empty(0, dtype=_U64)
         with np.errstate(over="ignore"):
-            powers[1:] = np.cumprod(np.full(n - 1, _LCG_A, dtype=_U64))
-    with np.errstate(over="ignore"):
-        geo = np.cumsum(powers, dtype=_U64)  # sum_{j<=k} a^j
-        states = _U64(_LCG_A) * powers * _U64(state0 & (2**64 - 1)) + _U64(_LCG_C) * geo
-    return states
+            if self._powers.size < n:
+                self._powers = np.cumprod(np.full(n, _LCG_A, dtype=_U64))
+                geo = np.cumsum(self._powers) - self._powers + _U64(1)
+                self._c_geo = geo * _U64(_LCG_C)
+            states = self._powers[:n] * _U64(state0 & (2**64 - 1))
+            states += self._c_geo[:n]
+        return states
 
 
 # ----------------------------------------------------------------------
@@ -124,18 +146,15 @@ def lcg_states(state0: int, n: int) -> np.ndarray:
 _WALK_STEPS = 4
 
 
-def _stable_argsort(keys: np.ndarray) -> np.ndarray:
-    """``np.argsort(keys, kind="stable")`` for int64 keys, as 16-bit radix
-    passes (numpy sorts 16-bit keys by counting) when their range allows."""
-    if keys.size == 0:
-        return np.empty(0, dtype=np.int64)
-    off = keys - keys.min()
-    span = int(off.max())
+def _radix_argsort(keys: np.ndarray, span: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for int64 keys in ``[0, span]``,
+    as 16-bit radix passes (numpy sorts 16-bit keys by counting): one
+    below ``2**16``, two below ``2**32``, else a comparison sort."""
     if span < 1 << 16:
-        return np.argsort(off.astype(np.uint16), kind="stable")
+        return np.argsort(keys.astype(np.uint16), kind="stable")
     if span < 1 << 32:
-        order = np.argsort((off & 0xFFFF).astype(np.uint16), kind="stable")
-        high = (off >> 16).astype(np.uint16)[order]
+        order = np.argsort((keys & 0xFFFF).astype(np.uint16), kind="stable")
+        high = (keys >> 16).astype(np.uint16)[order]
         return order[np.argsort(high, kind="stable")]
     return np.argsort(keys, kind="stable")
 
@@ -206,7 +225,7 @@ def _cold_access(cache, idx, tags, sets, counts, write, contiguous, tick0):
         pos = np.arange(max(0, n - num_sets * ways), n, dtype=np.int64)
         later = (n - 1 - pos) // num_sets
     else:
-        pos = _stable_argsort(idx)
+        pos = _radix_argsort(idx, num_sets - 1)
         sidx = idx[pos]
         ends = np.r_[np.flatnonzero(sidx[1:] != sidx[:-1]), n - 1]
         later = np.repeat(ends, np.diff(np.r_[-1, ends])) - np.arange(n)
@@ -214,8 +233,12 @@ def _cold_access(cache, idx, tags, sets, counts, write, contiguous, tick0):
     keep = later < surv[s_pos]
     pos, s_pos = pos[keep], s_pos[keep]
     q = surv[s_pos] - 1 - later[keep]  # survivor's rank within its set
-    free_order = np.argsort(T[s_pos] >= 0, axis=1, kind="stable")
-    ways_pos = free_order[np.arange(pos.size), q]
+    # A set's survivors fill its free ways in way order, ranked once per
+    # touched set.
+    free_order = np.argsort(T[sets] >= 0, axis=1, kind="stable")
+    row = np.empty(num_sets, dtype=np.int64)
+    row[sets] = np.arange(sets.size)
+    ways_pos = free_order[row[s_pos], q]
     T[s_pos, ways_pos] = tags[pos]
     LU[s_pos, ways_pos] = tick0 + 1 + pos
     UC[s_pos, ways_pos] = 0
@@ -249,13 +272,18 @@ def _walk_hits(nxt: np.ndarray, qi: np.ndarray, qp: np.ndarray, ways: int):
         done = 2 * ways
         span = qi - qp - 1  # window length
         # Reuse distance, clipped to what the whole-array steps compare.
-        reuse = np.minimum(nxt - np.arange(m), done + 1).astype(np.uint16)
+        reuse = nxt - np.arange(m)
+        np.minimum(reuse, done + 1, out=reuse)
+        reuse = reuse.astype(np.uint16)
         live = np.zeros(m, dtype=np.uint16)  # live positions among the last s
+        step_live = np.empty(m, dtype=bool)
         by_span = np.argsort(np.minimum(span, done + 1).astype(np.uint16), kind="stable")
         cuts = np.searchsorted(span[by_span], np.arange(done + 2), side="left")
         hit[by_span[: cuts[1]]] = True  # empty window
         for s in range(min(done, m - 1)):  # a window never exceeds m - 2
-            live[s + 1 :] += reuse[: m - s - 1] > s + 1
+            now = step_live[: m - s - 1]
+            np.greater(reuse[: m - s - 1], s + 1, out=now)
+            np.add(live[s + 1 :], now, out=live[s + 1 :])
             ends_now = by_span[cuts[s + 1] : cuts[s + 2]]  # span == s + 1
             hit[ends_now] = live[qi[ends_now]] < ways
         rest = by_span[cuts[done + 1] :]
@@ -281,7 +309,7 @@ def _walk_hits(nxt: np.ndarray, qi: np.ndarray, qp: np.ndarray, ways: int):
     return hit
 
 
-def _stack_access(cache, idx, tags, sets, write, tick0):
+def _stack_access(cache, lines, idx, tags, sets, counts, write, tick0):
     """Exact LRU over re-referencing or warm batches by stack distance.
 
     Each touched set's residents are prepended to its accesses as
@@ -310,30 +338,51 @@ def _stack_access(cache, idx, tags, sets, write, tick0):
     # pseudo-references first, then its accesses in batch order. Sequence
     # position k holds merged reference g[k]: a resident when below r,
     # else batch access g[k] - r.
-    m_set = np.concatenate([p_set, idx])
-    g = _stable_argsort(m_set)
+    g = _radix_argsort(np.concatenate([p_set, idx]), cache.config.num_sets - 1)
     m = g.size
-    g_set = m_set[g]
-    g_line = (np.concatenate([p_tag, tags])[g] << shift) | g_set
+    r_per_set = np.count_nonzero(valid, axis=1)
+    g_set = np.repeat(sets, r_per_set + counts)
+    # Residents keep their order in the sequence, at the head of each set.
+    resident = np.repeat(
+        np.tile([True, False], sets.size), np.stack([r_per_set, counts], 1).ravel()
+    )
 
     # Reference chains: one stable sort by line keeps each line's
-    # references in sequence order. (a, b) are consecutive references to
-    # one line; b is always a batch access (residents come first).
-    chain = _stable_argsort(g_line)
-    chain_line = g_line[chain]  # ascending
-    same = chain_line[1:] == chain_line[:-1]
-    a, b = chain[:-1][same], chain[1:][same]
+    # references in sequence order. The key is a line's offset in the
+    # batch's range [lo, hi]. Residents outside the range are never
+    # referenced again, so they share one sentinel key past it and sort
+    # last; a batch spanning fewer than 2**16 lines sorts in one radix
+    # pass.
+    lo = int(lines.min())
+    sentinel = int(lines.max()) - lo + 1
+    p_key = ((p_tag << shift) | p_set) - lo
+    p_key[(p_key < 0) | (p_key >= sentinel)] = sentinel
+    key = np.concatenate([p_key, lines - lo])[g]
+    inner = m - int(np.count_nonzero(p_key == sentinel))  # in-range references
+    chain = _radix_argsort(key, sentinel)[:inner]
+    chain_key = key[chain]  # ascending
+    # (a, b) are consecutive references to one line, at chain positions
+    # (sel, sel + 1); b is always a batch access (residents come first).
+    sel = np.flatnonzero(chain_key[1:] == chain_key[:-1])
+    a, b = chain[sel], chain[sel + 1]
     nxt = np.full(m, m, dtype=np.int64)
     nxt[a] = b
 
+    hit_b = _walk_hits(nxt, b, a, ways)
+    hit_seq = b[hit_b]  # sequence positions of the hits
     is_hit = np.zeros(m, dtype=bool)
-    is_hit[b[_walk_hits(nxt, b, a, ways)]] = True
+    is_hit[hit_seq] = True
+    chain_hit = np.zeros(inner, dtype=bool)
+    chain_hit[sel[hit_b] + 1] = True
 
     # Lifetimes start at pseudo-references and misses; the references
     # after a start in its chain, up to the next start, hit on it.
-    life = np.maximum.accumulate(np.where(is_hit[chain], 0, np.arange(m)))
+    life = np.arange(inner)
+    life *= ~chain_hit
+    np.maximum.accumulate(life, out=life)
     # Whether a lifetime starting at each position begins unused.
-    unused = np.concatenate([p_uses == 0, np.ones(n, dtype=bool)])[g]
+    unused = np.ones(m, dtype=bool)
+    unused[resident] = p_uses == 0
 
     # End state: per set, the `ways` most recent last references, most
     # recent first.
@@ -347,17 +396,29 @@ def _stack_access(cache, idx, tags, sets, write, tick0):
     # Polluted evictions: lifetimes that begin unused and end in an
     # eviction — their line's next reference misses, or there is none
     # and the line does not stay resident.
-    polluted = int(np.count_nonzero(unused[a] & ~is_hit[a] & ~is_hit[b]))
+    polluted = int(np.count_nonzero(unused[a] & ~chain_hit[sel] & ~hit_b))
     polluted += int(np.count_nonzero(unused[last] & ~is_hit[last]))
     polluted -= int(np.count_nonzero(unused[k] & ~is_hit[k]))
 
-    t = np.searchsorted(chain_line, g_line[k], side="right") - 1
-    start = chain[life[t]]
+    # A survivor is its line's last reference; an in-range one reads its
+    # chain position from the inverse permutation of the chain. One
+    # outside the range is a resident the batch never touched, a lifetime
+    # of its own.
+    k_in = key[k] < sentinel
+    inv = np.empty(m, dtype=np.int64)
+    inv[chain] = np.arange(inner)
+    t = inv[k[k_in]]
+    start = k.copy()
+    start[k_in] = chain[life[t]]
+    uses = np.zeros(k.size, dtype=np.int64)
+    uses[k_in] = t - life[t]
     src, start_src = g[k], g[start]
     kreal = src >= r
+    kres = src[~kreal]
+    k_tag = tags[np.maximum(src - r, 0)]
+    k_tag[~kreal] = p_tag[kres]
     last_use = tick0 + 1 + src - r
-    last_use[~kreal] = p_last[src[~kreal]]
-    uses = t - life[t]
+    last_use[~kreal] = p_last[kres]
     dirty = kreal & write
     carried = start_src < r  # the lifetime began as a resident
     uses[carried] += p_uses[start_src[carried]]
@@ -368,14 +429,14 @@ def _stack_access(cache, idx, tags, sets, write, tick0):
     LU[sets] = 0
     UC[sets] = 0
     DT[sets] = False
-    T[ks, depth] = g_line[k] >> shift
+    T[ks, depth] = k_tag
     LU[ks, depth] = last_use
     UC[ks, depth] = uses
     DT[ks, depth] = dirty
 
     hits = np.zeros(n, dtype=bool)
-    hits[g[is_hit] - r] = True
-    n_miss = n - int(np.count_nonzero(is_hit))
+    hits[g[hit_seq] - r] = True
+    n_miss = n - hit_seq.size
     evictions = r + n_miss - k.size
     return hits, n_miss, evictions, polluted
 
@@ -409,7 +470,7 @@ def batch_cache_access(
         n_miss = n
     else:
         hits, n_miss, evictions, polluted = _stack_access(
-            cache, idx, tags, sets, write, tick0
+            cache, lines, idx, tags, sets, counts, write, tick0
         )
     cache._tick = tick0 + n
     stats.hits += n - n_miss
@@ -516,7 +577,7 @@ def batch_dram_demand(dram: Dram, demand_lines: np.ndarray) -> int:
         return 0
     rows = demand_lines // dram._lines_per_row
     banks = rows % dram.config.banks
-    order = np.argsort(banks, kind="stable")
+    order = _radix_argsort(banks, dram.config.banks - 1)
     srows = rows[order]
     sbanks = banks[order]
     open0 = np.array(

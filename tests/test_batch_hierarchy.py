@@ -237,6 +237,92 @@ class TestStackDistanceDefaultPlatform:
 
 
 # ----------------------------------------------------------------------
+# One case per narrow-key path of the kernel, on the default platform:
+# the chain key over a wide and a narrow line range, residents outside
+# and inside it, the cold route into partly filled sets, and DRAM demand
+# misses ordered by bank.
+# ----------------------------------------------------------------------
+SEED = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def bank_state(h):
+    dram = h.dram
+    return (dram.bank_lines, dram.bank_row_hits, dram.bank_row_misses)
+
+
+class TestNarrowKeyPaths:
+    @settings(max_examples=6, deadline=None)
+    @given(st.integers(70_000, 200_000), st.integers(1_000, 6_000), SEED)
+    def test_wide_probe_walk_after_scan_bit_identical(self, ws_lines, n, seed):
+        """A probe walk spanning more than 2**16 lines (a two-pass chain
+        key) after a scan that leaves L2 full of lines below its range."""
+        rng = np.random.default_rng(seed)
+        scan = list(range(L2_LINES + L1_LINES))
+        base = L2_LINES + L1_LINES + 64
+        walk = [base, *(base + rng.integers(0, ws_lines, n)).tolist(), base + ws_lines - 1]
+        assert max(walk) - min(walk) >= 1 << 16
+        batches = [(scan, False, 64), (walk, False, 2**20)]
+        assert replay(DEFAULT, batches, True) == replay(DEFAULT, batches, False)
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        st.integers(L1_LINES, 2 * L2_LINES),
+        st.integers(L1_LINES, 3 * L2_LINES),
+        st.integers(500, 5_000),
+        st.booleans(),
+        SEED,
+    )
+    def test_walk_over_preceding_scan_bit_identical(self, scan_len, ws_lines, n, write, seed):
+        """A probe walk whose line range holds residents of the scan before
+        it, some of which it re-references."""
+        rng = np.random.default_rng(seed)
+        start = 1 << 18
+        scan = list(range(start, start + scan_len))
+        lo = start + scan_len - ws_lines // 2
+        walk = (lo + rng.integers(0, ws_lines, n)).tolist() + [start + scan_len - 1]
+        batches = [(scan, write, 64), (walk, not write, 2**20)]
+        assert replay(DEFAULT, batches, True) == replay(DEFAULT, batches, False)
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        st.integers(1, L2_LINES - 1),
+        st.integers(1, 2 * L2_LINES),
+        st.sampled_from([1, 3]),
+        st.booleans(),
+    )
+    def test_cold_scan_into_partly_filled_sets_bit_identical(
+        self, first_len, second_len, step, write
+    ):
+        """A distinct scan of a fresh region (contiguous, or strided so its
+        sets come from the line array) into sets a shorter scan left
+        partly filled."""
+        first = list(range(first_len))
+        start = 4 * L2_LINES
+        second = list(range(start, start + second_len * step, step))
+        batches = [(first, write, 64), (second, not write, 64 * step)]
+        assert replay(DEFAULT, batches, True) == replay(DEFAULT, batches, False)
+
+    @settings(max_examples=5, deadline=None)
+    @given(SEED)
+    def test_demand_misses_over_all_banks_bit_identical(self, seed):
+        """Random and unprefetchable strided misses land in all eight DRAM
+        banks, with row hits among them; per-bank counters match."""
+        rng = np.random.default_rng(seed)
+        walk = rng.integers(1 << 20, (1 << 20) + 4 * L2_LINES, 8_000)
+        strided = np.arange(1 << 22, (1 << 22) + 4_000, 2)
+        batches = [(walk, False, 2**20), (strided, False, 2**20)]
+        fast, slow = MemoryHierarchy(DEFAULT), MemoryHierarchy(DEFAULT)
+        for lines, write, stride in batches:
+            assert fast.access_lines_batch(lines, write=write, stride_hint=stride) == (
+                slow.access_lines(lines.tolist(), write=write, stride_hint=stride)
+            )
+        assert hierarchy_state(fast) == hierarchy_state(slow)
+        assert bank_state(fast) == bank_state(slow)
+        assert len(fast.dram.bank_lines) == 8 and min(fast.dram.bank_lines) > 0
+        assert sum(fast.dram.bank_row_hits) > 0
+
+
+# ----------------------------------------------------------------------
 # Model-level equivalence: the TraceMemoryModel drives the same kernel
 # through its four access shapes (plus the shared LCG stream).
 # ----------------------------------------------------------------------
@@ -387,7 +473,16 @@ class TestLineBuildersMatchLoops:
     @settings(max_examples=60, deadline=None)
     @given(U64, st.integers(1, 300))
     def test_lcg_states(self, state0, n):
-        assert hwbatch.lcg_states(state0, n).tolist() == lcg_loop(state0, n)
+        assert hwbatch.LcgTable().states(state0, n).tolist() == lcg_loop(state0, n)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.tuples(U64, st.integers(1, 3000)), min_size=2, max_size=6))
+    def test_lcg_states_across_growing_and_shrinking_walks(self, walks):
+        """One table of multiplier powers serves every later walk, longer
+        (it grows) or shorter (it is sliced)."""
+        table = hwbatch.LcgTable()
+        for state0, n in walks:
+            assert table.states(state0, n).tolist() == lcg_loop(state0, n)
 
     @pytest.mark.parametrize("use_batch", [True, False])
     @settings(max_examples=30, deadline=None)

@@ -26,6 +26,7 @@ from repro.db.sql.oracle import Answer, SqlOracle, _promote, mismatch
 from repro.db.sql.pipeline import Session
 from repro.db.sql.shapes import Template
 from repro.db.types import CHAR, INT32
+from repro.errors import SqlError
 
 
 def _assert_clean(report):
@@ -195,6 +196,69 @@ def test_oracle_scalar_and_in_subqueries():
         "ORDER BY c0"
     )
     assert answer.rows == [(1,), (2,)]
+
+
+def test_oracle_runs_each_subquery_once_per_statement():
+    """An uncorrelated subquery runs once for the whole statement, not
+    once per outer row, and the answers stay what per-row evaluation
+    gave."""
+    oracle = SqlOracle()
+    oracle.execute("CREATE TABLE t (id INT32, v INT32, w INT32, tag CHAR(8))")
+    oracle.execute(
+        "INSERT INTO t (id, v, w, tag) VALUES "
+        + ", ".join(f"({i}, {i % 37}, {i % 11}, 'k{i % 5}')" for i in range(400))
+    )
+    calls = []
+    select = oracle.select
+
+    def counting_select(stmt):
+        calls.append(stmt)
+        return select(stmt)
+
+    oracle.select = counting_select
+    answer = oracle.execute(
+        "SELECT id AS c0 FROM t WHERE w IN (SELECT w FROM t WHERE tag = 'k1') "
+        "AND v > (SELECT avg(v) FROM t) ORDER BY c0"
+    )
+    assert len(calls) == 3  # the outer SELECT and each subquery once
+    rows = [(i, i % 37, i % 11) for i in range(400)]
+    k1_w = {w for i, _, w in rows if i % 5 == 1}
+    mean = sum(v for _, v, _ in rows) / len(rows)
+    assert answer.rows == [(i,) for i, v, w in rows if w in k1_w and v > mean]
+    # A later statement sees the table as it is then, not a stale answer.
+    oracle.execute("DELETE FROM t WHERE tag = 'k1'")
+    calls.clear()
+    assert oracle.execute(
+        "SELECT count(*) AS c0 FROM t WHERE w IN (SELECT w FROM t WHERE tag = 'k1')"
+    ).rows == [(0,)]
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("func", ["sum", "avg", "min", "max"])
+def test_numeric_aggregate_of_char_column_is_a_sql_error(func):
+    """SUM/AVG/MIN/MAX over a CHAR column is a SqlError naming the column
+    on every engine and in the oracle; COUNT over it stays legal."""
+    catalog = Catalog()
+    engines = all_engines(catalog)
+    seed = Session(catalog, engines["row"])
+    seed.execute("CREATE TABLE t (id INT32, v INT32, tag CHAR(4))")
+    seed.execute("INSERT INTO t (id, v, tag) VALUES (1, 10, 'oak'), (2, 20, 'elm')")
+    oracle = SqlOracle()
+    oracle.load_table(catalog.table("t"))
+    for sql in (
+        f"SELECT {func}(tag) AS c0 FROM t",
+        f"SELECT id AS c0, {func}(v + tag) AS c1 FROM t GROUP BY id",
+    ):
+        for engine in engines.values():
+            session = Session(catalog, engine, manager=seed.manager)
+            with pytest.raises(SqlError, match="CHAR column 'tag'"):
+                session.execute(sql)
+        with pytest.raises(SqlError, match="CHAR column 'tag'"):
+            oracle.execute(sql)
+    for engine in engines.values():
+        session = Session(catalog, engine, manager=seed.manager)
+        assert session.execute("SELECT count(tag) AS c0 FROM t").rows == [(2,)]
+    assert oracle.execute("SELECT count(tag) AS c0 FROM t").rows == [(2,)]
 
 
 def test_oracle_orders_by_a_column_it_does_not_output():
