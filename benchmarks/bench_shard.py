@@ -39,13 +39,12 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.core.selection import CompareOp
+from repro.core.selection import CompareOp, FabricPredicate
 from repro.dist import (
     AggSpec,
     AggTerm,
     DistConfig,
     DistPlan,
-    DistPredicate,
     ShardCluster,
     execute_plan,
     q1_plan,
@@ -123,7 +122,7 @@ def _orders_plan() -> DistPlan:
     return DistPlan(
         table="orders",
         key_column="o_id",
-        predicates=(DistPredicate("o_customer", CompareOp.LE, 40),),
+        predicates=(FabricPredicate("o_customer", CompareOp.LE, 40),),
         group_by=("o_status",),
         aggregates=(
             AggSpec("sum_amount", "sum", (AggTerm("o_amount"),)),

@@ -62,7 +62,6 @@ from repro.dist import (
     AggTerm,
     DistConfig,
     DistPlan,
-    DistPredicate,
     DistResult,
     ShardCluster,
     ShardReplica,
@@ -105,7 +104,6 @@ __all__ = [
     "DataGeometry",
     "DistConfig",
     "DistPlan",
-    "DistPredicate",
     "DistResult",
     "EphemeralColumnGroup",
     "ExecOutcome",

@@ -842,7 +842,7 @@ def _oracle_groups(schema: TableSchema, plan, rows):
         if plan.key_high is not None and key > plan.key_high:
             continue
         if not all(
-            _COMPARE[p.op.value](_raw_int(schema, p.column, d[p.column]), p.value)
+            _COMPARE[p.op.value](_raw_int(schema, p.field, d[p.field]), p.constant)
             for p in plan.predicates
         ):
             continue
@@ -1006,14 +1006,13 @@ def run_shard_kill_chaos(
        lineitem cluster at 2 and 8 shards must be byte-identical to
        unsharded serial execution, payload and ledger buckets both.
     """
-    from repro.core.selection import CompareOp
+    from repro.core.selection import CompareOp, FabricPredicate
     from repro.db.sharding import ShardedTable
     from repro.dist import (
         DistConfig,
         DistPlan,
         AggSpec,
         AggTerm,
-        DistPredicate,
         ShardCluster,
         execute_plan,
         q1_plan,
@@ -1029,7 +1028,7 @@ def run_shard_kill_chaos(
     plan = DistPlan(
         table="orders",
         key_column="o_id",
-        predicates=(DistPredicate("o_customer", CompareOp.LE, 40),),
+        predicates=(FabricPredicate("o_customer", CompareOp.LE, 40),),
         group_by=("o_status",),
         aggregates=(
             AggSpec("sum_amount", "sum", (AggTerm("o_amount"),)),

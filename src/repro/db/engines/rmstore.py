@@ -23,19 +23,18 @@ is always evaluated in the fabric when a snapshot is given.
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.core.fabric import RelationalMemory
 from repro.core.ledger import CostLedger
 from repro.core.packer import record_view
-from repro.core.selection import CompareOp, FabricFilter, FabricPredicate, select_rows
+from repro.core.selection import FabricFilter, select_rows
 from repro.db.engines.base import Candidates, Engine
 from repro.db.catalog import Catalog
-from repro.db.expr import ColumnRef, Expr, column_vs_literal, op_count
+from repro.db.expr import ColumnRef, fabric_comparators, op_count
 from repro.db.plan.binder import BoundQuery
 from repro.errors import ExecutionError, FaultError
 from repro.faults import CircuitBreaker, FaultInjector, RetryPolicy
@@ -216,34 +215,17 @@ class RelationalMemoryEngine(Engine):
             reducible = isinstance(expr, ColumnRef) and (
                 bound.table.schema.column(expr.name).dtype.np_dtype is not None
             )
-        return reducible and not self._pushable(bound)[1]
-
-    def _pushable(self, bound: BoundQuery) -> Tuple[List[FabricPredicate], List[Expr]]:
-        """Split WHERE conjuncts into fabric comparators and CPU residue."""
-        pushed: List[FabricPredicate] = []
-        residual: List[Expr] = []
-        schema = bound.table.schema
-        for conj in bound.where_conjuncts:
-            pred = None
-            term = column_vs_literal(conj)
-            if term is not None and schema.has_column(term[0]):
-                col, op, lit = term
-                dtype = schema.column(col).dtype
-                if dtype.scale:
-                    pred = _scaled_comparator(col, op, lit, dtype)
-                elif dtype.np_dtype is not None:
-                    pred = FabricPredicate(field=col, op=op, constant=lit)
-            if pred is not None:
-                pushed.append(pred)
-            else:
-                residual.append(conj)
-        return pushed, residual
+        return reducible and not fabric_comparators(
+            bound.where_conjuncts, bound.table.schema
+        )[1]
 
     def _pushdown(self, bound: BoundQuery) -> Tuple[Optional[FabricFilter], int]:
         """The fabric filter this engine pushes for ``bound`` (None: no
         pushdown) and the WHERE operations left to the CPU."""
         if self.pushdown and bound.where is not None:
-            pushed, residual = self._pushable(bound)
+            pushed, residual = fabric_comparators(
+                bound.where_conjuncts, bound.table.schema
+            )
             if pushed:
                 return (
                     FabricFilter(predicates=tuple(pushed)),
@@ -262,7 +244,7 @@ class RelationalMemoryEngine(Engine):
         if self._fabric_aggregates(bound):
             # The fabric selects the rows and reduces them, emitting only
             # the accumulator; the executor answers over the same rows.
-            pushed, _ = self._pushable(bound)
+            pushed, _ = fabric_comparators(bound.where_conjuncts, schema)
             rows = select_rows(
                 record_view(table.frame, schema.full_geometry()), snapshot_ts,
                 FabricFilter(predicates=tuple(pushed)) if pushed else None,
@@ -484,33 +466,3 @@ class RelationalMemoryEngine(Engine):
             cycles += cpu.intermediates(qualifying * (bound.output_op_count - 1))
         return cycles
 
-
-def _scaled_comparator(
-    column: str, op: CompareOp, literal, dtype
-) -> Optional[FabricPredicate]:
-    """The comparator on a DECIMAL column's stored ints that keeps exactly
-    the rows the CPU's ``value <op> literal`` on decoded values keeps; None
-    when none does (``=``/``<>`` against a value no stored int decodes to,
-    or a bound out of range). Decoding is monotone: ``>=`` holds from the
-    first int ``lo`` that decodes to at least ``literal``, ``>`` from the
-    first, ``hi``, that decodes above it; the decode of the ints next to
-    the scaled literal finds both."""
-    guess = float(literal) * 10**dtype.scale
-    if not abs(guess) < 2.0**62:
-        return None
-
-    def first(test: CompareOp) -> int:
-        def passes(raw: int) -> bool:
-            return bool(test.apply(dtype.decode_array(np.array([raw])), literal)[0])
-
-        raw = math.floor(guess)
-        while passes(raw):
-            raw -= 1
-        while not passes(raw):
-            raw += 1
-        return raw
-
-    lo, hi = first(CompareOp.GE), first(CompareOp.GT)
-    if op in (CompareOp.EQ, CompareOp.NE):
-        return FabricPredicate(column, op, lo) if hi == lo + 1 else None
-    return FabricPredicate(column, op, lo if op in (CompareOp.LT, CompareOp.GE) else hi - 1)

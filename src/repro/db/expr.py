@@ -10,12 +10,13 @@ operations one evaluation costs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.selection import CompareOp
+from repro.core.selection import CompareOp, FabricPredicate
 from repro.errors import ExecutionError
 
 Value = Union[int, float, str, bytes]
@@ -321,6 +322,63 @@ def column_vs_literal(expr: Expr) -> Optional[Tuple[str, CompareOp, Value]]:
     if isinstance(expr.right, ColumnRef) and isinstance(expr.left, Literal):
         return expr.right.name, CompareOp.from_sql(expr.op).flipped, expr.left.value
     return None
+
+
+def fabric_comparators(
+    terms: Sequence[Expr], schema
+) -> Tuple[List[FabricPredicate], List[Expr]]:
+    """WHERE conjuncts split into fabric comparators (Section IV-B: one
+    stored field against one constant) and the residue left to the CPU.
+    A DECIMAL column compares its scaled ints (:func:`_scaled_comparator`);
+    CHAR columns, unknown columns and other shapes stay residual."""
+    pushed: List[FabricPredicate] = []
+    residual: List[Expr] = []
+    for conj in terms:
+        pred = None
+        term = column_vs_literal(conj)
+        if term is not None and schema.has_column(term[0]):
+            col, op, lit = term
+            dtype = schema.column(col).dtype
+            if dtype.scale:
+                pred = _scaled_comparator(col, op, lit, dtype)
+            elif dtype.np_dtype is not None:
+                pred = FabricPredicate(field=col, op=op, constant=lit)
+        if pred is not None:
+            pushed.append(pred)
+        else:
+            residual.append(conj)
+    return pushed, residual
+
+
+def _scaled_comparator(
+    column: str, op: CompareOp, literal, dtype
+) -> Optional[FabricPredicate]:
+    """The comparator on a DECIMAL column's stored ints that keeps exactly
+    the rows the CPU's ``value <op> literal`` on decoded values keeps; None
+    when none does (``=``/``<>`` against a value no stored int decodes to,
+    or a bound out of range). Decoding is monotone: ``>=`` holds from the
+    first int ``lo`` that decodes to at least ``literal``, ``>`` from the
+    first, ``hi``, that decodes above it; the decode of the ints next to
+    the scaled literal finds both."""
+    guess = float(literal) * 10**dtype.scale
+    if not abs(guess) < 2.0**62:
+        return None
+
+    def first(test: CompareOp) -> int:
+        def passes(raw: int) -> bool:
+            return bool(test.apply(dtype.decode_array(np.array([raw])), literal)[0])
+
+        raw = math.floor(guess)
+        while passes(raw):
+            raw -= 1
+        while not passes(raw):
+            raw += 1
+        return raw
+
+    lo, hi = first(CompareOp.GE), first(CompareOp.GT)
+    if op in (CompareOp.EQ, CompareOp.NE):
+        return FabricPredicate(column, op, lo) if hi == lo + 1 else None
+    return FabricPredicate(column, op, lo if op in (CompareOp.LT, CompareOp.GE) else hi - 1)
 
 
 def conjuncts(expr: Expr) -> Tuple[Expr, ...]:

@@ -68,8 +68,10 @@ from repro.errors import PlanError, ReproError
 
 TAGS = ("ash", "birch", "cedar", "elm", "fir", "oak", "pine")
 
-#: The mutable table every DML statement targets.
-T_COLUMNS = ("id", "v", "w", "tag")
+#: The mutable table every DML statement targets. ``d`` is DECIMAL(2):
+#: its sums are float sums of decoded values, so they depend on the
+#: accumulation order, and the dist layer sees its scaled ints.
+T_COLUMNS = ("id", "v", "w", "d", "tag")
 #: The static side table joins and IN-subqueries pull from.
 U_COLUMNS = ("uk", "uv", "utag")
 
@@ -138,25 +140,30 @@ class StatementGen:
     def _int(self, lo: int = -50, hi: int = 200) -> int:
         return self.rng.randrange(lo, hi)
 
+    def _dec(self) -> str:
+        """A DECIMAL(2) literal with both decimals written out."""
+        return f"{self._int(-500, 2000) / 100:.2f}"
+
     def _tag(self) -> str:
         return self.rng.choice(TAGS)
 
     def _row(self) -> str:
         return (
             f"({self._int(0, 100)}, {self._int()}, {self._int()}, "
-            f"'{self._tag()}')"
+            f"{self._dec()}, '{self._tag()}')"
         )
 
     # -- DML ------------------------------------------------------------
     def insert(self) -> str:
         rows = ", ".join(self._row() for _ in range(self.rng.randrange(1, 4)))
-        return f"INSERT INTO t (id, v, w, tag) VALUES {rows}"
+        return f"INSERT INTO t (id, v, w, d, tag) VALUES {rows}"
 
     def update(self) -> str:
         sets = self.rng.choice(
             (
                 f"v = v + {self._int(1, 9)}",
                 f"w = {self._int()}",
+                f"d = {self._dec()}",
                 f"tag = '{self._tag()}'",
                 f"v = v - w, w = w + {self._int(1, 5)}",
             )
@@ -181,16 +188,21 @@ class StatementGen:
     def _leaf(self, scope: Sequence[str]) -> Tuple[str, bool]:
         """One atomic predicate; returns (sql, uses_subquery)."""
         col = self.rng.choice([c for c in scope if c not in ("tag", "utag")])
+        lit = self._int
+        if col == "d":  # decimal literals, or integers in d's range
+            lit = self._dec if self.rng.random() < 0.5 else partial(self._int, -5, 20)
         pick = self.rng.random()
         if pick < 0.35:
             op = self.rng.choice(("<", "<=", ">", ">=", "=", "<>"))
-            return f"{col} {op} {self._int()}", False
+            return f"{col} {op} {lit()}", False
         if pick < 0.5:
-            a = self._int()
-            return f"{col} BETWEEN {a} AND {a + self.rng.randrange(0, 60)}", False
+            a, width = self._int(), self.rng.randrange(0, 60)
+            if col == "d":  # the same spread, in tenths
+                return f"d BETWEEN {a / 10:.2f} AND {(a + width) / 10:.2f}", False
+            return f"{col} BETWEEN {a} AND {a + width}", False
         if pick < 0.6:
             vals = ", ".join(
-                str(self._int()) for _ in range(self.rng.randrange(1, 5))
+                str(lit()) for _ in range(self.rng.randrange(1, 5))
             )
             return f"{col} IN ({vals})", False
         if pick < 0.72 and "tag" in scope:
@@ -318,6 +330,10 @@ class StatementGen:
                 "min(v)",
                 "max(w)",
                 "avg(v)",
+                "sum(d)",
+                "min(d)",
+                "max(d)",
+                "sum(w * (1 - d))",
             ),
             self.rng.randrange(1, 4),
         )
@@ -377,7 +393,7 @@ class _Harness:
         #: (durable offset, frozen visible rows) after each commit.
         self.journal_commits: List[Tuple[int, List[Tuple]]] = []
 
-        ddl = "CREATE TABLE t (id INT32, v INT32, w INT32, tag CHAR(8))"
+        ddl = "CREATE TABLE t (id INT32, v INT32, w INT32, d DECIMAL(2), tag CHAR(8))"
         self.primary.execute(ddl)
         self.oracle.execute(ddl)
         if side_table:
@@ -410,13 +426,13 @@ class _Harness:
             )
 
     def visible_columns(self) -> Dict[str, np.ndarray]:
-        """Every user column of ``t``, restricted to the rows visible at
-        the manager's current timestamp (what a SELECT outside a
-        transaction reads), for the shards to load."""
+        """Every user column of ``t`` in stored form, restricted to the
+        rows visible at the manager's current timestamp (what a SELECT
+        outside a transaction reads), for the shards to load."""
         table = self.catalog.table("t")
         mask = visible_mask(table.begin_ts, table.end_ts, self.manager.now)
         return {
-            c.name: table.column_values(c.name)[mask]
+            c.name: table.column(c.name)[mask]
             for c in table.schema.user_columns
         }
 
@@ -548,9 +564,24 @@ class _Harness:
                 else:
                     row.append(plain(next(it)))
             rows.append(tuple(row))
+        # The dist layer answers in raw units: an aggregate over DECIMAL
+        # terms comes back at 10**k, k the sum of their columns' scales,
+        # so the oracle's value scaled by 10**k and rounded must equal it.
+        units = iter([
+            10 ** sum(table.schema.column(t.column).dtype.scale for t in a.terms)
+            for a in plan.aggregates
+        ])
+        unit = [1 if out.kind == "expr" else next(units) for out in bound.outputs]
+        want = [
+            tuple(v if u == 1 else round(v * u) for v, u in zip(r, unit))
+            for r in expected.rows
+        ]
         # The merged groups carry values only, so they take the oracle's types.
         names = tuple(out.name for out in bound.outputs)
-        diff = mismatch(Answer(names, expected.types, rows), expected)
+        diff = mismatch(
+            Answer(names, expected.types, rows),
+            Answer(names, expected.types, want),
+        )
         if diff is not None:
             report.violations.append(f"{sql!r}: dist groups differ from oracle: {diff}")
             return

@@ -336,16 +336,15 @@ class SqlOracle:
         ]
         if not matched:
             return 0
+        # Every SET value is computed against the table as it stands, each
+        # from its pre-update row; then the new versions land at the end
+        # of scan order (the MVCC slot discipline).
+        updated = [
+            {**old, **{name: self._eval(expr, old) for name, expr in stmt.assignments}}
+            for old in matched
+        ]
         hit = set(map(id, matched))
-        table.rows = [r for r in table.rows if id(r) not in hit]
-        for old in matched:
-            # All assignments see the pre-update row, then the new version
-            # lands at the end of scan order (the MVCC slot discipline).
-            new = dict(old)
-            new.update(
-                {name: self._eval(expr, old) for name, expr in stmt.assignments}
-            )
-            table.rows.append(new)
+        table.rows = [r for r in table.rows if id(r) not in hit] + updated
         return len(matched)
 
     def _delete(self, stmt: DeleteStmt) -> int:

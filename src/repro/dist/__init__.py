@@ -16,7 +16,6 @@ from repro.dist.plan import (
     AggSpec,
     AggTerm,
     DistPlan,
-    DistPredicate,
     DistQueryStats,
     DistResult,
     ShardPartial,
@@ -34,7 +33,6 @@ __all__ = [
     "ClusterStats",
     "DistConfig",
     "DistPlan",
-    "DistPredicate",
     "DistQueryStats",
     "DistResult",
     "InlineShardHost",

@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.core.ledger import CostLedger
 from repro.core.packer import gather, record_view
-from repro.core.selection import CompareOp, select_rows
+from repro.core.selection import CompareOp, FabricFilter, FabricPredicate, select_rows
 from repro.db.exec.vector import factorize
 from repro.db.table import Table
 from repro.errors import PlanError
@@ -43,7 +43,6 @@ from repro.obs import maybe_span
 __all__ = [
     "AggTerm",
     "AggSpec",
-    "DistPredicate",
     "DistPlan",
     "ShardPartial",
     "DistQueryStats",
@@ -107,15 +106,6 @@ class AggSpec:
 
 
 @dataclass(frozen=True)
-class DistPredicate:
-    """One pushed-down selection: ``column <op> value``."""
-
-    column: str
-    op: CompareOp
-    value: object
-
-
-@dataclass(frozen=True)
 class DistPlan:
     """A scatter-gather query over one sharded relation.
 
@@ -130,7 +120,7 @@ class DistPlan:
     key_column: str
     key_low: Optional[int] = None
     key_high: Optional[int] = None
-    predicates: Tuple[DistPredicate, ...] = ()
+    predicates: Tuple[FabricPredicate, ...] = ()
     group_by: Tuple[str, ...] = ()
     aggregates: Tuple[AggSpec, ...] = ()
     columns: Tuple[str, ...] = ()
@@ -145,13 +135,17 @@ class DistPlan:
             raise PlanError("group_by requires aggregates")
 
     @property
-    def filter_terms(self) -> int:
-        """Predicate terms evaluated per candidate row (key bounds count)."""
-        return (
-            len(self.predicates)
-            + (self.key_low is not None)
-            + (self.key_high is not None)
-        )
+    def fabric_filter(self) -> FabricFilter:
+        """The plan's selection as one comparator conjunction: the key
+        bounds, then the pushed-down predicates. Every shard evaluates
+        both key bounds, so the filter charge does not depend on the
+        sharding."""
+        bounds = (CompareOp.GE, self.key_low), (CompareOp.LE, self.key_high)
+        return FabricFilter(tuple(
+            FabricPredicate(self.key_column, op, bound)
+            for op, bound in bounds
+            if bound is not None
+        ) + self.predicates)
 
 
 @dataclass
@@ -240,23 +234,6 @@ class DistResult:
         return b"|".join(parts)
 
 
-def _touched_columns(plan: DistPlan) -> Tuple[str, ...]:
-    """Every column the fragment reads, deduplicated in first-use order."""
-    seen: Dict[str, None] = {}
-    if plan.key_low is not None or plan.key_high is not None:
-        seen[plan.key_column] = None
-    for pred in plan.predicates:
-        seen[pred.column] = None
-    for name in plan.group_by:
-        seen[name] = None
-    for agg in plan.aggregates:
-        for term in agg.terms:
-            seen[term.column] = None
-    for name in plan.columns:
-        seen[name] = None
-    return tuple(seen)
-
-
 def execute_fragment(
     table: Table,
     plan: DistPlan,
@@ -283,11 +260,18 @@ def execute_fragment(
     n = table.nrows
     partial = ShardPartial(shard_index=shard_index, rows_scanned=n)
     buckets = partial.buckets
+    selection = plan.fabric_filter
+    # Every column a stage after the filter reads, in first-use order.
+    later = tuple(dict.fromkeys((
+        *plan.group_by,
+        *(t.column for a in plan.aggregates for t in a.terms),
+        *plan.columns,
+    )))
 
     with maybe_span(
         tracer, "frag.scan", layer="dist", table=schema.name, rows_in=n
     ):
-        touched = _touched_columns(plan)
+        touched = dict.fromkeys((*selection.fields(), *later))
         # Every touched column is a zero-copy field of the row image in
         # stored form (scaled ints, day numbers, ``S<w>`` bytes); the only
         # copy is the masked one below, of the rows that qualify.
@@ -301,23 +285,10 @@ def execute_fragment(
 
     with maybe_span(
         tracer, "frag.filter", layer="dist",
-        rows_in=n, terms=plan.filter_terms,
+        rows_in=n, terms=len(selection),
     ) as fspan:
-        if schema.mvcc:
-            mask = select_rows(fields, snapshot_ts)
-        else:
-            mask = np.ones(n, dtype=bool)
-        if plan.key_low is not None or plan.key_high is not None:
-            key = fields[plan.key_column]
-            if plan.key_low is not None:
-                mask &= key >= plan.key_low
-            if plan.key_high is not None:
-                mask &= key <= plan.key_high
-        for pred in plan.predicates:
-            mask &= pred.op.apply(fields[pred.column], pred.value)
-        buckets[CostLedger.DIST_FILTER] = (
-            n * FILTER_CYCLES_PER_TERM * plan.filter_terms
-        )
+        mask = select_rows(fields, snapshot_ts if schema.mvcc else None, selection)
+        buckets[CostLedger.DIST_FILTER] = n * FILTER_CYCLES_PER_TERM * len(selection)
         if tracer is not None:
             tracer.record(
                 CostLedger.DIST_FILTER, buckets[CostLedger.DIST_FILTER]
@@ -327,15 +298,7 @@ def execute_fragment(
         fspan.set_attrs(rows_out=qualifying)
     # The qualifying rows of every column a later stage reads, copied in
     # one pass.
-    selected = gather(
-        fields,
-        tuple(dict.fromkeys((
-            *plan.group_by,
-            *(t.column for a in plan.aggregates for t in a.terms),
-            *plan.columns,
-        ))),
-        mask,
-    )
+    selected = gather(fields, later, mask)
 
     if plan.aggregates:
         per_row = GROUP_CYCLES_PER_KEY * len(plan.group_by) + sum(

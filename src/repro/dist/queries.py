@@ -1,7 +1,7 @@
-"""Canonical scatter-gather plans: TPC-H Q1 and Q6 over lineitem.
+"""Scatter-gather plans from SQL: :func:`dist_plan_for` and TPC-H Q1/Q6.
 
-Both plans keep every value in exact scaled-int form (DECIMAL(2) raw
-storage), so the aggregates below come back at composite scales:
+Plans keep every value in exact scaled-int form (DECIMAL(2) raw
+storage), so the TPC-H aggregates come back at composite scales:
 
 - Q6 ``revenue`` = Σ extendedprice·discount → scale 10^-4 (cents ×
   hundredths).
@@ -12,92 +12,83 @@ Callers divide for display; the tests and the chaos oracle compare the
 raw integers, which is what makes "byte-identical across shard counts"
 a meaningful check rather than a float-tolerance one.
 
-Both plans are keyed on ``l_orderkey`` — the sort key the TPC-H loader
-emits and the natural range-sharding key — so an optional key range
-exercises shard pruning and boundary-shard filtering.
+Both TPC-H plans are keyed on ``l_orderkey`` — the sort key the TPC-H
+loader emits and the natural range-sharding key — so an optional key
+range exercises shard pruning and boundary-shard filtering.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from repro.core.selection import CompareOp
-from repro.db.expr import And, Between, BinOp, ColumnRef, Compare, Expr, Literal
-from repro.db.plan.binder import BoundQuery
-from repro.dist.plan import AggSpec, AggTerm, DistPlan, DistPredicate
+from repro.db.catalog import Catalog
+from repro.db.expr import (
+    Between,
+    BinOp,
+    ColumnRef,
+    Compare,
+    Expr,
+    Literal,
+    fabric_comparators,
+)
+from repro.db.plan.binder import BoundQuery, bind
+from repro.db.sql.parser import Parser
+from repro.dist.plan import AggSpec, AggTerm, DistPlan
 from repro.errors import PlanError
-from repro.workloads.tpch import _days
+from repro.workloads.tpch import Q6, lineitem_schema
 
 __all__ = ["dist_plan_for", "q1_plan", "q6_plan"]
 
-#: Q1's date cutoff: shipdate <= 1998-12-01 - 90 days.
-Q1_SHIP_CUTOFF = _days(1998, 12, 1) - 90
-Q6_SHIP_LO = _days(1994, 1, 1)
-Q6_SHIP_HI = _days(1995, 1, 1) - 1  # inclusive form of "< 1995-01-01"
+#: TPC-H Q1 in the dist dialect: no AVG outputs (not exactly mergeable),
+#: no ORDER BY (merged groups come back in key order), and the cutoff
+#: ``date '1998-12-01' - interval '90' day`` written as its date.
+_Q1 = """
+SELECT l_returnflag, l_linestatus,
+       sum(l_quantity) AS sum_qty,
+       sum(l_extendedprice) AS sum_base_price,
+       sum(l_extendedprice * (1 - l_discount)) AS sum_disc_price,
+       sum(l_extendedprice * (1 - l_discount) * (1 + l_tax)) AS sum_charge,
+       count(*) AS count_order
+FROM lineitem
+WHERE l_shipdate <= date '1998-09-02'
+GROUP BY l_returnflag, l_linestatus
+"""
 
 
-# ----------------------------------------------------------------------
-# The SQL bridge: BoundQuery → DistPlan, where expressible.
-# ----------------------------------------------------------------------
-def _conjuncts(expr: Expr) -> List[Expr]:
-    if isinstance(expr, And):
-        out: List[Expr] = []
-        for term in expr.terms:
-            out.extend(_conjuncts(term))
-        return out
-    return [expr]
+def _comparisons(term: Expr) -> Tuple[Expr, ...]:
+    """A BETWEEN with literal bounds as its two comparisons."""
+    if (
+        isinstance(term, Between)
+        and isinstance(term.low, Literal)
+        and isinstance(term.high, Literal)
+    ):
+        return Compare(">=", term.term, term.low), Compare("<=", term.term, term.high)
+    return (term,)
 
 
-def _as_predicates(expr: Optional[Expr]) -> Tuple[DistPredicate, ...]:
-    """WHERE as pushed-down ``col <op> int`` conjuncts, or PlanError."""
-    if expr is None:
-        return ()
-    preds: List[DistPredicate] = []
-    for term in _conjuncts(expr):
-        if isinstance(term, Between):
-            if not isinstance(term.term, ColumnRef) or not (
-                isinstance(term.low, Literal) and isinstance(term.high, Literal)
-            ):
-                raise PlanError(f"cannot push down BETWEEN form {term}")
-            preds.append(
-                DistPredicate(term.term.name, CompareOp.GE, term.low.value)
-            )
-            preds.append(
-                DistPredicate(term.term.name, CompareOp.LE, term.high.value)
-            )
-            continue
-        if not isinstance(term, Compare):
-            raise PlanError(f"cannot push down predicate {term}")
-        op = CompareOp.from_sql(term.op)
-        left, right = term.left, term.right
-        if isinstance(left, Literal) and isinstance(right, ColumnRef):
-            left, right, op = right, left, op.flipped
-        if not (isinstance(left, ColumnRef) and isinstance(right, Literal)):
-            raise PlanError(f"cannot push down predicate {term}")
-        if not isinstance(right.value, int):
-            raise PlanError(
-                f"shard predicates are integer-only, got {right.value!r}"
-            )
-        preds.append(DistPredicate(left.name, op, right.value))
-    return tuple(preds)
-
-
-def _probe_affine(expr: Expr, column: str) -> Tuple[int, int]:
-    """Extract ``(coeff, const)`` when ``expr`` is affine in ``column``
-    with integer coefficients, else PlanError."""
+def _probe_affine(expr: Expr, column: str, scale: int) -> Tuple[int, int]:
+    """``(coeff, const)`` such that ``expr`` at a stored int ``r`` of
+    ``column`` is ``(const + coeff * r) / 10**scale``, both integers, else
+    PlanError. The factor is probed in the column's decoded units, at the
+    exact values ``r / 10**scale`` for r = 0, 1, 2."""
+    unit = 10**scale
     vals = []
-    for x in (0, 1, 2):
+    for r in (0, 1, 2):
         try:
-            vals.append(expr.eval_row({column: x}))
+            vals.append(expr.eval_row({column: Fraction(r, unit)}) * unit)
         except Exception:
             raise PlanError(f"cannot evaluate factor {expr} for pushdown")
     const, at1, at2 = vals
     coeff = at1 - const
     if at2 - at1 != coeff:  # not linear
         raise PlanError(f"factor {expr} is not affine in {column!r}")
-    if not (isinstance(coeff, int) and isinstance(const, int)):
+    if not all(
+        isinstance(v, Fraction) and v.denominator == 1 for v in (coeff, const)
+    ):
         raise PlanError(f"factor {expr} is not integer-affine")
-    return coeff, const
+    return int(coeff), int(const)
 
 
 def _factors(expr: Expr) -> List[Expr]:
@@ -107,8 +98,9 @@ def _factors(expr: Expr) -> List[Expr]:
     return [expr]
 
 
-def _as_terms(expr: Expr, name: str) -> Tuple[AggTerm, ...]:
-    """SUM argument as a product of integer-affine single-column terms."""
+def _as_terms(expr: Expr, name: str, schema) -> Tuple[AggTerm, ...]:
+    """SUM argument as a product of integer-affine single-column terms,
+    each in its column's raw units."""
     terms: List[AggTerm] = []
     scale = 1
     for factor in _factors(expr):
@@ -125,7 +117,9 @@ def _as_terms(expr: Expr, name: str) -> Tuple[AggTerm, ...]:
                 f"aggregate {name!r}: factor {factor} must touch exactly "
                 f"one column"
             )
-        coeff, const = _probe_affine(factor, cols[0])
+        coeff, const = _probe_affine(
+            factor, cols[0], schema.column(cols[0]).dtype.scale
+        )
         terms.append(AggTerm(cols[0], coeff=coeff, const=const))
     if not terms:
         raise PlanError(f"aggregate {name!r} has no column factor")
@@ -142,9 +136,12 @@ def dist_plan_for(bound: BoundQuery, key_column: str) -> DistPlan:
 
     The scatter-gather layer speaks a deliberately narrow, exactly-
     mergeable dialect; this raises :class:`~repro.errors.PlanError` for
-    anything outside it (joins, HAVING, LIMIT/OFFSET, DISTINCT, avg,
-    non-integer predicates, non-affine aggregate arguments, ORDER BY
-    that is not an ascending group-key prefix). Callers fall back to
+    anything outside it (joins, HAVING, LIMIT/OFFSET, DISTINCT, ORDER BY,
+    avg, a WHERE conjunct the fabric's comparators cannot take,
+    non-affine aggregate arguments). The WHERE clause splits exactly as
+    the RM engine's pushdown does
+    (:func:`~repro.db.expr.fabric_comparators`), after a BETWEEN with
+    literal bounds becomes its two comparisons. Callers fall back to
     single-node execution on PlanError — the SQL fuzzer uses this to
     route shardable statements through the cluster.
     """
@@ -159,7 +156,12 @@ def dist_plan_for(bound: BoundQuery, key_column: str) -> DistPlan:
     if bound.order_by:
         raise PlanError("ORDER BY is not distributed")
 
-    predicates = _as_predicates(bound.where)
+    schema = bound.table.schema
+    predicates, residual = fabric_comparators(
+        [c for conj in bound.where_conjuncts for c in _comparisons(conj)], schema
+    )
+    if residual:
+        raise PlanError(f"cannot push down predicate {residual[0]}")
     aggregated = any(o.kind != "expr" for o in bound.outputs)
     if aggregated:
         specs: List[AggSpec] = []
@@ -180,12 +182,12 @@ def dist_plan_for(bound: BoundQuery, key_column: str) -> DistPlan:
             if out.kind not in ("sum", "min", "max"):
                 raise PlanError(f"aggregate {out.kind!r} is not distributed")
             specs.append(
-                AggSpec(out.name, out.kind, _as_terms(out.expr, out.name))
+                AggSpec(out.name, out.kind, _as_terms(out.expr, out.name, schema))
             )
         return DistPlan(
-            table=bound.table.schema.name,
+            table=schema.name,
             key_column=key_column,
-            predicates=predicates,
+            predicates=tuple(predicates),
             group_by=bound.group_by,
             aggregates=tuple(specs),
         )
@@ -197,60 +199,35 @@ def dist_plan_for(bound: BoundQuery, key_column: str) -> DistPlan:
             )
         columns.append(out.expr.name)
     return DistPlan(
-        table=bound.table.schema.name,
+        table=schema.name,
         key_column=key_column,
-        predicates=predicates,
+        predicates=tuple(predicates),
         columns=tuple(columns),
     )
+
+
+def _lineitem_plan(
+    sql: str, key_low: Optional[int], key_high: Optional[int]
+) -> DistPlan:
+    """``sql`` bound against an empty lineitem in a private catalog,
+    keyed on ``l_orderkey`` over ``[key_low, key_high]``."""
+    catalog = Catalog()
+    catalog.create_table(lineitem_schema())
+    plan = dist_plan_for(
+        bind(Parser(sql).parse_statement(), catalog), "l_orderkey"
+    )
+    return replace(plan, key_low=key_low, key_high=key_high)
 
 
 def q1_plan(
     key_low: Optional[int] = None, key_high: Optional[int] = None
 ) -> DistPlan:
     """TPC-H Q1: pricing summary by (returnflag, linestatus)."""
-    ext = AggTerm("l_extendedprice")
-    one_minus_disc = AggTerm("l_discount", coeff=-1, const=100)
-    one_plus_tax = AggTerm("l_tax", coeff=1, const=100)
-    return DistPlan(
-        table="lineitem",
-        key_column="l_orderkey",
-        key_low=key_low,
-        key_high=key_high,
-        predicates=(
-            DistPredicate("l_shipdate", CompareOp.LE, Q1_SHIP_CUTOFF),
-        ),
-        group_by=("l_returnflag", "l_linestatus"),
-        aggregates=(
-            AggSpec("sum_qty", "sum", (AggTerm("l_quantity"),)),
-            AggSpec("sum_base_price", "sum", (ext,)),
-            AggSpec("sum_disc_price", "sum", (ext, one_minus_disc)),
-            AggSpec("sum_charge", "sum", (ext, one_minus_disc, one_plus_tax)),
-            AggSpec("count_order", "count"),
-        ),
-    )
+    return _lineitem_plan(_Q1, key_low, key_high)
 
 
 def q6_plan(
     key_low: Optional[int] = None, key_high: Optional[int] = None
 ) -> DistPlan:
     """TPC-H Q6: forecast revenue change (one global sum)."""
-    return DistPlan(
-        table="lineitem",
-        key_column="l_orderkey",
-        key_low=key_low,
-        key_high=key_high,
-        predicates=(
-            DistPredicate("l_shipdate", CompareOp.GE, Q6_SHIP_LO),
-            DistPredicate("l_shipdate", CompareOp.LE, Q6_SHIP_HI),
-            DistPredicate("l_discount", CompareOp.GE, 5),
-            DistPredicate("l_discount", CompareOp.LE, 7),
-            DistPredicate("l_quantity", CompareOp.LT, 2400),
-        ),
-        aggregates=(
-            AggSpec(
-                "revenue",
-                "sum",
-                (AggTerm("l_extendedprice"), AggTerm("l_discount")),
-            ),
-        ),
-    )
+    return _lineitem_plan(Q6, key_low, key_high)

@@ -7,6 +7,8 @@ fault-path tests drive kills, partitions, crashes, and stalls through
 the same coordinator entry points the chaos harness uses.
 """
 
+import datetime
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from hypothesis import strategies as hyp_st
 
 from repro.chaos import table_visible_rows
 from repro.core.ledger import CostLedger
-from repro.core.selection import CompareOp
+from repro.core.selection import CompareOp, FabricPredicate
 from repro.db.mvcc import TransactionManager
 from repro.db.sharding import ShardedTable
 from repro.db.table import Table
@@ -24,7 +26,6 @@ from repro.dist import (
     AggTerm,
     DistConfig,
     DistPlan,
-    DistPredicate,
     ShardCluster,
     ShardReplica,
     execute_fragment,
@@ -39,6 +40,11 @@ from repro.workloads.htap import orders_schema
 from repro.workloads.tpch import generate_lineitem
 
 
+def _day(y, m, d):
+    """A DATE's stored day number."""
+    return (datetime.date(y, m, d) - datetime.date(1970, 1, 1)).days
+
+
 def lineitem_table(rows=2000, seed=11):
     _, table = generate_lineitem(rows, seed=seed)
     return table
@@ -47,7 +53,7 @@ def lineitem_table(rows=2000, seed=11):
 ORDERS_PLAN = DistPlan(
     table="orders",
     key_column="o_id",
-    predicates=(DistPredicate("o_customer", CompareOp.LE, 40),),
+    predicates=(FabricPredicate("o_customer", CompareOp.LE, 40),),
     group_by=("o_status",),
     aggregates=(
         AggSpec("sum_amount", "sum", (AggTerm("o_amount"),)),
@@ -79,6 +85,9 @@ def durable_cluster(config=None, n=120, seed=5):
 
 class TestFragment:
     def test_q6_matches_raw_numpy_brute_force(self):
+        """Q6's bounds in raw stored units, stated here rather than read
+        off the plan under test: shipdate in [1994-01-01, 1995-01-01),
+        discount 5..7 hundredths, quantity below 2400 hundredths."""
         table = lineitem_table()
         plan = q6_plan()
         partial = execute_fragment(table, plan, snapshot_ts=None)
@@ -88,12 +97,13 @@ class TestFragment:
         disc = table.column("l_discount")
         qty = table.column("l_quantity")
         ext = table.column("l_extendedprice")
-        mask = np.ones(len(ship), dtype=bool)
-        for pred in plan.predicates:
-            col = {"l_shipdate": ship, "l_discount": disc, "l_quantity": qty}[
-                pred.column
-            ]
-            mask &= pred.op.apply(col, pred.value)
+        mask = (
+            (ship >= _day(1994, 1, 1))
+            & (ship < _day(1995, 1, 1))
+            & (disc >= 5)
+            & (disc <= 7)
+            & (qty < 2400)
+        )
         expected = int(
             np.sum(ext[mask].astype(object) * disc[mask].astype(object))
         )

@@ -9,8 +9,8 @@ bit-identity check fails here first.
 import pytest
 
 from repro.chaos import ShardKillChaosReport, _oracle_groups, run_shard_kill_chaos
-from repro.core.selection import CompareOp
-from repro.dist import AggSpec, AggTerm, DistPlan, DistPredicate
+from repro.core.selection import CompareOp, FabricPredicate
+from repro.dist import AggSpec, AggTerm, DistPlan
 from repro.workloads.htap import orders_schema
 
 
@@ -39,7 +39,7 @@ def _plan(*predicates):
     return DistPlan(
         table="orders",
         key_column="o_id",
-        predicates=tuple(DistPredicate("o_customer", op, v) for op, v in predicates),
+        predicates=tuple(FabricPredicate("o_customer", op, v) for op, v in predicates),
         group_by=("o_status",),
         aggregates=(
             AggSpec("sum_amount", "sum", (AggTerm("o_amount"),)),

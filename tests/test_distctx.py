@@ -19,14 +19,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as hyp_st
 
-from repro.core.selection import CompareOp
+from repro.core.selection import CompareOp, FabricPredicate
 from repro.db.sharding import ShardedTable
 from repro.dist import (
     AggSpec,
     AggTerm,
     DistConfig,
     DistPlan,
-    DistPredicate,
     ShardCluster,
     execute_plan,
     q6_plan,
@@ -49,7 +48,7 @@ from repro.workloads.tpch import generate_lineitem
 ORDERS_PLAN = DistPlan(
     table="orders",
     key_column="o_id",
-    predicates=(DistPredicate("o_customer", CompareOp.LE, 40),),
+    predicates=(FabricPredicate("o_customer", CompareOp.LE, 40),),
     group_by=("o_status",),
     aggregates=(
         AggSpec("sum_amount", "sum", (AggTerm("o_amount"),)),

@@ -234,6 +234,18 @@ def test_oracle_runs_each_subquery_once_per_statement():
     assert len(calls) == 2
 
 
+def test_oracle_update_computes_every_set_value_before_moving_rows():
+    """SET values are computed against the table before any matched row
+    moves to its new version, as the session's DML path computes them: a
+    scalar subquery in SET counts every row, the updated ones included."""
+    oracle = SqlOracle()
+    oracle.execute("CREATE TABLE t (k INT32, v INT32)")
+    oracle.execute("INSERT INTO t (k, v) VALUES (0, 0), (1, 0), (2, 0), (3, 0)")
+    assert oracle.execute("UPDATE t SET v = (SELECT count(*) FROM t) WHERE k < 2") == 2
+    answer = oracle.execute("SELECT k, v FROM t ORDER BY k")
+    assert answer.rows == [(0, 4), (1, 4), (2, 0), (3, 0)]
+
+
 @pytest.mark.parametrize("func", ["sum", "avg", "min", "max"])
 def test_numeric_aggregate_of_char_column_is_a_sql_error(func):
     """SUM/AVG/MIN/MAX over a CHAR column is a SqlError naming the column
