@@ -12,12 +12,16 @@ memory model *benchmark-viable*. Three measurements:
 2. **Host ratios**: the batch kernel's host time on a walk divided by
    the scalar reference's on the same walk in the same process (so
    runner speed cancels, and kernel work on another route moves neither
-   side; the baseline gate allows +50%): ``probe_host_ratio`` for a
-   re-referencing LCG probe walk (a hash-join probe),
-   ``warm_host_ratio`` for a second scan of a region right after its
-   cold scan (both take the LRU stack-distance route of the kernel),
-   and ``probe_kernel_host_ratio`` for one TPC-H Q3-shaped probe walk
-   run after a cold scan.
+   side; the baseline gate allows +50%): ``scan_host_ratio`` for the
+   cold scan above (a full-cache sweep at both levels),
+   ``probe_host_ratio`` for a re-referencing LCG probe walk (a hash-join
+   probe), ``warm_host_ratio`` for a second scan of a region right after
+   its cold scan (both take the LRU stack-distance route of the kernel),
+   and, each run after a cold scan, ``probe_kernel_host_ratio`` for
+   TPC-H Q3's first probe walk (stack distance at both levels) and
+   ``fit_probe_kernel_host_ratio`` for its second, whose lines fit
+   L2's sets (the kernel's fit route at L2). Both Q3 walks are also
+   checked bit-identical.
 3. **End-to-end**: full Q6 through all three engines in trace mode,
    cross-checking that cycles, answers, and every hierarchy counter
    agree between the two kernels (at a reduced row count, since the
@@ -52,12 +56,18 @@ from repro.workloads.tpch import Q6, generate_lineitem
 ENGINES = ("row", "column", "rm")
 #: Timings per host ratio; the minimum of each is used (least runner noise).
 HOST_REPEATS = 3
+#: Batch timings of the cold scan, which takes milliseconds against the
+#: scalar loop's seconds, so a single slow repeat would move its ratio.
+SCAN_REPEATS = 10
 #: Accesses per distinct line of the probe walk (TPC-H Q3's probe revisits
 #: each line about five times).
 PROBE_REUSE = 5
 #: TPC-H Q3's first hash-join probe walk at 200k lineitem rows: 107,703
 #: probes over a working set of 39,299 lines.
 Q3_PROBES, Q3_PROBE_LINES = 107_703, 39_299
+#: Q3's second probe walk: as many probes over 7,458 lines, at most 8 of
+#: them in any L2 set.
+Q3_FIT_LINES = 7_458
 
 
 def _hierarchy_snapshot(hierarchy) -> Dict[str, object]:
@@ -72,17 +82,24 @@ def _hierarchy_snapshot(hierarchy) -> Dict[str, object]:
 
 
 def run_scan(nrows: int) -> Dict[str, object]:
-    """Time the Q6 table scan (rowstore fetch path) batch vs scalar."""
+    """Time the Q6 table scan (rowstore fetch path) batch vs scalar: the
+    least of ``SCAN_REPEATS`` batch scans, one scalar scan (it runs for
+    seconds)."""
     catalog, _ = generate_lineitem(nrows=16)  # only the schema is needed
     row_stride = catalog.table("lineitem").schema.row_stride
     nbytes = nrows * row_stride
     out: Dict[str, object] = {"rows": nrows, "bytes": nbytes}
-    for label, use_batch in (("batch", True), ("scalar", False)):
-        model = TraceMemoryModel(default_platform(), use_batch=use_batch)
-        base = model.region(("rows", "lineitem"), nbytes)
-        t0 = time.perf_counter()
-        mem = model.sequential(nbytes, base_addr=base)
-        out[f"{label}_seconds"] = time.perf_counter() - t0
+    for label, use_batch, repeats in (
+        ("batch", True, SCAN_REPEATS), ("scalar", False, 1)
+    ):
+        times = []
+        for _ in range(repeats):
+            model = TraceMemoryModel(default_platform(), use_batch=use_batch)
+            base = model.region(("rows", "lineitem"), nbytes)
+            t0 = time.perf_counter()
+            mem = model.sequential(nbytes, base_addr=base)
+            times.append(time.perf_counter() - t0)
+        out[f"{label}_seconds"] = min(times)
         out[f"{label}_cycles"] = (mem.covered, mem.exposed)
         out[f"{label}_hierarchy"] = _hierarchy_snapshot(model.hierarchy)
     out["speedup"] = out["scalar_seconds"] / out["batch_seconds"]
@@ -122,11 +139,14 @@ def run_host_seconds(nbytes: int) -> Dict[str, Dict[str, float]]:
     return out
 
 
-def run_probe_kernel(nbytes: int) -> Dict[str, float]:
-    """Least host time of the Q3-shaped probe walk under the batch kernel
-    and under the scalar reference, each after a cold scan of ``nbytes``
-    (run by the batch kernel, whose end state is the scalar one)."""
-    out: Dict[str, float] = {}
+def run_probe_kernel(nbytes: int, probes: int, lines: int) -> Dict[str, object]:
+    """Least host time of a Q3-shaped probe walk of ``probes`` accesses
+    over ``lines`` lines under the batch kernel and under the scalar
+    reference, each after a cold scan of ``nbytes`` (run by the batch
+    kernel, whose end state is the scalar one), and whether both left
+    the same cycles and hierarchy state."""
+    out: Dict[str, object] = {}
+    state = {}
     for label, use_batch in (("batch", True), ("scalar", False)):
         times = []
         for _ in range(HOST_REPEATS):
@@ -135,9 +155,11 @@ def run_probe_kernel(nbytes: int) -> Dict[str, float]:
             model.sequential(nbytes, base_addr=base)
             model.use_batch = use_batch
             t0 = time.perf_counter()
-            model.random(Q3_PROBES, Q3_PROBE_LINES * model.line_bytes)
+            mem = model.random(probes, lines * model.line_bytes)
             times.append(time.perf_counter() - t0)
         out[label] = min(times)
+        state[label] = ((mem.covered, mem.exposed), _hierarchy_snapshot(model.hierarchy))
+    out["bit_identical"] = state["batch"] == state["scalar"]
     return out
 
 
@@ -167,12 +189,16 @@ def run_q6_engines(nrows: int, use_batch: bool) -> Dict[str, object]:
 def compare(scan_rows: int, engine_rows: int) -> Dict[str, object]:
     scan = run_scan(scan_rows)
     host = run_host_seconds(scan["bytes"])
-    probe = run_probe_kernel(scan["bytes"])
+    probe = run_probe_kernel(scan["bytes"], Q3_PROBES, Q3_PROBE_LINES)
+    fit = run_probe_kernel(scan["bytes"], Q3_PROBES, Q3_FIT_LINES)
     batch = run_q6_engines(engine_rows, use_batch=True)
     scalar = run_q6_engines(engine_rows, use_batch=False)
     mismatches = []
     if not scan["bit_identical"]:
         mismatches.append("scan: batch/scalar hierarchy state diverged")
+    for name, walk in (("probe kernel", probe), ("fit probe kernel", fit)):
+        if not walk.pop("bit_identical"):
+            mismatches.append(f"{name}: batch/scalar cycles or hierarchy state diverged")
     for name in ENGINES:
         b, s = batch["engines"][name], scalar["engines"][name]
         for field in ("cycles", "answer", "hierarchy"):
@@ -188,13 +214,16 @@ def compare(scan_rows: int, engine_rows: int) -> Dict[str, object]:
             "cycles": scan["batch_cycles"],
         },
         "speedup": scan["speedup"],
+        "scan_host_ratio": scan["batch_seconds"] / scan["scalar_seconds"],
         "host_seconds": host,
         "probe_kernel_seconds": probe,
+        "fit_probe_kernel_seconds": fit,
         "probe_host_ratio": host["batch"]["probe"] / host["scalar"]["probe"],
         "warm_host_ratio": (
             host["batch"]["warm_scan"] / host["scalar"]["warm_scan"]
         ),
         "probe_kernel_host_ratio": probe["batch"] / probe["scalar"],
+        "fit_probe_kernel_host_ratio": fit["batch"] / fit["scalar"],
         "bit_identical": not mismatches,
         "mismatches": mismatches,
         "q6_end_to_end": {
@@ -243,14 +272,17 @@ def main(argv=None) -> int:
     )
     print(
         f"host ratios, batch over scalar: "
+        f"cold scan {report['scan_host_ratio']:.4f}   "
         f"probe walk {report['probe_host_ratio']:.4f}   "
         f"warm rescan {report['warm_host_ratio']:.4f}"
     )
-    probe = report["probe_kernel_seconds"]
-    print(
-        f"Q3 probe walk: scalar {probe['scalar']:.3f}s   batch {probe['batch']:.4f}s   "
-        f"probe_kernel_host_ratio {report['probe_kernel_host_ratio']:.4f}"
-    )
+    for title, key in (("first", "probe_kernel"), ("second", "fit_probe_kernel")):
+        walk = report[f"{key}_seconds"]
+        print(
+            f"Q3 {title} probe walk: scalar {walk['scalar']:.3f}s   "
+            f"batch {walk['batch']:.4f}s   "
+            f"{key}_host_ratio {report[f'{key}_host_ratio']:.4f}"
+        )
     e2e = report["q6_end_to_end"]
     print(f"Q6 end-to-end, {e2e['rows']} rows:")
     for name, e in e2e["engines"].items():
@@ -294,9 +326,11 @@ def test_trace_batch_speedup(benchmark, save_result):
         f"scan scalar: {scan['scalar_seconds']:.3f}s",
         f"scan batch: {scan['batch_seconds']:.3f}s",
         f"scan speedup: {scan['speedup']:.1f}x",
+        f"scan_host_ratio: {report['scan_host_ratio']:.4f}",
         f"probe_host_ratio: {report['probe_host_ratio']:.4f}",
         f"warm_host_ratio: {report['warm_host_ratio']:.4f}",
         f"probe_kernel_host_ratio: {report['probe_kernel_host_ratio']:.4f}",
+        f"fit_probe_kernel_host_ratio: {report['fit_probe_kernel_host_ratio']:.4f}",
         f"bit_identical: {report['bit_identical']}",
     ]
     save_result("trace_batch", "\n".join(lines))

@@ -164,6 +164,7 @@ class StatementGen:
                 f"v = v + {self._int(1, 9)}",
                 f"w = {self._int()}",
                 f"d = {self._dec()}",
+                f"d = d + {self._int(-30, 30) / 10:.1f}",
                 f"tag = '{self._tag()}'",
                 f"v = v - w, w = w + {self._int(1, 5)}",
             )

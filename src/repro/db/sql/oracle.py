@@ -27,6 +27,9 @@ The oracle *defines* the dialect's answers:
   right side win on column-name collisions.
 - MVCC slot discipline: ``UPDATE`` retires the old version and appends
   the new one at the end of the scan order, in ascending matched order.
+- ``INSERT`` and ``UPDATE`` store a DECIMAL value rounded to its
+  column's scale, as the engines' encoder stores it, so later reads and
+  arithmetic see the stored value.
 
 It also declares each output's type, in numpy's ``dtype.str`` spelling
 (spelled out here, not imported), with numpy 2's promotion rules:
@@ -129,6 +132,24 @@ def column_type(sql_type: str) -> str:
         raise SqlError(f"oracle: unknown column type {sql_type!r}")
 
 
+def column_scale(sql_type: str) -> Optional[int]:
+    """The scale of a DECIMAL column type (``DECIMAL`` alone is
+    ``DECIMAL(2)``), None for every other type."""
+    name = sql_type.strip().upper()
+    if name == "DECIMAL":
+        return 2
+    if name.startswith("DECIMAL(") and name.endswith(")"):
+        return int(name[8:-1])
+    return None
+
+
+def _decimal_scales(columns) -> Dict[str, int]:
+    """Name to scale of the DECIMAL columns among ``(name, SQL type)``
+    pairs."""
+    scales = {name: column_scale(sql_type) for name, sql_type in columns}
+    return {name: scale for name, scale in scales.items() if scale is not None}
+
+
 def _promote(op: str, a: str, b: str) -> str:
     """The type of ``a op b`` (numpy 2 promotion, weak Python scalars)."""
     if a in _WEAK and b in _WEAK:
@@ -208,13 +229,30 @@ def mismatch(got: Answer, want: Answer) -> Optional[str]:
 
 
 class OracleTable:
-    """One relation: ordered column names, their types and dict rows."""
+    """One relation: ordered column names, their types, the scale of each
+    DECIMAL column and dict rows."""
 
-    def __init__(self, name: str, columns: Tuple[str, ...], types: Tuple[str, ...]):
+    def __init__(
+        self,
+        name: str,
+        columns: Tuple[str, ...],
+        types: Tuple[str, ...],
+        scales: Dict[str, int],
+    ):
         self.name = name
         self.columns = tuple(columns)
         self.types = dict(zip(columns, types))
+        self.scales = scales
         self.rows: List[Row] = []
+
+    def stored(self, name: str, value: Any) -> Any:
+        """``value`` as column ``name`` keeps it: a DECIMAL is rounded to
+        its column's scale as a scaled int, as the engines' encoder rounds
+        it, and read back as a float."""
+        scale = self.scales.get(name)
+        if scale is None:
+            return value
+        return int(round(float(value) * 10**scale)) / 10**scale
 
 
 class SqlOracle:
@@ -279,6 +317,7 @@ class SqlOracle:
                 stmt.name,
                 tuple(name for name, _ in stmt.columns),
                 tuple(column_type(sql_type) for _, sql_type in stmt.columns),
+                _decimal_scales(stmt.columns),
             )
             return None
         if isinstance(stmt, DropTableStmt):
@@ -293,7 +332,10 @@ class SqlOracle:
         schema = table.schema
         names = tuple(c.name for c in schema.user_columns)
         loaded = OracleTable(
-            schema.name, names, tuple(column_type(c.dtype.name) for c in schema.user_columns)
+            schema.name,
+            names,
+            tuple(column_type(c.dtype.name) for c in schema.user_columns),
+            _decimal_scales((c.name, c.dtype.name) for c in schema.user_columns),
         )
         values = table.read(names)
         columns = [[plain(v) for v in values[n].tolist()] for n in names]
@@ -323,7 +365,7 @@ class SqlOracle:
             if len(values) != len(names):
                 raise SqlError("oracle: INSERT arity mismatch")
             table.rows.append(
-                {n: self._eval(e, {}) for n, e in zip(names, values)}
+                {n: table.stored(n, self._eval(e, {})) for n, e in zip(names, values)}
             )
         return len(stmt.rows)
 
@@ -340,7 +382,13 @@ class SqlOracle:
         # from its pre-update row; then the new versions land at the end
         # of scan order (the MVCC slot discipline).
         updated = [
-            {**old, **{name: self._eval(expr, old) for name, expr in stmt.assignments}}
+            {
+                **old,
+                **{
+                    name: table.stored(name, self._eval(expr, old))
+                    for name, expr in stmt.assignments
+                },
+            }
             for old in matched
         ]
         hit = set(map(id, matched))

@@ -12,19 +12,23 @@ The algorithm exploits three structural facts of the hardware:
 * **Caches have no cross-set coupling, and LRU is a stack algorithm.**
   Cache state is four ``[num_sets, ways]`` arrays (see
   :class:`repro.hw.cache.Cache`), so one kernel resolves every touched
-  set at once, with no Python loop per set or per access. It has two
-  routes. A distinct batch that touches no resident line (a cold scan of
-  a fresh region) misses everywhere: evictions drain each set's LRU
-  queue — residents oldest first, then batch installs FIFO — and only
-  each set's last installs survive, which for a contiguous batch lie in
-  its last ``ways * num_sets`` lines. Every other batch goes by LRU stack
-  distance (Mattson et al., "Evaluation techniques for storage
-  hierarchies", IBM Sys. J. 1970): each set's residents are prepended as
-  pseudo-references in LRU order, one stable sort chains the references
-  to each line, and an access hits iff fewer than ``ways`` distinct lines
-  of its set were referenced since its previous reference. Hits,
-  evictions, polluted evictions and the end state all follow from the
-  chains.
+  set at once, with no Python loop per set or per access. A batch with
+  no resident of its touched sets inside its line range is *cold*: no
+  access can hit a resident, and three closed forms decide it. A
+  contiguous cold batch of at least ``ways * num_sets`` lines *sweeps*
+  the cache: every resident is evicted and its last ``ways * num_sets``
+  lines stay. Any other distinct cold batch misses everywhere:
+  evictions drain each set's LRU queue — residents oldest first, then
+  batch installs FIFO — and only each set's last installs survive. A
+  cold re-referencing walk with at most ``ways`` distinct lines in every
+  set *fits*: none of its lines is evicted, so each misses once and
+  then hits. Every other batch goes by LRU stack distance (Mattson et
+  al., "Evaluation techniques for storage hierarchies", IBM Sys. J.
+  1970): each set's residents are prepended as pseudo-references in LRU
+  order, one stable sort chains the references to each line, and an
+  access hits iff fewer than ``ways`` distinct lines of its set were
+  referenced since its previous reference. Hits, evictions, polluted
+  evictions and the end state all follow from the chains.
 * **Every sort over a batch is a radix sort on a narrow key.** numpy
   sorts keys of 16 bits or less by counting, so each key is made as
   narrow as the answer allows. The set grouping keys by set index. The
@@ -33,8 +37,9 @@ The algorithm exploits three structural facts of the hardware:
   share one sentinel key past it, and a walk over fewer than 65,536
   lines chains in one pass. A surviving line is always its line's last
   reference, so its chain position comes from the inverse permutation
-  of the chain, not from a search. The cold route ranks each touched
-  set's free ways once, and DRAM demand misses group by bank index.
+  of the chain, not from a search. The cold and fit routes rank each
+  touched set's free ways once, and DRAM demand misses group by bank
+  index.
 * **The prefetcher only reacts to L2 misses, in stride runs.** The miss
   subsequence is segmented into maximal arithmetic runs; a run either
   continues one stream (coverage is then a closed form of the stream's
@@ -45,9 +50,9 @@ The algorithm exploits three structural facts of the hardware:
   is a comparison against the previous row in the same bank's
   subsequence, fully vectorized.
 
-Both cache routes are exact and the prefetcher's fallback replays the
-scalar logic, so equality with the scalar path holds for *arbitrary*
-traces (property-tested against :meth:`repro.hw.cache.Cache.access_line`),
+Every cache route is exact where it is taken, and the prefetcher's
+fallback replays the scalar logic, so equality with the scalar path
+holds for *arbitrary* traces (property-tested against :meth:`repro.hw.cache.Cache.access_line`),
 while the patterns the query engines emit (sequential, lockstep
 multi-stream, LCG random and gather) stay vectorized.
 
@@ -159,14 +164,14 @@ def _radix_argsort(keys: np.ndarray, span: int) -> np.ndarray:
     return np.argsort(keys, kind="stable")
 
 
-def _touched_sets(idx: np.ndarray, num_sets: int, contiguous: bool, lines):
-    """Sorted touched set indices and each one's access count. The lines
-    of a contiguous batch cycle through the sets, so its counts are
-    arithmetic."""
-    n = idx.size
-    if contiguous:
+def _touched_sets(lines, idx, num_sets: int):
+    """Sorted touched set indices and each one's access count. ``idx`` is
+    None for a contiguous batch: its lines cycle through the sets, so its
+    counts are arithmetic and it needs no set index per line."""
+    n = lines.size
+    if idx is None:
         if n < num_sets:
-            return np.sort(idx), np.ones(n, dtype=np.int64)
+            return np.sort(lines & (num_sets - 1)), np.ones(n, dtype=np.int64)
         first = int(lines[0]) & (num_sets - 1)
         sets = np.arange(num_sets, dtype=np.int64)
         counts = np.full(num_sets, n // num_sets, dtype=np.int64)
@@ -177,73 +182,183 @@ def _touched_sets(idx: np.ndarray, num_sets: int, contiguous: bool, lines):
     return sets, counts[sets]
 
 
-def _is_cold(cache, lines, sets) -> bool:
+def _is_cold(cache, lo: int, hi: int, sets) -> bool:
     """True when no resident line of the touched sets lies within the
-    batch's line range, which proves a distinct batch cold. A batch with a
-    resident inside its range is left to the stack-distance route, which
-    is exact either way."""
-    tags = cache.tags[sets]
-    row, way = np.nonzero(tags >= 0)
-    resident = (tags[row, way] << cache._tag_shift) | sets[row]
-    lo, hi = int(lines.min()), int(lines.max())
+    batch's line range ``[lo, hi]``, which proves that no access of the
+    batch references a resident. A batch with a resident inside its range
+    is left to the stack-distance route, which is exact either way."""
+    # An empty way's tag -1 reads as a negative line, outside any range.
+    resident = (cache.tags[sets] << cache._tag_shift) | sets[:, None]
     return not bool(np.any((resident >= lo) & (resident <= hi)))
 
 
-def _cold_access(cache, idx, tags, sets, counts, write, contiguous, tick0):
+def _evict_oldest(cache, sets, r0, k0) -> int:
+    """Empty the ``k0`` least recently used residents of each set in
+    ``sets`` (which holds ``r0`` residents); returns how many of them were
+    never hit."""
+    evict = k0 > 0
+    if not evict.any():
+        return 0
+    ways = cache.config.ways
+    vsets = sets[evict]
+    # Empty ways (last_use 0) sort first, then residents in LRU order.
+    order = np.argsort(cache.last_use[vsets], axis=1)
+    rank = np.arange(ways)[None, :]
+    empty = (ways - r0[evict])[:, None]
+    pick = (rank >= empty) & (rank < empty + k0[evict][:, None])
+    vr, vk = np.nonzero(pick)
+    vs, vw = vsets[vr], order[vr, vk]
+    polluted = int(np.count_nonzero(cache.use_count[vs, vw] == 0))
+    cache.tags[vs, vw] = -1
+    cache.last_use[vs, vw] = 0
+    cache.use_count[vs, vw] = 0
+    cache.dirty[vs, vw] = False
+    return polluted
+
+
+def _fill_free_ways(cache, sets, s_pos, q, tags, last_use, use_count, dirty) -> None:
+    """Install lines into free ways: the line for set ``s_pos[k]`` takes
+    that set's ``q[k]``-th free way. Each touched set's free ways are
+    ranked once."""
+    free_order = np.argsort(cache.tags[sets] >= 0, axis=1, kind="stable")
+    row = np.empty(cache.config.num_sets, dtype=np.int64)
+    row[sets] = np.arange(sets.size)
+    ways_pos = free_order[row[s_pos], q]
+    cache.tags[s_pos, ways_pos] = tags
+    cache.last_use[s_pos, ways_pos] = last_use
+    cache.use_count[s_pos, ways_pos] = use_count
+    cache.dirty[s_pos, ways_pos] = dirty
+
+
+def _cold_access(cache, lines, idx, sets, counts, write, tick0):
     """Every access misses. Per set, evictions drain the LRU queue —
     residents oldest first, then batch installs FIFO — and only the last
-    ``ways - kept residents`` installs survive. Returns (evictions,
-    polluted evictions)."""
-    n = idx.size
+    ``ways - kept residents`` installs survive. ``idx`` is None for a
+    contiguous batch. Returns (evictions, polluted evictions)."""
+    n = lines.size
     num_sets, ways = cache.config.num_sets, cache.config.ways
-    T, LU, UC, DT = cache.tags, cache.last_use, cache.use_count, cache.dirty
-    r0 = np.count_nonzero(T[sets] >= 0, axis=1)
+    r0 = np.count_nonzero(cache.tags[sets] >= 0, axis=1)
     excess = np.maximum(r0 + counts - ways, 0)
     k0 = np.minimum(r0, excess)  # residents evicted per set
     polluted = int((excess - k0).sum())  # batch installs evicted unhit
-    evict = k0 > 0
-    if evict.any():
-        vsets = sets[evict]
-        # Empty ways (last_use 0) sort first, then residents in LRU order.
-        order = np.argsort(LU[vsets], axis=1)
-        rank = np.arange(ways)[None, :]
-        empty = (ways - r0[evict])[:, None]
-        pick = (rank >= empty) & (rank < empty + k0[evict][:, None])
-        vr, vk = np.nonzero(pick)
-        vs, vw = vsets[vr], order[vr, vk]
-        polluted += int(np.count_nonzero(UC[vs, vw] == 0))
-        T[vs, vw] = -1
-        LU[vs, vw] = 0
-        UC[vs, vw] = 0
-        DT[vs, vw] = False
+    polluted += _evict_oldest(cache, sets, r0, k0)
     surv = np.zeros(num_sets, dtype=np.int64)  # installs that stay, per set
     surv[sets] = np.minimum(ways - (r0 - k0), counts)
     # `later`: accesses after each candidate position in the same set.
-    if contiguous:
+    if idx is None:
         # A set's accesses recur every num_sets positions, so only the
         # last ways * num_sets accesses can survive.
         pos = np.arange(max(0, n - num_sets * ways), n, dtype=np.int64)
         later = (n - 1 - pos) // num_sets
+        s_pos = lines[pos] & cache._set_mask
     else:
         pos = _radix_argsort(idx, num_sets - 1)
-        sidx = idx[pos]
-        ends = np.r_[np.flatnonzero(sidx[1:] != sidx[:-1]), n - 1]
+        s_pos = idx[pos]
+        ends = np.r_[np.flatnonzero(s_pos[1:] != s_pos[:-1]), n - 1]
         later = np.repeat(ends, np.diff(np.r_[-1, ends])) - np.arange(n)
-    s_pos = idx[pos]
     keep = later < surv[s_pos]
     pos, s_pos = pos[keep], s_pos[keep]
     q = surv[s_pos] - 1 - later[keep]  # survivor's rank within its set
-    # A set's survivors fill its free ways in way order, ranked once per
-    # touched set.
-    free_order = np.argsort(T[sets] >= 0, axis=1, kind="stable")
-    row = np.empty(num_sets, dtype=np.int64)
-    row[sets] = np.arange(sets.size)
-    ways_pos = free_order[row[s_pos], q]
-    T[s_pos, ways_pos] = tags[pos]
-    LU[s_pos, ways_pos] = tick0 + 1 + pos
-    UC[s_pos, ways_pos] = 0
-    DT[s_pos, ways_pos] = write
+    _fill_free_ways(
+        cache, sets, s_pos, q, lines[pos] >> cache._tag_shift, tick0 + 1 + pos, 0, write
+    )
     return int(excess.sum()), polluted
+
+
+def _sweep_access(cache, lines, write, tick0):
+    """A contiguous cold batch of at least ``ways * num_sets`` lines: every
+    set takes ``ways`` or more installs, so every resident is evicted, the
+    batch's last ``ways * num_sets`` lines stay (``ways`` per set) and
+    every earlier line is evicted unhit. Returns (evictions, polluted
+    evictions)."""
+    n = lines.size
+    num_sets, ways = cache.config.num_sets, cache.config.ways
+    cap = num_sets * ways
+    T, LU = cache.tags, cache.last_use
+    resident = T >= 0
+    evictions = int(np.count_nonzero(resident)) + n - cap
+    polluted = int(np.count_nonzero(resident & (cache.use_count == 0))) + n - cap
+    # Row w of the block holds installs w * num_sets ... of the survivors:
+    # one line per set, every row starting at the same set.
+    block = lines[n - cap :].reshape(ways, num_sets)
+    s = block[0] & cache._set_mask
+    T[s] = (block >> cache._tag_shift).T
+    LU[s] = (tick0 + 1 + n - cap + np.arange(cap, dtype=np.int64)).reshape(ways, num_sets).T
+    cache.use_count.fill(0)
+    cache.dirty.fill(write)
+    return evictions, polluted
+
+
+def _fit_access(cache, lines, write, tick0):
+    """Exact LRU for a cold walk whose distinct lines fit their sets, or
+    None when the walk is not one.
+
+    When no set holds more than ``ways`` of the walk's distinct lines and
+    no resident lies in the walk's range, no line of the walk is ever
+    evicted: a set's victims are its empty ways, then its residents in
+    LRU order, exactly as on the cold route. So each distinct line misses
+    once, at its first reference, and hits on every later one. Returns
+    (hit mask, misses, evictions, polluted evictions)."""
+    n = lines.size
+    num_sets, ways = cache.config.num_sets, cache.config.ways
+    lo, hi = int(lines.min()), int(lines.max())
+    span = hi - lo + 1
+    key = lines - lo
+    cap = num_sets * ways
+    dense = span <= 4 * n
+    if dense:  # presence counts over the range
+        if n > 2 * cap and np.count_nonzero(np.bincount(key[: 2 * cap])) > cap:
+            return None  # its head alone has more distinct lines than fit
+        refs = np.bincount(key, minlength=span)
+        present = np.flatnonzero(refs)
+    else:  # a sort groups each line's references in batch order
+        order = _radix_argsort(key, span - 1)
+        skey = key[order]
+        starts = np.flatnonzero(np.r_[True, skey[1:] != skey[:-1]])
+        present = skey[starts]
+    if present.size > cap:
+        return None
+    u = present + lo  # distinct lines, ascending
+    u_set = u & cache._set_mask
+    per_set = np.bincount(u_set, minlength=num_sets)
+    if int(per_set.max()) > ways:
+        return None
+    sets = np.flatnonzero(per_set)
+    counts = per_set[sets]
+    if not _is_cold(cache, lo, hi, sets):
+        return None
+
+    if dense:
+        at = np.arange(n, dtype=np.int64)
+        first = np.full(span, n, dtype=np.int64)
+        np.minimum.at(first, key, at)
+        last = np.full(span, -1, dtype=np.int64)
+        np.maximum.at(last, key, at)
+        first, last, refs = first[present], last[present], refs[present]
+    else:
+        ends = np.r_[starts[1:], n] - 1
+        first, last, refs = order[starts], order[ends], ends - starts + 1
+
+    r0 = np.count_nonzero(cache.tags[sets] >= 0, axis=1)
+    k0 = np.maximum(r0 + counts - ways, 0)  # at most r0: the lines fit
+    polluted = _evict_oldest(cache, sets, r0, k0)
+    # Rank each distinct line within its set, then fill the free ways.
+    by_set = _radix_argsort(u_set, num_sets - 1)
+    s_pos = u_set[by_set]
+    q = np.arange(u.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    _fill_free_ways(
+        cache,
+        sets,
+        s_pos,
+        q,
+        u[by_set] >> cache._tag_shift,
+        tick0 + 1 + last[by_set],
+        refs[by_set] - 1,
+        write,
+    )
+    hits = np.ones(n, dtype=bool)
+    hits[first] = False
+    return hits, u.size, int(k0.sum()), polluted
 
 
 def _walk_hits(nxt: np.ndarray, qi: np.ndarray, qp: np.ndarray, ways: int):
@@ -452,27 +567,54 @@ def batch_cache_access(
     per-access hit mask. State, stats and LRU ticks end bit-identical to
     per-access :meth:`~repro.hw.cache.Cache.access_line` calls.
 
-    A distinct batch that touches no resident line takes the cold closed
-    form; every other batch is decided by LRU stack distance."""
+    Four routes, each exact where it is taken:
+
+    * a *sweep* — a contiguous batch of at least ``ways * num_sets``
+      lines with no resident in its range — writes the end state from its
+      last ``ways * num_sets`` lines;
+    * any other distinct batch with no resident in its range takes the
+      *cold* closed form: every access misses, and each set keeps its last
+      installs;
+    * a re-referencing batch with no resident in its range and at most
+      ``ways`` distinct lines in any set takes the *fit* route: no line of
+      it is evicted, so each line misses once and then hits;
+    * every other batch is decided by LRU stack distance.
+    """
     n = lines.size
     if n == 0:
         return np.zeros(0, dtype=bool)
-    idx = lines & cache._set_mask
-    tags = lines >> cache._tag_shift
+    num_sets, ways = cache.config.num_sets, cache.config.ways
     tick0 = cache._tick
-    stats = cache.stats
-    sets, counts = _touched_sets(idx, cache.config.num_sets, contiguous, lines)
-    if batch_distinct and _is_cold(cache, lines, sets):
-        evictions, polluted = _cold_access(
-            cache, idx, tags, sets, counts, write, contiguous, tick0
-        )
-        hits = np.zeros(n, dtype=bool)
-        n_miss = n
+    idx = sets = None
+    result = None
+    if contiguous or batch_distinct:
+        if contiguous:
+            lo, hi = int(lines[0]), int(lines[-1])
+        else:
+            idx = lines & cache._set_mask
+            lo, hi = int(lines.min()), int(lines.max())
+        sets, counts = _touched_sets(lines, idx, num_sets)
+        if _is_cold(cache, lo, hi, sets):
+            if contiguous and n >= num_sets * ways:
+                evictions, polluted = _sweep_access(cache, lines, write, tick0)
+            else:
+                evictions, polluted = _cold_access(
+                    cache, lines, idx, sets, counts, write, tick0
+                )
+            result = np.zeros(n, dtype=bool), n, evictions, polluted
     else:
-        hits, n_miss, evictions, polluted = _stack_access(
-            cache, lines, idx, tags, sets, counts, write, tick0
+        result = _fit_access(cache, lines, write, tick0)
+    if result is None:
+        if idx is None:
+            idx = lines & cache._set_mask
+        if sets is None:
+            sets, counts = _touched_sets(lines, idx, num_sets)
+        result = _stack_access(
+            cache, lines, idx, lines >> cache._tag_shift, sets, counts, write, tick0
         )
+    hits, n_miss, evictions, polluted = result
     cache._tick = tick0 + n
+    stats = cache.stats
     stats.hits += n - n_miss
     stats.misses += n_miss
     stats.evictions += evictions
@@ -631,12 +773,14 @@ def hierarchy_access_lines_batch(
     if n == 0:
         return 0
     platform = hierarchy.platform
-    contiguous = n > 1 and bool(np.all(arr[1:] == arr[:-1] + 1))
-    if contiguous or n == 1:
-        distinct = True
+    if n == 1:
+        contiguous, distinct = False, True
     else:
-        diffs = arr[1:] - arr[:-1]
-        distinct = bool(np.all(diffs > 0)) or bool(np.all(diffs < 0))
+        diffs = np.diff(arr)
+        ascending = bool(np.all(diffs > 0))
+        # Ascending with a span of n - 1 lines leaves only unit steps.
+        contiguous = ascending and int(arr[-1]) - int(arr[0]) == n - 1
+        distinct = ascending or bool(np.all(diffs < 0))
         if not distinct:
             lo = int(arr.min())
             if int(arr.max()) - lo < 4 * n:  # dense: a presence count
@@ -644,18 +788,19 @@ def hierarchy_access_lines_batch(
             else:
                 distinct = np.unique(arr).size == n
 
+    # A level with no hits passes the whole batch on, uncopied.
     l1_hits = batch_cache_access(hierarchy.l1, arr, write, contiguous, distinct)
     n_l1_hits = int(np.count_nonzero(l1_hits))
-    miss1 = arr[~l1_hits]
+    miss1 = arr[~l1_hits] if n_l1_hits else arr
     miss1_contig = contiguous and n_l1_hits == 0
     l2_hits = batch_cache_access(hierarchy.l2, miss1, write, miss1_contig, distinct)
     n_l2_hits = int(np.count_nonzero(l2_hits))
-    miss2 = miss1[~l2_hits]
+    miss2 = miss1[~l2_hits] if n_l2_hits else miss1
 
     hierarchy.stats.dram_lines += miss2.size
     covered = batch_prefetch(hierarchy.prefetcher, miss2, stride_hint)
     n_cov = int(np.count_nonzero(covered))
-    demand = miss2[~covered]
+    demand = miss2[~covered] if n_cov else miss2
 
     total = n_l1_hits * platform.l1.hit_cycles
     total += n_l2_hits * platform.l2.hit_cycles

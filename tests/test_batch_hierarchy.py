@@ -9,6 +9,7 @@ scalar per-line loop. These property tests drive both implementations
 with identical inputs and compare full state snapshots.
 """
 
+import contextlib
 import dataclasses
 import time
 
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.hw import batch as hwbatch
 from repro.hw.analytic import TraceMemoryModel
+from repro.hw.cache import Cache
 from repro.hw.config import TEST_PLATFORM, default_platform
 from repro.hw.hierarchy import MemoryHierarchy
 
@@ -320,6 +322,258 @@ class TestNarrowKeyPaths:
         assert bank_state(fast) == bank_state(slow)
         assert len(fast.dram.bank_lines) == 8 and min(fast.dram.bank_lines) > 0
         assert sum(fast.dram.bank_row_hits) > 0
+
+
+# ----------------------------------------------------------------------
+# The closed-form routes at one cache level, against the scalar loop: the
+# full-cache sweep (a contiguous cold batch of at least ways * num_sets
+# lines) and the fit route (a cold re-referencing walk with at most
+# `ways` distinct lines in any set). A spy records which route decided
+# each call, so a route that silently fell back to stack distance shows.
+# ----------------------------------------------------------------------
+@contextlib.contextmanager
+def spy_routes():
+    """Yields ``(route, cache)`` per kernel call; ``fit`` only when the fit
+    route took the walk, ``fit-rejected`` when it handed it on."""
+    taken = []
+
+    def spy(name, fn):
+        def wrapped(cache, *args):
+            out = fn(cache, *args)
+            taken.append((name if out is not None else f"{name}-rejected", cache))
+            return out
+
+        return wrapped
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("sweep", "cold", "fit", "stack"):
+            attr = f"_{name}_access"
+            mp.setattr(hwbatch, attr, spy(name, getattr(hwbatch, attr)))
+        yield taken
+
+
+@pytest.fixture
+def routes():
+    with spy_routes() as taken:
+        yield taken
+
+
+def run_level(config, prefill, lines, write):
+    """``lines`` through a fresh batch cache and a scalar cache, both
+    prefilled by the scalar loop with ``[(line, write), ...]``; returns
+    both hit lists and end states."""
+    fast, slow = Cache(config), Cache(config)
+    for cache in (fast, slow):
+        for line, w in prefill:
+            cache.access_line(line, write=w)
+    arr = np.asarray(lines, dtype=np.int64)
+    contiguous = arr.size > 1 and bool(np.all(np.diff(arr) == 1))
+    distinct = np.unique(arr).size == arr.size
+    hits = hwbatch.batch_cache_access(fast, arr, write, contiguous, distinct).tolist()
+    want = [slow.access_line(line, write=write) for line in arr.tolist()]
+    return (hits, cache_state(fast)), (want, cache_state(slow))
+
+
+def outside_prefill(seed, n, below):
+    """``n`` accesses to lines below ``below``, with repeats (hit residents)
+    and writes (dirty ones)."""
+    rng = np.random.default_rng(seed)
+    lines = rng.integers(0, below, n).tolist()
+    return [(line, bool(w)) for line, w in zip(lines, rng.integers(0, 2, n))]
+
+
+LEVELS = {
+    "test-l2": TEST_PLATFORM.l2,
+    "default-l1": DEFAULT.l1,
+    "default-l2": DEFAULT.l2,
+}
+
+
+class TestSweepRoute:
+    @pytest.mark.parametrize("level", sorted(LEVELS))
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    @pytest.mark.parametrize("write", [False, True])
+    def test_sweep_around_capacity_bit_identical(self, routes, level, extra, write):
+        """Sweeps of ``cap - 1``, ``cap`` and ``cap + 1`` lines over sets
+        holding residents (hit, unhit, dirty) and empty ways."""
+        config = LEVELS[level]
+        cap = config.num_sets * config.ways
+        prefill = outside_prefill(cap + extra, cap // 2, 3 * cap)
+        start = 4 * cap + 5  # not set-aligned
+        lines = range(start, start + cap + extra)
+        got, want = run_level(config, prefill, lines, write)
+        assert got == want
+        assert [name for name, _ in routes] == ["cold" if extra < 0 else "sweep"]
+
+    @pytest.mark.parametrize("write", [False, True])
+    def test_sweep_into_empty_cache_bit_identical(self, routes, write):
+        config = TEST_PLATFORM.l2
+        cap = config.num_sets * config.ways
+        got, want = run_level(config, [], range(7, 7 + 3 * cap + 2), write)
+        assert got == want
+        assert [name for name, _ in routes] == ["sweep"]
+
+    def test_sweep_with_resident_in_range_takes_stack_route(self, routes):
+        config = TEST_PLATFORM.l2
+        cap = config.num_sets * config.ways
+        start = 4 * cap
+        prefill = [(start + cap // 2, False)]
+        got, want = run_level(config, prefill, range(start, start + 2 * cap), False)
+        assert got == want
+        assert [name for name, _ in routes] == ["stack"]
+
+
+def fitting_walk(config, seed, per_set, base, spread, refs):
+    """A walk over ``per_set[s]`` distinct lines of set ``s`` (one entry
+    per set), each line a line of its set at a tag offset below
+    ``spread``, referenced ``refs`` times on average in a random order;
+    every distinct line appears."""
+    rng = np.random.default_rng(seed)
+    distinct = []
+    for s, k in enumerate(per_set):
+        tags = rng.choice(spread, size=k, replace=False)
+        distinct += [base + s + int(t) * config.num_sets for t in tags]
+    walk = distinct + rng.choice(distinct, size=len(distinct) * (refs - 1)).tolist()
+    rng.shuffle(walk)
+    return walk
+
+
+class TestFitRoute:
+    @pytest.mark.parametrize("level", sorted(LEVELS))
+    @pytest.mark.parametrize("write", [False, True])
+    def test_residents_outside_range_bit_identical(self, routes, level, write):
+        """Full sets of residents below the range: every install evicts one
+        of them, oldest first."""
+        config = LEVELS[level]
+        cap = config.num_sets * config.ways
+        prefill = outside_prefill(1, 3 * cap, 2 * cap)
+        per_set = [(s * 7) % (config.ways + 1) for s in range(config.num_sets)]
+        walk = fitting_walk(config, 2, per_set, 4 * cap, 3 * config.ways, 4)
+        got, want = run_level(config, prefill, walk, write)
+        assert got == want
+        assert [name for name, _ in routes] == ["fit"]
+
+    @pytest.mark.parametrize("write", [False, True])
+    def test_empty_ways_bit_identical(self, routes, write):
+        """Partly filled sets: installs take empty ways before any resident
+        is evicted."""
+        config = DEFAULT.l2
+        cap = config.num_sets * config.ways
+        prefill = outside_prefill(3, cap // 3, 2 * cap)
+        per_set = [s % (config.ways + 1) for s in range(config.num_sets)]
+        walk = fitting_walk(config, 4, per_set, 4 * cap, 4 * config.ways, 3)
+        got, want = run_level(config, prefill, walk, write)
+        assert got == want
+        assert [name for name, _ in routes] == ["fit"]
+
+    @pytest.mark.parametrize("level", sorted(LEVELS))
+    def test_exactly_ways_per_set_bit_identical(self, routes, level):
+        """Every set takes exactly ``ways`` distinct lines, so each one
+        ends holding only the walk's lines."""
+        config = LEVELS[level]
+        cap = config.num_sets * config.ways
+        prefill = outside_prefill(5, 2 * cap, 2 * cap)
+        walk = fitting_walk(config, 6, [config.ways] * config.num_sets, 4 * cap, 2 * config.ways, 3)
+        got, want = run_level(config, prefill, walk, True)
+        assert got == want
+        assert [name for name, _ in routes] == ["fit"]
+
+    @pytest.mark.parametrize("level", sorted(LEVELS))
+    def test_ways_plus_one_falls_back(self, routes, level):
+        """One set with ``ways + 1`` distinct lines evicts a line of the
+        walk: the fit route hands the walk to stack distance."""
+        config = LEVELS[level]
+        cap = config.num_sets * config.ways
+        prefill = outside_prefill(7, cap, 2 * cap)
+        per_set = [1] * config.num_sets
+        per_set[3] = config.ways + 1
+        walk = fitting_walk(config, 8, per_set, 4 * cap, 2 * config.ways, 5)
+        got, want = run_level(config, prefill, walk, False)
+        assert got == want
+        assert [name for name, _ in routes] == ["fit-rejected", "stack"]
+
+    @pytest.mark.parametrize("spread", [8, 4096])
+    def test_more_lines_than_fit_falls_back(self, routes, spread):
+        """Twice as many distinct lines as the cache holds, dense (a few
+        tag offsets per set) or sparse (thousands) in their range."""
+        config = TEST_PLATFORM.l2
+        cap = config.num_sets * config.ways
+        walk = fitting_walk(config, 10, [2 * config.ways] * config.num_sets, 4 * cap, spread, 3)
+        got, want = run_level(config, outside_prefill(11, cap, 2 * cap), walk, True)
+        assert got == want
+        assert [name for name, _ in routes] == ["fit-rejected", "stack"]
+
+    def test_more_lines_than_fit_in_a_short_walk_falls_back(self, routes):
+        """A walk of fewer than twice the capacity in references, over more
+        distinct lines than fit: the full count rejects it."""
+        config = TEST_PLATFORM.l2
+        cap = config.num_sets * config.ways
+        lines = list(range(4 * cap, 4 * cap + cap + 20))
+        walk = lines + lines[:40]
+        got, want = run_level(config, outside_prefill(12, cap, 2 * cap), walk, False)
+        assert got == want
+        assert [name for name, _ in routes] == ["fit-rejected", "stack"]
+
+    def test_resident_in_range_falls_back(self, routes):
+        config = TEST_PLATFORM.l2
+        cap = config.num_sets * config.ways
+        walk = fitting_walk(config, 9, [2] * config.num_sets, 4 * cap, 8, 3)
+        prefill = [(min(walk) + 1, False), (max(walk) - 1, True)]
+        got, want = run_level(config, prefill, walk, False)
+        assert got == want
+        assert [name for name, _ in routes] == ["fit-rejected", "stack"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(sorted(LEVELS)),
+        SEED,
+        st.integers(0, 4),
+        st.sampled_from([1, 4, 1 << 12]),
+        st.integers(1, 6),
+        st.booleans(),
+        st.floats(0.0, 3.0),
+    )
+    def test_walks_bit_identical(self, level, seed, over, spread, refs, write, fill):
+        """Walks dense and sparse in their range (``spread`` tag offsets per
+        set), with and without a set over ``ways``, over caches filled to
+        ``fill`` times their capacity below the range."""
+        config = LEVELS[level]
+        cap = config.num_sets * config.ways
+        rng = np.random.default_rng(seed)
+        spread = max(spread, config.ways + 1)
+        per_set = rng.integers(0, config.ways + 1, config.num_sets)
+        per_set[rng.integers(0, config.num_sets, over)] = config.ways + 1
+        prefill = outside_prefill(seed, int(fill * cap), 2 * cap)
+        walk = fitting_walk(config, seed, per_set.tolist(), 4 * cap, spread, refs)
+        if not walk:
+            return
+        with spy_routes() as routes:
+            got, want = run_level(config, prefill, walk, write)
+        assert got == want
+        if refs > 1:  # a walk with repeats: fit exactly when no set is over
+            assert routes[0][0] == ("fit-rejected" if over else "fit")
+
+
+class TestQ3WalkRoutes:
+    def test_second_probe_walk_takes_fit_route_at_l2(self, routes):
+        """The trace model in the shape of Q3: a cold scan, the first probe walk (39,299
+        lines, too many for L2's sets) and the second (7,458 lines, which
+        fit). Only the second walk's L2 call takes the fit route."""
+        model = TraceMemoryModel(DEFAULT)
+        h = model.hierarchy
+        model.sequential(87_500 * 64)
+        del routes[:]
+        model.random(107_703, 39_299 * 64)
+        first = list(routes)
+        del routes[:]
+        model.random(107_703, 7_458 * 64)
+        assert first == [
+            ("fit-rejected", h.l1), ("stack", h.l1),
+            ("fit-rejected", h.l2), ("stack", h.l2),
+        ]
+        assert routes == [
+            ("fit-rejected", h.l1), ("stack", h.l1), ("fit", h.l2),
+        ]
 
 
 # ----------------------------------------------------------------------

@@ -246,6 +246,38 @@ def test_oracle_update_computes_every_set_value_before_moving_rows():
     assert answer.rows == [(0, 4), (1, 4), (2, 0), (3, 0)]
 
 
+def test_oracle_rounds_decimal_writes_to_the_column_scale():
+    """A DECIMAL SET from an expression stores the value rounded to the
+    column's scale, in the oracle as in every engine: d = 0.2 + 0.1 reads
+    0.3, not 0.30000000000000004, and later arithmetic starts from it."""
+    ddl = "CREATE TABLE t (id INT32, d DECIMAL(2), e DECIMAL)"
+    statements = (
+        "INSERT INTO t (id, d, e) VALUES (1, 0.2, 0.125), (2, 1.005, 7)",
+        "UPDATE t SET d = d + 0.1, e = e * 3 WHERE id = 1",
+        "UPDATE t SET d = d + 0.1 WHERE id = 1",
+    )
+    select = "SELECT id, d, e FROM t ORDER BY id"
+    oracle = SqlOracle()
+    oracle.execute(ddl)
+    for sql in statements:
+        oracle.execute(sql)
+    want = oracle.execute(select)
+    assert want.rows == [(1, 0.4, 0.36), (2, 1.0, 7.0)]
+    catalog = Catalog()
+    engines = all_engines(catalog)
+    seed = Session(catalog, engines["row"])
+    seed.execute(ddl)
+    for sql in statements:
+        seed.execute(sql)
+    for engine in engines.values():
+        session = Session(catalog, engine, manager=seed.manager)
+        assert mismatch(Answer.of(session.execute(select).result), want) is None
+    loaded = SqlOracle()
+    loaded.load_table(catalog.table("t"), seed.manager.now)
+    loaded.execute("UPDATE t SET d = d + 0.1")
+    assert loaded.execute("SELECT d FROM t ORDER BY id").rows == [(0.5,), (1.1,)]
+
+
 @pytest.mark.parametrize("func", ["sum", "avg", "min", "max"])
 def test_numeric_aggregate_of_char_column_is_a_sql_error(func):
     """SUM/AVG/MIN/MAX over a CHAR column is a SqlError naming the column
