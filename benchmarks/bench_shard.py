@@ -13,6 +13,8 @@ Two measurements over :mod:`repro.dist`:
    serial Q6 seconds (each the minimum of three runs). Both run in the
    same process on the same data, so the ratio holds across runner
    speeds, and it rises sharply if grouping falls back to a slow sort.
+   ``bulk_load_host_ratio`` gates the same way: bulk-loading the
+   shards' row images over one contiguous copy of as many image bytes.
 2. **Recovery** — a durable 4-shard orders cluster absorbs a seeded
    write mix, then every shard in turn is SIGKILLed and the next query
    timed: the coordinator restarts the fault domain, replays its WAL,
@@ -58,6 +60,8 @@ from repro.workloads.tpch import generate_lineitem
 DIST_BUCKETS = ("dist_scan", "dist_filter", "dist_agg", "dist_gather")
 #: Serial runs per query; the minimum is reported (least runner noise).
 SERIAL_REPEATS = 3
+#: Bulk loads (and image copies) timed; the least of each is reported.
+BULK_REPEATS = 5
 
 
 def run_scaling(
@@ -82,6 +86,8 @@ def run_scaling(
     report["q1_q6_host_ratio"] = (
         report["q1_serial_seconds"] / report["q6_serial_seconds"]
     )
+
+    report.update(run_bulk_load(lineitem, max(shard_counts)))
 
     clusters: List[ShardCluster] = []
     for n in shard_counts:
@@ -116,6 +122,38 @@ def run_scaling(
         if "identical" in k
     )
     return report
+
+
+def run_bulk_load(lineitem, nshards: int) -> Dict[str, float]:
+    """Least seconds of ``BULK_REPEATS`` bulk loads of lineitem's stored
+    columns into ``nshards`` range shards, and of as many contiguous
+    copies of its row image (the same bytes), taken in turn.
+
+    ``bulk_load_host_ratio`` is load over copy: both write every byte of
+    the image once, so the ratio holds across runner speeds and rises if
+    the load goes back to a pass per column or a masked copy per shard.
+    """
+    columns = {
+        c.name: lineitem.column(c.name) for c in lineitem.schema.user_columns
+    }
+    qs = np.linspace(0, 1, nshards + 1)[1:-1]
+    bounds = sorted({int(np.quantile(columns["l_orderkey"], q)) for q in qs})
+    load, copy = [], []
+    for _ in range(BULK_REPEATS):
+        sharded = ShardedTable(lineitem.schema, "l_orderkey", bounds)
+        t0 = time.perf_counter()
+        sharded.bulk_load(columns)
+        load.append(time.perf_counter() - t0)
+        del sharded
+        t0 = time.perf_counter()
+        image = lineitem.frame.copy()
+        copy.append(time.perf_counter() - t0)
+        del image
+    return {
+        "bulk_load_seconds": min(load),
+        "image_copy_seconds": min(copy),
+        "bulk_load_host_ratio": min(load) / min(copy),
+    }
 
 
 def _orders_plan() -> DistPlan:

@@ -20,8 +20,9 @@ memory model *benchmark-viable*. Three measurements:
    and, each run after a cold scan, ``probe_kernel_host_ratio`` for
    TPC-H Q3's first probe walk (stack distance at both levels) and
    ``fit_probe_kernel_host_ratio`` for its second, whose lines fit
-   L2's sets (the kernel's fit route at L2). Both Q3 walks are also
-   checked bit-identical.
+   L2's sets (the kernel's fit route at L2); these two are medians of
+   back-to-back batch/scalar pairs. Both Q3 walks are also checked
+   bit-identical.
 3. **End-to-end**: full Q6 through all three engines in trace mode,
    cross-checking that cycles, answers, and every hierarchy counter
    agree between the two kernels (at a reduced row count, since the
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
 from dataclasses import asdict
@@ -56,6 +58,9 @@ from repro.workloads.tpch import Q6, generate_lineitem
 ENGINES = ("row", "column", "rm")
 #: Timings per host ratio; the minimum of each is used (least runner noise).
 HOST_REPEATS = 3
+#: Back-to-back batch/scalar pairs per Q3 probe walk; the median of the
+#: pairs' ratios is reported.
+PROBE_PAIRS = 5
 #: Batch timings of the cold scan, which takes milliseconds against the
 #: scalar loop's seconds, so a single slow repeat would move its ratio.
 SCAN_REPEATS = 10
@@ -140,25 +145,34 @@ def run_host_seconds(nbytes: int) -> Dict[str, Dict[str, float]]:
 
 
 def run_probe_kernel(nbytes: int, probes: int, lines: int) -> Dict[str, object]:
-    """Least host time of a Q3-shaped probe walk of ``probes`` accesses
-    over ``lines`` lines under the batch kernel and under the scalar
-    reference, each after a cold scan of ``nbytes`` (run by the batch
-    kernel, whose end state is the scalar one), and whether both left
-    the same cycles and hierarchy state."""
+    """Host time of a Q3-shaped probe walk of ``probes`` accesses over
+    ``lines`` lines under the batch kernel and under the scalar reference,
+    each after a cold scan of ``nbytes`` (run by the batch kernel, whose
+    end state is the scalar one), and whether both left the same cycles
+    and hierarchy state.
+
+    The two kernels are timed in ``PROBE_PAIRS`` back-to-back pairs, and
+    the ratio is the median of the pairs' ratios: both sides of a pair
+    run on the same host and allocator state, which a least time per side
+    taken at different moments does not share."""
     out: Dict[str, object] = {}
+    times: Dict[str, list] = {"batch": [], "scalar": []}
     state = {}
-    for label, use_batch in (("batch", True), ("scalar", False)):
-        times = []
-        for _ in range(HOST_REPEATS):
+    for _ in range(PROBE_PAIRS):
+        for label, use_batch in (("batch", True), ("scalar", False)):
             model = TraceMemoryModel(default_platform())
             base = model.region(("rows", "lineitem"), nbytes)
             model.sequential(nbytes, base_addr=base)
             model.use_batch = use_batch
             t0 = time.perf_counter()
             mem = model.random(probes, lines * model.line_bytes)
-            times.append(time.perf_counter() - t0)
-        out[label] = min(times)
-        state[label] = ((mem.covered, mem.exposed), _hierarchy_snapshot(model.hierarchy))
+            times[label].append(time.perf_counter() - t0)
+            state[label] = ((mem.covered, mem.exposed), _hierarchy_snapshot(model.hierarchy))
+    for label, ts in times.items():
+        out[label] = statistics.median(ts)
+    out["host_ratio"] = statistics.median(
+        b / s for b, s in zip(times["batch"], times["scalar"])
+    )
     out["bit_identical"] = state["batch"] == state["scalar"]
     return out
 
@@ -191,6 +205,7 @@ def compare(scan_rows: int, engine_rows: int) -> Dict[str, object]:
     host = run_host_seconds(scan["bytes"])
     probe = run_probe_kernel(scan["bytes"], Q3_PROBES, Q3_PROBE_LINES)
     fit = run_probe_kernel(scan["bytes"], Q3_PROBES, Q3_FIT_LINES)
+    probe_ratio, fit_ratio = probe.pop("host_ratio"), fit.pop("host_ratio")
     batch = run_q6_engines(engine_rows, use_batch=True)
     scalar = run_q6_engines(engine_rows, use_batch=False)
     mismatches = []
@@ -222,8 +237,8 @@ def compare(scan_rows: int, engine_rows: int) -> Dict[str, object]:
         "warm_host_ratio": (
             host["batch"]["warm_scan"] / host["scalar"]["warm_scan"]
         ),
-        "probe_kernel_host_ratio": probe["batch"] / probe["scalar"],
-        "fit_probe_kernel_host_ratio": fit["batch"] / fit["scalar"],
+        "probe_kernel_host_ratio": probe_ratio,
+        "fit_probe_kernel_host_ratio": fit_ratio,
         "bit_identical": not mismatches,
         "mismatches": mismatches,
         "q6_end_to_end": {

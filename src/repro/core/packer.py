@@ -19,7 +19,7 @@ Frames are ``numpy`` arrays of shape ``(nrows, row_stride)`` and dtype
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Optional, Sequence
+from typing import Dict, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -73,9 +73,18 @@ def record_view(image: np.ndarray, geometry: DataGeometry) -> np.ndarray:
     return image.view(_record_dtype(geometry)).reshape(-1)
 
 
-#: Bytes of image per gather block: small enough that a block stays
-#: cache-resident while every wanted field is copied out of it.
-_GATHER_BLOCK_BYTES = 1 << 19
+#: Bytes of image per block: small enough that a block stays
+#: cache-resident while every wanted field is copied out of it (by
+#: :func:`gather`) or written into it (by a bulk load).
+_BLOCK_BYTES = 1 << 19
+
+
+def blocks(nrows: int, row_stride: int) -> Iterator[slice]:
+    """Consecutive row slices over ``nrows`` records of ``row_stride``
+    bytes, each about :data:`_BLOCK_BYTES` of image: the unit in which
+    the row image is read and written."""
+    step = max(1, _BLOCK_BYTES // row_stride)
+    return (slice(start, start + step) for start in range(0, nrows, step))
 
 
 def gather(
@@ -88,24 +97,29 @@ def gather(
     or the rows at the integer positions ``rows``, in that order.
 
     This is the single copy from the image. It walks the image once, in
-    cache-sized blocks, and copies every field out of a block while the
-    block is resident; a strided pass per field would fetch every row's
-    lines once per field. Positions copy just their records first.
+    cache-sized :func:`blocks`, and copies every field out of a block
+    while the block is resident; a strided pass per field would fetch
+    every row's lines once per field. Positions go a block of positions
+    at a time, each field taken at them, so no whole record is copied.
     """
     fields = view.dtype.fields
     for name in names:
         if name not in fields:
             raise GeometryError(f"no field named {name!r} in geometry")
+    stride = view.dtype.itemsize
     if rows is not None and rows.dtype != bool:
-        view, rows = view[rows], None
-    n = len(view)
-    block = max(1, _GATHER_BLOCK_BYTES // view.dtype.itemsize)
-    total = n if rows is None else int(np.count_nonzero(rows))
+        out = {name: np.empty(len(rows), fields[name][0]) for name in names}
+        for part in blocks(len(rows), stride):
+            at = rows[part]
+            for name in names:
+                out[name][part] = view[name][at]
+        return out
+    total = len(view) if rows is None else int(np.count_nonzero(rows))
     out = {name: np.empty(total, fields[name][0]) for name in names}
     pos = 0
-    for start in range(0, n, block):
-        chunk = view[start : start + block]
-        keep = slice(None) if rows is None else rows[start : start + block]
+    for part in blocks(len(view), stride):
+        chunk = view[part]
+        keep = slice(None) if rows is None else rows[part]
         stop = pos + (len(chunk) if rows is None else int(np.count_nonzero(keep)))
         for name in names:
             out[name][pos:stop] = chunk[name][keep]

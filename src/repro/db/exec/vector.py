@@ -249,16 +249,55 @@ def factorize(keys: Sequence[np.ndarray]) -> Tuple[List[np.ndarray], np.ndarray]
 
     The ranks combine by mixed radix into one int64 code, which a
     presence map densifies when its space is no larger than the row
-    count and a sort densifies otherwise. Every choice follows from
-    dtype, value range and size alone; no route changes the answer.
+    count and a sort densifies otherwise. One or two one-byte key
+    columns skip ranks and radix alike (:func:`_factorize_bytes`). Every
+    choice follows from dtype, value range and size alone; no route
+    changes the answer.
     """
     n = len(keys[0])
     if n == 0:
         return [k[:0] for k in keys], np.zeros(0, dtype=np.int64)
+    if len(keys) <= 2 and all(_is_byte_key(col) for col in keys):
+        return _factorize_bytes(keys)
     codes, space = _mixed_radix(_rank_column(col) for col in keys)
     first = np.full(space, n, dtype=np.int64)
     np.minimum.at(first, codes, np.arange(n, dtype=np.int64))
     return [k[first] for k in keys], codes
+
+
+def _is_byte_key(col: np.ndarray) -> bool:
+    return col.dtype.itemsize == 1 and col.dtype.kind in "Subi"
+
+
+def _order_bytes(col: np.ndarray) -> np.ndarray:
+    """A one-byte key column as uint8 in its numpy sort order."""
+    byte = col.view(np.uint8)
+    if col.dtype.kind == "i":
+        byte = byte ^ np.uint8(0x80)  # signed order as unsigned bytes
+    return byte
+
+
+def _factorize_bytes(keys: Sequence[np.ndarray]) -> Tuple[List[np.ndarray], np.ndarray]:
+    """:func:`factorize` of one or two one-byte key columns.
+
+    The key bytes, in sort order, make one code of at most 16 bits per
+    row; one ``bincount`` finds the codes present, their ranks are the
+    group numbers, and each unique key is decoded from its code. Equal
+    codes are equal bytes, so the uniques equal the first rows' keys.
+    """
+    code = _order_bytes(keys[0]).astype(np.uint16)
+    if len(keys) == 2:
+        code = (code << 8) | _order_bytes(keys[1])
+    counts = np.bincount(code, minlength=1 << (8 * len(keys)))
+    lut = np.cumsum(counts != 0, dtype=np.int64) - 1
+    present = np.flatnonzero(counts)
+    uniques = []
+    for i, col in enumerate(keys):
+        byte = (present >> (8 * (len(keys) - 1 - i))).astype(np.uint8)
+        if col.dtype.kind == "i":
+            byte ^= np.uint8(0x80)
+        uniques.append(byte.view(col.dtype))
+    return uniques, lut[code]
 
 
 def _mixed_radix(ranked: Iterable[Tuple[np.ndarray, int]]) -> Tuple[np.ndarray, int]:
@@ -281,11 +320,8 @@ def _mixed_radix(ranked: Iterable[Tuple[np.ndarray, int]]) -> Tuple[np.ndarray, 
 def _rank_column(col: np.ndarray) -> Tuple[np.ndarray, int]:
     """Dense order-preserving ranks of one key column: (ranks, distinct)."""
     kind = col.dtype.kind
-    if col.dtype.itemsize == 1 and kind in "Subi":
-        byte = col.view(np.uint8)
-        if kind == "i":
-            byte = byte ^ np.uint8(0x80)  # signed order as unsigned bytes
-        return _dense_ranks(byte, 256)
+    if _is_byte_key(col):
+        return _dense_ranks(_order_bytes(col), 256)
     if len(col) and kind in "iu":
         lo, span = _int_span(col)
         if span <= len(col):

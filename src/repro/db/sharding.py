@@ -141,16 +141,29 @@ class ShardedTable:
         return shard, self.shards[shard].append_row(values)
 
     def bulk_load(self, columns: Mapping[str, np.ndarray]) -> None:
-        """Split whole column arrays across shards in one pass."""
-        keys = np.asarray(columns[self.shard_key])
-        assignment = np.searchsorted(self.boundaries, keys, side="right")
-        for shard_idx in range(len(self.shards)):
-            mask = assignment == shard_idx
-            if not mask.any():
+        """Split whole column arrays across shards in one pass.
+
+        Columns clustered by shard key (each row's shard no lower than
+        the previous row's, as TPC-H lineitem is by ``l_orderkey``) give
+        every shard one contiguous run, which it loads from slice views;
+        any other order loads each shard through a row mask.
+        """
+        arrays = {name: np.asarray(arr) for name, arr in columns.items()}
+        assignment = np.searchsorted(
+            self.boundaries, arrays[self.shard_key], side="right"
+        )
+        counts = np.bincount(assignment, minlength=len(self.shards))
+        clustered = bool(np.all(assignment[:-1] <= assignment[1:]))
+        cuts = np.concatenate(([0], np.cumsum(counts))).tolist()
+        for shard_idx, shard in enumerate(self.shards):
+            if not counts[shard_idx]:
                 continue
-            self.shards[shard_idx].append_arrays(
-                {name: np.asarray(arr)[mask] for name, arr in columns.items()}
+            rows = (
+                slice(cuts[shard_idx], cuts[shard_idx + 1])
+                if clustered
+                else assignment == shard_idx
             )
+            shard.append_arrays({name: arr[rows] for name, arr in arrays.items()})
 
     @property
     def nrows(self) -> int:

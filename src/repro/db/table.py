@@ -27,7 +27,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Seque
 import numpy as np
 
 from repro.core.mvcc_filter import LIVE_TS, NEVER_TS
-from repro.core.packer import gather, record_view
+from repro.core.packer import blocks, gather, record_view
 from repro.core.selection import select_rows
 from repro.db.schema import MVCC_BEGIN, MVCC_END, Column, TableSchema
 from repro.errors import SchemaError
@@ -152,6 +152,11 @@ class Table:
 
         Numeric arrays must already be in raw stored form (e.g. scaled
         ints for DECIMAL); CHAR columns take ``S<width>`` byte arrays.
+        The new rows are written a cache-sized block of records at a time
+        (:func:`~repro.core.packer.blocks`, as :func:`gather` reads them):
+        every column of a block, and its MVCC stamps, while the block is
+        resident, each converted a block at a time. A bad value raises
+        and leaves ``nrows`` and ``version`` as they were.
         """
         names = set(columns)
         expected = set(c.name for c in self.schema.user_columns)
@@ -164,14 +169,18 @@ class Table:
             raise SchemaError(f"ragged bulk load: lengths {sorted(lengths)}")
         (n,) = lengths
         self._ensure_capacity(n)
-        block = self._records[self.nrows : self.nrows + n]
-        for col in self.schema.user_columns:
-            block[col.name] = np.asarray(
-                columns[col.name], dtype=col.dtype.np_dtype or f"S{col.dtype.width}"
-            )
-        if self.schema.mvcc:
-            block[MVCC_BEGIN] = NEVER_TS
-            block[MVCC_END] = LIVE_TS
+        records = self._records[self.nrows : self.nrows + n]
+        stored = [
+            (col.name, col.dtype.np_dtype or f"S{col.dtype.width}")
+            for col in self.schema.user_columns
+        ]
+        for part in blocks(n, self.schema.row_stride):
+            block = records[part]
+            for name, dtype in stored:
+                block[name] = np.asarray(columns[name][part], dtype=dtype)
+            if self.schema.mvcc:
+                block[MVCC_BEGIN] = NEVER_TS
+                block[MVCC_END] = LIVE_TS
         self.nrows += n
         self.version += 1
 

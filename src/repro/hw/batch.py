@@ -78,6 +78,7 @@ __all__ = [
     "batch_cache_access",
     "batch_dram_demand",
     "batch_prefetch",
+    "batch_prefetch_run",
     "hierarchy_access_lines_batch",
     "interleaved_lines",
     "sequential_lines",
@@ -640,10 +641,7 @@ def batch_prefetch(
         pf._tick += n
         pf.uncovered += n
         return covered
-    stride = max(1, stride_bytes // pf.line_bytes) if stride_bytes else 1
-    train = pf.config.train_lines
-    max_streams = pf.config.max_streams
-
+    stride = _stride_lines(pf, stride_bytes)
     starts = np.flatnonzero(
         np.r_[True, miss_lines[1:] != miss_lines[:-1] + stride]
     ).tolist()
@@ -651,60 +649,89 @@ def batch_prefetch(
     line_list: Optional[List[int]] = None
 
     for s, e in zip(starts, ends):
-        length = e - s
-        start_line = int(miss_lines[s])
-        streams = pf._streams
-        matched_sid = None
-        hijacked = False
-        for sid, st in streams.items():
-            if st.stride_lines != stride:
-                continue
-            if matched_sid is None and st.next_line == start_line:
-                matched_sid = sid
-                continue
-            delta = st.next_line - start_line
-            if stride <= delta <= (length - 1) * stride and delta % stride == 0:
-                hijacked = True  # another stream sits on a mid-run line
-                break
-        if hijacked:
+        n_cov = _run_coverage(pf, int(miss_lines[s]), e - s, stride)
+        if n_cov is None:
             if line_list is None:
                 line_list = miss_lines.tolist()
             for i in range(s, e):
                 covered[i] = pf.observe_miss(line_list[i], stride_bytes=stride_bytes)
-            continue
-        # Coverage closed form. Access k (0-based) of the run is covered
-        # iff the stream was trained *before* it; training completes on
-        # the match that brings hits to `train` (that access is itself a
-        # demand miss), and an allocation never sets trained even when
-        # train == 1 — so the first covered access is k = max(1, train -
-        # h0) for a matched stream, k = max(2, train) for an allocation.
-        if matched_sid is None:
-            if len(streams) >= max_streams:
-                victim = min(streams, key=lambda k: streams[k].last_use)
-                del streams[victim]
-            sid = pf._next_id
-            pf._next_id += 1
-            st = _Stream(
-                next_line=0, stride_lines=stride, trained=False, hits=0, last_use=0
-            )
-            streams[sid] = st
-            n_cov = max(0, length - max(2, train))
-            st.trained = length >= 2 and length >= train
-            st.hits = length
-        else:
-            st = streams[matched_sid]
-            h0, trained0 = st.hits, st.trained
-            n_cov = length if trained0 else max(0, length - max(1, train - h0))
-            st.trained = trained0 or (h0 + length >= train)
-            st.hits = h0 + length
-        if n_cov:
+        elif n_cov:
             covered[e - n_cov : e] = True
-        pf._tick += length
-        pf.covered += n_cov
-        pf.uncovered += length - n_cov
-        st.next_line = start_line + length * stride
-        st.last_use = pf._tick
     return covered
+
+
+def batch_prefetch_run(
+    pf: StreamPrefetcher, start_line: int, length: int, stride_bytes: int
+) -> Optional[int]:
+    """:func:`batch_prefetch` of a miss subsequence known to be the one
+    unit-stride run of ``length`` lines from ``start_line``.
+
+    Its covered misses are then the run's last ones, so the count is the
+    whole answer: the caller splits demand prefix from covered suffix
+    with no mask. Returns None, with the prefetcher untouched, when the
+    stride hint does not train unit-stride streams or another stream
+    could hijack the run; :func:`batch_prefetch` then decides.
+    """
+    if stride_bytes > pf.config.max_stride_bytes or _stride_lines(pf, stride_bytes) != 1:
+        return None
+    return _run_coverage(pf, start_line, length, 1)
+
+
+def _stride_lines(pf: StreamPrefetcher, stride_bytes: int) -> int:
+    """The stream stride, in lines, that a stride hint trains."""
+    return max(1, stride_bytes // pf.line_bytes) if stride_bytes else 1
+
+
+def _run_coverage(
+    pf: StreamPrefetcher, start_line: int, length: int, stride: int
+) -> Optional[int]:
+    """Feed one stride run of misses through the stream table; returns
+    how many of them (all at the run's end) were covered. Returns None,
+    touching nothing, when another same-stride stream sits on a mid-run
+    line: that run must replay through the scalar path."""
+    streams = pf._streams
+    matched_sid = None
+    for sid, st in streams.items():
+        if st.stride_lines != stride:
+            continue
+        if matched_sid is None and st.next_line == start_line:
+            matched_sid = sid
+            continue
+        delta = st.next_line - start_line
+        if stride <= delta <= (length - 1) * stride and delta % stride == 0:
+            return None  # another stream sits on a mid-run line
+    # Coverage closed form. Access k (0-based) of the run is covered
+    # iff the stream was trained *before* it; training completes on
+    # the match that brings hits to `train` (that access is itself a
+    # demand miss), and an allocation never sets trained even when
+    # train == 1 — so the first covered access is k = max(1, train -
+    # h0) for a matched stream, k = max(2, train) for an allocation.
+    train = pf.config.train_lines
+    if matched_sid is None:
+        if len(streams) >= pf.config.max_streams:
+            victim = min(streams, key=lambda k: streams[k].last_use)
+            del streams[victim]
+        sid = pf._next_id
+        pf._next_id += 1
+        st = _Stream(
+            next_line=0, stride_lines=stride, trained=False, hits=0, last_use=0
+        )
+        streams[sid] = st
+        n_cov = max(0, length - max(2, train))
+        st.trained = length >= 2 and length >= train
+        st.hits = length
+    else:
+        st = streams[matched_sid]
+        h0, trained0 = st.hits, st.trained
+        n_cov = length if trained0 else max(0, length - max(1, train - h0))
+        st.trained = trained0 or (h0 + length >= train)
+        st.hits = h0 + length
+    pf._tick += length
+    pf.covered += n_cov
+    pf.uncovered += length - n_cov
+    st.next_line = start_line + length * stride
+    st.last_use = pf._tick
+    return n_cov
 
 
 # ----------------------------------------------------------------------
@@ -798,9 +825,19 @@ def hierarchy_access_lines_batch(
     miss2 = miss1[~l2_hits] if n_l2_hits else miss1
 
     hierarchy.stats.dram_lines += miss2.size
-    covered = batch_prefetch(hierarchy.prefetcher, miss2, stride_hint)
-    n_cov = int(np.count_nonzero(covered))
-    demand = miss2[~covered] if n_cov else miss2
+    n_cov = None
+    if miss1_contig and n_l2_hits == 0:
+        # miss2 is the batch itself, one unit-stride run: its covered
+        # misses are a suffix, its demand misses the prefix before it.
+        n_cov = batch_prefetch_run(
+            hierarchy.prefetcher, int(miss2[0]), miss2.size, stride_hint
+        )
+    if n_cov is not None:
+        demand = miss2[: miss2.size - n_cov]
+    else:
+        covered = batch_prefetch(hierarchy.prefetcher, miss2, stride_hint)
+        n_cov = int(np.count_nonzero(covered))
+        demand = miss2[~covered] if n_cov else miss2
 
     total = n_l1_hits * platform.l1.hit_cycles
     total += n_l2_hits * platform.l2.hit_cycles

@@ -576,6 +576,37 @@ class TestQ3WalkRoutes:
         ]
 
 
+class TestSingleMissRunPrefetch:
+    """A cold contiguous batch reaches the prefetcher as one unit-stride
+    run of misses: its covered misses are a suffix, so a count decides
+    the split, with no mask. Other strides and a stream sitting mid-run
+    hand the batch to the general segmentation."""
+
+    def test_runs_bit_identical(self, monkeypatch):
+        counts = []
+        real = hwbatch.batch_prefetch_run
+
+        def spy(*args):
+            counts.append(real(*args))
+            return counts[-1]
+
+        monkeypatch.setattr(hwbatch, "batch_prefetch_run", spy)
+        max_stride = TEST_PLATFORM.prefetcher.max_stride_bytes
+        batches = [
+            (range(10_000, 10_100), False, 0),  # allocates a stream
+            (range(10_100, 10_200), True, 64),  # continues it, trained
+            (range(20_000, 20_002), False, 0),  # shorter than training
+            (range(30_000, 30_050), False, 128),  # a two-line stride
+            (range(40_000, 40_050), False, max_stride + 64),  # unprefetchable
+            (range(50_000, 50_010), False, 0),  # a stream waits at 50,010
+            (range(100_000, 100_400), False, 0),  # evicts 50,000..50,009
+            (range(49_990, 50_030), False, 0),  # that stream is mid-run
+        ]
+        want = replay(TEST_PLATFORM, batches, batched=False)
+        assert replay(TEST_PLATFORM, batches, batched=True) == want
+        assert counts == [97, 100, 0, None, None, 7, 397, None]
+
+
 # ----------------------------------------------------------------------
 # Model-level equivalence: the TraceMemoryModel drives the same kernel
 # through its four access shapes (plus the shared LCG stream).

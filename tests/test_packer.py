@@ -224,7 +224,7 @@ class TestRecordView:
         assert np.shares_memory(view, f) or f.size == 0
         packed = pack(f, g, row_mask=mask)
         # Small blocks make the gather cross many block boundaries.
-        with mock.patch.object(packer, "_GATHER_BLOCK_BYTES", block_bytes):
+        with mock.patch.object(packer, "_BLOCK_BYTES", block_bytes):
             got = gather(view, g.field_names, mask)
         for fld in g.fields:
             want = _referee_field(packed, g, fld.name)
@@ -254,7 +254,7 @@ class TestRecordView:
             [rng.permutation(block_rows) < round(d * block_rows) for d in densities]
         )
         view = record_view(f, GEO)
-        with mock.patch.object(packer, "_GATHER_BLOCK_BYTES", block_rows * GEO.row_stride):
+        with mock.patch.object(packer, "_BLOCK_BYTES", block_rows * GEO.row_stride):
             got = gather(view, GEO.field_names, mask)
         for name in GEO.field_names:
             want = view[name][mask]
@@ -272,11 +272,41 @@ class TestRecordView:
         that order, whatever the block size."""
         view = record_view(frame(nrows=60, seed=3), GEO)
         rows = np.asarray(positions, dtype=np.int64)
-        with mock.patch.object(packer, "_GATHER_BLOCK_BYTES", block_bytes):
+        with mock.patch.object(packer, "_BLOCK_BYTES", block_bytes):
             got = gather(view, GEO.field_names, rows)
         for name in GEO.field_names:
             assert got[name].tobytes() == view[rows][name].tobytes()
             assert got[name].dtype == view[name].dtype
+
+    @given(
+        st.sampled_from([0.0, 0.01, 0.1, 0.5, 0.9, 1.0]),
+        st.sampled_from(["ascending", "shuffled", "repeated"]),
+        st.sampled_from([np.int64, np.int32, np.uint16]),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_positions_of_every_density_equal_field_take(
+        self, density, order, dtype, block_rows, seed
+    ):
+        """Positions at any density and in any order give exactly
+        ``view[name][rows]``: each field taken at them, a block of
+        positions at a time, into contiguous arrays."""
+        rng = np.random.default_rng(seed)
+        view = record_view(frame(nrows=50, seed=seed % 7), GEO)
+        rows = np.flatnonzero(rng.random(50) < density)
+        if order == "shuffled":
+            rows = rng.permutation(rows)
+        elif order == "repeated":
+            rows = rng.choice(rows, 2 * len(rows)) if len(rows) else rows
+        rows = rows.astype(dtype)
+        with mock.patch.object(packer, "_BLOCK_BYTES", block_rows * GEO.row_stride):
+            got = gather(view, GEO.field_names, rows)
+        for name in GEO.field_names:
+            want = view[name][rows]
+            assert got[name].dtype == want.dtype
+            assert got[name].tobytes() == want.tobytes()
+            assert got[name].flags["C_CONTIGUOUS"]
 
     def test_fields_alias_the_frame(self):
         f = frame()

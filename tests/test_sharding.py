@@ -161,6 +161,75 @@ class TestIngestion:
         assert st_.nrows == 1234
 
 
+def masked_load(sharded, columns):
+    """Each shard loaded through a row mask of its keys, a masked copy of
+    every column: the referee for ``bulk_load``'s routes."""
+    assignment = np.searchsorted(
+        sharded.boundaries, columns[sharded.shard_key], side="right"
+    )
+    frames = []
+    for i in range(len(sharded.shards)):
+        shard = Table(sharded.schema)
+        mask = assignment == i
+        if mask.any():
+            shard.append_arrays({k: v[mask] for k, v in columns.items()})
+        frames.append(shard.frame.tobytes())
+    return frames
+
+
+class TestBulkLoadRoutes:
+    """Clustered input loads each shard from slices, any other order
+    through masks; both give the masked referee's shard frames."""
+
+    @given(
+        st.integers(0, 300),
+        st.lists(st.integers(0, 400), max_size=4, unique=True).map(sorted),
+        st.sampled_from(["shuffled", "sorted", "clustered"]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_shard_frames_equal_masked_referee(self, nrows, bounds, order, seed):
+        rng = np.random.default_rng(seed)
+        columns = {
+            "k": rng.integers(0, 400, nrows, dtype=np.int64),
+            "tag": rng.choice(np.array([b"", b"ab", b"abcdef"], dtype="S6"), nrows),
+        }
+        shard_of = np.searchsorted(bounds, columns["k"], side="right")
+        if order == "sorted":
+            perm = np.argsort(columns["k"], kind="stable")
+        elif order == "clustered":  # by shard, keys unsorted inside one
+            perm = np.argsort(shard_of, kind="stable")
+        else:
+            perm = np.arange(nrows)
+        columns = {name: arr[perm] for name, arr in columns.items()}
+        schema = TableSchema("t", [Column("k", INT64), Column("tag", CHAR(6))])
+        sharded = ShardedTable(schema, "k", bounds)
+        sharded.bulk_load(columns)
+        assert [s.frame.tobytes() for s in sharded.shards] == masked_load(
+            sharded, columns
+        )
+        assert sharded.nrows == nrows
+
+    def test_clustered_input_loads_slice_views(self, monkeypatch):
+        """Every shard of a clustered load is handed views of the input,
+        not copies."""
+        keys = np.arange(1000, dtype=np.int32)
+        columns = {f"c{i}": keys * (i + 1) for i in range(4)}
+        handed = []
+        real = Table.append_arrays
+
+        def spy(table, cols):
+            handed.append(cols)
+            return real(table, cols)
+
+        monkeypatch.setattr(Table, "append_arrays", spy)
+        st_ = ShardedTable(wide_schema(ncols=4, row_bytes=16), "c0", [100, 700])
+        st_.bulk_load(columns)
+        assert len(handed) == 3
+        for cols in handed:
+            assert all(np.shares_memory(cols[k], columns[k]) for k in cols)
+
+
 class TestRangedColumnGroups:
     def test_full_scan_touches_all_nonempty_shards(self):
         st_ = make_sharded()

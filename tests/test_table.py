@@ -2,6 +2,7 @@
 
 import datetime
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.core.fabric import RelationalMemory
 from repro.core.mvcc_filter import LIVE_TS, NEVER_TS, visible_mask
+from repro.core import packer
 from repro.core.packer import record_view
 from repro.db import Catalog, Column, Table, TableSchema
 from repro.db.engines import (
@@ -118,6 +120,108 @@ class TestBulkLoad:
         )
         table.append_row({"id": 3, "name": "cc", "price": 3.0, "qty": 3})
         assert table.column_values("id").tolist() == [1, 2, 3]
+
+
+#: Bulk-load columns of every stored kind: an INT8 and an INT16 fed
+#: wider ints (narrowed as numpy casts), a DECIMAL's raw ints, a FLOAT32
+#: fed float64s, and CHARs fed longer (truncated) and shorter (padded)
+#: strings.
+BULK_SCHEMA_COLUMNS = [
+    Column("id", INT64),
+    Column("tiny", INT8),
+    Column("small", INT16),
+    Column("price", DECIMAL(2)),
+    Column("ratio", FLOAT32),
+    Column("flag", CHAR(1)),
+    Column("name", CHAR(5)),
+]
+
+
+def _stored_dtype(col):
+    return col.dtype.np_dtype or f"S{col.dtype.width}"
+
+
+def reference_frame(schema, columns):
+    """A per-column bulk write: one whole-field pass per column, each
+    converted in one ``np.asarray``, then the MVCC stamps."""
+    n = len(next(iter(columns.values())))
+    frame = np.zeros((n, schema.row_stride), dtype=np.uint8)
+    records = record_view(frame, schema.full_geometry())
+    for col in schema.user_columns:
+        records[col.name] = np.asarray(columns[col.name], dtype=_stored_dtype(col))
+    if schema.mvcc:
+        records[MVCC_BEGIN] = NEVER_TS
+        records[MVCC_END] = LIVE_TS
+    return frame
+
+
+@st.composite
+def bulk_columns(draw, nrows):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    as_lists = draw(st.booleans())
+    # Arrays narrow by casting; Python ints out of range would raise.
+    wide = 1 if as_lists else 8
+    words = ["", "a", "abcde", "abcdefgh", "z\x00y"]
+    columns = {
+        "id": rng.integers(-(2**62), 2**62, nrows),
+        "tiny": rng.integers(-128 * wide, 128 * wide, nrows),
+        "small": rng.integers(-(2**15) * wide, 2**15 * wide, nrows),
+        "price": rng.integers(-(10**9), 10**9, nrows),
+        "ratio": rng.standard_normal(nrows),
+        "flag": rng.choice(np.array([b"", b"A", b"NR", b"\x00"], dtype="S2"), nrows),
+        "name": [words[i] for i in rng.integers(0, len(words), nrows)],
+    }
+    if as_lists:  # Python values, converted a block at a time
+        columns = {k: list(np.asarray(v).tolist()) for k, v in columns.items()}
+    return columns
+
+
+class TestBlockedBulkLoad:
+    """``append_arrays`` writes the image a block of records at a time;
+    its frame must equal a per-column write byte for byte."""
+
+    @given(
+        data=st.data(),
+        mvcc=st.booleans(),
+        nrows=st.integers(0, 40),
+        prefix_rows=st.integers(0, 9),
+        block_rows=st.integers(1, 7),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_frame_equals_per_column_write(
+        self, data, mvcc, nrows, prefix_rows, block_rows
+    ):
+        schema = TableSchema("bulk", BULK_SCHEMA_COLUMNS, mvcc=mvcc)
+        prefix = data.draw(bulk_columns(prefix_rows))
+        rows = data.draw(bulk_columns(nrows))
+        table = Table(schema)
+        with mock.patch.object(packer, "_BLOCK_BYTES", block_rows * schema.row_stride):
+            table.append_arrays(prefix)
+            table.append_arrays(rows)
+        want = np.concatenate(
+            [reference_frame(schema, prefix), reference_frame(schema, rows)]
+        )
+        assert table.nrows == prefix_rows + nrows
+        assert table.version == 2
+        assert table.frame.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad_row", [0, 5, 10])
+    def test_bad_value_leaves_the_table_as_it_was(self, bad_row):
+        schema = TableSchema("bulk", BULK_SCHEMA_COLUMNS, mvcc=True)
+        table = Table(schema)
+        good = {
+            "id": np.arange(3), "tiny": np.arange(3), "small": np.arange(3),
+            "price": np.arange(3), "ratio": np.ones(3), "flag": [b"A"] * 3,
+            "name": ["x"] * 3,
+        }
+        table.append_arrays(good)
+        before = (table.nrows, table.version, table.frame.tobytes())
+        bad = {k: list(v) * 4 for k, v in good.items()}  # 12 rows
+        bad["small"][bad_row] = "not a number"
+        with mock.patch.object(packer, "_BLOCK_BYTES", 3 * schema.row_stride):
+            with pytest.raises(ValueError):
+                table.append_arrays(bad)
+        assert (table.nrows, table.version, table.frame.tobytes()) == before
 
 
 class TestReads:

@@ -403,6 +403,54 @@ class TestFactorize:
     def test_matches_numpy_free_reference(self, cols):
         assert_factorize_matches_reference(cols)
 
+    @given(
+        st.lists(st.sampled_from(["S1", "uint8", "int8"]), min_size=1, max_size=2),
+        st.integers(1, 60),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_byte_keys_equal_ranked_route(self, kinds, n, data):
+        """One or two one-byte key columns take one 16-bit code and a
+        bincount; uniques and codes equal the ranked route's, dtype and
+        bytes (NUL bytes and signed order included)."""
+        from repro.db.exec import vector
+
+        values = {
+            "S1": ("S1", st.sampled_from([b"", b"\x00", b"A", b"N", b"\x7f", b"\x80", b"\xff"])),
+            "uint8": (np.uint8, st.sampled_from([0, 1, 127, 128, 255])),
+            "int8": (np.int8, st.sampled_from([-128, -1, 0, 1, 127])),
+        }
+        cols = []
+        for kind in kinds:
+            dtype, strategy = values[kind]
+            drawn = data.draw(st.lists(strategy, min_size=n, max_size=n))
+            cols.append(np.array(drawn, dtype=dtype))
+        uniq, codes = factorize(cols)
+        # The ranked route: per-column ranks, mixed radix, first rows.
+        want_codes, space = vector._mixed_radix(vector._rank_column(c) for c in cols)
+        first = np.full(space, n, dtype=np.int64)
+        np.minimum.at(first, want_codes, np.arange(n, dtype=np.int64))
+        want_uniq = [c[first] for c in cols]
+        assert codes.dtype == want_codes.dtype
+        assert codes.tobytes() == want_codes.tobytes()
+        for got, want in zip(uniq, want_uniq):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        assert_factorize_matches_reference(cols)
+
+    def test_byte_keys_skip_the_ranks(self, monkeypatch):
+        from repro.db.exec import vector
+
+        def fail(*_):
+            raise AssertionError("ranked route taken")
+
+        monkeypatch.setattr(vector, "_mixed_radix", fail)
+        flags = np.array([b"N", b"R", b"A", b"N"], dtype="S1")
+        status = np.array([b"O", b"F", b"F", b"O"], dtype="S1")
+        uniq, codes = factorize([flags, status])
+        assert [u.tolist() for u in uniq] == [[b"A", b"N", b"R"], [b"F", b"O", b"F"]]
+        assert codes.tolist() == [1, 2, 0, 1]
+
     def test_radix_overflow_redensifies(self, monkeypatch):
         # Four columns of 2**16 distinct values: the mixed-radix product
         # (2**64) passes 2**62, so the running code is re-densified before
