@@ -11,10 +11,10 @@ Three questions, all with numbers the ledger can defend:
 3. **What does checkpointing buy?** Sweep checkpoint cadence: checkpoint
    cycles paid up front vs log bytes/records left to replay at the crash.
 4. **Does a point transaction cost O(1)?** ``point_txn_host_ratio`` is
-   the host time of one transaction (insert + 2 point updates + commit)
-   on a 64k-row table over a 2k-row table, measured in one process, so
-   runner speed cancels out. Every step reads or writes one record, so
-   the ratio should sit near 1.
+   the host time of transactions (insert + 2 point updates + commit) on a
+   64k-row table over a 2k-row table, timed by
+   :func:`repro.bench.timing.paired_timing`, so runner speed cancels out.
+   Every step reads or writes one record, so the ratio should sit near 1.
 
 Run as a script (writes the artifact consumed by CI)::
 
@@ -28,14 +28,14 @@ or under pytest-benchmark (reduced sizes)::
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.bench.timing import PAIRS, PairedTiming, paired_timing
 from repro.core.ledger import CostLedger
 from repro.db.mvcc import TransactionManager
 from repro.db.table import Table
@@ -184,19 +184,17 @@ def bench_checkpoint_cadence(
 
 def bench_point_txn(
     small_rows: int = 2_000, large_rows: int = 64_000, txns: int = 600, seed: int = 0
-) -> Dict[str, object]:
-    """Host time per point transaction on a large table and a small one.
+) -> Tuple[Dict[str, object], PairedTiming]:
+    """Host time of point transactions on a large table over a small one.
 
     Both tables are seeded with committed orders and sized up front, so
-    neither reallocates its frame while timed. Transactions on the two
-    alternate, each pair in alternating order, timed in process CPU time
-    with the garbage collector off, so a change in host speed or a
-    collection hits both sides alike. Picking the updated rows is not
-    timed.
+    neither reallocates its frame while timed. Each pair runs the same
+    share of the ``txns`` transactions on each table; picking the updated
+    rows is set-up, not timed.
     """
     rng = np.random.default_rng(seed)
-    sides = []
-    for rows in (small_rows, large_rows):
+
+    def point_txns(rows):
         table = Table(orders_schema(), capacity=rows + 3 * txns)
         manager = TransactionManager()
         txn = manager.begin()
@@ -205,39 +203,41 @@ def bench_point_txn(
                 table, {"o_id": i, "o_customer": i % 97, "o_amount": 10.0, "o_status": 0}
             )
         manager.commit(txn)
-        sides.append((table, manager, list(range(rows))))
+        live = list(range(rows))
 
-    def one_txn(table, manager, live, k) -> float:
-        a, b = rng.choice(len(live), size=2, replace=False).tolist()
-        t0 = time.process_time()
-        txn = manager.begin()
-        txn.insert(table, {"o_id": -k, "o_customer": 1, "o_amount": 5.0, "o_status": 0})
-        new_a = txn.update(table, live[a], {"o_status": 1})
-        new_b = txn.update(table, live[b], {"o_status": 2})
-        manager.commit(txn)
-        spent = time.process_time() - t0
-        live[a], live[b] = new_a, new_b
-        return spent
+        def setup(pair):
+            ks = range(pair, txns, PAIRS)
+            picks = [rng.choice(rows, size=2, replace=False).tolist() for _ in ks]
 
-    spent = [0.0, 0.0]
-    gc.disable()
-    try:
-        for k in range(txns):
-            for side in (0, 1) if k % 2 else (1, 0):
-                spent[side] += one_txn(*sides[side], k)
-    finally:
-        gc.enable()
+            def run():
+                for k, (a, b) in zip(ks, picks):
+                    txn = manager.begin()
+                    txn.insert(
+                        table, {"o_id": -k, "o_customer": 1, "o_amount": 5.0, "o_status": 0}
+                    )
+                    new_a = txn.update(table, live[a], {"o_status": 1})
+                    new_b = txn.update(table, live[b], {"o_status": 2})
+                    manager.commit(txn)
+                    live[a], live[b] = new_a, new_b
+
+            return run
+
+        return setup
+
+    timing = paired_timing(point_txns(large_rows), point_txns(small_rows))
+    large, small = (sum(seconds) / txns for seconds in timing.seconds)
     return {
         "small_rows": small_rows,
         "large_rows": large_rows,
         "txns": txns,
-        "small_txn_seconds": spent[0] / txns,
-        "large_txn_seconds": spent[1] / txns,
-    }
+        "small_txn_seconds": small,
+        "large_txn_seconds": large,
+    }, timing
 
 
-def run_all(n_txns: int, lengths: List[int]) -> Dict[str, object]:
-    point = bench_point_txn()
+def run_all(n_txns: int, lengths: List[int]) -> Tuple[Dict[str, object], PairedTiming]:
+    """The report, and the timing behind its host ratio."""
+    point, timing = bench_point_txn()
     return {
         "overhead": bench_wal_overhead(n_txns),
         "recovery_vs_log_length": bench_recovery_vs_log_length(lengths),
@@ -245,8 +245,8 @@ def run_all(n_txns: int, lengths: List[int]) -> Dict[str, object]:
             n_txns, [None, n_txns // 2, n_txns // 8]
         ),
         "point_txn": point,
-        "point_txn_host_ratio": point["large_txn_seconds"] / point["small_txn_seconds"],
-    }
+        "point_txn_host_ratio": timing.ratio,
+    }, timing
 
 
 def main(argv=None) -> int:
@@ -262,7 +262,7 @@ def main(argv=None) -> int:
     parser.add_argument("--json", type=str, default="", help="write report here")
     args = parser.parse_args(argv)
 
-    report = run_all(args.txns, args.lengths)
+    report, timing = run_all(args.txns, args.lengths)
     o = report["overhead"]
     print(
         f"write mix, {o['txns']} txns: no-WAL {o['no_wal_txns_per_sec']:.0f} txn/s, "
@@ -287,7 +287,7 @@ def main(argv=None) -> int:
     print(
         f"point txn: {p['small_txn_seconds'] * 1e6:.1f} us at {p['small_rows']} rows, "
         f"{p['large_txn_seconds'] * 1e6:.1f} us at {p['large_rows']} rows "
-        f"(point_txn_host_ratio {report['point_txn_host_ratio']:.2f})"
+        f"(point_txn_host_ratio, median [q1–q3] of the pairs, {timing})"
     )
     if args.json:
         with open(args.json, "w") as f:
@@ -300,7 +300,7 @@ def main(argv=None) -> int:
 # pytest-benchmark entry point (reduced sizes for CI bench runs).
 # ----------------------------------------------------------------------
 def test_recovery_benchmark(benchmark, save_result):
-    report = benchmark.pedantic(
+    report, _ = benchmark.pedantic(
         run_all, args=(100, [50, 200]), rounds=1, iterations=1
     )
     o = report["overhead"]

@@ -8,12 +8,11 @@ Two measurements over :mod:`repro.dist`:
    cores); what gates is the determinism contract: every shard count
    must produce a payload byte-identical to unsharded serial execution
    and charge exactly the same ledger cycles — sharding buys
-   parallelism, never a different answer or a different bill. One
-   host-time value gates too: ``q1_q6_host_ratio``, serial Q1 over
-   serial Q6 seconds (each the minimum of three runs). Both run in the
-   same process on the same data, so the ratio holds across runner
-   speeds, and it rises sharply if grouping falls back to a slow sort.
-   ``bulk_load_host_ratio`` gates the same way: bulk-loading the
+   parallelism, never a different answer or a different bill. Two
+   host-time ratios gate too, timed by
+   :func:`repro.bench.timing.paired_timing`: ``q1_q6_host_ratio``,
+   serial Q1 over serial Q6, which rises sharply if grouping falls back
+   to a slow sort, and ``bulk_load_host_ratio``, bulk-loading the
    shards' row images over one contiguous copy of as many image bytes.
 2. **Recovery** — a durable 4-shard orders cluster absorbs a seeded
    write mix, then every shard in turn is SIGKILLed and the next query
@@ -35,12 +34,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
-from typing import Dict, List
+from functools import partial
+from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.bench.timing import PairedTiming, paired_timing
 from repro.core.selection import CompareOp, FabricPredicate
 from repro.dist import (
     AggSpec,
@@ -58,10 +60,6 @@ from repro.workloads.tpch import generate_lineitem
 
 #: Ledger buckets the distributed path charges; reported per query.
 DIST_BUCKETS = ("dist_scan", "dist_filter", "dist_agg", "dist_gather")
-#: Serial runs per query; the minimum is reported (least runner noise).
-SERIAL_REPEATS = 3
-#: Bulk loads (and image copies) timed; the least of each is reported.
-BULK_REPEATS = 5
 
 
 def run_scaling(
@@ -69,25 +67,25 @@ def run_scaling(
     shard_counts,
     seed: int,
     metrics: MetricsRegistry = None,
-) -> Dict[str, object]:
+) -> Tuple[Dict[str, object], Dict[str, PairedTiming]]:
+    """The scaling report, and the timing behind each of its host ratios."""
     _, lineitem = generate_lineitem(rows, seed=seed)
     plans = {"q1": q1_plan(), "q6": q6_plan()}
-    serial: Dict[str, object] = {}
-    report: Dict[str, object] = {"rows": rows, "per_shards": {}}
-    for name, plan in plans.items():
-        times = []
-        for _ in range(SERIAL_REPEATS):
-            t0 = time.perf_counter()
-            serial[name] = execute_plan(lineitem, plan)
-            times.append(time.perf_counter() - t0)
-        report[f"{name}_serial_seconds"] = min(times)
-    # Q1 groups and aggregates; Q6 only filters and sums. Their ratio,
-    # measured in one process, is what the host-time gate holds.
-    report["q1_q6_host_ratio"] = (
-        report["q1_serial_seconds"] / report["q6_serial_seconds"]
-    )
 
-    report.update(run_bulk_load(lineitem, max(shard_counts)))
+    def serial(plan):
+        return lambda _: partial(execute_plan, lineitem, plan)
+
+    # Q1 groups and aggregates; Q6 only filters and sums.
+    timing = paired_timing(serial(plans["q1"]), serial(plans["q6"]))
+    answers = {name: outputs[-1] for name, outputs in zip(plans, timing.outputs)}
+    report: Dict[str, object] = {"rows": rows, "per_shards": {}}
+    for name, seconds in zip(plans, timing.seconds):
+        report[f"{name}_serial_seconds"] = statistics.median(seconds)
+    report["q1_q6_host_ratio"] = timing.ratio
+    timings = {"q1_q6_host_ratio": timing}
+
+    bulk_load, timings["bulk_load_host_ratio"] = run_bulk_load(lineitem, max(shard_counts))
+    report.update(bulk_load)
 
     clusters: List[ShardCluster] = []
     for n in shard_counts:
@@ -104,7 +102,7 @@ def run_scaling(
             t0 = time.perf_counter()
             res = cluster.query(plan, metrics=metrics)
             entry[f"{name}_seconds"] = time.perf_counter() - t0
-            ref = serial[name]
+            ref = answers[name]
             entry[f"{name}_bit_identical"] = res.to_bytes() == ref.to_bytes()
             entry[f"{name}_ledger_bit_identical"] = (
                 res.ledger.buckets == ref.ledger.buckets
@@ -121,39 +119,40 @@ def run_scaling(
         for k in e
         if "identical" in k
     )
-    return report
+    return report, timings
 
 
-def run_bulk_load(lineitem, nshards: int) -> Dict[str, float]:
-    """Least seconds of ``BULK_REPEATS`` bulk loads of lineitem's stored
-    columns into ``nshards`` range shards, and of as many contiguous
-    copies of its row image (the same bytes), taken in turn.
+def run_bulk_load(lineitem, nshards: int) -> Tuple[Dict[str, float], PairedTiming]:
+    """Host time of bulk-loading lineitem's stored columns into
+    ``nshards`` range shards over a contiguous copy of its row image (the
+    same bytes), by :func:`paired_timing`.
 
     ``bulk_load_host_ratio`` is load over copy: both write every byte of
-    the image once, so the ratio holds across runner speeds and rises if
-    the load goes back to a pass per column or a masked copy per shard.
+    the image once, so the ratio rises if the load goes back to a pass per
+    column or a masked copy per shard.
     """
     columns = {
         c.name: lineitem.column(c.name) for c in lineitem.schema.user_columns
     }
     qs = np.linspace(0, 1, nshards + 1)[1:-1]
     bounds = sorted({int(np.quantile(columns["l_orderkey"], q)) for q in qs})
-    load, copy = [], []
-    for _ in range(BULK_REPEATS):
+
+    def load(_):
         sharded = ShardedTable(lineitem.schema, "l_orderkey", bounds)
-        t0 = time.perf_counter()
-        sharded.bulk_load(columns)
-        load.append(time.perf_counter() - t0)
-        del sharded
-        t0 = time.perf_counter()
-        image = lineitem.frame.copy()
-        copy.append(time.perf_counter() - t0)
-        del image
+        return lambda: sharded.bulk_load(columns)
+
+    def copy(_):
+        # Pages are mapped on the first write, as for ``frame.copy()``;
+        # the set-up owns the buffer, so no image outlives its pair.
+        image = np.empty_like(lineitem.frame)
+        return lambda: np.copyto(image, lineitem.frame)
+
+    timing = paired_timing(load, copy)
     return {
-        "bulk_load_seconds": min(load),
-        "image_copy_seconds": min(copy),
-        "bulk_load_host_ratio": min(load) / min(copy),
-    }
+        "bulk_load_seconds": statistics.median(timing.seconds[0]),
+        "image_copy_seconds": statistics.median(timing.seconds[1]),
+        "bulk_load_host_ratio": timing.ratio,
+    }, timing
 
 
 def _orders_plan() -> DistPlan:
@@ -256,7 +255,7 @@ def main(argv=None) -> int:
             interval_cycles=args.metrics_interval
         )
 
-    scaling = run_scaling(args.rows, args.shards, args.seed, metrics=metrics)
+    scaling, timings = run_scaling(args.rows, args.shards, args.seed, metrics=metrics)
     recovery = run_recovery(args.txns, args.seed, metrics=metrics)
     if sampler is not None:
         sampler.sample_now()
@@ -270,6 +269,9 @@ def main(argv=None) -> int:
             f"q6 {scaling['q6_serial_seconds']:.3f}s) "
             f"identical={entry['q1_bit_identical'] and entry['q6_bit_identical']}"
         )
+    print("host ratios, median [q1–q3] of the pairs:")
+    for key, timing in timings.items():
+        print(f"  {key:<20} {timing}")
     print(
         f"recovery: {recovery['kills']} kills, mean "
         f"{recovery['recovery_seconds_mean']:.3f}s, max "

@@ -10,19 +10,18 @@ memory model *benchmark-viable*. Three measurements:
    AccessStats, per-level CacheStats, DRAM stats, and prefetcher
    counters.
 2. **Host ratios**: the batch kernel's host time on a walk divided by
-   the scalar reference's on the same walk in the same process (so
-   runner speed cancels, and kernel work on another route moves neither
-   side; the baseline gate allows +50%): ``scan_host_ratio`` for the
-   cold scan above (a full-cache sweep at both levels),
-   ``probe_host_ratio`` for a re-referencing LCG probe walk (a hash-join
-   probe), ``warm_host_ratio`` for a second scan of a region right after
-   its cold scan (both take the LRU stack-distance route of the kernel),
-   and, each run after a cold scan, ``probe_kernel_host_ratio`` for
-   TPC-H Q3's first probe walk (stack distance at both levels) and
-   ``fit_probe_kernel_host_ratio`` for its second, whose lines fit
-   L2's sets (the kernel's fit route at L2); these two are medians of
-   back-to-back batch/scalar pairs. Both Q3 walks are also checked
-   bit-identical.
+   the scalar reference's on the same walk in the same process, timed by
+   :func:`repro.bench.timing.paired_timing` (so runner speed cancels, and
+   kernel work on another route moves neither side; the baseline gate
+   allows +50%): ``scan_host_ratio`` for the cold scan above (a
+   full-cache sweep at both levels), ``probe_host_ratio`` for a
+   re-referencing LCG probe walk (a hash-join probe), ``warm_host_ratio``
+   for a second scan of a region right after its cold scan (both take the
+   LRU stack-distance route of the kernel), and, each run after a cold
+   scan, ``probe_kernel_host_ratio`` for TPC-H Q3's first probe walk
+   (stack distance at both levels) and ``fit_probe_kernel_host_ratio``
+   for its second, whose lines fit L2's sets (the kernel's fit route at
+   L2). Every walk is also checked bit-identical.
 3. **End-to-end**: full Q6 through all three engines in trace mode,
    cross-checking that cycles, answers, and every hierarchy counter
    agree between the two kernels (at a reduced row count, since the
@@ -48,22 +47,15 @@ import statistics
 import sys
 import time
 from dataclasses import asdict
-from typing import Dict
+from typing import Callable, Dict, Tuple
 
+from repro.bench.timing import PAIRS, PairedTiming, paired_timing
 from repro.db.engines import all_engines
 from repro.hw.analytic import TraceMemoryModel
 from repro.hw.config import default_platform
 from repro.workloads.tpch import Q6, generate_lineitem
 
 ENGINES = ("row", "column", "rm")
-#: Timings per host ratio; the minimum of each is used (least runner noise).
-HOST_REPEATS = 3
-#: Back-to-back batch/scalar pairs per Q3 probe walk; the median of the
-#: pairs' ratios is reported.
-PROBE_PAIRS = 5
-#: Batch timings of the cold scan, which takes milliseconds against the
-#: scalar loop's seconds, so a single slow repeat would move its ratio.
-SCAN_REPEATS = 10
 #: Accesses per distinct line of the probe walk (TPC-H Q3's probe revisits
 #: each line about five times).
 PROBE_REUSE = 5
@@ -73,6 +65,8 @@ Q3_PROBES, Q3_PROBE_LINES = 107_703, 39_299
 #: Q3's second probe walk: as many probes over 7,458 lines, at most 8 of
 #: them in any L2 set.
 Q3_FIT_LINES = 7_458
+#: The region every scan walks.
+REGION = ("rows", "lineitem")
 
 
 def _hierarchy_snapshot(hierarchy) -> Dict[str, object]:
@@ -86,95 +80,29 @@ def _hierarchy_snapshot(hierarchy) -> Dict[str, object]:
     }
 
 
-def run_scan(nrows: int) -> Dict[str, object]:
-    """Time the Q6 table scan (rowstore fetch path) batch vs scalar: the
-    least of ``SCAN_REPEATS`` batch scans, one scalar scan (it runs for
-    seconds)."""
-    catalog, _ = generate_lineitem(nrows=16)  # only the schema is needed
-    row_stride = catalog.table("lineitem").schema.row_stride
-    nbytes = nrows * row_stride
-    out: Dict[str, object] = {"rows": nrows, "bytes": nbytes}
-    for label, use_batch, repeats in (
-        ("batch", True, SCAN_REPEATS), ("scalar", False, 1)
-    ):
-        times = []
-        for _ in range(repeats):
-            model = TraceMemoryModel(default_platform(), use_batch=use_batch)
-            base = model.region(("rows", "lineitem"), nbytes)
-            t0 = time.perf_counter()
-            mem = model.sequential(nbytes, base_addr=base)
-            times.append(time.perf_counter() - t0)
-        out[f"{label}_seconds"] = min(times)
-        out[f"{label}_cycles"] = (mem.covered, mem.exposed)
-        out[f"{label}_hierarchy"] = _hierarchy_snapshot(model.hierarchy)
-    out["speedup"] = out["scalar_seconds"] / out["batch_seconds"]
-    out["bit_identical"] = (
-        out["batch_cycles"] == out["scalar_cycles"]
-        and out["batch_hierarchy"] == out["scalar_hierarchy"]
-    )
-    return out
+def run_walk(walk: Callable, cold_nbytes: int = 0, pairs: int = PAIRS) -> PairedTiming:
+    """Host time of ``walk(model)`` on a fresh trace model under the batch
+    kernel over the scalar reference, each after a cold scan of the first
+    ``cold_nbytes`` of the scan region by the batch kernel (whose end
+    state is the scalar one). Each thunk returns the walk's cycles and the
+    hierarchy state it left, for the bit-identity check."""
 
-
-def run_host_seconds(nbytes: int) -> Dict[str, Dict[str, float]]:
-    """Host time, under the batch kernel and under the scalar reference,
-    of a second scan of an ``nbytes`` region right after its cold scan
-    (run by the batch kernel, whose end state is the scalar one), and of
-    a probe walk with as many accesses as the scan has lines. The batch
-    times are the least of ``HOST_REPEATS``; the scalar reference runs
-    for seconds, so it is timed once."""
-    nlines = nbytes // default_platform().l1.line_bytes
-    out: Dict[str, Dict[str, float]] = {}
-    for label, use_batch, repeats in (
-        ("batch", True, HOST_REPEATS), ("scalar", False, 1)
-    ):
-        warm, probe = [], []
-        for _ in range(repeats):
+    def side(use_batch: bool):
+        def setup(_pair: int):
             model = TraceMemoryModel(default_platform())
-            base = model.region(("rows", "lineitem"), nbytes)
-            model.sequential(nbytes, base_addr=base)
+            if cold_nbytes:
+                model.sequential(cold_nbytes, base_addr=model.region(REGION, cold_nbytes))
             model.use_batch = use_batch
-            t0 = time.perf_counter()
-            model.sequential(nbytes, base_addr=base)
-            warm.append(time.perf_counter() - t0)
-            model = TraceMemoryModel(default_platform(), use_batch=use_batch)
-            t0 = time.perf_counter()
-            model.random(nlines, nbytes // PROBE_REUSE)
-            probe.append(time.perf_counter() - t0)
-        out[label] = {"warm_scan": min(warm), "probe": min(probe)}
-    return out
 
+            def run():
+                mem = walk(model)
+                return (mem.covered, mem.exposed), _hierarchy_snapshot(model.hierarchy)
 
-def run_probe_kernel(nbytes: int, probes: int, lines: int) -> Dict[str, object]:
-    """Host time of a Q3-shaped probe walk of ``probes`` accesses over
-    ``lines`` lines under the batch kernel and under the scalar reference,
-    each after a cold scan of ``nbytes`` (run by the batch kernel, whose
-    end state is the scalar one), and whether both left the same cycles
-    and hierarchy state.
+            return run
 
-    The two kernels are timed in ``PROBE_PAIRS`` back-to-back pairs, and
-    the ratio is the median of the pairs' ratios: both sides of a pair
-    run on the same host and allocator state, which a least time per side
-    taken at different moments does not share."""
-    out: Dict[str, object] = {}
-    times: Dict[str, list] = {"batch": [], "scalar": []}
-    state = {}
-    for _ in range(PROBE_PAIRS):
-        for label, use_batch in (("batch", True), ("scalar", False)):
-            model = TraceMemoryModel(default_platform())
-            base = model.region(("rows", "lineitem"), nbytes)
-            model.sequential(nbytes, base_addr=base)
-            model.use_batch = use_batch
-            t0 = time.perf_counter()
-            mem = model.random(probes, lines * model.line_bytes)
-            times[label].append(time.perf_counter() - t0)
-            state[label] = ((mem.covered, mem.exposed), _hierarchy_snapshot(model.hierarchy))
-    for label, ts in times.items():
-        out[label] = statistics.median(ts)
-    out["host_ratio"] = statistics.median(
-        b / s for b, s in zip(times["batch"], times["scalar"])
-    )
-    out["bit_identical"] = state["batch"] == state["scalar"]
-    return out
+        return setup
+
+    return paired_timing(side(True), side(False), pairs)
 
 
 def run_q6_engines(nrows: int, use_batch: bool) -> Dict[str, object]:
@@ -200,45 +128,61 @@ def run_q6_engines(nrows: int, use_batch: bool) -> Dict[str, object]:
     return out
 
 
-def compare(scan_rows: int, engine_rows: int) -> Dict[str, object]:
-    scan = run_scan(scan_rows)
-    host = run_host_seconds(scan["bytes"])
-    probe = run_probe_kernel(scan["bytes"], Q3_PROBES, Q3_PROBE_LINES)
-    fit = run_probe_kernel(scan["bytes"], Q3_PROBES, Q3_FIT_LINES)
-    probe_ratio, fit_ratio = probe.pop("host_ratio"), fit.pop("host_ratio")
+def compare(scan_rows: int, engine_rows: int) -> Tuple[Dict[str, object], Dict[str, PairedTiming]]:
+    """The report, and the timing behind each of its host ratios."""
+    catalog, _ = generate_lineitem(nrows=16)  # only the schema is needed
+    nbytes = scan_rows * catalog.table("lineitem").schema.row_stride
+    nlines = nbytes // default_platform().l1.line_bytes
+
+    def scan(model):
+        return model.sequential(nbytes, base_addr=model.region(REGION, nbytes))
+
+    def q3_walk(lines):
+        return lambda model: model.random(Q3_PROBES, lines * model.line_bytes)
+
+    # At 300k rows the scalar reference takes 4-7 s per cold scan, rescan
+    # or LCG probe walk (2-vCPU x86 runner), so those three walks take two
+    # pairs each.
+    walks = {
+        "scan": run_walk(scan, pairs=2),
+        "warm": run_walk(scan, nbytes, pairs=2),
+        "probe": run_walk(
+            lambda model: model.random(nlines, nbytes // PROBE_REUSE), pairs=2
+        ),
+        "probe_kernel": run_walk(q3_walk(Q3_PROBE_LINES), nbytes),
+        "fit_probe_kernel": run_walk(q3_walk(Q3_FIT_LINES), nbytes),
+    }
     batch = run_q6_engines(engine_rows, use_batch=True)
     scalar = run_q6_engines(engine_rows, use_batch=False)
-    mismatches = []
-    if not scan["bit_identical"]:
-        mismatches.append("scan: batch/scalar hierarchy state diverged")
-    for name, walk in (("probe kernel", probe), ("fit probe kernel", fit)):
-        if not walk.pop("bit_identical"):
-            mismatches.append(f"{name}: batch/scalar cycles or hierarchy state diverged")
+    mismatches = [
+        f"{name}: batch/scalar cycles or hierarchy state diverged"
+        for name, timing in walks.items()
+        if timing.outputs[0] != timing.outputs[1]
+    ]
     for name in ENGINES:
         b, s = batch["engines"][name], scalar["engines"][name]
         for field in ("cycles", "answer", "hierarchy"):
             if b[field] != s[field]:
                 mismatches.append(f"{name}.{field}: batch={b[field]} scalar={s[field]}")
+    timings = {f"{name}_host_ratio": timing for name, timing in walks.items()}
+    host_seconds = {
+        name: dict(zip(("batch", "scalar"), map(statistics.median, timing.seconds)))
+        for name, timing in walks.items()
+    }
+    speedup = 1 / walks["scan"].ratio
+    scan_cycles, _ = walks["scan"].outputs[0][0]  # batch side, first pair
     return {
         "scan": {
-            "rows": scan["rows"],
-            "bytes": scan["bytes"],
-            "batch_seconds": scan["batch_seconds"],
-            "scalar_seconds": scan["scalar_seconds"],
-            "speedup": scan["speedup"],
-            "cycles": scan["batch_cycles"],
+            "rows": scan_rows,
+            "bytes": nbytes,
+            "batch_seconds": host_seconds["scan"]["batch"],
+            "scalar_seconds": host_seconds["scan"]["scalar"],
+            "speedup": speedup,
+            "cycles": scan_cycles,
         },
-        "speedup": scan["speedup"],
-        "scan_host_ratio": scan["batch_seconds"] / scan["scalar_seconds"],
-        "host_seconds": host,
-        "probe_kernel_seconds": probe,
-        "fit_probe_kernel_seconds": fit,
-        "probe_host_ratio": host["batch"]["probe"] / host["scalar"]["probe"],
-        "warm_host_ratio": (
-            host["batch"]["warm_scan"] / host["scalar"]["warm_scan"]
-        ),
-        "probe_kernel_host_ratio": probe_ratio,
-        "fit_probe_kernel_host_ratio": fit_ratio,
+        "speedup": speedup,
+        "host_seconds": host_seconds,
+        **{key: timing.ratio for key, timing in timings.items()},
         "bit_identical": not mismatches,
         "mismatches": mismatches,
         "q6_end_to_end": {
@@ -255,7 +199,7 @@ def compare(scan_rows: int, engine_rows: int) -> Dict[str, object]:
                 for name in ENGINES
             },
         },
-    }
+    }, timings
 
 
 def main(argv=None) -> int:
@@ -278,25 +222,18 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    report = compare(args.rows, args.engine_rows)
+    report, timings = compare(args.rows, args.engine_rows)
     scan = report["scan"]
     print(
         f"Q6 scan, {scan['rows']} rows ({scan['bytes'] / 1e6:.0f} MB): "
-        f"scalar {scan['scalar_seconds']:.3f}s   batch {scan['batch_seconds']:.3f}s   "
+        f"scalar {scan['scalar_seconds']:.3f}s   batch {scan['batch_seconds']:.4f}s   "
         f"speedup {scan['speedup']:.1f}x"
     )
-    print(
-        f"host ratios, batch over scalar: "
-        f"cold scan {report['scan_host_ratio']:.4f}   "
-        f"probe walk {report['probe_host_ratio']:.4f}   "
-        f"warm rescan {report['warm_host_ratio']:.4f}"
-    )
-    for title, key in (("first", "probe_kernel"), ("second", "fit_probe_kernel")):
-        walk = report[f"{key}_seconds"]
+    print("host ratios, batch over scalar, median [q1–q3] of the pairs:")
+    for (key, timing), (name, walk) in zip(timings.items(), report["host_seconds"].items()):
         print(
-            f"Q3 {title} probe walk: scalar {walk['scalar']:.3f}s   "
-            f"batch {walk['batch']:.4f}s   "
-            f"{key}_host_ratio {report[f'{key}_host_ratio']:.4f}"
+            f"  {key:<28} {timing}   "
+            f"(scalar {walk['scalar']:.3f}s, batch {walk['batch']:.4f}s)"
         )
     e2e = report["q6_end_to_end"]
     print(f"Q6 end-to-end, {e2e['rows']} rows:")
@@ -330,7 +267,7 @@ def main(argv=None) -> int:
 # pytest-benchmark entry point (reduced rows for CI bench runs).
 # ----------------------------------------------------------------------
 def test_trace_batch_speedup(benchmark, save_result):
-    report = benchmark.pedantic(
+    report, _ = benchmark.pedantic(
         compare, args=(200_000, 20_000), rounds=1, iterations=1
     )
     scan = report["scan"]

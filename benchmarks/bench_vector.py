@@ -56,11 +56,13 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import statistics
 import sys
 import time
 from dataclasses import asdict
 from typing import Dict, List, Tuple
 
+from repro.bench.timing import PAIRS, PairedTiming, paired_timing
 from repro.core.ledger import CostLedger
 import numpy as np
 
@@ -196,29 +198,10 @@ def _frontend_statements(n: int, tag: str = "") -> List[str]:
     return out
 
 
-def _paired(sides, inputs, agree=None) -> Tuple[List[float], List[object]]:
-    """Host seconds of each one-argument callable in ``sides`` over
-    ``inputs``: ``(total seconds per side, inputs they disagree on)``.
-
-    On each input the sides run back to back, in alternating order, so a
-    change in host speed during the run hits every side alike. An input
-    on which ``agree(outputs)`` is false is reported.
-    """
-    spent, disagree = [0.0] * len(sides), []
-    for i, x in enumerate(inputs):
-        outputs = [None] * len(sides)
-        for k in range(len(sides)) if i % 2 else reversed(range(len(sides))):
-            t0 = time.perf_counter()
-            outputs[k] = sides[k](x)
-            spent[k] += time.perf_counter() - t0
-        if agree is not None and not agree(outputs):
-            disagree.append(x)
-    return spent, disagree
-
-
-def run_frontend(nrows: int, n: int = 100, repeats: int = 3) -> Dict[str, object]:
-    """Host time of the SQL front half, memo against uncached referee,
-    per statement in alternating pairs (:func:`_paired`)."""
+def run_frontend(nrows: int, n: int = 100) -> Tuple[Dict[str, object], Dict[str, PairedTiming]]:
+    """Host time of the SQL front half, memo over uncached referee, on
+    ``n`` statements per shape of shapes already seen (fresh literals)
+    and of shapes never seen (:func:`paired_timing`)."""
     catalog, *_ = generate_tpch_analytics(nrows)
 
     def memo(sql):
@@ -227,24 +210,30 @@ def run_frontend(nrows: int, n: int = 100, repeats: int = 3) -> Dict[str, object
     def referee(sql):
         return bind(Parser(sql).parse_statement(), catalog)
 
+    def side(front, statements):
+        def setup(pair):
+            batch = statements(pair)
+            return lambda: [front(sql) for sql in batch]
+
+        return setup
+
     seen = _frontend_statements(n)
     for sql in seen[: 2 * len(FRONTEND_SHAPES)]:
         memo(sql)  # each shape seen twice: parse and bind memoized
-    totals = [0.0] * 4
-    for r in range(repeats):
-        # Distinct shapes, fresh on every repeat, so each memo call misses.
-        distinct = _frontend_statements(n, tag=f"miss{r}_")
-        spent = _paired([memo, referee], seen)[0] + _paired([memo, referee], distinct)[0]
-        for k, seconds in enumerate(spent):
-            totals[k] += seconds
-    hit, hit_ref, miss, miss_ref = totals
+    hit = paired_timing(side(memo, lambda _: seen), side(referee, lambda _: seen))
+
+    def distinct(pair):
+        # Shapes fresh in every pair, so each memo call misses.
+        return _frontend_statements(n, tag=f"miss{pair}_")
+
+    miss = paired_timing(side(memo, distinct), side(referee, distinct))
     return {
         "statements": len(seen),
-        "hit_seconds": hit,
-        "hit_referee_seconds": hit_ref,
-        "miss_seconds": miss,
-        "miss_referee_seconds": miss_ref,
-    }
+        "hit_seconds": statistics.median(hit.seconds[0]),
+        "hit_referee_seconds": statistics.median(hit.seconds[1]),
+        "miss_seconds": statistics.median(miss.seconds[0]),
+        "miss_referee_seconds": statistics.median(miss.seconds[1]),
+    }, {"frontend_hit_host_ratio": hit, "frontend_miss_host_ratio": miss}
 
 
 #: The sql-short ``point`` statement and its one-column counterpart.
@@ -255,33 +244,39 @@ FETCH_POINT = (
 FETCH_COUNT = "SELECT count(*) AS n FROM orders WHERE o_orderkey = {k}"
 
 
-def run_fetch(catalog, n: int = 400) -> Dict[str, object]:
-    """Host time of the point lookup against ``count(*)`` on its key,
-    per key in alternating pairs (:func:`_paired`), through one
-    RM-engine session."""
+def run_fetch(catalog, n: int = 400) -> Tuple[Dict[str, object], PairedTiming]:
+    """Host time of the point lookup over ``count(*)`` on its key, through
+    one RM-engine session, the ``n`` keys split over the pairs
+    (:func:`paired_timing`)."""
     session = Session(catalog, RelationalMemoryEngine(catalog))
     keys = catalog.table("orders").column("o_orderkey")
     rng = random.Random(7)
-    pairs = [
+    statements = [
         (FETCH_POINT.format(k=k), FETCH_COUNT.format(k=k))
         for k in (int(keys[rng.randrange(len(keys))]) for _ in range(n))
     ]
-    for point, count in pairs[:4]:
+    for point, count in statements[:4]:
         session.execute(point)  # warm the shape memo
         session.execute(count)
-    spent, disagree = _paired(
-        [lambda pair: session.execute(pair[0]).result,
-         lambda pair: session.execute(pair[1]).result],
-        pairs,
-        lambda answers: answers[0].nrows == answers[1].scalar(),
-    )
+    chunks = [statements[i::PAIRS] for i in range(PAIRS)]
+
+    def side(k):
+        return lambda pair: lambda: [session.execute(sql[k]).result for sql in chunks[pair]]
+
+    timing = paired_timing(side(0), side(1))
     session.close()
+    mismatches = [
+        f"fetch: {point!r} rows != count(*)"
+        for chunk, points, counts in zip(chunks, *timing.outputs)
+        for (point, _), rows, count in zip(chunk, points, counts)
+        if rows.nrows != count.scalar()
+    ]
     return {
         "statements": n,
-        "point_seconds": spent[0],
-        "count_seconds": spent[1],
-        "mismatches": [f"fetch: {point!r} rows != count(*)" for point, _ in disagree],
-    }
+        "point_seconds": statistics.median(timing.seconds[0]),
+        "count_seconds": statistics.median(timing.seconds[1]),
+        "mismatches": mismatches,
+    }, timing
 
 
 def q3_join_keys(catalog) -> List[Tuple[np.ndarray, np.ndarray]]:
@@ -304,85 +299,74 @@ def q3_join_keys(catalog) -> List[Tuple[np.ndarray, np.ndarray]]:
     return pairs
 
 
-def _same_arrays(outputs) -> bool:
-    """Every output is the same tuple of arrays as the first."""
+def _same_arrays(timing: PairedTiming) -> bool:
+    """Both sides' thunks returned the same arrays in every pair."""
     return all(
-        len(out) == len(outputs[0])
-        and all(np.array_equal(a, b) for a, b in zip(out, outputs[0]))
-        for out in outputs[1:]
+        len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+        for a, b in zip(*timing.outputs)
     )
 
 
-def run_join(catalog, repeats: int = 60) -> Dict[str, object]:
-    """Host time of Q3's two joins, route chosen by the kernel against
-    the sort route forced, in alternating pairs (:func:`_paired`)."""
-    spent, mismatches = [0.0, 0.0], []
-    for j, (probe, build) in enumerate(q3_join_keys(catalog)):
-        pair_spent, disagree = _paired(
-            [lambda _: join_indices([probe], [build]),
-             lambda _: join_indices([probe], [build], strategy="probe")],
-            range(repeats),
-            _same_arrays,
+def run_join(catalog) -> Tuple[Dict[str, object], PairedTiming]:
+    """Host time of Q3's two joins, route chosen by the kernel over the
+    sort route forced (:func:`paired_timing`)."""
+    joins = q3_join_keys(catalog)
+
+    def side(**strategy):
+        return lambda _: lambda: tuple(
+            index
+            for probe, build in joins
+            for index in join_indices([probe], [build], **strategy)
         )
-        spent = [a + b for a, b in zip(spent, pair_spent)]
-        if disagree:
-            mismatches.append(f"join {j}: auto pairs != probe pairs")
+
+    timing = paired_timing(side(), side(strategy="probe"))
     return {
         "rows": catalog.table("lineitem").nrows,
-        "auto_seconds": spent[0],
-        "probe_seconds": spent[1],
-        "mismatches": mismatches,
-    }
+        "auto_seconds": statistics.median(timing.seconds[0]),
+        "probe_seconds": statistics.median(timing.seconds[1]),
+        "mismatches": [] if _same_arrays(timing) else ["join: auto pairs != probe pairs"],
+    }, timing
 
 
-def run_rank(catalog, repeats: int = 50) -> Dict[str, object]:
-    """Host time of grouping on ``c_mktsegment``: ``factorize`` against
-    a 1-D ``np.unique``, in alternating pairs (:func:`_paired`)."""
+def run_rank(catalog) -> Tuple[Dict[str, object], PairedTiming]:
+    """Host time of grouping on ``c_mktsegment``: ``factorize`` over a
+    1-D ``np.unique`` (:func:`paired_timing`)."""
     segment = catalog.table("customer").column_values("c_mktsegment")
 
-    def factorized(_):
+    def factorized():
         (uniq,), codes = factorize([segment])
         return uniq, codes
 
-    (factor_s, unique_s), disagree = _paired(
-        [factorized, lambda _: np.unique(segment, return_inverse=True)],
-        range(repeats),
-        _same_arrays,
+    timing = paired_timing(
+        lambda _: factorized, lambda _: lambda: np.unique(segment, return_inverse=True)
     )
     return {
         "rows": len(segment),
-        "factorize_seconds": factor_s,
-        "unique_seconds": unique_s,
-        "mismatches": ["rank: factorize != np.unique"] if disagree else [],
-    }
+        "factorize_seconds": statistics.median(timing.seconds[0]),
+        "unique_seconds": statistics.median(timing.seconds[1]),
+        "mismatches": [] if _same_arrays(timing) else ["rank: factorize != np.unique"],
+    }, timing
 
 
-def compare(rows: int, check_rows: int) -> Dict[str, object]:
+def compare(rows: int, check_rows: int) -> Tuple[Dict[str, object], Dict[str, PairedTiming]]:
+    """The report, and the timing behind each of its host ratios."""
     catalog, *_ = generate_tpch_analytics(rows)
     headline = run_headline(catalog)
     cross = run_cross_check(check_rows)
     cache = run_codecache(check_rows)
-    frontend = run_frontend(check_rows)
-    fetch = run_fetch(catalog)
-    join = run_join(catalog)
-    rank = run_rank(catalog)
+    frontend, timings = run_frontend(check_rows)
+    fetch, timings["fetch_host_ratio"] = run_fetch(catalog)
+    join, timings["join_host_ratio"] = run_join(catalog)
+    rank, timings["rank_host_ratio"] = run_rank(catalog)
     return {
         "headline": headline,
         "cross_check": cross,
         "codecache": cache,
         "frontend": frontend,
-        "frontend_hit_host_ratio": (
-            frontend["hit_seconds"] / frontend["hit_referee_seconds"]
-        ),
-        "frontend_miss_host_ratio": (
-            frontend["miss_seconds"] / frontend["miss_referee_seconds"]
-        ),
         "fetch": fetch,
-        "fetch_host_ratio": fetch["point_seconds"] / fetch["count_seconds"],
         "join": join,
-        "join_host_ratio": join["auto_seconds"] / join["probe_seconds"],
         "rank": rank,
-        "rank_host_ratio": rank["factorize_seconds"] / rank["unique_seconds"],
+        **{key: timing.ratio for key, timing in timings.items()},
         "bit_identical": (
             cross["bit_identical"]
             and cache["warm_skips_compile"]
@@ -395,7 +379,7 @@ def compare(rows: int, check_rows: int) -> Dict[str, object]:
             cross["mismatches"] + fetch["mismatches"]
             + join["mismatches"] + rank["mismatches"]
         ),
-    }
+    }, timings
 
 
 def main(argv=None) -> int:
@@ -414,7 +398,7 @@ def main(argv=None) -> int:
     parser.add_argument("--json", type=str, default="", help="write report here")
     args = parser.parse_args(argv)
 
-    report = compare(args.rows, args.check_rows)
+    report, timings = compare(args.rows, args.check_rows)
     h = report["headline"]
     print(
         f"Q3 {h['engine']}, {h['rows']} lineitem rows: {h['seconds']:.3f}s   "
@@ -430,23 +414,23 @@ def main(argv=None) -> int:
         f"warm {c['warm_seconds']:.3f}s "
         f"(compile {c['codecache_warm_compile_cycles']:.0f} cyc)"
     )
-    f = report["frontend"]
+    print("host ratios, median [q1–q3] of the pairs:")
     print(
-        f"front half, {f['statements']} statements: memo hit "
-        f"{report['frontend_hit_host_ratio']:.2f}x and miss "
-        f"{report['frontend_miss_host_ratio']:.2f}x the uncached referee"
+        f"  front half, {report['frontend']['statements']} statements: memo hit "
+        f"{timings['frontend_hit_host_ratio']} and miss "
+        f"{timings['frontend_miss_host_ratio']} x the uncached referee"
     )
     print(
-        f"data half, {report['fetch']['statements']} keys: point lookup "
-        f"{report['fetch_host_ratio']:.2f}x count(*) on the same key"
+        f"  data half, {report['fetch']['statements']} keys: point lookup "
+        f"{timings['fetch_host_ratio']} x count(*) on the same key"
     )
     print(
-        f"join kernel, Q3's two joins at {report['join']['rows']} rows: "
-        f"auto {report['join_host_ratio']:.2f}x the forced sort route"
+        f"  join kernel, Q3's two joins at {report['join']['rows']} rows: "
+        f"auto {timings['join_host_ratio']} x the forced sort route"
     )
     print(
-        f"grouping kernel, c_mktsegment at {report['rank']['rows']} rows: "
-        f"factorize {report['rank_host_ratio']:.2f}x np.unique"
+        f"  grouping kernel, c_mktsegment at {report['rank']['rows']} rows: "
+        f"factorize {timings['rank_host_ratio']} x np.unique"
     )
     print(f"every answer check passed: {report['bit_identical']}")
     if args.json:
@@ -465,7 +449,7 @@ def main(argv=None) -> int:
 # pytest-benchmark entry point (reduced rows for CI bench runs).
 # ----------------------------------------------------------------------
 def test_vector_q3(benchmark, save_result):
-    report = benchmark.pedantic(compare, args=(60_000, 20_000), rounds=1, iterations=1)
+    report, _ = benchmark.pedantic(compare, args=(60_000, 20_000), rounds=1, iterations=1)
     h = report["headline"]
     lines = [
         "vector-exec-q3",

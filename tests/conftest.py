@@ -1,7 +1,5 @@
 """Shared fixtures: small platforms and tables every suite reuses."""
 
-import gc
-
 import numpy as np
 import pytest
 
@@ -14,6 +12,7 @@ def pytest_addoption(parser):
         help="rewrite golden transcript files instead of comparing",
     )
 
+from repro.bench.timing import paired_timing
 from repro.db import Catalog, Column, TableSchema
 from repro.db.sql.oracle import Answer, SqlOracle, mismatch
 from repro.db.types import CHAR, DECIMAL, INT32, INT64
@@ -86,24 +85,17 @@ def assert_overhead_below_five_percent(base, gated, what):
     Each arm is a zero-argument callable that runs one trial and returns
     its elapsed seconds, read from ``time.process_time`` so time the
     process spends descheduled by its neighbours is not charged to it.
-    Trials are interleaved in 7 pairs so drift in machine load (the rest
-    of the suite, CI neighbours) hits both arms alike, and each arm keeps
-    its minimum. The collector is off during a round, as in ``timeit``,
-    so a collection pass lands in neither arm. A noisy round gets up to
-    two more chances: a real hot-path cost reproduces, scheduler jitter
-    does not.
+    Trials run in alternating pairs through
+    :func:`repro.bench.timing.paired_timing` (collector off), so drift in
+    machine load (the rest of the suite, CI neighbours) hits both arms
+    alike, and each arm keeps its minimum. A noisy round gets up to two
+    more chances: a real hot-path cost reproduces, scheduler jitter does
+    not.
     """
     base(), gated()  # warm-up
     for _round in range(3):
-        was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            pairs = [(base(), gated()) for _ in range(7)]
-        finally:
-            if was_enabled:
-                gc.enable()
-        fast = min(b for b, _ in pairs)
-        slow = min(g for _, g in pairs)
+        trials = paired_timing(lambda _: base, lambda _: gated).outputs
+        fast, slow = min(trials[0]), min(trials[1])
         if slow < fast * 1.05:
             return
     raise AssertionError(f"{what} overhead {slow / fast - 1:.1%}")
