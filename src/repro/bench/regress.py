@@ -21,8 +21,8 @@ Direction semantics: ``lower_is_better`` flags only increases,
 ``rel_tol``. Booleans flatten to 0/1 so invariants like
 ``bit_identical`` gate exactly with ``rel_tol: 0``.
 
-``scripts/bench_compare.py`` is the CLI; CI runs it as the
-``bench-regress`` job with the spec in ``benchmarks/baselines/``.
+``scripts/bench_compare.py`` is the CLI; CI runs it in every cell
+of the ``bench-gate`` job with the spec in ``benchmarks/baselines/``.
 """
 
 from __future__ import annotations

@@ -5,14 +5,17 @@ resolves column references, UPDATE assignments and constant folding
 evaluate it per row, the vectorized executor evaluates it over numpy
 columns, and
 the engines' cost recipes ask :func:`op_count` how many primitive
-operations one evaluation costs.
+operations one evaluation costs. Every tree-to-tree pass (binding,
+subquery folding) is one :func:`rewrite` with its own rule.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import (
+    Any, Callable, ClassVar, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -23,11 +26,23 @@ Value = Union[int, float, str, bytes]
 
 
 class Expr:
-    """Base class; subclasses are frozen dataclasses."""
+    """Base class; subclasses are frozen dataclasses.
+
+    ``CHILDREN`` names a node's sub-expression fields (a tuple-valued
+    field holds several); leaves have none. :func:`rewrite` and
+    :meth:`columns` walk every node through it.
+    """
+
+    CHILDREN: ClassVar[Tuple[str, ...]] = ()
 
     def columns(self) -> FrozenSet[str]:
         """Every column name referenced below this node."""
-        raise NotImplementedError
+        out: FrozenSet[str] = frozenset()
+        for name in self.CHILDREN:
+            child = getattr(self, name)
+            for sub in child if isinstance(child, tuple) else (child,):
+                out |= sub.columns()
+        return out
 
     def eval_row(self, row: Mapping[str, Any]) -> Any:
         raise NotImplementedError
@@ -67,9 +82,6 @@ class ColumnRef(Expr):
 @dataclass(frozen=True)
 class Literal(Expr):
     value: Value
-
-    def columns(self) -> FrozenSet[str]:
-        return frozenset()
 
     def eval_row(self, row: Mapping[str, Any]) -> Any:
         return self.value
@@ -119,12 +131,11 @@ class BinOp(Expr):
     left: Expr
     right: Expr
 
+    CHILDREN = ("left", "right")
+
     def __post_init__(self):
         if self.op not in _ARITH:
             raise ExecutionError(f"unknown arithmetic operator {self.op!r}")
-
-    def columns(self) -> FrozenSet[str]:
-        return self.left.columns() | self.right.columns()
 
     def eval_row(self, row: Mapping[str, Any]) -> Any:
         return _ARITH[self.op](self.left.eval_row(row), self.right.eval_row(row))
@@ -144,12 +155,11 @@ class Compare(Expr):
     left: Expr
     right: Expr
 
+    CHILDREN = ("left", "right")
+
     def __post_init__(self):
         if self.op not in _COMPARE:
             raise ExecutionError(f"unknown comparison operator {self.op!r}")
-
-    def columns(self) -> FrozenSet[str]:
-        return self.left.columns() | self.right.columns()
 
     def eval_row(self, row: Mapping[str, Any]) -> Any:
         return _COMPARE[self.op](
@@ -169,11 +179,7 @@ class Compare(Expr):
 class And(Expr):
     terms: Tuple[Expr, ...]
 
-    def columns(self) -> FrozenSet[str]:
-        out: FrozenSet[str] = frozenset()
-        for t in self.terms:
-            out |= t.columns()
-        return out
+    CHILDREN = ("terms",)
 
     def eval_row(self, row: Mapping[str, Any]) -> bool:
         return all(t.eval_row(row) for t in self.terms)
@@ -193,11 +199,7 @@ class And(Expr):
 class Or(Expr):
     terms: Tuple[Expr, ...]
 
-    def columns(self) -> FrozenSet[str]:
-        out: FrozenSet[str] = frozenset()
-        for t in self.terms:
-            out |= t.columns()
-        return out
+    CHILDREN = ("terms",)
 
     def eval_row(self, row: Mapping[str, Any]) -> bool:
         return any(t.eval_row(row) for t in self.terms)
@@ -217,8 +219,7 @@ class Or(Expr):
 class Not(Expr):
     term: Expr
 
-    def columns(self) -> FrozenSet[str]:
-        return self.term.columns()
+    CHILDREN = ("term",)
 
     def eval_row(self, row: Mapping[str, Any]) -> bool:
         return not self.term.eval_row(row)
@@ -238,8 +239,7 @@ class Between(Expr):
     low: Expr
     high: Expr
 
-    def columns(self) -> FrozenSet[str]:
-        return self.term.columns() | self.low.columns() | self.high.columns()
+    CHILDREN = ("term", "low", "high")
 
     def eval_row(self, row: Mapping[str, Any]) -> bool:
         v = _scalar(self.term.eval_row(row))
@@ -268,8 +268,7 @@ class InList(Expr):
     term: Expr
     values: Tuple[Value, ...]
 
-    def columns(self) -> FrozenSet[str]:
-        return self.term.columns()
+    CHILDREN = ("term",)
 
     def eval_row(self, row: Mapping[str, Any]) -> bool:
         v = _scalar(self.term.eval_row(row))
@@ -288,6 +287,29 @@ class InList(Expr):
     def __str__(self) -> str:
         inner = ", ".join(repr(x) for x in self.values)
         return f"({self.term} IN ({inner}))"
+
+
+def rewrite(expr: Expr, rule: Callable[[Expr], Optional[Expr]]) -> Expr:
+    """``expr`` rewritten top-down by ``rule``: a node ``rule`` returns
+    replaces the whole subtree, and on None the walk goes on into the
+    node's children. A node is rebuilt only when one of its children
+    changed, so an untouched subtree, a leaf above all, comes back as
+    the same object (a bound form finds its literal slots by identity)."""
+    out = rule(expr)
+    if out is not None:
+        return out
+    changed = {}
+    for name in expr.CHILDREN:
+        child = getattr(expr, name)
+        if isinstance(child, tuple):
+            new = tuple(rewrite(t, rule) for t in child)
+            if any(a is not b for a, b in zip(new, child)):
+                changed[name] = new
+        else:
+            new = rewrite(child, rule)
+            if new is not child:
+                changed[name] = new
+    return replace(expr, **changed) if changed else expr
 
 
 def op_count(expr: Expr) -> int:

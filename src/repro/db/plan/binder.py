@@ -31,22 +31,20 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.db.catalog import Catalog
 from repro.db.expr import (
     And,
-    Between,
     BinOp,
     ColumnRef,
     Compare,
     Expr,
     InList,
     Literal,
-    Not,
-    Or,
     conjuncts,
     op_count,
+    rewrite,
 )
 from repro.db.schema import TableSchema
 from repro.db.sql.shapes import Recipe, Template
@@ -478,10 +476,12 @@ def _bind_select(
         OrderItem(expr=resolve_order(o.expr), descending=o.descending)
         for o in stmt.order_by
     )
-    # HAVING shares ORDER BY's scoping: output aliases and group keys.
+    # HAVING sees the output names (bound to their expressions, so a
+    # CHAR key's alias pads like the key) and the group keys.
     having = None
     if stmt.having is not None:
-        having = _bind_scoped(stmt.having, output_names, scope)
+        aliases = {o.name: o.expr if o.kind == "expr" else None for o in outputs}
+        having = _bind_expr(stmt.having, scope, aliases)
 
     sel_cols = _columns_of(where, schema) if where is not None else []
     proj_cols: List[str] = []
@@ -634,61 +634,6 @@ def _recombine(parts: List[Expr]) -> Optional[Expr]:
     return And(terms=tuple(parts))
 
 
-def _bind_scoped(
-    expr: Expr,
-    output_names: set,
-    scope: _Scope,
-) -> Expr:
-    """Bind an expression that may reference output aliases (HAVING)."""
-    if isinstance(expr, ColumnRef):
-        if expr.qualifier is None and expr.name in output_names:
-            return expr
-        return _bind_expr(expr, scope)
-    if isinstance(expr, Literal):
-        return expr
-    if isinstance(expr, BinOp):
-        return BinOp(
-            op=expr.op,
-            left=_bind_scoped(expr.left, output_names, scope),
-            right=_bind_scoped(expr.right, output_names, scope),
-        )
-    if isinstance(expr, Compare):
-        return Compare(
-            op=expr.op,
-            left=_bind_scoped(expr.left, output_names, scope),
-            right=_bind_scoped(expr.right, output_names, scope),
-        )
-    if isinstance(expr, And):
-        return And(
-            terms=tuple(
-                _bind_scoped(t, output_names, scope) for t in expr.terms
-            )
-        )
-    if isinstance(expr, Or):
-        return Or(
-            terms=tuple(
-                _bind_scoped(t, output_names, scope) for t in expr.terms
-            )
-        )
-    if isinstance(expr, Not):
-        return Not(term=_bind_scoped(expr.term, output_names, scope))
-    if isinstance(expr, Between):
-        return Between(
-            term=_bind_scoped(expr.term, output_names, scope),
-            low=_bind_scoped(expr.low, output_names, scope),
-            high=_bind_scoped(expr.high, output_names, scope),
-        )
-    if isinstance(expr, InList):
-        bound = InList(
-            term=_bind_scoped(expr.term, output_names, scope),
-            values=expr.values,
-        )
-        if scope.trail is not None:
-            scope.trail[id(expr)] = (bound, None)
-        return bound
-    raise SqlError(f"cannot bind HAVING node {type(expr).__name__}")
-
-
 def _in_schema_order(schema: TableSchema, names: set) -> Tuple[str, ...]:
     return tuple(c.name for c in schema.user_columns if c.name in names)
 
@@ -702,71 +647,62 @@ def _columns_of(expr: Expr, schema: TableSchema) -> List[str]:
     return [c for c in expr.columns() if schema.has_column(c)]
 
 
-def _bind_expr(expr: Expr, scope: _Scope) -> Expr:
+def _bind_expr(
+    expr: Expr, scope: _Scope, aliases: Mapping[str, Optional[Expr]] = {}
+) -> Expr:
     """Validate references and pad CHAR literals in comparisons.
 
     ``scope`` lists the tables the statement can see: the main table
     first, then each joined table in join order, addressed by alias.
+    ``aliases`` maps the output names an unqualified reference may also
+    name (HAVING's scope) to their bound expressions, None for an
+    aggregate. Such a reference stays as written, and a literal compared
+    with it is padded as one compared with its expression would be.
     """
-    schemas = scope.schemas
-    if isinstance(expr, ColumnRef):
-        return scope.resolve(expr)
-    if isinstance(expr, Literal):
-        return expr
-    if isinstance(expr, (ScalarSubquery, InSubquery)):
-        raise SqlError(
-            "subqueries are only supported through the statement pipeline "
-            "(repro.db.sql.pipeline.Session), which folds them before "
-            "binding"
-        )
-    if isinstance(expr, BinOp):
-        return BinOp(
-            op=expr.op,
-            left=_bind_expr(expr.left, scope),
-            right=_bind_expr(expr.right, scope),
-        )
-    if isinstance(expr, Compare):
-        left = _bind_expr(expr.left, scope)
-        right = _bind_expr(expr.right, scope)
-        left, right = _pad_char_literal(left, right, scope)
-        right, left = _pad_char_literal(right, left, scope)
-        return Compare(op=expr.op, left=left, right=right)
-    if isinstance(expr, And):
-        return And(terms=tuple(_bind_expr(t, scope) for t in expr.terms))
-    if isinstance(expr, Or):
-        return Or(terms=tuple(_bind_expr(t, scope) for t in expr.terms))
-    if isinstance(expr, Not):
-        return Not(term=_bind_expr(expr.term, scope))
-    if isinstance(expr, Between):
-        return Between(
-            term=_bind_expr(expr.term, scope),
-            low=_bind_expr(expr.low, scope),
-            high=_bind_expr(expr.high, scope),
-        )
-    if isinstance(expr, InList):
-        term = _bind_expr(expr.term, scope)
-        width = _char_width(term, schemas)
-        bound = InList(
-            term=term, values=tuple(_pad(v, width) for v in expr.values)
-        )
+
+    def width(term: Expr) -> Optional[int]:
+        if isinstance(term, ColumnRef) and term.name in aliases:
+            term = aliases[term.name]
+        return _char_width(term, scope.schemas)
+
+    def padded(literal: Expr, side: Expr) -> Expr:
+        """``literal`` padded to ``side``'s CHAR width when it is a str."""
+        if not (isinstance(literal, Literal) and isinstance(literal.value, str)):
+            return literal
+        w = width(side)
+        if w is None:
+            return literal
+        out = Literal(_pad(literal.value, w))
         if scope.trail is not None:
-            scope.trail[id(expr)] = (bound, width)
-        return bound
-    raise SqlError(f"cannot bind expression node {type(expr).__name__}")
+            scope.trail[id(literal)] = (out, w)
+        return out
 
+    def rule(node: Expr) -> Optional[Expr]:
+        if isinstance(node, ColumnRef):
+            if node.qualifier is None and node.name in aliases:
+                return node
+            return scope.resolve(node)
+        if isinstance(node, Compare):
+            left, right = rewrite(node.left, rule), rewrite(node.right, rule)
+            right = padded(right, left)
+            left = padded(left, right)
+            return Compare(op=node.op, left=left, right=right)
+        if isinstance(node, InList):
+            term = rewrite(node.term, rule)
+            w = width(term)
+            bound = InList(term=term, values=tuple(_pad(v, w) for v in node.values))
+            if scope.trail is not None:
+                scope.trail[id(node)] = (bound, w)
+            return bound
+        if isinstance(node, (ScalarSubquery, InSubquery)):
+            raise SqlError(
+                "subqueries are only supported through the statement pipeline "
+                "(repro.db.sql.pipeline.Session), which folds them before "
+                "binding"
+            )
+        return None
 
-def _pad_char_literal(side: Expr, other: Expr, scope: _Scope):
-    """If ``side`` is a CHAR column and ``other`` a str literal, pad the
-    literal to the column width as NUL-padded bytes."""
-    if not (isinstance(other, Literal) and isinstance(other.value, str)):
-        return side, other
-    width = _char_width(side, scope.schemas)
-    if width is None:
-        return side, other
-    padded = Literal(_pad(other.value, width))
-    if scope.trail is not None:
-        scope.trail[id(other)] = (padded, width)
-    return side, padded
+    return rewrite(expr, rule)
 
 
 def _non_numeric(expr: Expr, schemas: Tuple[TableSchema, ...]) -> Optional[str]:

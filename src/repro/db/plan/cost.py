@@ -13,38 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.db.expr import Between, Compare, Expr
+from repro.db.expr import And, Between, Compare, Expr, Not, Or
+from repro.db.stats import TableStats
 
 #: Textbook default selectivities (System R heritage).
 SELECTIVITY_EQ = 0.05
 SELECTIVITY_RANGE = 0.33
 SELECTIVITY_BETWEEN = 0.25
 SELECTIVITY_OTHER = 0.5
-
-
-def estimate_selectivity(expr: Optional[Expr]) -> float:
-    """Rule-based selectivity of a predicate (no data statistics)."""
-    if expr is None:
-        return 1.0
-    from repro.db.expr import And, Not, Or
-
-    if isinstance(expr, And):
-        out = 1.0
-        for t in expr.terms:
-            out *= estimate_selectivity(t)
-        return out
-    if isinstance(expr, Or):
-        out = 1.0
-        for t in expr.terms:
-            out *= 1.0 - estimate_selectivity(t)
-        return 1.0 - out
-    if isinstance(expr, Not):
-        return 1.0 - estimate_selectivity(expr.term)
-    if isinstance(expr, Compare):
-        return SELECTIVITY_EQ if expr.op == "=" else SELECTIVITY_RANGE
-    if isinstance(expr, Between):
-        return SELECTIVITY_BETWEEN
-    return SELECTIVITY_OTHER
 
 
 @dataclass(frozen=True)
@@ -55,12 +31,32 @@ class CostEstimate:
     cycles: float
 
 
-def selectivity(expr: Optional[Expr], stats=None) -> float:
-    """Selectivity of a predicate: from the table's statistics
-    (:func:`repro.db.stats.selectivity_with_stats`) when it has them,
-    else the rule constants."""
-    if stats is None:
-        return estimate_selectivity(expr)
-    from repro.db.stats import selectivity_with_stats
-
-    return selectivity_with_stats(expr, stats)
+def selectivity(expr: Optional[Expr], stats: Optional[TableStats] = None) -> float:
+    """Selectivity of a predicate: a compare's or a BETWEEN's from the
+    table's statistics when it has them and they can tell
+    (:meth:`~repro.db.stats.TableStats.compare_fraction`,
+    :meth:`~repro.db.stats.TableStats.between_fraction`), else the rule
+    constants."""
+    if expr is None:
+        return 1.0
+    if isinstance(expr, And):
+        out = 1.0
+        for t in expr.terms:
+            out *= selectivity(t, stats)
+        return out
+    if isinstance(expr, Or):
+        out = 1.0
+        for t in expr.terms:
+            out *= 1.0 - selectivity(t, stats)
+        return 1.0 - out
+    if isinstance(expr, Not):
+        return 1.0 - selectivity(expr.term, stats)
+    if isinstance(expr, Compare):
+        frac = None if stats is None else stats.compare_fraction(expr, SELECTIVITY_EQ)
+        if frac is not None:
+            return frac
+        return SELECTIVITY_EQ if expr.op == "=" else SELECTIVITY_RANGE
+    if isinstance(expr, Between):
+        frac = None if stats is None else stats.between_fraction(expr)
+        return SELECTIVITY_BETWEEN if frac is None else frac
+    return SELECTIVITY_OTHER

@@ -346,8 +346,19 @@ class StatementGen:
             sql += f" GROUP BY {', '.join(group)}"
         having = ""
         if group and self.rng.random() < 0.3:
-            target = f"c{len(group)}"
-            having = f" HAVING {target} {self.rng.choice(('>', '<='))} {self._int()}"
+            if group[0] == "tag" and self.rng.random() < 0.5:
+                # The CHAR key's alias against tag values: the literal must
+                # pad to the key's width as it does in WHERE.
+                op = self.rng.choice(("=", "<>", "IN"))
+                if op == "IN":
+                    tags = self.rng.sample(TAGS, self.rng.randrange(1, 4))
+                    values = ", ".join(f"'{t}'" for t in tags)
+                    having = f" HAVING c0 IN ({values})"
+                else:
+                    having = f" HAVING c0 {op} '{self._tag()}'"
+            else:
+                target = f"c{len(group)}"
+                having = f" HAVING {target} {self.rng.choice(('>', '<='))} {self._int()}"
             sql += having
         order = ""
         if self.rng.random() < 0.5:

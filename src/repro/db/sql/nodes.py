@@ -10,7 +10,7 @@ subquery expression nodes the statement pipeline folds before binding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, FrozenSet, Mapping, Optional, Tuple
+from typing import Any, Mapping, Optional, Tuple
 
 from repro.db.expr import Expr
 from repro.errors import SqlError
@@ -109,9 +109,6 @@ class SelectStmt:
 # statement. Reaching an evaluator means a caller bypassed the pipeline.
 # ----------------------------------------------------------------------
 class _SubqueryExpr(Expr):
-    def columns(self) -> FrozenSet[str]:
-        return frozenset()
-
     def eval_row(self, row: Mapping[str, Any]) -> Any:
         raise SqlError(
             "subqueries must be folded by the statement pipeline "
@@ -139,8 +136,7 @@ class InSubquery(_SubqueryExpr):
     term: Expr
     select: SelectStmt
 
-    def columns(self) -> FrozenSet[str]:
-        return self.term.columns()
+    CHILDREN = ("term",)
 
     def __str__(self) -> str:
         return f"({self.term} IN (SELECT ... FROM {self.select.table}))"

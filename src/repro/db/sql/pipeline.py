@@ -44,17 +44,7 @@ from typing import Any, List, Optional, Tuple
 import numpy as np
 
 from repro.db.catalog import Catalog
-from repro.db.expr import (
-    And,
-    Between,
-    BinOp,
-    Compare,
-    Expr,
-    InList,
-    Literal,
-    Not,
-    Or,
-)
+from repro.db.expr import Expr, InList, Literal, rewrite
 from repro.db.mvcc import Transaction, TransactionManager, run_transaction
 from repro.db.plan.binder import (
     BoundDelete,
@@ -349,34 +339,16 @@ class Session:
         if stmt.template is not None and not stmt.template[0].has_subquery:
             return stmt
 
-        def fold(expr: Optional[Expr]) -> Optional[Expr]:
-            if expr is None:
-                return None
+        def rule(expr: Expr) -> Optional[Expr]:
             if isinstance(expr, ScalarSubquery):
                 return Literal(self._scalar_subquery(expr.select))
             if isinstance(expr, InSubquery):
-                return InList(
-                    term=fold(expr.term),
-                    values=self._in_subquery(expr.select),
-                )
-            if isinstance(expr, BinOp):
-                return BinOp(op=expr.op, left=fold(expr.left),
-                             right=fold(expr.right))
-            if isinstance(expr, Compare):
-                return Compare(op=expr.op, left=fold(expr.left),
-                               right=fold(expr.right))
-            if isinstance(expr, And):
-                return And(terms=tuple(fold(t) for t in expr.terms))
-            if isinstance(expr, Or):
-                return Or(terms=tuple(fold(t) for t in expr.terms))
-            if isinstance(expr, Not):
-                return Not(term=fold(expr.term))
-            if isinstance(expr, Between):
-                return Between(term=fold(expr.term), low=fold(expr.low),
-                               high=fold(expr.high))
-            if isinstance(expr, InList):
-                return InList(term=fold(expr.term), values=expr.values)
-            return expr
+                term = rewrite(expr.term, rule)
+                return InList(term=term, values=self._in_subquery(expr.select))
+            return None
+
+        def fold(expr):  # an Expr, or None / Star, which hold no subquery
+            return rewrite(expr, rule) if isinstance(expr, Expr) else expr
 
         items = tuple(
             SelectItem(

@@ -16,17 +16,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.core.selection import CompareOp
-from repro.db.expr import (
-    And,
-    Between,
-    ColumnRef,
-    Compare,
-    Expr,
-    Literal,
-    Not,
-    Or,
-    column_vs_literal,
-)
+from repro.db.expr import Between, ColumnRef, Compare, Literal, column_vs_literal
 from repro.db.table import Table
 
 
@@ -74,6 +64,39 @@ class TableStats:
     def column(self, name: str) -> Optional[ColumnStats]:
         return self.columns.get(name)
 
+    def compare_fraction(self, expr: Compare, equal_default: float) -> Optional[float]:
+        """Estimated share of rows passing ``column <op> number``: 1/NDV
+        for ``=`` and its complement for ``<>`` (``equal_default`` stands
+        in for 1/NDV when the column had no rows), uniform interpolation
+        for a range; None when the statistics cannot tell."""
+        term = column_vs_literal(expr)
+        if term is None or not isinstance(term[2], (int, float)):
+            return None
+        col, op, const = term
+        cstats = self.column(col)
+        if cstats is None:
+            return None
+        if op in (CompareOp.EQ, CompareOp.NE):
+            equal = 1.0 / cstats.ndv if cstats.ndv else equal_default
+            return equal if op is CompareOp.EQ else 1.0 - equal
+        return _range_fraction(cstats, op, float(const))
+
+    def between_fraction(self, expr: Between) -> Optional[float]:
+        """Uniform-interpolation share of rows in ``column BETWEEN lo AND
+        hi``; None when the statistics cannot tell."""
+        if not (
+            isinstance(expr.term, ColumnRef)
+            and isinstance(expr.low, Literal)
+            and isinstance(expr.high, Literal)
+        ):
+            return None
+        cstats = self.column(expr.term.name)
+        if cstats is None or cstats.span <= 0:
+            return None
+        lo = _clamp((float(expr.low.value) - cstats.min_value) / cstats.span)
+        hi = _clamp((float(expr.high.value) - cstats.min_value) / cstats.span)
+        return max(0.0, hi - lo)
+
 
 def _clamp(x: float) -> float:
     return min(1.0, max(0.0, x))
@@ -91,54 +114,3 @@ def _range_fraction(
     if op in (CompareOp.GT, CompareOp.GE):
         return 1.0 - frac_below
     return None
-
-
-def selectivity_with_stats(expr: Optional[Expr], stats: TableStats) -> float:
-    """Statistics-backed selectivity; falls back to the rule constants
-    (imported lazily to avoid a cycle) for anything not estimable."""
-    from repro.db.plan.cost import (
-        SELECTIVITY_BETWEEN,
-        SELECTIVITY_EQ,
-        SELECTIVITY_OTHER,
-        SELECTIVITY_RANGE,
-        estimate_selectivity,
-    )
-
-    if expr is None:
-        return 1.0
-    if isinstance(expr, And):
-        out = 1.0
-        for t in expr.terms:
-            out *= selectivity_with_stats(t, stats)
-        return out
-    if isinstance(expr, Or):
-        out = 1.0
-        for t in expr.terms:
-            out *= 1.0 - selectivity_with_stats(t, stats)
-        return 1.0 - out
-    if isinstance(expr, Not):
-        return 1.0 - selectivity_with_stats(expr.term, stats)
-    if isinstance(expr, Compare):
-        term = column_vs_literal(expr)
-        if term is not None and isinstance(term[2], (int, float)):
-            col, op, const = term
-            cstats = stats.column(col)
-            if cstats is not None:
-                if op is CompareOp.EQ:
-                    return 1.0 / cstats.ndv if cstats.ndv else SELECTIVITY_EQ
-                if op is CompareOp.NE:
-                    return 1.0 - (1.0 / cstats.ndv if cstats.ndv else SELECTIVITY_EQ)
-                frac = _range_fraction(cstats, op, float(const))
-                if frac is not None:
-                    return frac
-        return estimate_selectivity(expr)
-    if isinstance(expr, Between):
-        if isinstance(expr.term, ColumnRef) and isinstance(expr.low, Literal) and isinstance(expr.high, Literal):
-            cstats = stats.column(expr.term.name)
-            if cstats is not None and cstats.span > 0:
-                lo = _clamp((float(expr.low.value) - cstats.min_value) / cstats.span)
-                hi = _clamp((float(expr.high.value) - cstats.min_value) / cstats.span)
-                return max(0.0, hi - lo)
-        return SELECTIVITY_BETWEEN
-    return estimate_selectivity(expr)
-

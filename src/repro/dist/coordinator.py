@@ -468,15 +468,11 @@ class ShardCluster:
     # The per-shard await state machine.
     # ------------------------------------------------------------------
     def _exec_msg(self, i, rid, plan, ts, ctx) -> tuple:
-        """The exec message for one shard attempt. Untraced statements
-        keep the legacy 5-tuple; traced ones append the shard's child
-        TraceContext (old workers would simply ignore a 6th element)."""
-        if ctx is None:
-            return ("exec", rid, plan, ts, self._fence(i))
-        return (
-            "exec", rid, plan, ts, self._fence(i),
-            ctx.child(i, self._incarnations[i]),
-        )
+        """The exec message for one shard attempt; its last field is the
+        shard's child TraceContext, or None when the statement is not
+        traced."""
+        child = None if ctx is None else ctx.child(i, self._incarnations[i])
+        return ("exec", rid, plan, ts, self._fence(i), child)
 
     def _scatter_gather(self, indexes, plan, ts, tracer, ctx=None):
         from repro.dist.plan import DistQueryStats

@@ -6,11 +6,11 @@ zero serialization) or a :class:`~repro.dist.replica.ShardReplica`
 booted from the shard's WAL image (durable mode). It answers a tiny
 message protocol over a duplex pipe:
 
-- ``("exec", req_id, plan, snapshot_ts, expected_lsn[, ctx])`` — run
+- ``("exec", req_id, plan, snapshot_ts, expected_lsn, ctx)`` — run
   :func:`~repro.dist.plan.execute_fragment`; replies ``(req_id, "ok",
   ShardPartial)``, or ``(req_id, "stale", applied_lsn)`` when the LSN
-  fence fails (a partitioned replica missed deltas). The optional
-  trailing ``ctx`` (:class:`~repro.obs.TraceContext`) marks a traced
+  fence fails (a partitioned replica missed deltas). A ``ctx``
+  (:class:`~repro.obs.TraceContext`, None when untraced) marks a traced
   statement: the worker then records its own span tree under a local
   tracer and ships it back wire-encoded on ``ShardPartial.spans``.
 - ``("apply", delta, base_lsn)`` — fire-and-forget WAL replication; no
@@ -217,10 +217,7 @@ class _ShardRuntime:
                 self.replica.apply_delta(delta, base_lsn)
             return "reply", 0.0, None
         if kind == "exec":
-            # The 6th element — a TraceContext — is optional so old
-            # coordinators (5-tuple senders) keep working unchanged.
-            _, req_id, plan, snapshot_ts, expected_lsn = msg[:5]
-            ctx = msg[5] if len(msg) > 5 else None
+            _, req_id, plan, snapshot_ts, expected_lsn, ctx = msg
             delay = 0.0
             stalled = False
             inj = self.injector

@@ -13,11 +13,24 @@ per-fabric-cycle costs are converted through ``clock_ratio``.
 Calibration
 -----------
 Latency/bandwidth numbers are typical published figures for the A53 memory
-subsystem. Three constants are *calibrated* rather than measured, because
-they stand in for prototype behaviour the paper reports only indirectly
-(the observed RM-vs-ROW band of 1.3-1.5x and the COL/RM crossover at four
-columns): ``volcano_tuple_cycles``, ``rm_line_fabric_cycles`` and
-``col_reconstruct_cycles``. Each is documented at its definition site.
+subsystem. Five constants are *calibrated* rather than measured, because
+they stand in for prototype behaviour the paper reports only indirectly;
+each was fit once to one of two targets, the RM-vs-ROW band of 1.3-1.5x
+(Figure 6a) and the COL/RM crossover at four columns (Figure 5), then
+frozen:
+
+* ``CpuConfig.volcano_tuple_cycles`` — the row engine's per-tuple cost,
+  fit to the Figure 6a RM-vs-ROW band;
+* ``RmConfig.line_fabric_cycles`` — the fabric's cost per packed line,
+  fit to the same Figure 6a band;
+* ``CpuConfig.ephemeral_tuple_cycles`` — the RM engine's scalar loop per
+  tuple, fit to the Figure 5 crossover;
+* ``CpuConfig.packed_field_cycles`` — one field read from a packed
+  ephemeral struct, fit to the Figure 5 crossover;
+* ``CpuConfig.col_reconstruct_cycles`` — the column engine's tuple
+  reconstruction per value, fit to the Figure 5 crossover.
+
+Each field comment marks its constant *Calibrated*.
 """
 
 from __future__ import annotations

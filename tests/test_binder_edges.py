@@ -15,6 +15,7 @@ from repro.db.sql.parser import parse
 from repro.db.sql.pipeline import Session
 from repro.db.types import CHAR, INT32
 from repro.errors import SchemaError, SqlError
+from tests.conftest import assert_matches_oracle
 
 
 @pytest.fixture
@@ -136,3 +137,42 @@ def test_having_resolves_output_aliases(session):
         "HAVING total > 6"
     )
     assert result.rows == [("elm", 7.0)]
+
+
+# ----------------------------------------------------------------------
+# HAVING binds through the WHERE walker: a string literal compared with
+# a CHAR group key (by column name or by alias) is padded like one in
+# WHERE, and an aggregate's alias never is.
+# ----------------------------------------------------------------------
+@pytest.fixture
+def grouped():
+    s = Session()
+    s.execute("CREATE TABLE t (k INT32, c CHAR(4), v INT32)")
+    s.execute("INSERT INTO t (k, c, v) VALUES (1, 'ab', 10), (2, 'ab', 20), (3, 'cd', 5)")
+    yield s
+    s.close()
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT c, sum(v) AS s FROM t GROUP BY c HAVING c = 'ab'",
+        "SELECT c AS g, sum(v) AS s FROM t GROUP BY c HAVING g = 'ab'",
+        "SELECT c AS g, sum(v) AS s FROM t GROUP BY c HAVING g IN ('cd')",
+        "SELECT c, sum(v) AS s FROM t GROUP BY c HAVING c = 'ab' AND s > 1",
+        "SELECT c, sum(v) AS s FROM t GROUP BY c HAVING c <> 'ab'",
+        "SELECT c AS g, count(c) AS c FROM t GROUP BY c HAVING c <> 'ab'",
+    ],
+)
+def test_having_on_char_keys_matches_the_oracle(grouped, sql):
+    assert_matches_oracle(grouped.execute(sql).result, grouped.catalog, sql)
+
+
+def test_having_pads_a_char_key_alias_but_not_an_aggregate_alias(grouped):
+    having = bind(
+        parse("SELECT c AS g, count(c) AS c FROM t GROUP BY c HAVING g = 'ab' AND c <> 'ab'"),
+        grouped.catalog,
+    ).having
+    key, agg = having.terms
+    assert key.right == Literal(b"ab\x00\x00")
+    assert agg.right == Literal("ab")

@@ -11,7 +11,7 @@ from repro.db.advisor import (
     partition_cost,
 )
 from repro.db.index import build_index
-from repro.db.plan.cost import estimate_selectivity
+from repro.db.plan.cost import selectivity as estimate_selectivity
 from repro.db.plan.optimizer import Optimizer
 from repro.db.plan import bind
 from repro.db.sql import parse

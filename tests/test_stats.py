@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from repro.db import Catalog, Column, TableSchema
 from repro.db.expr import And, Between, ColumnRef, Compare, Literal, Not, Or
-from repro.db.stats import TableStats, selectivity_with_stats
+from repro.db.plan.cost import selectivity as selectivity_with_stats
+from repro.db.stats import TableStats
 from repro.db.types import CHAR, INT64
 
 
