@@ -18,6 +18,7 @@ visibility at a snapshot (Section III-C) ANDed with the comparators.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
@@ -41,17 +42,7 @@ class CompareOp(enum.Enum):
     NE = "!="
 
     def apply(self, values: np.ndarray, constant: Number) -> np.ndarray:
-        if self is CompareOp.LT:
-            return values < constant
-        if self is CompareOp.LE:
-            return values <= constant
-        if self is CompareOp.GT:
-            return values > constant
-        if self is CompareOp.GE:
-            return values >= constant
-        if self is CompareOp.EQ:
-            return values == constant
-        return values != constant
+        return _OPERATOR[self._value_](values, constant)
 
     @classmethod
     def from_sql(cls, op: str) -> "CompareOp":
@@ -71,6 +62,16 @@ _FROM_SQL = {
     ">=": CompareOp.GE,
     "=": CompareOp.EQ,
     "<>": CompareOp.NE,
+}
+#: Each comparator's operator, keyed by its value (a str hashes in C,
+#: an enum member in Python).
+_OPERATOR = {
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "==": operator.eq,
+    "!=": operator.ne,
 }
 _FLIPPED = {
     CompareOp.LT: CompareOp.GT,

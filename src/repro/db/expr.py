@@ -1,12 +1,14 @@
-"""Expression trees with row-at-a-time and vectorized evaluators.
+"""Expression trees and their one evaluator.
 
 One AST serves the whole stack: the SQL parser produces it, the binder
-resolves column references, UPDATE assignments and constant folding
-evaluate it per row, the vectorized executor evaluates it over numpy
-columns, and
-the engines' cost recipes ask :func:`op_count` how many primitive
-operations one evaluation costs. Every tree-to-tree pass (binding,
-subquery folding) is one :func:`rewrite` with its own rule.
+resolves column references, and :meth:`Expr.eval_vector` evaluates it
+over a mapping of column names to numpy arrays or to scalars: the
+executor's batches, DML's WHERE and SET over the rows they read, INSERT
+constant folding over no columns at all, and the shard layer's affine
+probe over exact fractions. The engines' cost recipes ask
+:func:`op_count` how many primitive operations one evaluation costs.
+Every tree-to-tree pass (binding, subquery folding) is one
+:func:`rewrite` with its own rule.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from typing import (
-    Any, Callable, ClassVar, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union,
+    Any, Callable, ClassVar, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union,
 )
 
 import numpy as np
@@ -44,9 +46,6 @@ class Expr:
                 out |= sub.columns()
         return out
 
-    def eval_row(self, row: Mapping[str, Any]) -> Any:
-        raise NotImplementedError
-
     def eval_vector(self, cols: Mapping[str, np.ndarray]) -> Any:
         raise NotImplementedError
 
@@ -63,12 +62,6 @@ class ColumnRef(Expr):
     def columns(self) -> FrozenSet[str]:
         return frozenset({self.name})
 
-    def eval_row(self, row: Mapping[str, Any]) -> Any:
-        try:
-            return row[self.name]
-        except KeyError:
-            raise ExecutionError(f"row has no column {self.name!r}")
-
     def eval_vector(self, cols: Mapping[str, np.ndarray]) -> Any:
         try:
             return cols[self.name]
@@ -82,9 +75,6 @@ class ColumnRef(Expr):
 @dataclass(frozen=True)
 class Literal(Expr):
     value: Value
-
-    def eval_row(self, row: Mapping[str, Any]) -> Any:
-        return self.value
 
     def eval_vector(self, cols: Mapping[str, np.ndarray]) -> Any:
         return self.value
@@ -100,29 +90,6 @@ _ARITH = {
     "/": lambda a, b: a / b,
 }
 
-_COMPARE = {
-    "=": lambda a, b: a == b,
-    "<>": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
-
-
-def _scalar(v: Any) -> Any:
-    """Normalize one row-at-a-time comparison operand.
-
-    numpy's vectorized ``S``-dtype comparisons ignore trailing NULs (the
-    CHAR pad byte); Python ``bytes`` comparisons do not. Stripping here
-    keeps row-at-a-time evaluation in step with the vectorized one when
-    a CHAR column meets a width-padded literal.
-    """
-    if isinstance(v, bytes):
-        return v.rstrip(b"\x00")
-    return v
-
-
 @dataclass(frozen=True)
 class BinOp(Expr):
     """Arithmetic: ``left <op> right`` with op in ``+ - * /``."""
@@ -137,9 +104,6 @@ class BinOp(Expr):
         if self.op not in _ARITH:
             raise ExecutionError(f"unknown arithmetic operator {self.op!r}")
 
-    def eval_row(self, row: Mapping[str, Any]) -> Any:
-        return _ARITH[self.op](self.left.eval_row(row), self.right.eval_row(row))
-
     def eval_vector(self, cols: Mapping[str, np.ndarray]) -> Any:
         return _ARITH[self.op](self.left.eval_vector(cols), self.right.eval_vector(cols))
 
@@ -149,7 +113,8 @@ class BinOp(Expr):
 
 @dataclass(frozen=True)
 class Compare(Expr):
-    """Comparison producing a boolean: ``left <op> right``."""
+    """Comparison producing a boolean: ``left <op> right``, through the
+    fabric comparators' own operator table (:class:`CompareOp`)."""
 
     op: str
     left: Expr
@@ -158,16 +123,13 @@ class Compare(Expr):
     CHILDREN = ("left", "right")
 
     def __post_init__(self):
-        if self.op not in _COMPARE:
-            raise ExecutionError(f"unknown comparison operator {self.op!r}")
-
-    def eval_row(self, row: Mapping[str, Any]) -> Any:
-        return _COMPARE[self.op](
-            _scalar(self.left.eval_row(row)), _scalar(self.right.eval_row(row))
-        )
+        try:
+            CompareOp.from_sql(self.op)
+        except KeyError:
+            raise ExecutionError(f"unknown comparison operator {self.op!r}") from None
 
     def eval_vector(self, cols: Mapping[str, np.ndarray]) -> Any:
-        return _COMPARE[self.op](
+        return CompareOp.from_sql(self.op).apply(
             self.left.eval_vector(cols), self.right.eval_vector(cols)
         )
 
@@ -180,9 +142,6 @@ class And(Expr):
     terms: Tuple[Expr, ...]
 
     CHILDREN = ("terms",)
-
-    def eval_row(self, row: Mapping[str, Any]) -> bool:
-        return all(t.eval_row(row) for t in self.terms)
 
     def eval_vector(self, cols: Mapping[str, np.ndarray]) -> np.ndarray:
         out = None
@@ -201,9 +160,6 @@ class Or(Expr):
 
     CHILDREN = ("terms",)
 
-    def eval_row(self, row: Mapping[str, Any]) -> bool:
-        return any(t.eval_row(row) for t in self.terms)
-
     def eval_vector(self, cols: Mapping[str, np.ndarray]) -> np.ndarray:
         out = None
         for t in self.terms:
@@ -221,11 +177,9 @@ class Not(Expr):
 
     CHILDREN = ("term",)
 
-    def eval_row(self, row: Mapping[str, Any]) -> bool:
-        return not self.term.eval_row(row)
-
     def eval_vector(self, cols: Mapping[str, np.ndarray]) -> np.ndarray:
-        return ~self.term.eval_vector(cols)
+        # Not ``~``: on a Python bool (a constant term) that is -2, true.
+        return np.logical_not(self.term.eval_vector(cols))
 
     def __str__(self) -> str:
         return f"(NOT {self.term})"
@@ -241,12 +195,6 @@ class Between(Expr):
 
     CHILDREN = ("term", "low", "high")
 
-    def eval_row(self, row: Mapping[str, Any]) -> bool:
-        v = _scalar(self.term.eval_row(row))
-        return (
-            _scalar(self.low.eval_row(row)) <= v <= _scalar(self.high.eval_row(row))
-        )
-
     def eval_vector(self, cols: Mapping[str, np.ndarray]) -> np.ndarray:
         v = self.term.eval_vector(cols)
         return (self.low.eval_vector(cols) <= v) & (v <= self.high.eval_vector(cols))
@@ -260,19 +208,14 @@ class InList(Expr):
     """``term IN (v1, v2, ...)`` over constant values.
 
     Evaluated as an OR of equality comparisons (not ``np.isin``) so
-    CHAR semantics match :class:`Compare` exactly: the vectorized path
-    inherits numpy's trailing-NUL-blind ``S``-dtype equality and the row
-    path strips pad bytes via ``_scalar``.
+    CHAR semantics match :class:`Compare` exactly: both inherit numpy's
+    trailing-NUL-blind ``S``-dtype equality.
     """
 
     term: Expr
     values: Tuple[Value, ...]
 
     CHILDREN = ("term",)
-
-    def eval_row(self, row: Mapping[str, Any]) -> bool:
-        v = _scalar(self.term.eval_row(row))
-        return any(v == _scalar(x) for x in self.values)
 
     def eval_vector(self, cols: Mapping[str, np.ndarray]) -> np.ndarray:
         v = self.term.eval_vector(cols)

@@ -617,7 +617,7 @@ def bind_delete(stmt: DeleteStmt, catalog: Catalog) -> BoundDelete:
 
 def _coerce_constant(expr: Expr, schema: TableSchema, name: str) -> Any:
     try:
-        value = expr.eval_row({})
+        value = expr.eval_vector({})
     except SqlError:
         raise
     except Exception as exc:  # noqa: BLE001 — surface as a bind error

@@ -193,6 +193,8 @@ class StatementGen:
         if col == "d":  # decimal literals, or integers in d's range
             lit = self._dec if self.rng.random() < 0.5 else partial(self._int, -5, 20)
         pick = self.rng.random()
+        if pick < 0.05:
+            return self._constant(), False
         if pick < 0.35:
             op = self.rng.choice(("<", "<=", ">", ">=", "=", "<>"))
             return f"{col} {op} {lit()}", False
@@ -221,6 +223,12 @@ class StatementGen:
                 True,
             )
         return f"{col} IN (SELECT w FROM t WHERE v > {self._int()})", True
+
+    def _constant(self) -> str:
+        """A comparison of two integers: NOT and OR over it must give a
+        boolean for the whole batch, as over a column."""
+        op = self.rng.choice(("<", "<=", ">", ">=", "=", "<>"))
+        return f"{self._int(0, 4)} {op} {self._int(0, 4)}"
 
     def predicate(self, scope: Sequence[str], depth: int = 2) -> Tuple[str, bool]:
         if depth == 0 or self.rng.random() < 0.45:
@@ -358,7 +366,10 @@ class StatementGen:
                     having = f" HAVING c0 {op} '{self._tag()}'"
             else:
                 target = f"c{len(group)}"
-                having = f" HAVING {target} {self.rng.choice(('>', '<='))} {self._int()}"
+                having = f"{target} {self.rng.choice(('>', '<='))} {self._int()}"
+                if self.rng.random() < 0.4:
+                    having = f"NOT ({self._constant()}) OR ({having})"
+                having = f" HAVING {having}"
             sql += having
         order = ""
         if self.rng.random() < 0.5:

@@ -109,14 +109,11 @@ class SelectStmt:
 # statement. Reaching an evaluator means a caller bypassed the pipeline.
 # ----------------------------------------------------------------------
 class _SubqueryExpr(Expr):
-    def eval_row(self, row: Mapping[str, Any]) -> Any:
+    def eval_vector(self, cols: Mapping[str, Any]) -> Any:
         raise SqlError(
             "subqueries must be folded by the statement pipeline "
             "(repro.db.sql.pipeline.Session) before execution"
         )
-
-    def eval_vector(self, cols: Mapping[str, Any]) -> Any:
-        self.eval_row({})
 
 
 @dataclass(frozen=True)

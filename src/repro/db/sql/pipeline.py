@@ -39,11 +39,12 @@ Statement semantics:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.db.catalog import Catalog
+from repro.db.exec.vector import _as_mask
 from repro.db.expr import Expr, InList, Literal, rewrite
 from repro.db.mvcc import Transaction, TransactionManager, run_transaction
 from repro.db.plan.binder import (
@@ -456,12 +457,9 @@ class Session:
         if isinstance(bound, BoundUpdate):
             # Evaluate every SET value before the first write: a failing
             # expression leaves the transaction exactly as it was.
-            updates = [
-                (int(slot), _set_values(table.row(int(slot)), bound.assignments))
-                for slot in slots
-            ]
-            for slot, changes in updates:
-                txn.update(table, slot, changes)
+            values = _set_values(table, slots, bound.assignments)
+            for i, slot in enumerate(slots.tolist()):
+                txn.update(table, slot, {name: v[i] for name, v in values.items()})
             return len(slots)
         if isinstance(bound, BoundDelete):
             for slot in slots:
@@ -473,14 +471,8 @@ class Session:
     def _matching_slots(txn: Transaction, table, where: Optional[Expr]):
         mask = txn.visibility(table)
         if where is not None:
-            cols = {
-                name: table.column_values(name)
-                for name in sorted(where.columns())
-            }
-            wmask = np.asarray(where.eval_vector(cols))
-            if wmask.shape == ():  # constant predicate (WHERE 1 = 1)
-                wmask = np.broadcast_to(wmask, mask.shape)
-            mask = mask & wmask
+            cols = table.read(sorted(where.columns()))
+            mask = mask & _as_mask(where.eval_vector(cols), cols, len(mask))
         return np.flatnonzero(mask)
 
     # ------------------------------------------------------------------
@@ -567,19 +559,52 @@ class Session:
         return StatementResult(kind="explain", sql=sql, plan=text)
 
 
-def _set_values(row: dict, assignments) -> dict:
-    """One row's UPDATE SET values; evaluation faults become SqlError."""
-    changes = {}
-    for name, expr in assignments:
-        try:
-            changes[name] = expr.eval_row(row)
-        except SqlError:
-            raise
-        except Exception as exc:  # noqa: BLE001 — surface as a statement error
-            raise SqlError(
-                f"cannot evaluate UPDATE value for {name!r}: {exc}"
-            ) from exc
-    return changes
+def _set_values(table, slots: np.ndarray, assignments) -> Dict[str, list]:
+    """The UPDATE SET values at ``slots``, one list per assigned column.
+
+    Each expression is evaluated once, over the columns it reads taken
+    at the matched rows with one :meth:`Table.read`, with integers
+    widened to int64 so a value that outgrows its column is still seen,
+    and then range-checked against that column. Faults become SqlError.
+    """
+    if not len(slots):  # nothing matched: nothing to evaluate, or to fault
+        return {}
+    names = sorted(set().union(*(expr.columns() for _, expr in assignments)))
+    cols = table.read(names, slots) if names else {}
+    for name, col in cols.items():
+        if col.dtype.kind == "i":
+            cols[name] = col.astype(np.int64, copy=False)
+    values = {}
+    with np.errstate(divide="raise", invalid="raise"):
+        for name, expr in assignments:
+            try:
+                value = expr.eval_vector(cols)
+                value = value.tolist() if isinstance(value, np.ndarray) else [value] * len(slots)
+                _check_range(table.schema.column(name), value)
+            except SqlError:
+                raise
+            except Exception as exc:  # noqa: BLE001 — surface as a statement error
+                raise SqlError(
+                    f"cannot evaluate UPDATE value for {name!r}: {exc}"
+                ) from exc
+            values[name] = value
+    return values
+
+
+def _check_range(column: Column, values: list) -> None:
+    """SqlError when a value falls outside an integer column's stored
+    range (DECIMAL's in its decoded units), before any row is written."""
+    dtype = column.dtype
+    if dtype.np_dtype is None or np.dtype(dtype.np_dtype).kind != "i" or not values:
+        return
+    top = 1 << (8 * dtype.width - 1)
+    low, high = -top, top - 1
+    if dtype.scale:
+        low, high = low / 10**dtype.scale, high / 10**dtype.scale
+    if min(values) < low or max(values) > high:
+        raise SqlError(
+            f"UPDATE value for {column.name!r} out of range for {dtype.name}"
+        )
 
 
 def split_statements(script: str) -> List[str]:

@@ -65,12 +65,13 @@ class TableStats:
         return self.columns.get(name)
 
     def compare_fraction(self, expr: Compare, equal_default: float) -> Optional[float]:
-        """Estimated share of rows passing ``column <op> number``: 1/NDV
-        for ``=`` and its complement for ``<>`` (``equal_default`` stands
-        in for 1/NDV when the column had no rows), uniform interpolation
-        for a range; None when the statistics cannot tell."""
+        """Estimated share of rows passing ``column <op> literal``: 1/NDV
+        for ``=`` and its complement for ``<>``, on any column type
+        (``equal_default`` stands in for 1/NDV when the column had no
+        rows), uniform interpolation for a numeric range; None when the
+        statistics cannot tell."""
         term = column_vs_literal(expr)
-        if term is None or not isinstance(term[2], (int, float)):
+        if term is None:
             return None
         col, op, const = term
         cstats = self.column(col)
@@ -79,6 +80,8 @@ class TableStats:
         if op in (CompareOp.EQ, CompareOp.NE):
             equal = 1.0 / cstats.ndv if cstats.ndv else equal_default
             return equal if op is CompareOp.EQ else 1.0 - equal
+        if not isinstance(const, (int, float)):
+            return None
         return _range_fraction(cstats, op, float(const))
 
     def between_fraction(self, expr: Between) -> Optional[float]:

@@ -77,7 +77,7 @@ def _probe_affine(expr: Expr, column: str, scale: int) -> Tuple[int, int]:
     vals = []
     for r in (0, 1, 2):
         try:
-            vals.append(expr.eval_row({column: Fraction(r, unit)}) * unit)
+            vals.append(expr.eval_vector({column: Fraction(r, unit)}) * unit)
         except Exception:
             raise PlanError(f"cannot evaluate factor {expr} for pushdown")
     const, at1, at2 = vals

@@ -1,4 +1,4 @@
-"""Tests for expression trees: both evaluators, op counting, conjuncts."""
+"""Tests for expression trees: the evaluator, op counting, conjuncts."""
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from repro.db.expr import (
     BinOp,
     ColumnRef,
     Compare,
+    InList,
     Literal,
     Not,
     Or,
@@ -24,13 +25,13 @@ Y = ColumnRef("y")
 
 
 class TestEvaluation:
-    def test_arith_row(self):
+    def test_arith_scalar(self):
         expr = BinOp("+", X, BinOp("*", Y, Literal(2)))
-        assert expr.eval_row({"x": 1, "y": 10}) == 21
+        assert expr.eval_vector({"x": 1, "y": 10}) == 21
 
-    def test_compare_row(self):
-        assert Compare("<", X, Literal(5)).eval_row({"x": 3}) is True
-        assert Compare(">=", X, Literal(5)).eval_row({"x": 3}) is False
+    def test_compare_scalar(self):
+        assert Compare("<", X, Literal(5)).eval_vector({"x": 3}) is True
+        assert Compare(">=", X, Literal(5)).eval_vector({"x": 3}) is False
 
     def test_and_or_not(self):
         expr = And(
@@ -39,15 +40,25 @@ class TestEvaluation:
                 Or(terms=(Compare("<", Y, Literal(5)), Not(Compare("=", X, Literal(3))))),
             )
         )
-        assert expr.eval_row({"x": 1, "y": 9}) is True
-        assert expr.eval_row({"x": 3, "y": 9}) is False
+        assert expr.eval_vector({"x": 1, "y": 9})
+        assert not expr.eval_vector({"x": 3, "y": 9})
+
+    def test_not_of_a_constant_is_a_boolean(self):
+        # ``~True`` is -2, which is true: NOT must be a logical negation
+        # for a constant term as for a column.
+        never = Not(Compare("=", Literal(1), Literal(1)))
+        false = never.eval_vector({})
+        assert not false and false.dtype == bool
+        assert Or(terms=(never, Compare("=", X, Literal(1)))).eval_vector(
+            {"x": np.array([1, 2])}
+        ).tolist() == [True, False]
 
     def test_between_inclusive(self):
         expr = Between(X, Literal(2), Literal(4))
-        assert expr.eval_row({"x": 2}) and expr.eval_row({"x": 4})
-        assert not expr.eval_row({"x": 5})
+        assert expr.eval_vector({"x": 2}) and expr.eval_vector({"x": 4})
+        assert not expr.eval_vector({"x": 5})
 
-    def test_vector_matches_row(self):
+    def test_vector_matches_scalars(self):
         expr = And(
             terms=(
                 Compare(">", X, Literal(2)),
@@ -57,12 +68,12 @@ class TestEvaluation:
         xs = np.array([1, 3, 5, 7])
         ys = np.array([2, 2, 2, 2])
         vec = expr.eval_vector({"x": xs, "y": ys})
-        rows = [expr.eval_row({"x": int(x), "y": int(y)}) for x, y in zip(xs, ys)]
+        rows = [expr.eval_vector({"x": int(x), "y": int(y)}) for x, y in zip(xs, ys)]
         assert vec.tolist() == rows
 
     def test_missing_column_raises(self):
         with pytest.raises(ExecutionError):
-            X.eval_row({"y": 1})
+            X.eval_vector({"y": 1})
         with pytest.raises(ExecutionError):
             X.eval_vector({"y": np.array([1])})
 
@@ -114,24 +125,48 @@ def arith_exprs(draw, depth=0):
     return BinOp(op, draw(arith_exprs(depth + 1)), draw(arith_exprs(depth + 1)))
 
 
+@st.composite
+def predicates(draw, depth=0):
+    """Boolean trees over arithmetic, constant comparisons included."""
+    kind = draw(st.sampled_from(
+        ["compare", "between", "in"] + (["and", "or", "not"] if depth < 2 else [])
+    ))
+    if kind == "compare":
+        op = draw(st.sampled_from(["=", "<>", "<", "<=", ">", ">="]))
+        return Compare(op, draw(arith_exprs(1)), draw(arith_exprs(1)))
+    if kind == "between":
+        return Between(draw(arith_exprs(1)), draw(arith_exprs(2)), draw(arith_exprs(2)))
+    if kind == "in":
+        values = draw(st.lists(st.integers(-100, 100), min_size=1, max_size=4))
+        return InList(draw(arith_exprs(1)), tuple(values))
+    if kind == "not":
+        return Not(draw(predicates(depth + 1)))
+    terms = tuple(draw(st.lists(predicates(depth + 1), min_size=2, max_size=3)))
+    return And(terms) if kind == "and" else Or(terms)
+
+
 class TestProperties:
+    # Points stay within +-100 so no product of eight leaves leaves int64:
+    # integer wrap-around is the arrays' own semantics, not the evaluator's.
     @given(
-        arith_exprs(),
+        st.one_of(arith_exprs(), predicates()),
         st.lists(
             st.tuples(
-                st.integers(min_value=-1000, max_value=1000),
-                st.integers(min_value=-1000, max_value=1000),
+                st.integers(min_value=-100, max_value=100),
+                st.integers(min_value=-100, max_value=100),
             ),
             min_size=1,
             max_size=20,
         ),
     )
-    @settings(max_examples=80, deadline=None)
-    def test_row_and_vector_evaluators_agree(self, expr, points):
-        xs = np.array([p[0] for p in points], dtype=np.int64)
-        ys = np.array([p[1] for p in points], dtype=np.int64)
-        vec = expr.eval_vector({"x": xs, "y": ys})
-        if np.isscalar(vec):
-            vec = np.full(len(points), vec)
-        for i, (x, y) in enumerate(points):
-            assert expr.eval_row({"x": x, "y": y}) == vec[i]
+    @settings(max_examples=120, deadline=None)
+    def test_scalar_and_array_evaluation_agree(self, expr, points):
+        """``eval_vector`` over Python scalars equals ``eval_vector`` over
+        one-element arrays, point by point."""
+        for x, y in points:
+            scalar = expr.eval_vector({"x": x, "y": y})
+            array = expr.eval_vector(
+                {"x": np.array([x], dtype=np.int64), "y": np.array([y], dtype=np.int64)}
+            )
+            assert np.shape(scalar) == ()
+            assert np.broadcast_to(array, (1,)).tolist() == [scalar]

@@ -456,20 +456,17 @@ class TestDisarmedFastPath:
     def test_disarmed_overhead_below_five_percent(self):
         """The disarmed predicate on the transform hot path costs <5%
         versus no injector at all (min-of-trials to suppress CI noise)."""
-        import time as _time
-
         baseline = RelationalMemoryEngineModel(default_platform())
         disarmed = RelationalMemoryEngineModel(
             default_platform(), fault_injector=FaultInjector(FaultPlan())
         )
         calls = 3000
 
-        def _trial(model):
-            t0 = _time.process_time()
-            for _ in range(calls):
-                model.transform(nrows=500, row_stride=64, out_bytes_per_row=16)
-            return _time.process_time() - t0
+        def _arm(model):
+            def trial():
+                for _ in range(calls):
+                    model.transform(nrows=500, row_stride=64, out_bytes_per_row=16)
 
-        assert_overhead_below_five_percent(
-            lambda: _trial(baseline), lambda: _trial(disarmed), "disarmed"
-        )
+            return lambda _: trial
+
+        assert_overhead_below_five_percent(_arm(baseline), _arm(disarmed), "disarmed")

@@ -192,24 +192,26 @@ class TestTriggers:
 # ----------------------------------------------------------------------
 class TestDisabledOverhead:
     def test_disabled_path_overhead_below_five_percent(self):
-        import time as _time
-
         from repro.obs import SloMonitor
 
         specs = [
             s for s in overload_specs() if s.tenant_id != "analytics"
         ]
 
-        def _trial(slo):
-            config = overload_config()
-            scheduler = ServeScheduler(
-                config, synthetic_executor(seed=11), slo=slo
-            )
-            t0 = _time.process_time()
-            submit_open_loop(scheduler, specs, 2_000_000.0, seed=11)
-            scheduler.run_until_drained()
-            return _time.process_time() - t0
+        def _arm(slo):
+            def setup(_):
+                scheduler = ServeScheduler(
+                    overload_config(), synthetic_executor(seed=11), slo=slo()
+                )
+
+                def trial():
+                    submit_open_loop(scheduler, specs, 2_000_000.0, seed=11)
+                    scheduler.run_until_drained()
+
+                return trial
+
+            return setup
 
         assert_overhead_below_five_percent(
-            lambda: _trial(None), lambda: _trial(SloMonitor([])), "empty slo"
+            _arm(lambda: None), _arm(lambda: SloMonitor([])), "empty slo"
         )

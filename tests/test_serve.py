@@ -8,7 +8,6 @@ fast path of the two serve chaos sites.
 """
 
 import json
-import time
 
 import pytest
 
@@ -589,20 +588,19 @@ class TestServeFaultSites:
         """The armed gate costs <5% on the submit/admit/dispatch hot loop
         versus no injector at all (min-of-trials to suppress CI noise)."""
 
-        def _trial(injector):
-            s = ServeScheduler(
-                two_tenant_config(max_queue_depth=4096),
-                fixed_executor(cycles=100.0),
-                fault_injector=injector,
-            )
-            for i in range(1_500):
-                s.submit("a", "oltp", 100.0, arrival=float(i) * 50.0)
-            t0 = time.process_time()
-            s.run_until_drained()
-            return time.process_time() - t0
+        def _arm(injector):
+            def setup(_):
+                s = ServeScheduler(
+                    two_tenant_config(max_queue_depth=4096),
+                    fixed_executor(cycles=100.0),
+                    fault_injector=injector(),
+                )
+                for i in range(1_500):
+                    s.submit("a", "oltp", 100.0, arrival=float(i) * 50.0)
+                return s.run_until_drained
+
+            return setup
 
         assert_overhead_below_five_percent(
-            lambda: _trial(None),
-            lambda: _trial(FaultInjector(FaultPlan())),
-            "disarmed",
+            _arm(lambda: None), _arm(lambda: FaultInjector(FaultPlan())), "disarmed"
         )

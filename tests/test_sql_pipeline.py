@@ -10,11 +10,17 @@ import math
 
 import pytest
 
+from repro.db import Catalog
+from repro.db.engines.colstore import ColumnStoreEngine
+from repro.db.engines.rmstore import RelationalMemoryEngine
+from repro.db.engines.rowstore import RowStoreEngine
+from repro.db.sql.oracle import SqlOracle
 from repro.db.sql.pipeline import Session, scan_statements, split_statements
 from repro.db.wal import WriteAheadLog, recover
 from repro.errors import SqlError
 from repro.obs import MetricsRegistry, Tracer
 from repro.storage.ssd import SsdLog
+from tests.conftest import assert_matches_oracle
 
 
 def _seed(s: Session) -> None:
@@ -116,6 +122,78 @@ def test_update_set_fault_is_a_typed_error(session):
     session.execute("COMMIT")
     rows = session.execute("SELECT id AS c0, v AS c1 FROM t ORDER BY c0").rows
     assert rows == [(1, 11), (2, 20), (3, 31)]
+
+
+# NOT over a constant must be false for every row, not ``~True`` (-2).
+CONSTANT_NOT = (
+    "SELECT count(*) AS n FROM t WHERE NOT (1 = 1)",
+    "SELECT k FROM t WHERE NOT (2 > 1) OR k = 1",
+    "SELECT k, count(*) AS n FROM t GROUP BY k HAVING NOT (1 = 1)",
+)
+
+
+@pytest.mark.parametrize("sql", CONSTANT_NOT)
+@pytest.mark.parametrize(
+    "engine_cls", [RowStoreEngine, ColumnStoreEngine, RelationalMemoryEngine]
+)
+def test_not_over_a_constant_matches_the_oracle(engine_cls, sql):
+    catalog = Catalog()
+    s = Session(catalog, engine_cls(catalog))
+    s.execute("CREATE TABLE t (k INT32, v INT32)")
+    s.execute("INSERT INTO t (k, v) VALUES (1, 10), (2, 20)")
+    assert_matches_oracle(s.execute(sql).result, s.catalog, sql, s.manager.now)
+
+
+def test_update_matching_no_row_evaluates_nothing(session):
+    assert session.execute("UPDATE t SET v = 1 / 0 WHERE id = 99").rows_affected == 0
+
+
+def test_dml_where_not_over_a_constant_touches_no_row(session):
+    assert session.execute("UPDATE t SET v = 0 WHERE NOT (1 = 1)").rows_affected == 0
+    assert session.execute("DELETE FROM t WHERE NOT (1 = 1) OR id = 2").rows_affected == 1
+
+
+def _session_and_oracle(ddl: str, insert: str):
+    """A session and an oracle loaded with its committed state."""
+    s = Session()
+    s.execute(ddl)
+    s.execute(insert)
+    oracle = SqlOracle()
+    for table in s.catalog.tables():
+        oracle.load_table(table, s.manager.now)
+    return s, oracle
+
+
+def test_update_date_plus_days_matches_the_oracle():
+    # SET sees DATE as day numbers, as WHERE and SELECT do.
+    s, oracle = _session_and_oracle(
+        "CREATE TABLE t (k INT32, d DATE)",
+        "INSERT INTO t (k, d) VALUES (1, DATE '2020-01-31'), (2, DATE '2020-02-28')",
+    )
+    for sql in ("UPDATE t SET d = d + 1", "UPDATE t SET d = d + 1 WHERE k = 2"):
+        assert s.execute(sql).rows_affected == oracle.execute(sql)
+    query = "SELECT k, d FROM t ORDER BY k"
+    assert_matches_oracle(s.execute(query).result, s.catalog, query, s.manager.now)
+    assert oracle.execute(query).rows == [(1, 18293), (2, 18322)]
+
+
+def test_update_overflow_is_typed_and_writes_nothing():
+    s, oracle = _session_and_oracle(
+        "CREATE TABLE t (k INT32, v INT32)",
+        "INSERT INTO t (k, v) VALUES (1, 100000), (2, 3)",
+    )
+    # 10**10 does not fit INT32: no wrap-around to 1410065408, no row moved.
+    with pytest.raises(SqlError, match="out of range for INT32"):
+        s.execute("UPDATE t SET v = v * 100000")
+    with pytest.raises(SqlError, match="out of range for INT32"):
+        s.execute("UPDATE t SET v = 2147483648 WHERE k = 2")
+    query = "SELECT k, v FROM t ORDER BY k"
+    assert_matches_oracle(s.execute(query).result, s.catalog, query, s.manager.now)
+    assert s.execute("SELECT count(*) AS n FROM t").rows == [(2,)]
+    # The edges of the range still fit.
+    s.execute("UPDATE t SET v = 2147483647 WHERE k = 1")
+    s.execute("UPDATE t SET v = -2147483648 WHERE k = 2")
+    assert s.execute(query).rows == [(1, 2147483647), (2, -2147483648)]
 
 
 def test_dml_needs_an_mvcc_table():

@@ -101,10 +101,32 @@ class TestSelectivity:
                 Compare("=", ColumnRef("g"), Literal(b"a")),
             )
         )
-        # g is CHAR: no range stats, falls back to NDV? CHAR literal is
-        # not numeric, so the rule constant applies for that conjunct.
+        # g is CHAR with two values: its equality reads 1/NDV = 0.5.
         sel = self.estimate(expr, table)
-        assert 0.0 < sel < 0.5
+        assert sel == pytest.approx(0.5 * 0.5, abs=0.03)
+
+    def test_char_equality_uses_ndv(self):
+        """A CHAR equality binds to a padded bytes literal; ``=`` reads
+        1/NDV and ``<>`` its complement, a range the rule constant."""
+        from repro.db.plan.binder import bind
+        from repro.db.plan.cost import SELECTIVITY_RANGE
+        from repro.db.sql.parser import parse_statement
+
+        catalog = Catalog()
+        table = catalog.create_table(
+            TableSchema("t", [Column("k", INT64), Column("c", CHAR(4))])
+        )
+        table.append_rows([{"k": 1, "c": "ab"}, {"k": 2, "c": "cd"}, {"k": 3, "c": "ab"}])
+
+        def where(sql):
+            return bind(parse_statement(sql), catalog).where
+
+        assert self.estimate(where("SELECT k FROM t WHERE c = 'ab'"), table) == 0.5
+        assert self.estimate(where("SELECT k FROM t WHERE c <> 'ab'"), table) == 0.5
+        assert self.estimate(where("SELECT k FROM t WHERE 'ab' = c"), table) == 0.5
+        assert self.estimate(
+            where("SELECT k FROM t WHERE c < 'b'"), table
+        ) == SELECTIVITY_RANGE
 
     def test_not_inverts(self, stats_table):
         _, table = stats_table
