@@ -42,7 +42,7 @@ class CompareOp(enum.Enum):
     NE = "!="
 
     def apply(self, values: np.ndarray, constant: Number) -> np.ndarray:
-        return _OPERATOR[self._value_](values, constant)
+        return _OPERATOR[self](values, constant)
 
     @classmethod
     def from_sql(cls, op: str) -> "CompareOp":
@@ -63,15 +63,13 @@ _FROM_SQL = {
     "=": CompareOp.EQ,
     "<>": CompareOp.NE,
 }
-#: Each comparator's operator, keyed by its value (a str hashes in C,
-#: an enum member in Python).
 _OPERATOR = {
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-    "==": operator.eq,
-    "!=": operator.ne,
+    CompareOp.LT: operator.lt,
+    CompareOp.LE: operator.le,
+    CompareOp.GT: operator.gt,
+    CompareOp.GE: operator.ge,
+    CompareOp.EQ: operator.eq,
+    CompareOp.NE: operator.ne,
 }
 _FLIPPED = {
     CompareOp.LT: CompareOp.GT,

@@ -123,15 +123,15 @@ class Compare(Expr):
     CHILDREN = ("left", "right")
 
     def __post_init__(self):
+        # The comparator, resolved once per node (not a field: equality,
+        # hashing and rewrite see ``op`` alone).
         try:
-            CompareOp.from_sql(self.op)
+            object.__setattr__(self, "_compare", CompareOp.from_sql(self.op))
         except KeyError:
             raise ExecutionError(f"unknown comparison operator {self.op!r}") from None
 
     def eval_vector(self, cols: Mapping[str, np.ndarray]) -> Any:
-        return CompareOp.from_sql(self.op).apply(
-            self.left.eval_vector(cols), self.right.eval_vector(cols)
-        )
+        return self._compare.apply(self.left.eval_vector(cols), self.right.eval_vector(cols))
 
     def __str__(self) -> str:
         return f"({self.left} {self.op} {self.right})"

@@ -539,11 +539,13 @@ class BoundInsert:
 
 @dataclass(frozen=True)
 class BoundUpdate:
-    """SET expressions (bound against the table) plus an optional filter."""
+    """SET expressions (bound against the table) plus an optional filter;
+    ``reads`` names the columns the SET expressions read."""
 
     table: Table
     assignments: Tuple[Tuple[str, Expr], ...]
     where: Optional[Expr]
+    reads: Tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -605,7 +607,8 @@ def bind_update(stmt: UpdateStmt, catalog: Catalog) -> BoundUpdate:
         seen.add(name)
         assignments.append((name, _bind_expr(expr, scope)))
     where = _bind_expr(stmt.where, scope) if stmt.where is not None else None
-    return BoundUpdate(table=table, assignments=tuple(assignments), where=where)
+    reads = sorted(set().union(*(expr.columns() for _, expr in assignments)))
+    return BoundUpdate(table, tuple(assignments), where, tuple(reads))
 
 
 def bind_delete(stmt: DeleteStmt, catalog: Catalog) -> BoundDelete:

@@ -453,11 +453,12 @@ class Session:
             for values in bound.rows:
                 txn.insert(table, dict(values))
             return len(bound.rows)
-        slots = self._matching_slots(txn, table, bound.where)
+        reads = bound.reads if isinstance(bound, BoundUpdate) else ()
+        slots, cols = self._matching_slots(txn, table, bound.where, reads)
         if isinstance(bound, BoundUpdate):
             # Evaluate every SET value before the first write: a failing
             # expression leaves the transaction exactly as it was.
-            values = _set_values(table, slots, bound.assignments)
+            values = _set_values(table, len(slots), bound.assignments, cols)
             for i, slot in enumerate(slots.tolist()):
                 txn.update(table, slot, {name: v[i] for name, v in values.items()})
             return len(slots)
@@ -468,12 +469,16 @@ class Session:
         raise SqlError(f"unknown DML plan {type(bound).__name__}")
 
     @staticmethod
-    def _matching_slots(txn: Transaction, table, where: Optional[Expr]):
+    def _matching_slots(txn: Transaction, table, where: Optional[Expr], reads=()):
+        """The visible slots ``where`` keeps, and the ``reads`` columns at
+        them; one :meth:`Table.read` over every slot serves both."""
         mask = txn.visibility(table)
+        names = sorted(where.columns().union(reads)) if where is not None else reads
+        cols = table.read(names) if names else {}
         if where is not None:
-            cols = table.read(sorted(where.columns()))
             mask = mask & _as_mask(where.eval_vector(cols), cols, len(mask))
-        return np.flatnonzero(mask)
+        slots = np.flatnonzero(mask)
+        return slots, {name: cols[name][slots] for name in reads}
 
     # ------------------------------------------------------------------
     # DDL.
@@ -559,52 +564,38 @@ class Session:
         return StatementResult(kind="explain", sql=sql, plan=text)
 
 
-def _set_values(table, slots: np.ndarray, assignments) -> Dict[str, list]:
-    """The UPDATE SET values at ``slots``, one list per assigned column.
+def _set_values(table, count: int, assignments, cols) -> Dict[str, list]:
+    """The UPDATE SET values of ``count`` matched rows, one list per
+    assigned column, evaluated over ``cols``, the columns they read at
+    those rows.
 
-    Each expression is evaluated once, over the columns it reads taken
-    at the matched rows with one :meth:`Table.read`, with integers
-    widened to int64 so a value that outgrows its column is still seen,
-    and then range-checked against that column. Faults become SqlError.
+    The columns are taken as Python numbers, as the row-at-a-time
+    oracle takes them: arithmetic never wraps, and ``x / 0`` raises.
+    Each expression is evaluated once, and its values are checked
+    against the column's range before anything is written; a fault or
+    an out-of-range value is a SqlError.
     """
-    if not len(slots):  # nothing matched: nothing to evaluate, or to fault
+    if not count:  # nothing matched: nothing to evaluate, or to fault
         return {}
-    names = sorted(set().union(*(expr.columns() for _, expr in assignments)))
-    cols = table.read(names, slots) if names else {}
-    for name, col in cols.items():
-        if col.dtype.kind == "i":
-            cols[name] = col.astype(np.int64, copy=False)
+    cols = {name: col.astype(object) for name, col in cols.items()}
     values = {}
-    with np.errstate(divide="raise", invalid="raise"):
-        for name, expr in assignments:
-            try:
-                value = expr.eval_vector(cols)
-                value = value.tolist() if isinstance(value, np.ndarray) else [value] * len(slots)
-                _check_range(table.schema.column(name), value)
-            except SqlError:
-                raise
-            except Exception as exc:  # noqa: BLE001 — surface as a statement error
-                raise SqlError(
-                    f"cannot evaluate UPDATE value for {name!r}: {exc}"
-                ) from exc
-            values[name] = value
+    for name, expr in assignments:
+        try:
+            value = expr.eval_vector(cols)
+        except SqlError:
+            raise
+        except Exception as exc:  # noqa: BLE001 — surface as a statement error
+            raise SqlError(
+                f"cannot evaluate UPDATE value for {name!r}: {exc}"
+            ) from exc
+        value = value.tolist() if isinstance(value, np.ndarray) else [value] * count
+        dtype = table.schema.column(name).dtype
+        if not dtype.fits(value):
+            raise SqlError(
+                f"UPDATE value for {name!r} out of range for {dtype.name}"
+            )
+        values[name] = value
     return values
-
-
-def _check_range(column: Column, values: list) -> None:
-    """SqlError when a value falls outside an integer column's stored
-    range (DECIMAL's in its decoded units), before any row is written."""
-    dtype = column.dtype
-    if dtype.np_dtype is None or np.dtype(dtype.np_dtype).kind != "i" or not values:
-        return
-    top = 1 << (8 * dtype.width - 1)
-    low, high = -top, top - 1
-    if dtype.scale:
-        low, high = low / 10**dtype.scale, high / 10**dtype.scale
-    if min(values) < low or max(values) > high:
-        raise SqlError(
-            f"UPDATE value for {column.name!r} out of range for {dtype.name}"
-        )
 
 
 def split_statements(script: str) -> List[str]:

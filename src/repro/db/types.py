@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import datetime
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -38,6 +38,8 @@ class DataType:
     encode: Callable[[Any], Any] = field(init=False, repr=False, compare=False)
     #: Raw stored value → Python value; picked alongside ``encode``.
     decode: Callable[[Any], Any] = field(init=False, repr=False, compare=False)
+    #: Integer-backed types store ``[-limit, limit)``; None for the rest.
+    limit: Optional[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.width <= 0:
@@ -56,6 +58,8 @@ class DataType:
             kind = "scalar"
         object.__setattr__(self, "encode", getattr(self, f"_encode_{kind}"))
         object.__setattr__(self, "decode", getattr(self, f"_decode_{kind}"))
+        integral = self.np_dtype is not None and np.dtype(self.np_dtype).kind == "i"
+        object.__setattr__(self, "limit", 1 << (8 * self.width - 1) if integral else None)
 
     def __reduce__(self):
         # Rebuild through __init__ so the codec is picked again.
@@ -98,6 +102,19 @@ class DataType:
         if isinstance(raw, np.floating):
             return float(raw)
         return raw
+
+    def fits(self, values: Sequence[Any]) -> bool:
+        """Whether every one of ``values`` (Python values, as ``encode``
+        takes them) encodes into this type's stored range. Integer types,
+        DATE and DECIMAL are bounded (DECIMAL by its scaled int, exactly);
+        float and CHAR types are not bounded here."""
+        top = self.limit
+        if top is None:
+            return True
+        try:
+            return all(-top <= self.encode(v) < top for v in values)
+        except (OverflowError, ValueError):  # inf or nan met int()
+            return False
 
     def decode_array(self, values: np.ndarray) -> np.ndarray:
         """Vectorized decode for numeric types (DECIMAL → float array)."""

@@ -455,7 +455,7 @@ class TestDisarmedFastPath:
 
     def test_disarmed_overhead_below_five_percent(self):
         """The disarmed predicate on the transform hot path costs <5%
-        versus no injector at all (min-of-trials to suppress CI noise)."""
+        versus no injector at all (the median of paired ratios)."""
         baseline = RelationalMemoryEngineModel(default_platform())
         disarmed = RelationalMemoryEngineModel(
             default_platform(), fault_injector=FaultInjector(FaultPlan())

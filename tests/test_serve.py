@@ -586,7 +586,7 @@ class TestServeFaultSites:
 
     def test_disarmed_overhead_below_five_percent(self):
         """The armed gate costs <5% on the submit/admit/dispatch hot loop
-        versus no injector at all (min-of-trials to suppress CI noise)."""
+        versus no injector at all (the median of paired ratios)."""
 
         def _arm(injector):
             def setup(_):

@@ -196,6 +196,35 @@ def test_update_overflow_is_typed_and_writes_nothing():
     assert s.execute(query).rows == [(1, 2147483647), (2, -2147483648)]
 
 
+@pytest.mark.parametrize("ddl", ["v INT64", "v TIMESTAMP"])
+def test_update_overflow_of_a_64_bit_column_is_typed(ddl):
+    # Python numbers, like the oracle's: 2**32 * 2**32 is 2**64, not a
+    # wrapped 0, and it does not fit.
+    s, oracle = _session_and_oracle(
+        f"CREATE TABLE t (k INT32, {ddl})",
+        "INSERT INTO t (k, v) VALUES (1, 4294967296), (2, 3)",
+    )
+    with pytest.raises(SqlError, match="out of range for"):
+        s.execute("UPDATE t SET v = v * v")
+    query = "SELECT k, v FROM t ORDER BY k"
+    assert s.execute(query).rows == [(1, 4294967296), (2, 3)]
+    sql = "UPDATE t SET v = v * v - 1 WHERE k = 2"
+    assert s.execute(sql).rows_affected == oracle.execute(sql) == 1
+    assert_matches_oracle(s.execute(query).result, s.catalog, query, s.manager.now)
+
+
+def test_update_decimal_overflow_is_typed():
+    s, _ = _session_and_oracle(
+        "CREATE TABLE t (k INT32, m DECIMAL(2))",
+        "INSERT INTO t (k, m) VALUES (1, 1.5)",
+    )
+    # The float nearest DECIMAL(2)'s top scales one past 2**63 - 1.
+    with pytest.raises(SqlError, match=r"out of range for DECIMAL\(2\)"):
+        s.execute("UPDATE t SET m = 92233720368547758.07")
+    s.execute("UPDATE t SET m = m * 2")
+    assert s.execute("SELECT m FROM t").rows == [(3.0,)]
+
+
 def test_dml_needs_an_mvcc_table():
     from repro.db.catalog import Catalog
     from repro.db.schema import Column, TableSchema

@@ -57,6 +57,19 @@ class TestTypes:
         with pytest.raises(SchemaError):
             CHAR(2).encode("abc")
 
+    def test_fits_bounds_the_stored_range(self):
+        assert INT32.fits([2**31 - 1, -(2**31)])
+        assert not INT32.fits([2**31])
+        assert INT64.fits([2**63 - 1]) and not INT64.fits([2**64])
+        assert not INT64.fits([float("nan")])
+        assert DATE.fits([datetime.date(1998, 12, 1), 2**31 - 1]) and not DATE.fits([2**31])
+        # DECIMAL bounds its scaled int, exactly: the float nearest the
+        # largest decodable value scales to 2**63, one past the top.
+        top = (2**63 - 1) / 100
+        assert DECIMAL(2).fits([1e16]) and not DECIMAL(2).fits([top])
+        assert not DECIMAL(2).fits([float("inf")])
+        assert FLOAT64.fits([1e308]) and CHAR(2).fits([b"ab"])
+
     def test_parse_type(self):
         assert parse_type("int64") is INT64
         assert parse_type("CHAR(12)").width == 12
