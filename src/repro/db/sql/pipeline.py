@@ -453,12 +453,11 @@ class Session:
             for values in bound.rows:
                 txn.insert(table, dict(values))
             return len(bound.rows)
-        reads = bound.reads if isinstance(bound, BoundUpdate) else ()
-        slots, cols = self._matching_slots(txn, table, bound.where, reads)
+        slots = self._matching_slots(txn, table, bound.where)
         if isinstance(bound, BoundUpdate):
             # Evaluate every SET value before the first write: a failing
             # expression leaves the transaction exactly as it was.
-            values = _set_values(table, len(slots), bound.assignments, cols)
+            values = _set_values(table, slots, bound)
             for i, slot in enumerate(slots.tolist()):
                 txn.update(table, slot, {name: v[i] for name, v in values.items()})
             return len(slots)
@@ -469,16 +468,12 @@ class Session:
         raise SqlError(f"unknown DML plan {type(bound).__name__}")
 
     @staticmethod
-    def _matching_slots(txn: Transaction, table, where: Optional[Expr], reads=()):
-        """The visible slots ``where`` keeps, and the ``reads`` columns at
-        them; one :meth:`Table.read` over every slot serves both."""
+    def _matching_slots(txn: Transaction, table, where: Optional[Expr]):
         mask = txn.visibility(table)
-        names = sorted(where.columns().union(reads)) if where is not None else reads
-        cols = table.read(names) if names else {}
         if where is not None:
+            cols = table.read(sorted(where.columns()))
             mask = mask & _as_mask(where.eval_vector(cols), cols, len(mask))
-        slots = np.flatnonzero(mask)
-        return slots, {name: cols[name][slots] for name in reads}
+        return np.flatnonzero(mask)
 
     # ------------------------------------------------------------------
     # DDL.
@@ -564,22 +559,23 @@ class Session:
         return StatementResult(kind="explain", sql=sql, plan=text)
 
 
-def _set_values(table, count: int, assignments, cols) -> Dict[str, list]:
-    """The UPDATE SET values of ``count`` matched rows, one list per
-    assigned column, evaluated over ``cols``, the columns they read at
-    those rows.
+def _set_values(table, slots: np.ndarray, bound: BoundUpdate) -> Dict[str, list]:
+    """The UPDATE SET values at ``slots``, one list per assigned column.
 
-    The columns are taken as Python numbers, as the row-at-a-time
+    The columns the SET expressions read are taken at the matched slots
+    with one :meth:`Table.read`, as Python numbers, as the row-at-a-time
     oracle takes them: arithmetic never wraps, and ``x / 0`` raises.
     Each expression is evaluated once, and its values are checked
     against the column's range before anything is written; a fault or
     an out-of-range value is a SqlError.
     """
+    count = len(slots)
     if not count:  # nothing matched: nothing to evaluate, or to fault
         return {}
+    cols = table.read(bound.reads, slots) if bound.reads else {}
     cols = {name: col.astype(object) for name, col in cols.items()}
     values = {}
-    for name, expr in assignments:
+    for name, expr in bound.assignments:
         try:
             value = expr.eval_vector(cols)
         except SqlError:
