@@ -589,9 +589,22 @@ def bind_insert(stmt: InsertStmt, catalog: Catalog) -> BoundInsert:
                 raise SqlError(
                     f"INSERT value for {name!r} must be a constant expression"
                 )
-            values[name] = _coerce_constant(expr, schema, name)
+            value = _coerce_constant(expr, schema, name)
+            _check_insert_value(value, schema, name)
+            values[name] = value
         rows.append(values)
     return BoundInsert(table=table, rows=tuple(rows))
+
+
+def _check_insert_value(value: Any, schema: TableSchema, name: str) -> None:
+    """Refuse, before any row is written, a constant that column ``name``
+    cannot store: text for a number or a number for text, or a number
+    outside the column's range."""
+    dtype = schema.column(name).dtype
+    if isinstance(value, (str, bytes)) != (dtype.np_dtype is None):
+        raise SqlError(f"INSERT value for {name!r} is not of type {dtype.name}")
+    if not dtype.fits((value,)):
+        raise SqlError(f"INSERT value for {name!r} out of range for {dtype.name}")
 
 
 def bind_update(stmt: UpdateStmt, catalog: Catalog) -> BoundUpdate:

@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-import numpy as np
-
 from repro.core.selection import CompareOp
 from repro.db.expr import Between, ColumnRef, Compare, Literal, column_vs_literal
 from repro.db.table import Table
+from repro.distinct import distinct
 
 
 @dataclass(frozen=True)
@@ -52,7 +51,7 @@ class TableStats:
             if table.nrows == 0:
                 columns[col.name] = ColumnStats(col.name, 0, None, None)
                 continue
-            ndv = int(len(np.unique(values)))
+            ndv = distinct(values).size
             if col.dtype.np_dtype is None:
                 columns[col.name] = ColumnStats(col.name, ndv, None, None)
             else:

@@ -69,6 +69,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.distinct import distinct
 from repro.hw.cache import Cache
 from repro.hw.dram import Dram
 from repro.hw.prefetcher import StreamPrefetcher, _Stream
@@ -801,26 +802,26 @@ def hierarchy_access_lines_batch(
         return 0
     platform = hierarchy.platform
     if n == 1:
-        contiguous, distinct = False, True
+        contiguous, all_distinct = False, True
     else:
         diffs = np.diff(arr)
         ascending = bool(np.all(diffs > 0))
         # Ascending with a span of n - 1 lines leaves only unit steps.
         contiguous = ascending and int(arr[-1]) - int(arr[0]) == n - 1
-        distinct = ascending or bool(np.all(diffs < 0))
-        if not distinct:
+        all_distinct = ascending or bool(np.all(diffs < 0))
+        if not all_distinct:
             lo = int(arr.min())
             if int(arr.max()) - lo < 4 * n:  # dense: a presence count
-                distinct = int(np.bincount(arr - lo).max()) == 1
+                all_distinct = int(np.bincount(arr - lo).max()) == 1
             else:
-                distinct = np.unique(arr).size == n
+                all_distinct = distinct(arr).size == n
 
     # A level with no hits passes the whole batch on, uncopied.
-    l1_hits = batch_cache_access(hierarchy.l1, arr, write, contiguous, distinct)
+    l1_hits = batch_cache_access(hierarchy.l1, arr, write, contiguous, all_distinct)
     n_l1_hits = int(np.count_nonzero(l1_hits))
     miss1 = arr[~l1_hits] if n_l1_hits else arr
     miss1_contig = contiguous and n_l1_hits == 0
-    l2_hits = batch_cache_access(hierarchy.l2, miss1, write, miss1_contig, distinct)
+    l2_hits = batch_cache_access(hierarchy.l2, miss1, write, miss1_contig, all_distinct)
     n_l2_hits = int(np.count_nonzero(l2_hits))
     miss2 = miss1[~l2_hits] if n_l2_hits else miss1
 

@@ -116,6 +116,9 @@ class SsdLog:
         self.fault_injector = fault_injector
         self._media = bytearray(initial)
         self._pending: List[bytes] = []
+        #: ``sum(map(len, _pending))``, kept as the chunks come and go:
+        #: every WAL append reads it for its LSN.
+        self._pending_bytes = 0
         self.appends = 0
         self.flushes = 0
         self.torn_appends = 0
@@ -133,13 +136,15 @@ class SsdLog:
     @property
     def pending_bytes(self) -> int:
         """Bytes buffered in controller DRAM, lost on a crash."""
-        return sum(len(c) for c in self._pending)
+        return self._pending_bytes
 
     def append(self, data: bytes) -> None:
         """Buffer one record's bytes for the next flush."""
         if not data:
             return
-        self._pending.append(bytes(data))
+        chunk = bytes(data)
+        self._pending.append(chunk)
+        self._pending_bytes += len(chunk)
         self.appends += 1
 
     def flush(self) -> float:
@@ -147,6 +152,7 @@ class SsdLog:
         if not self._pending:
             return 0.0
         chunks, self._pending = self._pending, []
+        self._pending_bytes = 0
         inj = self.fault_injector
         if inj is not None and inj.armed and inj.should_fault(WAL_TORN):
             last = chunks[-1]
@@ -187,9 +193,11 @@ class SsdLog:
     def crash(self) -> None:
         """Simulate power loss: buffered-but-unflushed bytes vanish."""
         self._pending.clear()
+        self._pending_bytes = 0
 
     def truncate(self, keep: bytes = b"") -> None:
         """Replace the log with ``keep`` (checkpoint truncation)."""
         self._pending.clear()
+        self._pending_bytes = 0
         self._media = bytearray(keep)
         self.erases += 1

@@ -23,6 +23,7 @@ from repro.db.catalog import Catalog
 from repro.db.schema import Column, TableSchema
 from repro.db.table import Table
 from repro.db.types import CHAR, DATE, DECIMAL, INT32, INT64
+from repro.distinct import distinct
 
 _EPOCH = datetime.date(1970, 1, 1)
 
@@ -169,7 +170,7 @@ def generate_orders(
     table = catalog.create_table(schema)
     rng = np.random.default_rng(seed)
 
-    orderkeys = np.unique(lineitem.column("l_orderkey"))
+    orderkeys = distinct(lineitem.column("l_orderkey"))
     n = len(orderkeys)
     orderdate = rng.integers(SHIP_LO - 120, SHIP_HI - 30, n, dtype=np.int32)
     open_orders = rng.random(n) < 0.25

@@ -27,6 +27,7 @@ from repro.db.catalog import Catalog
 from repro.db.schema import Column, TableSchema
 from repro.db.table import Table
 from repro.db.types import CHAR, DECIMAL, INT32, INT64
+from repro.distinct import distinct
 from repro.workloads.tpch import generate_lineitem, generate_orders
 
 
@@ -64,7 +65,7 @@ def generate_customer(
     table = catalog.create_table(schema)
     rng = np.random.default_rng(seed)
 
-    custkeys = np.unique(orders.column("o_custkey"))
+    custkeys = distinct(orders.column("o_custkey"))
     n = len(custkeys)
     table.append_arrays(
         {
@@ -127,7 +128,7 @@ def generate_part(
     table = catalog.create_table(schema)
     rng = np.random.default_rng(seed)
 
-    partkeys = np.unique(lineitem.column("l_partkey"))
+    partkeys = distinct(lineitem.column("l_partkey"))
     n = len(partkeys)
     table.append_arrays(
         {

@@ -150,6 +150,29 @@ class TestBatchEqualsScalar:
         assert h.access_lines_batch(np.empty(0, dtype=np.int64)) == 0
         assert hierarchy_state(h) == hierarchy_state(MemoryHierarchy(TEST_PLATFORM))
 
+    @pytest.mark.parametrize("platform", [TEST_PLATFORM, default_platform()])
+    @pytest.mark.parametrize("repeat", [False, True])
+    def test_sparse_unordered_batch_bit_identical(self, monkeypatch, platform, repeat):
+        # Spread over more than 4 lines per access and in no order, so the
+        # kernel decides distinctness by repro.distinct, not by a
+        # monotone diff or a presence count.
+        rng = np.random.default_rng(5)
+        lines = rng.choice(1 << 20, size=300, replace=False)
+        lines[[3, 7]] = [90_000, 12]
+        if repeat:
+            lines[250] = lines[40]
+        seen = []
+        real = hwbatch.batch_cache_access
+
+        def spy(cache, arr, write, contiguous, batch_distinct):
+            seen.append(batch_distinct)
+            return real(cache, arr, write, contiguous, batch_distinct)
+
+        monkeypatch.setattr(hwbatch, "batch_cache_access", spy)
+        batches = [(lines, False, 0), (lines[::-1], True, 0), (lines[:50], False, 64)]
+        assert replay(platform, batches, True) == replay(platform, batches, False)
+        assert seen[0] is (not repeat)
+
     def test_write_dirtiness_matches(self):
         batches = [
             (list(range(0, 50)), True, 64),

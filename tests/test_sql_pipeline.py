@@ -7,6 +7,7 @@ EXPLAIN / EXPLAIN ANALYZE.
 """
 
 import math
+import re
 
 import pytest
 
@@ -16,7 +17,7 @@ from repro.db.engines.rmstore import RelationalMemoryEngine
 from repro.db.engines.rowstore import RowStoreEngine
 from repro.db.sql.oracle import SqlOracle
 from repro.db.sql.pipeline import Session, scan_statements, split_statements
-from repro.db.wal import WriteAheadLog, recover
+from repro.db.wal import WalRecordType, WriteAheadLog, recover
 from repro.errors import SqlError
 from repro.obs import MetricsRegistry, Tracer
 from repro.storage.ssd import SsdLog
@@ -223,6 +224,64 @@ def test_update_decimal_overflow_is_typed():
         s.execute("UPDATE t SET m = 92233720368547758.07")
     s.execute("UPDATE t SET m = m * 2")
     assert s.execute("SELECT m FROM t").rows == [(3.0,)]
+
+
+@pytest.mark.parametrize(
+    "ddl, fits, overflows",
+    [
+        ("INT32", ["2147483647", "-2147483648"], ["2147483648", "-2147483649", "10000000000"]),
+        (
+            "INT64",
+            ["9223372036854775807", "-9223372036854775808"],
+            ["9223372036854775808", "-9223372036854775809"],
+        ),
+        ("DATE", ["DATE '2020-02-29'", "2147483647"], ["2147483648", "-2147483649"]),
+        # DECIMAL(2) stores the value times 100 in an int64.
+        ("DECIMAL(2)", ["1000000.25", "-92233720368547.75"], ["92233720368547758.07"]),
+    ],
+)
+def test_insert_overflow_is_typed_at_the_bounds(ddl, fits, overflows):
+    s = Session()
+    s.execute(f"CREATE TABLE t (k INT32, v {ddl})")
+    for i, value in enumerate(fits):
+        s.execute(f"INSERT INTO t (k, v) VALUES ({i}, {value})")
+    for value in overflows:
+        with pytest.raises(SqlError, match="out of range for " + re.escape(ddl)):
+            s.execute(f"INSERT INTO t (k, v) VALUES (9, {value})")
+    assert s.execute("SELECT count(*) AS n FROM t").rows == [(len(fits),)]
+
+
+def test_insert_of_the_wrong_kind_is_typed():
+    s = Session()
+    s.execute("CREATE TABLE t (k INT32, tag CHAR(4))")
+    with pytest.raises(SqlError, match="'k' is not of type INT32"):
+        s.execute("INSERT INTO t (k, tag) VALUES ('oak', 'oak')")
+    with pytest.raises(SqlError, match=r"'tag' is not of type CHAR\(4\)"):
+        s.execute("INSERT INTO t (k, tag) VALUES (1, 2)")
+    assert s.execute("SELECT count(*) AS n FROM t").rows == [(0,)]
+
+
+@pytest.mark.parametrize("in_txn", [False, True])
+def test_insert_whose_last_row_overflows_writes_nothing(in_txn):
+    wal = WriteAheadLog(device=SsdLog())
+    s = Session(wal=wal)
+    s.execute("CREATE TABLE t (k INT32, v INT32)")
+    s.execute("INSERT INTO t (k, v) VALUES (1, 10)")
+    if in_txn:
+        s.execute("BEGIN")
+        s.execute("INSERT INTO t (k, v) VALUES (2, 20)")
+    writes = wal.stats.writes_logged
+    with pytest.raises(SqlError, match="out of range for INT32"):
+        s.execute("INSERT INTO t (k, v) VALUES (3, 30), (4, 40), (5, 10000000000)")
+    assert wal.stats.writes_logged == writes
+    if in_txn:
+        s.execute("COMMIT")
+    query = "SELECT k, v FROM t ORDER BY k"
+    want = [(1, 10), (2, 20)] if in_txn else [(1, 10)]
+    assert s.execute(query).rows == want
+    logged = [r for r in wal.records() if r.type is WalRecordType.WRITE]
+    assert len(logged) == len(want)
+    assert_matches_oracle(s.execute(query).result, s.catalog, query, s.manager.now)
 
 
 def test_dml_needs_an_mvcc_table():

@@ -187,6 +187,48 @@ class TestSsdLog:
 
         assert run() == run()
 
+    def test_pending_count_follows_the_chunks(self):
+        """The running count equals the pending chunks' lengths through
+        every call that adds or drops chunks."""
+        log = SsdLog()
+
+        def check():
+            assert log.pending_bytes == sum(len(c) for c in log._pending)
+
+        check()
+        for call in (
+            lambda: log.append(b"abc"),
+            lambda: log.append(memoryview(b"defgh")),
+            lambda: log.append(b""),
+            log.flush,
+            lambda: log.append(b"x" * 7),
+            log.crash,
+            lambda: log.append(b"y" * 9),
+            lambda: log.append(b"z"),
+            lambda: log.truncate(b"kept"),
+            lambda: log.append(b"w" * 4),
+            log.flush,
+        ):
+            call()
+            check()
+        assert log.media() == b"kept" + b"w" * 4
+
+    def test_record_stream_lsns_are_unchanged(self):
+        """A fixed record stream, with a crash and a truncation in it,
+        gets fixed LSNs: durable plus pending bytes after each append."""
+        wal = WriteAheadLog(device=SsdLog())
+        lsns = []
+        for i, rec in enumerate(SAMPLE_RECORDS * 3):
+            lsns.append(wal.append(rec, durable=rec.type is WalRecordType.COMMIT))
+            if i == 8:
+                wal.device.crash()
+            if i == 13:
+                wal.device.truncate(b"k" * 10)
+        assert lsns == [
+            27, 124, 173, 200, 219, 262, 289, 386, 435,
+            227, 246, 289, 316, 413, 59, 86, 105, 148,
+        ]
+
 
 class TestManagerWalWiring:
     def test_default_manager_has_no_wal(self):
