@@ -8,11 +8,14 @@ Two measurements over :mod:`repro.dist`:
    cores); what gates is the determinism contract: every shard count
    must produce a payload byte-identical to unsharded serial execution
    and charge exactly the same ledger cycles — sharding buys
-   parallelism, never a different answer or a different bill. Two
+   parallelism, never a different answer or a different bill. Three
    host-time ratios gate too, timed by
-   :func:`repro.bench.timing.paired_timing`: ``q1_q6_host_ratio``,
-   serial Q1 over serial Q6, which rises sharply if grouping falls back
-   to a slow sort, and ``bulk_load_host_ratio``, bulk-loading the
+   :func:`repro.bench.timing.paired_timing`: ``q1_group_host_ratio``,
+   serial Q1 over the same plan without its GROUP BY, which rises
+   sharply if grouping falls back to a slow sort;
+   ``q6_scan_host_ratio``, serial Q6 over one ``gather`` of its three
+   WHERE fields, which rises if row selection goes back to a pass over
+   the image per term; and ``bulk_load_host_ratio``, bulk-loading the
    shards' row images over one contiguous copy of as many image bytes.
 2. **Recovery** — a durable 4-shard orders cluster absorbs a seeded
    write mix, then every shard in turn is SIGKILLed and the next query
@@ -37,12 +40,14 @@ import json
 import statistics
 import sys
 import time
+from dataclasses import replace
 from functools import partial
 from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.bench.timing import PairedTiming, paired_timing
+from repro.core.packer import gather, record_view
 from repro.core.selection import CompareOp, FabricPredicate
 from repro.dist import (
     AggSpec,
@@ -75,14 +80,24 @@ def run_scaling(
     def serial(plan):
         return lambda _: partial(execute_plan, lineitem, plan)
 
-    # Q1 groups and aggregates; Q6 only filters and sums.
-    timing = paired_timing(serial(plans["q1"]), serial(plans["q6"]))
-    answers = {name: outputs[-1] for name, outputs in zip(plans, timing.outputs)}
+    # Q1 against the same filter and sums without the grouping; Q6
+    # against one read of the image (its WHERE fields, every row).
+    image = record_view(lineitem.frame, lineitem.schema.full_geometry())
+    q6_fields = tuple(dict.fromkeys(plans["q6"].fabric_filter.fields()))
+    timings = {
+        "q1_group_host_ratio": paired_timing(
+            serial(plans["q1"]), serial(replace(plans["q1"], group_by=()))
+        ),
+        "q6_scan_host_ratio": paired_timing(
+            serial(plans["q6"]), lambda _: partial(gather, image, q6_fields)
+        ),
+    }
     report: Dict[str, object] = {"rows": rows, "per_shards": {}}
-    for name, seconds in zip(plans, timing.seconds):
-        report[f"{name}_serial_seconds"] = statistics.median(seconds)
-    report["q1_q6_host_ratio"] = timing.ratio
-    timings = {"q1_q6_host_ratio": timing}
+    answers = {}
+    for name, (key, timing) in zip(plans, timings.items()):
+        answers[name] = timing.outputs[0][-1]
+        report[f"{name}_serial_seconds"] = statistics.median(timing.seconds[0])
+        report[key] = timing.ratio
 
     bulk_load, timings["bulk_load_host_ratio"] = run_bulk_load(lineitem, max(shard_counts))
     report.update(bulk_load)

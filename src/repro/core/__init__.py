@@ -10,7 +10,6 @@ from repro.core.mvcc_filter import (
     NEVER_TS,
     latest_mask,
     visible_mask,
-    visible_mask_batched,
 )
 from repro.core.packer import pack, record_view, unpack
 from repro.core.tensor import MatrixSlice, TensorFabric, matrix_geometry
@@ -46,5 +45,4 @@ __all__ = [
     "select_rows",
     "unpack",
     "visible_mask",
-    "visible_mask_batched",
 ]

@@ -7,8 +7,13 @@ generates the column groups that contain the valid rows at the time of
 the query" — the comparison happens *in the fabric*, so shipping only
 valid versions costs the CPU nothing.
 
-This module is the functional half (the masks); the timing half is the
-``mvcc_filter=True`` path of :class:`repro.hw.engine.RelationalMemoryEngineModel`.
+This module is the functional half (the stamps and the masks); the
+timing half is the ``mvcc_filter=True`` path of
+:class:`repro.hw.engine.RelationalMemoryEngineModel`. The fabric's own
+visibility compare is :func:`repro.core.selection.select_rows`, which
+evaluates it on the stamp fields with the comparators, in the same one
+block walk over the row image; :func:`visible_mask` is the whole-array
+form, kept for callers that hold the stamp arrays and for the referees.
 """
 
 from __future__ import annotations
@@ -36,41 +41,6 @@ def visible_mask(
     rows carry ``begin_ts == NEVER_TS`` and are invisible to everyone.
     """
     return (begin_ts <= snapshot_ts) & (snapshot_ts < end_ts)
-
-
-#: Rows per visibility batch: 64Ki slots keep both timestamp slices and
-#: the mask inside L2 (64Ki * (8+8+1) bytes ≈ 1.1 MB).
-DEFAULT_VISIBILITY_BATCH = 1 << 16
-
-
-def visible_mask_batched(
-    begin_ts: np.ndarray,
-    end_ts: np.ndarray,
-    snapshot_ts: int,
-    batch_rows: int = DEFAULT_VISIBILITY_BATCH,
-) -> np.ndarray:
-    """:func:`visible_mask` computed in bounded row batches.
-
-    Bit-identical output; the batching bounds the working set (two
-    timestamp slices plus the mask slice stay cache-resident per batch)
-    and writes each comparison straight into the output mask instead of
-    materializing full-length temporaries. Engines use this so the
-    visibility pass follows the same batch discipline as the trace-mode
-    line kernel.
-    """
-    n = len(begin_ts)
-    if batch_rows < 1:
-        batch_rows = n or 1
-    out = np.empty(n, dtype=bool)
-    scratch = np.empty(min(batch_rows, n), dtype=bool)
-    for start in range(0, n, batch_rows):
-        stop = min(start + batch_rows, n)
-        chunk = out[start:stop]
-        np.less_equal(begin_ts[start:stop], snapshot_ts, out=chunk)
-        s = scratch[: stop - start]
-        np.greater(end_ts[start:stop], snapshot_ts, out=s)
-        chunk &= s
-    return out
 
 
 def latest_mask(begin_ts: np.ndarray, end_ts: np.ndarray) -> np.ndarray:

@@ -12,7 +12,11 @@ on the CPU. Every unit reads its fields in place from a
 :func:`~repro.core.packer.record_view` of the row image.
 
 :func:`select_rows` is every fabric instance's one row selection: MVCC
-visibility at a snapshot (Section III-C) ANDed with the comparators.
+visibility at a snapshot (Section III-C) ANDed with the comparators. Like
+the fabric, which evaluates all of its comparators on each row as the
+row streams past, it walks the image once, a cache-resident
+:func:`~repro.core.packer.blocks` block at a time, and evaluates the
+stamp compare and every comparator on a block while it is resident.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.mvcc_filter import MVCC_BEGIN, MVCC_END, visible_mask_batched
-from repro.core.packer import gather
+from repro.core.mvcc_filter import MVCC_BEGIN, MVCC_END
+from repro.core.packer import blocks, gather
 from repro.errors import GeometryError
 
 Number = Union[int, float]
@@ -43,6 +47,13 @@ class CompareOp(enum.Enum):
 
     def apply(self, values: np.ndarray, constant: Number) -> np.ndarray:
         return _OPERATOR[self](values, constant)
+
+    @property
+    def ufunc(self) -> np.ufunc:
+        """The comparison ufunc, to write a mask in place (``out=``);
+        :meth:`apply` keeps the operator, so Python scalars compare to a
+        Python bool."""
+        return _UFUNC[self]
 
     @classmethod
     def from_sql(cls, op: str) -> "CompareOp":
@@ -71,6 +82,14 @@ _OPERATOR = {
     CompareOp.EQ: operator.eq,
     CompareOp.NE: operator.ne,
 }
+_UFUNC = {
+    CompareOp.LT: np.less,
+    CompareOp.LE: np.less_equal,
+    CompareOp.GT: np.greater,
+    CompareOp.GE: np.greater_equal,
+    CompareOp.EQ: np.equal,
+    CompareOp.NE: np.not_equal,
+}
 _FLIPPED = {
     CompareOp.LT: CompareOp.GT,
     CompareOp.LE: CompareOp.GE,
@@ -89,15 +108,6 @@ class FabricPredicate:
     op: CompareOp
     constant: Number
 
-    def evaluate(self, records: np.ndarray) -> np.ndarray:
-        field = records.dtype.fields.get(self.field)
-        if field is None or field[0].kind == "S":
-            raise GeometryError(
-                f"fabric predicates need scalar fields; {self.field!r} is absent or opaque"
-            )
-        # The comparator reads the field in place: no copy of the column.
-        return self.op.apply(records[self.field], self.constant)
-
 
 @dataclass(frozen=True)
 class FabricFilter:
@@ -112,12 +122,6 @@ class FabricFilter:
     def __len__(self) -> int:
         return len(self.predicates)
 
-    def evaluate(self, records: np.ndarray) -> np.ndarray:
-        mask = np.ones(len(records), dtype=bool)
-        for pred in self.predicates:
-            mask &= pred.evaluate(records)
-        return mask
-
     def fields(self) -> Tuple[str, ...]:
         return tuple(p.field for p in self.predicates)
 
@@ -128,15 +132,46 @@ def select_rows(
     fabric_filter: Optional[FabricFilter] = None,
 ) -> Optional[np.ndarray]:
     """The rows of a row image's ``records`` view the fabric emits: those
-    valid at ``snapshot_ts`` (when given; compared on the stamp fields in
-    place) and passing ``fabric_filter`` (when given). None: every row,
-    with nothing allocated."""
-    mask = None
+    valid at ``snapshot_ts`` (when given: ``begin_ts <= ts < end_ts`` on
+    the stamp fields) and passing ``fabric_filter`` (when given; all rows
+    for an empty one). None: every row, with nothing allocated.
+
+    One walk over the image, in :func:`~repro.core.packer.blocks`: each
+    compare reads its field of a resident block in place and writes the
+    block's slice of the one mask, the first directly and the rest
+    through one scratch slice ANDed in. A comparator on an absent or
+    opaque field raises :class:`GeometryError` before any block is read.
+    """
+    if snapshot_ts is None and fabric_filter is None:
+        return None
+    # (comparison ufunc, field view, constant), in evaluation order.
+    compares = []
     if snapshot_ts is not None:
-        mask = visible_mask_batched(records[MVCC_BEGIN], records[MVCC_END], snapshot_ts)
-    if fabric_filter is not None:
-        fmask = fabric_filter.evaluate(records)
-        mask = fmask if mask is None else np.logical_and(mask, fmask, out=mask)
+        compares.append((np.less_equal, records[MVCC_BEGIN], snapshot_ts))
+        compares.append((np.greater, records[MVCC_END], snapshot_ts))
+    fields = records.dtype.fields
+    for pred in () if fabric_filter is None else fabric_filter.predicates:
+        field = fields.get(pred.field)
+        if field is None or field[0].kind == "S":
+            raise GeometryError(
+                f"fabric predicates need scalar fields; {pred.field!r} is absent or opaque"
+            )
+        compares.append((pred.op.ufunc, records[pred.field], pred.constant))
+    n = len(records)
+    if not compares:
+        return np.ones(n, dtype=bool)
+    mask = np.empty(n, dtype=bool)
+    # Each block ANDs through the head of one scratch array, which stays
+    # resident from block to block.
+    scratch = np.empty(n, dtype=bool)
+    (compare, values, constant), *rest = compares
+    for part in blocks(n, records.dtype.itemsize):
+        out = mask[part]
+        compare(values[part], constant, out=out)
+        term = scratch[: len(out)]
+        for compare_next, values_next, constant_next in rest:
+            compare_next(values_next[part], constant_next, out=term)
+            out &= term
     return mask
 
 

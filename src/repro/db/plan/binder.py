@@ -598,13 +598,15 @@ def bind_insert(stmt: InsertStmt, catalog: Catalog) -> BoundInsert:
 
 def _check_insert_value(value: Any, schema: TableSchema, name: str) -> None:
     """Refuse, before any row is written, a constant that column ``name``
-    cannot store: text for a number or a number for text, or a number
-    outside the column's range."""
+    cannot store: text for a number or a number for text, a number
+    outside the column's range, or a fraction for a whole-number column."""
     dtype = schema.column(name).dtype
     if isinstance(value, (str, bytes)) != (dtype.np_dtype is None):
         raise SqlError(f"INSERT value for {name!r} is not of type {dtype.name}")
     if not dtype.fits((value,)):
         raise SqlError(f"INSERT value for {name!r} out of range for {dtype.name}")
+    if not dtype.whole((value,)):
+        raise SqlError(f"INSERT value for {name!r} is not a whole number for {dtype.name}")
 
 
 def bind_update(stmt: UpdateStmt, catalog: Catalog) -> BoundUpdate:

@@ -29,7 +29,12 @@ The oracle *defines* the dialect's answers:
   the new one at the end of the scan order, in ascending matched order.
 - ``INSERT`` and ``UPDATE`` store a DECIMAL value rounded to its
   column's scale, as the engines' encoder stores it, so later reads and
-  arithmetic see the stored value.
+  arithmetic see the stored value. They refuse with a ``SqlError``, and
+  write nothing, a value outside its column's stored range (an integer
+  type's, or a DECIMAL's scaled int64) and a fraction for an integer or
+  DATE column; a whole float there is kept as an int. Inside a
+  transaction a statement is refused when it is issued, as the engines
+  refuse it, not at ``COMMIT``.
 
 It also declares each output's type, in numpy's ``dtype.str`` spelling
 (spelled out here, not imported), with numpy 2's promotion rules:
@@ -114,6 +119,8 @@ _COLUMN_TYPES = {
     "BOOL": "|i1",
     "TIMESTAMP": "<i8",
 }
+#: Bits of each integer column type's stored range (DATE is ``<i4``).
+_INT_BITS = {"|i1": 8, "<i2": 16, "<i4": 32, "<i8": 64}
 #: A Python scalar's type before it meets a column: it takes the other
 #: operand's type, or this default when it stands alone.
 _WEAK = {"int": "<i8", "float": "<f8"}
@@ -248,11 +255,27 @@ class OracleTable:
     def stored(self, name: str, value: Any) -> Any:
         """``value`` as column ``name`` keeps it: a DECIMAL is rounded to
         its column's scale as a scaled int, as the engines' encoder rounds
-        it, and read back as a float."""
+        it, and read back as a float; an integer column keeps a whole
+        number as an int. A number the column cannot keep (outside its
+        stored range, or a fraction for an integer column) is a
+        SqlError."""
         scale = self.scales.get(name)
-        if scale is None:
+        bits = 64 if scale is not None else _INT_BITS.get(self.types[name])
+        if bits is None or not isinstance(value, (int, float)):
             return value
-        return int(round(float(value) * 10**scale)) / 10**scale
+        try:
+            raw = int(value) if scale is None else int(round(float(value) * 10**scale))
+        except (OverflowError, ValueError):  # inf or nan
+            raw = None
+        if raw is None or not -(1 << (bits - 1)) <= raw < 1 << (bits - 1):
+            raise SqlError(
+                f"oracle: value {value!r} for {name!r} out of range for {self.types[name]}"
+            )
+        if scale is not None:
+            return raw / 10**scale
+        if raw != value:
+            raise SqlError(f"oracle: value {value!r} for {name!r} is not a whole number")
+        return raw
 
 
 class SqlOracle:
@@ -295,9 +318,24 @@ class SqlOracle:
         if self._txn is not None and isinstance(
             stmt, (InsertStmt, UpdateStmt, DeleteStmt)
         ):
+            self._try_staged(stmt)
             self._txn.append(stmt)
             return None
         return self._apply_now(stmt)
+
+    def _try_staged(self, stmt: object) -> None:
+        """Raise now what ``stmt`` would raise at COMMIT: apply the staged
+        statements and ``stmt`` to copies of the tables' row lists, then
+        put the lists back."""
+        rows = {name: table.rows for name, table in self.tables.items()}
+        try:
+            for table in self.tables.values():
+                table.rows = list(table.rows)
+            for staged in (*self._txn, stmt):
+                self._apply_now(staged)
+        finally:
+            for name, kept in rows.items():
+                self.tables[name].rows = kept
 
     def _apply_now(self, stmt: object):
         # Subqueries are uncorrelated: each runs once per statement.
@@ -361,12 +399,15 @@ class SqlOracle:
     def _insert(self, stmt: InsertStmt) -> int:
         table = self._table(stmt.table)
         names = stmt.columns if stmt.columns is not None else table.columns
+        rows = []
         for values in stmt.rows:
             if len(values) != len(names):
                 raise SqlError("oracle: INSERT arity mismatch")
-            table.rows.append(
+            rows.append(
                 {n: table.stored(n, self._eval(e, {})) for n, e in zip(names, values)}
             )
+        # Every row is checked before the first is written.
+        table.rows.extend(rows)
         return len(stmt.rows)
 
     def _update(self, stmt: UpdateStmt) -> int:

@@ -566,8 +566,9 @@ def _set_values(table, slots: np.ndarray, bound: BoundUpdate) -> Dict[str, list]
     with one :meth:`Table.read`, as Python numbers, as the row-at-a-time
     oracle takes them: arithmetic never wraps, and ``x / 0`` raises.
     Each expression is evaluated once, and its values are checked
-    against the column's range before anything is written; a fault or
-    an out-of-range value is a SqlError.
+    against the column's range, and for a fraction in a whole-number
+    column, before anything is written; a fault or a value the column
+    cannot store is a SqlError.
     """
     count = len(slots)
     if not count:  # nothing matched: nothing to evaluate, or to fault
@@ -589,6 +590,10 @@ def _set_values(table, slots: np.ndarray, bound: BoundUpdate) -> Dict[str, list]
         if not dtype.fits(value):
             raise SqlError(
                 f"UPDATE value for {name!r} out of range for {dtype.name}"
+            )
+        if not dtype.whole(value):
+            raise SqlError(
+                f"UPDATE value for {name!r} is not a whole number for {dtype.name}"
             )
         values[name] = value
     return values

@@ -116,6 +116,14 @@ class DataType:
         except (OverflowError, ValueError):  # inf or nan met int()
             return False
 
+    def whole(self, values: Sequence[Any]) -> bool:
+        """Whether none of ``values`` is a fraction that this type would
+        cut off: integer types and DATE store whole numbers (a DECIMAL
+        rounds to its scale, and float and CHAR types are not checked)."""
+        if self.limit is None or self.name.startswith("DECIMAL"):
+            return True
+        return all(not isinstance(v, float) or v.is_integer() for v in values)
+
     def decode_array(self, values: np.ndarray) -> np.ndarray:
         """Vectorized decode for numeric types (DECIMAL → float array)."""
         if self.name.startswith("DECIMAL"):

@@ -15,7 +15,7 @@ from repro.db import Catalog
 from repro.db.engines.colstore import ColumnStoreEngine
 from repro.db.engines.rmstore import RelationalMemoryEngine
 from repro.db.engines.rowstore import RowStoreEngine
-from repro.db.sql.oracle import SqlOracle
+from repro.db.sql.oracle import Answer, SqlOracle, mismatch
 from repro.db.sql.pipeline import Session, scan_statements, split_statements
 from repro.db.wal import WalRecordType, WriteAheadLog, recover
 from repro.errors import SqlError
@@ -282,6 +282,105 @@ def test_insert_whose_last_row_overflows_writes_nothing(in_txn):
     logged = [r for r in wal.records() if r.type is WalRecordType.WRITE]
     assert len(logged) == len(want)
     assert_matches_oracle(s.execute(query).result, s.catalog, query, s.manager.now)
+
+
+def _outcome(run, sql):
+    """Whether running ``sql`` was "ok" or "refused" with a SqlError."""
+    try:
+        run(sql)
+    except SqlError:
+        return "refused"
+    return "ok"
+
+
+@pytest.mark.parametrize("in_txn", [False, True])
+def test_fraction_for_a_whole_number_column_is_refused(in_txn):
+    wal = WriteAheadLog(device=SsdLog())
+    s = Session(wal=wal)
+    oracle = SqlOracle()
+    for sql in (
+        "CREATE TABLE t (k INT32, v INT32, d DATE)",
+        "INSERT INTO t (k, v, d) VALUES (1, 10, 5), (2, 20, 6)",
+    ):
+        s.execute(sql)
+        oracle.execute(sql)
+    if in_txn:
+        s.execute("BEGIN")
+        oracle.execute("BEGIN")
+    writes = wal.stats.writes_logged
+    for sql in (
+        "INSERT INTO t (k, v, d) VALUES (1, 1.7, 7)",
+        "INSERT INTO t (k, v, d) VALUES (3, 30, 7), (4, 40, 7.5)",
+        "UPDATE t SET v = 3.9 WHERE k = 2",
+        "UPDATE t SET v = v / 3",
+    ):
+        with pytest.raises(SqlError, match="not a whole number for"):
+            s.execute(sql)
+        with pytest.raises(SqlError, match="not a whole number"):
+            oracle.execute(sql)
+    assert wal.stats.writes_logged == writes
+    # A whole float is kept, as the integer.
+    sql = "UPDATE t SET v = v / 2 WHERE k = 2"
+    assert s.execute(sql).rows_affected == 1
+    oracle.execute(sql)
+    if in_txn:
+        s.execute("COMMIT")
+        oracle.execute("COMMIT")
+    query = "SELECT k, v, d FROM t ORDER BY k"
+    assert s.execute(query).rows == [(1, 10, 5), (2, 10, 6)]
+    assert mismatch(Answer.of(s.execute(query).result), oracle.execute(query)) is None
+    assert_matches_oracle(s.execute(query).result, s.catalog, query, s.manager.now)
+
+
+def _session_and_oracle_from_sql(*statements):
+    """A session and an oracle that both ran ``statements``."""
+    s, oracle = Session(), SqlOracle()
+    for sql in statements:
+        s.execute(sql)
+        oracle.execute(sql)
+    return s, oracle
+
+
+_RANGE_SEED = (
+    "CREATE TABLE t (k INT32, v INT32, m DECIMAL(2))",
+    "INSERT INTO t (k, v, m) VALUES (1, 100, 1.5), (2, -3, 2.25)",
+)
+_RANGE_REFUSED = (
+    "INSERT INTO t (k, v, m) VALUES (3, 10000000000, 0)",
+    "INSERT INTO t (k, v, m) VALUES (3, 2147483647, 0), (4, 2147483648, 0)",
+    "INSERT INTO t (k, v, m) VALUES (3, -2147483649, 0)",
+    "INSERT INTO t (k, v, m) VALUES (3, 1, 92233720368547758.07)",
+    "UPDATE t SET m = 92233720368547758.07 WHERE k = 1",
+)
+
+
+def test_oracle_refuses_what_the_session_refuses():
+    s, oracle = _session_and_oracle_from_sql(*_RANGE_SEED)
+    query = "SELECT k, v, m FROM t ORDER BY k"
+    # v grows tenfold per statement until 100 * 10**8 passes INT32's top.
+    statements = [*_RANGE_REFUSED, *["UPDATE t SET v = v * 10"] * 9]
+    outcomes = []
+    for sql in statements:
+        got = _outcome(s.execute, sql)
+        assert got == _outcome(oracle.execute, sql), sql
+        outcomes.append(got)
+        diff = mismatch(Answer.of(s.execute(query).result), oracle.execute(query))
+        assert diff is None, f"after {sql!r}: {diff}"
+    assert outcomes == ["refused"] * 5 + ["ok"] * 7 + ["refused"] * 2
+    assert s.execute(query).rows == [(1, 1000000000, 1.5), (2, -30000000, 2.25)]
+
+
+def test_oracle_refuses_inside_a_transaction_when_issued():
+    s, oracle = _session_and_oracle_from_sql(*_RANGE_SEED, "BEGIN")
+    for sql in (*_RANGE_REFUSED, "UPDATE t SET v = v * 100000000"):
+        assert _outcome(s.execute, sql) == _outcome(oracle.execute, sql) == "refused", sql
+    sql = "INSERT INTO t (k, v, m) VALUES (3, 2147483647, 0)"
+    assert _outcome(s.execute, sql) == _outcome(oracle.execute, sql) == "ok"
+    s.execute("COMMIT")
+    oracle.execute("COMMIT")
+    query = "SELECT k, v, m FROM t ORDER BY k"
+    assert s.execute(query).rows == [(1, 100, 1.5), (2, -3, 2.25), (3, 2147483647, 0.0)]
+    assert mismatch(Answer.of(s.execute(query).result), oracle.execute(query)) is None
 
 
 def test_dml_needs_an_mvcc_table():

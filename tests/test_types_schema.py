@@ -70,6 +70,13 @@ class TestTypes:
         assert not DECIMAL(2).fits([float("inf")])
         assert FLOAT64.fits([1e308]) and CHAR(2).fits([b"ab"])
 
+    def test_whole_refuses_a_fraction_only_where_it_would_be_cut(self):
+        assert INT32.whole([1, 2.0, -7.0, True]) and not INT32.whole([1, 1.7])
+        assert not DATE.whole([3.5]) and DATE.whole([datetime.date(1998, 12, 1), 3.0])
+        assert not INT64.whole([float("inf")])
+        # DECIMAL rounds to its scale; floats and CHAR keep what they get.
+        assert DECIMAL(2).whole([1.234]) and FLOAT64.whole([0.5]) and CHAR(2).whole([b"ab"])
+
     def test_parse_type(self):
         assert parse_type("int64") is INT64
         assert parse_type("CHAR(12)").width == 12

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.mvcc_filter import visible_mask, visible_mask_batched
 from repro.db import Catalog, Column, TableSchema
 from repro.db.engines.base import Engine
 from repro.db.engines.colstore import ColumnStoreEngine
@@ -727,21 +726,6 @@ class TestMvccBatchRead:
             txn.insert(table, {"id": i, "v": i * 10})
         manager.commit(txn)
         return catalog, table, manager
-
-    @given(
-        st.lists(st.integers(0, 2**40), min_size=0, max_size=200),
-        st.integers(0, 2**40),
-        st.integers(1, 64),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_batched_mask_bit_identical(self, begins, snapshot, batch):
-        begin_ts = np.asarray(begins, dtype=np.int64)
-        rng = np.random.default_rng(len(begins))
-        end_ts = begin_ts + rng.integers(0, 2**20, len(begins))
-        assert np.array_equal(
-            visible_mask(begin_ts, end_ts, snapshot),
-            visible_mask_batched(begin_ts, end_ts, snapshot, batch_rows=batch),
-        )
 
     def test_read_columns_matches_row_loop(self):
         _, table, manager = self._seeded()
