@@ -52,14 +52,19 @@ class EphemeralColumnGroup:
         base_geometry: Optional[DataGeometry] = None,
         snapshot_ts: Optional[int] = None,
         tracer: Optional[Tracer] = None,
+        records: Optional[np.ndarray] = None,
     ):
         self._frame = frame
         self.geometry = geometry
         self._engine = engine
         self._filter = fabric_filter
-        #: Layout the filter's fields and the MVCC stamps resolve in:
-        #: the selection may read fields outside the projected group.
-        self._base_geometry = base_geometry or geometry
+        #: The frame's records under the layout the filter's fields and
+        #: the MVCC stamps resolve in (``base_geometry``): the selection
+        #: may read fields outside the projected group.
+        self._records = (
+            records if records is not None
+            else record_view(frame, base_geometry or geometry)
+        )
         self._snapshot_ts = snapshot_ts
         self._tracer = tracer
         self._mask: Optional[np.ndarray] = None
@@ -80,9 +85,7 @@ class EphemeralColumnGroup:
             layer="fabric",
             rows_in=self._frame.shape[0],
         ) as span:
-            mask = select_rows(
-                record_view(self._frame, self._base_geometry), self._snapshot_ts, self._filter
-            )
+            mask = select_rows(self._records, self._snapshot_ts, self._filter)
             qualifying = None if mask is None else int(np.count_nonzero(mask))
             self._mask = mask
             self._length = self._frame.shape[0] if mask is None else qualifying

@@ -77,7 +77,12 @@ class RelationalMemory(RelationalFabric):
         base_geometry: Optional[DataGeometry] = None,
         fabric_filter: Optional[FabricFilter] = None,
         snapshot_ts: Optional[int] = None,
+        records: Optional[np.ndarray] = None,
     ) -> EphemeralColumnGroup:
+        """See :meth:`RelationalFabric.configure`. ``records`` is a record
+        view of ``frame`` under ``base_geometry`` the caller already keeps
+        (a table's :attr:`~repro.db.table.Table.records`); without it the
+        group builds one."""
         with maybe_span(
             self.tracer,
             "fabric.geometry",
@@ -104,6 +109,7 @@ class RelationalMemory(RelationalFabric):
                 base_geometry=base_geometry,
                 snapshot_ts=snapshot_ts,
                 tracer=self.tracer,
+                records=records,
             )
         return group
 

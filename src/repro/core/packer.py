@@ -82,9 +82,20 @@ _BLOCK_BYTES = 1 << 19
 def blocks(nrows: int, row_stride: int) -> Iterator[slice]:
     """Consecutive row slices over ``nrows`` records of ``row_stride``
     bytes, each about :data:`_BLOCK_BYTES` of image: the unit in which
-    the row image is read and written."""
+    the row image is read and written.
+
+    A remainder shorter than half a block joins the block before it: a
+    numpy call on it would cost about its per-call overhead, more than
+    the extra rows spare in cache residency.
+    """
     step = max(1, _BLOCK_BYTES // row_stride)
-    return (slice(start, start + step) for start in range(0, nrows, step))
+    count = -(-nrows // step)
+    if count > 1 and 2 * (nrows - (count - 1) * step) < step:
+        count -= 1
+    return (
+        slice(i * step, nrows if i == count - 1 else (i + 1) * step)
+        for i in range(count)
+    )
 
 
 def gather(

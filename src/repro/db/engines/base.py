@@ -17,8 +17,9 @@ construction; the SQL oracle is the tests' and the fuzzer's referee), but
 Each engine's access path has two halves. The data half
 (:meth:`Engine._fetch`) is shared: it reads the WHERE clause's columns
 at the candidate rows, evaluates the clause once, and copies the other
-referenced columns at the qualifying rows only, so the answer path gets
-filtered columns and no mask. An engine supplies just what differs
+columns the answer path reads at the qualifying rows only, so the answer
+path gets filtered columns, no mask, and no column only the WHERE clause
+reads. An engine supplies just what differs
 (:meth:`Engine._candidates`): where the candidate rows come from (MVCC
 visibility, an index probe, the fabric's emitted rows), how a column set
 is read at a row set (:meth:`~repro.db.table.Table.read` of the row
@@ -69,7 +70,10 @@ class ExecutionResult:
     engine: str
     result: QueryResult
     ledger: CostLedger
-    plan: str
+    #: The executed query and the access path that read it, as the
+    #: statement ran; :attr:`plan` renders from them.
+    query: BoundQuery
+    access_path: str
     #: Rows visible to the query (post-MVCC), rows qualifying the WHERE.
     visible_rows: int = 0
     qualifying_rows: int = 0
@@ -84,6 +88,15 @@ class ExecutionResult:
     #: are off): export ``metrics.to_prometheus()`` after the run, or
     #: read the sampled time series from ``metrics.sampler.series``.
     metrics: Optional[MetricsRegistry] = None
+
+    @property
+    def plan(self) -> str:
+        """EXPLAIN text of the query under its access path, rendered on
+        read (a degraded answer notes the fallback that produced it)."""
+        text = explain(self.query, access_path=self.access_path)
+        if self.degraded:
+            text += "\n[degraded: fabric faulted, rowstore fallback]"
+        return text
 
     @property
     def cycles(self) -> float:
@@ -274,7 +287,8 @@ class Engine(ABC):
             engine=self.name,
             result=result,
             ledger=ledger,
-            plan=explain(bound, access_path=self.access_path),
+            query=bound,
+            access_path=self.access_path,
             visible_rows=visible,
             qualifying_rows=qualifying,
             trace=Trace(root) if isinstance(root, Span) else None,
@@ -334,32 +348,35 @@ class Engine(ABC):
         snapshot_ts: Optional[int],
         ledger: CostLedger,
     ) -> Tuple[Dict[str, np.ndarray], int, int]:
-        """Deliver the referenced base columns at the qualifying rows,
-        charging the access-path costs. Returns ``(columns,
-        visible_row_count, qualifying_row_count)``.
+        """Deliver the base columns the answer path reads
+        (``bound.answer_columns``) at the qualifying rows, charging the
+        access-path costs. Returns ``(columns, visible_row_count,
+        qualifying_row_count)``.
 
         The WHERE clause is evaluated over its own columns at the
-        candidate rows; the remaining columns are then read at the rows
-        that passed, in one pass.
+        candidate rows, and only those the answer path also reads are
+        kept; the remaining columns are then read at the rows that
+        passed, in one pass.
         """
         rows, visible, read, charge = self._candidates(bound, snapshot_ts)
         first = bound.where_main_columns
         columns = read(first, rows) if first else {}
         mask = apply_where(bound, columns, visible)
         qualifying = visible if mask is None else int(np.count_nonzero(mask))
+        answer = bound.answer_columns
         if qualifying < visible:
-            columns = {name: values[mask] for name, values in columns.items()}
+            columns = {n: columns[n][mask] for n in answer if n in columns}
             rows = _narrow(rows, mask)
         with self._span("filter", rows_in=visible, rows_out=qualifying) as span:
             if bound.where is not None:
                 span.set_attrs(
                     selectivity=(qualifying / visible if visible else 0.0)
                 )
-        rest = [name for name in bound.referenced_columns if name not in columns]
-        if rest:
-            columns.update(read(rest, rows))
+        late = bound.late_columns
+        if late:
+            columns.update(read(late, rows))
         charge(qualifying, ledger)
-        return {n: columns[n] for n in bound.referenced_columns}, visible, qualifying
+        return {n: columns[n] for n in answer}, visible, qualifying
 
     # ------------------------------------------------------------------
     # Engine-specific access path.

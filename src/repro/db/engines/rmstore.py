@@ -30,7 +30,6 @@ import numpy as np
 
 from repro.core.fabric import RelationalMemory
 from repro.core.ledger import CostLedger
-from repro.core.packer import record_view
 from repro.core.selection import FabricFilter, select_rows
 from repro.db.engines.base import Candidates, Engine
 from repro.db.catalog import Catalog
@@ -179,12 +178,7 @@ class RelationalMemoryEngine(Engine):
         fb.ledger.charge(
             CostLedger.DEGRADED, penalty + self.FALLBACK_DISPATCH_CYCLES
         )
-        return replace(
-            fb,
-            engine=self.name,
-            degraded=True,
-            plan=fb.plan + "\n[degraded: fabric faulted, rowstore fallback]",
-        )
+        return replace(fb, engine=self.name, degraded=True)
 
     def _execute_rm(self, bound: BoundQuery, snapshot_ts):
         """One attempt on the fabric path."""
@@ -246,7 +240,7 @@ class RelationalMemoryEngine(Engine):
             # the accumulator; the executor answers over the same rows.
             pushed, _ = fabric_comparators(bound.where_conjuncts, schema)
             rows = select_rows(
-                record_view(table.frame, schema.full_geometry()), snapshot_ts,
+                table.records, snapshot_ts,
                 FabricFilter(predicates=tuple(pushed)) if pushed else None,
             )
             visible = table.nrows if rows is None else int(np.count_nonzero(rows))
@@ -254,7 +248,6 @@ class RelationalMemoryEngine(Engine):
                 self._charge_fabric_aggregate(bound, snapshot_ts is not None, ledger)
             )
 
-        geometry = schema.geometry(bound.referenced_columns)
         fabric_filter, residual_ops = self._pushdown(bound)
 
         with self._span(
@@ -266,10 +259,11 @@ class RelationalMemoryEngine(Engine):
         ) as fspan:
             group = self.fabric.configure(
                 table.frame,
-                geometry,
+                bound.scan_geometry,
                 base_geometry=schema.full_geometry(),
                 fabric_filter=fabric_filter,
                 snapshot_ts=snapshot_ts,
+                records=table.records,
             )
             group.refresh()
             report = group.report
@@ -309,7 +303,7 @@ class RelationalMemoryEngine(Engine):
             return self._charge_fabric_aggregate(bound, mvcc, ledger)
         fabric_filter, residual_ops = self._pushdown(bound)
         pushed = fabric_filter is not None
-        geometry = bound.table.schema.geometry(bound.referenced_columns)
+        geometry = bound.scan_geometry
         report = self.fabric.engine.transform(
             nrows=bound.table.nrows,
             row_stride=geometry.row_stride,

@@ -6,15 +6,16 @@ produce answers through this evaluator so results are bit-identical by
 construction. The SQL oracle (:mod:`repro.db.sql.oracle`) is the
 independent referee tests and the fuzzer check this module against.
 
-Execution is organized as a :class:`FusedKernel`: the bound query is
+Execution is organized as a :class:`FusedKernel`: a query shape is
 compiled into a chain of stages (filter -> join* -> post-join filter ->
 aggregate/project -> having -> distinct -> sort -> limit) with all
-per-query decisions — join column sets, hidden sort keys, join strategy
-— resolved up front. :func:`run_vector` is the one door every engine's
-answer goes through; it builds the kernel per call, which is cheap next
-to the stages. Compilation is priced, not cached, here:
-``CodeFragmentCache`` charges simulated compile cycles by
-``fragment_signature`` and holds no kernels.
+literal-free decisions — join column sets, hidden sort keys, join
+strategy — resolved up front. :func:`run_vector` is the one door every
+engine's answer goes through; it runs the kernel compiled once per shape
+(:attr:`~repro.db.plan.binder.BoundQuery.kernel`) with the statement's
+own bound query, whose literals the stages evaluate. Compilation is
+priced apart from this: ``CodeFragmentCache`` charges simulated compile
+cycles by ``fragment_signature``.
 
 Join and grouping kernels are pure numpy, and each picks its route from
 the keys' dtype, value range and counts alone:
@@ -42,13 +43,14 @@ order.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.db.expr import ColumnRef
-from repro.db.plan.binder import BoundJoin, BoundOutput, BoundQuery
+from repro.db.plan.binder import BoundOutput, BoundQuery
 from repro.db.exec.result import QueryResult
+from repro.db.table import Table
 from repro.errors import ExecutionError
 
 #: Average right-side duplication above which the sort-merge expansion
@@ -90,71 +92,67 @@ def run_vector(
     visible to ``snapshot_ts`` for an MVCC table (every row when None).
     Engines that already evaluated the WHERE clause (to charge its cost)
     pass the boolean ``mask`` to avoid re-evaluation; ``None`` means "no
-    filtering". Every engine answer comes through here: it compiles a
-    :class:`FusedKernel` and runs it.
+    filtering". Every engine answer comes through here: it runs the
+    query's :class:`FusedKernel`, compiled once per shape.
     """
-    return FusedKernel(query)(columns, mask=mask, snapshot_ts=snapshot_ts)
+    return query.kernel(query, columns, mask=mask, snapshot_ts=snapshot_ts)
 
 
 # ----------------------------------------------------------------------
 # Fused kernel compilation.
 # ----------------------------------------------------------------------
-class _JoinSpec:
+class _JoinSpec(NamedTuple):
     """Per-join compile-time plan: which right columns to materialize."""
 
-    __slots__ = ("left_col", "table", "right_col", "right_cols", "strategy")
-
-    def __init__(self, join: BoundJoin, right_cols: Tuple[str, ...], strategy: str):
-        self.left_col = join.left_col
-        self.table = join.table
-        self.right_col = join.right_col
-        self.right_cols = right_cols
-        self.strategy = strategy
+    left_col: str
+    right_col: str
+    right_cols: Tuple[str, ...]
+    strategy: str
 
 
 class FusedKernel:
     """A query shape compiled to a chain of vectorized stages.
 
-    Instances are pure functions of (columns, mask): they hold no row
-    data, only the bound query and per-stage decisions. Tests build one
-    directly to force a join strategy; engines go through
-    :func:`run_vector`.
+    A kernel holds only the per-stage decisions, which every statement of
+    the shape shares: no row data, literal or table. Calling it with one
+    of those statements' bound queries runs the chain over that query's
+    columns and tables. Tests build one directly to force a join strategy;
+    engines go through :func:`run_vector`.
     """
 
-    __slots__ = ("query", "_joins", "_hidden", "_names")
+    __slots__ = ("joins", "hidden", "names")
 
     def __init__(self, query: BoundQuery, join_strategy: str = "auto"):
-        self.query = query
-        self._joins = _compile_joins(query, join_strategy)
-        self._names = tuple(o.name for o in query.outputs)
-        self._hidden = _hidden_sort_columns(query, self._names)
+        self.joins = _compile_joins(query, join_strategy)
+        self.names = tuple(o.name for o in query.outputs)
+        self.hidden = _hidden_sort_columns(query, self.names)
 
     def __call__(
         self,
+        query: BoundQuery,
         columns: Dict[str, np.ndarray],
         mask: object = _AUTO,
         snapshot_ts: Optional[int] = None,
     ) -> QueryResult:
-        query = self.query
         if mask is _AUTO:
             mask = apply_where(query, columns)
         if mask is not None:
             columns = {name: arr[mask] for name, arr in columns.items()}
 
-        for spec in self._joins:
-            columns = _join_step(spec, columns, snapshot_ts)
+        for spec, join in zip(self.joins, query.joins):
+            columns = _join_step(spec, join.table, columns, snapshot_ts)
         if query.where_post is not None:
             pmask = _as_mask(query.where_post.eval_vector(columns), columns)
             columns = {name: arr[pmask] for name, arr in columns.items()}
 
-        names = self._names
+        names = self.names
         if query.has_aggregates or query.group_by:
             out = _aggregate(query, columns)
         else:
             out = _project(query, columns)
             # SQL permits ordering by base columns that are not selected;
             # carry them as hidden sort keys (projection is 1:1 with rows).
-            for hidden in self._hidden:
+            for hidden in self.hidden:
                 out[hidden] = columns[hidden]
 
         if query.having is not None:
@@ -184,11 +182,10 @@ def _as_mask(mask, columns: Dict[str, np.ndarray], nrows: Optional[int] = None):
 
 
 def _compile_joins(query: BoundQuery, strategy: str) -> Tuple[_JoinSpec, ...]:
-    specs: List[_JoinSpec] = []
-    for i, join in enumerate(query.joins):
-        right_cols = _right_columns_needed(query, i)
-        specs.append(_JoinSpec(join, right_cols, strategy))
-    return tuple(specs)
+    return tuple(
+        _JoinSpec(join.left_col, join.right_col, _right_columns_needed(query, i), strategy)
+        for i, join in enumerate(query.joins)
+    )
 
 
 def _right_columns_needed(query: BoundQuery, index: int) -> Tuple[str, ...]:
@@ -385,9 +382,11 @@ def _densify(codes: np.ndarray, space: int) -> Tuple[np.ndarray, int]:
 # Join kernels.
 # ----------------------------------------------------------------------
 def _join_step(
-    spec: _JoinSpec, columns: Dict[str, np.ndarray], snapshot_ts: Optional[int]
+    spec: _JoinSpec,
+    table: Table,
+    columns: Dict[str, np.ndarray],
+    snapshot_ts: Optional[int],
 ) -> Dict[str, np.ndarray]:
-    table = spec.table
     rows = None
     if snapshot_ts is not None and table.schema.mvcc:
         rows = table.visible_mask(snapshot_ts)

@@ -23,16 +23,18 @@ A ``SELECT`` the shape memo instantiated (:mod:`repro.db.sql.shapes`)
 binds once per shape: :class:`BoundTemplate` keeps the shape's bound form
 and rebinds only the literal slots (their CHAR padding) for each new
 statement, while every table it names is still the catalog's table of
-that name.
+that name. Every query it makes shares the template's :class:`QueryShape`,
+so what the engines and the executor derive from the literal-free parts
+of a query is derived once per shape.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, replace
-from functools import cached_property
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
+from repro.core.geometry import DataGeometry
 from repro.db.catalog import Catalog
 from repro.db.expr import (
     And,
@@ -85,6 +87,43 @@ class BoundJoin:
     right_col: str
 
 
+class QueryShape:
+    """The literal-free facts of a bound query: what the engines and the
+    executor derive from it that no literal value changes.
+
+    A fresh bind gets a shape of its own; every query a
+    :class:`BoundTemplate` instantiates shares the template's, so a
+    statement whose shape the memo has seen derives none of these facts
+    again. Each fact is a :class:`BoundQuery` attribute declared with
+    :class:`shaped`: the first query of the shape that reads it computes it
+    and stores it here. No fact is a :class:`Table`, or holds one (the
+    memo keeps up to 512 shapes, and DROP must be able to free a table).
+    """
+
+
+class shaped:
+    """Declare a :class:`BoundQuery` fact kept on the query's
+    :class:`QueryShape` (a ``cached_property`` per shape): ``build(query)``
+    runs once per shape, on first read, and must read only what every
+    query of the shape shares (column names, operators, the tables'
+    schemas), never a literal's value."""
+
+    def __init__(self, build: Callable[["BoundQuery"], Any]):
+        self.build = build
+        self.name = build.__name__
+        self.__doc__ = build.__doc__
+
+    def __get__(self, query, owner=None):
+        if query is None:
+            return self
+        facts = query.shape.__dict__
+        try:
+            return facts[self.name]
+        except KeyError:
+            value = facts[self.name] = self.build(query)
+            return value
+
+
 @dataclass
 class BoundQuery:
     """A validated query ready for any engine to execute."""
@@ -116,36 +155,73 @@ class BoundQuery:
     where_post: Optional[Expr] = None
     #: Rows to skip before LIMIT applies (OFFSET clause).
     offset: Optional[int] = None
+    #: The facts this query shares with every statement of its shape;
+    #: outside ``repr`` and ``==``, which compare the bound form alone.
+    shape: QueryShape = field(default_factory=QueryShape, repr=False, compare=False)
 
-    @property
+    @shaped
     def has_aggregates(self) -> bool:
         return any(o.kind != "expr" for o in self.outputs)
 
-    # Facts cached per instance: no field is assigned after construction.
-    @cached_property
+    @shaped
+    def aggregate_count(self) -> int:
+        return sum(1 for o in self.outputs if o.kind != "expr")
+
+    @shaped
     def where_op_count(self) -> int:
+        """Operators of the WHERE clause (``op_count`` counts no literal
+        value; an IN list's length is part of the shape)."""
         return op_count(self.where) if self.where is not None else 0
 
-    @cached_property
+    @shaped
     def output_op_count(self) -> int:
         return sum(op_count(o.expr) for o in self.outputs if o.expr is not None)
 
-    @cached_property
+    @shaped
     def projection_only_columns(self) -> Tuple[str, ...]:
         """Projection columns the WHERE clause does not reference."""
         return tuple(
             c for c in self.projection_columns if c not in self.selection_columns
         )
 
-    @cached_property
+    @shaped
     def where_main_columns(self) -> Tuple[str, ...]:
         """Main-table columns ``where_main`` reads, in schema order."""
         used = set() if self.where_main is None else set(self.where_main.columns())
         return tuple(c for c in self.referenced_columns if c in used)
 
-    @property
-    def aggregate_count(self) -> int:
-        return sum(1 for o in self.outputs if o.kind != "expr")
+    @shaped
+    def answer_columns(self) -> Tuple[str, ...]:
+        """Main-table columns the answer path reads, in schema order: the
+        projection columns and those ``where_post`` reads; when there are
+        none (COUNT(*) alone, a constant output), the first referenced
+        column, whose length is the row count."""
+        post = set() if self.where_post is None else set(self.where_post.columns())
+        used = post.union(self.projection_columns)
+        return tuple(c for c in self.referenced_columns if c in used) or (
+            self.referenced_columns[:1]
+        )
+
+    @shaped
+    def late_columns(self) -> Tuple[str, ...]:
+        """Answer columns ``where_main`` does not read: read at the
+        qualifying rows only."""
+        return tuple(
+            c for c in self.answer_columns if c not in self.where_main_columns
+        )
+
+    @shaped
+    def scan_geometry(self) -> DataGeometry:
+        """The referenced columns' geometry: the fabric's ephemeral scan."""
+        return self.table.schema.geometry(self.referenced_columns)
+
+    @shaped
+    def kernel(self):
+        """The :class:`~repro.db.exec.vector.FusedKernel` compiled for this
+        shape; it runs with each statement's own query."""
+        from repro.db.exec.vector import FusedKernel
+
+        return FusedKernel(self)
 
 
 class _Scope:

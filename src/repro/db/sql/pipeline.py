@@ -56,7 +56,6 @@ from repro.db.plan.binder import (
     bind_insert,
     bind_update,
 )
-from repro.db.plan.logical import explain
 from repro.db.plan.optimizer import Optimizer
 from repro.db.schema import Column, TableSchema
 from repro.db.sql.nodes import (
@@ -115,13 +114,19 @@ class StatementResult:
     execution: Optional[Any] = None
     #: Rows inserted/updated/deleted by DML.
     rows_affected: int = 0
-    #: EXPLAIN text (logical plan or rendered span tree).
-    plan: Optional[str] = None
+    #: EXPLAIN output (logical plan or rendered span tree).
+    explained: Optional[str] = None
     #: Total simulated cycles attributed to the statement (including
     #: folded subqueries and WAL flushes charged by the engine ledger).
     cycles: float = 0.0
     #: Span tree of the statement (tracer-enabled sessions only).
     trace: Optional[Trace] = None
+
+    @property
+    def plan(self) -> Optional[str]:
+        """EXPLAIN output; for a SELECT, its plan under the access path
+        that read it, rendered on read."""
+        return self.explained if self.execution is None else self.execution.plan
 
     @property
     def rows(self) -> List[tuple]:
@@ -329,7 +334,6 @@ class Session:
             sql=sql,
             result=execution.result,
             execution=execution,
-            plan=execution.plan,
             cycles=execution.cycles,
         )
 
@@ -515,7 +519,7 @@ class Session:
             return StatementResult(
                 kind="explain",
                 sql=sql,
-                plan=text,
+                explained=text,
                 rows_affected=inner.rows_affected,
                 cycles=inner.cycles,
             )
@@ -556,7 +560,7 @@ class Session:
                 f"EXPLAIN does not support {type(target).__name__}"
             )
         self.stats.explains += 1
-        return StatementResult(kind="explain", sql=sql, plan=text)
+        return StatementResult(kind="explain", sql=sql, explained=text)
 
 
 def _set_values(table, slots: np.ndarray, bound: BoundUpdate) -> Dict[str, list]:

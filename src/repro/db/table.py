@@ -55,6 +55,12 @@ class Table:
         return self._frame[: self.nrows]
 
     @property
+    def records(self) -> np.ndarray:
+        """The live rows' record view (every field, MVCC stamps included):
+        zero-copy, valid until the frame is next reallocated."""
+        return self._records[: self.nrows]
+
+    @property
     def nbytes(self) -> int:
         """Bytes of live row data (the paper's data-size axis)."""
         return self.nrows * self.schema.row_stride
@@ -191,7 +197,7 @@ class Table:
         """Raw stored values of one column over live rows, as an array the
         caller owns (scaled ints for DECIMAL, day numbers for DATE,
         ``S<width>`` byte strings for CHAR)."""
-        return gather(self._records[: self.nrows], (name,))[name]
+        return gather(self.records, (name,))[name]
 
     def column_values(self, name: str) -> np.ndarray:
         """Query-facing values: DECIMAL rescaled to floats, CHAR as fixed
@@ -204,7 +210,7 @@ class Table:
         """Query-facing values of the named columns at ``rows`` (a boolean
         mask over the live rows, ascending row positions, or None for
         every row), copied in one :func:`gather` pass over the image."""
-        raw = gather(self._records[: self.nrows], names, rows)
+        raw = gather(self.records, names, rows)
         return {n: self.schema.column(n).dtype.decode_array(raw[n]) for n in names}
 
     def row(self, i: int) -> Dict[str, Any]:
@@ -336,7 +342,7 @@ class Table:
         """Rows valid at ``snapshot_ts`` (``begin_ts <= ts < end_ts``): the
         fabric's row selection on the stamp fields; only the mask is kept."""
         self._require_mvcc()
-        return select_rows(self._records[: self.nrows], snapshot_ts)
+        return select_rows(self.records, snapshot_ts)
 
     def stamp_begin(self, i: int, ts: int) -> None:
         self._require_mvcc()

@@ -40,6 +40,9 @@ class DataType:
     decode: Callable[[Any], Any] = field(init=False, repr=False, compare=False)
     #: Integer-backed types store ``[-limit, limit)``; None for the rest.
     limit: Optional[int] = field(init=False, repr=False, compare=False)
+    #: Whether ``encode`` is the identity on Python ints (the integer
+    #: types and DATE; a DECIMAL scales them).
+    _stores_ints: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.width <= 0:
@@ -60,6 +63,7 @@ class DataType:
         object.__setattr__(self, "decode", getattr(self, f"_decode_{kind}"))
         integral = self.np_dtype is not None and np.dtype(self.np_dtype).kind == "i"
         object.__setattr__(self, "limit", 1 << (8 * self.width - 1) if integral else None)
+        object.__setattr__(self, "_stores_ints", integral and kind != "decimal")
 
     def __reduce__(self):
         # Rebuild through __init__ so the codec is picked again.
@@ -111,18 +115,30 @@ class DataType:
         top = self.limit
         if top is None:
             return True
+        ints = self._stores_ints
+        encode = self.encode
         try:
-            return all(-top <= self.encode(v) < top for v in values)
+            for v in values:
+                # A Python int these types store as is; bool, numpy ints
+                # and the rest go through encode.
+                if not (ints and type(v) is int):
+                    v = encode(v)
+                if not -top <= v < top:
+                    return False
         except (OverflowError, ValueError):  # inf or nan met int()
             return False
+        return True
 
     def whole(self, values: Sequence[Any]) -> bool:
         """Whether none of ``values`` is a fraction that this type would
         cut off: integer types and DATE store whole numbers (a DECIMAL
         rounds to its scale, and float and CHAR types are not checked)."""
-        if self.limit is None or self.name.startswith("DECIMAL"):
+        if not self._stores_ints:
             return True
-        return all(not isinstance(v, float) or v.is_integer() for v in values)
+        for v in values:
+            if isinstance(v, float) and not v.is_integer():
+                return False
+        return True
 
     def decode_array(self, values: np.ndarray) -> np.ndarray:
         """Vectorized decode for numeric types (DECIMAL → float array)."""

@@ -214,6 +214,40 @@ def _referee_field(packed: np.ndarray, g: DataGeometry, name: str) -> np.ndarray
     return raw.view(fld.dtype or f"S{fld.width}").reshape(-1)
 
 
+class TestBlocks:
+    @given(
+        st.integers(min_value=0, max_value=500),
+        st.integers(min_value=1, max_value=64),
+        st.integers(min_value=1, max_value=2048),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_blocks_partition_the_rows(self, nrows, stride, block_bytes):
+        """Consecutive slices covering every row once: full blocks, then a
+        last one of at least half and under one and a half blocks."""
+        with mock.patch.object(packer, "_BLOCK_BYTES", block_bytes):
+            parts = list(packer.blocks(nrows, stride))
+        step = max(1, block_bytes // stride)
+        bounds = [0] + [p.stop for p in parts]
+        assert [p.start for p in parts] == bounds[:-1]
+        assert bounds[-1] == nrows
+        sizes = [p.stop - p.start for p in parts]
+        assert all(size == step for size in sizes[:-1])
+        if sizes:
+            assert 0 < sizes[-1] and 2 * sizes[-1] < 3 * step
+        if len(sizes) > 1:
+            assert 2 * sizes[-1] >= step
+
+    def test_short_remainder_joins_the_block_before(self):
+        stride = 4
+        with mock.patch.object(packer, "_BLOCK_BYTES", 10 * stride):
+            merged = [(p.start, p.stop) for p in packer.blocks(24, stride)]
+            kept = [(p.start, p.stop) for p in packer.blocks(25, stride)]
+            alone = [(p.start, p.stop) for p in packer.blocks(4, stride)]
+        assert merged == [(0, 10), (10, 24)]
+        assert kept == [(0, 10), (10, 20), (20, 25)]
+        assert alone == [(0, 4)]
+
+
 class TestRecordView:
     @given(view_case(), st.integers(min_value=1, max_value=256))
     @settings(max_examples=120, deadline=None)

@@ -5,17 +5,22 @@ import datetime
 import numpy as np
 import pytest
 
+from repro.db.plan.binder import _check_insert_value
 from repro.db.schema import MVCC_BEGIN, MVCC_END, Column, TableSchema
 from repro.db.types import (
+    BOOL,
     CHAR,
     DATE,
     DECIMAL,
     FLOAT64,
+    INT8,
+    INT16,
     INT32,
     INT64,
+    TIMESTAMP,
     parse_type,
 )
-from repro.errors import SchemaError
+from repro.errors import SchemaError, SqlError
 
 
 class TestTypes:
@@ -84,6 +89,98 @@ class TestTypes:
         assert parse_type("decimal").scale == 2
         with pytest.raises(SchemaError):
             parse_type("VARCHAR(9)")
+
+
+def _fits_referee(dtype, values):
+    """``DataType.fits`` as it reads every value: through ``encode``."""
+    top = dtype.limit
+    if top is None:
+        return True
+    try:
+        return all(-top <= dtype.encode(v) < top for v in values)
+    except (OverflowError, ValueError):
+        return False
+
+
+def _whole_referee(dtype, values):
+    if dtype.limit is None or dtype.name.startswith("DECIMAL"):
+        return True
+    return all(not isinstance(v, float) or v.is_integer() for v in values)
+
+
+def _verdict(check, dtype, values):
+    """A check's verdict, or the type of the exception it raised."""
+    try:
+        return check(dtype, values)
+    except Exception as exc:  # noqa: BLE001 - the raise is the verdict
+        return type(exc)
+
+
+#: Every integer-backed type: the fast path's (integers, DATE) and DECIMAL's.
+RANGED = (INT8, INT16, INT32, INT64, BOOL, TIMESTAMP, DATE, DECIMAL(2))
+
+
+def _probe_values(dtype):
+    top = dtype.limit
+    edges = [top - 2, top - 1, top, top + 1, -top - 1, -top, -top + 1, 0, 1 << 70]
+    return [
+        *edges,
+        *(-v for v in edges),
+        True,
+        False,
+        np.int64(-(1 << 63)),
+        np.int64((1 << 63) - 1),
+        np.int32(-5),
+        np.int8(7),
+        float(top - 1),
+        float(top),
+        -float(top),
+        2.5,
+        -0.0,
+        1e300,
+        float("inf"),
+        float("-inf"),
+        float("nan"),
+        datetime.date(2000, 2, 29),
+        datetime.date(1, 1, 1),
+    ]
+
+
+class TestRangeChecks:
+    """``fits`` and ``whole`` give the verdicts (and raise what) reading
+    every value through ``encode`` gives, the fast path for Python ints
+    included: at each type's bounds and one past them, for ``bool``,
+    numpy ints, floats, ``inf``/``nan`` and dates."""
+
+    @pytest.mark.parametrize("dtype", RANGED, ids=[t.name for t in RANGED])
+    def test_verdicts_equal_encoding_every_value(self, dtype):
+        for v in _probe_values(dtype):
+            for check, referee in ((type(dtype).fits, _fits_referee),
+                                   (type(dtype).whole, _whole_referee)):
+                assert _verdict(check, dtype, (v,)) == _verdict(referee, dtype, (v,)), (
+                    dtype.name, check.__name__, repr(v)
+                )
+        values = _probe_values(dtype)[:7]
+        assert dtype.fits(values) == _fits_referee(dtype, values)
+
+    @pytest.mark.parametrize("dtype", RANGED, ids=[t.name for t in RANGED])
+    def test_insert_refusal_text_is_unchanged(self, dtype):
+        schema = TableSchema("t", [Column("v", dtype)])
+        for v in _probe_values(dtype):
+            if isinstance(v, datetime.date) and dtype is not DATE:
+                continue  # encode has no day number for a non-DATE column
+            if _fits_referee(dtype, (v,)) is False:
+                want = f"INSERT value for 'v' out of range for {dtype.name}"
+            elif not _whole_referee(dtype, (v,)):
+                want = f"INSERT value for 'v' is not a whole number for {dtype.name}"
+            else:
+                want = None
+            try:
+                _check_insert_value(v, schema, "v")
+            except SqlError as exc:
+                assert str(exc) == want, (dtype.name, repr(v))
+            else:
+                assert want is None, (dtype.name, repr(v))
 
 
 class TestSchema:

@@ -171,7 +171,7 @@ class TestVectorVsOracleProperty:
     def test_join_strategies_bit_identical(self, sql, strategy):
         bound = bind(parse(sql), STAR_CATALOG)
         cols = {n: STAR_FACT.column_values(n) for n in bound.referenced_columns}
-        forced = FusedKernel(bound, join_strategy=strategy)(cols)
+        forced = FusedKernel(bound, join_strategy=strategy)(bound, cols)
         auto = run_vector(bound, cols)
         assert_same_result(forced, auto, context=f"{strategy}: {sql}")
 
