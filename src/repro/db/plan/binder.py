@@ -216,6 +216,15 @@ class BoundQuery:
         return self.table.schema.geometry(self.referenced_columns)
 
     @shaped
+    def fragment_signatures(self) -> Dict[str, str]:
+        """The compiled code fragment's signature per layout, filled by
+        :meth:`~repro.db.plan.codecache.CodeFragmentCache.lookup` on the
+        shape's first lookup under each layout
+        (:func:`~repro.db.plan.codecache.fragment_signature` blanks every
+        literal)."""
+        return {}
+
+    @shaped
     def kernel(self):
         """The :class:`~repro.db.exec.vector.FusedKernel` compiled for this
         shape; it runs with each statement's own query."""

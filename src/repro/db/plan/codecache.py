@@ -188,8 +188,13 @@ class CodeFragmentCache:
 
     def lookup(self, bound: BoundQuery, layout: str) -> Tuple[bool, float]:
         """Look up the fragment for ``bound`` under ``layout``, compiling
-        it on a miss; returns ``(hit, cycles_charged)``."""
-        key = fragment_signature(bound, layout)
+        it on a miss; returns ``(hit, cycles_charged)``. The signature is
+        a fact of the query's shape: a statement of a shape already looked
+        up under ``layout`` computes none."""
+        signatures = bound.fragment_signatures
+        key = signatures.get(layout)
+        if key is None:
+            key = signatures[layout] = fragment_signature(bound, layout)
         if key in self._signatures:
             self._signatures.move_to_end(key)
             self.stats.hits += 1

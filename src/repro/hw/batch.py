@@ -14,21 +14,35 @@ The algorithm exploits three structural facts of the hardware:
   :class:`repro.hw.cache.Cache`), so one kernel resolves every touched
   set at once, with no Python loop per set or per access. A batch with
   no resident of its touched sets inside its line range is *cold*: no
-  access can hit a resident, and three closed forms decide it. A
-  contiguous cold batch of at least ``ways * num_sets`` lines *sweeps*
-  the cache: every resident is evicted and its last ``ways * num_sets``
-  lines stay. Any other distinct cold batch misses everywhere:
-  evictions drain each set's LRU queue — residents oldest first, then
-  batch installs FIFO — and only each set's last installs survive. A
-  cold re-referencing walk with at most ``ways`` distinct lines in every
-  set *fits*: none of its lines is evicted, so each misses once and
-  then hits. Every other batch goes by LRU stack distance (Mattson et
-  al., "Evaluation techniques for storage hierarchies", IBM Sys. J.
-  1970): each set's residents are prepended as pseudo-references in LRU
-  order, one stable sort chains the references to each line, and an
-  access hits iff fewer than ``ways`` distinct lines of its set were
-  referenced since its previous reference. Hits, evictions, polluted
-  evictions and the end state all follow from the chains.
+  access can hit a resident, so its residents drain oldest first and
+  four routes decide it without them. A contiguous cold batch of at
+  least ``ways * num_sets`` lines *sweeps* the cache: every resident is
+  evicted and its last ``ways * num_sets`` lines stay. Any other
+  distinct cold batch misses everywhere: evictions drain each set's LRU
+  queue — residents oldest first, then batch installs FIFO — and only
+  each set's last installs survive. A cold re-referencing walk with at
+  most ``ways`` distinct lines in every set *fits*: none of its lines is
+  evicted, so each misses once and then hits. One whose line range spans
+  at least ``ways**2`` lines per set is decided from its *recent*
+  accesses: in each set, a line that recurs among the previous ``ways``
+  accesses hits, and when those are ``ways`` distinct lines and none
+  recurs the access misses; by the birthday bound their lines seldom
+  repeat, so only a few accesses, and each set's end, step further back.
+  Hits chain to their previous reference, which gives the use counts.
+  Every other batch goes by LRU stack distance (Mattson et al.,
+  "Evaluation techniques for storage hierarchies", IBM Sys. J. 1970):
+  each set's residents are prepended as pseudo-references in LRU order
+  (none when the batch is cold), one stable sort chains the references
+  to each line, and an access hits iff fewer than ``ways`` distinct
+  lines of its set were referenced since its previous reference. Hits,
+  evictions, polluted evictions and the end state all follow from the
+  chains. TPC-H Q3's probe walks in ``olap-trace`` (200k lineitem rows,
+  default platform): both L1 calls take the recent route (307 and 58
+  lines per 4-way set), the first L2 call cold stack distance (38 lines
+  per 16-way set) and the second the fit route; against stack distance
+  with pseudo-references, the three rerouted calls take 0.25–0.26x,
+  0.71–0.87x and 0.49–0.52x of the host time (in-process medians of
+  15–21 interleaved repeats, 2-vCPU x86).
 * **Every sort over a batch is a radix sort on a narrow key.** numpy
   sorts keys of 16 bits or less by counting, so each key is made as
   narrow as the answer allows. The set grouping keys by set index. The
@@ -37,9 +51,9 @@ The algorithm exploits three structural facts of the hardware:
   share one sentinel key past it, and a walk over fewer than 65,536
   lines chains in one pass. A surviving line is always its line's last
   reference, so its chain position comes from the inverse permutation
-  of the chain, not from a search. The cold and fit routes rank each
-  touched set's free ways once, and DRAM demand misses group by bank
-  index.
+  of the chain, not from a search. The recent route sorts nothing but
+  the set grouping. The cold routes rank each touched set's free ways
+  once, and DRAM demand misses group by bank index.
 * **The prefetcher only reacts to L2 misses, in stride runs.** The miss
   subsequence is segmented into maximal arithmetic runs; a run either
   continues one stream (coverage is then a closed form of the stream's
@@ -146,17 +160,21 @@ class LcgTable:
 
 
 # ----------------------------------------------------------------------
-# Cache level: whole-array cold closed form + LRU stack distance.
+# Cache level: whole-array cold closed forms + LRU stack distance.
 # ----------------------------------------------------------------------
 #: Stack-distance walks step back this many times ``ways`` positions;
-#: queries still open then finish with an exact slice count.
+#: queries still open then finish with an exact slice count. A recent
+#: route's step back that goes further hands its walk to stack distance.
 _WALK_STEPS = 4
 
 
 def _radix_argsort(keys: np.ndarray, span: int) -> np.ndarray:
     """``np.argsort(keys, kind="stable")`` for int64 keys in ``[0, span]``,
-    as 16-bit radix passes (numpy sorts 16-bit keys by counting): one
-    below ``2**16``, two below ``2**32``, else a comparison sort."""
+    as radix passes (numpy sorts keys of 16 bits or less by counting): one
+    8-bit pass below ``2**8``, one 16-bit pass below ``2**16``, two below
+    ``2**32``, else a comparison sort."""
+    if span < 1 << 8:
+        return np.argsort(keys.astype(np.uint8), kind="stable")
     if span < 1 << 16:
         return np.argsort(keys.astype(np.uint16), kind="stable")
     if span < 1 << 32:
@@ -232,6 +250,29 @@ def _fill_free_ways(cache, sets, s_pos, q, tags, last_use, use_count, dirty) -> 
     cache.dirty[s_pos, ways_pos] = dirty
 
 
+def _install(cache, sets, keep, s_pos, q, tags, last_use, use_count, dirty):
+    """End state of a cold walk: set ``sets[i]`` keeps ``keep[i]`` of the
+    walk's lines, given as for :func:`_fill_free_ways`. Its residents are
+    never referenced, so the oldest of them make room, as on the cold
+    route. Returns (residents evicted, how many of them were never hit)."""
+    ways = cache.config.ways
+    T, UC = cache.tags, cache.use_count
+    if np.all(keep == ways):  # every resident goes; the lines take way q
+        resident = T[sets] >= 0
+        polluted = int(np.count_nonzero(resident & (UC[sets] == 0)))
+        evicted = int(np.count_nonzero(resident))
+        T[s_pos, q] = tags
+        cache.last_use[s_pos, q] = last_use
+        UC[s_pos, q] = use_count
+        cache.dirty[s_pos, q] = dirty
+        return evicted, polluted
+    r0 = np.count_nonzero(T[sets] >= 0, axis=1)
+    k0 = np.maximum(r0 + keep - ways, 0)  # at most r0
+    polluted = _evict_oldest(cache, sets, r0, k0)
+    _fill_free_ways(cache, sets, s_pos, q, tags, last_use, use_count, dirty)
+    return int(k0.sum()), polluted
+
+
 def _cold_access(cache, lines, idx, sets, counts, write, tick0):
     """Every access misses. Per set, evictions drain the LRU queue —
     residents oldest first, then batch installs FIFO — and only the last
@@ -291,19 +332,18 @@ def _sweep_access(cache, lines, write, tick0):
     return evictions, polluted
 
 
-def _fit_access(cache, lines, write, tick0):
+def _fit_access(cache, lines, lo, hi, write, tick0):
     """Exact LRU for a cold walk whose distinct lines fit their sets, or
     None when the walk is not one.
 
     When no set holds more than ``ways`` of the walk's distinct lines and
-    no resident lies in the walk's range, no line of the walk is ever
-    evicted: a set's victims are its empty ways, then its residents in
-    LRU order, exactly as on the cold route. So each distinct line misses
-    once, at its first reference, and hits on every later one. Returns
-    (hit mask, misses, evictions, polluted evictions)."""
+    no resident lies in the walk's range ``[lo, hi]``, no line of the walk
+    is ever evicted: a set's victims are its empty ways, then its
+    residents in LRU order, exactly as on the cold route. So each distinct
+    line misses once, at its first reference, and hits on every later one.
+    Returns (hit mask, misses, evictions, polluted evictions)."""
     n = lines.size
     num_sets, ways = cache.config.num_sets, cache.config.ways
-    lo, hi = int(lines.min()), int(lines.max())
     span = hi - lo + 1
     key = lines - lo
     cap = num_sets * ways
@@ -341,18 +381,14 @@ def _fit_access(cache, lines, write, tick0):
         ends = np.r_[starts[1:], n] - 1
         first, last, refs = order[starts], order[ends], ends - starts + 1
 
-    r0 = np.count_nonzero(cache.tags[sets] >= 0, axis=1)
-    k0 = np.maximum(r0 + counts - ways, 0)  # at most r0: the lines fit
-    polluted = _evict_oldest(cache, sets, r0, k0)
-    # Rank each distinct line within its set, then fill the free ways.
+    # Rank each distinct line within its set; every one of them stays.
     by_set = _radix_argsort(u_set, num_sets - 1)
-    s_pos = u_set[by_set]
-    q = np.arange(u.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    _fill_free_ways(
+    evictions, polluted = _install(
         cache,
         sets,
-        s_pos,
-        q,
+        counts,
+        u_set[by_set],
+        np.arange(u.size) - np.repeat(np.cumsum(counts) - counts, counts),
         u[by_set] >> cache._tag_shift,
         tick0 + 1 + last[by_set],
         refs[by_set] - 1,
@@ -360,7 +396,154 @@ def _fit_access(cache, lines, write, tick0):
     )
     hits = np.ones(n, dtype=bool)
     hits[first] = False
-    return hits, u.size, int(k0.sum()), polluted
+    return hits, u.size, evictions, polluted
+
+
+def _step_back(seq, qi, lo, target, seen, count, ways):
+    """Walk each query further back through its set's sequence.
+
+    Query ``k`` has seen row ``k`` of ``seen``: the lines at ``qi[k] - 1``
+    ... ``qi[k] - w`` (``w`` its width), all in its set, ``count[k]`` of
+    them distinct and none ``target[k]``. It looks on at ``qi[k] - w - 1``,
+    ... down to its set's first position ``lo[k]``, until it meets
+    ``target[k]`` (-1 meets no line) or ``ways`` distinct lines. Returns
+    (position of the match or -1, positions of the distinct lines met
+    beyond ``seen``, nearest first and -1 past their count), or None when
+    a query is still open after ``_WALK_STEPS * ways`` steps in all."""
+    nq, w = seen.shape
+    seen = np.concatenate([seen, np.full((nq, ways), -1, dtype=np.int64)], axis=1)
+    count = count.copy()
+    met = np.full((nq, ways), -1, dtype=np.int64)
+    n_met = np.zeros(nq, dtype=np.int64)
+    match = np.full(nq, -1, dtype=np.int64)
+    open_ = np.flatnonzero(count < ways)
+    for step in range(w + 1, _WALK_STEPS * ways + 1):
+        j = qi[open_] - step
+        inside = j >= lo[open_]  # a set's first position closes its queries
+        open_, j = open_[inside], j[inside]
+        if not open_.size:
+            break
+        t = seq[j]
+        found = t == target[open_]
+        match[open_[found]] = j[found]
+        new = ~found & ~(seen[open_] == t[:, None]).any(axis=1)
+        rows, col = open_[new], n_met[open_[new]]
+        seen[rows, w + col] = t[new]
+        met[rows, col] = j[new]
+        n_met[rows] += 1
+        count[rows] += 1
+        open_ = open_[~found & (count[open_] < ways)]
+    if open_.size:
+        return None
+    return match, met
+
+
+def _recent_access(cache, lines, idx, sets, counts, write, tick0):
+    """Exact LRU for a cold walk decided by each set's recent accesses, or
+    None when a step back runs too far.
+
+    In the set-grouped sequence, an access whose line recurs among its
+    set's previous ``ways`` accesses hits (fewer than ``ways`` distinct
+    lines lie between); one that does not misses when those ``ways``
+    accesses are distinct lines or when fewer than ``ways`` of its set's
+    accesses precede it. Only the rest, whose window repeats a line, step
+    further back (:func:`_step_back`), as do the set ends, whose last
+    distinct lines are the walk's survivors. The walk is cold, so residents never change
+    a verdict: they drain oldest first. A hit's previous reference chains
+    it to the miss that began its lifetime, which gives the survivors' use
+    counts and the lifetimes that were used. Returns (hit mask, misses,
+    evictions, polluted evictions)."""
+    n = idx.size
+    ways = cache.config.ways
+    order = _radix_argsort(idx, cache.config.num_sets - 1)
+    seq = lines[order]  # each touched set's accesses in batch order
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    # Equal lines share a set, so a match never crosses a set boundary.
+    near = np.zeros(n, dtype=np.int32)  # distance back to the access's match
+    for k in range(ways, 0, -1):  # the nearest match is written last
+        near[k:][seq[k:] == seq[:-k]] = k
+    hit = near > 0
+    # Repeats in each access's window of `ways`: an access d back whose
+    # match lies in the window too, at most ways - d further back.
+    repeats = np.zeros(n, dtype=np.int32)
+    for d in range(1, ways):
+        back = near[:-d]
+        repeats[d:] += (back > 0) & (back <= ways - d)
+    rest = np.flatnonzero(~hit & (repeats > 0))
+    # The rest step back past their window, which holds ways - repeats
+    # distinct lines. One reaching past its set's first access (into other
+    # sets' lines) finds nothing more: it closes at its set's start, a miss.
+    lo = starts[np.searchsorted(ends, rest, side="right")]
+    count = ways - repeats[rest]
+    # The first step needs no window: position j repeats a line of the
+    # ways accesses after it iff its line recurs within ways accesses.
+    hit_at = np.flatnonzero(hit)
+    recurs = np.zeros(n, dtype=bool)
+    recurs[hit_at - near[hit_at]] = True
+    j = rest - ways - 1
+    inside = j >= lo  # (j < lo reads are masked out, negative ones too)
+    first = inside & (seq[j] == seq[rest])
+    hit[rest[first]] = True
+    near[rest[first]] = ways + 1
+    count += inside & ~first & ~recurs[j]
+    more = inside & ~first & (count < ways)
+    rest = rest[more]
+    rest_back = _step_back(
+        seq,
+        rest,
+        lo[more],
+        seq[rest],
+        seq[rest[:, None] - 1 - np.arange(ways + 1)],
+        count[more],
+        ways,
+    )
+    # Survivors: each set's last distinct lines, most recent first.
+    none = np.zeros(sets.size, dtype=np.int64)
+    ends_back = _step_back(
+        seq, ends, starts, none - 1, np.empty((sets.size, 0), dtype=np.int64), none, ways
+    )
+    if rest_back is None or ends_back is None:
+        return None
+    match = rest_back[0]
+    found = match >= 0
+    hit[rest[found]] = True
+    near[rest[found]] = rest[found] - match[found]
+    met = ends_back[1]
+    row, q = np.nonzero(met >= 0)
+    keep_at = met[row, q]
+    # A survivor's use count is the hits of its lifetime: its chain of
+    # previous references back to the miss that began it, ranked by
+    # pointer doubling over the hits.
+    n_miss = n - int(np.count_nonzero(hit))
+    hit_at = np.flatnonzero(hit)
+    back = hit_at - near[hit_at]  # each hit's previous reference
+    up = np.where(hit[back], np.searchsorted(hit_at, back), -1)
+    used = int(np.count_nonzero(up < 0))  # lifetimes that were hit
+    rank = np.ones(hit_at.size, dtype=np.int64)
+    linked = np.flatnonzero(up >= 0)
+    while linked.size:
+        rank[linked] += rank[up[linked]]
+        up[linked] = up[up[linked]]
+        linked = linked[up[linked] >= 0]
+    uses = np.zeros(keep_at.size, dtype=np.int64)
+    kept_hit = hit[keep_at]
+    uses[kept_hit] = rank[np.searchsorted(hit_at, keep_at[kept_hit])]
+    evicted, polluted = _install(
+        cache,
+        sets,
+        np.count_nonzero(met >= 0, axis=1),
+        sets[row],
+        q,
+        seq[keep_at] >> cache._tag_shift,
+        tick0 + 1 + order[keep_at],
+        uses,
+        write,
+    )
+    polluted += n_miss - used - int(np.count_nonzero(~hit[keep_at]))
+    hits = np.empty(n, dtype=bool)
+    hits[order] = hit
+    return hits, n_miss, evicted + n_miss - keep_at.size, polluted
 
 
 def _walk_hits(nxt: np.ndarray, qi: np.ndarray, qp: np.ndarray, ways: int):
@@ -426,21 +609,27 @@ def _walk_hits(nxt: np.ndarray, qi: np.ndarray, qp: np.ndarray, ways: int):
     return hit
 
 
-def _stack_access(cache, lines, idx, tags, sets, counts, write, tick0):
+def _stack_access(cache, lines, idx, tags, sets, counts, write, tick0, cold):
     """Exact LRU over re-referencing or warm batches by stack distance.
 
     Each touched set's residents are prepended to its accesses as
     pseudo-references in LRU order, which rebuilds the set's LRU stack.
     One stable sort by line chains the references to each line; every
-    hit, eviction and the end state follow from those chains. Returns
-    (hit mask, misses, evictions, polluted evictions)."""
+    hit, eviction and the end state follow from those chains. A ``cold``
+    batch never references a resident, so it takes no pseudo-references:
+    its chains decide its accesses alone, and its residents drain oldest
+    first, as on the cold route. Returns (hit mask, misses, evictions,
+    polluted evictions)."""
     n = idx.size
     ways = cache.config.ways
     shift = cache._tag_shift
     T, LU, UC, DT = cache.tags, cache.last_use, cache.use_count, cache.dirty
 
     # Pseudo-references: residents of touched sets, by set then LRU order.
-    order = np.argsort(LU[sets], axis=1)
+    if cold:
+        order = np.empty((sets.size, 0), dtype=np.intp)
+    else:
+        order = np.argsort(LU[sets], axis=1)
     p_tag, p_last, p_uses, p_dirty = (
         np.take_along_axis(a[sets], order, axis=1) for a in (T, LU, UC, DT)
     )
@@ -542,19 +731,26 @@ def _stack_access(cache, lines, idx, tags, sets, counts, write, tick0):
     dirty[carried] |= p_dirty[start_src[carried]]
 
     ks = g_set[k]
-    T[sets] = -1
-    LU[sets] = 0
-    UC[sets] = 0
-    DT[sets] = False
-    T[ks, depth] = k_tag
-    LU[ks, depth] = last_use
-    UC[ks, depth] = uses
-    DT[ks, depth] = dirty
+    if cold:
+        evicted, res_polluted = _install(
+            cache, sets, keep, ks, depth, k_tag, last_use, uses, dirty
+        )
+        polluted += res_polluted
+    else:
+        T[sets] = -1
+        LU[sets] = 0
+        UC[sets] = 0
+        DT[sets] = False
+        T[ks, depth] = k_tag
+        LU[ks, depth] = last_use
+        UC[ks, depth] = uses
+        DT[ks, depth] = dirty
+        evicted = r
 
     hits = np.zeros(n, dtype=bool)
     hits[g[hit_seq] - r] = True
     n_miss = n - hit_seq.size
-    evictions = r + n_miss - k.size
+    evictions = evicted + n_miss - k.size
     return hits, n_miss, evictions, polluted
 
 
@@ -569,7 +765,7 @@ def batch_cache_access(
     per-access hit mask. State, stats and LRU ticks end bit-identical to
     per-access :meth:`~repro.hw.cache.Cache.access_line` calls.
 
-    Four routes, each exact where it is taken:
+    Five routes, each exact where it is taken:
 
     * a *sweep* — a contiguous batch of at least ``ways * num_sets``
       lines with no resident in its range — writes the end state from its
@@ -580,23 +776,29 @@ def batch_cache_access(
     * a re-referencing batch with no resident in its range and at most
       ``ways`` distinct lines in any set takes the *fit* route: no line of
       it is evicted, so each line misses once and then hits;
-    * every other batch is decided by LRU stack distance.
+    * any other re-referencing batch with no resident in its range whose
+      line range spans at least ``ways**2`` lines per set takes the
+      *recent* route: a set's previous ``ways`` accesses then seldom repeat
+      a line (the birthday bound), so they decide almost every access;
+    * every other batch is decided by LRU stack distance, with no
+      pseudo-references when no resident lies in its range.
     """
     n = lines.size
     if n == 0:
         return np.zeros(0, dtype=bool)
     num_sets, ways = cache.config.num_sets, cache.config.ways
     tick0 = cache._tick
-    idx = sets = None
-    result = None
-    if contiguous or batch_distinct:
-        if contiguous:
-            lo, hi = int(lines[0]), int(lines[-1])
-        else:
-            idx = lines & cache._set_mask
-            lo, hi = int(lines.min()), int(lines.max())
+    if contiguous:
+        lo, hi = int(lines[0]), int(lines[-1])
+    else:
+        lo, hi = int(lines.min()), int(lines.max())
+    distinct = contiguous or batch_distinct
+    result = None if distinct else _fit_access(cache, lines, lo, hi, write, tick0)
+    if result is None:
+        idx = None if contiguous else lines & cache._set_mask
         sets, counts = _touched_sets(lines, idx, num_sets)
-        if _is_cold(cache, lo, hi, sets):
+        cold = _is_cold(cache, lo, hi, sets)
+        if cold and distinct:
             if contiguous and n >= num_sets * ways:
                 evictions, polluted = _sweep_access(cache, lines, write, tick0)
             else:
@@ -604,16 +806,15 @@ def batch_cache_access(
                     cache, lines, idx, sets, counts, write, tick0
                 )
             result = np.zeros(n, dtype=bool), n, evictions, polluted
-    else:
-        result = _fit_access(cache, lines, write, tick0)
-    if result is None:
-        if idx is None:
-            idx = lines & cache._set_mask
-        if sets is None:
-            sets, counts = _touched_sets(lines, idx, num_sets)
-        result = _stack_access(
-            cache, lines, idx, lines >> cache._tag_shift, sets, counts, write, tick0
-        )
+        elif cold and hi - lo + 1 >= ways * ways * num_sets:  # ways**2 per set
+            result = _recent_access(cache, lines, idx, sets, counts, write, tick0)
+        if result is None:
+            if idx is None:
+                idx = lines & cache._set_mask
+            result = _stack_access(
+                cache, lines, idx, lines >> cache._tag_shift, sets, counts, write,
+                tick0, cold,
+            )
     hits, n_miss, evictions, polluted = result
     cache._tick = tick0 + n
     stats = cache.stats

@@ -356,20 +356,25 @@ class TestNarrowKeyPaths:
 # ----------------------------------------------------------------------
 @contextlib.contextmanager
 def spy_routes():
-    """Yields ``(route, cache)`` per kernel call; ``fit`` only when the fit
-    route took the walk, ``fit-rejected`` when it handed it on."""
+    """Yields ``(route, cache)`` per kernel call; ``fit`` or ``recent`` only
+    when that route took the walk, ``fit-rejected`` or ``recent-rejected``
+    when it handed it on; ``cold-stack`` for stack distance without
+    pseudo-references (its last argument, ``cold``, is true)."""
     taken = []
 
     def spy(name, fn):
         def wrapped(cache, *args):
             out = fn(cache, *args)
-            taken.append((name if out is not None else f"{name}-rejected", cache))
+            if out is None:
+                taken.append((f"{name}-rejected", cache))
+            else:
+                taken.append(("cold-stack" if name == "stack" and args[-1] else name, cache))
             return out
 
         return wrapped
 
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("sweep", "cold", "fit", "stack"):
+        for name in ("sweep", "cold", "fit", "recent", "stack"):
             attr = f"_{name}_access"
             mp.setattr(hwbatch, attr, spy(name, getattr(hwbatch, attr)))
         yield taken
@@ -513,7 +518,7 @@ class TestFitRoute:
         walk = fitting_walk(config, 8, per_set, 4 * cap, 2 * config.ways, 5)
         got, want = run_level(config, prefill, walk, False)
         assert got == want
-        assert [name for name, _ in routes] == ["fit-rejected", "stack"]
+        assert [name for name, _ in routes] == ["fit-rejected", "cold-stack"]
 
     @pytest.mark.parametrize("spread", [8, 4096])
     def test_more_lines_than_fit_falls_back(self, routes, spread):
@@ -524,7 +529,9 @@ class TestFitRoute:
         walk = fitting_walk(config, 10, [2 * config.ways] * config.num_sets, 4 * cap, spread, 3)
         got, want = run_level(config, outside_prefill(11, cap, 2 * cap), walk, True)
         assert got == want
-        assert [name for name, _ in routes] == ["fit-rejected", "stack"]
+        # Past ways**2 tag offsets per set, the recent route decides.
+        want_route = "recent" if spread >= config.ways**2 else "cold-stack"
+        assert [name for name, _ in routes] == ["fit-rejected", want_route]
 
     def test_more_lines_than_fit_in_a_short_walk_falls_back(self, routes):
         """A walk of fewer than twice the capacity in references, over more
@@ -535,7 +542,7 @@ class TestFitRoute:
         walk = lines + lines[:40]
         got, want = run_level(config, outside_prefill(12, cap, 2 * cap), walk, False)
         assert got == want
-        assert [name for name, _ in routes] == ["fit-rejected", "stack"]
+        assert [name for name, _ in routes] == ["fit-rejected", "cold-stack"]
 
     def test_resident_in_range_falls_back(self, routes):
         config = TEST_PLATFORM.l2
@@ -581,7 +588,10 @@ class TestQ3WalkRoutes:
     def test_second_probe_walk_takes_fit_route_at_l2(self, routes):
         """The trace model in the shape of Q3: a cold scan, the first probe walk (39,299
         lines, too many for L2's sets) and the second (7,458 lines, which
-        fit). Only the second walk's L2 call takes the fit route."""
+        fit). Only the second walk's L2 call takes the fit route. Both L1
+        calls span more than ``ways**2`` = 16 lines per set (307 and 58)
+        and take the recent route; the first L2 call spans 38 lines per
+        16-way set and goes by stack distance with no pseudo-references."""
         model = TraceMemoryModel(DEFAULT)
         h = model.hierarchy
         model.sequential(87_500 * 64)
@@ -591,12 +601,148 @@ class TestQ3WalkRoutes:
         del routes[:]
         model.random(107_703, 7_458 * 64)
         assert first == [
-            ("fit-rejected", h.l1), ("stack", h.l1),
-            ("fit-rejected", h.l2), ("stack", h.l2),
+            ("fit-rejected", h.l1), ("recent", h.l1),
+            ("fit-rejected", h.l2), ("cold-stack", h.l2),
         ]
         assert routes == [
-            ("fit-rejected", h.l1), ("stack", h.l1), ("fit", h.l2),
+            ("fit-rejected", h.l1), ("recent", h.l1), ("fit", h.l2),
         ]
+
+
+# ----------------------------------------------------------------------
+# The recent route: a cold re-referencing walk whose line range spans at
+# least ways**2 lines per set is decided from each set's previous `ways`
+# accesses, stepping further back only where those repeat a line. Levels
+# of both platforms at 1, 2, 4 and 16 ways.
+# ----------------------------------------------------------------------
+WAYS_LEVELS = {
+    f"{name}-{level}-{ways}way": dataclasses.replace(getattr(platform, level), ways=ways)
+    for name, platform in (("test", TEST_PLATFORM), ("default", DEFAULT))
+    for level in ("l1", "l2")
+    for ways in (1, 2, 4, 16)
+}
+
+
+def set_line(config, s, tag):
+    """The line of set ``s`` at tag offset ``tag`` above the range's base
+    (tags below the base hold the prefilled residents)."""
+    return (4 * config.ways + tag) * config.num_sets + s
+
+
+def set_residents(config, sets, fill, seed):
+    """Prefill accesses below the walk's range: each set of ``sets`` gets
+    none (``fill == 0``), ``ways`` (2), or by turns none, some and ``ways``
+    (1) residents, some of them hit and some dirty."""
+    rng = np.random.default_rng(seed)
+    ways = config.ways
+    per_set = {0: [0], 1: [0, max(1, ways // 2), ways], 2: [ways]}[fill]
+    accesses = []
+    for k, s in enumerate(sets):
+        for tag in range(per_set[k % len(per_set)]):
+            line = tag * config.num_sets + int(s)
+            accesses += [(line, bool(rng.integers(2)))] * int(rng.integers(1, 4))
+    rng.shuffle(accesses)
+    return accesses
+
+
+def recent_walk(config, seed, n_sets, extra, locality, n):
+    """A walk over ``n_sets`` sets, each with ``ways + extra`` candidate
+    lines; with probability ``locality`` an access repeats a line of its
+    set's last ``ways`` accesses, which puts repeats in their windows. Its
+    first two accesses pin the span at ``ways**2 + 1`` tag offsets."""
+    rng = np.random.default_rng(seed)
+    ways = config.ways
+    top = ways * ways + 1
+    sets = rng.choice(config.num_sets, size=min(n_sets, config.num_sets), replace=False)
+    alphabets = [
+        rng.choice(np.arange(1, top), size=min(ways + extra, top - 1), replace=False)
+        for _ in sets
+    ]
+    recent = [[] for _ in sets]
+    walk = [set_line(config, sets[0], 0), set_line(config, sets[0], top)]
+    for _ in range(n):
+        k = int(rng.integers(len(sets)))
+        if recent[k] and rng.random() < locality:
+            tag = int(rng.choice(recent[k][-ways:]))
+        else:
+            tag = int(rng.choice(alphabets[k]))
+        recent[k].append(tag)
+        walk.append(set_line(config, sets[k], tag))
+    return sets, walk
+
+
+class TestRecentRoute:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(sorted(WAYS_LEVELS)),
+        SEED,
+        st.integers(1, 5),
+        st.integers(1, 40),
+        st.floats(0.0, 0.7),
+        st.integers(1, 150),
+        st.booleans(),
+        st.sampled_from([0, 1, 2]),
+    )
+    def test_walks_bit_identical(self, level, seed, n_sets, extra, locality, n, write, fill):
+        config = WAYS_LEVELS[level]
+        sets, walk = recent_walk(config, seed, n_sets, extra, locality, n)
+        with spy_routes() as routes:
+            got, want = run_level(config, set_residents(config, sets, fill, seed), walk, write)
+        assert got == want
+        # Past the routing bound, a walk that does not fit its sets takes
+        # the recent route, or stack distance when a step back runs long.
+        assert routes[0][0] in ("fit", "fit-rejected", "cold")
+        if routes[0][0] == "fit-rejected":
+            assert [name for name, _ in routes[1:]] in (
+                ["recent"], ["recent-rejected", "cold-stack"],
+            )
+
+    @pytest.mark.parametrize("level", ["test-l2-4way", "default-l1-4way"])
+    @pytest.mark.parametrize("fill", [0, 1, 2])
+    def test_step_back_decides(self, routes, level, fill):
+        """In one set, C X A B A C re-references C past a window (X A B A)
+        that repeats A: the step back finds C behind three distinct lines,
+        a hit; D X A B A D finds none, a miss on D's first reference."""
+        config = WAYS_LEVELS[level]
+        tags = [9, 1, 2, 3, 2, 9, 4, 5, 6, 5, 7, 8]  # two such runs
+        walk = [set_line(config, 0, tag) for tag in tags]
+        walk += [set_line(config, 1, 0), set_line(config, 1, 17)]  # the span
+        got, want = run_level(config, set_residents(config, [0, 1], fill, 3), walk, True)
+        assert got == want
+        assert want[0][5] and not want[0][10]
+        assert [name for name, _ in routes] == ["fit-rejected", "recent"]
+
+    @pytest.mark.parametrize("level", ["test-l1-2way", "default-l2-2way"])
+    def test_use_counts_of_the_current_lifetime(self, routes, level):
+        """A A B C A A A: A is hit, evicted by C, installed again and hit
+        twice more (the last time at distances 1 and 2), so it ends with
+        two uses, not four."""
+        config = WAYS_LEVELS[level]
+        walk = [set_line(config, 0, tag) for tag in (1, 1, 2, 3, 1, 1, 1)]
+        walk.append(set_line(config, 1, 5))  # the span
+        got, want = run_level(config, [], walk, False)
+        assert got == want
+        assert want[0] == [False, True, False, False, False, True, True, False]
+        assert [name for name, _ in routes] == ["fit-rejected", "recent"]
+
+    @pytest.mark.parametrize("level", ["test-l2-4way", "default-l1-4way", "default-l2-16way"])
+    @pytest.mark.parametrize("short", [1, 0])
+    def test_routing_bound(self, routes, level, short):
+        """A walk spanning ``ways**2 * num_sets - 1`` lines goes by stack
+        distance; one spanning ``ways**2 * num_sets`` takes the recent
+        route. Both re-reference more lines of one set than it holds."""
+        config = WAYS_LEVELS[level]
+        rng = np.random.default_rng(7)
+        span = config.ways**2 * config.num_sets - short
+        lo = set_line(config, 0, 0)
+        tags = rng.integers(1, config.ways**2, 6 * config.ways)
+        body = (lo + tags * config.num_sets).tolist()
+        walk = [lo] + body + body[::2] + [lo + span - 1]
+        got, want = run_level(config, set_residents(config, range(config.num_sets), 1, 5), walk, True)
+        assert got == want
+        assert max(walk) - min(walk) + 1 == span
+        want_route = "cold-stack" if short else "recent"
+        assert [name for name, _ in routes] == ["fit-rejected", want_route]
 
 
 class TestSingleMissRunPrefetch:

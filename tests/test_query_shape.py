@@ -14,10 +14,11 @@ from repro.core.geometry import DataGeometry
 from repro.db import Catalog
 from repro.db.engines import ColumnStoreEngine, RelationalMemoryEngine, RowStoreEngine
 from repro.db.exec import vector
-from repro.db.plan import binder, logical
+from repro.db.plan import binder, codecache, logical
 from repro.db.sql import fuzz
 from repro.db.sql.parser import Parser, parse_statement
 from repro.db.sql.pipeline import Session
+from repro.errors import PlanError
 
 #: Every fact a shape holds, read off a bound query.
 FACTS = (
@@ -33,6 +34,8 @@ FACTS = (
 )
 
 ENGINES = (RowStoreEngine, ColumnStoreEngine, RelationalMemoryEngine)
+#: Every code-fragment layout (the engines' ``fragment_layout``s).
+LAYOUTS = ("row", "column", "ephemeral")
 
 
 def shape_facts(query):
@@ -54,10 +57,27 @@ def assert_shape_of_fresh_bind(sql, catalog, snapshot_ts=None):
     fresh = binder._bind_select(Parser(sql).parse_statement(), catalog)
     assert fresh.shape is not hit.shape
     assert shape_facts(hit) == shape_facts(fresh), sql
+    assert_cache_keys_of_fresh_bind(hit, fresh)
     for make in ENGINES:
         engine = make(catalog)
         got = engine.execute(hit, snapshot_ts).plan
         assert got == engine.execute(fresh, snapshot_ts).plan, (make.name, sql)
+
+
+def assert_cache_keys_of_fresh_bind(hit, fresh):
+    """Under each layout, a code cache looks ``hit`` up by the signature a
+    fresh ``fragment_signature`` gives ``fresh``, or both raise."""
+    for layout in LAYOUTS:
+        cache = codecache.CodeFragmentCache()
+        try:
+            want = codecache.fragment_signature(fresh, layout)
+        except PlanError:
+            with pytest.raises(PlanError):
+                cache.lookup(hit, layout)
+            continue
+        cache.lookup(hit, layout)
+        assert list(cache._signatures) == [want], layout
+        assert hit.fragment_signatures[layout] == want
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -155,3 +175,36 @@ def test_a_memo_hit_rebuilds_nothing(make, constructions):
     # The plan still renders, on read, with the statement's own literal.
     assert "(a > 40)" in results[2].plan
     assert constructions["plan"] == 1
+
+
+@pytest.mark.parametrize("make", ENGINES, ids=[e.name for e in ENGINES])
+def test_a_memo_hit_computes_no_fragment_signature(make, monkeypatch):
+    """With a code cache attached, a statement of a shape the cache has
+    looked up reads its signature off the shape: every one is a hit, and
+    none calls ``fragment_signature``."""
+    calls = []
+    sign = codecache.fragment_signature
+
+    def counting(bound, layout):
+        calls.append(layout)
+        return sign(bound, layout)
+
+    monkeypatch.setattr(codecache, "fragment_signature", counting)
+    catalog = Catalog()
+    cache = codecache.CodeFragmentCache()
+    session = Session(catalog, make(catalog, codecache=cache))
+    _load(session, "CREATE TABLE t (a INT32, b INT64, c CHAR(4))",
+          [f"({i}, {i * 10}, '{'xyz'[i % 3]}')" for i in range(12)])
+    session.execute("CREATE TABLE u (uk INT32, uv INT32)")
+    session.execute("INSERT INTO u VALUES (1, 5), (2, 50), (3, 7), (3, 70)")
+    for sql in SHAPES:
+        for cut in (1, 2, 3):  # fresh, then the template's first use
+            session.execute(sql.format(cut))
+    assert calls and set(calls) == {make.fragment_layout}
+    del calls[:]
+    hits = cache.stats.hits
+    for sql in SHAPES:
+        for cut in (4, 5, 40):
+            session.execute(sql.format(cut))
+    assert calls == []
+    assert cache.stats.hits == hits + 3 * len(SHAPES)
