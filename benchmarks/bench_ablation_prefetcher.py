@@ -3,39 +3,24 @@
 Paper Figure 5 attributes COL's degradation beyond four columns to the
 prefetcher "efficiently support[ing] up to four parallel sequential
 accesses". Sweeping the stream limit tests that mechanism directly: a
-smaller table should pull the crossover earlier, a bigger one later.
+smaller table should pull the crossover earlier, a bigger one later
+(the ``ablation.prefetcher_*`` rows of ``repro.bench.figures.CLAIMS``).
 
 Run: pytest benchmarks/bench_ablation_prefetcher.py --benchmark-only
 """
 
-from repro.bench import run_prefetcher_ablation
-
-NROWS = 80_000
-LIMITS = (2, 4, 8)
-
-
-def _crossover(exp) -> int:
-    ratios = exp.ratio("column", "rm")
-    for i, c in enumerate(ratios):
-        if c >= 1.0:
-            return i + 1
-    return len(ratios) + 1
+from repro.bench.figures import assert_claims, crossover, sweep
 
 
 def test_prefetcher_stream_limit(benchmark, save_result):
     results = benchmark.pedantic(
-        lambda: run_prefetcher_ablation(nrows=NROWS, stream_limits=LIMITS),
-        rounds=1,
-        iterations=1,
+        sweep, args=("prefetcher",), rounds=1, iterations=1
     )
-    crossings = {limit: _crossover(exp) for limit, exp in results.items()}
     text = ["COL/RM crossover projectivity by prefetcher stream limit:"]
-    for limit in LIMITS:
-        text.append(f"  max_streams={limit:2d} -> crossover at k={crossings[limit]}")
+    for limit, exp in results.items():
+        text.append(f"  max_streams={limit:2d} -> crossover at k={crossover(exp)}")
     for limit, exp in results.items():
         text.append("")
         text.append(exp.to_table())
     save_result("ablation_prefetcher", "\n".join(text))
-
-    assert crossings[2] <= crossings[4] <= crossings[8]
-    assert crossings[2] < crossings[8]
+    assert_claims("prefetcher")

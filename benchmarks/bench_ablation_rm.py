@@ -2,43 +2,22 @@
 
 The prototype runs at 100 MHz with a 2 MB on-fabric data memory
 (Section V). These sweeps probe how sensitive the headline results are
-to both choices — the design-space questions a hardware team would ask.
+to both choices — the design-space questions a hardware team would ask
+(the ``ablation.clock_*``/``ablation.buffer_*`` rows of
+``repro.bench.figures.CLAIMS``).
 
 Run: pytest benchmarks/bench_ablation_rm.py --benchmark-only
 """
 
-from repro.bench import run_buffer_ablation, run_rm_clock_ablation
+import pytest
 
-CLOCKS = (50, 100, 200, 400)
-BUFFERS_KB = (64, 256, 1024, 2048, 8192)
+from repro.bench.figures import assert_claims, sweep
 
-
-def test_rm_clock_sweep(benchmark, save_result):
-    exp = benchmark.pedantic(
-        lambda: run_rm_clock_ablation(nrows=100_000, clocks_mhz=CLOCKS),
-        rounds=1,
-        iterations=1,
-    )
-    save_result("ablation_rm_clock", exp.to_table())
-    rm = exp.series["rm"].values
-    # Faster fabric never hurts; once the consume side dominates, extra
-    # clock stops paying (the curve flattens).
-    assert all(b <= a for a, b in zip(rm, rm[1:]))
-    row = exp.series["row"].values
-    assert all(abs(r - row[0]) < row[0] * 0.01 for r in row)  # ROW unaffected
+RESULTS = {"rm_clock": "ablation_rm_clock", "rm_buffer": "ablation_rm_buffer"}
 
 
-def test_rm_buffer_sweep(benchmark, save_result):
-    exp = benchmark.pedantic(
-        lambda: run_buffer_ablation(nrows=300_000, buffer_kb=BUFFERS_KB),
-        rounds=1,
-        iterations=1,
-    )
-    save_result("ablation_rm_buffer", exp.to_table())
-    stalls = exp.series["refill_stall"].values
-    total = exp.series["rm"].values
-    assert stalls[0] > stalls[-1], "small buffers must stall more"
-    assert all(b <= a for a, b in zip(total, total[1:])), "bigger buffer never hurts"
-    # The paper's 2 MB choice: stalls are already negligible there.
-    idx_2mb = BUFFERS_KB.index(2048)
-    assert stalls[idx_2mb] / total[idx_2mb] < 0.02
+@pytest.mark.parametrize("name", RESULTS)
+def test_rm_sweep(benchmark, save_result, name):
+    exp = benchmark.pedantic(sweep, args=(name,), rounds=1, iterations=1)
+    save_result(RESULTS[name], exp.to_table())
+    assert_claims(name)

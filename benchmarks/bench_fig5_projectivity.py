@@ -1,31 +1,20 @@
 """Figure 5: normalized execution time vs projectivity (ROW/COL/RM).
 
 Regenerates the paper's projectivity sweep — 1 to 11 four-byte columns
-out of a 64-byte row — and asserts the published shape: RM beats ROW
-everywhere, COL wins below four columns, RM wins above.
+out of a 64-byte row — and judges it by the ``fig5.*`` rows of
+``repro.bench.figures.CLAIMS``: RM beats ROW everywhere, COL wins below
+four columns, RM wins above.
 
 Run: pytest benchmarks/bench_fig5_projectivity.py --benchmark-only
 """
 
-from repro.bench import run_fig5
-
-NROWS = 150_000
+from repro.bench.figures import assert_claims, sweep
 
 
 def test_fig5_projectivity_sweep(benchmark, save_result):
-    exp = benchmark.pedantic(
-        lambda: run_fig5(nrows=NROWS), rounds=1, iterations=1
-    )
+    exp = benchmark.pedantic(sweep, args=("fig5",), rounds=1, iterations=1)
     save_result("fig5_projectivity", _render(exp))
-
-    row_vs_rm = exp.ratio("row", "rm")
-    col_vs_rm = exp.ratio("column", "rm")
-    # Shape claims of the paper's Figure 5.
-    assert all(r > 1.0 for r in row_vs_rm), "RM must beat ROW at every projectivity"
-    assert all(c < 1.0 for c in col_vs_rm[:3]), "COL must win below 4 columns"
-    assert all(c > 1.0 for c in col_vs_rm[5:]), "RM must win above 5 columns"
-    crossover = next(i + 1 for i, c in enumerate(col_vs_rm) if c >= 1.0)
-    assert 4 <= crossover <= 6, f"COL/RM crossover at {crossover}, paper says 4"
+    assert_claims("fig5")
 
 
 def _render(exp) -> str:

@@ -1,33 +1,20 @@
 """Figures 6a/6b: RM speedup heatmaps over projection x selection grids.
 
-Regenerates both 10x10 heatmaps (RM vs ROW, RM vs COL) and asserts the
-published shape: 6a all above 1 in a moderate band; 6b below 1 in the
-lower-left corner and well above 1 at high column counts.
+Regenerates both 10x10 heatmaps (RM vs ROW, RM vs COL) and judges them
+by the ``fig6a.*``/``fig6b.*`` rows of ``repro.bench.figures.CLAIMS``:
+6a all above 1 in a moderate band; 6b below 1 in the lower-left corner
+and well above 1 at high column counts.
 
 Run: pytest benchmarks/bench_fig6_heatmaps.py --benchmark-only
 """
 
-from repro.bench import run_fig6
-
-NROWS = 60_000
+from repro.bench.figures import assert_claims, sweep
 
 
 def test_fig6_heatmaps(benchmark, save_result):
     vs_row, vs_col = benchmark.pedantic(
-        lambda: run_fig6(nrows=NROWS), rounds=1, iterations=1
+        sweep, args=("fig6",), rounds=1, iterations=1
     )
     save_result("fig6a_rm_vs_row", vs_row.to_table())
     save_result("fig6b_rm_vs_col", vs_col.to_table())
-
-    # Figure 6a: "RM consistently outperforms the direct row-wise access
-    # by 1.3-1.5x" — we assert >1 everywhere in a moderate band.
-    a_values = list(vs_row.values.values())
-    assert min(a_values) > 1.0
-    assert max(a_values) < 2.5
-
-    # Figure 6b: COL wins when the total number of columns is small;
-    # RM dominates as it grows (paper: crossover around 4, max ~2.2x).
-    assert vs_col.region_mean(lambda s: s <= 2, lambda p: p <= 2) < 1.0
-    assert vs_col.region_mean(lambda s: s >= 6, lambda p: p >= 6) > 1.0
-    assert vs_col.get(1, 1) < 0.95
-    assert max(vs_col.values.values()) > 1.4
+    assert_claims("fig6")

@@ -1,92 +1,32 @@
 """Figures 7a/7b: TPC-H Q1 and Q6 execution time vs data size.
 
 Regenerates both size sweeps (proportionally scaled — see DESIGN.md) and
-asserts the published shape: Q1 compute-bound and similar across engines,
-Q6 movement-bound with RM fastest at every size. The multi-way-join
-shapes (Q3: lineitem ⋈ orders ⋈ customer, Q14: lineitem ⋈ part) run the
-same sweep through all three engines — not a paper figure, but the same
-proportional-scaling methodology applied to the vectorized join chain.
+judges them by the ``fig7a.*``/``fig7b.*`` rows of
+``repro.bench.figures.CLAIMS``: Q1 compute-bound and similar across
+engines, Q6 movement-bound with RM fastest at every size. The
+multi-way-join shapes (Q3: lineitem ⋈ orders ⋈ customer, Q14: lineitem
+⋈ part) run the same sweep through all three engines — not a paper
+figure, but the same proportional-scaling methodology applied to the
+vectorized join chain (``fig7q3.*``/``fig7q14.*``).
 
 Run: pytest benchmarks/bench_fig7_tpch.py --benchmark-only
 """
 
 import pytest
 
-from repro.bench import run_fig7
+from repro.bench.figures import assert_claims, sweep
 
-SCALE = 1 / 16
-SIZES = (2, 4, 8, 16, 32, 64, 128)
-#: Join sweeps regenerate a four-table star per point; keep them smaller.
-JOIN_SIZES = (2, 4, 8, 16)
-
-
-def test_fig7a_q1(benchmark, save_result):
-    exp = benchmark.pedantic(
-        lambda: run_fig7(query="Q1", target_mbs=SIZES, scale=SCALE),
-        rounds=1,
-        iterations=1,
-    )
-    save_result("fig7a_tpch_q1", exp.to_table())
-    row_vs_rm = exp.ratio("row", "rm")
-    col_vs_rm = exp.ratio("column", "rm")
-    assert all(r >= 1.0 for r in row_vs_rm)
-    assert all(c >= 0.98 for c in col_vs_rm)
-    # "the execution time is similar for all layouts": within ~1.5x.
-    assert max(row_vs_rm) < 1.55 and max(col_vs_rm) < 1.55
+#: Sweep name -> results file. Q1 runs first: a Q6 claim reads it too.
+RESULTS = {
+    "fig7a": "fig7a_tpch_q1",
+    "fig7b": "fig7b_tpch_q6",
+    "fig7q3": "fig7_tpch_q3",
+    "fig7q14": "fig7_tpch_q14",
+}
 
 
-def test_fig7b_q6(benchmark, save_result):
-    exp = benchmark.pedantic(
-        lambda: run_fig7(query="Q6", target_mbs=SIZES, scale=SCALE),
-        rounds=1,
-        iterations=1,
-    )
-    save_result("fig7b_tpch_q6", exp.to_table())
-    row_vs_rm = exp.ratio("row", "rm")
-    col_vs_rm = exp.ratio("column", "rm")
-    # "RM accelerates the execution time by offering the optimal layout".
-    assert all(r > 1.3 for r in row_vs_rm)
-    assert all(c >= 0.99 for c in col_vs_rm)
-    # Time scales linearly with data size for every engine.
-    for name in ("row", "column", "rm"):
-        series = exp.series[name].values
-        assert series[-1] / series[0] == pytest.approx(64, rel=0.25)
-
-
-def test_fig7_q3_joins(benchmark, save_result):
-    """Q3-class three-way join + group-by + order-by through all engines."""
-    exp = benchmark.pedantic(
-        lambda: run_fig7(query="Q3", target_mbs=JOIN_SIZES, scale=SCALE),
-        rounds=1,
-        iterations=1,
-    )
-    save_result("fig7_tpch_q3", exp.to_table())
-    row_vs_rm = exp.ratio("row", "rm")
-    col_vs_rm = exp.ratio("column", "rm")
-    # The row engine pays full-stride tuple traffic on the fact scan; the
-    # narrow layouts (column streams, fabric group) stay ahead.
-    assert all(r > 1.15 for r in row_vs_rm)
-    assert all(c >= 0.9 for c in col_vs_rm)
-    # Join time scales linearly with fact-table size for every engine.
-    for name in ("row", "column", "rm"):
-        series = exp.series[name].values
-        assert series[-1] / series[0] == pytest.approx(8, rel=0.25)
-
-
-def test_fig7_q14_joins(benchmark, save_result):
-    """Q14-class join + conditional aggregate through all engines."""
-    exp = benchmark.pedantic(
-        lambda: run_fig7(query="Q14", target_mbs=JOIN_SIZES, scale=SCALE),
-        rounds=1,
-        iterations=1,
-    )
-    save_result("fig7_tpch_q14", exp.to_table())
-    row_vs_rm = exp.ratio("row", "rm")
-    col_vs_rm = exp.ratio("column", "rm")
-    # Q14 touches 4 of 16 lineitem columns: the movement-bound regime,
-    # where the fabric's packed layout wins clearly over full rows.
-    assert all(r > 1.4 for r in row_vs_rm)
-    assert all(c >= 0.8 for c in col_vs_rm)
-    for name in ("row", "column", "rm"):
-        series = exp.series[name].values
-        assert series[-1] / series[0] == pytest.approx(8, rel=0.25)
+@pytest.mark.parametrize("name", RESULTS)
+def test_fig7(benchmark, save_result, name):
+    exp = benchmark.pedantic(sweep, args=(name,), rounds=1, iterations=1)
+    save_result(RESULTS[name], exp.to_table())
+    assert_claims(name)

@@ -1,76 +1,24 @@
 """Regenerate every figure of the paper's evaluation section in one run.
 
-Prints the Figure 5 curve, both Figure 6 heatmaps, and the Figure 7
-Q1/Q6 sweeps, each with the shape checks the paper's claims imply.
-This is the human-readable front end to the same runners the
-``benchmarks/`` targets use.
+Prints the Figure 5 curve, both Figure 6 heatmaps, the Figure 7 size
+sweeps and the ablations, each followed by its shape claims from
+``repro.bench.figures.CLAIMS`` marked ``[ok]`` or ``[MISS]``. This is
+the human-readable front end to the same sweeps and claims the
+``benchmarks/`` targets and the tier-1 tests use.
 
-Run:  python examples/reproduce_figures.py [--quick]
+Run:  python examples/reproduce_figures.py
 """
 
-import sys
-
-from repro.bench import run_fig5, run_fig6, run_fig7
+from repro.bench.figures import SWEEPS, sweep, tables, verdicts
 
 
-def check(label, ok):
-    print(f"  [{'ok' if ok else 'MISS'}] {label}")
-
-
-def main(quick: bool = False):
-    nrows5 = 50_000 if quick else 200_000
-    nrows6 = 20_000 if quick else 100_000
-    scale7 = 1 / 64 if quick else 1 / 16
-
-    print("Figure 5: projectivity sweep")
-    fig5 = run_fig5(nrows=nrows5)
-    print(fig5.to_table())
-    rm_vs_row = fig5.ratio("row", "rm")
-    col_vs_rm = fig5.ratio("column", "rm")
-    check("RM outperforms ROW at every projectivity", all(r > 1 for r in rm_vs_row))
-    check("COL beats RM below 4 columns", all(c < 1 for c in col_vs_rm[:3]))
-    check("RM beats COL above 5 columns", all(c > 1 for c in col_vs_rm[5:]))
-    print()
-
-    print("Figures 6a/6b: projection x selection heatmaps")
-    fig6a, fig6b = run_fig6(nrows=nrows6)
-    print(fig6a.to_table())
-    print()
-    print(fig6b.to_table())
-    a_vals = list(fig6a.values.values())
-    check("RM beats ROW everywhere (6a all > 1)", min(a_vals) > 1)
-    check(
-        "6b: COL wins the lower-left corner",
-        fig6b.region_mean(lambda s: s <= 2, lambda p: p <= 2) < 1,
-    )
-    check(
-        "6b: RM wins at high column counts",
-        fig6b.region_mean(lambda s: s >= 6, lambda p: p >= 6) > 1,
-    )
-    print()
-
-    for query in ("Q1", "Q6"):
-        print(f"Figure 7 ({query}): size sweep")
-        fig7 = run_fig7(query=query, scale=scale7)
-        print(fig7.to_table())
-        row_vs_rm = fig7.ratio("row", "rm")
-        col_vs_rm = fig7.ratio("column", "rm")
-        check("RM is never slower than ROW", all(r >= 1 for r in row_vs_rm))
-        # 2% band, matching tests/test_figures.py: the smallest quick-scale
-        # point is a few thousand rows, where generator noise moves ~1%.
-        check("RM is never slower than COL", all(c >= 0.98 for c in col_vs_rm))
-        if query == "Q1":
-            check(
-                "Q1 is compute-bound: engines within ~1.5x",
-                max(row_vs_rm) < 1.55,
-            )
-        else:
-            check(
-                "Q6 is movement-bound: ROW clearly behind",
-                min(row_vs_rm) > 1.4,
-            )
+def main():
+    for name in SWEEPS:
+        print("\n\n".join(tables(sweep(name))))
+        for verdict in verdicts(name):
+            print(f"  {verdict}")
         print()
 
 
 if __name__ == "__main__":
-    main(quick="--quick" in sys.argv)
+    main()

@@ -5,60 +5,56 @@ Usage::
     python -m repro.bench fig5 [--nrows N]
     python -m repro.bench fig6 [--nrows N]
     python -m repro.bench fig7 [--scale 1/16]
-    python -m repro.bench ablations
-    python -m repro.bench all [--quick]
+    python -m repro.bench ablations [--nrows N]
+    python -m repro.bench all
+
+Each target prints its sweeps' tables and the verdict of every claim
+on them (``repro.bench.figures.CLAIMS``). Without ``--nrows`` or
+``--scale`` the sweeps run at the scale the claims are declared at.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
 from repro.bench.chart import line_chart
-from repro.bench.figures import (
-    run_buffer_ablation,
-    run_fig5,
-    run_fig6,
-    run_fig7,
-    run_prefetcher_ablation,
-    run_rm_clock_ablation,
-)
+from repro.bench.figures import SWEEPS, crossover, sweep, tables, verdicts
+
+TARGETS = {
+    "fig5": ("fig5",),
+    "fig6": ("fig6",),
+    "fig7": ("fig7a", "fig7b", "fig7q3", "fig7q14"),
+    "ablations": ("prefetcher", "rm_clock", "rm_buffer"),
+}
 
 
-def _fig5(args) -> None:
-    exp = run_fig5(nrows=args.nrows)
-    print(exp.to_table())
-    print()
-    print(line_chart(exp, labels=["row", "column", "rm"]))
+def _result(name: str, args) -> object:
+    """Sweep ``name`` at the claims' scale, or rerun with the options given."""
+    runner = SWEEPS[name]
+    params = inspect.signature(runner).parameters
+    given = {
+        key: getattr(args, key)
+        for key in ("nrows", "scale", "processes")
+        if getattr(args, key) is not None and key in params
+    }
+    return runner(**given) if given else sweep(name)
 
 
-def _fig6(args) -> None:
-    vs_row, vs_col = run_fig6(nrows=args.nrows, processes=args.processes)
-    print(vs_row.to_table())
-    print()
-    print(vs_col.to_table())
-
-
-def _fig7(args) -> None:
-    for query in ("Q1", "Q6"):
-        exp = run_fig7(query=query, scale=args.scale, processes=args.processes)
-        print(exp.to_table())
+def _show(name: str, args, results: dict) -> None:
+    result = results[name] = _result(name, args)
+    if name == "prefetcher":
+        for limit, exp in result.items():
+            print(f"prefetcher max_streams={limit}: COL/RM crossover at k={crossover(exp)}")
+    else:
+        print("\n\n".join(tables(result)))
+    if name == "fig5" or name.startswith("fig7"):
         print()
-        print(line_chart(exp, labels=["row", "column", "rm"], logscale=True))
-        print()
-
-
-def _ablations(args) -> None:
-    for limit, exp in run_prefetcher_ablation(nrows=args.nrows).items():
-        ratios = exp.ratio("column", "rm")
-        crossing = next(
-            (i + 1 for i, c in enumerate(ratios) if c >= 1.0), len(ratios) + 1
-        )
-        print(f"prefetcher max_streams={limit}: COL/RM crossover at k={crossing}")
+        print(line_chart(result, labels=["row", "column", "rm"], logscale=name != "fig5"))
+    for verdict in verdicts(name, results):
+        print(f"  {verdict}")
     print()
-    print(run_rm_clock_ablation(nrows=args.nrows).to_table())
-    print()
-    print(run_buffer_ablation(nrows=2 * args.nrows).to_table())
 
 
 def main(argv=None) -> int:
@@ -68,41 +64,24 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "target",
-        choices=["fig5", "fig6", "fig7", "ablations", "all", "report"],
+        choices=[*TARGETS, "all", "report"],
         help="which experiment to run (or 'report' to consolidate results)",
     )
-    parser.add_argument("--nrows", type=int, default=100_000)
+    parser.add_argument("--nrows", type=int, default=None)
     parser.add_argument(
         "--processes",
         type=int,
-        default=1,
+        default=None,
         help="worker processes for grid sweeps (0 = all cores)",
     )
     parser.add_argument(
         "--scale",
         type=float,
-        default=1 / 16,
+        default=None,
         help="fraction of the paper's Figure 7 data sizes",
-    )
-    parser.add_argument(
-        "--quick", action="store_true", help="smaller inputs for 'all'"
     )
     args = parser.parse_args(argv)
 
-    if args.quick:
-        args.nrows = min(args.nrows, 30_000)
-        args.scale = min(args.scale, 1 / 64)
-
-    if args.target in ("fig5", "all"):
-        _fig5(args)
-        print()
-    if args.target in ("fig6", "all"):
-        _fig6(args)
-        print()
-    if args.target in ("fig7", "all"):
-        _fig7(args)
-    if args.target in ("ablations", "all"):
-        _ablations(args)
     if args.target == "report":
         import os
 
@@ -111,6 +90,12 @@ def main(argv=None) -> int:
         results = os.path.join("benchmarks", "results")
         out = write_report(results, os.path.join(results, "REPORT.md"))
         print(f"wrote {out}")
+        return 0
+    targets = TARGETS if args.target == "all" else [args.target]
+    results: dict = {}
+    for target in targets:
+        for name in TARGETS[target]:
+            _show(name, args, results)
     return 0
 
 

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.bench.figures import CLAIMS
+
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
@@ -67,10 +69,8 @@ class TestExamples:
         assert "sharding" in out
         assert "tiered fabric" in out
 
-    def test_reproduce_figures_quick(self, capsys, monkeypatch):
-        run_example(
-            "reproduce_figures.py", argv=["--quick"], monkeypatch=monkeypatch
-        )
+    def test_reproduce_figures(self, capsys, monkeypatch):
+        run_example("reproduce_figures.py", monkeypatch=monkeypatch)
         out = capsys.readouterr().out
         assert "[MISS]" not in out
-        assert out.count("[ok]") == 12
+        assert out.count("[ok]") == len(CLAIMS)

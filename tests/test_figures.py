@@ -1,169 +1,63 @@
 """Integration tests: the paper's figure *shapes* as assertions.
 
-These are the reproduction's acceptance criteria (EXPERIMENTS.md): who
-wins, where the crossovers fall, and the rough factors — run at reduced
-scale so the whole file stays CI-fast.
+One test per row of ``repro.bench.figures.CLAIMS``, the reproduction's
+acceptance criteria (EXPERIMENTS.md): who wins, where the crossovers
+fall, and the rough factors. Each sweep runs once per process, at the
+one scale the bench targets also run.
 """
+
+import re
+from pathlib import Path
 
 import pytest
 
-from repro.bench import (
-    run_buffer_ablation,
-    run_fig5,
-    run_fig6,
-    run_fig7,
-    run_prefetcher_ablation,
-    run_rm_clock_ablation,
-)
+from repro.bench.figures import CLAIMS, crossover, judge, sweep
+from repro.bench.harness import Experiment
+
+EXPERIMENTS_MD = Path(__file__).resolve().parent.parent / "EXPERIMENTS.md"
+#: A claim id as the prose cites it: `fig6b.corner_high`, `ablation.buffer_monotone`.
+CITED_ID = re.compile(r"`((?:fig\d+[a-z0-9]*|ablation)\.\w+)`")
 
 
-@pytest.fixture(scope="module")
-def fig5():
-    return run_fig5(nrows=60_000)
+@pytest.mark.parametrize("claim", CLAIMS, ids=lambda c: c.id)
+def test_claim(claim):
+    verdict = judge(claim)
+    assert verdict.ok, str(verdict)
 
 
-@pytest.fixture(scope="module")
-def fig6():
-    return run_fig6(nrows=25_000)
+def test_claim_ids_unique_and_citable():
+    ids = [c.id for c in CLAIMS]
+    assert len(set(ids)) == len(ids)
+    assert all(CITED_ID.fullmatch(f"`{i}`") for i in ids)
 
 
-@pytest.fixture(scope="module")
-def fig7_q1():
-    return run_fig7(query="Q1", target_mbs=(2, 8, 32), scale=1 / 64)
+def test_fig7_rows_tracked_per_point():
+    assert all(r > 0 for r in sweep("fig7b").series["rows"].values)
 
 
-@pytest.fixture(scope="module")
-def fig7_q6():
-    return run_fig7(query="Q6", target_mbs=(2, 8, 32), scale=1 / 64)
+def test_crossover_missing_is_past_the_end_and_named():
+    """COL never reaching RM puts the crossover at ``len + 1``, and the
+    failing claim names itself."""
+    exp = Experiment(name="no-crossing", x_label="projectivity")
+    for k in range(1, 12):
+        exp.add_point(k, "column", 1.0)
+        exp.add_point(k, "rm", 2.0)
+    assert crossover(exp) == 12
+    claim = next(c for c in CLAIMS if c.id == "fig5.crossover_max")
+    verdict = judge(claim, {"fig5": exp})
+    assert not verdict.ok
+    assert "fig5.crossover_max" in str(verdict)
 
 
-class TestFig5Projectivity:
-    def test_rm_beats_row_at_every_projectivity(self, fig5):
-        assert all(r > 1.0 for r in fig5.ratio("row", "rm"))
-
-    def test_rm_vs_row_band_is_moderate(self, fig5):
-        """The paper reports 1.3-1.5x; we accept a slightly wider band."""
-        ratios = fig5.ratio("row", "rm")
-        assert all(1.2 < r < 2.1 for r in ratios)
-
-    def test_col_wins_below_four_columns(self, fig5):
-        col_vs_rm = fig5.ratio("column", "rm")
-        assert all(c < 1.0 for c in col_vs_rm[:3])  # k = 1..3
-
-    def test_rm_wins_above_five_columns(self, fig5):
-        col_vs_rm = fig5.ratio("column", "rm")
-        assert all(c > 1.0 for c in col_vs_rm[5:])  # k = 6..11
-
-    def test_crossover_near_four(self, fig5):
-        """The COL/RM crossover falls in k ∈ [4, 6] (paper: 4)."""
-        col_vs_rm = fig5.ratio("column", "rm")
-        crossing = next(i + 1 for i, c in enumerate(col_vs_rm) if c >= 1.0)
-        assert 4 <= crossing <= 6
-
-    def test_row_cost_grows_mildly_with_projectivity(self, fig5):
-        rows = fig5.series["row_cycles"].values
-        assert rows == sorted(rows)
-        assert rows[-1] < rows[0] * 3
-
-    def test_col_cost_grows_fastest(self, fig5):
-        cols = fig5.series["column_cycles"].values
-        assert cols[-1] / cols[0] > fig5.series["rm_cycles"].values[-1] / (
-            fig5.series["rm_cycles"].values[0]
-        )
+def _prose_mismatch(text):
+    """(claims the prose never cites, cited ids that are no claim)."""
+    cited = set(CITED_ID.findall(text))
+    ids = {c.id for c in CLAIMS}
+    return ids - cited, cited - ids
 
 
-class TestFig6Heatmaps:
-    def test_6a_rm_beats_row_everywhere(self, fig6):
-        vs_row, _ = fig6
-        assert min(vs_row.values.values()) > 1.0
-
-    def test_6a_band_roughly_matches_paper(self, fig6):
-        vs_row, _ = fig6
-        values = list(vs_row.values.values())
-        assert 1.2 < min(values) and max(values) < 2.5
-
-    def test_6a_speedup_shrinks_with_more_columns(self, fig6):
-        vs_row, _ = fig6
-        assert vs_row.get(1, 1) > vs_row.get(10, 10)
-
-    def test_6b_col_wins_lower_left(self, fig6):
-        _, vs_col = fig6
-        assert vs_col.region_mean(lambda s: s <= 2, lambda p: p <= 2) < 1.0
-
-    def test_6b_rm_wins_upper_right(self, fig6):
-        _, vs_col = fig6
-        assert vs_col.region_mean(lambda s: s >= 6, lambda p: p >= 6) > 1.0
-
-    def test_6b_corner_factors(self, fig6):
-        """Paper corners: 0.49 at (1,1), ~1.6-2.2 at high counts."""
-        _, vs_col = fig6
-        assert vs_col.get(1, 1) < 0.95
-        assert vs_col.get(10, 10) > 1.3
-
-    def test_6b_monotonic_in_projected_columns(self, fig6):
-        _, vs_col = fig6
-        for s in (1, 5, 10):
-            row = [vs_col.get(s, p) for p in range(1, 11)]
-            assert all(b >= a * 0.98 for a, b in zip(row, row[1:]))
-
-
-class TestFig7Tpch:
-    def test_q1_rm_never_slower(self, fig7_q1):
-        assert all(r >= 1.0 for r in fig7_q1.ratio("row", "rm"))
-        assert all(c >= 0.98 for c in fig7_q1.ratio("column", "rm"))
-
-    def test_q1_engines_similar(self, fig7_q1):
-        """Q1 is compute-bound: every engine within ~1.5x (paper: 'the
-        execution time is similar for all layouts')."""
-        assert max(fig7_q1.ratio("row", "rm")) < 1.55
-        assert max(fig7_q1.ratio("column", "rm")) < 1.55
-
-    def test_q6_rm_fastest(self, fig7_q6):
-        """RM always beats ROW; COL sits at parity or worse. The COL band
-        matches Q1's (2%): at CI scale the smallest point is only a few
-        thousand rows, so generator noise moves the ratio by ~1%."""
-        assert all(r > 1.0 for r in fig7_q6.ratio("row", "rm"))
-        assert all(c >= 0.98 for c in fig7_q6.ratio("column", "rm"))
-
-    def test_q6_movement_bound_gap_larger_than_q1(self, fig7_q1, fig7_q6):
-        assert min(fig7_q6.ratio("row", "rm")) > max(fig7_q1.ratio("row", "rm"))
-
-    def test_scaling_linear_in_data_size(self, fig7_q6):
-        """Doubling the data roughly doubles every engine's time."""
-        for name in ("row", "column", "rm"):
-            series = fig7_q6.series[name].values
-            assert series[1] / series[0] == pytest.approx(4, rel=0.2)  # 2MB->8MB
-            assert series[2] / series[1] == pytest.approx(4, rel=0.2)
-
-    def test_rows_tracked_per_point(self, fig7_q6):
-        assert all(r > 0 for r in fig7_q6.series["rows"].values)
-
-
-class TestAblations:
-    def test_prefetcher_limit_moves_crossover(self):
-        """More trackable streams push the COL/RM crossover to higher
-        projectivity — the mechanism behind Figure 5's '4'."""
-        results = run_prefetcher_ablation(
-            nrows=40_000, stream_limits=(2, 8), max_projectivity=11
-        )
-
-        def crossover(exp):
-            ratios = exp.ratio("column", "rm")
-            for i, c in enumerate(ratios):
-                if c >= 1.0:
-                    return i + 1
-            return len(ratios) + 1
-
-        assert crossover(results[2]) < crossover(results[8])
-
-    def test_rm_clock_sensitivity(self):
-        exp = run_rm_clock_ablation(nrows=30_000, clocks_mhz=(50, 400))
-        rm_slow = exp.series["rm"].values[0]
-        rm_fast = exp.series["rm"].values[1]
-        assert rm_fast <= rm_slow
-
-    def test_buffer_size_reduces_stalls(self):
-        exp = run_buffer_ablation(nrows=150_000, buffer_kb=(64, 8192))
-        stalls = exp.series["refill_stall"].values
-        assert stalls[0] > stalls[-1]
-        assert exp.series["rm"].values[0] >= exp.series["rm"].values[-1]
+def test_experiments_md_cites_exactly_the_claims():
+    text = EXPERIMENTS_MD.read_text()
+    assert _prose_mismatch(text) == (set(), set())
+    planted = text + "\n| planted | `fig5.no_such_claim` | ✓ |\n"
+    assert _prose_mismatch(planted) == (set(), {"fig5.no_such_claim"})
